@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -109,36 +108,26 @@ def _run_nash(config, out):
     return 0
 
 
-def _sweep_rows(spec, eps_list, cg_tol, cg_max_iter, threads):
-    def solve_one(idx_eps):
-        idx, eps = idx_eps
-        res = minimize_G(spec, eps, cg_tol=cg_tol, max_iter=cg_max_iter)
-        return idx, res
-
-    items = list(enumerate(eps_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, items))
-    else:
-        results = [solve_one(item) for item in items]
-    results.sort(key=lambda pair: pair[0])
-    return [res for _, res in results]
-
-
-def _run_null_control(config, out, threads):
-    spec = build_problem_spec(config)
-    results = _sweep_rows(spec, config.eps_list, config.solver["cg_tol"],
-                          config.solver["cg_max_iter"], threads)
+def _write_sweep(out, spec, eps_list, hums):
+    """One sweep.csv row per eps; returns the terminal norms."""
+    chi = np.sqrt(spec.leader_mask.interior_vector())
     rows = []
-    for eps, res in zip(config.eps_list, results):
-        chi = np.sqrt(spec.leader_mask.interior_vector())
+    for eps, res in zip(eps_list, hums):
         f_norm = q_norm(spec.grid, res.f.interior() * chi)
         rows.append((eps, res.terminal_norm, res.cg_iterations, f_norm, 0.5 * f_norm**2))
     write_csv(Path(out, "sweep.csv"), ("eps", "terminal_norm", "cg_iters", "f_norm", "J_leader"), rows)
+    return [res.terminal_norm for res in hums]
+
+
+def _run_null_control(config, out):
+    spec = build_problem_spec(config)
+    results = [minimize_G(spec, eps, cg_tol=config.solver["cg_tol"],
+                          max_iter=config.solver["cg_max_iter"])
+               for eps in config.eps_list]
+    tns = _write_sweep(out, spec, config.eps_list, results)
     last = results[-1]
     dump_field(Path(out, "f.field.txt"), last.f)
     dump_field(Path(out, "w.field.txt"), last.nash.w)
-    tns = [r.terminal_norm for r in results]
     write_summary(Path(out, "summary.txt"), [
         ("eps_count", len(tns)),
         ("terminal_first", fmt(tns[0])),
@@ -149,37 +138,17 @@ def _run_null_control(config, out, threads):
     return 0
 
 
-def _run_trajectory(config, out, threads):
+def _run_trajectory(config, out):
     spec = build_problem_spec(config)
-    u0 = spec.w0
-    ubar0 = spec.ubar0
-    zetas = spec.targets
-
-    def solve_one(idx_eps):
-        idx, eps = idx_eps
-        res = control_to_trajectory(spec, u0, ubar0, zetas, eps,
-                                    cg_tol=config.solver["cg_tol"],
-                                    max_iter=config.solver["cg_max_iter"])
-        return idx, res
-
-    items = list(enumerate(config.eps_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, items))
-    else:
-        results = [solve_one(item) for item in items]
-    results.sort(key=lambda pair: pair[0])
-    results = [r for _, r in results]
-    rows = []
-    for eps, res in zip(config.eps_list, results):
-        chi = np.sqrt(spec.leader_mask.interior_vector())
-        f_norm = q_norm(spec.grid, res.hum.f.interior() * chi)
-        rows.append((eps, res.terminal_mismatch, res.hum.cg_iterations, f_norm, 0.5 * f_norm**2))
-    write_csv(Path(out, "sweep.csv"), ("eps", "terminal_norm", "cg_iters", "f_norm", "J_leader"), rows)
+    results = [control_to_trajectory(spec, spec.w0, spec.ubar0, spec.targets, eps,
+                                     cg_tol=config.solver["cg_tol"],
+                                     max_iter=config.solver["cg_max_iter"])
+               for eps in config.eps_list]
+    # the terminal mismatch is the w-problem terminal norm, bitwise
+    mms = _write_sweep(out, spec, config.eps_list, [r.hum for r in results])
     last = results[-1]
     dump_field(Path(out, "u.field.txt"), last.u)
     dump_field(Path(out, "ubar.field.txt"), last.ubar)
-    mms = [r.terminal_mismatch for r in results]
     write_summary(Path(out, "summary.txt"), [
         ("mismatch_first", fmt(mms[0])),
         ("mismatch_last", fmt(mms[-1])),
@@ -318,7 +287,7 @@ def _run_oracle(config, out):
     return 0
 
 
-def run(subcommand, config_path, out_dir, seed=None, threads=1):
+def run(subcommand, config_path, out_dir, seed=None):
     """Validate, then compute and write artifacts.  Returns the exit code."""
     try:
         config = load_config(config_path)
@@ -338,9 +307,9 @@ def run(subcommand, config_path, out_dir, seed=None, threads=1):
         if subcommand == "nash":
             return _run_nash(config, out)
         if subcommand == "null-control":
-            return _run_null_control(config, out, threads)
+            return _run_null_control(config, out)
         if subcommand == "trajectory":
-            return _run_trajectory(config, out, threads)
+            return _run_trajectory(config, out)
         if subcommand == "semilinear":
             return _run_semilinear(config, out)
         if subcommand == "second-order":
@@ -370,10 +339,10 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep width")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored: eps sweeps run serially")
     args = parser.parse_args(argv)
-    code = run(args.subcommand, args.config, args.out, seed=args.seed, threads=args.threads)
-    return code
+    return run(args.subcommand, args.config, args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ SOLVER_DEFAULTS = {
     "outer_tol": 1e-8,
     "max_outer": 30,
     "damping": 1.0,
-    "penalty_mode": "quadratic",
     "seed": 0,
     "n_samples": 50,
     "n_directions": 20,
@@ -49,6 +48,13 @@ def _strip_quotes(text):
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         return text[1:-1]
     return text
+
+
+def _float(text, name):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot parse {text!r} as a number") from exc
 
 
 def _floats(text, name):
@@ -113,7 +119,10 @@ def load_config(path) -> RunConfig:
     # ';' separates box axes in 2D, so only '#' marks inline comments
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
@@ -186,8 +195,8 @@ def load_config(path) -> RunConfig:
     lam_default, s_default = default_parameters(grid.T)
     lam_text = w.get("lambda", "auto").strip()
     s_text = w.get("s", "auto").strip()
-    lam = lam_default if lam_text == "auto" else float(lam_text)
-    s = s_default if s_text == "auto" else float(s_text)
+    lam = lam_default if lam_text == "auto" else _float(lam_text, "weights.lambda")
+    s = s_default if s_text == "auto" else _float(s_text, "weights.s")
     eps_list = _floats(w.get("eps_list", "1e-1, 1e-2, 1e-3, 1e-4, 1e-5"), "weights.eps_list")
     if any(e <= 0 for e in eps_list):
         raise ConfigError("eps_list entries must be positive")
@@ -196,30 +205,34 @@ def load_config(path) -> RunConfig:
     for key, value in sections.get("solver", {}).items():
         if key not in SOLVER_DEFAULTS:
             raise ConfigError(f"unknown solver option {key!r}")
-        if key == "penalty_mode":
-            if value not in ("quadratic", "exact-norm"):
-                raise ConfigError("penalty_mode must be quadratic or exact-norm")
-            solver[key] = value
-        elif key in ("nash_max_iter", "cg_max_iter", "max_outer", "seed", "n_samples", "n_directions"):
-            solver[key] = int(value)
-        else:
-            solver[key] = float(value)
+        try:
+            solver[key] = type(SOLVER_DEFAULTS[key])(value)
+        except ValueError as exc:
+            raise ConfigError(f"solver.{key}: {exc}") from exc
+    for key in ("nash_max_iter", "cg_max_iter", "max_outer"):
+        if solver[key] < 1:
+            raise ConfigError(f"solver.{key} must be at least 1")
+    for key in ("nash_tol", "coupled_tol", "cg_tol", "outer_tol"):
+        if not (np.isfinite(solver[key]) and solver[key] > 0):
+            raise ConfigError(f"solver.{key} must be finite and positive")
+    if not 0.0 < solver["damping"] <= 1.0:
+        raise ConfigError("solver.damping must lie in (0, 1]")
 
     nl = sections.get("nonlinearity", {})
     kind = nl.get("preset", "zero").strip()
     params = {}
     if kind in ("tanh",):
-        params["c"] = float(nl.get("c", "0.5"))
+        params["c"] = _float(nl.get("c", "0.5"), "nonlinearity.c")
     elif kind == "grad-tanh":
-        params["c"] = float(nl.get("c", "0.5"))
-        params["c2"] = float(nl.get("c2", "0.0"))
+        params["c"] = _float(nl.get("c", "0.5"), "nonlinearity.c")
+        params["c2"] = _float(nl.get("c2", "0.0"), "nonlinearity.c2")
     elif kind == "expr":
         if "expr" not in nl:
             raise ConfigError("nonlinearity preset expr needs an expr entry")
         allowed = {"u"} | {f"p{i + 1}" for i in range(dim)}
         _parse_expression(nl["expr"], "nonlinearity.expr", allowed)
         params["expr"] = _strip_quotes(nl["expr"])
-        params["bound"] = float(nl.get("bound", "1.0"))
+        params["bound"] = _float(nl.get("bound", "1.0"), "nonlinearity.bound")
     elif kind != "zero":
         raise ConfigError(f"unknown nonlinearity preset {kind!r}")
 

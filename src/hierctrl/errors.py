@@ -22,7 +22,8 @@ class SingularMatrix(HierctrlError):
 
 
 class MaxIterations(HierctrlError):
-    """Iteration budget exhausted; carries the best iterate seen so far."""
+    """Iteration budget exhausted; carries the best (for fixed points, the
+    last) iterate and the history."""
 
     def __init__(self, message, best=None, iterations=0, history=None):
         super().__init__(message)
@@ -44,10 +45,8 @@ class ContractionFailure(HierctrlError):
         self.iterations = iterations
 
 
-class OuterDivergence(HierctrlError):
-    def __init__(self, message, iterations=0):
-        super().__init__(message)
-        self.iterations = iterations
+class OuterDivergence(ContractionFailure):
+    """The semilinear outer loop diverged."""
 
 
 class TooLarge(HierctrlError):

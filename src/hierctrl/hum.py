@@ -17,16 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ContractionFailure, MaxIterations, TooLarge, ZeroPointNonsmooth
-from .linalg import conjugate_gradient, factorize
+from .errors import ZeroPointNonsmooth
+from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
-from .nash import NashSolution, q_norm, solve_nash_fixed_point
+from .nash import NashSolution, q_norm, solve_nash_fixed_point, stacked_system
 from .operators import ProblemSpec, TimeStepper, solve_forward
 
-DIVERGENCE_PATIENCE = 10
-TINY = 1e-300
 OVERFLOW_THRESHOLD = 1e300
 
 
@@ -52,7 +49,6 @@ class HumResult:
     cg_history: list
     cg_iterations: int
     eps: float
-    mode: str
 
 
 def _eta_sources(spec, psi_arr):
@@ -79,124 +75,62 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, 
 
     psi marches backward with the transposed forward matrices, each eta_i
     marches forward with the adjoint-coefficient family; together they are
-    the exact transpose of the optimality system.
+    the exact transpose of the optimality system.  The first sweep has no
+    predecessor, so its change is not recorded.
     """
     stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     n = grid.n_interior
-    etas = [np.zeros((grid.nt + 1, n)) for _ in range(2)]
-    psi = None
-    history = []
-    grow_streak = 0
-    last = None
-    for it in range(1, max_iter + 1):
+
+    def sweep(state):
+        psi, etas = state
         psi_new = stepper.march_backward(psi0_int, _psi_source(spec, etas), family="forward")
         eta_srcs = _eta_sources(spec, psi_new)
         etas_new = [stepper.march_forward(np.zeros(n), s, family="adjoint") for s in eta_srcs]
-        if psi is None:
-            change = math.inf
-        else:
+        change = None
+        if psi is not None:
             change = q_norm(grid, psi_new - psi)
             for e_new, e_old in zip(etas_new, etas):
                 change = math.hypot(change, q_norm(grid, e_new - e_old))
-        scale = max(q_norm(grid, psi_new), TINY)
-        if psi is not None:
-            history.append(change)
-            if not np.isfinite(change):
-                raise ContractionFailure("coupled adjoint diverged to non-finite values",
-                                         ratio=math.inf, iterations=it)
-            if last is not None and change > last:
-                grow_streak += 1
-                if grow_streak >= DIVERGENCE_PATIENCE:
-                    raise ContractionFailure(
-                        f"coupled adjoint change grew {grow_streak} consecutive sweeps",
-                        ratio=change / max(last, TINY),
-                        iterations=it,
-                    )
-            else:
-                grow_streak = 0
-            last = change
-        psi, etas = psi_new, etas_new
-        if history and (history[-1] <= tol_rel * scale or history[-1] == 0.0):
-            return CoupledAdjointState(
-                psi=SpaceTimeField.from_interior(grid, psi),
-                eta1=SpaceTimeField.from_interior(grid, etas[0]),
-                eta2=SpaceTimeField.from_interior(grid, etas[1]),
-                iterations=it,
-                history=history,
-            )
-    raise MaxIterations(f"coupled adjoint did not converge in {max_iter} sweeps",
-                        iterations=max_iter, history=history)
+        return (psi_new, etas_new), change, max(q_norm(grid, psi_new), TINY)
+
+    start = (None, [np.zeros((grid.nt + 1, n)) for _ in range(2)])
+    (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint")
+    return _coupled_state(grid, psi, etas, it, history)
 
 
-def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0, max_unknowns=20000) -> CoupledAdjointState:
-    """Direct space-time solve of the coupled adjoint system."""
-    stepper = TimeStepper(spec)
-    grid = spec.grid
-    n = grid.n_interior
-    nt = grid.nt
-    total = 3 * nt * n
-    if total > max_unknowns:
-        raise TooLarge(f"{total} stacked unknowns exceed the {max_unknowns} oracle cap")
-    dt = grid.dt
-    chi = [m.interior_vector() for m in spec.follower_masks]
-    chid = [m.interior_vector() for m in spec.target_masks]
-    psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
-
-    def s_idx(k):  # psi^k, k = 0..nt-1
-        return k * n
-
-    def e_idx(i, j):  # eta_i^j, j = 1..nt
-        return nt * n + i * nt * n + (j - 1) * n
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(total)
-    eyes = sp.identity(n, format="coo")
-
-    def put(block, r0, c0, scale=1.0):
-        blk = sp.coo_matrix(block)
-        rows.extend(blk.row + r0)
-        cols.extend(blk.col + c0)
-        vals.extend(blk.data * scale)
-
-    for j in range(1, nt + 1):
-        r0 = s_idx(j - 1)
-        put(stepper.step_matrix(j, "forward").T, r0, s_idx(j - 1))
-        if j <= nt - 1:
-            put(eyes, r0, s_idx(j), -1.0)
-        for i in range(2):
-            put(sp.diags(chid[i] * (dt * spec.alpha[i])), r0, e_idx(i, j), -1.0)
-        if j == nt:
-            rhs[r0 : r0 + n] += psi0_int
-    for i in range(2):
-        for j in range(1, nt + 1):
-            r0 = e_idx(i, j)
-            put(stepper.step_matrix(j, "adjoint"), r0, e_idx(i, j))
-            if j >= 2:
-                put(eyes, r0, e_idx(i, j - 1), -1.0)
-            put(sp.diags(chi[i] * (dt / spec.mu[i])), r0, s_idx(j - 1))
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
-    x = factorize(A).solve(rhs)
-
-    psi = np.zeros((nt + 1, n))
-    psi[nt] = psi0_int
-    for k in range(nt):
-        psi[k] = x[s_idx(k) : s_idx(k) + n]
-    etas = []
-    for i in range(2):
-        E = np.zeros((nt + 1, n))
-        for j in range(1, nt + 1):
-            E[j] = x[e_idx(i, j) : e_idx(i, j) + n]
-        etas.append(E)
+def _coupled_state(grid, psi, etas, iterations, history):
     return CoupledAdjointState(
         psi=SpaceTimeField.from_interior(grid, psi),
         eta1=SpaceTimeField.from_interior(grid, etas[0]),
         eta2=SpaceTimeField.from_interior(grid, etas[1]),
-        iterations=1,
-        history=[0.0],
+        iterations=iterations,
+        history=history,
     )
+
+
+def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0, max_unknowns=20000) -> CoupledAdjointState:
+    """Direct space-time solve of the coupled adjoint system: the transposed
+    solve of the Nash stacked system, with psi0 feeding the w^nt row."""
+    stepper = TimeStepper(spec)
+    grid = spec.grid
+    n = grid.n_interior
+    nt = grid.nt
+    A = stacked_system(spec, stepper, max_unknowns)
+    psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
+    rhs = np.zeros((3, nt, n))
+    rhs[0, nt - 1] = psi0_int
+    x = factorize(A).solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
+    psi = np.zeros((nt + 1, n))
+    psi[nt] = psi0_int
+    psi[:nt] = x[0]
+    etas = []
+    for i in range(2):
+        E = np.zeros((nt + 1, n))
+        E[1:] = x[1 + i]
+        etas.append(E)
+    return _coupled_state(grid, psi, etas, 1, [0.0])
 
 
 def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTimeField:
@@ -269,16 +203,13 @@ def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12, stepper=None):
     return grad_G(zspec, psi0, eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, mode="quadratic", inner_tol=None, stepper=None) -> HumResult:
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None, stepper=None) -> HumResult:
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     b is the gradient at psi0 = 0 (one affine solve); Lambda applications
     run with zeroed affine data.  Inner solves run at cg_tol/10 by default
     so their noise stays below the CG tolerance.
     """
-    if mode != "quadratic":
-        raise ValueError("minimize_G runs the quadratic-penalty production path; "
-                         "use exact_norm_report for the exact-norm variant")
     spec.require_controllability_geometry()
     stepper = stepper or TimeStepper(spec)
     grid = spec.grid
@@ -309,27 +240,7 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, mode="quadrati
         cg_history=envelope,
         cg_iterations=result.iterations,
         eps=eps,
-        mode=mode,
     )
-
-
-def exact_norm_report(spec: ProblemSpec, eps, cg_tol=1e-8, **kw):
-    """Report the exact-norm penalty structure at the quadratic minimizer.
-
-    Not a CI gate: evaluates G in both modes and records whether the
-    terminal norm satisfies the eps bound the exact-norm theory gives.
-    """
-    hum = minimize_G(spec, eps, cg_tol=cg_tol, **kw)
-    g_quad = eval_G(spec, hum.psi0, eps, mode="quadratic")
-    g_exact = eval_G(spec, hum.psi0, eps, mode="exact-norm")
-    return {
-        "eps": eps,
-        "terminal_norm": hum.terminal_norm,
-        "G_quadratic": g_quad,
-        "G_exact_norm": g_exact,
-        "terminal_within_eps": bool(hum.terminal_norm <= eps),
-        "psi0_norm": norm_h(spec.grid, hum.psi0),
-    }
 
 
 @dataclass

@@ -1,43 +1,25 @@
 """Minimal sparse linear algebra behind the time steppers and HUM solver.
 
 Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
-conjugate gradient and power iteration are written against operator
-callbacks so the HUM operator, which involves nested PDE solves, plugs in
-without ever being materialized.
+conjugate gradient, power iteration and the fixed-point driver are written
+against callbacks so the HUM operator and the sweeps, which involve nested
+PDE solves, plug in without ever being materialized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MaxIterations, NonFiniteBreakdown, SingularMatrix
+from .errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
 
 PIVOT_RTOL = 1e-14
-
-
-def sparse_from_triples(n, rows, cols, values):
-    """Assemble an n x n CSR matrix from (row, col, value) triples.
-
-    Rejects out-of-range indices, duplicate (row, col) pairs, and
-    non-finite values.
-    """
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    values = np.asarray(values, dtype=float)
-    if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
-        raise ValueError("negative index in triples")
-    if rows.max(initial=-1) >= n or cols.max(initial=-1) >= n:
-        raise ValueError("index out of range in triples")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite value in triples")
-    keys = rows.astype(np.int64) * n + cols
-    if len(np.unique(keys)) != len(keys):
-        raise ValueError("duplicate (row, col) in triples")
-    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+PATIENCE = 10  # consecutive growing sweeps before a fixed point is declared divergent
+TINY = 1e-300
 
 
 @dataclass
@@ -67,10 +49,6 @@ def factorize(matrix) -> Factorization:
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e}*scale")
     return Factorization(matrix.shape[0], lu)
-
-
-def solve(fact, rhs):
-    return fact.solve(rhs)
 
 
 @dataclass
@@ -124,6 +102,41 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500) -> CGResult:
         iterations=max_iter,
         history=history,
     )
+
+
+def iterate(sweep, x, tol_rel, max_iter, name, diverged=ContractionFailure):
+    """Fixed-point driver: x <- sweep(x) until the change is small.
+
+    sweep(x) returns (x_next, change, scale); change is None when the sweep
+    has nothing to compare against yet, and such a sweep is not recorded.
+    Stops when change <= tol_rel * scale or change == 0 and returns
+    (x_next, iterations, history of recorded changes).  Raises `diverged`
+    (a ContractionFailure) on a non-finite change or after PATIENCE
+    consecutive growing changes, MaxIterations carrying the last iterate
+    otherwise.
+    """
+    history = []
+    streak = 0
+    for it in range(1, max_iter + 1):
+        x, change, scale = sweep(x)
+        if change is None:
+            continue
+        history.append(change)
+        if not math.isfinite(change):
+            raise diverged(f"{name} diverged to non-finite values at sweep {it}",
+                           ratio=math.inf, iterations=it)
+        if len(history) > 1 and change > history[-2]:
+            streak += 1
+            if streak >= PATIENCE:
+                ratio = change / max(history[-2], TINY)
+                raise diverged(f"{name} change grew {streak} consecutive sweeps "
+                               f"(last ratio {ratio:.3g})", ratio=ratio, iterations=it)
+        else:
+            streak = 0
+        if change <= tol_rel * scale or change == 0.0:
+            return x, it, history
+    raise MaxIterations(f"{name} did not converge in {max_iter} sweeps",
+                        best=x, iterations=max_iter, history=history)
 
 
 @dataclass

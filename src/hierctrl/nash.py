@@ -14,20 +14,18 @@ forced by transposing the backward-Euler scheme.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractionFailure, MaxIterations, TooLarge
-from .linalg import factorize, operator_norm
+from .linalg import TINY, factorize, iterate, operator_norm
 from .mesh import SpaceTimeField
 from .operators import ProblemSpec, TimeStepper, control_sources
 
 import scipy.sparse as sp
-
-DIVERGENCE_PATIENCE = 10  # consecutive growing sweeps before giving up
-TINY = 1e-300
 
 
 def q_norm(grid, arr):
@@ -160,11 +158,10 @@ def solve_nash_fixed_point(
     """Contraction fixed point z -> w^z over the coupled optimality system.
 
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
-    change.  Raises ContractionFailure when the change norm grows for
-    DIVERGENCE_PATIENCE consecutive sweeps, MaxIterations otherwise.
-    extra_source, when given, is an unmasked interior source added to the
-    state equation (the frozen constant term of semilinear sweeps);
-    on_sweep(it, W, vs, change) is called after every sweep.
+    change; failures are raised by linalg.iterate.  extra_source, when
+    given, is an unmasked interior source added to the state equation (the
+    frozen constant term of semilinear sweeps); on_sweep(it, W, vs, change)
+    is called after every sweep.
     """
     stepper = stepper or TimeStepper(spec)
     grid = spec.grid
@@ -172,47 +169,22 @@ def solve_nash_fixed_point(
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
-    z = np.zeros((grid.nt + 1, grid.n_interior))
-    history = []
-    grow_streak = 0
-    last = None
-    for it in range(1, max_iter + 1):
+    sweeps = itertools.count(1)
+
+    def sweep(state):
+        z = state[0]
         W, phis, vs = _sweep(spec, stepper, z, f_src, w0_int)
         change = q_norm(grid, W - z)
-        history.append(change)
         if on_sweep is not None:
-            on_sweep(it, W, vs, change)
-        if not np.isfinite(change):
-            raise ContractionFailure(
-                f"iterate diverged to non-finite values at sweep {it}",
-                ratio=math.inf,
-                iterations=it,
-            )
-        if last is not None and change > last:
-            grow_streak += 1
-            if grow_streak >= DIVERGENCE_PATIENCE:
-                ratio = change / max(last, TINY)
-                raise ContractionFailure(
-                    f"change norm grew {grow_streak} consecutive sweeps "
-                    f"(last ratio {ratio:.3g})",
-                    ratio=ratio,
-                    iterations=it,
-                )
-        else:
-            grow_streak = 0
-        last = change
+            on_sweep(next(sweeps), W, vs, change)
         scale = max(q_norm(grid, z), q_norm(grid, W), TINY)
-        if change <= tol_rel * scale or change == 0.0:
-            sol = _package_solution(spec, W, phis, vs, it, history)
-            sol.residuals = verify_first_order(spec, f, sol, stepper=stepper)
-            return sol
-        z = z + damping * (W - z)
-    raise MaxIterations(
-        f"Nash fixed point did not converge in {max_iter} sweeps",
-        best=None,
-        iterations=max_iter,
-        history=history,
-    )
+        return (z + damping * (W - z), W, phis, vs), change, scale
+
+    start = (np.zeros((grid.nt + 1, grid.n_interior)),)
+    (_, W, phis, vs), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point")
+    sol = _package_solution(spec, W, phis, vs, it, history)
+    sol.residuals = verify_first_order(spec, f, sol, stepper=stepper)
+    return sol
 
 
 def _package_solution(spec, W, phis, vs, iterations, history):
@@ -254,13 +226,14 @@ def solve_nash_richardson(spec: ProblemSpec, f=None, step=None, tol_rel=1e-10, m
     raise MaxIterations(f"Richardson did not reach tol {tol_rel:.1e}", iterations=max_iter)
 
 
-def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolution:
-    """Direct solve of the full space-time optimality system.
+def stacked_system(spec: ProblemSpec, stepper, max_unknowns=20000):
+    """The full space-time optimality system as one sparse matrix.
 
-    Stacks all levels of (w, phi_1, phi_2) into one sparse linear system
-    and factorizes it; the reference the fixed point is tested against.
+    Unknowns are stacked by block: w^1..w^nt, then phi_1^0..phi_1^{nt-1},
+    then phi_2^0..phi_2^{nt-1}, so a solution reshapes to (3, nt, n).  Its
+    transpose is the coupled adjoint system of the HUM gradient, with
+    psi^{j-1} in the w^j slot and eta_i^j in the phi_i^{j-1} slot.
     """
-    stepper = TimeStepper(spec)
     grid = spec.grid
     n = grid.n_interior
     nt = grid.nt
@@ -270,9 +243,6 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
     dt = grid.dt
     chi = [m.interior_vector() for m in spec.follower_masks]
     chid = [m.interior_vector() for m in spec.target_masks]
-    wd = [t.interior() for t in spec.targets]
-    w0_int = grid.to_interior(spec.w0)
-    f_src = control_sources(spec, f=f)
 
     def w_idx(j):  # w^j, j = 1..nt
         return (j - 1) * n
@@ -283,7 +253,6 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
     rows = []
     cols = []
     vals = []
-    rhs = np.zeros(total)
     eyes = sp.identity(n, format="coo")
 
     def put(block, r0, c0, scale=1.0):
@@ -299,9 +268,6 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
             put(eyes, r0, w_idx(j - 1), -1.0)
         for i in range(2):
             put(sp.diags(chi[i] * (dt / spec.mu[i])).tocoo(), r0, p_idx(i, j - 1))
-        rhs[r0 : r0 + n] += dt * f_src[j]
-        if j == 1:
-            rhs[r0 : r0 + n] += w0_int
     for i in range(2):
         for j in range(1, nt + 1):
             r0 = p_idx(i, j - 1)
@@ -309,20 +275,36 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
             if j <= nt - 1:
                 put(eyes, r0, p_idx(i, j), -1.0)
             put(sp.diags(chid[i] * (dt * spec.alpha[i])).tocoo(), r0, w_idx(j), -1.0)
-            rhs[r0 : r0 + n] += -dt * spec.alpha[i] * chid[i] * wd[i][j]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
 
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
-    x = factorize(A).solve(rhs)
+
+def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolution:
+    """Direct solve of the full space-time optimality system.
+
+    Factorizes the stacked system; the reference the fixed point is tested
+    against.
+    """
+    stepper = TimeStepper(spec)
+    grid = spec.grid
+    n = grid.n_interior
+    nt = grid.nt
+    A = stacked_system(spec, stepper, max_unknowns)
+    w0_int = grid.to_interior(spec.w0)
+    rhs = np.zeros((3, nt, n))
+    rhs[0] += grid.dt * control_sources(spec, f=f)[1:]
+    rhs[0, 0] += w0_int
+    for i in range(2):
+        chid = spec.target_masks[i].interior_vector()
+        rhs[1 + i] += -grid.dt * spec.alpha[i] * chid * spec.targets[i].interior()[1:]
+    x = factorize(A).solve(rhs.reshape(-1)).reshape(3, nt, n)
 
     W = np.zeros((nt + 1, n))
     W[0] = w0_int
-    for j in range(1, nt + 1):
-        W[j] = x[w_idx(j) : w_idx(j) + n]
+    W[1:] = x[0]
     phis = []
     for i in range(2):
         P = np.zeros((nt + 1, n))
-        for k in range(nt):
-            P[k] = x[p_idx(i, k) : p_idx(i, k) + n]
+        P[:nt] = x[1 + i]
         phis.append(P)
     vs = _controls_from_adjoints(spec, phis)
     sol = _package_solution(spec, W, phis, vs, 1, [0.0])

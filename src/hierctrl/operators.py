@@ -172,15 +172,6 @@ class ProblemSpec:
             raise ValueError("each target region must intersect the leader region")
 
 
-@dataclass
-class DiscreteOperator:
-    """Spatial operators at one time level; adjoint = transpose contract."""
-
-    level: int
-    forward: sp.csr_matrix
-    adjoint: sp.csr_matrix
-
-
 def _spatial_operator(grid, biharm, grads, a_field, b_fields, level):
     a_int = grid.to_interior(a_field.level(level))
     L = biharm + sp.diags(a_int)
@@ -189,17 +180,6 @@ def _spatial_operator(grid, biharm, grads, a_field, b_fields, level):
         if np.any(b_int):
             L = L + sp.diags(b_int) @ grads[axis]
     return L.tocsr()
-
-
-def assemble_operators(spec: ProblemSpec, time_level: int) -> DiscreteOperator:
-    grid = spec.grid
-    biharm = assemble_biharmonic(grid)
-    grads = gradient_matrices(grid)
-    fwd = _spatial_operator(grid, biharm, grads, spec.a, spec.b, time_level)
-    a_adj = spec.a_adj if spec.a_adj is not None else spec.a
-    b_adj = spec.b_adj if spec.b_adj is not None else spec.b
-    adj = _spatial_operator(grid, biharm, grads, a_adj, b_adj, time_level).T.tocsr()
-    return DiscreteOperator(time_level, fwd, adj)
 
 
 def _fields_time_constant(a_field, b_fields):

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
+from .errors import OuterDivergence, UnsupportedNonlinearity
 from .hum import HumResult, check_target_condition, minimize_G
+from .linalg import TINY, iterate
 from .mesh import SpaceTimeField
 from .nash import NashSolution, q_norm, solve_nash_fixed_point
 from .operators import ProblemSpec, TimeStepper
 
 GL_POINTS = 8
-OUTER_PATIENCE = 5
-TINY = 1e-300
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_POINTS)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # map to [0, 1]
@@ -265,6 +264,12 @@ def _z_change_norm(grid, d_values):
     return math.sqrt(total)
 
 
+def _picard_change(grid, z, w):
+    """(change, scale) of a Picard step z -> w, both in the (z, grad z) norm."""
+    scale = max(_z_change_norm(grid, z.values), _z_change_norm(grid, w.values), TINY)
+    return _z_change_norm(grid, w.values - z.values), scale
+
+
 def _interior_levels(grid, values):
     sl = (slice(None),) + grid.interior_slices()
     return values[sl].reshape(grid.nt + 1, -1)
@@ -300,35 +305,20 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
     """
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    z = SpaceTimeField.zeros(grid)
-    history = []
-    grow = 0
-    last = None
-    for it in range(1, max_iter + 1):
+    extra = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
+
+    def sweep(state):
+        z = state[0]
         frozen = _frozen_spec(spec, nonlin, z, base=None)
-        extra = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
         sol = solve_nash_fixed_point(frozen, f, tol_rel=inner_tol, extra_source=extra)
-        change = _z_change_norm(grid, sol.w.values - z.values)
-        history.append(change)
-        if not np.isfinite(change):
-            raise ContractionFailure("quasi-equilibrium Picard diverged", ratio=math.inf, iterations=it)
-        if last is not None and change > last:
-            grow += 1
-            if grow >= OUTER_PATIENCE * 2:
-                raise ContractionFailure(
-                    f"quasi-equilibrium change grew {grow} consecutive sweeps",
-                    ratio=change / max(last, TINY), iterations=it)
-        else:
-            grow = 0
-        last = change
-        scale = max(_z_change_norm(grid, z.values), _z_change_norm(grid, sol.w.values), TINY)
-        if change <= tol * scale or change == 0.0:
-            return QuasiEquilibrium(
-                u=sol.w, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
-                outer_iterations=it, history=history, inner=sol)
-        z = SpaceTimeField(grid, z.values + damping * (sol.w.values - z.values))
-    raise MaxIterations(f"quasi-equilibrium Picard did not converge in {max_iter} sweeps",
-                        iterations=max_iter, history=history)
+        z_next = SpaceTimeField(grid, z.values + damping * (sol.w.values - z.values))
+        return (z_next, sol), *_picard_change(grid, z, sol.w)
+
+    (_, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, max_iter,
+                                    "quasi-equilibrium Picard")
+    return QuasiEquilibrium(
+        u=sol.w, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
+        outer_iterations=it, history=history, inner=sol)
 
 
 def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: QuasiEquilibrium):
@@ -378,21 +368,16 @@ def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0,
     """Uncontrolled semilinear trajectory by secant-coefficient Picard."""
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    ubar0 = np.asarray(ubar0, dtype=float)
-    z = SpaceTimeField.zeros(grid)
-    for it in range(1, max_iter + 1):
-        frozen = _frozen_spec(spec, nonlin, z, base=None)
-        st = TimeStepper(frozen)
-        src = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
-        U = st.march_forward(grid.to_interior(ubar0), src)
-        u = SpaceTimeField.from_interior(grid, U)
-        change = _z_change_norm(grid, u.values - z.values)
-        scale = max(_z_change_norm(grid, z.values), _z_change_norm(grid, u.values), TINY)
-        if change <= tol * scale or change == 0.0:
-            return u
-        z = u
-    raise MaxIterations(f"free trajectory Picard did not converge in {max_iter} sweeps",
-                        iterations=max_iter)
+    ubar0_int = grid.to_interior(np.asarray(ubar0, dtype=float))
+    src = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
+
+    def sweep(z):
+        st = TimeStepper(_frozen_spec(spec, nonlin, z, base=None))
+        u = SpaceTimeField.from_interior(grid, st.march_forward(ubar0_int, src))
+        return u, *_picard_change(grid, z, u)
+
+    u, _, _ = iterate(sweep, SpaceTimeField.zeros(grid), tol, max_iter, "free trajectory Picard")
+    return u
 
 
 @dataclass
@@ -428,35 +413,15 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     target_check = None
     if theta is not None:
         target_check = check_target_condition(base_wspec, theta)
-    z = SpaceTimeField.zeros(grid)
-    history = []
-    grow = 0
-    last = None
-    hum = None
-    for it in range(1, max_outer + 1):
+
+    def sweep(state):
+        z = state[0]
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
         hum = minimize_G(frozen, eps, cg_tol=cg_tol, inner_tol=inner_tol)
-        wz = hum.nash.w
-        change = _z_change_norm(grid, wz.values - z.values)
-        history.append(change)
-        if not np.isfinite(change):
-            raise OuterDivergence("semilinear outer loop diverged to non-finite values", iterations=it)
-        if last is not None and change > last:
-            grow += 1
-            if grow >= OUTER_PATIENCE:
-                raise OuterDivergence(
-                    f"outer z-change grew {grow} consecutive iterations", iterations=it)
-        else:
-            grow = 0
-        last = change
-        scale = max(_z_change_norm(grid, z.values), _z_change_norm(grid, wz.values), TINY)
-        if change <= outer_tol * scale or change == 0.0:
-            z = wz
-            break
-        z = wz
-    else:
-        raise MaxIterations(f"semilinear outer loop did not converge in {max_outer} iterations",
-                            iterations=max_outer, history=history)
+        return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
+
+    (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid),), outer_tol, max_outer,
+                                   "semilinear outer loop", diverged=OuterDivergence)
     u = SpaceTimeField(grid, z.values + ubar.values)
     return SemilinearControlResult(
         hum=hum, f=hum.f, u=u, ubar=ubar, w=z,

@@ -55,14 +55,13 @@ def test_criterion_01_transpose_contract_and_duality():
     st = TimeStepper(spec)
     import scipy.sparse as sp
 
-    from hierctrl.operators import assemble_operators
+    from hierctrl.operators import _spatial_operator
 
     eye = sp.identity(g.n_interior, format="csr")
     max_entry = 0.0
     for j in range(1, g.nt + 1):
-        op = assemble_operators(spec, j)
-        fwd_step = eye + g.dt * op.forward
-        adj_step = eye + g.dt * op.adjoint  # matrix the backward march solves with
+        fwd_step = eye + g.dt * _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, j)
+        adj_step = st.step_matrix(j, "adjoint").T  # matrix the backward march solves with
         max_entry = max(max_entry, abs(adj_step - fwd_step.T).max())
     gaps = []
     for _ in range(10):

@@ -84,6 +84,37 @@ def test_unknown_solver_key_rejected(tmp_path):
     assert run("nash", cfg, tmp_path / "never") == 2
 
 
+SOLVER = ZERO_NASH + "\n[solver]\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = 1.0\nmu2 = 2.0"), id="duplicated-key"),
+    pytest.param(ZERO_NASH.replace("[grid]\n", ""), id="no-section-header"),
+    pytest.param(SOLVER + "nash_max_iter = lots\n", id="max-iter-not-a-number"),
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = 1.0\nlambda = big"), id="lambda-not-a-number"),
+    pytest.param(ZERO_NASH + "\n[nonlinearity]\npreset = tanh\nc = strong\n", id="c-not-a-number"),
+    pytest.param(SOLVER + "damping = 0\n", id="damping-zero"),
+    pytest.param(SOLVER + "damping = 1.5\n", id="damping-above-one"),
+    pytest.param(SOLVER + "damping = nan\n", id="damping-nan"),
+    pytest.param(SOLVER + "nash_max_iter = 0\n", id="nash-max-iter-zero"),
+    pytest.param(SOLVER + "cg_max_iter = -3\n", id="cg-max-iter-negative"),
+    pytest.param(SOLVER + "max_outer = 0\n", id="max-outer-zero"),
+    pytest.param(SOLVER + "nash_tol = 0\n", id="nash-tol-zero"),
+    pytest.param(SOLVER + "coupled_tol = -1e-12\n", id="coupled-tol-negative"),
+    pytest.param(SOLVER + "cg_tol = inf\n", id="cg-tol-inf"),
+    pytest.param(SOLVER + "outer_tol = nan\n", id="outer-tol-nan"),
+    pytest.param(SOLVER + "penalty_mode = exact-norm\n", id="penalty-mode-is-not-a-key"),
+])
+def test_malformed_config_fails_validation(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "never"
+    assert run("nash", cfg, out) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "ConfigError", "message": record["message"], "stage": "validation"}
+
+
 def test_manifest_contents(tmp_path):
     cfg = tmp_path / "zero.ini"
     cfg.write_text(ZERO_NASH)
@@ -130,10 +161,12 @@ def test_null_control_deterministic(tmp_path):
 
 
 def test_null_control_threads_match_serial(tmp_path):
+    """--threads is accepted and ignored."""
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
-    run("null-control", CONFIGS / "null_control_1d.ini", out1, threads=1)
-    run("null-control", CONFIGS / "null_control_1d.ini", out2, threads=3)
+    run("null-control", CONFIGS / "null_control_1d.ini", out1)
+    config = str(CONFIGS / "null_control_1d.ini")
+    assert main(["null-control", "--config", config, "--out", str(out2), "--threads", "3"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 

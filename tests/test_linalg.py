@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hierctrl.errors import MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import (conjugate_gradient, factorize, operator_norm, solve,
-                             sparse_from_triples)
+from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
+from hierctrl.linalg import PATIENCE, conjugate_gradient, factorize, iterate, operator_norm
 
 
 def _random_spd(n, seed):
@@ -16,12 +17,12 @@ def _random_spd(n, seed):
 def test_factorize_identity():
     b = np.array([3.0, -1.0, 2.0])
     fact = factorize(sp.identity(3, format="csr"))
-    assert np.allclose(solve(fact, b), b)
+    assert np.allclose(fact.solve(b), b)
 
 
 def test_factorize_diagonal():
     A = sp.diags([2.0, 4.0]).tocsr()
-    x = solve(factorize(A), np.array([2.0, 4.0]))
+    x = factorize(A).solve(np.array([2.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0])
 
 
@@ -29,7 +30,7 @@ def test_factorize_residual_bound():
     A = _random_spd(50, 0)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(50)
-    x = solve(factorize(sp.csr_matrix(A)), b)
+    x = factorize(sp.csr_matrix(A)).solve(b)
     res = np.max(np.abs(A @ x - b))
     bound = 1e-10 * (np.max(np.abs(A)) * np.max(np.abs(x)) + np.max(np.abs(b)))
     assert res <= bound
@@ -48,16 +49,6 @@ def test_factorize_singular_raises():
         factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     with pytest.raises(SingularMatrix):
         factorize(sp.csr_matrix((3, 3)))
-
-
-def test_sparse_from_triples_validation():
-    sparse_from_triples(2, [0, 1], [0, 1], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sparse_from_triples(2, [0, 0], [0, 0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sparse_from_triples(2, [0, 2], [0, 0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sparse_from_triples(2, [0], [0], [np.nan])
 
 
 def test_cg_identity_one_iteration():
@@ -153,3 +144,57 @@ def test_operator_norm_vs_repeated_squaring_oracle():
     oracle = np.sqrt(lam_max)
     est = operator_norm(lambda v: A @ v, lambda v: A.T @ v, 20, iters=400)
     assert abs(est.value - oracle) <= 1e-6 * oracle
+
+
+def _affine_sweep(factor):
+    """x -> 1 + factor * (x - 1), with change |x_next - x| and scale |x_next|."""
+    def sweep(x):
+        x_next = 1.0 + factor * (x - 1.0)
+        return x_next, abs(x_next - x), abs(x_next)
+    return sweep
+
+
+def test_iterate_converges():
+    x, iterations, history = iterate(_affine_sweep(0.5), 0.0, 1e-3, 100, "halving")
+    assert iterations == len(history) == 10
+    assert history == [0.5**k for k in range(1, 11)]
+    assert x == 1.0 - 0.5**10
+
+
+def test_iterate_skips_unrecorded_sweeps():
+    def sweep(x):
+        return x + 1, (None if x == 0 else 0.0), 1.0
+
+    x, iterations, history = iterate(sweep, 0, 1e-12, 10, "two-step")
+    assert (x, iterations, history) == (2, 2, [0.0])
+
+
+def test_iterate_growth_raises_after_patience():
+    with pytest.raises(ContractionFailure) as err:
+        iterate(_affine_sweep(2.0), 0.0, 1e-12, 100, "doubling")
+    assert PATIENCE == 10
+    # the first change has no predecessor; the next PATIENCE changes grow
+    assert err.value.iterations == PATIENCE + 1
+    assert err.value.ratio == 2.0
+
+
+def test_iterate_growth_streak_resets():
+    """PATIENCE - 1 growing changes, a drop, PATIENCE - 1 more, then zero."""
+    changes = [*range(1, PATIENCE + 1), 0.5, *range(1, PATIENCE), 0.0]
+    x, iterations, _ = iterate(lambda k: (k + 1, changes[k], 1.0), 0, 0.0, 100, "bouncing")
+    assert iterations == x == len(changes)
+
+
+def test_iterate_non_finite_change():
+    with pytest.raises(ContractionFailure) as err:
+        iterate(lambda x: (x, math.nan, 1.0), 0.0, 1e-12, 100, "nan")
+    assert err.value.iterations == 1
+    assert err.value.ratio == math.inf
+
+
+def test_iterate_max_iterations_carries_last_iterate():
+    with pytest.raises(MaxIterations) as err:
+        iterate(_affine_sweep(0.9), 0.0, 1e-12, 5, "slow")
+    assert err.value.iterations == 5
+    assert err.value.best == pytest.approx(1.0 - 0.9**5)
+    assert err.value.history == pytest.approx([0.1 * 0.9**k for k in range(5)])

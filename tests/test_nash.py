@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hierctrl.errors import ContractionFailure, TooLarge
+from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
 from hierctrl.mesh import SpaceTimeField, build_grid
 from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
                            cost_followers, dense_oracle_nash, diagnostics, q_norm,
@@ -183,6 +183,14 @@ def test_divergence_detected_not_hang(nash_spec):
     with pytest.raises(ContractionFailure) as err:
         solve_nash_fixed_point(inflated, tol_rel=1e-12, max_iter=500)
     assert err.value.ratio > 1.0
+
+
+def test_max_iterations_carries_last_iterate(nash_spec):
+    with pytest.raises(MaxIterations) as err:
+        solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid), max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.best is not None
+    assert len(err.value.history) == 1
 
 
 def test_cost_descent_at_equilibrium(nash_spec, rng):

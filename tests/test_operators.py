@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
-from hierctrl.operators import (ProblemSpec, TimeStepper, assemble_biharmonic, assemble_operators,
+from hierctrl.operators import (ProblemSpec, TimeStepper, _spatial_operator, assemble_biharmonic,
                                 duality_gap, solve_adjoint, solve_forward)
 
 from conftest import make_nash_spec
@@ -85,18 +86,21 @@ def test_biharmonic_quartic_2d_interior():
 def test_reaction_shift_is_identity():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.ones((g.nt + 1,) + g.nx))
-    op = assemble_operators(spec, 1)
+    st = TimeStepper(spec)
+    L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, 1)
     M = assemble_biharmonic(g)
-    diff = op.forward - M
+    diff = L - M
     assert abs(diff - np.eye(g.n_interior)).max() <= 1e-14
 
 
 def test_operator_symmetric_without_transport():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
-    op = assemble_operators(spec, 2)
-    assert abs(op.forward - op.forward.T).max() == 0.0
-    assert abs(op.adjoint - op.forward).max() == 0.0
+    st = TimeStepper(spec)
+    fwd = st.step_matrix(2, "forward")
+    assert abs(fwd - fwd.T).max() == 0.0
+    # the backward march solves with the adjoint-family matrix transposed
+    assert abs(st.step_matrix(2, "adjoint").T - fwd).max() == 0.0
 
 
 def test_transpose_contract_exact(rng):
@@ -104,10 +108,13 @@ def test_transpose_contract_exact(rng):
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape),
                        b_values=[rng.standard_normal(shape)])
-    for level in (1, 4, 8):
-        op = assemble_operators(spec, level)
-        assert abs(op.adjoint - op.forward.T).max() == 0.0
     st = TimeStepper(spec)
+    eye = sp.identity(g.n_interior, format="csr")
+    for level in (1, 4, 8):
+        L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, level)
+        assert abs(L - L.T).max() > 0.0  # transport makes the operator nonsymmetric
+        adj_step = st.step_matrix(level, "adjoint").T  # what the backward march solves with
+        assert abs(adj_step - (eye + g.dt * L).T).max() == 0.0
     for j in (1, 5):
         assert abs(st.step_matrix(j, "adjoint") - st.step_matrix(j, "forward")).max() == 0.0
 

@@ -1,9 +1,12 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hierctrl.errors import UnsupportedNonlinearity
+from hierctrl import semilinear
+from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
 from hierctrl.hum import control_to_trajectory
 from hierctrl.mesh import SpaceTimeField
 from hierctrl.nash import q_norm, solve_nash_fixed_point
@@ -84,6 +87,42 @@ def test_quasi_equilibrium_zero_data():
     qe = solve_quasi_equilibrium(spec, preset_tanh(0.5), None, tol=1e-10)
     assert np.all(qe.u.values == 0.0)
     assert np.all(qe.v1.values == 0.0) and np.all(qe.v2.values == 0.0)
+
+
+def _tripling_states(spec):
+    """Iterates 3^k * profile: every change is three times the one before."""
+    g = spec.grid
+    profile = g.from_interior(np.linspace(1.0, 2.0, g.n_interior))
+    powers = itertools.count(1)
+    return lambda: SpaceTimeField.from_spatial(g, 3.0 ** next(powers) * profile)
+
+
+def test_quasi_equilibrium_divergence_detected(spec, leader, monkeypatch):
+    states = _tripling_states(spec)
+    monkeypatch.setattr(semilinear, "solve_nash_fixed_point",
+                        lambda *args, **kwargs: SimpleNamespace(w=states()))
+    with pytest.raises(ContractionFailure) as err:
+        solve_quasi_equilibrium(spec, preset_zero(), leader)
+    assert err.value.iterations == 11  # one first change, then ten growing ones
+    assert err.value.ratio == pytest.approx(3.0)
+
+
+def test_outer_loop_divergence_detected(monkeypatch):
+    spec = make_hum_spec()
+    states = _tripling_states(spec)
+    monkeypatch.setattr(semilinear, "minimize_G",
+                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states())))
+    with pytest.raises(OuterDivergence) as err:
+        semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.nx), eps=1e-4)
+    assert err.value.iterations == 11
+    assert err.value.ratio == pytest.approx(3.0)
+
+
+def test_free_trajectory_max_iterations_carries_last_iterate(spec):
+    with pytest.raises(MaxIterations) as err:
+        solve_free_trajectory(spec, preset_tanh(0.5), spec.w0, max_iter=1)
+    assert isinstance(err.value.best, SpaceTimeField)
+    assert err.value.iterations == 1 and len(err.value.history) == 1
 
 
 def test_quasi_equilibrium_plugback(spec, leader, tanh_equilibrium):
