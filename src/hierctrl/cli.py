@@ -22,7 +22,7 @@ from .config import (build_carleman, build_leader_field, build_nonlinearity, bui
 from .errors import ConfigError, HierctrlError
 from .hum import control_to_trajectory, dense_oracle_coupled_adjoint, minimize_G, solve_coupled_adjoint
 from .nash import (cost_followers, cost_leader, dense_oracle_nash, q_norm, solve_nash_fixed_point,
-                   _raw_residuals)
+                   verify_first_order, _raw_residuals)
 from .operators import TimeStepper
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
@@ -94,13 +94,14 @@ def _run_nash(config, out):
     for name, field in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
         dump_field(Path(out, f"{name}.field.txt"), field)
     j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w, stepper=stepper)
+    residuals = verify_first_order(spec, f, sol, stepper=stepper)
     write_summary(Path(out, "summary.txt"), [
         ("iterations", sol.iterations),
         ("w_norm", fmt(q_norm(spec.grid, sol.w.interior()))),
         ("v1_norm", fmt(q_norm(spec.grid, sol.v1.interior()))),
         ("v2_norm", fmt(q_norm(spec.grid, sol.v2.interior()))),
-        ("residual_1", fmt(sol.residuals[0])),
-        ("residual_2", fmt(sol.residuals[1])),
+        ("residual_1", fmt(residuals[0])),
+        ("residual_2", fmt(residuals[1])),
         ("J1", fmt(j1)),
         ("J2", fmt(j2)),
         ("J_leader", fmt(cost_leader(spec, f))),
@@ -108,23 +109,25 @@ def _run_nash(config, out):
     return 0
 
 
-def _write_sweep(out, spec, eps_list, hums):
-    """One sweep.csv row per eps; returns the terminal norms."""
+def _write_sweep(out, spec, hums):
+    """One sweep.csv row per eps and the CG residuals of every eps; returns the terminal norms."""
     chi = np.sqrt(spec.leader_mask.interior_vector())
     rows = []
-    for eps, res in zip(eps_list, hums):
+    history = []
+    for res in hums:
         f_norm = q_norm(spec.grid, res.f.interior() * chi)
-        rows.append((eps, res.terminal_norm, res.cg_iterations, f_norm, 0.5 * f_norm**2))
+        rows.append((res.eps, res.terminal_norm, res.cg_iterations, f_norm, 0.5 * f_norm**2))
+        history.extend((res.eps, k, r) for k, r in enumerate(res.cg_residuals))
     write_csv(Path(out, "sweep.csv"), ("eps", "terminal_norm", "cg_iters", "f_norm", "J_leader"), rows)
+    write_csv(Path(out, "cg_history.csv"), ("eps", "iter", "residual"), history)
     return [res.terminal_norm for res in hums]
 
 
 def _run_null_control(config, out):
     spec = build_problem_spec(config)
-    results = [minimize_G(spec, eps, cg_tol=config.solver["cg_tol"],
-                          max_iter=config.solver["cg_max_iter"])
-               for eps in config.eps_list]
-    tns = _write_sweep(out, spec, config.eps_list, results)
+    results = minimize_G(spec, config.eps_list, cg_tol=config.solver["cg_tol"],
+                         max_iter=config.solver["cg_max_iter"])
+    tns = _write_sweep(out, spec, results)
     last = results[-1]
     dump_field(Path(out, "f.field.txt"), last.f)
     dump_field(Path(out, "w.field.txt"), last.nash.w)
@@ -140,12 +143,11 @@ def _run_null_control(config, out):
 
 def _run_trajectory(config, out):
     spec = build_problem_spec(config)
-    results = [control_to_trajectory(spec, spec.w0, spec.ubar0, spec.targets, eps,
-                                     cg_tol=config.solver["cg_tol"],
-                                     max_iter=config.solver["cg_max_iter"])
-               for eps in config.eps_list]
+    results = control_to_trajectory(spec, spec.w0, spec.ubar0, spec.targets, config.eps_list,
+                                    cg_tol=config.solver["cg_tol"],
+                                    max_iter=config.solver["cg_max_iter"])
     # the terminal mismatch is the w-problem terminal norm, bitwise
-    mms = _write_sweep(out, spec, config.eps_list, [r.hum for r in results])
+    mms = _write_sweep(out, spec, [r.hum for r in results])
     last = results[-1]
     dump_field(Path(out, "u.field.txt"), last.u)
     dump_field(Path(out, "ubar.field.txt"), last.ubar)
@@ -276,13 +278,15 @@ def _run_oracle(config, out):
     dn = dense_oracle_coupled_adjoint(spec, psi0)
     scale = max(q_norm(spec.grid, dn.psi.interior()), 1e-300)
     adj_rel = q_norm(spec.grid, it.psi.interior() - dn.psi.interior()) / scale
+    nash_res = verify_first_order(spec, f, fixed, stepper=stepper)
+    oracle_res = verify_first_order(spec, f, oracle, stepper=stepper)
     write_summary(Path(out, "summary.txt"), [
         ("nash_vs_oracle_rel", fmt(nash_rel)),
         ("coupled_adjoint_vs_oracle_rel", fmt(adj_rel)),
-        ("nash_residual_1", fmt(fixed.residuals[0])),
-        ("nash_residual_2", fmt(fixed.residuals[1])),
-        ("oracle_residual_1", fmt(oracle.residuals[0])),
-        ("oracle_residual_2", fmt(oracle.residuals[1])),
+        ("nash_residual_1", fmt(nash_res[0])),
+        ("nash_residual_2", fmt(nash_res[1])),
+        ("oracle_residual_1", fmt(oracle_res[0])),
+        ("oracle_residual_2", fmt(oracle_res[1])),
     ])
     return 0
 
@@ -340,7 +344,7 @@ def main(argv=None):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and ignored: eps sweeps run serially")
+                       help="accepted for compatibility and ignored: an eps sweep is one multi-shift CG run")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.out, seed=args.seed)
 

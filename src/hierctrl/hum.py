@@ -46,9 +46,15 @@ class HumResult:
     f: SpaceTimeField
     nash: NashSolution
     terminal_norm: float
-    cg_history: list
+    cg_residuals: list
     cg_iterations: int
     eps: float
+    true_residual: float
+
+    @property
+    def cg_history(self):
+        """Monotone envelope of the CG recurrence residuals."""
+        return list(np.minimum.accumulate(self.cg_residuals))
 
 
 def _eta_sources(spec, psi_arr):
@@ -203,44 +209,68 @@ def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12, stepper=None):
     return grad_G(zspec, psi0, eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None, stepper=None) -> HumResult:
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None, stepper=None):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
-    b is the gradient at psi0 = 0 (one affine solve); Lambda applications
-    run with zeroed affine data.  Inner solves run at cg_tol/10 by default
-    so their noise stays below the CG tolerance.
+    eps is one penalty, giving one HumResult, or a sequence of them, giving
+    one HumResult per eps in the same order; a sequence shares one
+    multi-shift CG run.  b is the gradient at psi0 = 0 (one affine solve);
+    Lambda applications run with zeroed affine data.  Inner solves run at
+    cg_tol/10 by default so their noise stays below the CG tolerance.
+
+    Each psi0 is reconstructed with the affine data, which yields
+    w(T) = Lambda psi0 + b and so the true residual w(T) + eps psi0 without
+    another Lambda apply.  Where it misses cg_tol relative to ||b||
+    (floating-point drift of the shift recurrences), that eps is refined
+    once by a single-shift CG on the residual equation.
     """
     spec.require_controllability_geometry()
     stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     if inner_tol is None:
         inner_tol = min(cg_tol / 10.0, 1e-10)
-    zero_psi = np.zeros(grid.nx)
-    b_full = grad_G(spec, zero_psi, eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
+    eps_list = [float(e) for e in np.atleast_1d(eps)]
+    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
     b_int = grid.to_interior(b_full)
+    norm_b = max(float(np.linalg.norm(b_int)), TINY)
     zspec = spec.with_zero_data()
 
     def apply(x_int):
         lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, mode="quadratic",
                      inner_tol=inner_tol, stepper=stepper)
-        return grid.to_interior(lam) + eps * x_int
+        return grid.to_interior(lam)
 
-    result = conjugate_gradient(apply, -b_int, tol_rel=cg_tol, max_iter=max_iter)
-    psi0 = grid.from_interior(result.x)
-    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol, stepper=stepper)
-    f = leader_from_psi(spec, coupled)
-    nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol, stepper=stepper)
-    terminal = norm_h(grid, nash.w.values[-1])
-    envelope = list(np.minimum.accumulate(result.residuals))
-    return HumResult(
-        psi0=psi0,
-        f=f,
-        nash=nash,
-        terminal_norm=terminal,
-        cg_history=envelope,
-        cg_iterations=result.iterations,
-        eps=eps,
-    )
+    def reconstruct(x_int, e):
+        psi0 = grid.from_interior(x_int)
+        coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol, stepper=stepper)
+        f = leader_from_psi(spec, coupled)
+        nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol, stepper=stepper)
+        r_true = grid.to_interior(nash.w.values[-1]) + e * x_int
+        return psi0, f, nash, r_true
+
+    cg = conjugate_gradient(apply, -b_int, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+    results = []
+    for e, x_int, residuals, iterations in zip(eps_list, cg.xs, cg.histories, cg.shift_iterations):
+        psi0, f, nash, r_true = reconstruct(x_int, e)
+        norm_r = float(np.linalg.norm(r_true))
+        if norm_r > cg_tol * norm_b:
+            fix = conjugate_gradient(apply, -r_true, tol_rel=cg_tol * norm_b / norm_r,
+                                     max_iter=max_iter, shifts=(e,))
+            residuals = residuals + [h * norm_r / norm_b for h in fix.histories[0][1:]]
+            iterations += fix.iterations
+            psi0, f, nash, r_true = reconstruct(x_int + fix.xs[0], e)
+            norm_r = float(np.linalg.norm(r_true))
+        results.append(HumResult(
+            psi0=psi0,
+            f=f,
+            nash=nash,
+            terminal_norm=norm_h(grid, nash.w.values[-1]),
+            cg_residuals=residuals,
+            cg_iterations=iterations,
+            eps=e,
+            true_residual=norm_r / norm_b,
+        ))
+    return results if np.ndim(eps) else results[0]
 
 
 @dataclass
@@ -251,18 +281,19 @@ class TrajectoryResult:
     terminal_mismatch: float
 
 
-def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw) -> TrajectoryResult:
+def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     """Exact controllability to a free trajectory, linear case.
 
     Solves the uncontrolled problem for ubar, shifts data (w0 = u0 - ubar0,
     w_id = zeta_id - ubar), runs minimize_G and reconstructs u = w + ubar.
     The terminal mismatch ||u(T) - ubar(T)|| is the w-problem terminal norm,
-    bitwise.
+    bitwise.  eps is one penalty or a sequence of them, as in minimize_G,
+    giving one TrajectoryResult or a list of them.
     """
-    grid = spec.grid
     u0 = np.asarray(u0, dtype=float)
     ubar0 = np.asarray(ubar0, dtype=float)
     base = spec.with_(w0=ubar0, ubar0=ubar0)
+    # the data shifts leave the coefficients, so both problems share one stepper
     stepper = TimeStepper(base)
     ubar = solve_forward(base, w0=ubar0, stepper=stepper)
     wspec = spec.with_(
@@ -270,9 +301,10 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw) -> Tra
         targets=tuple(z - ubar for z in zetas),
         ubar0=ubar0,
     )
-    hum = minimize_G(wspec, eps, stepper=TimeStepper(wspec), **kw)
-    u = hum.nash.w + ubar
-    return TrajectoryResult(hum=hum, u=u, ubar=ubar, terminal_mismatch=hum.terminal_norm)
+    hums = minimize_G(wspec, np.atleast_1d(eps), stepper=stepper, **kw)
+    results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
+               for hum in hums]
+    return results if np.ndim(eps) else results[0]
 
 
 def check_target_condition(spec: ProblemSpec, theta: SpaceTimeField):

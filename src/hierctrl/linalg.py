@@ -24,7 +24,7 @@ TINY = 1e-300
 
 @dataclass
 class Factorization:
-    """Immutable LU factorization; shareable across threads."""
+    """LU factorization of a square sparse matrix; solves with it or its transpose."""
 
     n: int
     _lu: object
@@ -53,54 +53,93 @@ def factorize(matrix) -> Factorization:
 
 @dataclass
 class CGResult:
-    x: np.ndarray
+    """Solutions of (A + s_i I) x_i = b, one per shift s_i, in the order given.
+
+    iterations counts operator applications.  shift_iterations[i] is the
+    iteration at which shift i converged, and histories[i] holds its
+    recurrence residuals |zeta_k| ||r_k|| / ||b|| for k = 0..shift_iterations[i].
+    """
+
+    xs: list
     iterations: int
-    residuals: list
+    histories: list
+    shift_iterations: list
 
 
-def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500) -> CGResult:
-    """CG against an SPD operator callback.
+def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> CGResult:
+    """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
-    Stops when the relative euclidean residual drops below tol_rel.
-    Raises MaxIterations carrying the best iterate, NonFiniteBreakdown on
-    any non-finite scalar.
+    apply(p) returns A p.  One Krylov sequence runs on the base system, the
+    smallest shift, which must be SPD.  Shifted residuals are collinear with
+    the base residual, r_k(s) = zeta_k(s) r_k, so every other shift follows
+    through the zeta recurrences (Jegerlehner, hep-lat/9612014) at O(n) per
+    shift per iteration and stops once its residual is below tol_rel.  On
+    the base shift zeta is exactly 1, so a single shift is plain CG, bit for
+    bit.  Raises MaxIterations carrying the best iterate of every shift and
+    every history, NonFiniteBreakdown on any non-finite scalar.
     """
     b = np.asarray(b, dtype=float)
+    shifts = np.asarray(shifts, dtype=float)
+    m = len(shifts)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return CGResult(np.zeros_like(b), 0, [0.0])
-    x = np.zeros_like(b)
+        return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m)
+    base_shift = float(shifts.min())
+    rel_shift = shifts - base_shift
     r = b.copy()
     p = r.copy()
     rs = float(np.dot(r, r))
-    history = [np.sqrt(rs) / norm_b]
-    best_x, best_res = x.copy(), history[0]
+    rel0 = np.sqrt(rs) / norm_b
+    xs = np.zeros((m, b.size))
+    ps = np.tile(b, (m, 1))
+    zeta = np.ones(m)
+    zeta_old = np.ones(m)
+    alpha_old, beta_old = 1.0, 0.0
+    active = np.ones(m, dtype=bool)
+    histories = [[rel0] for _ in range(m)]
+    shift_iterations = [0] * m
+    best_x, best_res = xs.copy(), np.full(m, rel0)
     for it in range(1, max_iter + 1):
-        Ap = np.asarray(apply(p), dtype=float)
+        Ap = np.asarray(apply(p), dtype=float) + base_shift * p
         denom = float(np.dot(p, Ap))
         if not np.isfinite(denom) or denom <= 0.0:
             if denom <= 0.0 and np.isfinite(denom):
                 raise NonFiniteBreakdown(f"operator not positive definite: <p,Ap> = {denom:.3e}")
             raise NonFiniteBreakdown("non-finite curvature in CG")
         alpha = rs / denom
-        x = x + alpha * p
         r = r - alpha * Ap
         rs_new = float(np.dot(r, r))
         if not np.isfinite(rs_new):
             raise NonFiniteBreakdown("non-finite residual in CG")
-        rel = np.sqrt(rs_new) / norm_b
-        history.append(rel)
-        if rel < best_res:
-            best_res, best_x = rel, x.copy()
-        if rel <= tol_rel:
-            return CGResult(x, it, history)
-        p = r + (rs_new / rs) * p
+        beta = rs_new / rs
+        act = np.flatnonzero(active)
+        z, zo = zeta[act], zeta_old[act]
+        z_new = z * zo * alpha_old / (alpha * beta_old * (zo - z)
+                                      + zo * alpha_old * (1.0 + rel_shift[act] * alpha))
+        if not np.all(np.isfinite(z_new)):
+            raise NonFiniteBreakdown("non-finite shift recurrence in CG")
+        xs[act] = xs[act] + (alpha * z_new / z)[:, None] * ps[act]
+        ps[act] = z_new[:, None] * r + (beta * (z_new / z) ** 2)[:, None] * ps[act]
+        zeta_old[act], zeta[act] = z, z_new
+        rels = np.abs(z_new) * (np.sqrt(rs_new) / norm_b)
+        for i, rel in zip(act, rels):
+            histories[i].append(rel)
+            if rel < best_res[i]:
+                best_res[i], best_x[i] = rel, xs[i]
+            if rel <= tol_rel:
+                active[i] = False
+                shift_iterations[i] = it
+        if not active.any():
+            return CGResult(list(xs), it, histories, shift_iterations)
+        p = r + beta * p
         rs = rs_new
+        alpha_old, beta_old = alpha, beta
     raise MaxIterations(
-        f"CG did not reach tol {tol_rel:.1e} in {max_iter} iterations (best {best_res:.3e})",
-        best=best_x,
+        f"CG did not reach tol {tol_rel:.1e} in {max_iter} iterations on "
+        f"{int(active.sum())} of {m} shifts (largest best residual {best_res.max():.3e})",
+        best=list(best_x),
         iterations=max_iter,
-        history=history,
+        history=histories,
     )
 
 

@@ -42,7 +42,6 @@ class NashSolution:
     v2: SpaceTimeField
     iterations: int
     history: list
-    residuals: tuple = None
     converged: bool = True
 
     @property
@@ -182,9 +181,7 @@ def solve_nash_fixed_point(
 
     start = (np.zeros((grid.nt + 1, grid.n_interior)),)
     (_, W, phis, vs), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point")
-    sol = _package_solution(spec, W, phis, vs, it, history)
-    sol.residuals = verify_first_order(spec, f, sol, stepper=stepper)
-    return sol
+    return _package_solution(spec, W, phis, vs, it, history)
 
 
 def _package_solution(spec, W, phis, vs, iterations, history):
@@ -307,9 +304,7 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
         P[:nt] = x[1 + i]
         phis.append(P)
     vs = _controls_from_adjoints(spec, phis)
-    sol = _package_solution(spec, W, phis, vs, 1, [0.0])
-    sol.residuals = verify_first_order(spec, f, sol)
-    return sol
+    return _package_solution(spec, W, phis, vs, 1, [0.0])
 
 
 def _raw_residuals(spec, W, v_arrays, stepper):

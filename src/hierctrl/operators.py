@@ -221,29 +221,28 @@ class TimeStepper:
                 facts.append(factorize(M))
             return mats, facts
 
-        self._fwd_mats, self._fwd = build(spec.a, spec.b)
+        forward = build(spec.a, spec.b)
         if spec.a_adj is None and spec.b_adj is None:
-            self._adj_mats, self._adj = self._fwd_mats, self._fwd
+            adjoint = forward
         else:
             a_adj = spec.a_adj if spec.a_adj is not None else spec.a
             b_adj = spec.b_adj if spec.b_adj is not None else spec.b
-            self._adj_mats, self._adj = build(a_adj, b_adj)
+            adjoint = build(a_adj, b_adj)
+        self._families = {"forward": forward, "adjoint": adjoint}  # family -> (matrices, factorizations)
 
     def _family(self, family):
-        if family == "forward":
-            return self._fwd
-        if family == "adjoint":
-            return self._adj
-        raise ValueError(f"unknown matrix family {family!r}")
+        try:
+            return self._families[family]
+        except KeyError:
+            raise ValueError(f"unknown matrix family {family!r}") from None
 
     def step(self, j, family="forward") -> Factorization:
         """Factorization of the step matrix used by forward step j (1..nt)."""
-        return self._family(family)[j - 1]
+        return self._family(family)[1][j - 1]
 
     def step_matrix(self, j, family="forward"):
         """The step matrix I + dt L_j itself (1..nt)."""
-        mats = self._fwd_mats if family == "forward" else self._adj_mats
-        return mats[j - 1]
+        return self._family(family)[0][j - 1]
 
     def march_forward(self, w0_int, sources=None, family="forward"):
         """March (I + dt L_j) w^j = w^{j-1} + dt s^j for j = 1..nt.
@@ -255,7 +254,7 @@ class TimeStepper:
         n = grid.n_interior
         out = np.zeros((grid.nt + 1, n))
         out[0] = np.asarray(w0_int, dtype=float)
-        facts = self._family(family)
+        facts = self._family(family)[1]
         for j in range(1, grid.nt + 1):
             rhs = out[j - 1]
             if sources is not None:
@@ -274,7 +273,7 @@ class TimeStepper:
         n = grid.n_interior
         out = np.zeros((grid.nt + 1, n))
         out[grid.nt] = np.asarray(terminal_int, dtype=float)
-        facts = self._family(family)
+        facts = self._family(family)[1]
         for j in range(grid.nt, 0, -1):
             rhs = out[j]
             if sources is not None:

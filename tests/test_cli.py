@@ -151,6 +151,25 @@ def test_null_control_sweep_decreasing(tmp_path):
     assert s["strictly_decreasing"] == "True"
 
 
+@pytest.mark.parametrize("subcommand,config", [("null-control", "null_control_1d.ini"),
+                                               ("trajectory", "trajectory_1d.ini")])
+def test_cg_history_matches_sweep(tmp_path, subcommand, config):
+    out = tmp_path / "cgh"
+    assert run(subcommand, CONFIGS / config, out) == 0
+    lines = (out / "cg_history.csv").read_text().splitlines()
+    assert lines[0] == "eps,iter,residual"
+    history = {}
+    for line in lines[1:]:
+        eps, it, residual = line.split(",")
+        history.setdefault(eps, []).append((int(it), float(residual)))
+    sweep = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert list(history) == [row[0] for row in sweep]
+    for eps, _, cg_iters, _, _ in sweep:
+        rows = history[eps]
+        assert [it for it, _ in rows] == list(range(int(cg_iters) + 1))
+        assert rows[0][1] == 1.0 and rows[-1][1] <= 1e-10
+
+
 def test_null_control_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

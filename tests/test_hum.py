@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import hierctrl.hum as hum
 from hierctrl.errors import ContractionFailure, MaxIterations, ZeroPointNonsmooth
+from hierctrl.linalg import conjugate_gradient
 from hierctrl.hum import (apply_lambda, check_target_condition, control_to_trajectory,
                           dense_oracle_coupled_adjoint, eval_G, grad_G,
                           leader_from_psi, minimize_G, solve_coupled_adjoint)
@@ -241,6 +243,52 @@ def test_epsilon_sweep_decay(spec):
         tns.append(minimize_G(spec, eps, cg_tol=1e-10).terminal_norm)
     assert all(tns[k] > tns[k + 1] for k in range(len(tns) - 1))
     assert tns[0] / tns[-1] >= 10.0
+
+
+EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def test_minimize_sweep_matches_single_eps_runs(spec, stepper):
+    g = spec.grid
+    cg_tol = 1e-10
+    sweep = minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol, stepper=stepper)
+    assert [r.eps for r in sweep] == list(EPS_SWEEP)
+    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12, stepper=stepper))
+    for eps, res in zip(EPS_SWEEP, sweep):
+        single = minimize_G(spec, eps, cg_tol=cg_tol, stepper=stepper)
+        assert res.terminal_norm == pytest.approx(single.terminal_norm, rel=1e-6)
+        assert res.true_residual <= cg_tol
+        assert len(res.cg_residuals) == res.cg_iterations + 1
+        x = g.to_interior(res.psi0)
+        lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12, stepper=stepper))
+        assert np.linalg.norm(lam + eps * x + b) / np.linalg.norm(b) <= 10 * cg_tol
+    # the smallest eps is the base system of the shared Krylov sequence: plain CG
+    assert np.array_equal(sweep[-1].psi0, single.psi0)
+    assert sweep[-1].cg_residuals == single.cg_residuals
+
+
+def test_minimize_refines_a_drifted_shift(spec, stepper, monkeypatch):
+    eps_list = (1e-1, 1e-3)
+    cg_tol = 1e-9
+    clean = minimize_G(spec, eps_list, cg_tol=cg_tol, stepper=stepper)
+    calls = []
+
+    def drifting(apply, b, tol_rel, max_iter, shifts):
+        res = conjugate_gradient(apply, b, tol_rel=tol_rel, max_iter=max_iter, shifts=shifts)
+        calls.append(tuple(shifts))
+        if len(shifts) > 1:
+            res.xs[0] = res.xs[0] * (1.0 + 1e-6)  # drift on the non-base shift
+        return res
+
+    monkeypatch.setattr(hum, "conjugate_gradient", drifting)
+    drifted = minimize_G(spec, eps_list, cg_tol=cg_tol, stepper=stepper)
+    assert calls == [eps_list, (eps_list[0],)]
+    refined = drifted[0]
+    assert refined.cg_iterations > clean[0].cg_iterations
+    assert len(refined.cg_residuals) == refined.cg_iterations + 1
+    assert refined.true_residual <= cg_tol
+    assert refined.terminal_norm == pytest.approx(clean[0].terminal_norm, rel=1e-6)
+    assert np.array_equal(drifted[1].psi0, clean[1].psi0)
 
 
 def test_leader_field_is_masked_psi(spec, stepper, rng):

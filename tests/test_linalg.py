@@ -55,14 +55,14 @@ def test_cg_identity_one_iteration():
     b = np.array([1.0, 2.0, 3.0])
     res = conjugate_gradient(lambda v: v, b, tol_rel=1e-12)
     assert res.iterations == 1
-    assert np.allclose(res.x, b)
+    assert np.allclose(res.xs[0], b)
 
 
 def test_cg_finite_termination_distinct_eigenvalues():
     d = np.arange(1.0, 11.0)
     res = conjugate_gradient(lambda v: d * v, np.ones(10), tol_rel=1e-10)
     assert res.iterations <= 10
-    assert np.allclose(res.x, 1.0 / d)
+    assert np.allclose(res.xs[0], 1.0 / d)
 
 
 def test_cg_matches_direct_solve():
@@ -71,20 +71,20 @@ def test_cg_matches_direct_solve():
     b = rng.standard_normal(30)
     direct = np.linalg.solve(A, b)
     res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-12, max_iter=500)
-    assert np.linalg.norm(res.x - direct) <= 1e-8 * np.linalg.norm(direct)
+    assert np.linalg.norm(res.xs[0] - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_cg_history_final_below_first():
     A = _random_spd(20, 5)
     b = np.ones(20)
     res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10)
-    assert res.residuals[-1] <= res.residuals[0]
+    assert res.histories[0][-1] <= res.histories[0][0]
 
 
 def test_cg_zero_rhs():
     res = conjugate_gradient(lambda v: v, np.zeros(4))
     assert res.iterations == 0
-    assert np.all(res.x == 0.0)
+    assert np.all(res.xs[0] == 0.0)
 
 
 def test_cg_max_iterations_carries_best():
@@ -92,9 +92,9 @@ def test_cg_max_iterations_carries_best():
     b = np.ones(30)
     with pytest.raises(MaxIterations) as err:
         conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-15, max_iter=2)
-    assert err.value.best is not None
+    assert err.value.best[0] is not None
     assert err.value.iterations == 2
-    assert len(err.value.history) == 3
+    assert len(err.value.history[0]) == 3
 
 
 def test_cg_nonfinite_breakdown():
@@ -108,6 +108,87 @@ def test_cg_nonfinite_breakdown():
 def test_cg_rejects_indefinite():
     with pytest.raises(NonFiniteBreakdown):
         conjugate_gradient(lambda v: -v, np.ones(3))
+
+
+def _spread_spd(n, seed):
+    """SPD matrix with eigenvalues spread over 1e-3..1, so shifts matter."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.logspace(-3, 0, n)) @ Q.T
+    return 0.5 * (A + A.T), rng.standard_normal(n)
+
+
+def _plain_cg(apply, b, tol_rel, max_iter):
+    """Textbook single-system CG: the reference the multi-shift solver must reproduce."""
+    norm_b = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(np.dot(r, r))
+    history = [np.sqrt(rs) / norm_b]
+    for it in range(1, max_iter + 1):
+        Ap = apply(p)
+        alpha = rs / float(np.dot(p, Ap))
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(np.dot(r, r))
+        history.append(np.sqrt(rs_new) / norm_b)
+        if history[-1] <= tol_rel:
+            return x, it, history
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise AssertionError("reference CG did not converge")
+
+
+def test_multishift_matches_independent_solves():
+    A, b = _spread_spd(40, 7)
+    shifts = (1e-1, 1e-4, 0.0, 1e-2, 1e-3)  # unsorted: the base is the smallest
+    tol = 1e-10
+    res = conjugate_gradient(lambda v: A @ v, b, tol_rel=tol, shifts=shifts)
+    assert res.iterations == max(res.shift_iterations)
+    for s, x, its, hist in zip(shifts, res.xs, res.shift_iterations, res.histories):
+        ref = conjugate_gradient(lambda v: A @ v, b, tol_rel=tol, shifts=(s,))
+        assert np.linalg.norm(x - ref.xs[0]) <= tol * np.linalg.norm(ref.xs[0])
+        true_res = np.linalg.norm(A @ x + s * x - b) / np.linalg.norm(b)
+        assert true_res <= tol
+        assert abs(its - ref.iterations) <= 1
+        assert len(hist) == its + 1 and hist[-1] <= tol < min(hist[:-1])
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_single_shift_is_plain_cg_bitwise(shift):
+    A, b = _spread_spd(30, 8)
+    x, its, history = _plain_cg(lambda v: A @ v + shift * v, b, 1e-10, 500)
+    res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(shift,))
+    assert np.array_equal(res.xs[0], x)
+    assert res.iterations == res.shift_iterations[0] == its
+    assert res.histories[0] == history
+
+
+def test_multishift_max_iterations_carries_best_per_shift():
+    A, b = _spread_spd(40, 9)
+    shifts = (1.0, 1e-4)
+    with pytest.raises(MaxIterations) as err:
+        conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, max_iter=12, shifts=shifts)
+    best, history = err.value.best, err.value.history
+    assert err.value.iterations == 12 and len(best) == len(history) == 2
+    # the large shift converged: its history stops below tol and it carries its solution
+    assert history[0][-1] <= 1e-10 and len(history[0]) <= 13
+    assert np.linalg.norm(A @ best[0] + best[0] - b) <= 1e-9 * np.linalg.norm(b)
+    # the small one did not: it carries the iterate of its smallest residual
+    assert len(history[1]) == 13 and min(history[1]) > 1e-10
+    true_res = np.linalg.norm(A @ best[1] + 1e-4 * best[1] - b) / np.linalg.norm(b)
+    assert true_res == pytest.approx(min(history[1]), rel=1e-6)
+
+
+def test_multishift_nonfinite_breakdown():
+    def bad(v):
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(NonFiniteBreakdown):
+        conjugate_gradient(bad, np.ones(3), shifts=(1e-2, 1.0))
+    with pytest.raises(NonFiniteBreakdown):
+        conjugate_gradient(lambda v: -v, np.ones(3), shifts=(0.5, 0.1))
 
 
 def test_operator_norm_zero():

@@ -103,6 +103,15 @@ def test_operator_symmetric_without_transport():
     assert abs(st.step_matrix(2, "adjoint").T - fwd).max() == 0.0
 
 
+def test_unknown_matrix_family_rejected():
+    g = build_grid(1, 1.0, 12, 1.0, 8)
+    st = TimeStepper(_plain_spec(g))
+    for call in (lambda: st.step_matrix(1, "adjiont"), lambda: st.step(1, "backward"),
+                 lambda: st.march_forward(np.zeros(g.n_interior), family="Forward")):
+        with pytest.raises(ValueError, match="unknown matrix family"):
+            call()
+
+
 def test_transpose_contract_exact(rng):
     g = build_grid(1, 1.0, 14, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
