@@ -175,6 +175,9 @@ def _run_semilinear(config, out):
         cg_tol=config.solver["cg_tol"], theta=theta)
     write_csv(Path(out, "outer_history.csv"), ("iter", "change_norm"),
               list(enumerate(res.history, start=1)))
+    write_csv(Path(out, "cg_history.csv"), ("outer", "iter", "residual"),
+              [(outer, k, r) for outer, residuals in enumerate(res.cg_residuals, start=1)
+               for k, r in enumerate(residuals)])
     dump_field(Path(out, "u.field.txt"), res.u)
     dump_field(Path(out, "ubar.field.txt"), res.ubar)
     dump_field(Path(out, "f.field.txt"), res.f)
@@ -291,6 +294,19 @@ def _run_oracle(config, out):
     return 0
 
 
+def _error_details(exc):
+    """The iteration count an error carries and, when a multi-shift CG ran
+    out of iterations, which eps converged (with their iterations) and which missed."""
+    details = {}
+    if getattr(exc, "iterations", None) is not None:
+        details["iterations"] = exc.iterations
+    if getattr(exc, "shifts", None) is not None:
+        pairs = list(zip(exc.shifts, exc.shift_iterations))
+        details["converged_eps"] = [{"eps": e, "iterations": k} for e, k in pairs if k is not None]
+        details["missed_eps"] = [e for e, k in pairs if k is None]
+    return details
+
+
 def run(subcommand, config_path, out_dir, seed=None):
     """Validate, then compute and write artifacts.  Returns the exit code."""
     try:
@@ -326,7 +342,7 @@ def run(subcommand, config_path, out_dir, seed=None):
             return _run_oracle(config, out)
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     except HierctrlError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc), "stage": "solve"}
+        record = {"error": type(exc).__name__, "message": str(exc), "stage": "solve", **_error_details(exc)}
         print(json.dumps(record), file=sys.stderr)
         Path(out, "error.json").write_text(json.dumps(record, indent=2) + "\n")
         return 1

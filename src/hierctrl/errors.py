@@ -23,13 +23,17 @@ class SingularMatrix(HierctrlError):
 
 class MaxIterations(HierctrlError):
     """Iteration budget exhausted; carries the best (for fixed points, the
-    last) iterate and the history."""
+    last) iterate and the history.  A multi-shift CG also carries its
+    shifts and, per shift, the iteration it converged at (None if it did
+    not)."""
 
-    def __init__(self, message, best=None, iterations=0, history=None):
+    def __init__(self, message, best=None, iterations=0, history=None, shifts=None, shift_iterations=None):
         super().__init__(message)
         self.best = best
         self.iterations = iterations
         self.history = history if history is not None else []
+        self.shifts = shifts
+        self.shift_iterations = shift_iterations
 
 
 class NonFiniteBreakdown(HierctrlError):

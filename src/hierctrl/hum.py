@@ -22,7 +22,7 @@ from .errors import ZeroPointNonsmooth
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
 from .nash import NashSolution, q_norm, solve_nash_fixed_point, stacked_system
-from .operators import ProblemSpec, TimeStepper, solve_forward
+from .operators import ProblemSpec, TimeStepper, columns, solve_forward
 
 OVERFLOW_THRESHOLD = 1e300
 
@@ -79,9 +79,10 @@ def _psi_source(spec, eta_arrs):
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, stepper=None) -> CoupledAdjointState:
     """Fixed point over (psi, eta1, eta2); linear in the terminal datum psi0.
 
-    psi marches backward with the transposed forward matrices, each eta_i
-    marches forward with the adjoint-coefficient family; together they are
-    the exact transpose of the optimality system.  The first sweep has no
+    psi marches backward with the transposed forward matrices, then eta_1
+    and eta_2 march forward together, one column each, with the
+    adjoint-coefficient family; together they are the exact transpose of
+    the optimality system.  The first sweep has no
     predecessor, so its change is not recorded.
     """
     stepper = stepper or TimeStepper(spec)
@@ -92,8 +93,8 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, 
     def sweep(state):
         psi, etas = state
         psi_new = stepper.march_backward(psi0_int, _psi_source(spec, etas), family="forward")
-        eta_srcs = _eta_sources(spec, psi_new)
-        etas_new = [stepper.march_forward(np.zeros(n), s, family="adjoint") for s in eta_srcs]
+        eta_srcs = np.stack(_eta_sources(spec, psi_new), axis=-1)
+        etas_new = columns(stepper.march_forward(np.zeros(n), eta_srcs, family="adjoint"))
         change = None
         if psi is not None:
             change = q_norm(grid, psi_new - psi)

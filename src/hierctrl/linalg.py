@@ -30,6 +30,7 @@ class Factorization:
     _lu: object
 
     def solve(self, rhs, transpose=False):
+        """Solve with the matrix or its transpose; rhs is (n,) or (n, k), one column per system."""
         rhs = np.asarray(rhs, dtype=float)
         return self._lu.solve(rhs, trans="T" if transpose else "N")
 
@@ -75,8 +76,9 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     through the zeta recurrences (Jegerlehner, hep-lat/9612014) at O(n) per
     shift per iteration and stops once its residual is below tol_rel.  On
     the base shift zeta is exactly 1, so a single shift is plain CG, bit for
-    bit.  Raises MaxIterations carrying the best iterate of every shift and
-    every history, NonFiniteBreakdown on any non-finite scalar.
+    bit.  Raises MaxIterations carrying the best iterate of every shift,
+    every history and the iteration each shift converged at (None for those
+    that missed), NonFiniteBreakdown on any non-finite scalar.
     """
     b = np.asarray(b, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
@@ -140,6 +142,8 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
         best=list(best_x),
         iterations=max_iter,
         history=histories,
+        shifts=[float(s) for s in shifts],
+        shift_iterations=[None if a else k for a, k in zip(active, shift_iterations)],
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractionFailure, MaxIterations, TooLarge
 from .linalg import TINY, factorize, iterate, operator_norm
 from .mesh import SpaceTimeField
-from .operators import ProblemSpec, TimeStepper, control_sources
+from .operators import ProblemSpec, TimeStepper, columns, control_sources
 
 import scipy.sparse as sp
 
@@ -81,19 +81,24 @@ def apply_response(spec: ProblemSpec, i, v: SpaceTimeField, stepper=None) -> Spa
     return SpaceTimeField.from_interior(grid, W)
 
 
-def _response_adjoint(spec, i, g_state, stepper):
-    """A_i^*: state-side array (levels 1..nt) to control-side array on O_i."""
+def _response_adjoint(spec, g_states, stepper, followers=(0, 1)):
+    """A_i^* for each i in followers: state-side arrays (levels 1..nt) to
+    control-side arrays on O_i.  g_states[k] goes with followers[k]; they
+    march together, one column each, in a single backward march."""
     grid = spec.grid
-    P = stepper.march_backward(np.zeros(grid.n_interior), g_state, family="adjoint")
-    chi = spec.follower_masks[i].interior_vector()
-    out = np.zeros_like(P)
-    out[1:] = P[:-1] * chi
+    P = stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states, axis=-1), family="adjoint")
+    out = []
+    for i, p in zip(followers, columns(P)):
+        o = np.zeros_like(p)
+        o[1:] = p[:-1] * spec.follower_masks[i].interior_vector()
+        out.append(o)
     return out
 
 
 def apply_response_adjoint(spec: ProblemSpec, i, g: SpaceTimeField, stepper=None) -> SpaceTimeField:
     stepper = stepper or TimeStepper(spec)
-    return SpaceTimeField.from_interior(spec.grid, _response_adjoint(spec, i, g.interior(), stepper))
+    adj, = _response_adjoint(spec, [g.interior()], stepper, followers=(i,))
+    return SpaceTimeField.from_interior(spec.grid, adj)
 
 
 def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField, stepper=None):
@@ -102,13 +107,12 @@ def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField, stepper=N
     grid = spec.grid
     src = control_sources(spec, v1=v1, v2=v2)
     W = stepper.march_forward(np.zeros(grid.n_interior), src)
+    adjs = _response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks], stepper)
     out = []
     for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
         chi = spec.follower_masks[i].interior_vector()
-        adj = _response_adjoint(spec, i, W * chid, stepper)
         vi = (v1, v2)[i].interior() * chi
-        out.append(SpaceTimeField.from_interior(grid, spec.alpha[i] * adj + spec.mu[i] * vi))
+        out.append(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i] + spec.mu[i] * vi))
     return tuple(out)
 
 
@@ -118,24 +122,18 @@ def compute_rhs(spec: ProblemSpec, f=None, stepper=None):
     grid = spec.grid
     src = control_sources(spec, f=f)
     Z = stepper.march_forward(grid.to_interior(spec.w0), src)
-    out = []
-    for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        wd = spec.targets[i].interior()
-        adj = _response_adjoint(spec, i, (wd - Z) * chid, stepper)
-        out.append(SpaceTimeField.from_interior(grid, spec.alpha[i] * adj))
-    return tuple(out)
+    adjs = _response_adjoint(spec, [(wd.interior() - Z) * m.interior_vector()
+                                    for wd, m in zip(spec.targets, spec.target_masks)], stepper)
+    return tuple(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i]) for i in range(2))
 
 
 def _sweep(spec, stepper, z, f_src, w0_int):
-    """One fixed-point sweep: adjoints from frozen z, controls, state."""
+    """One fixed-point sweep: both adjoints from frozen z in one 2-column
+    march, then the controls, then the state."""
     grid = spec.grid
-    phis = []
-    for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        wd = spec.targets[i].interior()
-        src = spec.alpha[i] * chid * (z - wd)
-        phis.append(stepper.march_backward(np.zeros(grid.n_interior), src, family="adjoint"))
+    src = np.stack([spec.alpha[i] * spec.target_masks[i].interior_vector() * (z - spec.targets[i].interior())
+                    for i in range(2)], axis=-1)
+    phis = columns(stepper.march_backward(np.zeros(grid.n_interior), src, family="adjoint"))
     vs = _controls_from_adjoints(spec, phis)
     src = f_src.copy()
     for i, v in enumerate(vs):
@@ -309,13 +307,12 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
 
 def _raw_residuals(spec, W, v_arrays, stepper):
     grid = spec.grid
+    adjs = _response_adjoint(spec, [(W - wd.interior()) * m.interior_vector()
+                                    for wd, m in zip(spec.targets, spec.target_masks)], stepper)
     out = []
     for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        wd = spec.targets[i].interior()
-        adj = _response_adjoint(spec, i, (W - wd) * chid, stepper)
         vi = v_arrays[i]
-        r = spec.alpha[i] * adj + spec.mu[i] * vi
+        r = spec.alpha[i] * adjs[i] + spec.mu[i] * vi
         scale = max(q_norm(grid, spec.mu[i] * vi), TINY)
         out.append(q_norm(grid, r) / scale)
     return tuple(out)
@@ -377,7 +374,7 @@ def _response_norm(spec, i, target, stepper, iters, seed):
         return (W[1:] * chid).reshape(-1)
 
     def apply_adjoint(vec):
-        out = _response_adjoint(spec, i, as_levels(vec) * chid, stepper)
+        out, = _response_adjoint(spec, [as_levels(vec) * chid], stepper, followers=(i,))
         return out[1:].reshape(-1)
 
     est = operator_norm(apply, apply_adjoint, nt * n, iters=iters, seed=seed)

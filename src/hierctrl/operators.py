@@ -244,21 +244,46 @@ class TimeStepper:
         """The step matrix I + dt L_j itself (1..nt)."""
         return self._family(family)[0][j - 1]
 
+    def _march_arrays(self, datum, sources, level):
+        """Output array holding the start datum at `level`, and the sources times dt.
+
+        The datum is (n,) or (n, k); the sources are None, (nt+1, n) or
+        (nt+1, n, k).  Any 3-D argument, or a 2-D datum, makes the march
+        multi-column, shape (nt+1, n, k); a 1-D datum is then shared by
+        every column.  Column counts must agree: nothing else broadcasts.
+        """
+        grid = self.grid
+        n, nt = grid.n_interior, grid.nt
+        datum = np.asarray(datum, dtype=float)
+        if datum.ndim not in (1, 2) or datum.shape[0] != n:
+            raise ShapeMismatch(f"march datum shape {datum.shape}: need ({n},) or ({n}, k)")
+        k = datum.shape[1] if datum.ndim == 2 else None
+        if sources is not None:
+            sources = np.asarray(sources, dtype=float)
+            if sources.ndim not in (2, 3) or sources.shape[:2] != (nt + 1, n):
+                raise ShapeMismatch(f"march sources shape {sources.shape}: "
+                                    f"need ({nt + 1}, {n}) or ({nt + 1}, {n}, k)")
+            src_k = sources.shape[2] if sources.ndim == 3 else None
+            if k is not None and src_k != k:
+                raise ShapeMismatch(f"march datum has {k} columns, sources shape {sources.shape}")
+            k = src_k
+            sources = grid.dt * sources
+        out = np.zeros((nt + 1, n) if k is None else (nt + 1, n, k))
+        out[level] = datum if datum.ndim == out.ndim - 1 else datum[:, None]
+        return out, sources
+
     def march_forward(self, w0_int, sources=None, family="forward"):
         """March (I + dt L_j) w^j = w^{j-1} + dt s^j for j = 1..nt.
 
-        sources is an (nt+1, n_interior) array; level j feeds step j
-        (level 0 is never used).  Returns all levels, shape (nt+1, n).
+        sources is an (nt+1, n) array, or (nt+1, n, k) for k columns that
+        march at once (one k-column solve per step); level j feeds step j
+        (level 0 is never used).  Returns all levels, shape (nt+1, n) or
+        (nt+1, n, k); see _march_arrays for the shapes accepted.
         """
-        grid = self.grid
-        n = grid.n_interior
-        out = np.zeros((grid.nt + 1, n))
-        out[0] = np.asarray(w0_int, dtype=float)
         facts = self._family(family)[1]
-        for j in range(1, grid.nt + 1):
-            rhs = out[j - 1]
-            if sources is not None:
-                rhs = rhs + grid.dt * sources[j]
+        out, dt_src = self._march_arrays(w0_int, sources, 0)
+        for j in range(1, self.grid.nt + 1):
+            rhs = out[j - 1] if dt_src is None else out[j - 1] + dt_src[j]
             out[j] = facts[j - 1].solve(rhs)
         return out
 
@@ -267,19 +292,20 @@ class TimeStepper:
 
         Runs j = nt..1; the stored level nt is the terminal datum and the
         multiplier of step j lands at level j-1.  Source level j pairs with
-        state level j in the duality identity.
+        state level j in the duality identity.  Shapes as in march_forward.
         """
-        grid = self.grid
-        n = grid.n_interior
-        out = np.zeros((grid.nt + 1, n))
-        out[grid.nt] = np.asarray(terminal_int, dtype=float)
+        nt = self.grid.nt
         facts = self._family(family)[1]
-        for j in range(grid.nt, 0, -1):
-            rhs = out[j]
-            if sources is not None:
-                rhs = rhs + grid.dt * sources[j]
+        out, dt_src = self._march_arrays(terminal_int, sources, nt)
+        for j in range(nt, 0, -1):
+            rhs = out[j] if dt_src is None else out[j] + dt_src[j]
             out[j - 1] = facts[j - 1].solve(rhs, transpose=True)
         return out
+
+
+def columns(arr):
+    """The k columns of an (nt+1, n, k) march, each as a contiguous (nt+1, n) array."""
+    return list(np.moveaxis(arr, -1, 0).copy())
 
 
 def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):

@@ -391,6 +391,7 @@ class SemilinearControlResult:
     outer_iterations: int
     history: list
     target_check: list = None
+    cg_residuals: list = None  # per outer iteration, that iteration's HumResult.cg_residuals
 
 
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
@@ -413,11 +414,13 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     target_check = None
     if theta is not None:
         target_check = check_target_condition(base_wspec, theta)
+    hums = []
 
     def sweep(state):
         z = state[0]
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
         hum = minimize_G(frozen, eps, cg_tol=cg_tol, inner_tol=inner_tol)
+        hums.append(hum)
         return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 
     (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid),), outer_tol, max_outer,
@@ -427,7 +430,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         hum=hum, f=hum.f, u=u, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
-        target_check=target_check)
+        target_check=target_check, cg_residuals=[h.cg_residuals for h in hums])
 
 
 def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, f, equilibrium,

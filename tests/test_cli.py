@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hierctrl.cli as cli
 from hierctrl.cli import dump_field, fmt, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -239,6 +240,51 @@ def test_semilinear_subcommand(tmp_path):
     assert float(s["terminal_mismatch"]) > 0.0
     assert int(s["outer_iterations"]) <= 30
     assert (out / "outer_history.csv").exists()
+
+
+def test_semilinear_cg_history_blocks(tmp_path, monkeypatch):
+    """One cg_history.csv block per outer iteration; the last is the final HumResult's."""
+    captured = []
+    original = cli.semilinear_null_control
+
+    def recording(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "semilinear_null_control", recording)
+    out = tmp_path / "semcg"
+    assert run("semilinear", CONFIGS / "semilinear_1d.ini", out) == 0
+    res, = captured
+    lines = (out / "cg_history.csv").read_text().splitlines()
+    assert lines[0] == "outer,iter,residual"
+    blocks = {}
+    for line in lines[1:]:
+        outer, it, residual = line.split(",")
+        blocks.setdefault(int(outer), []).append((int(it), residual))
+    assert list(blocks) == list(range(1, res.outer_iterations + 1))
+    for rows in blocks.values():
+        assert [it for it, _ in rows] == list(range(len(rows)))
+    assert [r for _, r in blocks[res.outer_iterations]] == [fmt(r) for r in res.hum.cg_residuals]
+    assert len(blocks[res.outer_iterations]) == res.hum.cg_iterations + 1
+
+
+def test_cg_max_iterations_reports_converged_eps(tmp_path):
+    """A sweep whose smallest eps misses cg_max_iter fails as a whole, and
+    error.json says which eps converged, at which iteration, and which missed."""
+    text = (CONFIGS / "null_control_1d.ini").read_text()
+    assert "cg_max_iter = 300" in text
+    cfg = tmp_path / "short_cg.ini"
+    cfg.write_text(text.replace("cg_max_iter = 300", "cg_max_iter = 20"))
+    out = tmp_path / "nc"
+    assert run("null-control", cfg, out) == 1
+    assert not (out / "sweep.csv").exists()
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "MaxIterations" and record["stage"] == "solve"
+    assert record["iterations"] == 20
+    assert record["missed_eps"] == [1e-5]
+    assert [c["eps"] for c in record["converged_eps"]] == [1e-1, 1e-2, 1e-3, 1e-4]
+    its = [c["iterations"] for c in record["converged_eps"]]
+    assert its == sorted(its) and 0 < its[0] and its[-1] < 20
 
 
 def test_trajectory_subcommand(tmp_path):

@@ -376,3 +376,27 @@ def test_check_target_condition_decaying_theta_finite(spec):
     for value, flagged in out:
         assert np.isfinite(value) and value > 0.0
         assert flagged is False
+
+
+def _count_marches(monkeypatch):
+    """Wrap both TimeStepper marches with a shared call counter."""
+    calls = []
+    for name in ("march_forward", "march_backward"):
+        original = getattr(TimeStepper, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimeStepper, name, counted)
+    return calls
+
+
+def test_coupled_adjoint_sweep_makes_two_marches(spec, stepper, rng, monkeypatch):
+    """psi marches backward, then eta_1 and eta_2 as one 2-column forward
+    march: 2 marches per sweep, not 3."""
+    psi0 = _random_psi0(spec, rng)
+    calls = _count_marches(monkeypatch)
+    st = solve_coupled_adjoint(spec, psi0, stepper=stepper)
+    assert st.iterations > 2
+    assert len(calls) == 2 * st.iterations

@@ -262,3 +262,27 @@ def test_history_recorded(nash_spec):
     sol = solve_nash_fixed_point(nash_spec, f)
     assert len(sol.history) == sol.iterations
     assert all(np.isfinite(h) for h in sol.history)
+
+
+def _count_marches(monkeypatch):
+    """Wrap both TimeStepper marches with a shared call counter."""
+    calls = []
+    for name in ("march_forward", "march_backward"):
+        original = getattr(TimeStepper, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimeStepper, name, counted)
+    return calls
+
+
+def test_nash_sweep_makes_two_marches(nash_spec, monkeypatch):
+    """Both follower adjoints march as one 2-column backward march, then the
+    state marches forward: 2 marches per sweep, not 3."""
+    st = TimeStepper(nash_spec)
+    calls = _count_marches(monkeypatch)
+    sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid), stepper=st)
+    assert sol.iterations > 2
+    assert len(calls) == 2 * sol.iterations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hierctrl.errors import ShapeMismatch
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
 from hierctrl.operators import (ProblemSpec, TimeStepper, _spatial_operator, assemble_biharmonic,
                                 duality_gap, solve_adjoint, solve_forward)
@@ -233,3 +234,83 @@ def test_time_dependent_coefficients_still_dual(rng):
         rng.standard_normal((g.nt + 1, g.n_interior)),
     )
     assert gap <= 1e-10
+
+
+def _frozen_like_stepper(rng):
+    """Time-dependent a and b with distinct adjoint coefficients, as the
+    semilinear frozen specs have: both families factorize every level."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    shape = (g.nt + 1,) + g.nx
+    spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[rng.standard_normal(shape)])
+    spec = spec.with_(a_adj=SpaceTimeField(g, rng.standard_normal(shape)),
+                      b_adj=(SpaceTimeField(g, rng.standard_normal(shape)),))
+    st = TimeStepper(spec)
+    assert st.step(1, "forward") is not st.step(2, "forward")
+    assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
+    return g, st
+
+
+@pytest.mark.parametrize("family", ["forward", "adjoint"])
+@pytest.mark.parametrize("direction", ["march_forward", "march_backward"])
+def test_two_column_march_matches_single_columns_bitwise(rng, family, direction):
+    g, st = _frozen_like_stepper(rng)
+    march = getattr(st, direction)
+    datum = rng.standard_normal((g.n_interior, 2))
+    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    both = march(datum, src, family=family)
+    assert both.shape == (g.nt + 1, g.n_interior, 2)
+    for k in range(2):
+        assert np.array_equal(both[:, :, k], march(datum[:, k], src[:, :, k], family=family))
+    # a shared (n,) datum and no sources
+    shared = march(datum[:, 0], src, family=family)
+    assert np.array_equal(shared[:, :, 1], march(datum[:, 0], src[:, :, 1], family=family))
+    free = march(datum, None, family=family)
+    for k in range(2):
+        assert np.array_equal(free[:, :, k], march(datum[:, k], None, family=family))
+
+
+@pytest.mark.parametrize("direction", ["march_forward", "march_backward"])
+def test_one_column_march_equals_plain_form(rng, direction):
+    g, st = _frozen_like_stepper(rng)
+    march = getattr(st, direction)
+    datum = rng.standard_normal(g.n_interior)
+    src = rng.standard_normal((g.nt + 1, g.n_interior))
+    plain = march(datum, src, family="adjoint")
+    assert plain.shape == (g.nt + 1, g.n_interior)
+    assert np.array_equal(march(datum, src[:, :, None], family="adjoint")[:, :, 0], plain)
+    assert np.array_equal(march(datum[:, None], src[:, :, None], family="adjoint")[:, :, 0], plain)
+
+
+def test_duality_identity_per_column(rng):
+    """<P^nt, W^nt> + dt sum <g^j, W^j> = <P^0, W^0> + dt sum <P^{j-1}, s^j>,
+    column by column, for a 2-column forward and backward march."""
+    g, st = _frozen_like_stepper(rng)
+    n, nt = g.n_interior, g.nt
+    w0, psiT = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    s, gsrc = rng.standard_normal((nt + 1, n, 2)), rng.standard_normal((nt + 1, n, 2))
+    W = st.march_forward(w0, s)
+    P = st.march_backward(psiT, gsrc)
+    for k in range(2):
+        lhs = P[-1, :, k] @ W[-1, :, k] + g.dt * np.sum(gsrc[1:, :, k] * W[1:, :, k])
+        rhs = P[0, :, k] @ W[0, :, k] + g.dt * np.sum(P[:-1, :, k] * s[1:, :, k])
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("datum_shape,source_shape", [
+    ((13,), None),                   # datum too long
+    ((12, 2, 1), None),              # datum 3-D
+    ((12,), (9, 13)),                # sources with the wrong n
+    ((12,), (8, 12, 2)),             # sources with the wrong level count
+    ((12,), (9, 12, 2, 1)),          # sources 4-D
+    ((12, 2), (9, 12, 3)),           # column counts disagree
+    ((12, 2), (9, 12)),              # a 2-column datum with single-column sources
+    ((12, 1), (9, 12)),              # a 1-column datum does not broadcast either
+])
+def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    st = TimeStepper(_plain_spec(g))
+    assert (g.n_interior, g.nt) == (12, 8)
+    src = None if source_shape is None else np.zeros(source_shape)
+    for march in (st.march_forward, st.march_backward):
+        with pytest.raises(ShapeMismatch):
+            march(np.zeros(datum_shape), src)
