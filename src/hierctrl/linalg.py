@@ -1,9 +1,11 @@
-"""Minimal sparse linear algebra behind the time steppers and HUM solver.
+"""Minimal linear algebra behind the time steppers and HUM solver.
 
 Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
-conjugate gradient, power iteration and the fixed-point driver are written
-against callbacks so the HUM operator and the sweeps, which involve nested
-PDE solves, plug in without ever being materialized.
+stacks of small matrices are inverted densely in one batch (numpy's stacked
+inverse) after a batched partial-pivot LU check.  Conjugate gradient, power
+iteration and the fixed-point driver are written against callbacks so the
+HUM operator and the sweeps, which involve nested PDE solves, plug in
+without ever being materialized.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,15 +27,21 @@ TINY = 1e-300
 
 @dataclass
 class Factorization:
-    """LU factorization of a square sparse matrix; solves with it or its transpose."""
+    """SuperLU factorization of a square sparse matrix; one factorization
+    solves with the matrix and with its transpose."""
 
     n: int
     _lu: object
 
-    def solve(self, rhs, transpose=False):
-        """Solve with the matrix or its transpose; rhs is (n,) or (n, k), one column per system."""
+    def solve(self, rhs, transpose=False, out=None):
+        """Solve with the matrix or its transpose; rhs is (n,) or (n, k), one
+        column per system.  The solution is written to out when given."""
         rhs = np.asarray(rhs, dtype=float)
-        return self._lu.solve(rhs, trans="T" if transpose else "N")
+        x = self._lu.solve(rhs, trans="T" if transpose else "N")
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def factorize(matrix) -> Factorization:
@@ -50,6 +59,57 @@ def factorize(matrix) -> Factorization:
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e}*scale")
     return Factorization(matrix.shape[0], lu)
+
+
+class DenseInverse:
+    """Dense inverse of a small square matrix; solves with it or its transpose.
+
+    A solve is one mat-vec per column.  A transposed solve multiplies by
+    the transpose of the same array, so the two solves are exact
+    transposes of each other.
+    """
+
+    __slots__ = ("inv",)
+
+    def __init__(self, inv):
+        self.inv = inv
+
+    def solve(self, rhs, transpose=False, out=None):
+        """rhs is (n,) or (n, k); the solution is written to out when given.
+
+        Column c of the result is bit for bit the solve of rhs[:, c]: the
+        columns are a stack of mat-vecs, since one GEMM would round differently.
+        """
+        inv = self.inv.T if transpose else self.inv
+        if rhs.ndim == 1:
+            return np.matmul(inv, rhs, out=out)
+        x = np.matmul(inv, rhs.T[..., None], out=None if out is None else out.T[..., None])
+        return x[..., 0].T
+
+
+def invert_stack(stack) -> list:
+    """DenseInverse of every matrix in an (L, n, n) stack, by one batched inversion.
+
+    A batched partial-pivot LU checks each matrix first with factorize's
+    rule: a pivot below PIVOT_RTOL times the matrix's largest entry, a zero
+    matrix or a non-finite entry raises SingularMatrix naming the matrix.
+    """
+    stack = np.asarray(stack, dtype=float)
+    scale = np.abs(stack).max(axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0))
+    if bad.size:
+        raise SingularMatrix(f"matrix {bad[0]} of the stack is zero or not finite")
+    upper = scipy.linalg.lu(stack, p_indices=True, check_finite=False)[2]
+    pivots = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=1)
+    bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
+    if bad.size:
+        raise SingularMatrix(f"matrix {bad[0]} of the stack: pivot {pivots[bad[0]]:.3e} "
+                             f"below {PIVOT_RTOL:.0e}*scale")
+    try:
+        inverses = np.linalg.inv(stack)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return [DenseInverse(inv) for inv in inverses]
 
 
 @dataclass

@@ -8,18 +8,20 @@ weights at boundary nodes.  This reproduces the classical clamped stencil
 
 Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
-solver precision (discretize-then-optimize).
+solver precision (discretize-then-optimize).  Small grids step with dense
+inverses, one mat-vec per step; larger ones with SuperLU factorizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatch
-from .linalg import Factorization, factorize
+from .linalg import factorize, invert_stack
 from .mesh import Grid, SpaceTimeField, SubdomainMask
 
 
@@ -189,13 +191,27 @@ def _fields_time_constant(a_field, b_fields):
     return const(a_field) and all(const(bf) for bf in b_fields)
 
 
-class TimeStepper:
-    """Per-level backward-Euler step matrices and their factorizations.
+DENSE_MAX_N = 128  # up to this many interior unknowns a step is one mat-vec with a dense inverse
 
-    One factorization serves a step matrix and its transpose, so forward
-    and adjoint marches share the work.  The matrices are cached once per
-    spec; when the coefficients are time-independent a single factorization
-    is reused for every level.
+
+class _Family(NamedTuple):
+    a: SpaceTimeField
+    b: tuple
+    time_constant: bool
+    solvers: list  # the solver of each step 1..nt
+
+
+class TimeStepper:
+    """Per-level backward-Euler step matrices, kept ready to solve with.
+
+    Up to DENSE_MAX_N interior unknowns a family of step matrices is kept
+    as dense inverses, built and inverted as one stack: a step is one
+    mat-vec, and a transposed step multiplies by the transpose of the same
+    inverse, so the adjoint march is the exact transpose of the forward
+    one.  Above the cap each level keeps a SuperLU factorization, and one
+    factorization serves a step matrix and its transpose.  When the
+    coefficients are time-independent one level serves every step.  The
+    sparse step matrices themselves are rebuilt on demand by step_matrix.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -204,31 +220,46 @@ class TimeStepper:
         self.grid = grid
         self.biharm = assemble_biharmonic(grid)
         self.grads = gradient_matrices(grid)
-        eye = sp.identity(grid.n_interior, format="csr")
-        dt = grid.dt
-
-        def build(a_field, b_fields):
-            if _fields_time_constant(a_field, b_fields):
-                L = _spatial_operator(grid, self.biharm, self.grads, a_field, b_fields, 1)
-                M = (eye + dt * L).tocsr()
-                f = factorize(M)
-                return [M] * grid.nt, [f] * grid.nt
-            mats, facts = [], []
-            for j in range(1, grid.nt + 1):
-                L = _spatial_operator(grid, self.biharm, self.grads, a_field, b_fields, j)
-                M = (eye + dt * L).tocsr()
-                mats.append(M)
-                facts.append(factorize(M))
-            return mats, facts
-
-        forward = build(spec.a, spec.b)
+        forward = self._build(spec.a, spec.b)
         if spec.a_adj is None and spec.b_adj is None:
             adjoint = forward
         else:
-            a_adj = spec.a_adj if spec.a_adj is not None else spec.a
-            b_adj = spec.b_adj if spec.b_adj is not None else spec.b
-            adjoint = build(a_adj, b_adj)
-        self._families = {"forward": forward, "adjoint": adjoint}  # family -> (matrices, factorizations)
+            adjoint = self._build(spec.a if spec.a_adj is None else spec.a_adj,
+                                  spec.b if spec.b_adj is None else spec.b_adj)
+        self._families = {"forward": forward, "adjoint": adjoint}
+
+    def _build(self, a_field, b_fields):
+        grid = self.grid
+        const = _fields_time_constant(a_field, b_fields)
+        levels = [1] if const else list(range(1, grid.nt + 1))
+        if grid.n_interior <= DENSE_MAX_N:
+            solvers = invert_stack(self._dense_step_stack(a_field, b_fields, levels))
+        else:
+            solvers = [factorize(self._step_matrix(a_field, b_fields, j)) for j in levels]
+        return _Family(a_field, b_fields, const, solvers * grid.nt if const else solvers)
+
+    def _step_matrix(self, a_field, b_fields, level):
+        grid = self.grid
+        L = _spatial_operator(grid, self.biharm, self.grads, a_field, b_fields, level)
+        return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
+
+    def _dense_step_stack(self, a_field, b_fields, levels):
+        """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given levels, shape (L, n, n).
+
+        Entry for entry the arithmetic of _spatial_operator and _step_matrix,
+        so slice l equals the sparse step matrix of levels[l] exactly.
+        """
+        grid = self.grid
+        diag = np.arange(grid.n_interior)
+        stack = np.repeat(self.biharm.toarray()[None], len(levels), axis=0)
+        stack[:, diag, diag] += a_field.interior()[levels]
+        for grad, bf in zip(self.grads, b_fields):
+            b_int = bf.interior()[levels]
+            if np.any(b_int):
+                stack += b_int[:, :, None] * grad.toarray()
+        stack *= grid.dt
+        stack[:, diag, diag] += 1.0
+        return stack
 
     def _family(self, family):
         try:
@@ -236,13 +267,15 @@ class TimeStepper:
         except KeyError:
             raise ValueError(f"unknown matrix family {family!r}") from None
 
-    def step(self, j, family="forward") -> Factorization:
-        """Factorization of the step matrix used by forward step j (1..nt)."""
-        return self._family(family)[1][j - 1]
+    def step(self, j, family="forward"):
+        """Solver of the step matrix used by forward step j (1..nt): a
+        DenseInverse up to DENSE_MAX_N unknowns, a Factorization above."""
+        return self._family(family).solvers[j - 1]
 
     def step_matrix(self, j, family="forward"):
-        """The step matrix I + dt L_j itself (1..nt)."""
-        return self._family(family)[0][j - 1]
+        """The sparse step matrix I + dt L_j itself (1..nt), built on demand."""
+        fam = self._family(family)
+        return self._step_matrix(fam.a, fam.b, 1 if fam.time_constant else j)
 
     def _march_arrays(self, datum, sources, level):
         """Output array holding the start datum at `level`, and the sources times dt.
@@ -280,11 +313,11 @@ class TimeStepper:
         (level 0 is never used).  Returns all levels, shape (nt+1, n) or
         (nt+1, n, k); see _march_arrays for the shapes accepted.
         """
-        facts = self._family(family)[1]
+        solvers = self._family(family).solvers
         out, dt_src = self._march_arrays(w0_int, sources, 0)
         for j in range(1, self.grid.nt + 1):
             rhs = out[j - 1] if dt_src is None else out[j - 1] + dt_src[j]
-            out[j] = facts[j - 1].solve(rhs)
+            solvers[j - 1].solve(rhs, out=out[j])
         return out
 
     def march_backward(self, terminal_int, sources=None, family="forward"):
@@ -295,11 +328,11 @@ class TimeStepper:
         state level j in the duality identity.  Shapes as in march_forward.
         """
         nt = self.grid.nt
-        facts = self._family(family)[1]
+        solvers = self._family(family).solvers
         out, dt_src = self._march_arrays(terminal_int, sources, nt)
         for j in range(nt, 0, -1):
             rhs = out[j] if dt_src is None else out[j] + dt_src[j]
-            out[j - 1] = facts[j - 1].solve(rhs, transpose=True)
+            solvers[j - 1].solve(rhs, transpose=True, out=out[j - 1])
         return out
 
 

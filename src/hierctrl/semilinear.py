@@ -433,13 +433,29 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         target_check=target_check, cg_residuals=[h.cg_residuals for h in hums])
 
 
+def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> TimeStepper:
+    """Stepper of the equation linearized at the equilibrium state."""
+    grid = spec.grid
+    uv = equilibrium.u.values
+    gu = st_gradient(grid, uv)
+    fu = nonlin.f_u(uv, gu)
+    gpf = nonlin.grad_p(uv, gu)
+    return TimeStepper(spec.with_(
+        a=SpaceTimeField(grid, spec.a.values - fu),
+        b=tuple(SpaceTimeField(grid, spec.b[ax].values - gpf[ax]) for ax in range(grid.dim)),
+        a_adj=None, b_adj=None,
+    ))
+
+
 def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, f, equilibrium,
-                      i, direction: SpaceTimeField) -> float:
+                      i, direction: SpaceTimeField, stepper=None) -> float:
     """Quadratic form of follower i's cost at the equilibrium.
 
     Solves the tangent state h driven by the direction, then the backward
     companion eta with the second-derivative sources, and returns
-    int int_Oi direction*eta + mu_i ||direction||^2.
+    int int_Oi direction*eta + mu_i ||direction||^2.  stepper, when given,
+    is the tangent stepper of this spec and equilibrium (_tangent_stepper),
+    which every direction shares.
     """
     if not nonlin.has_second_order:
         raise UnsupportedNonlinearity(
@@ -448,14 +464,7 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, f, equilibrium,
     grid = spec.grid
     uv = equilibrium.u.values
     gu = st_gradient(grid, uv)
-    fu = nonlin.f_u(uv, gu)
-    gpf = nonlin.grad_p(uv, gu)
-    tangent = spec.with_(
-        a=SpaceTimeField(grid, spec.a.values - fu),
-        b=tuple(SpaceTimeField(grid, spec.b[ax].values - gpf[ax]) for ax in range(grid.dim)),
-        a_adj=None, b_adj=None,
-    )
-    st = TimeStepper(tangent)
+    st = stepper or _tangent_stepper(spec, nonlin, equilibrium)
     chi = spec.follower_masks[i].interior_vector()
     src = direction.interior() * chi
     H = st.march_forward(np.zeros(grid.n_interior), src)
@@ -513,6 +522,7 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, f,
     rng = np.random.default_rng(seed)
     mins, chats, all_forms = [], [], []
     positive = True
+    stepper = None
     for i in range(2):
         chi = spec.follower_masks[i].interior_vector()
         forms = []
@@ -524,7 +534,8 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, f,
                 continue
             d /= nrm
             direction = SpaceTimeField.from_interior(grid, d)
-            forms.append(second_order_form(spec, nonlin, f, equilibrium, i, direction))
+            stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
+            forms.append(second_order_form(spec, nonlin, f, equilibrium, i, direction, stepper=stepper))
         all_forms.append(tuple(forms))
         if forms:
             mins.append(min(forms))

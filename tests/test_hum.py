@@ -1,7 +1,11 @@
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hierctrl.hum as hum
+from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations, ZeroPointNonsmooth
 from hierctrl.linalg import conjugate_gradient
 from hierctrl.hum import (apply_lambda, check_target_condition, control_to_trajectory,
@@ -12,6 +16,8 @@ from hierctrl.nash import q_norm
 from hierctrl.operators import TimeStepper, solve_forward
 
 from conftest import make_hum_spec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +203,35 @@ def test_lambda_symmetry_and_psd(spec, stepper, rng):
         sym = abs(inner_h(g, la, b) - inner_h(g, a, lb))
         assert sym <= 1e-9 * norm_h(g, a) * norm_h(g, b)
         assert inner_h(g, la, a) >= -1e-10 * norm_h(g, a) ** 2
+
+
+def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
+    """On the nx = nt = 64 null-control grid (62 unknowns, dense step
+    inverses) a transposed step multiplies by the transpose of the forward
+    step's own inverse, so the coupled adjoint inside Lambda is the exact
+    transpose of the Nash solve and Lambda's symmetry defect
+    |<x, Lambda y> - <Lambda x, y>| / (||x|| ||Lambda y||) is rounding only.
+    SuperLU's plain and transposed solves give about 2e-15, so the bound
+    tells the two apart."""
+    cp = configparser.ConfigParser()
+    cp.read(CONFIGS / "null_control_1d.ini")
+    cp["grid"]["nx"] = cp["grid"]["nt"] = "64"
+    with open(tmp_path / "grid64.ini", "w") as fh:
+        cp.write(fh)
+    spec = build_problem_spec(load_config(tmp_path / "grid64.ini"))
+    g = spec.grid
+    assert g.n_interior == 62
+    st = TimeStepper(spec)
+    rng = np.random.default_rng(0)
+
+    def lam(v):
+        return g.to_interior(apply_lambda(spec, g.from_interior(v), inner_tol=1e-11, stepper=st))
+
+    for _ in range(5):
+        x, y = rng.standard_normal(g.n_interior), rng.standard_normal(g.n_interior)
+        ly = lam(y)
+        defect = abs(x @ ly - lam(x) @ y) / (np.linalg.norm(x) * np.linalg.norm(ly))
+        assert defect <= 1e-15
 
 
 def test_lambda_quadratic_form_is_leader_energy(spec, rng):

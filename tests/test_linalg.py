@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import PATIENCE, conjugate_gradient, factorize, iterate, operator_norm
+from hierctrl.linalg import (PATIENCE, conjugate_gradient, factorize, invert_stack, iterate,
+                            operator_norm)
 
 
 def _random_spd(n, seed):
@@ -49,6 +50,44 @@ def test_factorize_singular_raises():
         factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     with pytest.raises(SingularMatrix):
         factorize(sp.csr_matrix((3, 3)))
+
+
+def test_invert_stack_inverts_every_matrix():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 9, 9)) + 9 * np.eye(9)
+    invs = invert_stack(stack)
+    assert len(invs) == 4
+    b = rng.standard_normal(9)
+    for A, inv in zip(stack, invs):
+        assert np.allclose(A @ inv.solve(b), b, rtol=0, atol=1e-12)
+        assert np.allclose(A.T @ inv.solve(b, transpose=True), b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 1.0], [1.0, 1.0]]),          # exactly singular: numpy would raise LinAlgError
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),  # pivot 1e-15 below the rule; numpy would invert it
+    np.zeros((2, 2)),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_invert_stack_singular_level_raises(bad):
+    stack = np.stack([np.eye(2), 3.0 * np.eye(2), bad])
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        invert_stack(stack)
+
+
+@pytest.mark.parametrize("n", [12, 62, 128, 484])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_dense_inverse_columns_bitwise(n, transpose):
+    """A k-column solve is bit for bit k one-column solves, also written in place."""
+    rng = np.random.default_rng(n)
+    inv = invert_stack((rng.standard_normal((n, n)) + n * np.eye(n))[None])[0]
+    for k in (2, 3, 5):
+        rhs = rng.standard_normal((n, k))
+        cols = np.stack([inv.solve(rhs[:, c], transpose=transpose) for c in range(k)], axis=1)
+        assert np.array_equal(inv.solve(rhs, transpose=transpose), cols)
+        out = np.empty((n, k))
+        inv.solve(rhs, transpose=transpose, out=out)
+        assert np.array_equal(out, cols)
 
 
 def test_cg_identity_one_iteration():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hierctrl.errors import ShapeMismatch
+from hierctrl.errors import ShapeMismatch, SingularMatrix
+from hierctrl.linalg import DenseInverse, Factorization, factorize
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
-from hierctrl.operators import (ProblemSpec, TimeStepper, _spatial_operator, assemble_biharmonic,
-                                duality_gap, solve_adjoint, solve_forward)
+from hierctrl.operators import (DENSE_MAX_N, ProblemSpec, TimeStepper, _spatial_operator,
+                                assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
 
 from conftest import make_nash_spec
 
@@ -314,3 +315,69 @@ def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
     for march in (st.march_forward, st.march_backward):
         with pytest.raises(ShapeMismatch):
             march(np.zeros(datum_shape), src)
+
+
+@pytest.mark.parametrize("family", ["forward", "adjoint"])
+def test_dense_marches_match_superlu_solves(rng, family):
+    """Below the cap both marches apply dense inverses.  On a spec with
+    time-dependent transport and distinct adjoint coefficients they agree
+    with SuperLU solves of the sparse step matrices, level by level."""
+    g, st = _frozen_like_stepper(rng)
+    assert isinstance(st.step(1, family), DenseInverse)
+    n, nt = g.n_interior, g.nt
+    facts = [factorize(st.step_matrix(j, family)) for j in range(1, nt + 1)]
+    datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
+    fwd = np.zeros((nt + 1, n))
+    fwd[0] = datum
+    for j in range(1, nt + 1):
+        fwd[j] = facts[j - 1].solve(fwd[j - 1] + g.dt * src[j])
+    bwd = np.zeros((nt + 1, n))
+    bwd[nt] = datum
+    for j in range(nt, 0, -1):
+        bwd[j - 1] = facts[j - 1].solve(bwd[j] + g.dt * src[j], transpose=True)
+    for got, ref in ((st.march_forward(datum, src, family=family), fwd),
+                     (st.march_backward(datum, src, family=family), bwd)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_transposed_step_uses_the_same_inverse(rng):
+    """A transposed step multiplies by the transpose of the forward step's
+    own inverse, so the two are exact transposes of each other."""
+    g, st = _frozen_like_stepper(rng)
+    x = rng.standard_normal(g.n_interior)
+    for j in (1, 4, 8):
+        inv = st.step(j, "adjoint")
+        assert np.array_equal(inv.solve(x), inv.inv @ x)
+        assert np.array_equal(inv.solve(x, transpose=True), inv.inv.T @ x)
+
+
+@pytest.mark.parametrize("nx,dense", [(DENSE_MAX_N + 2, True), (DENSE_MAX_N + 3, False)])
+def test_dense_cap_in_1d(nx, dense):
+    g = build_grid(1, 1.0, nx, 1.0, 4)
+    st = TimeStepper(_plain_spec(g))
+    assert isinstance(st.step(1), DenseInverse if dense else Factorization)
+
+
+def test_2d_benchmark_grid_stays_on_superlu(rng):
+    """The 24 x 24 grid has 484 unknowns, above the cap: SuperLU factorizations."""
+    g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 4)
+    assert g.n_interior == 484 > DENSE_MAX_N
+    st = TimeStepper(_plain_spec(g))
+    assert isinstance(st.step(1), Factorization)
+    w0 = rng.standard_normal(g.n_interior)
+    W = st.march_forward(w0)
+    assert np.array_equal(W[1], st.step(1).solve(w0))
+
+
+def test_singular_level_in_dense_stack_raises():
+    """A reaction at the last interior node that makes that diagonal entry
+    of the level-3 step matrix equal its Schur complement leaves a last pivot
+    at rounding level: SingularMatrix naming stack entry 2 (levels 1..nt),
+    never numpy's LinAlgError."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    M = np.eye(g.n_interior) + g.dt * assemble_biharmonic(g).toarray()
+    schur = M[-1, :-1] @ np.linalg.solve(M[:-1, :-1], M[:-1, -1])
+    a = np.zeros((g.nt + 1,) + g.nx)
+    a[3, -2] = (schur - M[-1, -1]) / g.dt
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        TimeStepper(_plain_spec(g, a_values=a))

@@ -240,6 +240,23 @@ def test_sufficiency_report(spec, leader, tanh_equilibrium):
     assert all(np.isfinite(v) for v in rep.min_form)
 
 
+def test_sufficiency_builds_one_tangent_stepper(spec, leader, tanh_equilibrium, monkeypatch):
+    """Every sampled direction of both followers marches with one shared
+    tangent stepper: 1 build for 2 x 5 directions, not 10."""
+    builds = []
+    original = semilinear.TimeStepper.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(semilinear.TimeStepper, "__init__", counted)
+    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), leader, tanh_equilibrium,
+                                         n_directions=5, seed=4)
+    assert [len(forms) for forms in rep.forms] == [5, 5]
+    assert len(builds) == 1
+
+
 def test_sufficiency_zero_directions(spec, leader, tanh_equilibrium):
     rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), leader, tanh_equilibrium,
                                          n_directions=0, seed=4)
