@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
 from .linalg import factorize
-from .mesh import SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, time_weights
-from .operators import assemble_biharmonic, extended_laplacian
+from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_divergence, st_gradient,
+                   st_second_differences, time_weights)
+from .operators import TimeStepper, assemble_biharmonic, extended_laplacian
 
 import scipy.sparse as sp
 
@@ -34,7 +35,36 @@ def default_parameters(T):
     return 2.0, 2.0 * (math.sqrt(T) + T)
 
 
-class _MonotoneCubic:
+class _CubicHermite:
+    """C1 piecewise cubic through three knots (xs, ys) with slopes ds."""
+
+    def __init__(self, xs, ys, ds):
+        self.xs = np.array(xs)
+        self.ys = np.array(ys)
+        self.ds = np.array(ds)
+
+    def __call__(self, x):
+        """Value and derivative at x."""
+        x = np.asarray(x, dtype=float)
+        k = np.where(x <= self.xs[1], 0, 1)
+        a = self.xs[k]
+        b = self.xs[k + 1]
+        h = b - a
+        t = (x - a) / h
+        h00 = (1 + 2 * t) * (1 - t) ** 2
+        h10 = t * (1 - t) ** 2
+        h01 = t * t * (3 - 2 * t)
+        h11 = t * t * (t - 1)
+        value = h00 * self.ys[k] + h10 * h * self.ds[k] + h01 * self.ys[k + 1] + h11 * h * self.ds[k + 1]
+        d00 = 6 * t * (t - 1) / h
+        d10 = (1 - t) * (1 - 3 * t)
+        d01 = -d00
+        d11 = t * (3 * t - 2)
+        deriv = d00 * self.ys[k] + d10 * self.ds[k] + d01 * self.ys[k + 1] + d11 * self.ds[k + 1]
+        return value, deriv
+
+
+class _MonotoneCubic(_CubicHermite):
     """C1 piecewise-cubic bijection of [0, L] with prescribed half-crossing.
 
     m(0) = 0, m(L) = L, m(center) = L/2, m' > 0.  End slopes are the
@@ -45,95 +75,34 @@ class _MonotoneCubic:
     def __init__(self, L, center):
         if not (0.0 < center < L):
             raise InvalidCenter(f"critical-point center {center} must be strictly inside (0, {L})")
-        self.L = L
-        self.xs = np.array([0.0, center, L])
-        self.ys = np.array([0.0, L / 2.0, L])
         s1 = (L / 2.0) / center
         s2 = (L / 2.0) / (L - center)
         dmid = 2.0 * s1 * s2 / (s1 + s2)
-        self.ds = np.array([s1, dmid, s2])
-
-    def _piece(self, x):
-        return np.where(x <= self.xs[1], 0, 1)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self._piece(x)
-        a = self.xs[k]
-        b = self.xs[k + 1]
-        h = b - a
-        t = (x - a) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * self.ys[k] + h10 * h * self.ds[k] + h01 * self.ys[k + 1] + h11 * h * self.ds[k + 1]
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self._piece(x)
-        a = self.xs[k]
-        b = self.xs[k + 1]
-        h = b - a
-        t = (x - a) / h
-        d00 = 6 * t * (t - 1) / h
-        d10 = (1 - t) * (1 - 3 * t)
-        d01 = -d00
-        d11 = t * (3 * t - 2)
-        return d00 * self.ys[k] + d10 * self.ds[k] + d01 * self.ys[k + 1] + d11 * self.ds[k + 1]
+        super().__init__([0.0, center, L], [0.0, L / 2.0, L], [s1, dmid, s2])
 
 
-class _WindowedRemap:
+class _WindowedRemap(_CubicHermite):
     """Monotone bijection of [0, L]: identity outside (w0, w1), moves c2 to c1."""
 
     def __init__(self, L, w0, w1, c_from, c_to):
         if not (0.0 <= w0 < c_from < w1 <= L) or not (w0 < c_to < w1):
             raise InvalidCenter("remap window must contain both centers strictly")
-        self.L = L
         self.w0, self.w1 = w0, w1
-        self.xs = np.array([w0, c_from, w1])
-        self.ys = np.array([w0, c_to, w1])
         s1 = (c_to - w0) / (c_from - w0)
         s2 = (w1 - c_to) / (w1 - c_from)
         dmid = 2.0 * s1 * s2 / (s1 + s2)
-        self.ds = np.array([1.0, dmid, 1.0])
         for d, s in ((1.0, s1), (dmid, s1), (dmid, s2), (1.0, s2)):
             if d > 3.0 * s:
                 raise InvalidCenter("remap window too tight for a monotone reparameterization")
+        super().__init__([w0, c_from, w1], [w0, c_to, w1], [1.0, dmid, 1.0])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = x.astype(float).copy()
+        value = x.copy()
+        deriv = np.ones_like(x)
         inside = (x > self.w0) & (x < self.w1)
-        if np.any(inside):
-            xi = x[inside]
-            k = np.where(xi <= self.xs[1], 0, 1)
-            a, b = self.xs[k], self.xs[k + 1]
-            h = b - a
-            t = (xi - a) / h
-            h00 = (1 + 2 * t) * (1 - t) ** 2
-            h10 = t * (1 - t) ** 2
-            h01 = t * t * (3 - 2 * t)
-            h11 = t * t * (t - 1)
-            out[inside] = h00 * self.ys[k] + h10 * h * self.ds[k] + h01 * self.ys[k + 1] + h11 * h * self.ds[k + 1]
-        return out
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x, dtype=float)
-        inside = (x > self.w0) & (x < self.w1)
-        if np.any(inside):
-            xi = x[inside]
-            k = np.where(xi <= self.xs[1], 0, 1)
-            a, b = self.xs[k], self.xs[k + 1]
-            h = b - a
-            t = (xi - a) / h
-            d00 = 6 * t * (t - 1) / h
-            d10 = (1 - t) * (1 - 3 * t)
-            d01 = -d00
-            d11 = t * (3 * t - 2)
-            out[inside] = d00 * self.ys[k] + d10 * self.ds[k] + d01 * self.ys[k + 1] + d11 * self.ds[k + 1]
-        return out
+        value[inside], deriv[inside] = super().__call__(x[inside])
+        return value, deriv
 
 
 class EtaFunction:
@@ -163,9 +132,10 @@ class EtaFunction:
     def _axis_m(self, ax, x):
         base, remap = self.maps[ax]
         if remap is None:
-            return base(x), base.deriv(x)
-        y = remap(x)
-        return base(y), base.deriv(y) * remap.deriv(x)
+            return base(x)
+        y, dy = remap(x)
+        m, dm = base(y)
+        return m, dm * dy
 
     def _axis_factor(self, ax, x):
         L = self.grid.lengths[ax]
@@ -200,11 +170,6 @@ class EtaFunction:
 
     def gradient_on_nodes(self):
         return self.gradient(*self.grid.meshes())
-
-
-def build_eta(grid, center) -> np.ndarray:
-    """Spatial weight sampled on the nodes; see EtaFunction."""
-    return EtaFunction(grid, center).on_nodes()
 
 
 def _time_factor(grid, variant):
@@ -315,20 +280,12 @@ class CarlemanWeights:
     mod_pair: tuple = None       # distinct case: ((alpha_ell_i, xi_ell_i))_i
     otilde: SubdomainMask = None
 
-    @property
-    def sharp_form(self):
-        return WeightForm(self.eta_fn, self.lam, self.s, "sharp")
 
-    @property
-    def ell_form(self):
-        return WeightForm(self.eta_fn, self.lam, self.s, "ell-modified")
-
-
-def _center_box(grid, center, radius_frac=0.12):
+def _center_box(grid, center):
     center = (center,) if np.isscalar(center) else tuple(center)
     box = []
     for ax, c in enumerate(center):
-        r = radius_frac * grid.lengths[ax]
+        r = 0.12 * grid.lengths[ax]
         box.append((max(c - r, grid.h[ax] * 0.5), min(c + r, grid.lengths[ax] - grid.h[ax] * 0.5)))
     return tuple(box)
 
@@ -455,15 +412,15 @@ class WeightPropertyReport:
     notes: list = dc_field(default_factory=list)
 
 
-def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0, variant="sharp") -> WeightPropertyReport:
-    """Pointwise verification of the closed-form weight properties.
+def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> WeightPropertyReport:
+    """Pointwise verification of the closed-form properties of the sharp weights.
 
     Checks grad alpha = grad xi = lambda xi grad eta, xi^{-1} <= T/2, and
     |alpha_t| + |xi_t| <= (T/2) xi^3 (strict) with the relaxed T xi^3
     fallback, at random interior sample points with analytic derivatives.
     """
     grid = weights.grid
-    form = WeightForm(weights.eta_fn, weights.lam, weights.s, variant)
+    form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
     rng = np.random.default_rng(seed)
     coords = tuple(rng.uniform(0.02 * L, 0.98 * L, n_samples) for L in grid.lengths)
     ts = rng.uniform(0.02 * grid.T, 0.98 * grid.T, n_samples)
@@ -516,59 +473,6 @@ def eta_gradient_scan(weights: CarlemanWeights, exclusion_radius):
     return float(mag[keep].min())
 
 
-def _spatial_derivatives(grid, z_full):
-    """Discrete gradient, Laplacian, Hessian entries, gradient of Laplacian.
-
-    z_full is an all-node spatial array with clamped boundary values; all
-    outputs are all-node arrays (boundary rows kept for quadrature, where
-    masks zero them out anyway).
-    """
-    dim = grid.dim
-    grads = []
-    for ax in range(dim):
-        g = np.zeros_like(z_full)
-        sl_c = [slice(None)] * dim
-        sl_p = [slice(None)] * dim
-        sl_m = [slice(None)] * dim
-        sl_c[ax] = slice(1, -1)
-        sl_p[ax] = slice(2, None)
-        sl_m[ax] = slice(0, -2)
-        g[tuple(sl_c)] = (z_full[tuple(sl_p)] - z_full[tuple(sl_m)]) / (2.0 * grid.h[ax])
-        grads.append(g)
-    hess = []
-    for ax in range(dim):
-        d2 = np.zeros_like(z_full)
-        sl_c = [slice(None)] * dim
-        sl_p = [slice(None)] * dim
-        sl_m = [slice(None)] * dim
-        sl_c[ax] = slice(1, -1)
-        sl_p[ax] = slice(2, None)
-        sl_m[ax] = slice(0, -2)
-        d2[tuple(sl_c)] = (
-            z_full[tuple(sl_p)] - 2.0 * z_full[tuple(sl_c)] + z_full[tuple(sl_m)]
-        ) / grid.h[ax] ** 2
-        hess.append((ax, ax, d2))
-    if dim == 2:
-        dxy = np.zeros_like(z_full)
-        dxy[1:-1, 1:-1] = (
-            z_full[2:, 2:] - z_full[2:, :-2] - z_full[:-2, 2:] + z_full[:-2, :-2]
-        ) / (4.0 * grid.h[0] * grid.h[1])
-        hess.append((0, 1, dxy))
-    lap = sum(h[2] for h in hess if h[0] == h[1])
-    grad_lap = []
-    for ax in range(dim):
-        g = np.zeros_like(z_full)
-        sl_c = [slice(None)] * dim
-        sl_p = [slice(None)] * dim
-        sl_m = [slice(None)] * dim
-        sl_c[ax] = slice(1, -1)
-        sl_p[ax] = slice(2, None)
-        sl_m[ax] = slice(0, -2)
-        g[tuple(sl_c)] = (lap[tuple(sl_p)] - lap[tuple(sl_m)]) / (2.0 * grid.h[ax])
-        grad_lap.append(g)
-    return grads, lap, hess, grad_lap
-
-
 @dataclass
 class RatioReport:
     samples: list
@@ -589,18 +493,17 @@ class RatioReport:
         return float(np.median(self.ratios)) if self.samples else math.nan
 
 
-def carleman_ratio_report(grid, weights: CarlemanWeights, omega: SubdomainMask = None,
-                          n_samples=20, seed=0, source_mode="plain") -> RatioReport:
+def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
+                          source_mode="plain") -> RatioReport:
     """Numerical left/right evaluation of the weighted energy inequality.
 
     Solves the pure backward biharmonic problem -z_t + Lap^2 z = g for
     random data, evaluates the five weighted energies against the local
-    observation plus source terms, and reports the ratios.  source_mode
-    "divergence" drives the equation by F0 + div(F1) and weights the
-    source side accordingly (boundary traces vanish: clamped data).
+    observation on weights.omega0 plus source terms, and reports the
+    ratios.  source_mode "divergence" drives the equation by F0 + div(F1)
+    and weights the source side accordingly (boundary traces vanish:
+    clamped data).
     """
-    if omega is None:
-        omega = weights.omega0
     lam, s = weights.lam, weights.s
     M = assemble_biharmonic(grid)
     eye = sp.identity(grid.n_interior, format="csr")
@@ -611,8 +514,9 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, omega: SubdomainMask =
     e2sa = np.exp(2.0 * s * weights.alpha.values)
     tw = time_weights(grid)
     nw = grid.node_weights()
-    omega_w = nw * omega.indicator
+    omega_w = nw * weights.omega0.indicator
     full_w = nw * grid.interior_bool()
+    shape = (grid.nt + 1,) + grid.nx
 
     def qint(levels, w):
         return float(sum(tw[k] * np.sum(levels[k] * w) for k in range(grid.nt + 1)))
@@ -626,16 +530,9 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, omega: SubdomainMask =
             src = g_int
             g_full = np.stack([grid.from_interior(g_int[k]) for k in range(grid.nt + 1)])
         elif source_mode == "divergence":
-            F0 = rng.standard_normal((grid.nt + 1,) + grid.nx) * grid.interior_bool()
-            F1 = [rng.standard_normal((grid.nt + 1,) + grid.nx) * grid.interior_bool()
-                  for _ in range(grid.dim)]
-            src = np.zeros((grid.nt + 1, grid.n_interior))
-            for k in range(grid.nt + 1):
-                div = np.zeros(grid.nx)
-                for ax in range(grid.dim):
-                    grads_f, _, _, _ = _spatial_derivatives(grid, F1[ax][k])
-                    div += grads_f[ax]
-                src[k] = grid.to_interior(F0[k] + div)
+            F0 = rng.standard_normal(shape) * grid.interior_bool()
+            F1 = [rng.standard_normal(shape) * grid.interior_bool() for _ in range(grid.dim)]
+            src = SpaceTimeField(grid, F0 + st_divergence(grid, F1)).interior()
             g_full = None
         else:
             raise ValueError(f"unknown source_mode {source_mode!r}")
@@ -648,22 +545,15 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, omega: SubdomainMask =
         z_full = np.stack([grid.from_interior(Z[k]) for k in range(grid.nt + 1)])
 
         lhs = 0.0
-        grads_sq = np.zeros_like(z_full)
-        hess_sq = np.zeros_like(z_full)
-        gl_sq = np.zeros_like(z_full)
-        lap_sq = np.zeros_like(z_full)
-        for k in range(grid.nt + 1):
-            grads, _, hess, _ = _spatial_derivatives(grid, z_full[k])
-            grads_sq[k] = sum(g * g for g in grads)
-            # Laplacian via the mirror-ghost rows: correct next to the walls
-            lap = (ext @ Z[k]).reshape(grid.nx)
-            lap_sq[k] = lap * lap
-            hs = 0.0
-            for (i, j, d) in hess:
-                hs = hs + (d * d if i == j else 2.0 * d * d)
-            hess_sq[k] = hs
-            glk, _, _, _ = _spatial_derivatives(grid, lap)
-            gl_sq[k] = sum(g * g for g in glk)
+        grads_sq = sum(g * g for g in st_gradient(grid, z_full))
+        # Laplacian via the mirror-ghost rows: correct next to the walls
+        lap = (ext @ Z.T).T.reshape(shape)
+        lap_sq = lap * lap
+        d2 = st_second_differences(grid, z_full)
+        hess_sq = sum(d * d for d in d2[:grid.dim])
+        if grid.dim == 2:  # the mixed entry appears twice in the Hessian
+            hess_sq = hess_sq + 2.0 * d2[2] * d2[2]
+        gl_sq = sum(g * g for g in st_gradient(grid, lap))
         lhs += s**6 * lam**8 * qint(xi**6 * z_full**2 * e2sa, full_w)
         lhs += s**4 * lam**6 * qint(xi**4 * grads_sq * e2sa, full_w)
         lhs += s**3 * lam**4 * qint(xi**3 * lap_sq * e2sa, full_w)
@@ -706,7 +596,7 @@ class ObservabilityReport:
 
 
 def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
-                           tol_rel=1e-10, stepper=None) -> ObservabilityReport:
+                           tol_rel=1e-10) -> ObservabilityReport:
     """Sample the observability quotient of the coupled adjoint system.
 
     R(psi0) = (||psi(0)||^2 + int int theta^2 |obs|^2) / int int_O |psi|^2
@@ -716,6 +606,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     from .hum import solve_coupled_adjoint
 
     grid = spec.grid
+    stepper = TimeStepper(spec)
     theta = weights.theta if weights.theta is not None else build_theta(weights, weights.case)
     rng = np.random.default_rng(seed)
     ratios, nums, dens = [], [], []

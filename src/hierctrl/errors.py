@@ -65,10 +65,6 @@ class InvalidCenter(HierctrlError):
     pass
 
 
-class ZeroPointNonsmooth(HierctrlError):
-    pass
-
-
 class UnsupportedNonlinearity(HierctrlError):
     pass
 

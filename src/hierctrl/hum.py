@@ -2,8 +2,8 @@
 
 The coupled adjoint system (backward observation variable driven by two
 forward companions), the penalized functional G_eps, its gradient via the
-exact discrete duality, conjugate-gradient minimization of the quadratic
-mode, and the exact-controllability-to-trajectory wrapper.
+exact discrete duality, conjugate-gradient minimization with the quadratic
+penalty, and the exact-controllability-to-trajectory wrapper.
 
 The gradient chain is exact by construction: the coupled system steps with
 the transposes of the optimality-system step matrices, so the smooth part
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroPointNonsmooth
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
-from .nash import NashSolution, q_norm, solve_nash_fixed_point, stacked_system
+from .nash import NashSolution, _controls_from_adjoints, q_norm, solve_nash_fixed_point, stacked_system
 from .operators import ProblemSpec, TimeStepper, columns, solve_forward
 
 OVERFLOW_THRESHOLD = 1e300
@@ -51,22 +50,6 @@ class HumResult:
     eps: float
     true_residual: float
 
-    @property
-    def cg_history(self):
-        """Monotone envelope of the CG recurrence residuals."""
-        return list(np.minimum.accumulate(self.cg_residuals))
-
-
-def _eta_sources(spec, psi_arr):
-    """Source arrays for the two forward companions: -chi_i psi^{j-1}/mu_i."""
-    out = []
-    for i in range(2):
-        chi = spec.follower_masks[i].interior_vector()
-        src = np.zeros_like(psi_arr)
-        src[1:] = -(psi_arr[:-1] * chi) / spec.mu[i]
-        out.append(src)
-    return out
-
 
 def _psi_source(spec, eta_arrs):
     src = np.zeros_like(eta_arrs[0])
@@ -93,7 +76,9 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, 
     def sweep(state):
         psi, etas = state
         psi_new = stepper.march_backward(psi0_int, _psi_source(spec, etas), family="forward")
-        eta_srcs = np.stack(_eta_sources(spec, psi_new), axis=-1)
+        # the companions' sources -chi_i psi^{j-1}/mu_i are the Nash controls
+        # of psi: the coupled adjoint is the transpose of the Nash system
+        eta_srcs = np.stack(_controls_from_adjoints(spec, (psi_new, psi_new)), axis=-1)
         etas_new = columns(stepper.march_forward(np.zeros(n), eta_srcs, family="adjoint"))
         change = None
         if psi is not None:
@@ -117,14 +102,14 @@ def _coupled_state(grid, psi, etas, iterations, history):
     )
 
 
-def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0, max_unknowns=20000) -> CoupledAdjointState:
+def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0) -> CoupledAdjointState:
     """Direct space-time solve of the coupled adjoint system: the transposed
     solve of the Nash stacked system, with psi0 feeding the w^nt row."""
     stepper = TimeStepper(spec)
     grid = spec.grid
     n = grid.n_interior
     nt = grid.nt
-    A = stacked_system(spec, stepper, max_unknowns)
+    A = stacked_system(spec, stepper)
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     rhs = np.zeros((3, nt, n))
     rhs[0, nt - 1] = psi0_int
@@ -154,12 +139,11 @@ def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTim
     return SpaceTimeField.from_interior(grid, f)
 
 
-def eval_G(spec: ProblemSpec, psi0, eps, mode="quadratic", tol_rel=1e-12, stepper=None):
+def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12, stepper=None):
     """Penalized HUM functional.
 
-    quadratic mode replaces the nonsmooth eps*||psi0|| penalty by
-    (eps/2)*||psi0||^2 so the functional is a CG-solvable quadratic; the
-    exact-norm mode keeps the nonsmooth norm penalty for reporting.
+    The nonsmooth eps*||psi0|| penalty is replaced by (eps/2)*||psi0||^2,
+    so the functional is a CG-solvable quadratic.
     """
     stepper = stepper or TimeStepper(spec)
     grid = spec.grid
@@ -175,39 +159,24 @@ def eval_G(spec: ProblemSpec, psi0, eps, mode="quadratic", tol_rel=1e-12, steppe
         wd = spec.targets[i].interior()
         affine -= spec.alpha[i] * grid.dt * grid.hd * float(np.sum(chid * eta[1:] * wd[1:]))
     p0 = norm_h(grid, np.asarray(psi0, dtype=float))
-    if mode == "quadratic":
-        penalty = 0.5 * eps * p0 * p0
-    elif mode == "exact-norm":
-        penalty = eps * p0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return quad + affine + penalty
+    return quad + affine + 0.5 * eps * p0 * p0
 
 
-def grad_G(spec: ProblemSpec, psi0, eps, mode="quadratic", inner_tol=1e-12, stepper=None):
+def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, stepper=None):
     """Gradient of G_eps: terminal state of the optimality system driven by
     f = psi chi_O, plus the penalty gradient."""
     stepper = stepper or TimeStepper(spec)
-    grid = spec.grid
     psi0 = np.asarray(psi0, dtype=float)
     coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol, stepper=stepper)
     f = leader_from_psi(spec, coupled)
     nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol, stepper=stepper)
-    wT = nash.w.values[-1]
-    if mode == "quadratic":
-        return wT + eps * psi0
-    if mode == "exact-norm":
-        p0 = norm_h(grid, psi0)
-        if p0 == 0.0:
-            raise ZeroPointNonsmooth("exact-norm penalty is nonsmooth at psi0 = 0")
-        return wT + eps * psi0 / p0
-    raise ValueError(f"unknown mode {mode!r}")
+    return nash.w.values[-1] + eps * psi0
 
 
 def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12, stepper=None):
     """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD)."""
     zspec = spec.with_zero_data()
-    return grad_G(zspec, psi0, eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
+    return grad_G(zspec, psi0, eps=0.0, inner_tol=inner_tol, stepper=stepper)
 
 
 def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None, stepper=None):
@@ -231,14 +200,13 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None
     if inner_tol is None:
         inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
-    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, mode="quadratic", inner_tol=inner_tol, stepper=stepper)
+    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol, stepper=stepper)
     b_int = grid.to_interior(b_full)
     norm_b = max(float(np.linalg.norm(b_int)), TINY)
     zspec = spec.with_zero_data()
 
     def apply(x_int):
-        lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, mode="quadratic",
-                     inner_tol=inner_tol, stepper=stepper)
+        lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, inner_tol=inner_tol, stepper=stepper)
         return grid.to_interior(lam)
 
     def reconstruct(x_int, e):

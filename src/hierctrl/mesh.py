@@ -1,4 +1,5 @@
-"""Rectangular space-time grids, subdomain masks, and discrete quadrature.
+"""Rectangular space-time grids, subdomain masks, discrete quadrature, and
+centered difference stencils on space-time arrays.
 
 Nodes include the boundary; unknowns live on interior nodes (clamped
 boundary values are identically zero).  Fields carry one value per
@@ -39,6 +40,8 @@ class Grid:
     nt: int
     h: tuple = field(init=False)
     dt: float = field(init=False)
+    n_interior: int = field(init=False)
+    hd: float = field(init=False)  # spatial cell volume h^d
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -51,27 +54,12 @@ class Grid:
             raise InvalidGrid("lengths and T must be positive")
         object.__setattr__(self, "h", tuple(L / (n - 1) for L, n in zip(self.lengths, self.nx)))
         object.__setattr__(self, "dt", self.T / self.nt)
-
-    @property
-    def space_shape(self):
-        return self.nx
-
-    @property
-    def n_space(self):
-        return int(np.prod(self.nx))
+        object.__setattr__(self, "n_interior", int(np.prod(self.interior_shape)))
+        object.__setattr__(self, "hd", float(np.prod(self.h)))
 
     @property
     def interior_shape(self):
         return tuple(n - 2 for n in self.nx)
-
-    @property
-    def n_interior(self):
-        return int(np.prod(self.interior_shape))
-
-    @property
-    def hd(self):
-        """Spatial cell volume h^d."""
-        return float(np.prod(self.h))
 
     def coords(self, axis):
         return np.linspace(0.0, self.lengths[axis], self.nx[axis])
@@ -240,9 +228,6 @@ class SpaceTimeField:
     def level(self, k):
         return self.values[k]
 
-    def is_constant(self):
-        return bool(np.all(self.values == self.values.flat[0]))
-
     def __add__(self, other):
         return SpaceTimeField(self.grid, self.values + other.values)
 
@@ -298,3 +283,55 @@ def inner_h(grid, u, v):
 
 def norm_h(grid, u):
     return math.sqrt(max(inner_h(grid, u, u), 0.0))
+
+
+def _axis_shifts(grid, ax):
+    """Index tuples (centre, plus, minus) along spatial axis ax of an (nt+1, *nx) array."""
+    sl_c = [slice(None)] * (grid.dim + 1)
+    sl_p = [slice(None)] * (grid.dim + 1)
+    sl_m = [slice(None)] * (grid.dim + 1)
+    sl_c[ax + 1] = slice(1, -1)
+    sl_p[ax + 1] = slice(2, None)
+    sl_m[ax + 1] = slice(0, -2)
+    return tuple(sl_c), tuple(sl_p), tuple(sl_m)
+
+
+def st_gradient(grid, values):
+    """Centered spatial gradient of an (nt+1, *nx) array, boundary rows zero."""
+    grads = []
+    for ax in range(grid.dim):
+        c, p, m = _axis_shifts(grid, ax)
+        g = np.zeros_like(values)
+        g[c] = (values[p] - values[m]) / (2.0 * grid.h[ax])
+        grads.append(g)
+    return tuple(grads)
+
+
+def st_divergence(grid, comps):
+    """Centered divergence of a per-axis tuple of (nt+1, *nx) arrays."""
+    out = np.zeros_like(comps[0])
+    for ax in range(grid.dim):
+        g = st_gradient(grid, comps[ax])[ax]
+        out = out + g
+    return out
+
+
+def st_second_differences(grid, values):
+    """Centered second differences of an (nt+1, *nx) array, boundary rows zero.
+
+    One array per axis (d^2/dx_ax^2), then in 2D the mixed difference
+    d^2/dx dy, which is zero on every boundary row.
+    """
+    out = []
+    for ax in range(grid.dim):
+        c, p, m = _axis_shifts(grid, ax)
+        d2 = np.zeros_like(values)
+        d2[c] = (values[p] - 2.0 * values[c] + values[m]) / grid.h[ax] ** 2
+        out.append(d2)
+    if grid.dim == 2:
+        dxy = np.zeros_like(values)
+        dxy[:, 1:-1, 1:-1] = (
+            values[:, 2:, 2:] - values[:, 2:, :-2] - values[:, :-2, 2:] + values[:, :-2, :-2]
+        ) / (4.0 * grid.h[0] * grid.h[1])
+        out.append(dxy)
+    return tuple(out)

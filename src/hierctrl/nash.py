@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionFailure, MaxIterations, TooLarge
+from .errors import ContractionFailure, TooLarge
 from .linalg import TINY, factorize, iterate, operator_norm
 from .mesh import SpaceTimeField
 from .operators import ProblemSpec, TimeStepper, columns, control_sources
@@ -193,32 +193,6 @@ def _package_solution(spec, W, phis, vs, iterations, history):
         iterations=iterations,
         history=list(history),
     )
-
-
-def solve_nash_richardson(spec: ProblemSpec, f=None, step=None, tol_rel=1e-10, max_iter=2000, stepper=None):
-    """Richardson iteration on the equilibrium equation A(v) = B.
-
-    Cross-check path; A is coercive but not symmetric, so CG does not
-    apply.  Returns (v1, v2) SpaceTimeFields.
-    """
-    stepper = stepper or TimeStepper(spec)
-    grid = spec.grid
-    if step is None:
-        step = 0.9 / max(spec.mu)
-    b1, b2 = compute_rhs(spec, f=f, stepper=stepper)
-    v1 = SpaceTimeField.zeros(grid)
-    v2 = SpaceTimeField.zeros(grid)
-    bnorm = max(q_norm(grid, b1.interior()), q_norm(grid, b2.interior()), TINY)
-    for _ in range(max_iter):
-        r1, r2 = apply_A(spec, v1, v2, stepper=stepper)
-        g1 = r1.interior() - b1.interior()
-        g2 = r2.interior() - b2.interior()
-        res = max(q_norm(grid, g1), q_norm(grid, g2))
-        if res <= tol_rel * bnorm:
-            return v1, v2
-        v1 = SpaceTimeField.from_interior(grid, v1.interior() - step * g1)
-        v2 = SpaceTimeField.from_interior(grid, v2.interior() - step * g2)
-    raise MaxIterations(f"Richardson did not reach tol {tol_rel:.1e}", iterations=max_iter)
 
 
 def stacked_system(spec: ProblemSpec, stepper, max_unknowns=20000):

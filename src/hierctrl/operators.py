@@ -215,7 +215,6 @@ class TimeStepper:
     """
 
     def __init__(self, spec: ProblemSpec):
-        self.spec = spec
         grid = spec.grid
         self.grid = grid
         self.biharm = assemble_biharmonic(grid)
@@ -379,11 +378,6 @@ def solve_adjoint(spec: ProblemSpec, sources: SpaceTimeField, terminal, stepper=
     src = sources.interior() if sources is not None else None
     P = stepper.march_backward(term_int, src, family="adjoint")
     return SpaceTimeField.from_interior(grid, P)
-
-
-def state_pairing(grid: Grid, u_int, v_int):
-    """dt * h^d * sum over levels 1..nt of the interior dot product."""
-    return grid.dt * grid.hd * float(np.sum(u_int[1:] * v_int[1:]))
 
 
 def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources, stepper=None):

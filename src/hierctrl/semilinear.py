@@ -17,7 +17,7 @@ import numpy as np
 from .errors import OuterDivergence, UnsupportedNonlinearity
 from .hum import HumResult, check_target_condition, minimize_G
 from .linalg import TINY, iterate
-from .mesh import SpaceTimeField
+from .mesh import SpaceTimeField, st_divergence, st_gradient
 from .nash import NashSolution, q_norm, solve_nash_fixed_point
 from .operators import ProblemSpec, TimeStepper
 
@@ -127,7 +127,7 @@ def preset_grad_tanh(c1, c2) -> Nonlinearity:
     return Nonlinearity("grad-tanh", abs(c1) + abs(c2), f, f_u, grad_p, f_uu, grad_p_f_u, hess_p)
 
 
-def from_expression(text, bound, dim=1, fd_step=1e-6) -> Nonlinearity:
+def from_expression(text, bound, dim=1) -> Nonlinearity:
     """User-defined F from an expression in u, p1, p2.
 
     First derivatives come from central finite differences, so this form is
@@ -149,14 +149,14 @@ def from_expression(text, bound, dim=1, fd_step=1e-6) -> Nonlinearity:
 
     def f_u(u, p):
         u = np.asarray(u, dtype=float)
-        h = fd_step * (1.0 + np.abs(u))
+        h = 1e-6 * (1.0 + np.abs(u))
         return (ast.evaluate({**env(u + h, p)}) - ast.evaluate({**env(u - h, p)})) / (2.0 * h)
 
     def grad_p(u, p):
         out = []
         for i in range(dim):
             pi = np.asarray(p[i], dtype=float)
-            h = fd_step * (1.0 + np.abs(pi))
+            h = 1e-6 * (1.0 + np.abs(pi))
             pp = list(p)
             pm = list(p)
             pp[i] = pi + h
@@ -181,31 +181,6 @@ def sample_bound(nonlin: Nonlinearity, dim, u_range=(-3.0, 3.0), p_range=(-3.0, 
     for comp in nonlin.grad_p(u, p):
         total = total + np.abs(comp)
     return float(np.max(total))
-
-
-def st_gradient(grid, values):
-    """Centered spatial gradient of an (nt+1, *nx) array, boundary rows zero."""
-    grads = []
-    for ax in range(grid.dim):
-        g = np.zeros_like(values)
-        sl_c = [slice(None)] * (grid.dim + 1)
-        sl_p = [slice(None)] * (grid.dim + 1)
-        sl_m = [slice(None)] * (grid.dim + 1)
-        sl_c[ax + 1] = slice(1, -1)
-        sl_p[ax + 1] = slice(2, None)
-        sl_m[ax + 1] = slice(0, -2)
-        g[tuple(sl_c)] = (values[tuple(sl_p)] - values[tuple(sl_m)]) / (2.0 * grid.h[ax])
-        grads.append(g)
-    return tuple(grads)
-
-
-def st_divergence(grid, comps):
-    """Centered divergence of a per-axis tuple of (nt+1, *nx) arrays."""
-    out = np.zeros_like(comps[0])
-    for ax in range(grid.dim):
-        g = st_gradient(grid, comps[ax])[ax]
-        out = out + g
-    return out
 
 
 def eval_secant_coeffs(nonlin: Nonlinearity, base, z: SpaceTimeField):
@@ -296,7 +271,7 @@ class QuasiEquilibrium:
 
 
 def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
-                            tol=1e-10, max_iter=50, inner_tol=1e-12, damping=1.0) -> QuasiEquilibrium:
+                            tol=1e-10, inner_tol=1e-12, damping=1.0) -> QuasiEquilibrium:
     """Outer Picard on the frozen-z optimality system.
 
     Each sweep solves the linear system with secant coefficients at z and
@@ -314,7 +289,7 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
         z_next = SpaceTimeField(grid, z.values + damping * (sol.w.values - z.values))
         return (z_next, sol), *_picard_change(grid, z, sol.w)
 
-    (_, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, max_iter,
+    (_, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, 50,
                                     "quasi-equilibrium Picard")
     return QuasiEquilibrium(
         u=sol.w, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
@@ -363,8 +338,7 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
     return res_state / scale, res_adj / scale
 
 
-def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0,
-                          tol=1e-12, max_iter=60) -> SpaceTimeField:
+def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60) -> SpaceTimeField:
     """Uncontrolled semilinear trajectory by secant-coefficient Picard."""
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
@@ -376,7 +350,7 @@ def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0,
         u = SpaceTimeField.from_interior(grid, st.march_forward(ubar0_int, src))
         return u, *_picard_change(grid, z, u)
 
-    u, _, _ = iterate(sweep, SpaceTimeField.zeros(grid), tol, max_iter, "free trajectory Picard")
+    u, _, _ = iterate(sweep, SpaceTimeField.zeros(grid), 1e-12, max_iter, "free trajectory Picard")
     return u
 
 
@@ -395,8 +369,7 @@ class SemilinearControlResult:
 
 
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
-                            outer_tol=1e-8, max_outer=30, cg_tol=1e-9,
-                            inner_tol=None, theta=None) -> SemilinearControlResult:
+                            outer_tol=1e-8, max_outer=30, cg_tol=1e-9, theta=None) -> SemilinearControlResult:
     """Exact controllability to the free semilinear trajectory.
 
     Outer loop: freeze z, build the linear spec with secant state
@@ -419,7 +392,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     def sweep(state):
         z = state[0]
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
-        hum = minimize_G(frozen, eps, cg_tol=cg_tol, inner_tol=inner_tol)
+        hum = minimize_G(frozen, eps, cg_tol=cg_tol)
         hums.append(hum)
         return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 

@@ -5,7 +5,7 @@ solves, and the sufficiency checker's dimension flag on a small 2D case."""
 import numpy as np
 import pytest
 
-from hierctrl.carleman import build_carleman_weights, check_weight_properties
+from hierctrl.carleman import build_carleman_weights, carleman_ratio_report, check_weight_properties
 from hierctrl.hum import eval_G, grad_G, minimize_G
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, inner_h
 from hierctrl.nash import dense_oracle_nash, q_norm, solve_nash_fixed_point
@@ -86,3 +86,15 @@ def test_carleman_weights_2d():
     assert rep.time_bound_relaxed_ok
     assert any("corner" in note for note in rep.notes)
     assert np.all(w.theta.values[-1] == 0.0)
+
+
+@pytest.mark.parametrize("source_mode", ["plain", "divergence"])
+def test_carleman_ratio_report_2d(source_mode):
+    """The 2D stencils (Hessian with its mixed term, divergence sources)
+    give finite, positive weighted energies on both sides."""
+    g = build_grid(2, (1.0, 1.0), (9, 10), 0.5, 6)
+    w = build_carleman_weights(g, "shared", lam=1.0, s=2.0, center=(0.5, 0.5))
+    rep = carleman_ratio_report(g, w, n_samples=3, seed=2, source_mode=source_mode)
+    assert rep.skipped == 0 and len(rep.samples) == 3
+    for rec in rep.samples:
+        assert all(np.isfinite(rec[k]) and rec[k] > 0 for k in ("lhs", "rhs", "ratio"))

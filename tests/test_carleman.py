@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_carleman_weights,
-                               build_eta, build_theta, build_weights, carleman_ratio_report,
+                               build_theta, build_weights, carleman_ratio_report,
                                check_weight_properties, default_parameters, estimate_observability,
                                eta_gradient_scan)
+from hierctrl import operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
 from hierctrl.mesh import SpaceTimeField, build_grid, full_mask
 
@@ -25,7 +26,7 @@ def weights(grid):
 
 def test_eta_symmetric_center_is_parabola(grid):
     x = grid.coords(0)
-    eta = build_eta(grid, 0.5)
+    eta = EtaFunction(grid, 0.5).on_nodes()
     assert np.abs(eta - x * (1 - x)).max() <= 1e-14
     fn = EtaFunction(grid, 0.5)
     assert fn.value(np.array([0.5]))[0] == pytest.approx(0.25, abs=1e-15)
@@ -33,7 +34,7 @@ def test_eta_symmetric_center_is_parabola(grid):
 
 def test_eta_boundary_zeros_exact(grid):
     for center in (0.3, 0.5, 0.72):
-        eta = build_eta(grid, center)
+        eta = EtaFunction(grid, center).on_nodes()
         assert eta[0] == 0.0 and eta[-1] == 0.0
         assert np.all(eta[1:-1] > 0.0)
 
@@ -50,9 +51,9 @@ def test_eta_gradient_positive_away_from_center(grid):
 
 def test_eta_invalid_center(grid):
     with pytest.raises(InvalidCenter):
-        build_eta(grid, 0.0)
+        EtaFunction(grid, 0.0)
     with pytest.raises(InvalidCenter):
-        build_eta(grid, 1.5)
+        EtaFunction(grid, 1.5)
 
 
 def test_eta_2d_product_and_critical_point():
@@ -97,7 +98,7 @@ def test_time_bounds(grid, weights):
 
 
 def test_time_derivatives_vanish_at_midpoint(grid, weights):
-    form = weights.sharp_form
+    form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
     coords = (np.array([0.37]),)
     t = np.array([grid.T / 2.0])
     assert form.alpha_t(coords, t)[0] == 0.0
@@ -208,6 +209,24 @@ def test_observability_decoupled_matches_plain_ratio(rng):
         num = norm_h(g, psi.values[0]) ** 2
         den = integrate(SpaceTimeField(g, psi.values**2), spec.leader_mask)
         assert rep.ratios[k] == pytest.approx(num / den, rel=1e-9)
+
+
+def test_observability_builds_one_stepper(monkeypatch):
+    """Every sample's coupled-adjoint solve marches with one shared stepper:
+    1 build for 4 samples, not 4."""
+    builds = []
+    original = operators.TimeStepper.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    spec = make_hum_spec()
+    w = build_carleman_weights(spec.grid, "shared", lam=0.05, s=4.0, center=0.7 * spec.grid.lengths[0])
+    monkeypatch.setattr(operators.TimeStepper, "__init__", counted)
+    rep = estimate_observability(spec, w, n_samples=4, seed=21)
+    assert len(rep.ratios) == 4
+    assert len(builds) == 1
 
 
 def test_observability_reference_all_finite():

@@ -1,13 +1,12 @@
-"""Smaller contracts: error guards, optional solver knobs, mode variants."""
+"""Smaller contracts: error guards and optional solver knobs."""
 
 import numpy as np
 import pytest
 
 from hierctrl.errors import ShapeMismatch, UnsupportedNonlinearity
-from hierctrl.hum import grad_G, solve_coupled_adjoint
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, integrate, norm_h
+from hierctrl.hum import solve_coupled_adjoint
+from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, integrate
 from hierctrl.nash import q_norm, solve_nash_fixed_point
-from hierctrl.operators import TimeStepper
 from hierctrl.semilinear import from_expression
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
@@ -21,21 +20,6 @@ def test_integrate_grid_mismatch():
         integrate(f, full_mask(g2))
     with pytest.raises(ShapeMismatch):
         integrate(f, full_mask(g1), weight=SpaceTimeField.zeros(g2))
-
-
-def test_grad_exact_norm_value():
-    """Away from zero, the exact-norm gradient differs from the quadratic
-    one exactly by the normalized penalty direction."""
-    spec = make_hum_spec()
-    g = spec.grid
-    st = TimeStepper(spec)
-    rng = np.random.default_rng(77)
-    psi0 = g.from_interior(rng.standard_normal(g.n_interior))
-    eps = 1e-2
-    quad = grad_G(spec, psi0, eps, mode="quadratic", inner_tol=1e-13, stepper=st)
-    exact = grad_G(spec, psi0, eps, mode="exact-norm", inner_tol=1e-13, stepper=st)
-    expected = quad - eps * psi0 + eps * psi0 / norm_h(g, psi0)
-    assert np.allclose(exact, expected, atol=1e-13)
 
 
 def test_nash_damped_iteration_same_solution(nash_spec):

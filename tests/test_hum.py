@@ -6,7 +6,7 @@ import pytest
 
 import hierctrl.hum as hum
 from hierctrl.config import build_problem_spec, load_config
-from hierctrl.errors import ContractionFailure, MaxIterations, ZeroPointNonsmooth
+from hierctrl.errors import ContractionFailure, MaxIterations
 from hierctrl.linalg import conjugate_gradient
 from hierctrl.hum import (apply_lambda, check_target_condition, control_to_trajectory,
                           dense_oracle_coupled_adjoint, eval_G, grad_G,
@@ -98,10 +98,8 @@ def test_coupled_adjoint_linear_in_datum(spec, stepper, rng):
     assert np.abs(s12.psi.values - combo).max() <= 1e-9 * scale
 
 
-def test_eval_G_zero_datum_both_modes(spec, stepper):
-    zero = np.zeros(spec.grid.nx)
-    assert eval_G(spec, zero, 1e-3, mode="quadratic", stepper=stepper) == 0.0
-    assert eval_G(spec, zero, 1e-3, mode="exact-norm", stepper=stepper) == 0.0
+def test_eval_G_zero_datum(spec, stepper):
+    assert eval_G(spec, np.zeros(spec.grid.nx), 1e-3, stepper=stepper) == 0.0
 
 
 def test_eval_G_nonnegative_without_affine_data(spec, stepper, rng):
@@ -109,28 +107,22 @@ def test_eval_G_nonnegative_without_affine_data(spec, stepper, rng):
     zst = TimeStepper(zspec)
     for _ in range(3):
         psi0 = _random_psi0(spec, rng)
-        assert eval_G(zspec, psi0, 1e-3, mode="quadratic", stepper=zst) >= 0.0
-        assert eval_G(zspec, psi0, 1e-3, mode="exact-norm", stepper=zst) >= 0.0
+        assert eval_G(zspec, psi0, 1e-3, stepper=zst) >= 0.0
 
 
 def test_eval_G_quadratic_scaling(spec, rng):
     zspec = spec.with_zero_data()
     zst = TimeStepper(zspec)
     psi0 = _random_psi0(spec, rng)
-    g1 = eval_G(zspec, psi0, 1e-3, mode="quadratic", stepper=zst)
-    g2 = eval_G(zspec, 2.0 * psi0, 1e-3, mode="quadratic", stepper=zst)
+    g1 = eval_G(zspec, psi0, 1e-3, stepper=zst)
+    g2 = eval_G(zspec, 2.0 * psi0, 1e-3, stepper=zst)
     assert abs((g2 - 2.0 * g1) - 2.0 * g1) <= 1e-10 * max(abs(g1), 1.0)
 
 
 def test_grad_zero_everything(spec, stepper):
     zspec = spec.with_zero_data()
-    grad = grad_G(zspec, np.zeros(spec.grid.nx), 1e-3, mode="quadratic")
+    grad = grad_G(zspec, np.zeros(spec.grid.nx), 1e-3)
     assert np.all(grad == 0.0)
-
-
-def test_grad_exact_norm_nonsmooth_at_zero(spec):
-    with pytest.raises(ZeroPointNonsmooth):
-        grad_G(spec, np.zeros(spec.grid.nx), 1e-3, mode="exact-norm")
 
 
 def test_gradient_matches_finite_differences(spec, stepper, rng):
@@ -243,7 +235,7 @@ def test_lambda_quadratic_form_is_leader_energy(spec, rng):
     for _ in range(3):
         a = _random_psi0(spec, rng)
         la = apply_lambda(spec, a, inner_tol=1e-13, stepper=zst)
-        energy = 2.0 * eval_G(zspec, a, 0.0, mode="quadratic", tol_rel=1e-13, stepper=zst)
+        energy = 2.0 * eval_G(zspec, a, 0.0, tol_rel=1e-13, stepper=zst)
         assert inner_h(g, la, a) == pytest.approx(energy, rel=1e-9)
 
 
@@ -267,9 +259,10 @@ def test_minimize_plugback(spec, stepper):
 
 
 def test_minimize_cg_envelope_monotone(spec):
+    """The CG residuals stop at their running minimum, below cg_tol."""
     res = minimize_G(spec, 1e-3, cg_tol=1e-9)
-    env = res.cg_history
-    assert all(env[k + 1] <= env[k] for k in range(len(env) - 1))
+    env = np.minimum.accumulate(res.cg_residuals)
+    assert env[-1] == res.cg_residuals[-1] <= 1e-9
 
 
 def test_epsilon_sweep_decay(spec):

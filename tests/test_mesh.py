@@ -3,19 +3,21 @@ import pytest
 
 from hierctrl.errors import EmptyMask, InvalidGrid, ShapeMismatch
 from hierctrl.mesh import (SpaceTimeField, build_grid, build_mask, full_mask, inner_h, integrate,
-                           norm_h)
+                           norm_h, st_gradient, st_second_differences)
 
 
 def test_grid_spacings_1d():
     g = build_grid(1, 1.0, 9, 1.0, 8)
     assert g.h == (0.125,)
     assert g.dt == 0.125
+    assert g.n_interior == 7 and g.hd == 0.125
 
 
 def test_grid_spacings_2d():
     g = build_grid(2, (1.0, 2.0), (9, 17), 0.5, 10)
     assert g.h == (0.125, 0.125)
     assert g.dt == 0.05
+    assert g.n_interior == 7 * 15 and g.hd == 0.125 * 0.125
 
 
 def test_grid_rejects_too_few_nodes():
@@ -146,3 +148,28 @@ def test_interior_roundtrip(rng):
     g = build_grid(2, (1.0, 1.0), (8, 7), 1.0, 5)
     vec = rng.standard_normal(g.n_interior)
     assert np.array_equal(g.to_interior(g.from_interior(vec)), vec)
+
+
+def test_2d_stencils_exact_on_quadratics():
+    """Centered first, second and mixed differences reproduce the derivatives
+    of x^2, x*y and y^2 to rounding at every interior node and time level.
+    Each difference is zero on the walls of its own axes."""
+    g = build_grid(2, (1.0, 1.5), (9, 11), 0.5, 4)
+    X, Y = g.meshes()
+    scale = (1.0 + np.arange(g.nt + 1))[:, None, None]
+    inner = (slice(None), slice(1, -1), slice(1, -1))
+    # (field, d/dx, d/dy, d2/dx2, d2/dy2, d2/dxdy)
+    cases = [
+        (X * X, 2 * X, 0 * X, 2 + 0 * X, 0 * X, 0 * X),
+        (X * Y, Y, X, 0 * X, 0 * X, 1 + 0 * X),
+        (Y * Y, 0 * X, 2 * Y, 0 * X, 2 + 0 * X, 0 * X),
+    ]
+    for u, *derivs in cases:
+        values = scale * u
+        got = st_gradient(g, values) + st_second_differences(g, values)
+        assert len(got) == 5
+        for d, exact, axes in zip(got, derivs, [(0,), (1,), (0,), (1,), (0, 1)]):
+            assert np.abs(d[inner] - (scale * exact)[inner]).max() <= 1e-10
+            for ax in axes:
+                walls = np.moveaxis(d, ax + 1, 0)[[0, -1]]
+                assert not walls.any()

@@ -5,7 +5,7 @@ from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
 from hierctrl.mesh import SpaceTimeField, build_grid
 from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
                            cost_followers, dense_oracle_nash, diagnostics, q_norm,
-                           solve_nash_fixed_point, solve_nash_richardson, verify_first_order)
+                           solve_nash_fixed_point, verify_first_order)
 from hierctrl.operators import TimeStepper
 
 from conftest import leader_bump, make_nash_spec
@@ -211,16 +211,6 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
             pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
             perturbed = cost_followers(nash_spec, f, pair[0], pair[1], stepper=st)
             assert perturbed[i] >= base[i] - 1e-15 * max(base[i], 1.0)
-
-
-def test_richardson_cross_check(nash_spec):
-    f = leader_bump(nash_spec.grid)
-    sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-13)
-    v1, v2 = solve_nash_richardson(nash_spec, f, tol_rel=1e-10, max_iter=5000)
-    g = nash_spec.grid
-    for a, b in zip((v1, v2), sol.controls):
-        nd = q_norm(g, a.interior() - b.interior())
-        assert nd <= 1e-6 * max(q_norm(g, b.interior()), 1e-300)
 
 
 def test_compute_rhs_matches_equilibrium_equation(nash_spec):
