@@ -19,12 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
-from .linalg import factorize
 from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_divergence, st_gradient,
                    st_second_differences, time_weights)
-from .operators import TimeStepper, assemble_biharmonic, extended_laplacian
-
-import scipy.sparse as sp
+from .operators import TimeStepper, extended_laplacian
 
 XI_CAP = 1e30
 ALPHA_FLOOR = -1e30
@@ -505,9 +502,8 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
     clamped data).
     """
     lam, s = weights.lam, weights.s
-    M = assemble_biharmonic(grid)
-    eye = sp.identity(grid.n_interior, format="csr")
-    fact = factorize((eye + grid.dt * M).tocsr())
+    zero = SpaceTimeField.zeros(grid)
+    stepper = TimeStepper(grid, zero, (zero,) * grid.dim)
     ext = extended_laplacian(grid)
     rng = np.random.default_rng(seed)
     xi = weights.xi.values
@@ -536,12 +532,8 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
             g_full = None
         else:
             raise ValueError(f"unknown source_mode {source_mode!r}")
-        z0 = rng.standard_normal(grid.n_interior)
-        # backward march: (I + dt Lap^2)' z^{j-1} = z^j + dt g^j; symmetric matrix
-        Z = np.zeros((grid.nt + 1, grid.n_interior))
-        Z[grid.nt] = z0
-        for j in range(grid.nt, 0, -1):
-            Z[j - 1] = fact.solve(Z[j] + grid.dt * src[j], transpose=True)
+        # backward march: (I + dt Lap^2)' z^{j-1} = z^j + dt g^j
+        Z = stepper.march_backward(rng.standard_normal(grid.n_interior), src)
         z_full = np.stack([grid.from_interior(Z[k]) for k in range(grid.nt + 1)])
 
         lhs = 0.0
@@ -606,7 +598,6 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     from .hum import solve_coupled_adjoint
 
     grid = spec.grid
-    stepper = TimeStepper(spec)
     theta = weights.theta if weights.theta is not None else build_theta(weights, weights.case)
     rng = np.random.default_rng(seed)
     ratios, nums, dens = [], [], []
@@ -617,7 +608,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
             resampled += 1
             psi0_int = rng.standard_normal(grid.n_interior)
         psi0 = grid.from_interior(psi0_int)
-        st = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel, stepper=stepper)
+        st = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
         num = norm_h(grid, st.psi.values[0]) ** 2
         th2 = SpaceTimeField(grid, theta.values**2)
         if weights.case == "shared":

@@ -23,7 +23,6 @@ from .errors import ConfigError, HierctrlError
 from .hum import control_to_trajectory, dense_oracle_coupled_adjoint, minimize_G, solve_coupled_adjoint
 from .nash import (cost_followers, cost_leader, dense_oracle_nash, q_norm, solve_nash_fixed_point,
                    verify_first_order, _raw_residuals)
-from .operators import TimeStepper
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
 SUBCOMMANDS = ("nash", "null-control", "trajectory", "semilinear",
@@ -80,21 +79,20 @@ def write_manifest(out, subcommand, config):
 def _run_nash(config, out):
     spec = build_problem_spec(config)
     f = build_leader_field(config)
-    stepper = TimeStepper(spec)
     rows = []
 
     def on_sweep(it, W, vs, change):
-        r1, r2 = _raw_residuals(spec, W, vs, stepper)
+        r1, r2 = _raw_residuals(spec, W, vs)
         rows.append((it, change, r1, r2))
 
     sol = solve_nash_fixed_point(
         spec, f, tol_rel=config.solver["nash_tol"], max_iter=config.solver["nash_max_iter"],
-        damping=config.solver["damping"], stepper=stepper, on_sweep=on_sweep)
+        damping=config.solver["damping"], on_sweep=on_sweep)
     write_csv(Path(out, "nash_history.csv"), ("iter", "change_norm", "residual_1", "residual_2"), rows)
     for name, field in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
         dump_field(Path(out, f"{name}.field.txt"), field)
-    j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w, stepper=stepper)
-    residuals = verify_first_order(spec, f, sol, stepper=stepper)
+    j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
+    residuals = verify_first_order(spec, sol)
     write_summary(Path(out, "summary.txt"), [
         ("iterations", sol.iterations),
         ("w_norm", fmt(q_norm(spec.grid, sol.w.interior()))),
@@ -202,7 +200,7 @@ def _run_second_order(config, out):
     f = build_leader_field(config)
     qe = solve_quasi_equilibrium(spec, nonlin, f, tol=config.solver["nash_tol"],
                                  inner_tol=config.solver["nash_tol"])
-    report = verify_equilibrium_sufficiency(spec, nonlin, f, qe,
+    report = verify_equilibrium_sufficiency(spec, nonlin, qe,
                                             n_directions=config.solver["n_directions"],
                                             seed=config.seed)
     rows = []
@@ -270,19 +268,18 @@ def _run_carleman(config, out):
 def _run_oracle(config, out):
     spec = build_problem_spec(config)
     f = build_leader_field(config)
-    stepper = TimeStepper(spec)
-    fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"], stepper=stepper)
+    fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"])
     oracle = dense_oracle_nash(spec, f)
     scale = max(q_norm(spec.grid, oracle.w.interior()), 1e-300)
     nash_rel = q_norm(spec.grid, fixed.w.interior() - oracle.w.interior()) / scale
     rng = np.random.default_rng(config.seed)
     psi0 = spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior))
-    it = solve_coupled_adjoint(spec, psi0, tol_rel=config.solver["coupled_tol"], stepper=stepper)
+    it = solve_coupled_adjoint(spec, psi0, tol_rel=config.solver["coupled_tol"])
     dn = dense_oracle_coupled_adjoint(spec, psi0)
     scale = max(q_norm(spec.grid, dn.psi.interior()), 1e-300)
     adj_rel = q_norm(spec.grid, it.psi.interior() - dn.psi.interior()) / scale
-    nash_res = verify_first_order(spec, f, fixed, stepper=stepper)
-    oracle_res = verify_first_order(spec, f, oracle, stepper=stepper)
+    nash_res = verify_first_order(spec, fixed)
+    oracle_res = verify_first_order(spec, oracle)
     write_summary(Path(out, "summary.txt"), [
         ("nash_vs_oracle_rel", fmt(nash_rel)),
         ("coupled_adjoint_vs_oracle_rel", fmt(adj_rel)),

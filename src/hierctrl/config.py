@@ -52,9 +52,12 @@ def _strip_quotes(text):
 
 def _float(text, name):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {text!r} as a number") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{name}: {text!r} is not a finite number")
+    return value
 
 
 def _floats(text, name):
@@ -188,6 +191,8 @@ def load_config(path) -> RunConfig:
         mu = (float(w.get("mu1", "1.0")), float(w.get("mu2", "1.0")))
     except ValueError as exc:
         raise ConfigError(f"[weights]: {exc}") from exc
+    if not np.all(np.isfinite(alpha + mu)):
+        raise ConfigError("weights alpha and mu must be finite")
     if min(mu) <= 0:
         raise ConfigError("control weights mu must be positive")
     if min(alpha) < 0:
@@ -198,8 +203,8 @@ def load_config(path) -> RunConfig:
     lam = lam_default if lam_text == "auto" else _float(lam_text, "weights.lambda")
     s = s_default if s_text == "auto" else _float(s_text, "weights.s")
     eps_list = _floats(w.get("eps_list", "1e-1, 1e-2, 1e-3, 1e-4, 1e-5"), "weights.eps_list")
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("eps_list entries must be positive")
+    if not all(np.isfinite(e) and e > 0 for e in eps_list):
+        raise ConfigError("eps_list entries must be finite and positive")
 
     solver = dict(SOLVER_DEFAULTS)
     for key, value in sections.get("solver", {}).items():
@@ -209,9 +214,11 @@ def load_config(path) -> RunConfig:
             solver[key] = type(SOLVER_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
-    for key in ("nash_max_iter", "cg_max_iter", "max_outer"):
+    for key in ("nash_max_iter", "cg_max_iter", "max_outer", "n_samples"):
         if solver[key] < 1:
             raise ConfigError(f"solver.{key} must be at least 1")
+    if solver["n_directions"] < 0:
+        raise ConfigError("solver.n_directions must be nonnegative")
     for key in ("nash_tol", "coupled_tol", "cg_tol", "outer_tol"):
         if not (np.isfinite(solver[key]) and solver[key] > 0):
             raise ConfigError(f"solver.{key} must be finite and positive")
@@ -276,6 +283,8 @@ def validate_for(config: RunConfig, subcommand):
     """Geometry and hypothesis checks for the requested pipeline."""
     if subcommand not in REQUIRED_BOXES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     missing = [k for k in REQUIRED_BOXES[subcommand] if k not in config.boxes]
     if missing:
         raise ConfigError(f"{subcommand}: missing geometry boxes {missing}")

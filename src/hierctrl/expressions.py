@@ -4,8 +4,7 @@ Variables x, y, t; operators + - * / ^ (right-associative power binds
 tighter than unary minus, which binds tighter than * /); functions sin,
 cos, exp, tanh, abs; numeric literals.  Evaluation broadcasts over numpy
 arrays.  Parse errors carry the byte offset and the token set expected
-there; printing produces a normalized form whose reparse reproduces the
-same tree.
+there.
 """
 
 from __future__ import annotations
@@ -24,23 +23,12 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_UNARY = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 @dataclass(frozen=True)
 class Num:
     value: float
-    prec = _PREC_ATOM
 
     def evaluate(self, env):
         return self.value
-
-    def to_string(self):
-        return repr(self.value)
 
     def variables(self):
         return set()
@@ -49,16 +37,12 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
-    prec = _PREC_ATOM
 
     def evaluate(self, env):
         try:
             return env[self.name]
         except KeyError:
             raise ValueError(f"unbound variable {self.name!r} in expression") from None
-
-    def to_string(self):
-        return self.name
 
     def variables(self):
         return {self.name}
@@ -67,16 +51,9 @@ class Var:
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    prec = _PREC_UNARY
 
     def evaluate(self, env):
         return -self.operand.evaluate(env)
-
-    def to_string(self):
-        inner = self.operand.to_string()
-        if self.operand.prec < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
 
     def variables(self):
         return self.operand.variables()
@@ -87,14 +64,6 @@ class Bin:
     op: str
     left: object
     right: object
-
-    @property
-    def prec(self):
-        if self.op in "+-":
-            return _PREC_ADD
-        if self.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
 
     def evaluate(self, env):
         a = self.left.evaluate(env)
@@ -111,23 +80,6 @@ class Bin:
         with np.errstate(invalid="ignore"):
             return np.power(a, b)
 
-    def to_string(self):
-        p = self.prec
-        left = self.left.to_string()
-        right = self.right.to_string()
-        if self.op == "^":
-            # right-associative: parenthesize the left at equal precedence
-            if self.left.prec <= p:
-                left = f"({left})"
-            if self.right.prec < p:
-                right = f"({right})"
-        else:
-            if self.left.prec < p:
-                left = f"({left})"
-            if self.right.prec <= p:
-                right = f"({right})"
-        return f"{left}{self.op}{right}"
-
     def variables(self):
         return self.left.variables() | self.right.variables()
 
@@ -136,13 +88,9 @@ class Bin:
 class Call:
     func: str
     arg: object
-    prec = _PREC_ATOM
 
     def evaluate(self, env):
         return FUNCTIONS[self.func](self.arg.evaluate(env))
-
-    def to_string(self):
-        return f"{self.func}({self.arg.to_string()})"
 
     def variables(self):
         return self.arg.variables()
@@ -282,8 +230,3 @@ class _Parser:
 def parse_expr(text):
     """Parse an expression; raises ParseError with offset and expectations."""
     return _Parser(text).parse()
-
-
-def evaluate(text_or_ast, **env):
-    ast = parse_expr(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
-    return ast.evaluate(env)

@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
 from .nash import NashSolution, _controls_from_adjoints, q_norm, solve_nash_fixed_point, stacked_system
-from .operators import ProblemSpec, TimeStepper, columns, solve_forward
+from .operators import ProblemSpec, columns, solve_forward
 
 OVERFLOW_THRESHOLD = 1e300
 
@@ -59,7 +59,7 @@ def _psi_source(spec, eta_arrs):
     return src
 
 
-def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, stepper=None) -> CoupledAdjointState:
+def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
     """Fixed point over (psi, eta1, eta2); linear in the terminal datum psi0.
 
     psi marches backward with the transposed forward matrices, then eta_1
@@ -68,8 +68,8 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200, 
     the optimality system.  The first sweep has no
     predecessor, so its change is not recorded.
     """
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
+    stepper = spec.stepper
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     n = grid.n_interior
 
@@ -105,11 +105,10 @@ def _coupled_state(grid, psi, etas, iterations, history):
 def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0) -> CoupledAdjointState:
     """Direct space-time solve of the coupled adjoint system: the transposed
     solve of the Nash stacked system, with psi0 feeding the w^nt row."""
-    stepper = TimeStepper(spec)
     grid = spec.grid
     n = grid.n_interior
     nt = grid.nt
-    A = stacked_system(spec, stepper)
+    A = stacked_system(spec)
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     rhs = np.zeros((3, nt, n))
     rhs[0, nt - 1] = psi0_int
@@ -139,15 +138,14 @@ def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTim
     return SpaceTimeField.from_interior(grid, f)
 
 
-def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12, stepper=None):
+def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12):
     """Penalized HUM functional.
 
     The nonsmooth eps*||psi0|| penalty is replaced by (eps/2)*||psi0||^2,
     so the functional is a CG-solvable quadratic.
     """
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
-    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel, stepper=stepper)
+    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
     psi = coupled.psi.interior()
     chi = spec.leader_mask.interior_vector()
     quad = 0.5 * grid.dt * grid.hd * float(np.sum(chi * psi[:-1] * psi[:-1]))
@@ -162,24 +160,22 @@ def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12, stepper=None):
     return quad + affine + 0.5 * eps * p0 * p0
 
 
-def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, stepper=None):
+def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12):
     """Gradient of G_eps: terminal state of the optimality system driven by
     f = psi chi_O, plus the penalty gradient."""
-    stepper = stepper or TimeStepper(spec)
     psi0 = np.asarray(psi0, dtype=float)
-    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol, stepper=stepper)
+    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol)
     f = leader_from_psi(spec, coupled)
-    nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol, stepper=stepper)
+    nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
     return nash.w.values[-1] + eps * psi0
 
 
-def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12, stepper=None):
+def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
     """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD)."""
-    zspec = spec.with_zero_data()
-    return grad_G(zspec, psi0, eps=0.0, inner_tol=inner_tol, stepper=stepper)
+    return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None, stepper=None):
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     eps is one penalty, giving one HumResult, or a sequence of them, giving
@@ -195,25 +191,24 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None
     once by a single-shift CG on the residual equation.
     """
     spec.require_controllability_geometry()
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     if inner_tol is None:
         inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
-    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol, stepper=stepper)
+    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol)
     b_int = grid.to_interior(b_full)
     norm_b = max(float(np.linalg.norm(b_int)), TINY)
     zspec = spec.with_zero_data()
 
     def apply(x_int):
-        lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, inner_tol=inner_tol, stepper=stepper)
+        lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, inner_tol=inner_tol)
         return grid.to_interior(lam)
 
     def reconstruct(x_int, e):
         psi0 = grid.from_interior(x_int)
-        coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol, stepper=stepper)
+        coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol)
         f = leader_from_psi(spec, coupled)
-        nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol, stepper=stepper)
+        nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
         r_true = grid.to_interior(nash.w.values[-1]) + e * x_int
         return psi0, f, nash, r_true
 
@@ -261,16 +256,15 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     """
     u0 = np.asarray(u0, dtype=float)
     ubar0 = np.asarray(ubar0, dtype=float)
+    # the data shifts leave the coefficients, so both problems share spec's stepper
     base = spec.with_(w0=ubar0, ubar0=ubar0)
-    # the data shifts leave the coefficients, so both problems share one stepper
-    stepper = TimeStepper(base)
-    ubar = solve_forward(base, w0=ubar0, stepper=stepper)
+    ubar = solve_forward(base, w0=ubar0)
     wspec = spec.with_(
         w0=u0 - ubar0,
         targets=tuple(z - ubar for z in zetas),
         ubar0=ubar0,
     )
-    hums = minimize_G(wspec, np.atleast_1d(eps), stepper=stepper, **kw)
+    hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
     results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
                for hum in hums]
     return results if np.ndim(eps) else results[0]

@@ -50,8 +50,8 @@ class Grid:
             raise InvalidGrid(f"need nx >= {MIN_NODES_PER_AXIS} per axis, got {self.nx}")
         if self.nt < MIN_TIME_STEPS:
             raise InvalidGrid(f"need nt >= {MIN_TIME_STEPS}, got {self.nt}")
-        if any(L <= 0 for L in self.lengths) or self.T <= 0:
-            raise InvalidGrid("lengths and T must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (*self.lengths, self.T)):
+            raise InvalidGrid("lengths and T must be finite and positive")
         object.__setattr__(self, "h", tuple(L / (n - 1) for L, n in zip(self.lengths, self.nx)))
         object.__setattr__(self, "dt", self.T / self.nt)
         object.__setattr__(self, "n_interior", int(np.prod(self.interior_shape)))
@@ -296,23 +296,24 @@ def _axis_shifts(grid, ax):
     return tuple(sl_c), tuple(sl_p), tuple(sl_m)
 
 
+def _st_axis_difference(grid, values, ax):
+    """Centered first difference along spatial axis ax of an (nt+1, *nx) array, boundary rows zero."""
+    c, p, m = _axis_shifts(grid, ax)
+    g = np.zeros_like(values)
+    g[c] = (values[p] - values[m]) / (2.0 * grid.h[ax])
+    return g
+
+
 def st_gradient(grid, values):
     """Centered spatial gradient of an (nt+1, *nx) array, boundary rows zero."""
-    grads = []
-    for ax in range(grid.dim):
-        c, p, m = _axis_shifts(grid, ax)
-        g = np.zeros_like(values)
-        g[c] = (values[p] - values[m]) / (2.0 * grid.h[ax])
-        grads.append(g)
-    return tuple(grads)
+    return tuple(_st_axis_difference(grid, values, ax) for ax in range(grid.dim))
 
 
 def st_divergence(grid, comps):
     """Centered divergence of a per-axis tuple of (nt+1, *nx) arrays."""
     out = np.zeros_like(comps[0])
     for ax in range(grid.dim):
-        g = st_gradient(grid, comps[ax])[ax]
-        out = out + g
+        out = out + _st_axis_difference(grid, comps[ax], ax)
     return out
 
 

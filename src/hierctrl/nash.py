@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractionFailure, TooLarge
 from .linalg import TINY, factorize, iterate, operator_norm
 from .mesh import SpaceTimeField
-from .operators import ProblemSpec, TimeStepper, columns, control_sources
+from .operators import ProblemSpec, columns, control_sources
 
 import scipy.sparse as sp
 
@@ -72,21 +72,20 @@ def _controls_from_adjoints(spec, phi_arrays):
     return out
 
 
-def apply_response(spec: ProblemSpec, i, v: SpaceTimeField, stepper=None) -> SpaceTimeField:
+def apply_response(spec: ProblemSpec, i, v: SpaceTimeField) -> SpaceTimeField:
     """Response operator A_i: state driven by v on follower region i, zero IC."""
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     src = v.interior() * spec.follower_masks[i].interior_vector()
-    W = stepper.march_forward(np.zeros(grid.n_interior), src)
+    W = spec.stepper.march_forward(np.zeros(grid.n_interior), src)
     return SpaceTimeField.from_interior(grid, W)
 
 
-def _response_adjoint(spec, g_states, stepper, followers=(0, 1)):
+def _response_adjoint(spec, g_states, followers=(0, 1)):
     """A_i^* for each i in followers: state-side arrays (levels 1..nt) to
     control-side arrays on O_i.  g_states[k] goes with followers[k]; they
     march together, one column each, in a single backward march."""
     grid = spec.grid
-    P = stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states, axis=-1), family="adjoint")
+    P = spec.stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states, axis=-1), family="adjoint")
     out = []
     for i, p in zip(followers, columns(P)):
         o = np.zeros_like(p)
@@ -95,19 +94,17 @@ def _response_adjoint(spec, g_states, stepper, followers=(0, 1)):
     return out
 
 
-def apply_response_adjoint(spec: ProblemSpec, i, g: SpaceTimeField, stepper=None) -> SpaceTimeField:
-    stepper = stepper or TimeStepper(spec)
-    adj, = _response_adjoint(spec, [g.interior()], stepper, followers=(i,))
+def apply_response_adjoint(spec: ProblemSpec, i, g: SpaceTimeField) -> SpaceTimeField:
+    adj, = _response_adjoint(spec, [g.interior()], followers=(i,))
     return SpaceTimeField.from_interior(spec.grid, adj)
 
 
-def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField, stepper=None):
+def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField):
     """Equilibrium operator: A(v1,v2)_i = alpha_i A_i*((A1v1+A2v2) chi_di) + mu_i v_i."""
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     src = control_sources(spec, v1=v1, v2=v2)
-    W = stepper.march_forward(np.zeros(grid.n_interior), src)
-    adjs = _response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks], stepper)
+    W = spec.stepper.march_forward(np.zeros(grid.n_interior), src)
+    adjs = _response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks])
     out = []
     for i in range(2):
         chi = spec.follower_masks[i].interior_vector()
@@ -116,21 +113,21 @@ def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField, stepper=N
     return tuple(out)
 
 
-def compute_rhs(spec: ProblemSpec, f=None, stepper=None):
+def compute_rhs(spec: ProblemSpec, f=None):
     """Right side of the equilibrium equation built from the free state."""
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     src = control_sources(spec, f=f)
-    Z = stepper.march_forward(grid.to_interior(spec.w0), src)
+    Z = spec.stepper.march_forward(grid.to_interior(spec.w0), src)
     adjs = _response_adjoint(spec, [(wd.interior() - Z) * m.interior_vector()
-                                    for wd, m in zip(spec.targets, spec.target_masks)], stepper)
+                                    for wd, m in zip(spec.targets, spec.target_masks)])
     return tuple(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i]) for i in range(2))
 
 
-def _sweep(spec, stepper, z, f_src, w0_int):
+def _sweep(spec, z, f_src, w0_int):
     """One fixed-point sweep: both adjoints from frozen z in one 2-column
     march, then the controls, then the state."""
     grid = spec.grid
+    stepper = spec.stepper
     src = np.stack([spec.alpha[i] * spec.target_masks[i].interior_vector() * (z - spec.targets[i].interior())
                     for i in range(2)], axis=-1)
     phis = columns(stepper.march_backward(np.zeros(grid.n_interior), src, family="adjoint"))
@@ -148,7 +145,6 @@ def solve_nash_fixed_point(
     tol_rel=1e-12,
     max_iter=200,
     damping=1.0,
-    stepper=None,
     extra_source=None,
     on_sweep=None,
 ) -> NashSolution:
@@ -160,7 +156,6 @@ def solve_nash_fixed_point(
     frozen constant term of semilinear sweeps); on_sweep(it, W, vs, change)
     is called after every sweep.
     """
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     w0_int = grid.to_interior(spec.w0)
     f_src = control_sources(spec, f=f)
@@ -170,7 +165,7 @@ def solve_nash_fixed_point(
 
     def sweep(state):
         z = state[0]
-        W, phis, vs = _sweep(spec, stepper, z, f_src, w0_int)
+        W, phis, vs = _sweep(spec, z, f_src, w0_int)
         change = q_norm(grid, W - z)
         if on_sweep is not None:
             on_sweep(next(sweeps), W, vs, change)
@@ -195,7 +190,7 @@ def _package_solution(spec, W, phis, vs, iterations, history):
     )
 
 
-def stacked_system(spec: ProblemSpec, stepper, max_unknowns=20000):
+def stacked_system(spec: ProblemSpec, max_unknowns=20000):
     """The full space-time optimality system as one sparse matrix.
 
     Unknowns are stacked by block: w^1..w^nt, then phi_1^0..phi_1^{nt-1},
@@ -210,6 +205,7 @@ def stacked_system(spec: ProblemSpec, stepper, max_unknowns=20000):
     if total > max_unknowns:
         raise TooLarge(f"{total} stacked unknowns exceed the {max_unknowns} oracle cap")
     dt = grid.dt
+    stepper = spec.stepper
     chi = [m.interior_vector() for m in spec.follower_masks]
     chid = [m.interior_vector() for m in spec.target_masks]
 
@@ -253,11 +249,10 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
     Factorizes the stacked system; the reference the fixed point is tested
     against.
     """
-    stepper = TimeStepper(spec)
     grid = spec.grid
     n = grid.n_interior
     nt = grid.nt
-    A = stacked_system(spec, stepper, max_unknowns)
+    A = stacked_system(spec, max_unknowns)
     w0_int = grid.to_interior(spec.w0)
     rhs = np.zeros((3, nt, n))
     rhs[0] += grid.dt * control_sources(spec, f=f)[1:]
@@ -279,10 +274,10 @@ def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolu
     return _package_solution(spec, W, phis, vs, 1, [0.0])
 
 
-def _raw_residuals(spec, W, v_arrays, stepper):
+def _raw_residuals(spec, W, v_arrays):
     grid = spec.grid
     adjs = _response_adjoint(spec, [(W - wd.interior()) * m.interior_vector()
-                                    for wd, m in zip(spec.targets, spec.target_masks)], stepper)
+                                    for wd, m in zip(spec.targets, spec.target_masks)])
     out = []
     for i in range(2):
         vi = v_arrays[i]
@@ -292,26 +287,23 @@ def _raw_residuals(spec, W, v_arrays, stepper):
     return tuple(out)
 
 
-def verify_first_order(spec: ProblemSpec, f, solution: NashSolution, stepper=None):
+def verify_first_order(spec: ProblemSpec, solution: NashSolution):
     """Relative stationarity residual of each follower's cost.
 
     r_i = alpha_i A_i*((w - w_id) chi_di) + mu_i v_i, reported relative to
     max(||mu_i v_i||, tiny).
     """
-    stepper = stepper or TimeStepper(spec)
-    return _raw_residuals(spec, solution.w.interior(),
-                          [v.interior() for v in solution.controls], stepper)
+    return _raw_residuals(spec, solution.w.interior(), [v.interior() for v in solution.controls])
 
 
-def cost_followers(spec: ProblemSpec, f, v1, v2, w=None, stepper=None):
+def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
     """Discrete follower costs, in the same quadrature the optimality
     system is derived from (right-endpoint rule in time)."""
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     if w is None:
         from .operators import solve_forward
 
-        w = solve_forward(spec, f=f, v1=v1, v2=v2, stepper=stepper)
+        w = solve_forward(spec, f=f, v1=v1, v2=v2)
     W = w.interior()
     out = []
     for i in range(2):
@@ -329,7 +321,7 @@ def cost_leader(spec: ProblemSpec, f):
     return 0.5 * q_norm(grid, f.interior() * chi) ** 2
 
 
-def _response_norm(spec, i, target, stepper, iters, seed):
+def _response_norm(spec, i, target, iters, seed):
     """Operator norm of v -> chi_{target,d} A_i v via power iteration."""
     grid = spec.grid
     n = grid.n_interior
@@ -344,11 +336,11 @@ def _response_norm(spec, i, target, stepper, iters, seed):
 
     def apply(vec):
         src = as_levels(vec) * chi
-        W = stepper.march_forward(np.zeros(n), src)
+        W = spec.stepper.march_forward(np.zeros(n), src)
         return (W[1:] * chid).reshape(-1)
 
     def apply_adjoint(vec):
-        out, = _response_adjoint(spec, [as_levels(vec) * chid], stepper, followers=(i,))
+        out, = _response_adjoint(spec, [as_levels(vec) * chid], followers=(i,))
         return out[1:].reshape(-1)
 
     est = operator_norm(apply, apply_adjoint, nt * n, iters=iters, seed=seed)
@@ -358,11 +350,10 @@ def _response_norm(spec, i, target, stepper, iters, seed):
 def diagnostics(spec: ProblemSpec, norm_iters=60, probe=True, probe_tol=1e-10, seed=0) -> NashDiagnostics:
     """Contraction diagnostics: response-norm bound M0, coercivity margin,
     and a measured per-sweep contraction factor from a probe run."""
-    stepper = TimeStepper(spec)
     m0 = 0.0
     for i in range(2):
         for target in range(2):
-            m0 = max(m0, _response_norm(spec, i, target, stepper, norm_iters, seed))
+            m0 = max(m0, _response_norm(spec, i, target, norm_iters, seed))
     amax = max(spec.alpha)
     if amax == 0.0:
         margin = math.inf
@@ -375,7 +366,7 @@ def diagnostics(spec: ProblemSpec, norm_iters=60, probe=True, probe_tol=1e-10, s
             rng = np.random.default_rng(seed)
             probe_spec = spec.with_(w0=spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior)))
         try:
-            sol = solve_nash_fixed_point(probe_spec, tol_rel=probe_tol, max_iter=200, stepper=None)
+            sol = solve_nash_fixed_point(probe_spec, tol_rel=probe_tol, max_iter=200)
             h = sol.history
             ratios = [h[k + 1] / h[k] for k in range(len(h) - 1) if h[k] > 0]
             factor = float(np.median(ratios)) if ratios else 0.0

@@ -14,7 +14,7 @@ inverses, one mat-vec per step; larger ones with SuperLU factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +118,10 @@ def gradient_matrices(grid: Grid):
     return (sp.kron(Gx, Iy).tocsr(), sp.kron(Ix, Gy).tocsr())
 
 
-@dataclass
+_COEFFICIENT_FIELDS = ("grid", "a", "b", "a_adj", "b_adj")  # what a TimeStepper is built from
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """Coefficients, control geometry, weights, targets and initial data.
 
@@ -127,6 +130,10 @@ class ProblemSpec:
     exact transposes of the forward ones.  The semilinear solvers use the
     override to realize frozen-coefficient systems whose state and adjoint
     linearizations differ.
+
+    The spec owns its TimeStepper (`stepper`), built on first use.  Copies
+    made by with_ that keep grid and coefficients share it, even when the
+    copy is made before anything has marched.
     """
 
     grid: Grid
@@ -142,6 +149,7 @@ class ProblemSpec:
     ubar0: np.ndarray = None
     a_adj: SpaceTimeField = None
     b_adj: tuple = None
+    _stepper_holder: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.b) != self.grid.dim:
@@ -150,16 +158,28 @@ class ProblemSpec:
         # decoupled diagnostic limit even though the model assumes it positive
         if any(al < 0 for al in self.alpha) or any(m <= 0 for m in self.mu):
             raise ValueError("need alpha_i >= 0 and mu_i > 0")
-        self.w0 = np.asarray(self.w0, dtype=float)
+        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
         if self.w0.shape != self.grid.nx:
             raise ShapeMismatch(f"w0 shape {self.w0.shape} != {self.grid.nx}")
         if self.ubar0 is not None:
-            self.ubar0 = np.asarray(self.ubar0, dtype=float)
+            object.__setattr__(self, "ubar0", np.asarray(self.ubar0, dtype=float))
             if self.ubar0.shape != self.grid.nx:
                 raise ShapeMismatch(f"ubar0 shape {self.ubar0.shape} != {self.grid.nx}")
+        object.__setattr__(self, "_stepper_holder", [])
+
+    @property
+    def stepper(self) -> TimeStepper:
+        """The step matrices of this grid and these coefficients, built once."""
+        if not self._stepper_holder:
+            self._stepper_holder.append(TimeStepper(self.grid, self.a, self.b, self.a_adj, self.b_adj))
+        return self._stepper_holder[0]
 
     def with_(self, **kw):
-        return replace(self, **kw)
+        """A copy with fields replaced; it shares the stepper unless a coefficient field changes."""
+        new = replace(self, **kw)
+        if all(kw[name] is getattr(self, name) for name in _COEFFICIENT_FIELDS if name in kw):
+            object.__setattr__(new, "_stepper_holder", self._stepper_holder)
+        return new
 
     def with_zero_data(self):
         """Same operators and geometry, zero initial data and targets."""
@@ -214,17 +234,15 @@ class TimeStepper:
     sparse step matrices themselves are rebuilt on demand by step_matrix.
     """
 
-    def __init__(self, spec: ProblemSpec):
-        grid = spec.grid
+    def __init__(self, grid: Grid, a: SpaceTimeField, b: tuple, a_adj=None, b_adj=None):
         self.grid = grid
         self.biharm = assemble_biharmonic(grid)
         self.grads = gradient_matrices(grid)
-        forward = self._build(spec.a, spec.b)
-        if spec.a_adj is None and spec.b_adj is None:
+        forward = self._build(a, b)
+        if a_adj is None and b_adj is None:
             adjoint = forward
         else:
-            adjoint = self._build(spec.a if spec.a_adj is None else spec.a_adj,
-                                  spec.b if spec.b_adj is None else spec.b_adj)
+            adjoint = self._build(a if a_adj is None else a_adj, b if b_adj is None else b_adj)
         self._families = {"forward": forward, "adjoint": adjoint}
 
     def _build(self, a_field, b_fields):
@@ -355,39 +373,37 @@ def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):
     return src
 
 
-def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None, stepper=None) -> SpaceTimeField:
+def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None) -> SpaceTimeField:
     """State solve under leader f and followers v1, v2 (backward Euler)."""
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     w0_full = spec.w0 if w0 is None else np.asarray(w0, dtype=float)
     w0_int = grid.to_interior(w0_full)
     src = control_sources(spec, f, v1, v2)
-    W = stepper.march_forward(w0_int, src)
+    W = spec.stepper.march_forward(w0_int, src)
     return SpaceTimeField.from_interior(grid, W)
 
 
-def solve_adjoint(spec: ProblemSpec, sources: SpaceTimeField, terminal, stepper=None) -> SpaceTimeField:
+def solve_adjoint(spec: ProblemSpec, sources: SpaceTimeField, terminal) -> SpaceTimeField:
     """Backward solve with the transposed step matrices.
 
     Realizes the continuous adjoint equation (divergence-form transport
     term) as the exact transpose of the forward scheme.
     """
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
     term_int = grid.to_interior(np.asarray(terminal, dtype=float))
     src = sources.interior() if sources is not None else None
-    P = stepper.march_backward(term_int, src, family="adjoint")
+    P = spec.stepper.march_backward(term_int, src, family="adjoint")
     return SpaceTimeField.from_interior(grid, P)
 
 
-def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources, stepper=None):
+def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources):
     """Residual of the exact discrete duality identity (should be ~0).
 
     <psiT, w^nt>_h + dt sum_j <s^j, w^j>_h
       = <psi^0, w^0>_h + dt sum_j <psi^{j-1}, g^j>_h
     """
-    stepper = stepper or TimeStepper(spec)
     grid = spec.grid
+    stepper = spec.stepper
     W = stepper.march_forward(grid.to_interior(w0), fwd_sources)
     P = stepper.march_backward(grid.to_interior(terminal), adj_sources)
     hd = grid.hd

@@ -304,7 +304,6 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
     solution scale.
     """
     grid = spec.grid
-    plain = TimeStepper(spec)
     U = qe.u.interior()
     uv = qe.u.values
     gp = st_gradient(grid, uv)
@@ -317,12 +316,11 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
         src = src + qe.controls[i].interior() * spec.follower_masks[i].interior_vector()
     res = 0.0
     for j in range(1, grid.nt + 1):
-        M = plain.step_matrix(j, "forward")
+        M = spec.stepper.step_matrix(j, "forward")
         r = M @ U[j] - U[j - 1] - grid.dt * (src[j] + F_int[j])
         res += grid.dt * grid.hd * float(np.dot(r, r))
     res_state = math.sqrt(res)
-    tangent = _frozen_spec(spec, nonlin, SpaceTimeField(grid, uv), base=None)
-    tg = TimeStepper(tangent)
+    tg = _frozen_spec(spec, nonlin, SpaceTimeField(grid, uv), base=None).stepper
     res_adj = 0.0
     for i in range(2):
         P = qe.phis[i].interior()
@@ -346,7 +344,7 @@ def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_it
     src = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
 
     def sweep(z):
-        st = TimeStepper(_frozen_spec(spec, nonlin, z, base=None))
+        st = _frozen_spec(spec, nonlin, z, base=None).stepper
         u = SpaceTimeField.from_interior(grid, st.march_forward(ubar0_int, src))
         return u, *_picard_change(grid, z, u)
 
@@ -413,14 +411,14 @@ def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> Ti
     gu = st_gradient(grid, uv)
     fu = nonlin.f_u(uv, gu)
     gpf = nonlin.grad_p(uv, gu)
-    return TimeStepper(spec.with_(
+    return spec.with_(
         a=SpaceTimeField(grid, spec.a.values - fu),
         b=tuple(SpaceTimeField(grid, spec.b[ax].values - gpf[ax]) for ax in range(grid.dim)),
         a_adj=None, b_adj=None,
-    ))
+    ).stepper
 
 
-def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, f, equilibrium,
+def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
                       i, direction: SpaceTimeField, stepper=None) -> float:
     """Quadratic form of follower i's cost at the equilibrium.
 
@@ -481,8 +479,8 @@ class SufficiencyReport:
     forms: tuple = ((), ())
 
 
-def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, f,
-                                   equilibrium, n_directions=20, seed=0) -> SufficiencyReport:
+def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
+                                   n_directions=20, seed=0) -> SufficiencyReport:
     """Sample random unit control directions and evaluate the quadratic form.
 
     Positive sampled forms back the equilibrium/quasi-equilibrium
@@ -508,7 +506,7 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, f,
             d /= nrm
             direction = SpaceTimeField.from_interior(grid, d)
             stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
-            forms.append(second_order_form(spec, nonlin, f, equilibrium, i, direction, stepper=stepper))
+            forms.append(second_order_form(spec, nonlin, equilibrium, i, direction, stepper=stepper))
         all_forms.append(tuple(forms))
         if forms:
             mins.append(min(forms))

@@ -9,7 +9,7 @@ from hierctrl.carleman import build_carleman_weights, carleman_ratio_report, che
 from hierctrl.hum import eval_G, grad_G, minimize_G
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, inner_h
 from hierctrl.nash import dense_oracle_nash, q_norm, solve_nash_fixed_point
-from hierctrl.operators import ProblemSpec, TimeStepper
+from hierctrl.operators import ProblemSpec
 from hierctrl.semilinear import preset_tanh, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
 
@@ -47,15 +47,14 @@ def test_nash_2d_matches_oracle(spec2d):
 
 def test_hum_gradient_2d(spec2d):
     g = spec2d.grid
-    st = TimeStepper(spec2d)
     rng = np.random.default_rng(31)
     psi0 = g.from_interior(rng.standard_normal(g.n_interior))
-    grad = grad_G(spec2d, psi0, 1e-3, inner_tol=1e-13, stepper=st)
+    grad = grad_G(spec2d, psi0, 1e-3, inner_tol=1e-13)
     d = g.from_interior(rng.standard_normal(g.n_interior))
     an = inner_h(g, grad, d)
     h = 1e-5
-    fd = (eval_G(spec2d, psi0 + h * d, 1e-3, tol_rel=1e-13, stepper=st)
-          - eval_G(spec2d, psi0 - h * d, 1e-3, tol_rel=1e-13, stepper=st)) / (2 * h)
+    fd = (eval_G(spec2d, psi0 + h * d, 1e-3, tol_rel=1e-13)
+          - eval_G(spec2d, psi0 - h * d, 1e-3, tol_rel=1e-13)) / (2 * h)
     assert abs(fd - an) / max(abs(an), 1e-300) <= 1e-6
 
 
@@ -72,7 +71,7 @@ def test_sufficiency_dimension_flag_2d(spec2d):
     f = SpaceTimeField.from_spatial(g, 0.2 * np.sin(np.pi * X / g.lengths[0]))
     nl = preset_tanh(0.3)
     qe = solve_quasi_equilibrium(spec2d, nl, f, tol=1e-9)
-    rep = verify_equilibrium_sufficiency(spec2d, nl, f, qe, n_directions=3, seed=5)
+    rep = verify_equilibrium_sufficiency(spec2d, nl, qe, n_directions=3, seed=5)
     assert rep.dimension_in_analysis_range
     assert rep.all_positive
 

@@ -23,7 +23,7 @@ from hierctrl.hum import (apply_lambda, control_to_trajectory, eval_G, grad_G, m
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, inner_h, norm_h
 from hierctrl.nash import (cost_followers, dense_oracle_nash, q_norm, solve_nash_fixed_point,
                            verify_first_order)
-from hierctrl.operators import ProblemSpec, TimeStepper, assemble_biharmonic, duality_gap, solve_forward
+from hierctrl.operators import ProblemSpec, assemble_biharmonic, duality_gap, solve_forward
 from hierctrl.semilinear import (preset_tanh, preset_zero, sample_bound, semilinear_null_control,
                                  solve_quasi_equilibrium, verify_equilibrium_sufficiency)
 
@@ -52,7 +52,7 @@ def test_criterion_01_transpose_contract_and_duality():
         target_masks=(build_mask(g, (0.35, 0.65)),) * 2,
         alpha=(1e-3, 1e-3), mu=(1.0, 1.0), targets=(z, z), w0=np.zeros(g.nx),
     )
-    st = TimeStepper(spec)
+    st = spec.stepper
     import scipy.sparse as sp
 
     from hierctrl.operators import _spatial_operator
@@ -71,7 +71,6 @@ def test_criterion_01_transpose_contract_and_duality():
             rng.standard_normal((g.nt + 1, g.n_interior)),
             g.from_interior(rng.standard_normal(g.n_interior)),
             rng.standard_normal((g.nt + 1, g.n_interior)),
-            stepper=st,
         ))
     elapsed = time.monotonic() - t0
     ok = max_entry == 0.0 and max(gaps) <= 1e-9 and elapsed < 5.0
@@ -108,7 +107,7 @@ def test_criterion_03_nash_fixed_point_vs_oracle():
     oracle = dense_oracle_nash(spec, f)
     g = spec.grid
     rel = q_norm(g, sol.w.interior() - oracle.w.interior()) / max(q_norm(g, oracle.w.interior()), 1e-300)
-    res = verify_first_order(spec, f, sol)
+    res = verify_first_order(spec, sol)
     elapsed = time.monotonic() - t0
     ok = rel <= 1e-8 and max(res) <= 1e-8 and elapsed < 30.0
     assert _report(3, ok, f"rel distance {rel:.2e}, residuals {res[0]:.2e}/{res[1]:.2e}, {elapsed:.2f}s")
@@ -119,8 +118,7 @@ def test_criterion_04_nash_local_optimality():
     g = spec.grid
     f = leader_bump(g)
     sol = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
-    st = TimeStepper(spec)
-    base = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w, stepper=st)
+    base = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
     rng = np.random.default_rng(104)
     worst = np.inf
     ok = True
@@ -133,7 +131,7 @@ def test_criterion_04_nash_local_optimality():
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
             vi = SpaceTimeField.from_interior(g, sol.controls[i].interior() + delta)
             pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
-            perturbed = cost_followers(spec, f, pair[0], pair[1], stepper=st)
+            perturbed = cost_followers(spec, f, pair[0], pair[1])
             worst = min(worst, perturbed[i] - base[i])
             ok = ok and perturbed[i] >= base[i]
     assert _report(4, ok, f"min cost increase over 40 perturbations {worst:.3e}")
@@ -157,19 +155,18 @@ def test_criterion_05_divergence_detection():
 def test_criterion_06_hum_gradient_check():
     spec = make_hum_spec(nx=16, nt=16)
     g = spec.grid
-    st = TimeStepper(spec)
     eps = 1e-3
     rng = np.random.default_rng(106)
     psi0 = g.from_interior(rng.standard_normal(g.n_interior))
-    grad = grad_G(spec, psi0, eps, inner_tol=1e-13, stepper=st)
+    grad = grad_G(spec, psi0, eps, inner_tol=1e-13)
     worst = 0.0
     for _ in range(5):
         d = g.from_interior(rng.standard_normal(g.n_interior))
         an = inner_h(g, grad, d)
         best = np.inf
         for h in (1e-4, 1e-5, 1e-6):
-            fd = (eval_G(spec, psi0 + h * d, eps, tol_rel=1e-13, stepper=st)
-                  - eval_G(spec, psi0 - h * d, eps, tol_rel=1e-13, stepper=st)) / (2 * h)
+            fd = (eval_G(spec, psi0 + h * d, eps, tol_rel=1e-13)
+                  - eval_G(spec, psi0 - h * d, eps, tol_rel=1e-13)) / (2 * h)
             best = min(best, abs(fd - an) / max(abs(an), 1e-300))
         worst = max(worst, best)
     ok = worst <= 1e-6
@@ -179,7 +176,6 @@ def test_criterion_06_hum_gradient_check():
 def test_criterion_07_lambda_symmetry_psd():
     spec = make_hum_spec()
     g = spec.grid
-    st = TimeStepper(spec)
     rng = np.random.default_rng(107)
     worst_sym = 0.0
     worst_psd = 0.0
@@ -187,8 +183,8 @@ def test_criterion_07_lambda_symmetry_psd():
     for _ in range(10):
         a = g.from_interior(rng.standard_normal(g.n_interior))
         b = g.from_interior(rng.standard_normal(g.n_interior))
-        la = apply_lambda(spec, a, inner_tol=1e-12, stepper=st)
-        lb = apply_lambda(spec, b, inner_tol=1e-12, stepper=st)
+        la = apply_lambda(spec, a, inner_tol=1e-12)
+        lb = apply_lambda(spec, b, inner_tol=1e-12)
         sym = abs(inner_h(g, la, b) - inner_h(g, a, lb))
         ok = ok and sym <= 1e-9 * norm_h(g, a) * norm_h(g, b)
         worst_sym = max(worst_sym, sym / (norm_h(g, a) * norm_h(g, b)))
@@ -293,10 +289,10 @@ def test_criterion_14_second_order_sufficiency():
     f = leader_bump(spec.grid)
     nl = preset_tanh(0.5)
     qe = solve_quasi_equilibrium(spec, nl, f, tol=1e-11)
-    rep = verify_equilibrium_sufficiency(spec, nl, f, qe, n_directions=20, seed=114)
+    rep = verify_equilibrium_sufficiency(spec, nl, qe, n_directions=20, seed=114)
     big = spec.with_(mu=(100.0, 100.0))
     qe_big = solve_quasi_equilibrium(big, nl, f, tol=1e-11)
-    rep_big = verify_equilibrium_sufficiency(big, nl, f, qe_big, n_directions=20, seed=114)
+    rep_big = verify_equilibrium_sufficiency(big, nl, qe_big, n_directions=20, seed=114)
     ok = (rep.all_positive
           and rep_big.min_form[0] > rep.min_form[0]
           and rep_big.min_form[1] > rep.min_form[1])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_carleman_weights,
                                build_theta, build_weights, carleman_ratio_report,
@@ -9,6 +10,7 @@ from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_c
                                eta_gradient_scan)
 from hierctrl import operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
+from hierctrl.linalg import factorize
 from hierctrl.mesh import SpaceTimeField, build_grid, full_mask
 
 from conftest import make_hum_spec
@@ -198,9 +200,8 @@ def test_observability_decoupled_matches_plain_ratio(rng):
     w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0])
     rep = estimate_observability(spec, w, n_samples=3, seed=9)
     from hierctrl.mesh import integrate, norm_h
-    from hierctrl.operators import TimeStepper
 
-    st = TimeStepper(spec)
+    st = spec.stepper
     check_rng = np.random.default_rng(9)
     for k in range(3):
         psi0_int = check_rng.standard_normal(g.n_interior)
@@ -282,3 +283,30 @@ def test_weight_form_matches_sampled_fields(grid, weights):
     x = grid.coords(0)
     alpha_direct = form.alpha((x,), np.full_like(x, t))
     assert np.allclose(alpha_direct, weights.alpha.values[k], rtol=1e-13)
+
+
+@pytest.mark.parametrize("dims, source_mode", [(1, "plain"), (1, "divergence"), (2, "plain")])
+def test_ratio_report_march_matches_superlu_loop(monkeypatch, dims, source_mode):
+    """The report's backward march is the pure biharmonic one: a loop of
+    transposed solves with a factorization of I + dt B, to 1e-12."""
+    g = build_grid(1, 1.0, 24, 1.0, 24) if dims == 1 else build_grid(2, (1.0, 1.0), (9, 10), 1.0, 8)
+    w = build_carleman_weights(g, "shared", lam=1.0, s=4.0, center=0.5 if dims == 1 else (0.5, 0.5))
+    marches = []
+    original = operators.TimeStepper.march_backward
+
+    def recorded(self, terminal, sources=None, family="forward"):
+        out = original(self, terminal, sources, family)
+        marches.append((terminal, sources, out))
+        return out
+
+    monkeypatch.setattr(operators.TimeStepper, "march_backward", recorded)
+    carleman_ratio_report(g, w, n_samples=3, seed=2, source_mode=source_mode)
+    assert len(marches) == 3
+    eye = sp.identity(g.n_interior, format="csr")
+    fact = factorize((eye + g.dt * operators.assemble_biharmonic(g)).tocsr())
+    for terminal, src, Z in marches:
+        ref = np.zeros((g.nt + 1, g.n_interior))
+        ref[g.nt] = terminal
+        for j in range(g.nt, 0, -1):
+            ref[j - 1] = fact.solve(ref[j] + g.dt * src[j], transpose=True)
+        assert np.abs(Z - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hierctrl.cli as cli
+from hierctrl import operators
 from hierctrl.cli import dump_field, fmt, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -116,6 +117,35 @@ def test_malformed_config_fails_validation(tmp_path, capsys, text):
     assert record == {"error": "ConfigError", "message": record["message"], "stage": "validation"}
 
 
+@pytest.mark.parametrize("text, seed, error", [
+    pytest.param(ZERO_NASH.replace("alpha1 = 1e-3", "alpha1 = nan"), None, "ConfigError", id="alpha1-nan"),
+    pytest.param(ZERO_NASH.replace("alpha2 = 1e-3", "alpha2 = inf"), None, "ConfigError", id="alpha2-inf"),
+    pytest.param(ZERO_NASH.replace("mu1 = 1.0", "mu1 = inf"), None, "ConfigError", id="mu1-inf"),
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = nan"), None, "ConfigError", id="mu2-nan"),
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = 1.0\nlambda = nan"), None, "ConfigError",
+                 id="lambda-nan"),
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = 1.0\ns = -inf"), None, "ConfigError", id="s-inf"),
+    pytest.param(ZERO_NASH.replace("mu2 = 1.0", "mu2 = 1.0\neps_list = 1e-2, inf"), None, "ConfigError",
+                 id="eps-list-inf"),
+    pytest.param(ZERO_NASH.replace("lengths = 6.0", "lengths = nan"), None, "InvalidGrid", id="lengths-nan"),
+    pytest.param(ZERO_NASH.replace("T = 1.0", "T = nan"), None, "InvalidGrid", id="T-nan"),
+    pytest.param(ZERO_NASH.replace("T = 1.0", "T = inf"), None, "InvalidGrid", id="T-inf"),
+    pytest.param(SOLVER + "seed = -1\n", None, "ConfigError", id="seed-negative"),
+    pytest.param(ZERO_NASH, -1, "ConfigError", id="seed-override-negative"),
+    pytest.param(SOLVER + "n_samples = -5\n", None, "ConfigError", id="n-samples-negative"),
+    pytest.param(SOLVER + "n_samples = 0\n", None, "ConfigError", id="n-samples-zero"),
+    pytest.param(SOLVER + "n_directions = -1\n", None, "ConfigError", id="n-directions-negative"),
+])
+def test_bad_number_fails_validation(tmp_path, capsys, text, seed, error):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "never"
+    assert run("nash", cfg, out, seed=seed) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": error, "message": record["message"], "stage": "validation"}
+
+
 def test_manifest_contents(tmp_path):
     cfg = tmp_path / "zero.ini"
     cfg.write_text(ZERO_NASH)
@@ -221,6 +251,26 @@ def test_oracle_subcommand(tmp_path):
     s = _summary(out)
     assert float(s["nash_vs_oracle_rel"]) <= 1e-8
     assert float(s["coupled_adjoint_vs_oracle_rel"]) <= 1e-8
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("oracle", "nash_1d.ini"),
+    ("trajectory", "trajectory_1d.ini"),
+])
+def test_run_builds_one_stepper(tmp_path, monkeypatch, subcommand, config):
+    """The iterative solves, the dense oracles and the residual checks of
+    oracle, and the free and shifted problems of trajectory, all march with
+    the one stepper their spec owns."""
+    builds = []
+    original = operators.TimeStepper.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators.TimeStepper, "__init__", counted)
+    assert run(subcommand, CONFIGS / config, tmp_path / "out") == 0
+    assert len(builds) == 1
 
 
 def test_second_order_subcommand(tmp_path):

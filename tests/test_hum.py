@@ -25,24 +25,19 @@ def spec():
     return make_hum_spec()
 
 
-@pytest.fixture(scope="module")
-def stepper(spec):
-    return TimeStepper(spec)
-
-
 def _random_psi0(spec, rng):
     return spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior))
 
 
-def test_coupled_adjoint_zero_datum(spec, stepper):
-    st = solve_coupled_adjoint(spec, np.zeros(spec.grid.nx), stepper=stepper)
+def test_coupled_adjoint_zero_datum(spec):
+    st = solve_coupled_adjoint(spec, np.zeros(spec.grid.nx))
     for f in (st.psi, st.eta1, st.eta2):
         assert np.all(f.values == 0.0)
 
 
-def test_coupled_adjoint_invariants_exact(spec, stepper, rng):
+def test_coupled_adjoint_invariants_exact(spec, rng):
     psi0 = _random_psi0(spec, rng)
-    st = solve_coupled_adjoint(spec, psi0, stepper=stepper)
+    st = solve_coupled_adjoint(spec, psi0)
     assert np.array_equal(st.psi.values[-1], psi0)
     assert np.all(st.eta1.values[0] == 0.0)
     assert np.all(st.eta2.values[0] == 0.0)
@@ -53,23 +48,23 @@ def test_coupled_adjoint_decoupled_two_sweeps(rng):
     psi0 = _random_psi0(spec0, rng)
     st = solve_coupled_adjoint(spec0, psi0)
     assert st.iterations == 2
-    plain = TimeStepper(spec0).march_backward(spec0.grid.to_interior(psi0), None, family="forward")
+    plain = spec0.stepper.march_backward(spec0.grid.to_interior(psi0), None, family="forward")
     assert np.allclose(st.psi.interior(), plain, atol=1e-14)
 
 
-def test_coupled_adjoint_matches_dense_oracle(spec, stepper, rng):
+def test_coupled_adjoint_matches_dense_oracle(spec, rng):
     g = spec.grid
     psi0 = _random_psi0(spec, rng)
-    it = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13, stepper=stepper)
+    it = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
     dn = dense_oracle_coupled_adjoint(spec, psi0)
     for a, b in ((it.psi, dn.psi), (it.eta1, dn.eta1), (it.eta2, dn.eta2)):
         nd = q_norm(g, a.interior() - b.interior())
         assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
 
 
-def test_coupled_adjoint_max_iterations_carries_last_iterate(spec, stepper, rng):
+def test_coupled_adjoint_max_iterations_carries_last_iterate(spec, rng):
     with pytest.raises(MaxIterations) as err:
-        solve_coupled_adjoint(spec, _random_psi0(spec, rng), max_iter=1, stepper=stepper)
+        solve_coupled_adjoint(spec, _random_psi0(spec, rng), max_iter=1)
     assert err.value.best is not None
     assert err.value.iterations == 1
     assert err.value.history == []  # the first sweep has nothing to compare against
@@ -85,74 +80,71 @@ def test_coupled_adjoint_divergence_detected(spec, rng):
     assert err.value.iterations < 500
 
 
-def test_coupled_adjoint_linear_in_datum(spec, stepper, rng):
+def test_coupled_adjoint_linear_in_datum(spec, rng):
     g = spec.grid
     p1 = _random_psi0(spec, rng)
     p2 = _random_psi0(spec, rng)
     a, b = 0.83, -2.4
-    s1 = solve_coupled_adjoint(spec, p1, tol_rel=1e-13, stepper=stepper)
-    s2 = solve_coupled_adjoint(spec, p2, tol_rel=1e-13, stepper=stepper)
-    s12 = solve_coupled_adjoint(spec, a * p1 + b * p2, tol_rel=1e-13, stepper=stepper)
+    s1 = solve_coupled_adjoint(spec, p1, tol_rel=1e-13)
+    s2 = solve_coupled_adjoint(spec, p2, tol_rel=1e-13)
+    s12 = solve_coupled_adjoint(spec, a * p1 + b * p2, tol_rel=1e-13)
     combo = a * s1.psi.values + b * s2.psi.values
     scale = max(np.abs(combo).max(), 1e-300)
     assert np.abs(s12.psi.values - combo).max() <= 1e-9 * scale
 
 
-def test_eval_G_zero_datum(spec, stepper):
-    assert eval_G(spec, np.zeros(spec.grid.nx), 1e-3, stepper=stepper) == 0.0
+def test_eval_G_zero_datum(spec):
+    assert eval_G(spec, np.zeros(spec.grid.nx), 1e-3) == 0.0
 
 
-def test_eval_G_nonnegative_without_affine_data(spec, stepper, rng):
+def test_eval_G_nonnegative_without_affine_data(spec, rng):
     zspec = spec.with_zero_data()
-    zst = TimeStepper(zspec)
     for _ in range(3):
         psi0 = _random_psi0(spec, rng)
-        assert eval_G(zspec, psi0, 1e-3, stepper=zst) >= 0.0
+        assert eval_G(zspec, psi0, 1e-3) >= 0.0
 
 
 def test_eval_G_quadratic_scaling(spec, rng):
     zspec = spec.with_zero_data()
-    zst = TimeStepper(zspec)
     psi0 = _random_psi0(spec, rng)
-    g1 = eval_G(zspec, psi0, 1e-3, stepper=zst)
-    g2 = eval_G(zspec, 2.0 * psi0, 1e-3, stepper=zst)
+    g1 = eval_G(zspec, psi0, 1e-3)
+    g2 = eval_G(zspec, 2.0 * psi0, 1e-3)
     assert abs((g2 - 2.0 * g1) - 2.0 * g1) <= 1e-10 * max(abs(g1), 1.0)
 
 
-def test_grad_zero_everything(spec, stepper):
+def test_grad_zero_everything(spec):
     zspec = spec.with_zero_data()
     grad = grad_G(zspec, np.zeros(spec.grid.nx), 1e-3)
     assert np.all(grad == 0.0)
 
 
-def test_gradient_matches_finite_differences(spec, stepper, rng):
+def test_gradient_matches_finite_differences(spec, rng):
     """Central finite differences vs the adjoint gradient (acceptance 6)."""
     g = spec.grid
     eps = 1e-3
     psi0 = _random_psi0(spec, rng)
-    grad = grad_G(spec, psi0, eps, inner_tol=1e-13, stepper=stepper)
+    grad = grad_G(spec, psi0, eps, inner_tol=1e-13)
     for _ in range(5):
         d = _random_psi0(spec, rng)
         an = inner_h(g, grad, d)
         best = np.inf
         for h in (1e-4, 1e-5, 1e-6):
-            fd = (eval_G(spec, psi0 + h * d, eps, tol_rel=1e-13, stepper=stepper)
-                  - eval_G(spec, psi0 - h * d, eps, tol_rel=1e-13, stepper=stepper)) / (2 * h)
+            fd = (eval_G(spec, psi0 + h * d, eps, tol_rel=1e-13)
+                  - eval_G(spec, psi0 - h * d, eps, tol_rel=1e-13)) / (2 * h)
             best = min(best, abs(fd - an) / max(abs(an), 1e-300))
         assert best <= 1e-6
 
 
 def test_gradient_linear_part_homogeneous(spec, rng):
     zspec = spec.with_zero_data()
-    zst = TimeStepper(zspec)
     psi0 = _random_psi0(spec, rng)
-    g1 = grad_G(zspec, psi0, 0.0, inner_tol=1e-13, stepper=zst)
-    g2 = grad_G(zspec, 3.0 * psi0, 0.0, inner_tol=1e-13, stepper=zst)
+    g1 = grad_G(zspec, psi0, 0.0, inner_tol=1e-13)
+    g2 = grad_G(zspec, 3.0 * psi0, 0.0, inner_tol=1e-13)
     scale = max(np.abs(g2).max(), 1e-300)
     assert np.abs(g2 - 3.0 * g1).max() <= 1e-8 * scale
 
 
-def test_two_system_duality_identity(spec, stepper, rng):
+def test_two_system_duality_identity(spec, rng):
     """Pairing the optimality system (driven by a random leader) with the
     coupled adjoint system (random terminal datum): both sides of the
     resulting identity, computed from the two independent solves, agree.
@@ -166,8 +158,8 @@ def test_two_system_duality_identity(spec, stepper, rng):
     for _ in range(3):
         f = SpaceTimeField.from_interior(g, rng.standard_normal((g.nt + 1, g.n_interior)))
         psi0 = _random_psi0(spec, rng)
-        nash = solve_nash_fixed_point(spec, f, tol_rel=1e-13, stepper=stepper)
-        coup = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13, stepper=stepper)
+        nash = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
+        coup = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
         psi = coup.psi.interior()
         W = nash.w.interior()
         chiO = spec.leader_mask.interior_vector()
@@ -185,13 +177,13 @@ def test_two_system_duality_identity(spec, stepper, rng):
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-300)
 
 
-def test_lambda_symmetry_and_psd(spec, stepper, rng):
+def test_lambda_symmetry_and_psd(spec, rng):
     g = spec.grid
     for _ in range(4):
         a = _random_psi0(spec, rng)
         b = _random_psi0(spec, rng)
-        la = apply_lambda(spec, a, inner_tol=1e-12, stepper=stepper)
-        lb = apply_lambda(spec, b, inner_tol=1e-12, stepper=stepper)
+        la = apply_lambda(spec, a, inner_tol=1e-12)
+        lb = apply_lambda(spec, b, inner_tol=1e-12)
         sym = abs(inner_h(g, la, b) - inner_h(g, a, lb))
         assert sym <= 1e-9 * norm_h(g, a) * norm_h(g, b)
         assert inner_h(g, la, a) >= -1e-10 * norm_h(g, a) ** 2
@@ -213,11 +205,10 @@ def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
     spec = build_problem_spec(load_config(tmp_path / "grid64.ini"))
     g = spec.grid
     assert g.n_interior == 62
-    st = TimeStepper(spec)
     rng = np.random.default_rng(0)
 
     def lam(v):
-        return g.to_interior(apply_lambda(spec, g.from_interior(v), inner_tol=1e-11, stepper=st))
+        return g.to_interior(apply_lambda(spec, g.from_interior(v), inner_tol=1e-11))
 
     for _ in range(5):
         x, y = rng.standard_normal(g.n_interior), rng.standard_normal(g.n_interior)
@@ -230,12 +221,11 @@ def test_lambda_quadratic_form_is_leader_energy(spec, rng):
     """<Lambda psi0, psi0> equals twice the zero-data functional, i.e. the
     leader-region energy of the coupled solution."""
     zspec = spec.with_zero_data()
-    zst = TimeStepper(zspec)
     g = spec.grid
     for _ in range(3):
         a = _random_psi0(spec, rng)
-        la = apply_lambda(spec, a, inner_tol=1e-13, stepper=zst)
-        energy = 2.0 * eval_G(zspec, a, 0.0, tol_rel=1e-13, stepper=zst)
+        la = apply_lambda(spec, a, inner_tol=1e-13)
+        energy = 2.0 * eval_G(zspec, a, 0.0, tol_rel=1e-13)
         assert inner_h(g, la, a) == pytest.approx(energy, rel=1e-9)
 
 
@@ -247,13 +237,13 @@ def test_minimize_zero_data(spec):
     assert res.terminal_norm == 0.0
 
 
-def test_minimize_plugback(spec, stepper):
+def test_minimize_plugback(spec):
     eps = 1e-3
-    res = minimize_G(spec, eps, cg_tol=1e-9, stepper=stepper)
+    res = minimize_G(spec, eps, cg_tol=1e-9)
     g = spec.grid
     x = g.to_interior(res.psi0)
-    lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12, stepper=stepper))
-    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12, stepper=stepper))
+    lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12))
+    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12))
     resid = np.linalg.norm(lam + eps * x + b) / max(np.linalg.norm(b), 1e-300)
     assert resid <= 10 * 1e-9
 
@@ -276,29 +266,29 @@ def test_epsilon_sweep_decay(spec):
 EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 
-def test_minimize_sweep_matches_single_eps_runs(spec, stepper):
+def test_minimize_sweep_matches_single_eps_runs(spec):
     g = spec.grid
     cg_tol = 1e-10
-    sweep = minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol, stepper=stepper)
+    sweep = minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol)
     assert [r.eps for r in sweep] == list(EPS_SWEEP)
-    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12, stepper=stepper))
+    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12))
     for eps, res in zip(EPS_SWEEP, sweep):
-        single = minimize_G(spec, eps, cg_tol=cg_tol, stepper=stepper)
+        single = minimize_G(spec, eps, cg_tol=cg_tol)
         assert res.terminal_norm == pytest.approx(single.terminal_norm, rel=1e-6)
         assert res.true_residual <= cg_tol
         assert len(res.cg_residuals) == res.cg_iterations + 1
         x = g.to_interior(res.psi0)
-        lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12, stepper=stepper))
+        lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12))
         assert np.linalg.norm(lam + eps * x + b) / np.linalg.norm(b) <= 10 * cg_tol
     # the smallest eps is the base system of the shared Krylov sequence: plain CG
     assert np.array_equal(sweep[-1].psi0, single.psi0)
     assert sweep[-1].cg_residuals == single.cg_residuals
 
 
-def test_minimize_refines_a_drifted_shift(spec, stepper, monkeypatch):
+def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
     eps_list = (1e-1, 1e-3)
     cg_tol = 1e-9
-    clean = minimize_G(spec, eps_list, cg_tol=cg_tol, stepper=stepper)
+    clean = minimize_G(spec, eps_list, cg_tol=cg_tol)
     calls = []
 
     def drifting(apply, b, tol_rel, max_iter, shifts):
@@ -309,7 +299,7 @@ def test_minimize_refines_a_drifted_shift(spec, stepper, monkeypatch):
         return res
 
     monkeypatch.setattr(hum, "conjugate_gradient", drifting)
-    drifted = minimize_G(spec, eps_list, cg_tol=cg_tol, stepper=stepper)
+    drifted = minimize_G(spec, eps_list, cg_tol=cg_tol)
     assert calls == [eps_list, (eps_list[0],)]
     refined = drifted[0]
     assert refined.cg_iterations > clean[0].cg_iterations
@@ -319,9 +309,9 @@ def test_minimize_refines_a_drifted_shift(spec, stepper, monkeypatch):
     assert np.array_equal(drifted[1].psi0, clean[1].psi0)
 
 
-def test_leader_field_is_masked_psi(spec, stepper, rng):
+def test_leader_field_is_masked_psi(spec, rng):
     psi0 = _random_psi0(spec, rng)
-    st = solve_coupled_adjoint(spec, psi0, stepper=stepper)
+    st = solve_coupled_adjoint(spec, psi0)
     f = leader_from_psi(spec, st)
     chi = spec.leader_mask.interior_vector()
     assert np.array_equal(f.interior()[1:], st.psi.interior()[:-1] * chi)
@@ -420,11 +410,11 @@ def _count_marches(monkeypatch):
     return calls
 
 
-def test_coupled_adjoint_sweep_makes_two_marches(spec, stepper, rng, monkeypatch):
+def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):
     """psi marches backward, then eta_1 and eta_2 as one 2-column forward
     march: 2 marches per sweep, not 3."""
     psi0 = _random_psi0(spec, rng)
     calls = _count_marches(monkeypatch)
-    st = solve_coupled_adjoint(spec, psi0, stepper=stepper)
+    st = solve_coupled_adjoint(spec, psi0)
     assert st.iterations > 2
     assert len(calls) == 2 * st.iterations

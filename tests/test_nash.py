@@ -25,26 +25,24 @@ def test_response_zero_input(nash_spec):
 
 
 def test_response_linearity(nash_spec, rng):
-    st = TimeStepper(nash_spec)
     v1 = _ctrl_field(nash_spec, rng, 0)
     v2 = _ctrl_field(nash_spec, rng, 0)
     a, b = 1.7, -0.45
     combo = SpaceTimeField(nash_spec.grid, a * v1.values + b * v2.values)
-    lhs = apply_response(nash_spec, 0, combo, stepper=st).values
-    rhs = a * apply_response(nash_spec, 0, v1, stepper=st).values + \
-        b * apply_response(nash_spec, 0, v2, stepper=st).values
+    lhs = apply_response(nash_spec, 0, combo).values
+    rhs = a * apply_response(nash_spec, 0, v1).values + \
+        b * apply_response(nash_spec, 0, v2).values
     scale = max(np.abs(rhs).max(), 1e-300)
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
 def test_response_adjoint_consistency(nash_spec, rng):
     g = nash_spec.grid
-    st = TimeStepper(nash_spec)
     for i in range(2):
         v = _ctrl_field(nash_spec, rng, i)
         gfield = SpaceTimeField.from_interior(g, rng.standard_normal((g.nt + 1, g.n_interior)))
-        w = apply_response(nash_spec, i, v, stepper=st)
-        adj = apply_response_adjoint(nash_spec, i, gfield, stepper=st)
+        w = apply_response(nash_spec, i, v)
+        adj = apply_response_adjoint(nash_spec, i, gfield)
         lhs = g.dt * g.hd * float(np.sum(w.interior()[1:] * gfield.interior()[1:]))
         rhs = g.dt * g.hd * float(np.sum(v.interior()[1:] * adj.interior()[1:]))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-300)
@@ -69,12 +67,11 @@ def test_apply_A_zero_controls(nash_spec):
 def test_apply_A_coercivity_sample(nash_spec, rng):
     """<A(v), v> >= (1/4) min(mu) ||v||^2 on the margin-positive spec."""
     g = nash_spec.grid
-    st = TimeStepper(nash_spec)
     bound = 0.25 * min(nash_spec.mu)
     for _ in range(20):
         v1 = _ctrl_field(nash_spec, rng, 0)
         v2 = _ctrl_field(nash_spec, rng, 1)
-        r1, r2 = apply_A(nash_spec, v1, v2, stepper=st)
+        r1, r2 = apply_A(nash_spec, v1, v2)
         inner = g.dt * g.hd * (float(np.sum(r1.interior()[1:] * v1.interior()[1:]))
                                + float(np.sum(r2.interior()[1:] * v2.interior()[1:])))
         norm2 = q_norm(g, v1.interior()) ** 2 + q_norm(g, v2.interior()) ** 2
@@ -119,7 +116,7 @@ def test_oracle_plugback_residual(nash_spec):
     f = leader_bump(nash_spec.grid)
     oracle = dense_oracle_nash(nash_spec, f)
     g = nash_spec.grid
-    st = TimeStepper(nash_spec)
+    st = nash_spec.stepper
     W = oracle.w.interior()
     from hierctrl.operators import control_sources
 
@@ -156,7 +153,7 @@ def test_control_relation_exact(nash_spec):
 def test_first_order_residuals(nash_spec):
     f = leader_bump(nash_spec.grid)
     oracle = dense_oracle_nash(nash_spec, f)
-    r1, r2 = verify_first_order(nash_spec, f, oracle)
+    r1, r2 = verify_first_order(nash_spec, oracle)
     assert r1 <= 1e-8 and r2 <= 1e-8
 
 
@@ -167,14 +164,14 @@ def test_first_order_detects_perturbation(nash_spec):
     class _Fake:
         w = sol.w
         controls = (bumped, sol.v2)
-    r1, _ = verify_first_order(nash_spec, f, _Fake())
+    r1, _ = verify_first_order(nash_spec, _Fake())
     assert r1 > 1e-3
 
 
 def test_first_order_zero_observation():
     spec = make_nash_spec(alpha=0.0, with_targets=False)
     sol = solve_nash_fixed_point(spec, None)
-    r1, r2 = verify_first_order(spec, None, sol)
+    r1, r2 = verify_first_order(spec, sol)
     assert r1 == 0.0 and r2 == 0.0
 
 
@@ -198,8 +195,7 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-13)
     g = nash_spec.grid
-    st = TimeStepper(nash_spec)
-    base = cost_followers(nash_spec, f, sol.v1, sol.v2, w=sol.w, stepper=st)
+    base = cost_followers(nash_spec, f, sol.v1, sol.v2, w=sol.w)
     for i in range(2):
         vn = q_norm(g, sol.controls[i].interior())
         for _ in range(20):
@@ -209,7 +205,7 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
             vi = SpaceTimeField.from_interior(g, sol.controls[i].interior() + delta)
             pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
-            perturbed = cost_followers(nash_spec, f, pair[0], pair[1], stepper=st)
+            perturbed = cost_followers(nash_spec, f, pair[0], pair[1])
             assert perturbed[i] >= base[i] - 1e-15 * max(base[i], 1.0)
 
 
@@ -217,9 +213,8 @@ def test_compute_rhs_matches_equilibrium_equation(nash_spec):
     """The converged controls satisfy A(v1, v2) = B."""
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-13)
-    st = TimeStepper(nash_spec)
-    r1, r2 = apply_A(nash_spec, sol.v1, sol.v2, stepper=st)
-    b1, b2 = compute_rhs(nash_spec, f, stepper=st)
+    r1, r2 = apply_A(nash_spec, sol.v1, sol.v2)
+    b1, b2 = compute_rhs(nash_spec, f)
     g = nash_spec.grid
     for r, b in ((r1, b1), (r2, b2)):
         gap = q_norm(g, r.interior() - b.interior())
@@ -271,8 +266,7 @@ def _count_marches(monkeypatch):
 def test_nash_sweep_makes_two_marches(nash_spec, monkeypatch):
     """Both follower adjoints march as one 2-column backward march, then the
     state marches forward: 2 marches per sweep, not 3."""
-    st = TimeStepper(nash_spec)
     calls = _count_marches(monkeypatch)
-    sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid), stepper=st)
+    sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid))
     assert sol.iterations > 2
     assert len(calls) == 2 * sol.iterations

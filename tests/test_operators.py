@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import DenseInverse, Factorization, factorize
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
-from hierctrl.operators import (DENSE_MAX_N, ProblemSpec, TimeStepper, _spatial_operator,
+from hierctrl.operators import (DENSE_MAX_N, ProblemSpec, _spatial_operator,
                                 assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
 
 from conftest import make_nash_spec
@@ -88,7 +88,7 @@ def test_biharmonic_quartic_2d_interior():
 def test_reaction_shift_is_identity():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.ones((g.nt + 1,) + g.nx))
-    st = TimeStepper(spec)
+    st = spec.stepper
     L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, 1)
     M = assemble_biharmonic(g)
     diff = L - M
@@ -98,7 +98,7 @@ def test_reaction_shift_is_identity():
 def test_operator_symmetric_without_transport():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
-    st = TimeStepper(spec)
+    st = spec.stepper
     fwd = st.step_matrix(2, "forward")
     assert abs(fwd - fwd.T).max() == 0.0
     # the backward march solves with the adjoint-family matrix transposed
@@ -107,7 +107,7 @@ def test_operator_symmetric_without_transport():
 
 def test_unknown_matrix_family_rejected():
     g = build_grid(1, 1.0, 12, 1.0, 8)
-    st = TimeStepper(_plain_spec(g))
+    st = _plain_spec(g).stepper
     for call in (lambda: st.step_matrix(1, "adjiont"), lambda: st.step(1, "backward"),
                  lambda: st.march_forward(np.zeros(g.n_interior), family="Forward")):
         with pytest.raises(ValueError, match="unknown matrix family"):
@@ -119,7 +119,7 @@ def test_transpose_contract_exact(rng):
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape),
                        b_values=[rng.standard_normal(shape)])
-    st = TimeStepper(spec)
+    st = spec.stepper
     eye = sp.identity(g.n_interior, format="csr")
     for level in (1, 4, 8):
         L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, level)
@@ -151,7 +151,6 @@ def test_duality_identity_random_coefficients(rng):
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape),
                        b_values=[rng.standard_normal(shape)])
-    st = TimeStepper(spec)
     for _ in range(5):
         gap = duality_gap(
             spec,
@@ -159,7 +158,6 @@ def test_duality_identity_random_coefficients(rng):
             rng.standard_normal((g.nt + 1, g.n_interior)),
             g.from_interior(rng.standard_normal(g.n_interior)),
             rng.standard_normal((g.nt + 1, g.n_interior)),
-            stepper=st,
         )
         assert gap <= 1e-10
 
@@ -245,7 +243,7 @@ def _frozen_like_stepper(rng):
     spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[rng.standard_normal(shape)])
     spec = spec.with_(a_adj=SpaceTimeField(g, rng.standard_normal(shape)),
                       b_adj=(SpaceTimeField(g, rng.standard_normal(shape)),))
-    st = TimeStepper(spec)
+    st = spec.stepper
     assert st.step(1, "forward") is not st.step(2, "forward")
     assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
     return g, st
@@ -309,7 +307,7 @@ def test_duality_identity_per_column(rng):
 ])
 def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
     g = build_grid(1, 1.0, 14, 1.0, 8)
-    st = TimeStepper(_plain_spec(g))
+    st = _plain_spec(g).stepper
     assert (g.n_interior, g.nt) == (12, 8)
     src = None if source_shape is None else np.zeros(source_shape)
     for march in (st.march_forward, st.march_backward):
@@ -354,7 +352,7 @@ def test_dense_transposed_step_uses_the_same_inverse(rng):
 @pytest.mark.parametrize("nx,dense", [(DENSE_MAX_N + 2, True), (DENSE_MAX_N + 3, False)])
 def test_dense_cap_in_1d(nx, dense):
     g = build_grid(1, 1.0, nx, 1.0, 4)
-    st = TimeStepper(_plain_spec(g))
+    st = _plain_spec(g).stepper
     assert isinstance(st.step(1), DenseInverse if dense else Factorization)
 
 
@@ -362,7 +360,7 @@ def test_2d_benchmark_grid_stays_on_superlu(rng):
     """The 24 x 24 grid has 484 unknowns, above the cap: SuperLU factorizations."""
     g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 4)
     assert g.n_interior == 484 > DENSE_MAX_N
-    st = TimeStepper(_plain_spec(g))
+    st = _plain_spec(g).stepper
     assert isinstance(st.step(1), Factorization)
     w0 = rng.standard_normal(g.n_interior)
     W = st.march_forward(w0)
@@ -380,4 +378,31 @@ def test_singular_level_in_dense_stack_raises():
     a = np.zeros((g.nt + 1,) + g.nx)
     a[3, -2] = (schur - M[-1, -1]) / g.dt
     with pytest.raises(SingularMatrix, match="matrix 2 "):
-        TimeStepper(_plain_spec(g, a_values=a))
+        _plain_spec(g, a_values=a).stepper
+
+
+def test_data_only_copy_shares_the_stepper(rng):
+    """with_ keeps the stepper of a copy that leaves grid and coefficients
+    alone, also for copies made before the first march."""
+    spec = _plain_spec(build_grid(1, 1.0, 12, 1.0, 6))
+    g = spec.grid
+    z = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx))
+    early = spec.with_(w0=g.from_interior(rng.standard_normal(g.n_interior)))
+    copies = [early, spec.with_zero_data(), spec.with_(mu=(2.0, 3.0), targets=(z, z)),
+              spec.with_(a=spec.a, b=spec.b)]
+    assert all(c.stepper is spec.stepper for c in copies)
+
+
+@pytest.mark.parametrize("name", ["grid", "a", "b", "a_adj", "b_adj"])
+def test_coefficient_change_builds_its_own_stepper(rng, name):
+    spec = _plain_spec(build_grid(1, 1.0, 12, 1.0, 6))
+    g = spec.grid
+    shape = (g.nt + 1,) + g.nx
+    if name == "grid":
+        # same shapes, another length: every field still fits
+        changed = spec.with_(grid=build_grid(1, 2.0, 12, 1.0, 6))
+    elif name in ("a", "a_adj"):
+        changed = spec.with_(**{name: SpaceTimeField(g, rng.uniform(0.0, 1.0, shape))})
+    else:
+        changed = spec.with_(**{name: (SpaceTimeField(g, rng.uniform(0.0, 1.0, shape)),)})
+    assert changed.stepper is not spec.stepper

@@ -200,39 +200,39 @@ def test_second_order_linear_nonnegative(spec, leader, rng):
     qe = solve_quasi_equilibrium(spec, preset_zero(), leader, tol=1e-11)
     for i in range(2):
         d = _unit_direction(spec, rng, i)
-        val = second_order_form(spec, preset_zero(), leader, qe, i, d)
+        val = second_order_form(spec, preset_zero(), qe, i, d)
         assert val >= 0.0
         assert val >= spec.mu[i] * (1.0 - 1e-9)  # convex case: mu + alpha-term
 
 
-def test_second_order_zero_direction(spec, leader, tanh_equilibrium):
+def test_second_order_zero_direction(spec, tanh_equilibrium):
     z = SpaceTimeField.zeros(spec.grid)
-    assert second_order_form(spec, preset_tanh(0.5), leader, tanh_equilibrium, 0, z) == 0.0
+    assert second_order_form(spec, preset_tanh(0.5), tanh_equilibrium, 0, z) == 0.0
 
 
-def test_second_order_parallelogram(spec, leader, tanh_equilibrium, rng):
+def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
     nl = preset_tanh(0.5)
     g = spec.grid
     d1 = _unit_direction(spec, rng, 0)
     d2 = _unit_direction(spec, rng, 0)
     dp = SpaceTimeField(g, d1.values + d2.values)
     dm = SpaceTimeField(g, d1.values - d2.values)
-    lhs = second_order_form(spec, nl, leader, tanh_equilibrium, 0, dp) \
-        + second_order_form(spec, nl, leader, tanh_equilibrium, 0, dm)
-    rhs = 2.0 * second_order_form(spec, nl, leader, tanh_equilibrium, 0, d1) \
-        + 2.0 * second_order_form(spec, nl, leader, tanh_equilibrium, 0, d2)
+    lhs = second_order_form(spec, nl, tanh_equilibrium, 0, dp) \
+        + second_order_form(spec, nl, tanh_equilibrium, 0, dm)
+    rhs = 2.0 * second_order_form(spec, nl, tanh_equilibrium, 0, d1) \
+        + 2.0 * second_order_form(spec, nl, tanh_equilibrium, 0, d2)
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
 
-def test_second_order_rejects_expression_nonlinearity(spec, leader, tanh_equilibrium):
+def test_second_order_rejects_expression_nonlinearity(spec, tanh_equilibrium):
     nl = from_expression("0.1*u", bound=0.1, dim=1)
     d = SpaceTimeField.zeros(spec.grid)
     with pytest.raises(UnsupportedNonlinearity):
-        second_order_form(spec, nl, leader, tanh_equilibrium, 0, d)
+        second_order_form(spec, nl, tanh_equilibrium, 0, d)
 
 
-def test_sufficiency_report(spec, leader, tanh_equilibrium):
-    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), leader, tanh_equilibrium,
+def test_sufficiency_report(spec, tanh_equilibrium):
+    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), tanh_equilibrium,
                                          n_directions=8, seed=4)
     assert rep.all_positive
     assert rep.n_directions == 8
@@ -240,7 +240,7 @@ def test_sufficiency_report(spec, leader, tanh_equilibrium):
     assert all(np.isfinite(v) for v in rep.min_form)
 
 
-def test_sufficiency_builds_one_tangent_stepper(spec, leader, tanh_equilibrium, monkeypatch):
+def test_sufficiency_builds_one_tangent_stepper(spec, tanh_equilibrium, monkeypatch):
     """Every sampled direction of both followers marches with one shared
     tangent stepper: 1 build for 2 x 5 directions, not 10."""
     builds = []
@@ -251,14 +251,14 @@ def test_sufficiency_builds_one_tangent_stepper(spec, leader, tanh_equilibrium, 
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(semilinear.TimeStepper, "__init__", counted)
-    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), leader, tanh_equilibrium,
+    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), tanh_equilibrium,
                                          n_directions=5, seed=4)
     assert [len(forms) for forms in rep.forms] == [5, 5]
     assert len(builds) == 1
 
 
-def test_sufficiency_zero_directions(spec, leader, tanh_equilibrium):
-    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), leader, tanh_equilibrium,
+def test_sufficiency_zero_directions(spec, tanh_equilibrium):
+    rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), tanh_equilibrium,
                                          n_directions=0, seed=4)
     assert rep.forms == ((), ())
     assert rep.all_positive
@@ -267,10 +267,10 @@ def test_sufficiency_zero_directions(spec, leader, tanh_equilibrium):
 def test_sufficiency_mu_scaling(spec, leader):
     nl = preset_tanh(0.5)
     qe = solve_quasi_equilibrium(spec, nl, leader, tol=1e-11)
-    rep = verify_equilibrium_sufficiency(spec, nl, leader, qe, n_directions=5, seed=6)
+    rep = verify_equilibrium_sufficiency(spec, nl, qe, n_directions=5, seed=6)
     big = spec.with_(mu=(100.0, 100.0))
     qe_big = solve_quasi_equilibrium(big, nl, leader, tol=1e-11)
-    rep_big = verify_equilibrium_sufficiency(big, nl, leader, qe_big, n_directions=5, seed=6)
+    rep_big = verify_equilibrium_sufficiency(big, nl, qe_big, n_directions=5, seed=6)
     assert rep_big.min_form[0] > rep.min_form[0]
     assert rep_big.min_form[1] > rep.min_form[1]
 

@@ -23,14 +23,16 @@ TEST_REFERENCES = {
 
 
 def _referenced(paths):
-    """Every name the files refer to: loaded names, attribute names and imported names."""
+    """Every name the files refer to: loaded names and imported names.
+
+    Attribute names do not count: `ast.evaluate(env)` calls a method, and
+    must not keep a module-level function of the same name alive.
+    """
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     return names
