@@ -303,7 +303,7 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
     if center is None:
         center = tuple(L / 2.0 for L in grid.lengths) if grid.dim == 2 else grid.lengths[0] / 2.0
     if spec is not None:
-        _validate_case(spec, case)
+        check_case(spec, case)
     if case == "shared":
         eta_fn = EtaFunction(grid, center)
         alpha, xi, _ = build_weights(eta_fn, lam, s, "sharp")
@@ -360,7 +360,9 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
     return w
 
 
-def _validate_case(spec, case):
+def check_case(spec, case):
+    """The geometry each case assumes: shared observation regions and
+    targets are identical; distinct ones meet the leader region differently."""
     if case == "shared":
         same_mask = np.array_equal(spec.target_masks[0].indicator, spec.target_masks[1].indicator)
         same_target = np.array_equal(spec.targets[0].values, spec.targets[1].values)
@@ -371,8 +373,6 @@ def _validate_case(spec, case):
         i2 = spec.target_masks[1].indicator & spec.leader_mask.indicator
         if np.array_equal(i1, i2):
             raise CaseMismatch("distinct case requires different intersections with the leader region")
-    else:
-        raise CaseMismatch(f"unknown case {case!r}")
 
 
 def build_theta(weights: CarlemanWeights, case) -> SpaceTimeField:

@@ -17,16 +17,12 @@ import numpy as np
 
 from . import __version__
 from .carleman import carleman_ratio_report, check_weight_properties, estimate_observability, eta_gradient_scan
-from .config import (build_carleman, build_leader_field, build_nonlinearity, build_problem_spec,
-                     load_config, validate_for)
-from .errors import ConfigError, HierctrlError
+from .config import load_config, validate_for
+from .errors import HierctrlError
 from .hum import control_to_trajectory, dense_oracle_coupled_adjoint, minimize_G, solve_coupled_adjoint
 from .nash import (cost_followers, cost_leader, dense_oracle_nash, q_norm, solve_nash_fixed_point,
                    verify_first_order, _raw_residuals)
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
-
-SUBCOMMANDS = ("nash", "null-control", "trajectory", "semilinear",
-               "second-order", "observability", "carleman", "oracle")
 
 
 def fmt(x):
@@ -76,9 +72,8 @@ def write_manifest(out, subcommand, config):
     Path(out, "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _run_nash(config, out):
-    spec = build_problem_spec(config)
-    f = build_leader_field(config)
+def _run_nash(inputs, out):
+    spec, f, solver = inputs.spec, inputs.f, inputs.config.solver
     rows = []
 
     def on_sweep(it, W, vs, change):
@@ -86,8 +81,8 @@ def _run_nash(config, out):
         rows.append((it, change, r1, r2))
 
     sol = solve_nash_fixed_point(
-        spec, f, tol_rel=config.solver["nash_tol"], max_iter=config.solver["nash_max_iter"],
-        damping=config.solver["damping"], on_sweep=on_sweep)
+        spec, f, tol_rel=solver["nash_tol"], max_iter=solver["nash_max_iter"],
+        damping=solver["damping"], on_sweep=on_sweep)
     write_csv(Path(out, "nash_history.csv"), ("iter", "change_norm", "residual_1", "residual_2"), rows)
     for name, field in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
         dump_field(Path(out, f"{name}.field.txt"), field)
@@ -121,8 +116,8 @@ def _write_sweep(out, spec, hums):
     return [res.terminal_norm for res in hums]
 
 
-def _run_null_control(config, out):
-    spec = build_problem_spec(config)
+def _run_null_control(inputs, out):
+    spec, config = inputs.spec, inputs.config
     results = minimize_G(spec, config.eps_list, cg_tol=config.solver["cg_tol"],
                          max_iter=config.solver["cg_max_iter"])
     tns = _write_sweep(out, spec, results)
@@ -139,8 +134,8 @@ def _run_null_control(config, out):
     return 0
 
 
-def _run_trajectory(config, out):
-    spec = build_problem_spec(config)
+def _run_trajectory(inputs, out):
+    spec, config = inputs.spec, inputs.config
     results = control_to_trajectory(spec, spec.w0, spec.ubar0, spec.targets, config.eps_list,
                                     cg_tol=config.solver["cg_tol"],
                                     max_iter=config.solver["cg_max_iter"])
@@ -157,20 +152,15 @@ def _run_trajectory(config, out):
     return 0
 
 
-def _run_semilinear(config, out):
-    spec = build_problem_spec(config)
-    nonlin = build_nonlinearity(config)
-    theta = None
-    try:
-        weights = build_carleman(config, spec=None)
-        theta = weights.theta
-    except HierctrlError:
-        pass  # weights are diagnostic here; the pipeline runs without them
-    eps = config.eps_list[-1]
+def _run_semilinear(inputs, out):
+    spec, nonlin, solver = inputs.spec, inputs.nonlinearity, inputs.config.solver
+    # the weights are a diagnostic here; without them the target check is left out
+    theta = inputs.weights.theta if inputs.weights is not None else None
+    eps = inputs.config.eps_list[-1]
     res = semilinear_null_control(
         spec, nonlin, spec.ubar0, eps,
-        outer_tol=config.solver["outer_tol"], max_outer=config.solver["max_outer"],
-        cg_tol=config.solver["cg_tol"], theta=theta)
+        outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],
+        cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], theta=theta)
     write_csv(Path(out, "outer_history.csv"), ("iter", "change_norm"),
               list(enumerate(res.history, start=1)))
     write_csv(Path(out, "cg_history.csv"), ("outer", "iter", "residual"),
@@ -194,11 +184,9 @@ def _run_semilinear(config, out):
     return 0
 
 
-def _run_second_order(config, out):
-    spec = build_problem_spec(config)
-    nonlin = build_nonlinearity(config)
-    f = build_leader_field(config)
-    qe = solve_quasi_equilibrium(spec, nonlin, f, tol=config.solver["nash_tol"],
+def _run_second_order(inputs, out):
+    spec, nonlin, config = inputs.spec, inputs.nonlinearity, inputs.config
+    qe = solve_quasi_equilibrium(spec, nonlin, inputs.f, tol=config.solver["nash_tol"],
                                  inner_tol=config.solver["nash_tol"])
     report = verify_equilibrium_sufficiency(spec, nonlin, qe,
                                             n_directions=config.solver["n_directions"],
@@ -221,10 +209,9 @@ def _run_second_order(config, out):
     return 0
 
 
-def _run_observability(config, out):
-    spec = build_problem_spec(config)
-    weights = build_carleman(config, spec=spec)
-    report = estimate_observability(spec, weights, n_samples=config.solver["n_samples"],
+def _run_observability(inputs, out):
+    config = inputs.config
+    report = estimate_observability(inputs.spec, inputs.weights, n_samples=config.solver["n_samples"],
                                     seed=config.seed, tol_rel=config.solver["coupled_tol"])
     rows = [(k, r, d) for k, (r, d) in enumerate(zip(report.ratios, report.denominators))]
     write_csv(Path(out, "observability.csv"), ("sample", "ratio", "denominator"), rows)
@@ -239,10 +226,8 @@ def _run_observability(config, out):
     return 0
 
 
-def _run_carleman(config, out):
-    needed = ("leader", "follower1", "follower2", "target1", "target2")
-    spec = build_problem_spec(config) if all(k in config.boxes for k in needed) else None
-    weights = build_carleman(config, spec=spec if spec is not None and config.case == "shared" else None)
+def _run_carleman(inputs, out):
+    weights, config = inputs.weights, inputs.config
     props = check_weight_properties(weights, n_samples=100, seed=config.seed)
     report = carleman_ratio_report(config.grid, weights, n_samples=config.solver["n_samples"],
                                    seed=config.seed)
@@ -265,9 +250,8 @@ def _run_carleman(config, out):
     return 0
 
 
-def _run_oracle(config, out):
-    spec = build_problem_spec(config)
-    f = build_leader_field(config)
+def _run_oracle(inputs, out):
+    spec, f, config = inputs.spec, inputs.f, inputs.config
     fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"])
     oracle = dense_oracle_nash(spec, f)
     scale = max(q_norm(spec.grid, oracle.w.interior()), 1e-300)
@@ -291,6 +275,19 @@ def _run_oracle(config, out):
     return 0
 
 
+RUNNERS = {
+    "nash": _run_nash,
+    "null-control": _run_null_control,
+    "trajectory": _run_trajectory,
+    "semilinear": _run_semilinear,
+    "second-order": _run_second_order,
+    "observability": _run_observability,
+    "carleman": _run_carleman,
+    "oracle": _run_oracle,
+}
+SUBCOMMANDS = tuple(RUNNERS)
+
+
 def _error_details(exc):
     """The iteration count an error carries and, when a multi-shift CG ran
     out of iterations, which eps converged (with their iterations) and which missed."""
@@ -312,7 +309,7 @@ def run(subcommand, config_path, out_dir, seed=None):
             config.seed = int(seed)
             config.solver["seed"] = int(seed)
             config.sections.setdefault("solver", {})["seed"] = str(int(seed))
-        validate_for(config, subcommand)
+        inputs = validate_for(config, subcommand)
     except HierctrlError as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "stage": "validation"}
         print(json.dumps(record), file=sys.stderr)
@@ -321,23 +318,7 @@ def run(subcommand, config_path, out_dir, seed=None):
     out.mkdir(parents=True, exist_ok=True)
     try:
         write_manifest(out, subcommand, config)
-        if subcommand == "nash":
-            return _run_nash(config, out)
-        if subcommand == "null-control":
-            return _run_null_control(config, out)
-        if subcommand == "trajectory":
-            return _run_trajectory(config, out)
-        if subcommand == "semilinear":
-            return _run_semilinear(config, out)
-        if subcommand == "second-order":
-            return _run_second_order(config, out)
-        if subcommand == "observability":
-            return _run_observability(config, out)
-        if subcommand == "carleman":
-            return _run_carleman(config, out)
-        if subcommand == "oracle":
-            return _run_oracle(config, out)
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
+        return RUNNERS[subcommand](inputs, out)
     except HierctrlError as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "stage": "solve", **_error_details(exc)}
         print(json.dumps(record), file=sys.stderr)
@@ -356,8 +337,6 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and ignored: an eps sweep is one multi-shift CG run")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.out, seed=args.seed)
 

@@ -2,8 +2,9 @@
 
 Format: flat sections with `key = value`; expressions are quoted strings
 over the variables x (, y in 2D) and t; per-axis lists are comma separated
-and boxes in 2D separate the axes with a semicolon.  Validation happens
-before any solve or output; invalid configs never produce artifacts.
+and boxes in 2D separate the axes with a semicolon.  Validation
+(validate_for) builds a run's inputs, each once, before any solve or
+output; invalid configs never produce artifacts.
 """
 
 from __future__ import annotations
@@ -13,20 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleman import build_carleman_weights, default_parameters
-from .errors import ConfigError, EmptyMask, InvalidGrid, ParseError
+from .carleman import CarlemanWeights, build_carleman_weights, check_case, default_parameters
+from .errors import ConfigError, EmptyMask, HierctrlError, InvalidGrid, ParseError
 from .expressions import parse_expr
 from .mesh import SpaceTimeField, build_grid, build_mask
 from .operators import ProblemSpec
 from .semilinear import Nonlinearity, from_expression, preset_grad_tanh, preset_tanh, preset_zero
 
-GEOMETRY_KEYS = {
-    "leader": "leader",
-    "follower1": "follower1",
-    "follower2": "follower2",
-    "target1": "target1",
-    "target2": "target2",
-}
+BOXES = ("leader", "follower1", "follower2", "target1", "target2")
 
 SOLVER_DEFAULTS = {
     "nash_tol": 1e-12,
@@ -164,7 +159,7 @@ def load_config(path) -> RunConfig:
 
     geom = sections.get("geometry", {})
     boxes = {}
-    for key in GEOMETRY_KEYS:
+    for key in BOXES:
         if key in geom:
             boxes[key] = _box(geom[key], dim, f"geometry.{key}")
     case = geom.get("case", "shared").strip()
@@ -264,28 +259,46 @@ def load_config(path) -> RunConfig:
     )
 
 
-REQUIRED_BOXES = {
-    "nash": ("leader", "follower1", "follower2", "target1", "target2"),
-    "null-control": ("leader", "follower1", "follower2", "target1", "target2"),
-    "trajectory": ("leader", "follower1", "follower2", "target1", "target2"),
-    "semilinear": ("leader", "follower1", "follower2", "target1", "target2"),
-    "second-order": ("leader", "follower1", "follower2", "target1", "target2"),
-    "observability": ("leader", "follower1", "follower2", "target1", "target2"),
-    "carleman": (),
-    "oracle": ("leader", "follower1", "follower2", "target1", "target2"),
+# What validate_for checks and builds for each subcommand:
+#   spec          every box is required; a ProblemSpec is built whenever all are given
+#   control       the hypotheses of a computed leader: each target region meets the
+#                 leader region, and the geometry fits the shared or distinct case
+#   f             the given leader field
+#   nonlinearity  the Nonlinearity; hessian: it must have analytic second derivatives
+#   weights       the Carleman weights; theta: the weights as a diagnostic, left out
+#                 when they cannot be built
+INPUTS = {
+    "nash": ("spec", "f"),
+    "null-control": ("spec", "control"),
+    "trajectory": ("spec", "control"),
+    "semilinear": ("spec", "control", "nonlinearity", "theta"),
+    "second-order": ("spec", "f", "nonlinearity", "hessian"),
+    "observability": ("spec", "control", "weights"),
+    "carleman": ("weights",),
+    "oracle": ("spec", "f"),
 }
 
-NEEDS_CONTROLLABILITY = {"null-control", "trajectory", "semilinear", "observability"}
-NEEDS_SECOND_ORDER = {"second-order"}
+
+@dataclass
+class RunInputs:
+    """What a run computes from, each built once by validate_for."""
+
+    config: RunConfig
+    spec: ProblemSpec = None
+    f: SpaceTimeField = None
+    nonlinearity: Nonlinearity = None
+    weights: CarlemanWeights = None
 
 
-def validate_for(config: RunConfig, subcommand):
-    """Geometry and hypothesis checks for the requested pipeline."""
-    if subcommand not in REQUIRED_BOXES:
+def validate_for(config: RunConfig, subcommand) -> RunInputs:
+    """Check the config against the subcommand's hypotheses and build its
+    inputs.  Every config error raises here, before a run writes anything."""
+    if subcommand not in INPUTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    needs = INPUTS[subcommand]
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    missing = [k for k in REQUIRED_BOXES[subcommand] if k not in config.boxes]
+    missing = [k for k in BOXES if k not in config.boxes] if "spec" in needs else []
     if missing:
         raise ConfigError(f"{subcommand}: missing geometry boxes {missing}")
     for key, box in config.boxes.items():
@@ -293,24 +306,30 @@ def validate_for(config: RunConfig, subcommand):
             build_mask(config.grid, box)
         except EmptyMask as exc:
             raise ConfigError(f"geometry.{key}: {exc}") from exc
-    if subcommand in NEEDS_CONTROLLABILITY:
-        spec = build_problem_spec(config)
-        if not spec.has_controllability_geometry():
-            raise ConfigError("each target region must intersect the leader region")
-        if config.case == "shared":
-            same_mask = np.array_equal(spec.target_masks[0].indicator, spec.target_masks[1].indicator)
-            same_target = np.array_equal(spec.targets[0].values, spec.targets[1].values)
-            if not (same_mask and same_target):
-                raise ConfigError("shared case requires identical observation regions and targets")
-        else:
-            i1 = spec.target_masks[0].indicator & spec.leader_mask.indicator
-            i2 = spec.target_masks[1].indicator & spec.leader_mask.indicator
-            if np.array_equal(i1, i2):
-                raise ConfigError("distinct case requires different target/leader intersections")
-            if config.omega0_center2 is None:
-                raise ConfigError("distinct case needs geometry.omega0_center2")
-    if subcommand in NEEDS_SECOND_ORDER and config.nonlinearity_kind == "expr":
+    if "hessian" in needs and config.nonlinearity_kind == "expr":
         raise ConfigError("second-order checker requires a preset with analytic second derivatives")
+    inputs = RunInputs(config)
+    if all(k in config.boxes for k in BOXES):
+        inputs.spec = build_problem_spec(config)
+    if "control" in needs:
+        if not inputs.spec.has_controllability_geometry():
+            raise ConfigError("each target region must intersect the leader region")
+        check_case(inputs.spec, config.case)
+        if config.case == "distinct" and config.omega0_center2 is None:
+            raise ConfigError("distinct case needs geometry.omega0_center2")
+    elif inputs.spec is not None and "weights" in needs and config.case == "shared":
+        check_case(inputs.spec, "shared")  # carleman, given all boxes, checks the shared case only
+    if "f" in needs:
+        inputs.f = build_leader_field(config)
+    if "nonlinearity" in needs:
+        inputs.nonlinearity = build_nonlinearity(config)
+    if "weights" in needs or "theta" in needs:
+        try:
+            inputs.weights = build_carleman(config)
+        except HierctrlError:
+            if "weights" in needs:
+                raise
+    return inputs
 
 
 def _eval_spatial(config, name):
@@ -363,16 +382,13 @@ def build_leader_field(config: RunConfig) -> SpaceTimeField:
     return _eval_spacetime(config, "f")
 
 
-def build_carleman(config: RunConfig, spec=None):
-    center = config.omega0_center
-    kwargs = dict(lam=config.lam, s=config.s,
-                  center=center if config.grid.dim == 2 else center[0])
-    if config.case == "distinct":
-        c2 = config.omega0_center2
-        kwargs["center2"] = c2 if config.grid.dim == 2 else c2[0]
-        if config.otilde_window is not None:
-            kwargs["window"] = config.otilde_window if config.grid.dim == 2 else config.otilde_window[0]
-    return build_carleman_weights(config.grid, config.case, spec=spec, **kwargs)
+def build_carleman(config: RunConfig) -> CarlemanWeights:
+    try:
+        return build_carleman_weights(config.grid, config.case, lam=config.lam, s=config.s,
+                                      center=config.omega0_center, center2=config.omega0_center2,
+                                      window=config.otilde_window)
+    except OverflowError as exc:
+        raise ConfigError(f"weights.lambda = {config.lam} overflows the Carleman weights") from exc
 
 
 def build_nonlinearity(config: RunConfig) -> Nonlinearity:
@@ -383,7 +399,5 @@ def build_nonlinearity(config: RunConfig) -> Nonlinearity:
         return preset_tanh(config.nonlinearity_params["c"])
     if kind == "grad-tanh":
         return preset_grad_tanh(config.nonlinearity_params["c"], config.nonlinearity_params["c2"])
-    if kind == "expr":
-        return from_expression(config.nonlinearity_params["expr"],
-                               config.nonlinearity_params["bound"], dim=config.grid.dim)
-    raise ConfigError(f"unknown nonlinearity preset {kind!r}")
+    return from_expression(config.nonlinearity_params["expr"],
+                           config.nonlinearity_params["bound"], dim=config.grid.dim)

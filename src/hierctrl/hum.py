@@ -175,14 +175,14 @@ def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
     return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None):
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     eps is one penalty, giving one HumResult, or a sequence of them, giving
     one HumResult per eps in the same order; a sequence shares one
     multi-shift CG run.  b is the gradient at psi0 = 0 (one affine solve);
     Lambda applications run with zeroed affine data.  Inner solves run at
-    cg_tol/10 by default so their noise stays below the CG tolerance.
+    min(cg_tol/10, 1e-10) so their noise stays below the CG tolerance.
 
     Each psi0 is reconstructed with the affine data, which yields
     w(T) = Lambda psi0 + b and so the true residual w(T) + eps psi0 without
@@ -192,8 +192,7 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, inner_tol=None
     """
     spec.require_controllability_geometry()
     grid = spec.grid
-    if inner_tol is None:
-        inner_tol = min(cg_tol / 10.0, 1e-10)
+    inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
     b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol)
     b_int = grid.to_interior(b_full)

@@ -367,7 +367,8 @@ class SemilinearControlResult:
 
 
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
-                            outer_tol=1e-8, max_outer=30, cg_tol=1e-9, theta=None) -> SemilinearControlResult:
+                            outer_tol=1e-8, max_outer=30, cg_tol=1e-9, cg_max_iter=300,
+                            theta=None) -> SemilinearControlResult:
     """Exact controllability to the free semilinear trajectory.
 
     Outer loop: freeze z, build the linear spec with secant state
@@ -390,7 +391,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     def sweep(state):
         z = state[0]
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
-        hum = minimize_G(frozen, eps, cg_tol=cg_tol)
+        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter)
         hums.append(hum)
         return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 

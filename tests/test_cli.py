@@ -1,10 +1,14 @@
+import configparser
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hierctrl.cli as cli
+import hierctrl.config
 from hierctrl import operators
 from hierctrl.cli import dump_field, fmt, main, run
 
@@ -211,13 +215,17 @@ def test_null_control_deterministic(tmp_path):
 
 
 def test_null_control_threads_match_serial(tmp_path):
-    """--threads is accepted and ignored."""
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
+    """main() writes what run() writes, and there is no --threads flag."""
+    out1 = tmp_path / "run"
+    out2 = tmp_path / "main"
     run("null-control", CONFIGS / "null_control_1d.ini", out1)
     config = str(CONFIGS / "null_control_1d.ini")
-    assert main(["null-control", "--config", config, "--out", str(out2), "--threads", "3"]) == 0
+    assert main(["null-control", "--config", config, "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["null-control", "--config", config, "--out", str(tmp_path / "never"), "--threads", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "never").exists()
 
 
 def test_observability_csv_and_seed_behavior(tmp_path):
@@ -271,6 +279,110 @@ def test_run_builds_one_stepper(tmp_path, monkeypatch, subcommand, config):
     monkeypatch.setattr(operators.TimeStepper, "__init__", counted)
     assert run(subcommand, CONFIGS / config, tmp_path / "out") == 0
     assert len(builds) == 1
+
+
+def _with(config, section, key, value):
+    """The shipped config with one key of a section set to value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    parser.read(CONFIGS / config)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+BAD_INPUT = {
+    "a": ("coefficients", "a", '"1/x"'),
+    "f": ("data", "f", '"1/x"'),
+    "center": ("geometry", "omega0_center", "9.0"),
+    "no-center2": ("geometry", "case", "distinct"),
+    "lambda": ("weights", "lambda", "1e3"),
+}
+
+
+@pytest.mark.parametrize("subcommand, config, bad", [
+    pytest.param(sub, config, bad, id=f"{sub}-{bad}") for sub, config, bad in [
+        ("nash", "nash_1d.ini", "a"),
+        ("nash", "nash_1d.ini", "f"),
+        ("null-control", "null_control_1d.ini", "a"),
+        ("trajectory", "trajectory_1d.ini", "a"),
+        ("semilinear", "semilinear_1d.ini", "a"),
+        ("second-order", "second_order_1d.ini", "a"),
+        ("second-order", "second_order_1d.ini", "f"),
+        ("observability", "observability_1d.ini", "a"),
+        ("observability", "observability_1d.ini", "center"),
+        ("observability", "observability_1d.ini", "lambda"),
+        ("carleman", "null_control_1d.ini", "a"),
+        ("carleman", "carleman_1d.ini", "center"),
+        ("carleman", "carleman_1d.ini", "no-center2"),
+        ("carleman", "carleman_1d.ini", "lambda"),
+        ("oracle", "nash_1d.ini", "a"),
+        ("oracle", "nash_1d.ini", "f"),
+    ]
+])
+def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
+    """A non-finite field (a = 1/x, f = 1/x), or Carleman weights that cannot
+    be built (a centre outside the domain, a distinct case without a second
+    centre, a lambda that overflows them), is a validation error under every
+    subcommand that reads it: exit 2 and no output directory."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with(config, *BAD_INPUT[bad]))
+    out = tmp_path / "never"
+    assert run(subcommand, cfg, out) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["stage"] == "validation"
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("nash", "nash_1d.ini"),
+    ("null-control", "null_control_1d.ini"),
+    ("trajectory", "trajectory_1d.ini"),
+    ("semilinear", "semilinear_1d.ini"),
+    ("second-order", "second_order_1d.ini"),
+    ("observability", "observability_1d.ini"),
+    ("carleman", "null_control_1d.ini"),
+    ("oracle", "nash_1d.ini"),
+])
+def test_run_builds_one_problem_spec(tmp_path, monkeypatch, subcommand, config):
+    """Validation builds the ProblemSpec and the run uses that one: every
+    module that binds build_problem_spec is counted."""
+    builds = []
+    original = hierctrl.config.build_problem_spec
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hierctrl") and getattr(module, "build_problem_spec", None) is original:
+            monkeypatch.setattr(module, "build_problem_spec", counted)
+    assert run(subcommand, CONFIGS / config, tmp_path / "out") == 0
+    assert len(builds) == 1
+
+
+def test_semilinear_honours_cg_max_iter(tmp_path):
+    cfg = tmp_path / "short_cg.ini"
+    cfg.write_text(_with("semilinear_1d.ini", "solver", "cg_max_iter", "2"))
+    out = tmp_path / "sem"
+    assert run("semilinear", cfg, out) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "MaxIterations" and record["stage"] == "solve"
+    assert record["iterations"] == 2
+
+
+def test_semilinear_runs_without_weights_it_cannot_build(tmp_path):
+    """The Carleman weights only feed semilinear's target check: a centre
+    outside the domain, or a lambda that overflows them, leaves it out."""
+    for section, key, value in (("geometry", "omega0_center", "9.0"), ("weights", "lambda", "1e3")):
+        cfg = tmp_path / f"{key}.ini"
+        cfg.write_text(_with("semilinear_1d.ini", section, key, value))
+        out = tmp_path / key
+        assert run("semilinear", cfg, out) == 0
+        assert not any(k.startswith("target_condition") for k in _summary(out))
 
 
 def test_second_order_subcommand(tmp_path):
