@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
+from .hum import solve_coupled_adjoint
 from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_divergence, st_gradient,
                    st_second_differences, time_weights)
 from .operators import TimeStepper, extended_laplacian
@@ -595,8 +596,6 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     with obs the weighted companion sum on the shared observation region or
     the per-follower companions on their own regions.
     """
-    from .hum import solve_coupled_adjoint
-
     grid = spec.grid
     theta = weights.theta if weights.theta is not None else build_theta(weights, weights.case)
     rng = np.random.default_rng(seed)

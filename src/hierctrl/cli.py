@@ -19,9 +19,8 @@ from . import __version__
 from .carleman import carleman_ratio_report, check_weight_properties, estimate_observability, eta_gradient_scan
 from .config import load_config, validate_for
 from .errors import HierctrlError
-from .hum import control_to_trajectory, dense_oracle_coupled_adjoint, minimize_G, solve_coupled_adjoint
-from .nash import (cost_followers, cost_leader, dense_oracle_nash, q_norm, solve_nash_fixed_point,
-                   verify_first_order, _raw_residuals)
+from .hum import control_to_trajectory, dense_oracle, minimize_G, solve_coupled_adjoint
+from .nash import cost_followers, cost_leader, q_norm, solve_nash_fixed_point, verify_first_order, _raw_residuals
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
 
@@ -253,13 +252,12 @@ def _run_carleman(inputs, out):
 def _run_oracle(inputs, out):
     spec, f, config = inputs.spec, inputs.f, inputs.config
     fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"])
-    oracle = dense_oracle_nash(spec, f)
-    scale = max(q_norm(spec.grid, oracle.w.interior()), 1e-300)
-    nash_rel = q_norm(spec.grid, fixed.w.interior() - oracle.w.interior()) / scale
     rng = np.random.default_rng(config.seed)
     psi0 = spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior))
+    oracle, dn = dense_oracle(spec, f, psi0)
+    scale = max(q_norm(spec.grid, oracle.w.interior()), 1e-300)
+    nash_rel = q_norm(spec.grid, fixed.w.interior() - oracle.w.interior()) / scale
     it = solve_coupled_adjoint(spec, psi0, tol_rel=config.solver["coupled_tol"])
-    dn = dense_oracle_coupled_adjoint(spec, psi0)
     scale = max(q_norm(spec.grid, dn.psi.interior()), 1e-300)
     adj_rel = q_norm(spec.grid, it.psi.interior() - dn.psi.interior()) / scale
     nash_res = verify_first_order(spec, fixed)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
-from .mesh import SpaceTimeField, norm_h
-from .nash import NashSolution, _controls_from_adjoints, q_norm, solve_nash_fixed_point, stacked_system
-from .operators import ProblemSpec, columns, solve_forward
+from .mesh import SpaceTimeField, norm_h, time_weights
+from .nash import (NashSolution, _controls_from_adjoints, _package_solution, q_norm, solve_nash_fixed_point,
+                   stacked_system)
+from .operators import ProblemSpec, columns, control_sources, solve_forward
 
 OVERFLOW_THRESHOLD = 1e300
 
@@ -102,26 +103,37 @@ def _coupled_state(grid, psi, etas, iterations, history):
     )
 
 
-def dense_oracle_coupled_adjoint(spec: ProblemSpec, psi0) -> CoupledAdjointState:
-    """Direct space-time solve of the coupled adjoint system: the transposed
-    solve of the Nash stacked system, with psi0 feeding the w^nt row."""
+def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
+    """Direct space-time solves of the optimality system and its transpose.
+
+    Factors the stacked system once.  The solve with leader f gives the
+    Nash solution the fixed point is tested against; the transposed solve,
+    with psi0 feeding the w^nt row, gives the coupled adjoint state.
+    Returns (NashSolution, CoupledAdjointState).
+    """
     grid = spec.grid
     n = grid.n_interior
     nt = grid.nt
-    A = stacked_system(spec)
-    psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
+    lu = factorize(stacked_system(spec))
+    w0_int = grid.to_interior(spec.w0)
+    rhs = np.zeros((3, nt, n))
+    rhs[0] += grid.dt * control_sources(spec, f=f)[1:]
+    rhs[0, 0] += w0_int
+    for i in range(2):
+        chid = spec.target_masks[i].interior_vector()
+        rhs[1 + i] += -grid.dt * spec.alpha[i] * chid * spec.targets[i].interior()[1:]
+    x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
+    W = np.vstack([w0_int, x[0]])
+    phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
+    nash = _package_solution(spec, W, phis, _controls_from_adjoints(spec, phis), 1, [0.0])
+
+    psi0_int = np.zeros(n) if psi0 is None else grid.to_interior(np.asarray(psi0, dtype=float))
     rhs = np.zeros((3, nt, n))
     rhs[0, nt - 1] = psi0_int
-    x = factorize(A).solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
-    psi = np.zeros((nt + 1, n))
-    psi[nt] = psi0_int
-    psi[:nt] = x[0]
-    etas = []
-    for i in range(2):
-        E = np.zeros((nt + 1, n))
-        E[1:] = x[1 + i]
-        etas.append(E)
-    return _coupled_state(grid, psi, etas, 1, [0.0])
+    x = lu.solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
+    psi = np.vstack([x[0], psi0_int])
+    etas = [np.vstack([np.zeros(n), x[1 + i]]) for i in range(2)]
+    return nash, _coupled_state(grid, psi, etas, 1, [0.0])
 
 
 def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTimeField:
@@ -281,8 +293,6 @@ def check_target_condition(spec: ProblemSpec, theta: SpaceTimeField):
     grid = spec.grid
     tvals = theta.values
     out = []
-    from .mesh import time_weights
-
     tw = time_weights(grid)
     nw = grid.node_weights()
     for i in range(2):

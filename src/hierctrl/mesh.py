@@ -9,6 +9,7 @@ data after construction; operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,15 +89,11 @@ class Grid:
         constant over the full interior mask recovers the exact domain
         measure.  Boundary nodes carry weight zero.
         """
-        w = np.ones(self.nx)
-        for axis in range(self.dim):
-            fac = np.ones(self.nx[axis])
+        cells = [np.ones(n) for n in self.nx]
+        for fac in cells:
             fac[0] = fac[-1] = 0.0
             fac[1] = fac[-2] = 1.5
-            shape = [1] * self.dim
-            shape[axis] = self.nx[axis]
-            w = w * fac.reshape(shape)
-        return w * self.hd
+        return functools.reduce(np.kron, cells).reshape(self.nx) * self.hd
 
     def to_interior(self, full):
         """Flatten the interior values of a spatial array (row-major)."""

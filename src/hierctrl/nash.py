@@ -1,8 +1,9 @@
 """Follower Nash equilibrium for a given leader control.
 
 Response operators, the variational equilibrium equation, the contraction
-fixed point over the coupled optimality system, a dense space-time oracle,
-and first-order / coercivity diagnostics.
+fixed point over the coupled optimality system, that system as one stacked
+space-time matrix (hum.dense_oracle factors it), and first-order /
+coercivity diagnostics.
 
 Discrete conventions.  Control fields carry their degrees of freedom at
 levels 1..nt (level 0 is identically zero); the control value at level j
@@ -19,13 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractionFailure, TooLarge
-from .linalg import TINY, factorize, iterate, operator_norm
+from .linalg import TINY, iterate, operator_norm
 from .mesh import SpaceTimeField
-from .operators import ProblemSpec, columns, control_sources
-
-import scipy.sparse as sp
+from .operators import ProblemSpec, columns, control_sources, solve_forward
 
 
 def q_norm(grid, arr):
@@ -190,88 +190,40 @@ def _package_solution(spec, W, phis, vs, iterations, history):
     )
 
 
-def stacked_system(spec: ProblemSpec, max_unknowns=20000):
+ORACLE_MAX_UNKNOWNS = 20000  # the stacked system is factored whole, so its size is capped
+
+
+def stacked_system(spec: ProblemSpec):
     """The full space-time optimality system as one sparse matrix.
 
     Unknowns are stacked by block: w^1..w^nt, then phi_1^0..phi_1^{nt-1},
     then phi_2^0..phi_2^{nt-1}, so a solution reshapes to (3, nt, n).  Its
     transpose is the coupled adjoint system of the HUM gradient, with
-    psi^{j-1} in the w^j slot and eta_i^j in the phi_i^{j-1} slot.
+    psi^{j-1} in the w^j slot and eta_i^j in the phi_i^{j-1} slot.  The
+    state rows are the all-at-once backward-Euler system
+    blockdiag(I + dt L_j) - kron(shift, I); the multiplier rows are the
+    transpose of that system in the adjoint family.
     """
     grid = spec.grid
-    n = grid.n_interior
-    nt = grid.nt
+    n, nt, dt = grid.n_interior, grid.nt, grid.dt
     total = 3 * nt * n
-    if total > max_unknowns:
-        raise TooLarge(f"{total} stacked unknowns exceed the {max_unknowns} oracle cap")
-    dt = grid.dt
+    if total > ORACLE_MAX_UNKNOWNS:
+        raise TooLarge(f"{total} stacked unknowns exceed the {ORACLE_MAX_UNKNOWNS} oracle cap")
     stepper = spec.stepper
-    chi = [m.interior_vector() for m in spec.follower_masks]
-    chid = [m.interior_vector() for m in spec.target_masks]
+    shift = sp.kron(sp.eye(nt, k=-1), sp.identity(n))
 
-    def w_idx(j):  # w^j, j = 1..nt
-        return (j - 1) * n
+    def marched(family):
+        return sp.block_diag([stepper.step_matrix(j, family) for j in range(1, nt + 1)]) - shift
 
-    def p_idx(i, k):  # phi_i^k, k = 0..nt-1
-        return nt * n + i * nt * n + k * n
+    def per_step(vec):
+        return sp.kron(sp.identity(nt), sp.diags(vec))
 
-    rows = []
-    cols = []
-    vals = []
-    eyes = sp.identity(n, format="coo")
-
-    def put(block, r0, c0, scale=1.0):
-        blk = block.tocoo()
-        rows.extend(blk.row + r0)
-        cols.extend(blk.col + c0)
-        vals.extend(blk.data * scale)
-
-    for j in range(1, nt + 1):
-        r0 = w_idx(j)
-        put(stepper.step_matrix(j, "forward"), r0, w_idx(j))
-        if j >= 2:
-            put(eyes, r0, w_idx(j - 1), -1.0)
-        for i in range(2):
-            put(sp.diags(chi[i] * (dt / spec.mu[i])).tocoo(), r0, p_idx(i, j - 1))
-    for i in range(2):
-        for j in range(1, nt + 1):
-            r0 = p_idx(i, j - 1)
-            put(stepper.step_matrix(j, "adjoint").T.tocoo(), r0, p_idx(i, j - 1))
-            if j <= nt - 1:
-                put(eyes, r0, p_idx(i, j), -1.0)
-            put(sp.diags(chid[i] * (dt * spec.alpha[i])).tocoo(), r0, w_idx(j), -1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
-
-
-def dense_oracle_nash(spec: ProblemSpec, f=None, max_unknowns=20000) -> NashSolution:
-    """Direct solve of the full space-time optimality system.
-
-    Factorizes the stacked system; the reference the fixed point is tested
-    against.
-    """
-    grid = spec.grid
-    n = grid.n_interior
-    nt = grid.nt
-    A = stacked_system(spec, max_unknowns)
-    w0_int = grid.to_interior(spec.w0)
-    rhs = np.zeros((3, nt, n))
-    rhs[0] += grid.dt * control_sources(spec, f=f)[1:]
-    rhs[0, 0] += w0_int
-    for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        rhs[1 + i] += -grid.dt * spec.alpha[i] * chid * spec.targets[i].interior()[1:]
-    x = factorize(A).solve(rhs.reshape(-1)).reshape(3, nt, n)
-
-    W = np.zeros((nt + 1, n))
-    W[0] = w0_int
-    W[1:] = x[0]
-    phis = []
-    for i in range(2):
-        P = np.zeros((nt + 1, n))
-        P[:nt] = x[1 + i]
-        phis.append(P)
-    vs = _controls_from_adjoints(spec, phis)
-    return _package_solution(spec, W, phis, vs, 1, [0.0])
+    adjoint = marched("adjoint").T
+    controls = [per_step(m.interior_vector() * (dt / mu)) for m, mu in zip(spec.follower_masks, spec.mu)]
+    targets = [-per_step(m.interior_vector() * (dt * al)) for m, al in zip(spec.target_masks, spec.alpha)]
+    return sp.bmat([[marched("forward"), *controls],
+                    [targets[0], adjoint, None],
+                    [targets[1], None, adjoint]], format="csr")
 
 
 def _raw_residuals(spec, W, v_arrays):
@@ -301,8 +253,6 @@ def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
     system is derived from (right-endpoint rule in time)."""
     grid = spec.grid
     if w is None:
-        from .operators import solve_forward
-
         w = solve_forward(spec, f=f, v1=v1, v2=v2)
     W = w.interior()
     out = []

@@ -14,6 +14,7 @@ inverses, one mat-vec per step; larger ones with SuperLU factorizations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -32,54 +33,36 @@ def _axis_laplacian_rows(n, h):
     2*u_first_interior / h^2; boundary values themselves are zero.
     """
     inv_h2 = 1.0 / (h * h)
-    rows, cols, vals = [], [], []
-    for j in range(1, n - 1):
-        rows.append(j)
-        cols.append(j - 1)
-        vals.append(-2.0 * inv_h2)
-        if j - 2 >= 0:
-            rows.append(j)
-            cols.append(j - 2)
-            vals.append(inv_h2)
-        if j <= n - 3:
-            rows.append(j)
-            cols.append(j)
-            vals.append(inv_h2)
-    rows += [0, n - 1]
-    cols += [0, n - 3]
-    vals += [2.0 * inv_h2, 2.0 * inv_h2]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n - 2))
+    near, far = np.full(n - 2, inv_h2), np.full(n - 2, inv_h2)
+    near[0] = far[-1] = 2.0 * inv_h2
+    return sp.diags([near, np.full(n - 2, -2.0 * inv_h2), far], [0, -1, -2], shape=(n, n - 2))
 
 
-def _axis_embedding(n):
-    """Interior-to-all-nodes embedding along one axis (zero boundary)."""
-    rows = list(range(1, n - 1))
-    cols = list(range(n - 2))
-    vals = [1.0] * (n - 2)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n - 2))
+def _axis_gradient(n, h):
+    """Centered first derivative on interior nodes (boundary values zero)."""
+    inv_2h = 0.5 / h
+    return sp.diags([-inv_2h, inv_2h], [-1, 1], shape=(n - 2, n - 2))
+
+
+def _on_axis(piece, ax, factors):
+    """Kronecker product over the axes of the 1-D factors, with piece in place of factor ax."""
+    return functools.reduce(sp.kron, factors[:ax] + [piece] + factors[ax + 1:])
 
 
 def extended_laplacian(grid: Grid):
-    """Discrete Laplacian at every node given interior values."""
-    if grid.dim == 1:
-        return _axis_laplacian_rows(grid.nx[0], grid.h[0])
-    Lx = _axis_laplacian_rows(grid.nx[0], grid.h[0])
-    Ly = _axis_laplacian_rows(grid.nx[1], grid.h[1])
-    Sx = _axis_embedding(grid.nx[0])
-    Sy = _axis_embedding(grid.nx[1])
-    return (sp.kron(Lx, Sy) + sp.kron(Sx, Ly)).tocsr()
+    """Discrete Laplacian at every node given interior values: the Kronecker
+    sum of the 1-D second differences, embedded along the other axes."""
+    embeddings = [sp.eye(n, n - 2, k=-1) for n in grid.nx]
+    return sum(_on_axis(_axis_laplacian_rows(n, h), ax, embeddings)
+               for ax, (n, h) in enumerate(zip(grid.nx, grid.h))).tocsr()
 
 
 def _boundary_halving(grid: Grid):
     """Per-node factor: 1/2 for each axis on whose wall the node sits."""
-    tau = np.ones(grid.nx)
-    for axis in range(grid.dim):
-        fac = np.ones(grid.nx[axis])
+    halves = [np.ones(n) for n in grid.nx]
+    for fac in halves:
         fac[0] = fac[-1] = 0.5
-        shape = [1] * grid.dim
-        shape[axis] = grid.nx[axis]
-        tau = tau * fac.reshape(shape)
-    return tau.reshape(-1)
+    return functools.reduce(np.kron, halves)
 
 
 def assemble_biharmonic(grid: Grid):
@@ -91,31 +74,11 @@ def assemble_biharmonic(grid: Grid):
     return M
 
 
-def _axis_gradient(n, h):
-    """Centered first derivative on interior nodes (boundary values zero)."""
-    inv_2h = 0.5 / h
-    rows, cols, vals = [], [], []
-    for j in range(1, n - 1):
-        if j - 2 >= 0:
-            rows.append(j - 1)
-            cols.append(j - 2)
-            vals.append(-inv_2h)
-        if j <= n - 3:
-            rows.append(j - 1)
-            cols.append(j)
-            vals.append(inv_2h)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n - 2, n - 2))
-
-
 def gradient_matrices(grid: Grid):
     """Centered gradient per axis, interior nodes to interior nodes."""
-    if grid.dim == 1:
-        return (_axis_gradient(grid.nx[0], grid.h[0]),)
-    Gx = _axis_gradient(grid.nx[0], grid.h[0])
-    Gy = _axis_gradient(grid.nx[1], grid.h[1])
-    Ix = sp.identity(grid.nx[0] - 2, format="csr")
-    Iy = sp.identity(grid.nx[1] - 2, format="csr")
-    return (sp.kron(Gx, Iy).tocsr(), sp.kron(Ix, Gy).tocsr())
+    eyes = [sp.identity(n - 2, format="csr") for n in grid.nx]
+    return tuple(_on_axis(_axis_gradient(n, h), ax, eyes).tocsr()
+                 for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
 
 
 _COEFFICIENT_FIELDS = ("grid", "a", "b", "a_adj", "b_adj")  # what a TimeStepper is built from

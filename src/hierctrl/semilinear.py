@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OuterDivergence, UnsupportedNonlinearity
+from .expressions import parse_expr
 from .hum import HumResult, check_target_condition, minimize_G
 from .linalg import TINY, iterate
 from .mesh import SpaceTimeField, st_divergence, st_gradient
 from .nash import NashSolution, q_norm, solve_nash_fixed_point
-from .operators import ProblemSpec, TimeStepper
+from .operators import ProblemSpec, TimeStepper, control_sources
 
 GL_POINTS = 8
 
@@ -134,8 +135,6 @@ def from_expression(text, bound, dim=1) -> Nonlinearity:
     accepted by the first-order operations only; the second-order checker
     rejects it (honest second derivatives are required there).
     """
-    from .expressions import parse_expr
-
     ast = parse_expr(text)
 
     def env(u, p):
@@ -309,8 +308,6 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
     gp = st_gradient(grid, uv)
     Fv = nonlin.f(uv, gp)
     F_int = _interior_levels(grid, Fv)
-    from .operators import control_sources
-
     src = control_sources(spec, f=f)
     for i in range(2):
         src = src + qe.controls[i].interior() * spec.follower_masks[i].interior_vector()

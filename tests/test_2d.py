@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hierctrl.carleman import build_carleman_weights, carleman_ratio_report, check_weight_properties
-from hierctrl.hum import eval_G, grad_G, minimize_G
+from hierctrl.hum import dense_oracle, eval_G, grad_G, minimize_G
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, inner_h
-from hierctrl.nash import dense_oracle_nash, q_norm, solve_nash_fixed_point
+from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import ProblemSpec
 from hierctrl.semilinear import preset_tanh, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
@@ -40,7 +40,7 @@ def test_nash_2d_matches_oracle(spec2d):
     X, _ = g.meshes()
     f = SpaceTimeField.from_spatial(g, 0.2 * np.sin(np.pi * X / g.lengths[0]))
     sol = solve_nash_fixed_point(spec2d, f, tol_rel=1e-12)
-    oracle = dense_oracle_nash(spec2d, f)
+    oracle, _ = dense_oracle(spec2d, f)
     rel = q_norm(g, sol.w.interior() - oracle.w.interior()) / max(q_norm(g, oracle.w.interior()), 1e-300)
     assert rel <= 1e-8
 

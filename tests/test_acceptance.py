@@ -19,9 +19,9 @@ import pytest
 from hierctrl.carleman import (build_carleman_weights, check_weight_properties,
                                estimate_observability)
 from hierctrl.errors import ContractionFailure
-from hierctrl.hum import (apply_lambda, control_to_trajectory, eval_G, grad_G, minimize_G)
+from hierctrl.hum import (apply_lambda, control_to_trajectory, dense_oracle, eval_G, grad_G, minimize_G)
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, inner_h, norm_h
-from hierctrl.nash import (cost_followers, dense_oracle_nash, q_norm, solve_nash_fixed_point,
+from hierctrl.nash import (cost_followers, q_norm, solve_nash_fixed_point,
                            verify_first_order)
 from hierctrl.operators import ProblemSpec, assemble_biharmonic, duality_gap, solve_forward
 from hierctrl.semilinear import (preset_tanh, preset_zero, sample_bound, semilinear_null_control,
@@ -104,7 +104,7 @@ def test_criterion_03_nash_fixed_point_vs_oracle():
     spec = make_nash_spec(nx=12, nt=10, alpha=1e-3, mu=1.0)
     f = leader_bump(spec.grid)
     sol = solve_nash_fixed_point(spec, f, tol_rel=1e-12)
-    oracle = dense_oracle_nash(spec, f)
+    oracle, _ = dense_oracle(spec, f)
     g = spec.grid
     rel = q_norm(g, sol.w.interior() - oracle.w.interior()) / max(q_norm(g, oracle.w.interior()), 1e-300)
     res = verify_first_order(spec, sol)

@@ -9,6 +9,8 @@ import pytest
 
 import hierctrl.cli as cli
 import hierctrl.config
+import hierctrl.linalg
+import hierctrl.nash
 from hierctrl import operators
 from hierctrl.cli import dump_field, fmt, main, run
 
@@ -362,6 +364,31 @@ def test_run_builds_one_problem_spec(tmp_path, monkeypatch, subcommand, config):
             monkeypatch.setattr(module, "build_problem_spec", counted)
     assert run(subcommand, CONFIGS / config, tmp_path / "out") == 0
     assert len(builds) == 1
+
+
+def test_oracle_factorizes_once(tmp_path, monkeypatch):
+    """The oracle assembles the stacked system once and factors it once; the
+    Nash and coupled-adjoint solves share that factorization.  Every module
+    that binds factorize or stacked_system is counted."""
+    calls = {"factorize": [], "stacked_system": []}
+
+    def counting(original, log):
+        def counted(*args, **kwargs):
+            log.append(1)
+            return original(*args, **kwargs)
+        return counted
+
+    for fn_name, home in (("factorize", hierctrl.linalg), ("stacked_system", hierctrl.nash)):
+        original = getattr(home, fn_name)
+        counted = counting(original, calls[fn_name])
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hierctrl") and getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, counted)
+    for config in ("nash_1d.ini", "nash_2d.ini"):
+        for log in calls.values():
+            log.clear()
+        assert run("oracle", CONFIGS / config, tmp_path / config) == 0
+        assert (len(calls["factorize"]), len(calls["stacked_system"])) == (1, 1)
 
 
 def test_semilinear_honours_cg_max_iter(tmp_path):

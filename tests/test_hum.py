@@ -9,7 +9,7 @@ from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations
 from hierctrl.linalg import conjugate_gradient
 from hierctrl.hum import (apply_lambda, check_target_condition, control_to_trajectory,
-                          dense_oracle_coupled_adjoint, eval_G, grad_G,
+                          dense_oracle, eval_G, grad_G,
                           leader_from_psi, minimize_G, solve_coupled_adjoint)
 from hierctrl.mesh import SpaceTimeField, build_grid, full_mask, inner_h, norm_h
 from hierctrl.nash import q_norm
@@ -56,7 +56,7 @@ def test_coupled_adjoint_matches_dense_oracle(spec, rng):
     g = spec.grid
     psi0 = _random_psi0(spec, rng)
     it = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
-    dn = dense_oracle_coupled_adjoint(spec, psi0)
+    _, dn = dense_oracle(spec, psi0=psi0)
     for a, b in ((it.psi, dn.psi), (it.eta1, dn.eta1), (it.eta2, dn.eta2)):
         nd = q_norm(g, a.interior() - b.interior())
         assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)

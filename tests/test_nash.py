@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
+from hierctrl.hum import dense_oracle
 from hierctrl.mesh import SpaceTimeField, build_grid
 from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
-                           cost_followers, dense_oracle_nash, diagnostics, q_norm,
+                           cost_followers, diagnostics, q_norm,
                            solve_nash_fixed_point, verify_first_order)
 from hierctrl.operators import TimeStepper
 
@@ -89,7 +90,7 @@ def test_fixed_point_zero_data_single_sweep():
 def test_fixed_point_matches_dense_oracle(nash_spec):
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-12)
-    oracle = dense_oracle_nash(nash_spec, f)
+    oracle, _ = dense_oracle(nash_spec, f)
     g = nash_spec.grid
     num = q_norm(g, sol.w.interior() - oracle.w.interior())
     den = max(q_norm(g, oracle.w.interior()), 1e-300)
@@ -101,20 +102,20 @@ def test_fixed_point_matches_dense_oracle(nash_spec):
 
 def test_oracle_zero_data():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
-    oracle = dense_oracle_nash(spec)
+    oracle, _ = dense_oracle(spec)
     assert np.all(oracle.w.values == 0.0)
 
 
 def test_oracle_size_guard():
-    spec = make_nash_spec()
+    spec = make_nash_spec(nx=130, nt=60)  # 3 * 60 * 128 = 23040 stacked unknowns
     with pytest.raises(TooLarge):
-        dense_oracle_nash(spec, max_unknowns=10)
+        dense_oracle(spec)
 
 
 def test_oracle_plugback_residual(nash_spec):
     """The stacked solution satisfies the stepped optimality equations."""
     f = leader_bump(nash_spec.grid)
-    oracle = dense_oracle_nash(nash_spec, f)
+    oracle, _ = dense_oracle(nash_spec, f)
     g = nash_spec.grid
     st = nash_spec.stepper
     W = oracle.w.interior()
@@ -152,7 +153,7 @@ def test_control_relation_exact(nash_spec):
 
 def test_first_order_residuals(nash_spec):
     f = leader_bump(nash_spec.grid)
-    oracle = dense_oracle_nash(nash_spec, f)
+    oracle, _ = dense_oracle(nash_spec, f)
     r1, r2 = verify_first_order(nash_spec, oracle)
     assert r1 <= 1e-8 and r2 <= 1e-8
 
