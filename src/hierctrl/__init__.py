@@ -1,6 +1,6 @@
 """Stackelberg-Nash hierarchical control of clamped fourth-order parabolic
 equations: follower equilibria, penalized HUM null control, semilinear
-Picard extensions, and Carleman-weight / observability diagnostics."""
+Picard extensions, and Carleman-weight and observability checks."""
 
 __version__ = "0.1.0"
 

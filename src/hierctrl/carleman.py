@@ -1,4 +1,4 @@
-"""Carleman weight construction, verification, and observability diagnostics.
+"""Carleman weight construction, verification, and observability estimates.
 
 The spatial weight eta is built from a monotone piecewise-cubic
 reparameterization of the parabola m(L - m), which places the unique
@@ -7,7 +7,7 @@ follow the closed forms with the sharp time factor sqrt(t(T-t)) or its
 flattened variant ell(t); endpoint levels carry the limit conventions
 (xi capped, exp(2 s alpha) exactly zero).
 
-Ratio reports and the observability estimator are diagnostics: they assert
+Ratio reports and the observability estimator are diagnostic: they assert
 finiteness and positivity, never the inequalities' constants.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
 from .hum import solve_coupled_adjoint
-from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_divergence, st_gradient,
+from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_gradient,
                    st_second_differences, time_weights)
 from .operators import TimeStepper, extended_laplacian
 
@@ -170,24 +170,17 @@ class EtaFunction:
         return self.gradient(*self.grid.meshes())
 
 
-def _time_factor(grid, variant):
-    t = grid.times()
-    T = grid.T
-    if variant == "sharp":
-        r = np.sqrt(np.maximum(t * (T - t), 0.0))
-        singular = (t <= 0.0) | (t >= T)
-    elif variant == "ell-modified":
-        r = np.where(t <= T / 2.0, T / 2.0, np.sqrt(np.maximum(t * (T - t), 0.0)))
-        singular = t >= T
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return r, singular
-
-
 class WeightForm:
-    """Closed-form evaluators for (alpha, xi) at arbitrary points."""
+    """Closed-form evaluators for (alpha, xi) at arbitrary points.
+
+    The time factor r(t) is sqrt(t(T - t)) ("sharp") or its flattened
+    variant ell(t) = T/2 for t <= T/2 ("ell-modified"); the weights are
+    singular where r vanishes.
+    """
 
     def __init__(self, eta_fn: EtaFunction, lam, s, variant="sharp"):
+        if variant not in ("sharp", "ell-modified"):
+            raise ValueError(f"unknown variant {variant!r}")
         self.eta_fn = eta_fn
         self.lam = float(lam)
         self.s = float(s)
@@ -201,6 +194,13 @@ class WeightForm:
         if self.variant == "sharp":
             return np.sqrt(t * (self.T - t))
         return np.where(t <= self.T / 2.0, self.T / 2.0, np.sqrt(t * (self.T - t)))
+
+    def singular(self, t):
+        """Time levels where r(t) vanishes: both endpoints, or only t = T for ell."""
+        t = np.asarray(t, dtype=float)
+        if self.variant == "sharp":
+            return (t <= 0.0) | (t >= self.T)
+        return t >= self.T
 
     def _r_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -245,19 +245,14 @@ def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
     """
     grid = eta_fn.grid
     form = WeightForm(eta_fn, lam, s, variant)
-    r, singular = _time_factor(grid, variant)
-    eta = eta_fn.on_nodes()
-    A = np.exp(lam * (2.0 * form.M + eta))
-    alpha = np.empty((grid.nt + 1,) + grid.nx)
-    xi = np.empty_like(alpha)
-    for k in range(grid.nt + 1):
-        if singular[k]:
-            alpha[k] = ALPHA_FLOOR
-            xi[k] = XI_CAP
-        else:
-            alpha[k] = (A - form.B) / r[k]
-            xi[k] = A / r[k]
-    return SpaceTimeField(grid, alpha), SpaceTimeField(grid, xi), form
+    t = grid.times().reshape((-1,) + (1,) * grid.dim)
+    singular = form.singular(t)
+    A = form._A(*grid.meshes())
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only on the singular levels
+        r = form._r(t)
+        alpha = np.where(singular, ALPHA_FLOOR, (A - form.B) / r)
+        xi = np.where(singular, XI_CAP, A / r)
+    return SpaceTimeField(grid, alpha), SpaceTimeField(grid, xi)
 
 
 @dataclass
@@ -266,7 +261,6 @@ class CarlemanWeights:
     case: str
     lam: float
     s: float
-    eta: np.ndarray
     eta_fn: EtaFunction
     alpha: SpaceTimeField
     xi: SpaceTimeField
@@ -307,15 +301,14 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
         check_case(spec, case)
     if case == "shared":
         eta_fn = EtaFunction(grid, center)
-        alpha, xi, _ = build_weights(eta_fn, lam, s, "sharp")
-        alpha_ell, xi_ell, _ = build_weights(eta_fn, lam, s, "ell-modified")
+        alpha, xi = build_weights(eta_fn, lam, s, "sharp")
+        alpha_ell, xi_ell = build_weights(eta_fn, lam, s, "ell-modified")
         w = CarlemanWeights(
-            grid=grid, case=case, lam=lam, s=s,
-            eta=eta_fn.on_nodes(), eta_fn=eta_fn,
+            grid=grid, case=case, lam=lam, s=s, eta_fn=eta_fn,
             alpha=alpha, xi=xi, alpha_ell=alpha_ell, xi_ell=xi_ell,
             omega0=build_mask(grid, _center_box(grid, center)),
         )
-        w.theta = build_theta(w, case)
+        w.theta = build_theta(w)
         return w
     if case != "distinct":
         raise CaseMismatch(f"unknown case {case!r}")
@@ -343,21 +336,19 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
         strips = strips | in_strip.reshape(shape)
     eta1 = EtaFunction(grid, c1)
     eta2 = EtaFunction(grid, c2, remaps=remaps)
-    a1, x1, _ = build_weights(eta1, lam, s, "ell-modified")
-    a2, x2, _ = build_weights(eta2, lam, s, "ell-modified")
-    alpha, xi, _ = build_weights(eta1, lam, s, "sharp")
-    alpha_ell, xi_ell = a1, x1
+    a1, x1 = build_weights(eta1, lam, s, "ell-modified")
+    a2, x2 = build_weights(eta2, lam, s, "ell-modified")
+    alpha, xi = build_weights(eta1, lam, s, "sharp")
     strips = strips & grid.interior_bool()
     w = CarlemanWeights(
-        grid=grid, case=case, lam=lam, s=s,
-        eta=eta1.on_nodes(), eta_fn=eta1,
-        alpha=alpha, xi=xi, alpha_ell=alpha_ell, xi_ell=xi_ell,
+        grid=grid, case=case, lam=lam, s=s, eta_fn=eta1,
+        alpha=alpha, xi=xi, alpha_ell=a1, xi_ell=x1,
         omega0=build_mask(grid, _center_box(grid, c1)).union(build_mask(grid, _center_box(grid, c2))),
         eta_pair=(eta1, eta2),
         mod_pair=((a1, x1), (a2, x2)),
         otilde=SubdomainMask(grid, strips) if strips.any() else None,
     )
-    w.theta = build_theta(w, case)
+    w.theta = build_theta(w)
     return w
 
 
@@ -376,33 +367,26 @@ def check_case(spec, case):
             raise CaseMismatch("distinct case requires different intersections with the leader region")
 
 
-def build_theta(weights: CarlemanWeights, case) -> SpaceTimeField:
+def build_theta(weights: CarlemanWeights) -> SpaceTimeField:
     """Observability weight: xi~^3 exp(s alpha~), min over the pair in the
     distinct case; zero at the terminal level by the endpoint convention."""
-    if case != weights.case:
-        raise CaseMismatch(f"weights were built for case {weights.case!r}, not {case!r}")
-    grid = weights.grid
-    s = weights.s
 
     def one(alpha_ell, xi_ell):
-        out = np.empty((grid.nt + 1,) + grid.nx)
-        for k in range(grid.nt + 1):
-            e = np.exp(s * alpha_ell.values[k])
-            out[k] = np.where(e == 0.0, 0.0, xi_ell.values[k] ** 3 * e)
-        out[grid.nt] = 0.0
+        e = np.exp(weights.s * alpha_ell.values)
+        out = np.where(e == 0.0, 0.0, xi_ell.values ** 3 * e)
+        out[-1] = 0.0
         return out
 
-    if case == "shared" or weights.mod_pair is None:
-        return SpaceTimeField(grid, one(weights.alpha_ell, weights.xi_ell))
-    cands = [one(a, x) for a, x in weights.mod_pair]
-    return SpaceTimeField(grid, np.minimum(cands[0], cands[1]))
+    if weights.mod_pair is None:
+        return SpaceTimeField(weights.grid, one(weights.alpha_ell, weights.xi_ell))
+    (a1, x1), (a2, x2) = weights.mod_pair
+    return SpaceTimeField(weights.grid, np.minimum(one(a1, x1), one(a2, x2)))
 
 
 @dataclass
 class WeightPropertyReport:
     identity_max_rel: float
     identity_ok: bool
-    xi_inv_max: float
     xi_inv_ok: bool
     time_bound_strict_ok: bool
     time_bound_relaxed_ok: bool
@@ -443,7 +427,6 @@ def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> 
     return WeightPropertyReport(
         identity_max_rel=max_rel,
         identity_ok=max_rel <= 1e-12,
-        xi_inv_max=xi_inv_max,
         xi_inv_ok=xi_inv_max <= grid.T / 2.0 + 1e-15,
         time_bound_strict_ok=strict,
         time_bound_relaxed_ok=relaxed,
@@ -491,16 +474,13 @@ class RatioReport:
         return float(np.median(self.ratios)) if self.samples else math.nan
 
 
-def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
-                          source_mode="plain") -> RatioReport:
+def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) -> RatioReport:
     """Numerical left/right evaluation of the weighted energy inequality.
 
     Solves the pure backward biharmonic problem -z_t + Lap^2 z = g for
     random data, evaluates the five weighted energies against the local
     observation on weights.omega0 plus source terms, and reports the
-    ratios.  source_mode "divergence" drives the equation by F0 + div(F1)
-    and weights the source side accordingly (boundary traces vanish:
-    clamped data).
+    ratios.
     """
     lam, s = weights.lam, weights.s
     zero = SpaceTimeField.zeros(grid)
@@ -521,20 +501,10 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
     samples = []
     skipped = 0
     for _ in range(n_samples):
-        if source_mode == "plain":
-            g_int = rng.standard_normal((grid.nt + 1, grid.n_interior))
-            F0 = F1 = None
-            src = g_int
-            g_full = np.stack([grid.from_interior(g_int[k]) for k in range(grid.nt + 1)])
-        elif source_mode == "divergence":
-            F0 = rng.standard_normal(shape) * grid.interior_bool()
-            F1 = [rng.standard_normal(shape) * grid.interior_bool() for _ in range(grid.dim)]
-            src = SpaceTimeField(grid, F0 + st_divergence(grid, F1)).interior()
-            g_full = None
-        else:
-            raise ValueError(f"unknown source_mode {source_mode!r}")
+        g_int = rng.standard_normal((grid.nt + 1, grid.n_interior))
+        g_full = np.stack([grid.from_interior(g_int[k]) for k in range(grid.nt + 1)])
         # backward march: (I + dt Lap^2)' z^{j-1} = z^j + dt g^j
-        Z = stepper.march_backward(rng.standard_normal(grid.n_interior), src)
+        Z = stepper.march_backward(rng.standard_normal(grid.n_interior), g_int)
         z_full = np.stack([grid.from_interior(Z[k]) for k in range(grid.nt + 1)])
 
         lhs = 0.0
@@ -554,12 +524,7 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
         lhs += s * lam**2 * qint(xi * gl_sq * e2sa, full_w)
 
         rhs = s**7 * lam**8 * qint(xi**7 * z_full**2 * e2sa, omega_w)
-        if source_mode == "plain":
-            rhs += qint(g_full**2 * e2sa, full_w)
-        else:
-            rhs += qint(F0**2 * e2sa, full_w)
-            f1sq = sum(f * f for f in F1)
-            rhs += s**2 * lam**2 * qint(xi**2 * f1sq * e2sa, full_w)
+        rhs += qint(g_full**2 * e2sa, full_w)
         if rhs == 0.0 or lhs == 0.0:
             skipped += 1
             continue
@@ -570,7 +535,6 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0,
 @dataclass
 class ObservabilityReport:
     ratios: list
-    numerators: list
     denominators: list
     resampled: int
     case: str
@@ -597,9 +561,8 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     the per-follower companions on their own regions.
     """
     grid = spec.grid
-    theta = weights.theta if weights.theta is not None else build_theta(weights, weights.case)
     rng = np.random.default_rng(seed)
-    ratios, nums, dens = [], [], []
+    ratios, dens = [], []
     resampled = 0
     for _ in range(n_samples):
         psi0_int = rng.standard_normal(grid.n_interior)
@@ -609,7 +572,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
         psi0 = grid.from_interior(psi0_int)
         st = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
         num = norm_h(grid, st.psi.values[0]) ** 2
-        th2 = SpaceTimeField(grid, theta.values**2)
+        th2 = SpaceTimeField(grid, weights.theta.values**2)
         if weights.case == "shared":
             obs = spec.alpha[0] * st.eta1 + spec.alpha[1] * st.eta2
             obs_sq = SpaceTimeField(grid, obs.values**2)
@@ -620,8 +583,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
                 num += integrate(eta_sq, spec.target_masks[i], weight=th2)
         psi_sq = SpaceTimeField(grid, st.psi.values**2)
         den = integrate(psi_sq, spec.leader_mask)
-        nums.append(num)
         dens.append(den)
         ratios.append(num / den if den > 0 else math.inf)
-    return ObservabilityReport(ratios=ratios, numerators=nums, denominators=dens,
+    return ObservabilityReport(ratios=ratios, denominators=dens,
                                resampled=resampled, case=weights.case)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .carleman import carleman_ratio_report, check_weight_properties, estimate_observability, eta_gradient_scan
@@ -59,15 +60,10 @@ def write_manifest(out, subcommand, config):
             "hierctrl": __version__,
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "config": config.normalized(),
     }
-    try:
-        import scipy
-
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     Path(out, "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -135,7 +131,7 @@ def _run_null_control(inputs, out):
 
 def _run_trajectory(inputs, out):
     spec, config = inputs.spec, inputs.config
-    results = control_to_trajectory(spec, spec.w0, spec.ubar0, spec.targets, config.eps_list,
+    results = control_to_trajectory(spec, spec.w0, inputs.ubar0, spec.targets, config.eps_list,
                                     cg_tol=config.solver["cg_tol"],
                                     max_iter=config.solver["cg_max_iter"])
     # the terminal mismatch is the w-problem terminal norm, bitwise
@@ -157,7 +153,7 @@ def _run_semilinear(inputs, out):
     theta = inputs.weights.theta if inputs.weights is not None else None
     eps = inputs.config.eps_list[-1]
     res = semilinear_null_control(
-        spec, nonlin, spec.ubar0, eps,
+        spec, nonlin, inputs.ubar0, eps,
         outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],
         cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], theta=theta)
     write_csv(Path(out, "outer_history.csv"), ("iter", "change_norm"),

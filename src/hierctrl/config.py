@@ -267,11 +267,12 @@ def load_config(path) -> RunConfig:
 #   nonlinearity  the Nonlinearity; hessian: it must have analytic second derivatives
 #   weights       the Carleman weights; theta: the weights as a diagnostic, left out
 #                 when they cannot be built
+#   ubar0         the initial state of the free trajectory
 INPUTS = {
     "nash": ("spec", "f"),
     "null-control": ("spec", "control"),
-    "trajectory": ("spec", "control"),
-    "semilinear": ("spec", "control", "nonlinearity", "theta"),
+    "trajectory": ("spec", "control", "ubar0"),
+    "semilinear": ("spec", "control", "nonlinearity", "theta", "ubar0"),
     "second-order": ("spec", "f", "nonlinearity", "hessian"),
     "observability": ("spec", "control", "weights"),
     "carleman": ("weights",),
@@ -288,6 +289,7 @@ class RunInputs:
     f: SpaceTimeField = None
     nonlinearity: Nonlinearity = None
     weights: CarlemanWeights = None
+    ubar0: np.ndarray = None
 
 
 def validate_for(config: RunConfig, subcommand) -> RunInputs:
@@ -321,6 +323,8 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
         check_case(inputs.spec, "shared")  # carleman, given all boxes, checks the shared case only
     if "f" in needs:
         inputs.f = build_leader_field(config)
+    if "ubar0" in needs:
+        inputs.ubar0 = _eval_spatial(config, "ubar0")
     if "nonlinearity" in needs:
         inputs.nonlinearity = build_nonlinearity(config)
     if "weights" in needs or "theta" in needs:
@@ -374,7 +378,6 @@ def build_problem_spec(config: RunConfig) -> ProblemSpec:
         mu=config.mu,
         targets=(_eval_spacetime(config, "zeta1"), _eval_spacetime(config, "zeta2")),
         w0=_eval_spatial(config, "u0"),
-        ubar0=_eval_spatial(config, "ubar0"),
     )
 
 

@@ -268,13 +268,9 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     u0 = np.asarray(u0, dtype=float)
     ubar0 = np.asarray(ubar0, dtype=float)
     # the data shifts leave the coefficients, so both problems share spec's stepper
-    base = spec.with_(w0=ubar0, ubar0=ubar0)
+    base = spec.with_(w0=ubar0)
     ubar = solve_forward(base, w0=ubar0)
-    wspec = spec.with_(
-        w0=u0 - ubar0,
-        targets=tuple(z - ubar for z in zetas),
-        ubar0=ubar0,
-    )
+    wspec = spec.with_(w0=u0 - ubar0, targets=tuple(z - ubar for z in zetas))
     hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
     results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
                for hum in hums]

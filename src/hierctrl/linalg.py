@@ -2,10 +2,10 @@
 
 Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
 stacks of small matrices are inverted densely in one batch (numpy's stacked
-inverse) after a batched partial-pivot LU check.  Conjugate gradient, power
-iteration and the fixed-point driver are written against callbacks so the
-HUM operator and the sweeps, which involve nested PDE solves, plug in
-without ever being materialized.
+inverse) after a batched partial-pivot LU check.  Conjugate gradient and the
+fixed-point driver are written against callbacks so the HUM operator and
+the sweeps, which involve nested PDE solves, plug in without ever being
+materialized.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Factorization:
     """SuperLU factorization of a square sparse matrix; one factorization
     solves with the matrix and with its transpose."""
 
-    n: int
     _lu: object
 
     def solve(self, rhs, transpose=False, out=None):
@@ -58,7 +57,7 @@ def factorize(matrix) -> Factorization:
     pivots = np.abs(lu.U.diagonal())
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e}*scale")
-    return Factorization(matrix.shape[0], lu)
+    return Factorization(lu)
 
 
 class DenseInverse:
@@ -240,40 +239,3 @@ def iterate(sweep, x, tol_rel, max_iter, name, diverged=ContractionFailure):
             return x, it, history
     raise MaxIterations(f"{name} did not converge in {max_iter} sweeps",
                         best=x, iterations=max_iter, history=history)
-
-
-@dataclass
-class OperatorNormEstimate:
-    value: float
-    last_increment: float
-    history: list
-
-
-def operator_norm(apply, apply_adjoint, n, iters=50, seed=0) -> OperatorNormEstimate:
-    """Largest singular value via power iteration on A*A.
-
-    Rayleigh estimates are monotone nondecreasing; returns the final
-    estimate together with the last relative increment.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return OperatorNormEstimate(0.0, 0.0, [])
-    v /= nv
-    history = []
-    last_inc = 0.0
-    for _ in range(iters):
-        w = np.asarray(apply(v), dtype=float)
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return OperatorNormEstimate(0.0, 0.0, history)
-        if history:
-            last_inc = (sigma - history[-1]) / max(sigma, 1e-300)
-        history.append(sigma)
-        z = np.asarray(apply_adjoint(w), dtype=float)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return OperatorNormEstimate(sigma, last_inc, history)
-        v = z / nz
-    return OperatorNormEstimate(history[-1], last_inc, history)

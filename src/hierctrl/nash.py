@@ -2,8 +2,8 @@
 
 Response operators, the variational equilibrium equation, the contraction
 fixed point over the coupled optimality system, that system as one stacked
-space-time matrix (hum.dense_oracle factors it), and first-order /
-coercivity diagnostics.
+space-time matrix (hum.dense_oracle factors it), and the first-order
+residuals.
 
 Discrete conventions.  Control fields carry their degrees of freedom at
 levels 1..nt (level 0 is identically zero); the control value at level j
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractionFailure, TooLarge
-from .linalg import TINY, iterate, operator_norm
+from .errors import TooLarge
+from .linalg import TINY, iterate
 from .mesh import SpaceTimeField
 from .operators import ProblemSpec, columns, control_sources, solve_forward
 
@@ -42,7 +42,6 @@ class NashSolution:
     v2: SpaceTimeField
     iterations: int
     history: list
-    converged: bool = True
 
     @property
     def phis(self):
@@ -51,13 +50,6 @@ class NashSolution:
     @property
     def controls(self):
         return (self.v1, self.v2)
-
-
-@dataclass
-class NashDiagnostics:
-    m0_estimate: float
-    coercivity_margin: float
-    contraction_factor: float
 
 
 def _controls_from_adjoints(spec, phi_arrays):
@@ -269,57 +261,3 @@ def cost_leader(spec: ProblemSpec, f):
     grid = spec.grid
     chi = np.sqrt(spec.leader_mask.interior_vector())
     return 0.5 * q_norm(grid, f.interior() * chi) ** 2
-
-
-def _response_norm(spec, i, target, iters, seed):
-    """Operator norm of v -> chi_{target,d} A_i v via power iteration."""
-    grid = spec.grid
-    n = grid.n_interior
-    nt = grid.nt
-    chi = spec.follower_masks[i].interior_vector()
-    chid = spec.target_masks[target].interior_vector()
-
-    def as_levels(vec):
-        arr = np.zeros((nt + 1, n))
-        arr[1:] = vec.reshape(nt, n)
-        return arr
-
-    def apply(vec):
-        src = as_levels(vec) * chi
-        W = spec.stepper.march_forward(np.zeros(n), src)
-        return (W[1:] * chid).reshape(-1)
-
-    def apply_adjoint(vec):
-        out, = _response_adjoint(spec, [as_levels(vec) * chid], followers=(i,))
-        return out[1:].reshape(-1)
-
-    est = operator_norm(apply, apply_adjoint, nt * n, iters=iters, seed=seed)
-    return est.value
-
-
-def diagnostics(spec: ProblemSpec, norm_iters=60, probe=True, probe_tol=1e-10, seed=0) -> NashDiagnostics:
-    """Contraction diagnostics: response-norm bound M0, coercivity margin,
-    and a measured per-sweep contraction factor from a probe run."""
-    m0 = 0.0
-    for i in range(2):
-        for target in range(2):
-            m0 = max(m0, _response_norm(spec, i, target, norm_iters, seed))
-    amax = max(spec.alpha)
-    if amax == 0.0:
-        margin = math.inf
-    else:
-        margin = 4.0 * min(spec.mu) / amax - m0 * m0 - 4.0
-    factor = 0.0
-    if probe:
-        probe_spec = spec
-        if not np.any(spec.w0) and all(not np.any(t.values) for t in spec.targets):
-            rng = np.random.default_rng(seed)
-            probe_spec = spec.with_(w0=spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior)))
-        try:
-            sol = solve_nash_fixed_point(probe_spec, tol_rel=probe_tol, max_iter=200)
-            h = sol.history
-            ratios = [h[k + 1] / h[k] for k in range(len(h) - 1) if h[k] > 0]
-            factor = float(np.median(ratios)) if ratios else 0.0
-        except ContractionFailure as exc:
-            factor = float(exc.ratio)
-    return NashDiagnostics(m0_estimate=m0, coercivity_margin=margin, contraction_factor=factor)

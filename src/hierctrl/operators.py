@@ -109,7 +109,6 @@ class ProblemSpec:
     mu: tuple
     targets: tuple
     w0: np.ndarray
-    ubar0: np.ndarray = None
     a_adj: SpaceTimeField = None
     b_adj: tuple = None
     _stepper_holder: list = field(init=False, repr=False, compare=False)
@@ -124,10 +123,6 @@ class ProblemSpec:
         object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
         if self.w0.shape != self.grid.nx:
             raise ShapeMismatch(f"w0 shape {self.w0.shape} != {self.grid.nx}")
-        if self.ubar0 is not None:
-            object.__setattr__(self, "ubar0", np.asarray(self.ubar0, dtype=float))
-            if self.ubar0.shape != self.grid.nx:
-                raise ShapeMismatch(f"ubar0 shape {self.ubar0.shape} != {self.grid.nx}")
         object.__setattr__(self, "_stepper_holder", [])
 
     @property

@@ -19,7 +19,7 @@ from .expressions import parse_expr
 from .hum import HumResult, check_target_condition, minimize_G
 from .linalg import TINY, iterate
 from .mesh import SpaceTimeField, st_divergence, st_gradient
-from .nash import NashSolution, q_norm, solve_nash_fixed_point
+from .nash import q_norm, solve_nash_fixed_point
 from .operators import ProblemSpec, TimeStepper, control_sources
 
 GL_POINTS = 8
@@ -52,80 +52,54 @@ class Nonlinearity:
         return self.f_uu is not None and self.grad_p_f_u is not None and self.hess_p is not None
 
 
-def preset_zero() -> Nonlinearity:
-    def zero(u, p):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def zero_vec(u, p):
-        return tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in p)
-
-    def zero_mat(u, p):
-        return tuple(tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in p) for _ in p)
-
-    return Nonlinearity("zero", 0.0, zero, zero, zero_vec, zero, zero_vec, zero_mat)
+def _cosh2(x):
+    """cosh(x)^2; past |x| of about 355 it overflows to inf, and what it
+    divides takes the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return np.cosh(x) ** 2
 
 
-def preset_tanh(c) -> Nonlinearity:
-    c = float(c)
-
-    def f(u, p):
-        return c * np.tanh(u)
-
-    def f_u(u, p):
-        return c / np.cosh(u) ** 2
-
-    def grad_p(u, p):
-        return tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in p)
-
-    def f_uu(u, p):
-        return -2.0 * c * np.tanh(u) / np.cosh(u) ** 2
-
-    def grad_p_f_u(u, p):
-        return tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in p)
-
-    def hess_p(u, p):
-        z = np.zeros_like(np.asarray(u, dtype=float))
-        return tuple(tuple(z for _ in p) for _ in p)
-
-    return Nonlinearity("tanh", abs(c), f, f_u, grad_p, f_uu, grad_p_f_u, hess_p)
-
-
-def preset_grad_tanh(c1, c2) -> Nonlinearity:
-    """F = c1 tanh(u) + c2 tanh(du/dx1)."""
+def _tanh_family(name, c1, c2) -> Nonlinearity:
+    """F = c1 tanh(u) + c2 tanh(du/dx1), with analytic first and second derivatives."""
     c1 = float(c1)
     c2 = float(c2)
+
+    def zeros(u):
+        return np.zeros_like(np.asarray(u, dtype=float))
 
     def f(u, p):
         return c1 * np.tanh(u) + c2 * np.tanh(p[0])
 
     def f_u(u, p):
-        return c1 / np.cosh(u) ** 2
+        return c1 / _cosh2(u)
 
     def grad_p(u, p):
-        out = [np.zeros_like(np.asarray(u, dtype=float)) for _ in p]
-        out[0] = c2 / np.cosh(p[0]) ** 2
-        return tuple(out)
+        return (c2 / _cosh2(p[0]),) + tuple(zeros(u) for _ in p[1:])
 
     def f_uu(u, p):
-        return -2.0 * c1 * np.tanh(u) / np.cosh(u) ** 2
+        return -2.0 * c1 * np.tanh(u) / _cosh2(u)
 
     def grad_p_f_u(u, p):
-        return tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in p)
+        return tuple(zeros(u) for _ in p)
 
     def hess_p(u, p):
-        z = np.zeros_like(np.asarray(u, dtype=float))
-        rows = []
-        for i in range(len(p)):
-            row = []
-            for j in range(len(p)):
-                if i == 0 and j == 0:
-                    row.append(-2.0 * c2 * np.tanh(p[0]) / np.cosh(p[0]) ** 2)
-                else:
-                    row.append(z)
-            rows.append(tuple(row))
-        return tuple(rows)
+        z = zeros(u)
+        pp = -2.0 * c2 * np.tanh(p[0]) / _cosh2(p[0])
+        return tuple(tuple(pp if i == j == 0 else z for j in range(len(p))) for i in range(len(p)))
 
-    return Nonlinearity("grad-tanh", abs(c1) + abs(c2), f, f_u, grad_p, f_uu, grad_p_f_u, hess_p)
+    return Nonlinearity(name, abs(c1) + abs(c2), f, f_u, grad_p, f_uu, grad_p_f_u, hess_p)
+
+
+def preset_zero() -> Nonlinearity:
+    return _tanh_family("zero", 0.0, 0.0)
+
+
+def preset_tanh(c) -> Nonlinearity:
+    return _tanh_family("tanh", c, 0.0)
+
+
+def preset_grad_tanh(c1, c2) -> Nonlinearity:
+    return _tanh_family("grad-tanh", c1, c2)
 
 
 def from_expression(text, bound, dim=1) -> Nonlinearity:
@@ -258,7 +232,6 @@ class QuasiEquilibrium:
     v2: SpaceTimeField
     outer_iterations: int
     history: list
-    inner: NashSolution = None
 
     @property
     def phis(self):
@@ -270,7 +243,7 @@ class QuasiEquilibrium:
 
 
 def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
-                            tol=1e-10, inner_tol=1e-12, damping=1.0) -> QuasiEquilibrium:
+                            tol=1e-10, inner_tol=1e-12) -> QuasiEquilibrium:
     """Outer Picard on the frozen-z optimality system.
 
     Each sweep solves the linear system with secant coefficients at z and
@@ -285,14 +258,13 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
         z = state[0]
         frozen = _frozen_spec(spec, nonlin, z, base=None)
         sol = solve_nash_fixed_point(frozen, f, tol_rel=inner_tol, extra_source=extra)
-        z_next = SpaceTimeField(grid, z.values + damping * (sol.w.values - z.values))
-        return (z_next, sol), *_picard_change(grid, z, sol.w)
+        return (sol.w, sol), *_picard_change(grid, z, sol.w)
 
     (_, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, 50,
                                     "quasi-equilibrium Picard")
     return QuasiEquilibrium(
         u=sol.w, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
-        outer_iterations=it, history=history, inner=sol)
+        outer_iterations=it, history=history)
 
 
 def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: QuasiEquilibrium):
@@ -379,7 +351,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     ubar = solve_free_trajectory(spec, nonlin, ubar0)
     w0 = spec.w0 - np.asarray(ubar0, dtype=float)
     wtargets = tuple(t - ubar for t in spec.targets)
-    base_wspec = spec.with_(w0=w0, targets=wtargets, ubar0=np.asarray(ubar0, dtype=float))
+    base_wspec = spec.with_(w0=w0, targets=wtargets)
     target_check = None
     if theta is not None:
         target_check = check_target_condition(base_wspec, theta)

@@ -87,13 +87,13 @@ def test_carleman_weights_2d():
     assert np.all(w.theta.values[-1] == 0.0)
 
 
-@pytest.mark.parametrize("source_mode", ["plain", "divergence"])
-def test_carleman_ratio_report_2d(source_mode):
-    """The 2D stencils (Hessian with its mixed term, divergence sources)
-    give finite, positive weighted energies on both sides."""
-    g = build_grid(2, (1.0, 1.0), (9, 10), 0.5, 6)
+@pytest.mark.parametrize("nx", [(9, 10)], ids=["plain"])
+def test_carleman_ratio_report_2d(nx):
+    """The 2D stencils (Hessian with its mixed term) give finite, positive
+    weighted energies on both sides."""
+    g = build_grid(2, (1.0, 1.0), nx, 0.5, 6)
     w = build_carleman_weights(g, "shared", lam=1.0, s=2.0, center=(0.5, 0.5))
-    rep = carleman_ratio_report(g, w, n_samples=3, seed=2, source_mode=source_mode)
+    rep = carleman_ratio_report(g, w, n_samples=3, seed=2)
     assert rep.skipped == 0 and len(rep.samples) == 3
     for rec in rep.samples:
         assert all(np.isfinite(rec[k]) and rec[k] > 0 for k in ("lhs", "rhs", "ratio"))

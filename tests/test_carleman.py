@@ -5,9 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_carleman_weights,
-                               build_theta, build_weights, carleman_ratio_report,
-                               check_weight_properties, default_parameters, estimate_observability,
-                               eta_gradient_scan)
+                               build_theta, carleman_ratio_report, check_weight_properties,
+                               default_parameters, estimate_observability, eta_gradient_scan)
 from hierctrl import operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
 from hierctrl.linalg import factorize
@@ -132,11 +131,6 @@ def test_theta_zero_at_horizon_positive_inside(grid, weights):
     assert np.all(np.isfinite(th))
 
 
-def test_theta_case_mismatch(grid, weights):
-    with pytest.raises(CaseMismatch):
-        build_theta(weights, "distinct")
-
-
 def test_distinct_pair_invariants(grid):
     w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.35, center2=0.65)
     e1, e2 = w.eta_pair
@@ -151,10 +145,9 @@ def test_distinct_pair_invariants(grid):
 def test_distinct_equal_centers_degenerate_min(grid):
     w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.5, center2=0.5)
     cand = build_theta(
-        CarlemanWeights(grid=grid, case="shared", lam=w.lam, s=w.s, eta=w.eta, eta_fn=w.eta_fn,
+        CarlemanWeights(grid=grid, case="shared", lam=w.lam, s=w.s, eta_fn=w.eta_fn,
                         alpha=w.alpha, xi=w.xi, alpha_ell=w.alpha_ell, xi_ell=w.xi_ell,
-                        omega0=w.omega0),
-        "shared")
+                        omega0=w.omega0))
     assert np.array_equal(w.theta.values, cand.values)
 
 
@@ -173,11 +166,6 @@ def test_ratio_report_finite_positive(grid, weights):
 def test_ratio_report_larger_s_still_finite(grid):
     w = build_carleman_weights(grid, "shared", lam=1.0, s=8.0, center=0.5)
     rep = carleman_ratio_report(grid, w, n_samples=5, seed=3)
-    assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
-
-
-def test_ratio_report_divergence_sources(grid, weights):
-    rep = carleman_ratio_report(grid, weights, n_samples=5, seed=4, source_mode="divergence")
     assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
 
 
@@ -285,8 +273,8 @@ def test_weight_form_matches_sampled_fields(grid, weights):
     assert np.allclose(alpha_direct, weights.alpha.values[k], rtol=1e-13)
 
 
-@pytest.mark.parametrize("dims, source_mode", [(1, "plain"), (1, "divergence"), (2, "plain")])
-def test_ratio_report_march_matches_superlu_loop(monkeypatch, dims, source_mode):
+@pytest.mark.parametrize("dims", [1, 2], ids=["1-plain", "2-plain"])
+def test_ratio_report_march_matches_superlu_loop(monkeypatch, dims):
     """The report's backward march is the pure biharmonic one: a loop of
     transposed solves with a factorization of I + dt B, to 1e-12."""
     g = build_grid(1, 1.0, 24, 1.0, 24) if dims == 1 else build_grid(2, (1.0, 1.0), (9, 10), 1.0, 8)
@@ -300,7 +288,7 @@ def test_ratio_report_march_matches_superlu_loop(monkeypatch, dims, source_mode)
         return out
 
     monkeypatch.setattr(operators.TimeStepper, "march_backward", recorded)
-    carleman_ratio_report(g, w, n_samples=3, seed=2, source_mode=source_mode)
+    carleman_ratio_report(g, w, n_samples=3, seed=2)
     assert len(marches) == 3
     eye = sp.identity(g.n_interior, format="csr")
     fact = factorize((eye + g.dt * operators.assemble_biharmonic(g)).tocsr())

@@ -339,6 +339,24 @@ def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
     assert record["stage"] == "validation"
 
 
+@pytest.mark.parametrize("subcommand, code", [
+    ("nash", 0), ("null-control", 0), ("oracle", 0), ("second-order", 0), ("observability", 0),
+    ("carleman", 0), ("trajectory", 2), ("semilinear", 2),
+])
+def test_ubar0_is_validated_only_where_it_is_read(tmp_path, capsys, subcommand, code):
+    """data.ubar0 is the free trajectory's initial state, read by trajectory
+    and semilinear only: a non-finite value fails their validation (exit 2,
+    no output directory) and every other subcommand runs."""
+    cfg = tmp_path / "ubar0.ini"
+    cfg.write_text(_with("nash_1d.ini", "data", "ubar0", '"1/x"'))
+    out = tmp_path / "out"
+    assert run(subcommand, cfg, out) == code
+    if code == 2:
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["stage"] == "validation" and "ubar0" in record["message"]
+
+
 @pytest.mark.parametrize("subcommand, config", [
     ("nash", "nash_1d.ini"),
     ("null-control", "null_control_1d.ini"),

@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import (PATIENCE, conjugate_gradient, factorize, invert_stack, iterate,
-                            operator_norm)
+from hierctrl.linalg import PATIENCE, conjugate_gradient, factorize, invert_stack, iterate
 
 
 def _random_spd(n, seed):
@@ -228,42 +227,6 @@ def test_multishift_nonfinite_breakdown():
         conjugate_gradient(bad, np.ones(3), shifts=(1e-2, 1.0))
     with pytest.raises(NonFiniteBreakdown):
         conjugate_gradient(lambda v: -v, np.ones(3), shifts=(0.5, 0.1))
-
-
-def test_operator_norm_zero():
-    est = operator_norm(lambda v: 0.0 * v, lambda v: 0.0 * v, 5)
-    assert est.value == 0.0
-
-
-def test_operator_norm_diagonal():
-    d = np.array([3.0, 1.0])
-    est = operator_norm(lambda v: d * v, lambda v: d * v, 2, iters=50)
-    assert est.value == pytest.approx(3.0, abs=1e-8)
-
-
-def test_operator_norm_monotone_history():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((15, 15))
-    est = operator_norm(lambda v: A @ v, lambda v: A.T @ v, 15, iters=40)
-    hist = est.history
-    assert all(hist[k + 1] >= hist[k] - 1e-13 for k in range(len(hist) - 1))
-
-
-def test_operator_norm_vs_repeated_squaring_oracle():
-    """Oracle: sigma_max^2 from repeated squaring of A'A (SVD-free)."""
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((20, 20))
-    B = A.T @ A
-    log_scale = 0.0
-    C = B.copy()
-    for _ in range(30):
-        s = np.trace(C)
-        C = (C / s) @ (C / s)
-        log_scale = 2.0 * (log_scale + np.log(s))
-    lam_max = np.exp((np.log(np.trace(C)) + log_scale) / 2.0**30)
-    oracle = np.sqrt(lam_max)
-    est = operator_norm(lambda v: A @ v, lambda v: A.T @ v, 20, iters=400)
-    assert abs(est.value - oracle) <= 1e-6 * oracle
 
 
 def _affine_sweep(factor):

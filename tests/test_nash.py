@@ -3,9 +3,9 @@ import pytest
 
 from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
 from hierctrl.hum import dense_oracle
-from hierctrl.mesh import SpaceTimeField, build_grid
+from hierctrl.mesh import SpaceTimeField
 from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
-                           cost_followers, diagnostics, q_norm,
+                           cost_followers, q_norm,
                            solve_nash_fixed_point, verify_first_order)
 from hierctrl.operators import TimeStepper
 
@@ -220,27 +220,6 @@ def test_compute_rhs_matches_equilibrium_equation(nash_spec):
     for r, b in ((r1, b1), (r2, b2)):
         gap = q_norm(g, r.interior() - b.interior())
         assert gap <= 1e-9 * max(q_norm(g, b.interior()), 1e-300)
-
-
-def test_diagnostics_margin_and_contraction(nash_spec):
-    d = diagnostics(nash_spec, norm_iters=60)
-    assert d.m0_estimate >= 0.0
-    assert d.coercivity_margin > 0.0
-    assert 0.0 < d.contraction_factor < 1.0
-
-
-def test_diagnostics_small_alpha_margin_blows_up():
-    spec = make_nash_spec(alpha=1e-12)
-    d = diagnostics(spec, norm_iters=10, probe=False)
-    assert d.coercivity_margin > 1e10
-
-
-def test_diagnostics_large_damping_kills_response():
-    g = build_grid(1, 6.0, 12, 1.0, 10)
-    spec = make_nash_spec()
-    damped = spec.with_(a=SpaceTimeField(g, np.full((g.nt + 1,) + g.nx, 1e6)))
-    d = diagnostics(damped, norm_iters=40, probe=False)
-    assert 0.0 < d.m0_estimate < 1e-4
 
 
 def test_history_recorded(nash_spec):

@@ -1,5 +1,7 @@
-"""Guard: every module-level function in src/hierctrl is reached from src/,
-or is a reference the tests compare against and is named below with its reason."""
+"""Guards against code that nothing uses: every module-level function in
+src/hierctrl is reached from src/, or is a reference the tests compare
+against and is named below with its reason; every module-level import is
+used; every dataclass and NamedTuple field is read."""
 
 import ast
 from pathlib import Path
@@ -15,7 +17,6 @@ TEST_REFERENCES = {
     ("nash", "apply_response"): "the response operator A_i of the duality and linearity checks",
     ("nash", "apply_response_adjoint"): "A_i^*, the other side of the response duality check",
     ("nash", "compute_rhs"): "the right side B of the equilibrium equation A(v) = B",
-    ("nash", "diagnostics"): "contraction diagnostics (M0, coercivity margin, measured factor)",
     ("operators", "duality_gap"): "the discrete duality identity of the forward and backward marches",
     ("semilinear", "quasi_equilibrium_residual"): "plug-back residual of the semilinear optimality system",
     ("semilinear", "sample_bound"): "the sampled derivative bound a nonlinearity must keep within M",
@@ -57,3 +58,58 @@ def test_every_function_is_reached_or_a_named_test_reference():
 def test_named_test_references_are_used_by_tests():
     test_refs = _referenced((ROOT / "tests").glob("test_*.py"))
     assert sorted(name for _, name in TEST_REFERENCES if name not in test_refs) == []
+
+
+def _imported_names(tree):
+    """Names the module's top-level imports bind, __future__ aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _exported_names(tree):
+    """The strings of a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in _imported_names(tree) - loaded - _exported_names(tree)]
+    assert sorted(unused) == []
+
+
+def _is_record_class(node):
+    """A @dataclass (bare or called) or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
+
+
+def _fields():
+    return {(path.stem, node.name, item.target.id)
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and _is_record_class(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def test_every_record_field_is_read():
+    """Each field is read as an attribute somewhere in src/ or tests/.  The
+    match is by name, so a field that shares its name with an attribute
+    read elsewhere passes."""
+    read = {node.attr
+            for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(f for f in _fields() if f[2] not in read) == []
