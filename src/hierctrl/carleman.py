@@ -5,7 +5,8 @@ reparameterization of the parabola m(L - m), which places the unique
 interior critical point at a prescribed center.  The exponential weights
 follow the closed forms with the sharp time factor sqrt(t(T-t)) or its
 flattened variant ell(t); endpoint levels carry the limit conventions
-(xi capped, exp(2 s alpha) exactly zero).
+(xi capped, exp(2 s alpha) exactly zero).  Weighted integrals take the
+weights in log form, finite by construction, through mesh.integrate.
 
 Ratio reports and the observability estimator are diagnostic: they assert
 finiteness and positivity, never the inequalities' constants.
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
 from .hum import solve_coupled_adjoint
-from .mesh import (SpaceTimeField, SubdomainMask, build_mask, integrate, norm_h, st_gradient,
-                   st_second_differences, time_weights)
+from .mesh import (SpaceTimeField, SubdomainMask, build_mask, full_mask, integrate, norm_h, st_gradient,
+                   st_second_differences)
 from .operators import TimeStepper, extended_laplacian
 
 XI_CAP = 1e30
@@ -267,7 +268,7 @@ class CarlemanWeights:
     alpha_ell: SpaceTimeField
     xi_ell: SpaceTimeField
     omega0: SubdomainMask
-    theta: SpaceTimeField = None
+    log_theta: SpaceTimeField = None
     eta_pair: tuple = None       # distinct case: (EtaFunction, EtaFunction)
     mod_pair: tuple = None       # distinct case: ((alpha_ell_i, xi_ell_i))_i
     otilde: SubdomainMask = None
@@ -308,7 +309,7 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
             alpha=alpha, xi=xi, alpha_ell=alpha_ell, xi_ell=xi_ell,
             omega0=build_mask(grid, _center_box(grid, center)),
         )
-        w.theta = build_theta(w)
+        w.log_theta = build_log_theta(w)
         return w
     if case != "distinct":
         raise CaseMismatch(f"unknown case {case!r}")
@@ -348,7 +349,7 @@ def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
         mod_pair=((a1, x1), (a2, x2)),
         otilde=SubdomainMask(grid, strips) if strips.any() else None,
     )
-    w.theta = build_theta(w)
+    w.log_theta = build_log_theta(w)
     return w
 
 
@@ -367,20 +368,37 @@ def check_case(spec, case):
             raise CaseMismatch("distinct case requires different intersections with the leader region")
 
 
-def build_theta(weights: CarlemanWeights) -> SpaceTimeField:
-    """Observability weight: xi~^3 exp(s alpha~), min over the pair in the
-    distinct case; zero at the terminal level by the endpoint convention."""
+def build_log_theta(weights: CarlemanWeights) -> SpaceTimeField:
+    """Log of the observability weight theta = xi~^3 exp(s alpha~), min over
+    the pair in the distinct case.  Finite everywhere; on the terminal level
+    the floored alpha~ makes theta exactly zero."""
 
     def one(alpha_ell, xi_ell):
-        e = np.exp(weights.s * alpha_ell.values)
-        out = np.where(e == 0.0, 0.0, xi_ell.values ** 3 * e)
-        out[-1] = 0.0
-        return out
+        return weights.s * alpha_ell.values + 3.0 * np.log(xi_ell.values)
 
     if weights.mod_pair is None:
         return SpaceTimeField(weights.grid, one(weights.alpha_ell, weights.xi_ell))
     (a1, x1), (a2, x2) = weights.mod_pair
     return SpaceTimeField(weights.grid, np.minimum(one(a1, x1), one(a2, x2)))
+
+
+def check_target_condition(spec, log_theta: SpaceTimeField):
+    """Weighted target-compatibility integrals per follower.
+
+    Returns [(value, infinite)] of the theta^{-2}-weighted squared
+    deviation of the shifted targets over each observation region.  Where
+    theta vanishes on the terminal level the integrand is zero (the
+    endpoint convention); a value beyond the range of a double is inf.
+    """
+    grid = spec.grid
+    log_weight = SpaceTimeField(grid, -2.0 * log_theta.values)
+    out = []
+    for i in range(2):
+        sq = spec.targets[i].values ** 2
+        sq[-1, np.exp(log_theta.values[-1]) == 0.0] = 0.0
+        value = integrate(SpaceTimeField(grid, sq), spec.target_masks[i], log_weight=log_weight)
+        out.append((value, math.isinf(value)))
+    return out
 
 
 @dataclass
@@ -417,10 +435,11 @@ def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> 
         max_rel = max(max_rel, float(np.max(np.abs(ga[ax] - ref) / scale)))
         max_rel = max(max_rel, float(np.max(np.abs(gx[ax] - ref) / scale)))
     xi_inv_max = float(np.max(1.0 / xi))
-    at = np.abs(form.alpha_t(coords, ts))
-    xt = np.abs(form.xi_t(coords, ts))
-    strict = bool(np.all(at + xt <= (grid.T / 2.0) * xi**3 * (1.0 + 1e-12)))
-    relaxed = bool(np.all(at + xt <= grid.T * xi**3 * (1.0 + 1e-12)))
+    # |alpha_t| + |xi_t| <= c xi^3 (1 + 1e-12), in logs: xi^3 overflows for large lambda
+    rate = np.abs(form.alpha_t(coords, ts)) + np.abs(form.xi_t(coords, ts))
+    log_rate = np.log(rate) - 3.0 * np.log(xi) - math.log1p(1e-12)
+    strict = bool(np.all(log_rate <= math.log(grid.T / 2.0)))
+    relaxed = bool(np.all(log_rate <= math.log(grid.T)))
     notes = []
     if grid.dim == 2:
         notes.append("corner nodes excluded from |grad eta| > 0 scans (product construction)")
@@ -480,23 +499,21 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
     Solves the pure backward biharmonic problem -z_t + Lap^2 z = g for
     random data, evaluates the five weighted energies against the local
     observation on weights.omega0 plus source terms, and reports the
-    ratios.
+    ratios.  A sample with a side that is 0 or inf in a double is skipped.
     """
     lam, s = weights.lam, weights.s
     zero = SpaceTimeField.zeros(grid)
     stepper = TimeStepper(grid, zero, (zero,) * grid.dim)
     ext = extended_laplacian(grid)
     rng = np.random.default_rng(seed)
-    xi = weights.xi.values
-    e2sa = np.exp(2.0 * s * weights.alpha.values)
-    tw = time_weights(grid)
-    nw = grid.node_weights()
-    omega_w = nw * weights.omega0.indicator
-    full_w = nw * grid.interior_bool()
+    full = full_mask(grid)
     shape = (grid.nt + 1,) + grid.nx
+    # log of xi^k exp(2 s alpha), k = 0..7
+    log_w = [SpaceTimeField(grid, 2.0 * s * weights.alpha.values + k * np.log(weights.xi.values))
+             for k in range(8)]
 
-    def qint(levels, w):
-        return float(sum(tw[k] * np.sum(levels[k] * w) for k in range(grid.nt + 1)))
+    def weighted(k, energy, mask=full):
+        return integrate(SpaceTimeField(grid, energy), mask, log_weight=log_w[k])
 
     samples = []
     skipped = 0
@@ -507,25 +524,23 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
         Z = stepper.march_backward(rng.standard_normal(grid.n_interior), g_int)
         z_full = np.stack([grid.from_interior(Z[k]) for k in range(grid.nt + 1)])
 
-        lhs = 0.0
         grads_sq = sum(g * g for g in st_gradient(grid, z_full))
         # Laplacian via the mirror-ghost rows: correct next to the walls
         lap = (ext @ Z.T).T.reshape(shape)
-        lap_sq = lap * lap
         d2 = st_second_differences(grid, z_full)
         hess_sq = sum(d * d for d in d2[:grid.dim])
         if grid.dim == 2:  # the mixed entry appears twice in the Hessian
             hess_sq = hess_sq + 2.0 * d2[2] * d2[2]
         gl_sq = sum(g * g for g in st_gradient(grid, lap))
-        lhs += s**6 * lam**8 * qint(xi**6 * z_full**2 * e2sa, full_w)
-        lhs += s**4 * lam**6 * qint(xi**4 * grads_sq * e2sa, full_w)
-        lhs += s**3 * lam**4 * qint(xi**3 * lap_sq * e2sa, full_w)
-        lhs += s**2 * lam**4 * qint(xi**2 * hess_sq * e2sa, full_w)
-        lhs += s * lam**2 * qint(xi * gl_sq * e2sa, full_w)
+        lhs = s**6 * lam**8 * weighted(6, z_full**2)
+        lhs += s**4 * lam**6 * weighted(4, grads_sq)
+        lhs += s**3 * lam**4 * weighted(3, lap * lap)
+        lhs += s**2 * lam**4 * weighted(2, hess_sq)
+        lhs += s * lam**2 * weighted(1, gl_sq)
 
-        rhs = s**7 * lam**8 * qint(xi**7 * z_full**2 * e2sa, omega_w)
-        rhs += qint(g_full**2 * e2sa, full_w)
-        if rhs == 0.0 or lhs == 0.0:
+        rhs = s**7 * lam**8 * weighted(7, z_full**2, weights.omega0)
+        rhs += weighted(0, g_full**2)
+        if not (0.0 < lhs < math.inf and 0.0 < rhs < math.inf):
             skipped += 1
             continue
         samples.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
@@ -564,6 +579,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     rng = np.random.default_rng(seed)
     ratios, dens = [], []
     resampled = 0
+    log_th2 = SpaceTimeField(grid, 2.0 * weights.log_theta.values)
     for _ in range(n_samples):
         psi0_int = rng.standard_normal(grid.n_interior)
         while not np.any(psi0_int):
@@ -572,15 +588,14 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
         psi0 = grid.from_interior(psi0_int)
         st = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
         num = norm_h(grid, st.psi.values[0]) ** 2
-        th2 = SpaceTimeField(grid, weights.theta.values**2)
         if weights.case == "shared":
             obs = spec.alpha[0] * st.eta1 + spec.alpha[1] * st.eta2
             obs_sq = SpaceTimeField(grid, obs.values**2)
-            num += integrate(obs_sq, spec.target_masks[0], weight=th2)
+            num += integrate(obs_sq, spec.target_masks[0], log_weight=log_th2)
         else:
             for i, eta in enumerate(st.etas):
                 eta_sq = SpaceTimeField(grid, eta.values**2)
-                num += integrate(eta_sq, spec.target_masks[i], weight=th2)
+                num += integrate(eta_sq, spec.target_masks[i], log_weight=log_th2)
         psi_sq = SpaceTimeField(grid, st.psi.values**2)
         den = integrate(psi_sq, spec.leader_mask)
         dens.append(den)

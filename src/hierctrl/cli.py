@@ -150,12 +150,12 @@ def _run_trajectory(inputs, out):
 def _run_semilinear(inputs, out):
     spec, nonlin, solver = inputs.spec, inputs.nonlinearity, inputs.config.solver
     # the weights are a diagnostic here; without them the target check is left out
-    theta = inputs.weights.theta if inputs.weights is not None else None
+    log_theta = inputs.weights.log_theta if inputs.weights is not None else None
     eps = inputs.config.eps_list[-1]
     res = semilinear_null_control(
         spec, nonlin, inputs.ubar0, eps,
         outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],
-        cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], theta=theta)
+        cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], log_theta=log_theta)
     write_csv(Path(out, "outer_history.csv"), ("iter", "change_norm"),
               list(enumerate(res.history, start=1)))
     write_csv(Path(out, "cg_history.csv"), ("outer", "iter", "residual"),

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
-from .mesh import SpaceTimeField, norm_h, time_weights
+from .mesh import SpaceTimeField, norm_h
 from .nash import (NashSolution, _controls_from_adjoints, _package_solution, q_norm, solve_nash_fixed_point,
                    stacked_system)
 from .operators import ProblemSpec, columns, control_sources, solve_forward
-
-OVERFLOW_THRESHOLD = 1e300
 
 
 @dataclass
@@ -276,38 +274,3 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
                for hum in hums]
     return results if np.ndim(eps) else results[0]
 
-
-def check_target_condition(spec: ProblemSpec, theta: SpaceTimeField):
-    """Weighted target-compatibility integrals per follower.
-
-    Returns [(value, infinite_flag)] of the theta^{-2}-weighted squared
-    deviation of the shifted targets over each observation region; the
-    integrand is forced to zero at the endpoint time levels (where the
-    exponential weights carry their limit conventions) and flagged when a
-    sample exceeds the overflow threshold.
-    """
-    grid = spec.grid
-    tvals = theta.values
-    out = []
-    tw = time_weights(grid)
-    nw = grid.node_weights()
-    for i in range(2):
-        wd = spec.targets[i].values
-        mask = spec.target_masks[i].indicator
-        flagged = False
-        total = 0.0
-        for k in range(grid.nt + 1):
-            th = tvals[k]
-            # theta -> 0 at the terminal level; those samples carry the
-            # endpoint limit convention (integrand forced to zero)
-            positive = th > 0.0
-            with np.errstate(divide="ignore", over="ignore"):
-                integrand = np.where(positive, (wd[k] / np.where(positive, th, 1.0)) ** 2, 0.0)
-            masked = integrand * mask
-            sample_max = float(np.max(masked)) if mask.any() else 0.0
-            if not np.isfinite(sample_max) or sample_max > OVERFLOW_THRESHOLD:
-                flagged = True
-                integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-            total += tw[k] * float(np.sum(integrand * mask * nw))
-        out.append((total, flagged))
-    return out

@@ -245,24 +245,39 @@ def time_weights(grid):
     return w
 
 
-def integrate(field, mask, weight=None):
-    """Space-time integral of field*weight over the masked region.
+def integrate(field, mask, log_weight=None):
+    """Space-time integral of field * exp(log_weight) over the masked region.
 
     Trapezoidal rule in time; in space each masked node contributes its
     node weight (see Grid.node_weights).  Exact for constants on the full
     interior mask.
+
+    A log-weighted field must be nonnegative.  With b the quadrature weight
+    times the field and m the largest log-weight where b > 0, the integral
+    is exp(m) sum b exp(log_weight - m), its scale applied as exp(m/2) twice
+    so that no rounding of m + log(sum) enters: 0, finite or inf, never
+    NaN, however far exp(log_weight) lies outside the range of a double.
     """
     grid = field.grid
     if mask.grid is not grid and mask.grid != grid:
         raise ShapeMismatch("mask and field live on different grids")
     vals = field.values
-    if weight is not None:
-        if weight.grid != grid:
-            raise ShapeMismatch("weight and field live on different grids")
-        vals = vals * weight.values
     nw = grid.node_weights() * mask.indicator
-    per_level = np.tensordot(vals, nw, axes=(tuple(range(1, vals.ndim)), tuple(range(nw.ndim))))
-    return float(np.dot(time_weights(grid), per_level))
+    if log_weight is None:
+        per_level = np.tensordot(vals, nw, axes=(tuple(range(1, vals.ndim)), tuple(range(nw.ndim))))
+        return float(np.dot(time_weights(grid), per_level))
+    if log_weight.grid != grid:
+        raise ShapeMismatch("log_weight and field live on different grids")
+    if np.any(vals < 0.0):
+        raise ValueError("a log-weighted integrand must be nonnegative")
+    b = time_weights(grid).reshape((-1,) + (1,) * grid.dim) * nw * vals
+    positive = b > 0.0
+    ell = log_weight.values[positive]
+    m = ell.max(initial=-np.inf)  # -inf when no b > 0: the integral is 0
+    total = np.sum(b[positive] * np.exp(ell - m))
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * m)
+        return float(half * total * half)
 
 
 def inner_h(grid, u, v):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .carleman import check_target_condition
 from .errors import OuterDivergence, UnsupportedNonlinearity
 from .expressions import parse_expr
-from .hum import HumResult, check_target_condition, minimize_G
+from .hum import HumResult, minimize_G
 from .linalg import TINY, iterate
 from .mesh import SpaceTimeField, st_divergence, st_gradient
 from .nash import q_norm, solve_nash_fixed_point
@@ -337,7 +338,7 @@ class SemilinearControlResult:
 
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
                             outer_tol=1e-8, max_outer=30, cg_tol=1e-9, cg_max_iter=300,
-                            theta=None) -> SemilinearControlResult:
+                            log_theta=None) -> SemilinearControlResult:
     """Exact controllability to the free semilinear trajectory.
 
     Outer loop: freeze z, build the linear spec with secant state
@@ -353,8 +354,8 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     wtargets = tuple(t - ubar for t in spec.targets)
     base_wspec = spec.with_(w0=w0, targets=wtargets)
     target_check = None
-    if theta is not None:
-        target_check = check_target_condition(base_wspec, theta)
+    if log_theta is not None:
+        target_check = check_target_condition(base_wspec, log_theta)
     hums = []
 
     def sweep(state):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_carleman_weights,
-                               build_theta, carleman_ratio_report, check_weight_properties,
+                               build_log_theta, carleman_ratio_report, check_weight_properties,
                                default_parameters, estimate_observability, eta_gradient_scan)
 from hierctrl import operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
@@ -125,7 +125,7 @@ def test_endpoint_conventions(grid, weights):
 
 
 def test_theta_zero_at_horizon_positive_inside(grid, weights):
-    th = weights.theta.values
+    th = np.exp(weights.log_theta.values)
     assert np.all(th[-1] == 0.0)
     assert np.all(th[1:-1][:, 1:-1] > 0.0)
     assert np.all(np.isfinite(th))
@@ -144,11 +144,11 @@ def test_distinct_pair_invariants(grid):
 
 def test_distinct_equal_centers_degenerate_min(grid):
     w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.5, center2=0.5)
-    cand = build_theta(
+    cand = build_log_theta(
         CarlemanWeights(grid=grid, case="shared", lam=w.lam, s=w.s, eta_fn=w.eta_fn,
                         alpha=w.alpha, xi=w.xi, alpha_ell=w.alpha_ell, xi_ell=w.xi_ell,
                         omega0=w.omega0))
-    assert np.array_equal(w.theta.values, cand.values)
+    assert np.array_equal(w.log_theta.values, cand.values)
 
 
 def test_distinct_missing_center_raises(grid):

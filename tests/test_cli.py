@@ -285,12 +285,18 @@ def test_run_builds_one_stepper(tmp_path, monkeypatch, subcommand, config):
 
 def _with(config, section, key, value):
     """The shipped config with one key of a section set to value."""
+    return _with_keys(config, [(section, key, value)])
+
+
+def _with_keys(config, edits):
+    """The shipped config with each (section, key, value) of edits set."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     parser.read(CONFIGS / config)
-    if not parser.has_section(section):
-        parser.add_section(section)
-    parser[section][key] = value
+    for section, key, value in edits:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
     text = io.StringIO()
     parser.write(text)
     return text.getvalue()
@@ -428,6 +434,40 @@ def test_semilinear_runs_without_weights_it_cannot_build(tmp_path):
         out = tmp_path / key
         assert run("semilinear", cfg, out) == 0
         assert not any(k.startswith("target_condition") for k in _summary(out))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_carleman_large_lambda_skips_samples_without_nan(tmp_path):
+    """With lambda = 400, xi^k overflows where exp(2 s alpha) underflows.
+    The weighted energies are taken in log form: every sample is finite or
+    skipped, no row is NaN, and nothing warns."""
+    cfg = tmp_path / "lambda400.ini"
+    cfg.write_text(_with("carleman_1d.ini", "weights", "lambda", "400"))
+    out = tmp_path / "c"
+    assert run("carleman", cfg, out) == 0
+    assert "nan" not in (out / "carleman_ratio.csv").read_text()
+    s = _summary(out)
+    assert int(s["ratio_samples"]) + int(s["ratio_skipped"]) == 20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_semilinear_target_condition_beyond_double_range(tmp_path):
+    """With lambda = 1, theta underflows at every inner node, so the
+    theta^{-2}-weighted target check exceeds a double: it reads inf and is
+    flagged.  With lambda = 0.05 it is finite."""
+    values = {}
+    for lam in ("1.0", "0.05"):
+        cfg = tmp_path / f"lambda{lam}.ini"
+        cfg.write_text(_with_keys("semilinear_1d.ini", [
+            ("weights", "lambda", lam), ("data", "zeta1", '"0.1"'), ("data", "zeta2", '"0.1"')]))
+        out = tmp_path / lam
+        assert run("semilinear", cfg, out) == 0
+        values[lam] = _summary(out)
+    for i in (1, 2):
+        assert values["1.0"][f"target_condition_{i}"] == "inf"
+        assert values["1.0"][f"target_condition_{i}_infinite"] == "True"
+        assert float(values["0.05"][f"target_condition_{i}"]) == pytest.approx(1.2858055001200275e+27, rel=1e-14)
+        assert values["0.05"][f"target_condition_{i}_infinite"] == "False"
 
 
 def test_second_order_subcommand(tmp_path):

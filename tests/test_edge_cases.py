@@ -19,7 +19,7 @@ def test_integrate_grid_mismatch():
     with pytest.raises(ShapeMismatch):
         integrate(f, full_mask(g2))
     with pytest.raises(ShapeMismatch):
-        integrate(f, full_mask(g1), weight=SpaceTimeField.zeros(g2))
+        integrate(f, full_mask(g1), log_weight=SpaceTimeField.zeros(g2))
 
 
 def test_nash_damped_iteration_same_solution(nash_spec):

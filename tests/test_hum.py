@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import hierctrl.hum as hum
+from hierctrl.carleman import check_target_condition
 from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations
 from hierctrl.linalg import conjugate_gradient
-from hierctrl.hum import (apply_lambda, check_target_condition, control_to_trajectory,
+from hierctrl.hum import (apply_lambda, control_to_trajectory,
                           dense_oracle, eval_G, grad_G,
                           leader_from_psi, minimize_G, solve_coupled_adjoint)
 from hierctrl.mesh import SpaceTimeField, build_grid, full_mask, inner_h, norm_h
@@ -356,7 +357,7 @@ def test_check_target_condition_zero_targets(spec):
 
     w = build_carleman_weights(spec.grid, "shared", lam=0.05, s=4.0,
                                center=0.7 * spec.grid.lengths[0])
-    out = check_target_condition(spec, w.theta)
+    out = check_target_condition(spec, w.log_theta)
     assert out[0] == (0.0, False)
     assert out[1] == (0.0, False)
 
@@ -375,7 +376,7 @@ def test_check_target_condition_unit_cylinder():
         alpha=(1e-3, 1e-3), mu=(1.0, 1.0),
         targets=(ones, ones), w0=np.zeros(g.nx),
     )
-    out = check_target_condition(spec, ones)
+    out = check_target_condition(spec, SpaceTimeField.zeros(g))  # theta = 1
     assert out[0][0] == pytest.approx(1.0, abs=1e-12)
     assert out[0][1] is False
 
@@ -390,7 +391,7 @@ def test_check_target_condition_decaying_theta_finite(spec):
     w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0])
     ones = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
     offset = spec.with_(targets=(ones, ones))
-    out = check_target_condition(offset, w.theta)
+    out = check_target_condition(offset, w.log_theta)
     for value, flagged in out:
         assert np.isfinite(value) and value > 0.0
         assert flagged is False

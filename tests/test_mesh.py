@@ -108,11 +108,43 @@ def test_integrate_disjoint_masks_add_exactly(rng):
 
 def test_integrate_weight_argument(rng):
     g = build_grid(1, 1.0, 12, 1.0, 6)
-    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx))
-    w = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx))
+    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
+    w = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
     prod = SpaceTimeField(g, f.values * w.values)
     m = full_mask(g)
-    assert integrate(f, m, weight=w) == pytest.approx(integrate(prod, m), rel=1e-14)
+    log_w = SpaceTimeField(g, np.log(w.values))
+    assert integrate(f, m, log_weight=log_w) == pytest.approx(integrate(prod, m), rel=1e-14)
+
+
+def test_integrate_log_weight_rejects_negative_field(rng):
+    g = build_grid(1, 1.0, 12, 1.0, 6)
+    vals = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
+    vals[2, 5] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate(SpaceTimeField(g, vals), full_mask(g), log_weight=SpaceTimeField.zeros(g))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_log_weight_beyond_double_range(rng):
+    """Weights far outside the range of a double give 0, the exact shifted
+    value, or inf, never NaN and without a warning; log-weights where the
+    field is zero do not count."""
+    g = build_grid(1, 1.0, 12, 1.0, 6)
+    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
+    m = full_mask(g)
+    base = integrate(f, m)
+    ones = np.ones((g.nt + 1,) + g.nx)
+    for log_w, expected in ((-1e30, 0.0), (-800.0, 0.0), (1000.0, np.inf), (1e30, np.inf)):
+        assert integrate(f, m, log_weight=SpaceTimeField(g, log_w * ones)) == expected
+    # exp(800) overflows, exp(800) exp(-700) = exp(100) does not
+    shifted = integrate(SpaceTimeField(g, f.values * np.exp(-700.0)), m,
+                        log_weight=SpaceTimeField(g, 800.0 * ones))
+    assert shifted == pytest.approx(base * np.exp(100.0), rel=1e-12)
+    sparse = f.values.copy()
+    sparse[1:] = 0.0
+    huge_on_zeros = np.where(sparse > 0.0, 0.0, 1e30)
+    assert integrate(SpaceTimeField(g, sparse), m, log_weight=SpaceTimeField(g, huge_on_zeros)) == \
+        pytest.approx(integrate(SpaceTimeField(g, sparse), m), rel=1e-14)
 
 
 def test_inner_product_spd(rng):

@@ -1,7 +1,9 @@
-"""The sampled Carleman weights and theta against the per-level loops they
-replaced: a separate time factor r(t) with its own singular set, one level
-at a time, and theta level by level.  Sampling WeightForm over the whole
-space-time array must give the same values, bit for bit."""
+"""The sampled Carleman weights and log theta against the per-level loops
+they replaced: a separate time factor r(t) with its own singular set, one
+level at a time, and theta level by level.  Sampling WeightForm over the
+whole space-time array must give the same values, bit for bit; log theta
+matches its own level loop bit for bit and the old product form of theta
+to rounding."""
 
 import numpy as np
 import pytest
@@ -55,6 +57,17 @@ def _ref_theta(grid, s, pairs):
     return cands[0] if len(cands) == 1 else np.minimum(cands[0], cands[1])
 
 
+def _ref_log_theta(grid, s, pairs):
+    def one(alpha_ell, xi_ell):
+        out = np.empty((grid.nt + 1,) + grid.nx)
+        for k in range(grid.nt + 1):
+            out[k] = s * alpha_ell[k] + 3.0 * np.log(xi_ell[k])
+        return out
+
+    cands = [one(a, x) for a, x in pairs]
+    return cands[0] if len(cands) == 1 else np.minimum(cands[0], cands[1])
+
+
 CASES = {
     "1d-shared": (build_grid(1, 1.0, 24, 1.0, 24), dict(case="shared", lam=1.0, s=4.0, center=0.3)),
     "2d-nonsquare": (build_grid(2, (1.0, 1.5), (9, 13), 0.7, 8),
@@ -63,7 +76,7 @@ CASES = {
                            dict(case="distinct", lam=0.05, s=4.0, center=2.6, center2=3.4,
                                 window=(1.2, 4.8))),
     "1d-underflow": (build_grid(1, 1.0, 24, 1.0, 24), dict(case="shared", lam=50.0, s=4.0, center=0.5)),
-    # xi^3 overflows where exp(s alpha) underflows: theta's e == 0 branch decides
+    # xi^3 overflows where exp(s alpha) underflows: the reference theta's e == 0 branch decides
     "1d-cube-overflow": (build_grid(1, 1.0, 24, 1.0, 24), dict(case="shared", lam=400.0, s=4.0, center=0.5)),
 }
 
@@ -81,16 +94,22 @@ def test_weights_and_theta_match_level_loops(name):
                 ref[variant, k] = _ref_build_weights(eta_fn, w.lam, w.s, variant)
                 assert np.array_equal(alpha.values, ref[variant, k][0])
                 assert np.array_equal(xi.values, ref[variant, k][1])
-        theta = _ref_theta(grid, w.s, [ref["ell-modified", k] for k in range(len(etas))])
+        pairs = [ref["ell-modified", k] for k in range(len(etas))]
+        theta = _ref_theta(grid, w.s, pairs)
     assert np.array_equal(w.alpha.values, ref["sharp", 0][0])
     assert np.array_equal(w.xi_ell.values, ref["ell-modified", 0][1])
-    assert np.array_equal(w.theta.values, theta)
+    assert np.array_equal(w.log_theta.values, _ref_log_theta(grid, w.s, pairs))
+    ours = np.exp(w.log_theta.values)
+    assert np.array_equal(ours == 0.0, theta == 0.0)
+    nonzero = theta != 0.0
+    assert np.all(np.abs(ours[nonzero] - theta[nonzero]) <= 1e-14 * theta[nonzero])
 
 
 @pytest.mark.parametrize("name", ["1d-underflow", "1d-cube-overflow"])
 def test_large_lambda_cases_underflow(name):
-    """The large-lambda cases reach theta's e == 0 branch on levels that are
-    not singular; in the second, xi^3 is infinite there too."""
+    """The large-lambda cases underflow theta on levels that are not
+    singular; in the second, xi^3 is infinite there too.  log theta stays
+    finite."""
     grid, kw = CASES[name]
     with np.errstate(over="ignore", invalid="ignore"):
         w = build_carleman_weights(grid, **kw)
@@ -98,7 +117,8 @@ def test_large_lambda_cases_underflow(name):
         assert np.all(np.isfinite(w.alpha_ell.values[inner]))
         assert np.all(np.exp(w.s * w.alpha_ell.values[inner]) == 0.0)
         assert np.isinf(w.xi_ell.values[inner] ** 3).any() == (name == "1d-cube-overflow")
-    assert not w.theta.values.any()
+    assert np.all(np.isfinite(w.log_theta.values))
+    assert not np.exp(w.log_theta.values).any()
 
 
 def test_distinct_window_case_has_two_weights():
