@@ -167,6 +167,7 @@ def _run_semilinear(inputs, out):
     items = [
         ("eps", fmt(eps)),
         ("outer_iterations", res.outer_iterations),
+        ("cg_iterations", res.cg_iterations),
         ("terminal_mismatch", fmt(res.terminal_mismatch)),
         ("nonlinearity", nonlin.name),
         ("bound_M", fmt(nonlin.bound)),
@@ -228,6 +229,9 @@ def _run_carleman(inputs, out):
                                    seed=config.seed)
     rows = [(k, rec["lhs"], rec["rhs"], rec["ratio"]) for k, rec in enumerate(report.samples)]
     write_csv(Path(out, "carleman_ratio.csv"), ("sample", "lhs", "rhs", "ratio"), rows)
+    notes = list(props.notes)
+    if report.skipped and not report.samples:
+        notes.append("every ratio sample was skipped: a weighted energy under- or overflows a double")
     write_summary(Path(out, "summary.txt"), [
         ("lambda", fmt(weights.lam)),
         ("s", fmt(weights.s)),
@@ -241,7 +245,7 @@ def _run_carleman(inputs, out):
         ("ratio_skipped", report.skipped),
         ("ratio_max", fmt(report.max_ratio)),
         ("ratio_median", fmt(report.median_ratio)),
-    ] + [("note", n) for n in props.notes])
+    ] + [("note", n) for n in notes])
     return 0
 
 

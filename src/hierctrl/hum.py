@@ -185,7 +185,7 @@ def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
     return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200):
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     eps is one penalty, giving one HumResult, or a sequence of them, giving
@@ -199,11 +199,18 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200):
     another Lambda apply.  Where it misses cg_tol relative to ||b||
     (floating-point drift of the shift recurrences), that eps is refined
     once by a single-shift CG on the residual equation.
+
+    psi0, for a single eps only, is a start in place of the CG run: it is
+    reconstructed and refined like a drifted shift, so a start that already
+    meets cg_tol costs no CG iteration, and its cg_residuals begin with its
+    true residual relative to ||b||.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
     inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
+    if psi0 is not None and len(eps_list) != 1:
+        raise ValueError("a psi0 start takes a single eps")
     b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol)
     b_int = grid.to_interior(b_full)
     norm_b = max(float(np.linalg.norm(b_int)), TINY)
@@ -221,11 +228,17 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200):
         r_true = grid.to_interior(nash.w.values[-1]) + e * x_int
         return psi0, f, nash, r_true
 
-    cg = conjugate_gradient(apply, -b_int, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+    if psi0 is None:
+        cg = conjugate_gradient(apply, -b_int, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+        starts = zip(eps_list, cg.xs, cg.histories, cg.shift_iterations)
+    else:
+        starts = [(eps_list[0], grid.to_interior(np.asarray(psi0, dtype=float)), None, 0)]
     results = []
-    for e, x_int, residuals, iterations in zip(eps_list, cg.xs, cg.histories, cg.shift_iterations):
+    for e, x_int, residuals, iterations in starts:
         psi0, f, nash, r_true = reconstruct(x_int, e)
         norm_r = float(np.linalg.norm(r_true))
+        if residuals is None:
+            residuals = [norm_r / norm_b]
         if norm_r > cg_tol * norm_b:
             fix = conjugate_gradient(apply, -r_true, tol_rel=cg_tol * norm_b / norm_r,
                                      max_iter=max_iter, shifts=(e,))

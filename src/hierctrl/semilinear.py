@@ -334,6 +334,7 @@ class SemilinearControlResult:
     history: list
     target_check: list = None
     cg_residuals: list = None  # per outer iteration, that iteration's HumResult.cg_residuals
+    cg_iterations: int = 0  # summed over outer iterations, refinements included
 
 
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
@@ -343,7 +344,9 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
 
     Outer loop: freeze z, build the linear spec with secant state
     coefficients and tangent adjoint coefficients around the trajectory,
-    run the penalized HUM solver, update z with the controlled state.
+    run the penalized HUM solver, update z with the controlled state.  From
+    the second iteration on, the HUM solve starts from the previous psi0:
+    the frozen coefficients move little between iterations.
     spec.w0 holds the absolute initial state u0 and spec.targets the
     absolute targets zeta_id.
     """
@@ -359,20 +362,22 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     hums = []
 
     def sweep(state):
-        z = state[0]
+        z, previous = state
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
-        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter)
+        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter,
+                         psi0=None if previous is None else previous.psi0)
         hums.append(hum)
         return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 
-    (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid),), outer_tol, max_outer,
+    (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid), None), outer_tol, max_outer,
                                    "semilinear outer loop", diverged=OuterDivergence)
     u = SpaceTimeField(grid, z.values + ubar.values)
     return SemilinearControlResult(
         hum=hum, f=hum.f, u=u, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
-        target_check=target_check, cg_residuals=[h.cg_residuals for h in hums])
+        target_check=target_check, cg_residuals=[h.cg_residuals for h in hums],
+        cg_iterations=sum(h.cg_iterations for h in hums))
 
 
 def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> TimeStepper:

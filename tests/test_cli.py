@@ -450,6 +450,23 @@ def test_carleman_large_lambda_skips_samples_without_nan(tmp_path):
     assert int(s["ratio_samples"]) + int(s["ratio_skipped"]) == 20
 
 
+def test_carleman_all_samples_skipped_says_why(tmp_path):
+    """With lambda = 5 every sample has a side beyond a double: the summary
+    adds a note next to the nan ratios.  The shipped run has no such note."""
+    cfg = tmp_path / "lambda5.ini"
+    cfg.write_text(_with("carleman_1d.ini", "weights", "lambda", "5"))
+    out = tmp_path / "c"
+    assert run("carleman", cfg, out) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "ratio_samples = 0" in lines and "ratio_skipped = 20" in lines
+    assert "ratio_max = nan" in lines
+    assert ("note = every ratio sample was skipped: a weighted energy under- or overflows a double"
+            in lines)
+    shipped = tmp_path / "shipped"
+    assert run("carleman", CONFIGS / "carleman_1d.ini", shipped) == 0
+    assert "skipped:" not in (shipped / "summary.txt").read_text()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_semilinear_target_condition_beyond_double_range(tmp_path):
     """With lambda = 1, theta underflows at every inner node, so the
@@ -513,6 +530,8 @@ def test_semilinear_cg_history_blocks(tmp_path, monkeypatch):
         assert [it for it, _ in rows] == list(range(len(rows)))
     assert [r for _, r in blocks[res.outer_iterations]] == [fmt(r) for r in res.hum.cg_residuals]
     assert len(blocks[res.outer_iterations]) == res.hum.cg_iterations + 1
+    # every block is its start row plus one row per CG iteration
+    assert int(_summary(out)["cg_iterations"]) == res.cg_iterations == sum(len(r) - 1 for r in blocks.values())
 
 
 def test_cg_max_iterations_reports_converged_eps(tmp_path):

@@ -310,6 +310,34 @@ def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
     assert np.array_equal(drifted[1].psi0, clean[1].psi0)
 
 
+def test_minimize_warm_start_at_its_own_solution_takes_no_cg(spec):
+    """A start that already meets cg_tol is accepted as it is: no CG
+    iteration, one residual row, the same psi0 bit for bit."""
+    cold = minimize_G(spec, 1e-3, cg_tol=1e-9)
+    warm = minimize_G(spec, 1e-3, cg_tol=1e-9, psi0=cold.psi0)
+    assert warm.cg_iterations == 0
+    assert warm.cg_residuals == [cold.true_residual]
+    assert np.array_equal(warm.psi0, cold.psi0)
+    assert warm.terminal_norm == cold.terminal_norm
+
+
+def test_minimize_warm_start_refines_a_perturbed_start(spec, rng):
+    eps, cg_tol = 1e-3, 1e-9
+    cold = minimize_G(spec, eps, cg_tol=cg_tol)
+    start = cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng)
+    warm = minimize_G(spec, eps, cg_tol=cg_tol, psi0=start)
+    assert 0 < warm.cg_iterations < cold.cg_iterations
+    assert len(warm.cg_residuals) == warm.cg_iterations + 1
+    assert warm.cg_residuals[0] > cg_tol
+    assert warm.true_residual <= cg_tol
+    assert warm.terminal_norm == pytest.approx(cold.terminal_norm, rel=1e-6)
+
+
+def test_minimize_warm_start_takes_a_single_eps(spec):
+    with pytest.raises(ValueError):
+        minimize_G(spec, EPS_SWEEP, psi0=np.zeros(spec.grid.nx))
+
+
 def test_leader_field_is_masked_psi(spec, rng):
     psi0 = _random_psi0(spec, rng)
     st = solve_coupled_adjoint(spec, psi0)

@@ -1,11 +1,12 @@
 import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hierctrl import semilinear
+from hierctrl import cli, semilinear
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
 from hierctrl.hum import control_to_trajectory
 from hierctrl.mesh import SpaceTimeField
@@ -17,6 +18,8 @@ from hierctrl.semilinear import (eval_secant_coeffs, from_expression, preset_gra
                                  verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +114,28 @@ def test_outer_loop_divergence_detected(monkeypatch):
     spec = make_hum_spec()
     states = _tripling_states(spec)
     monkeypatch.setattr(semilinear, "minimize_G",
-                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states())))
+                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states()), psi0=None))
     with pytest.raises(OuterDivergence) as err:
         semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.nx), eps=1e-4)
     assert err.value.iterations == 11
     assert err.value.ratio == pytest.approx(3.0)
+
+
+def test_shipped_semilinear_warm_start_halves_cg(tmp_path, monkeypatch):
+    """Each outer iteration starts its HUM solve from the previous psi0: on
+    the shipped config the outer loop keeps its 6 iterations and takes at
+    most half the CG iterations of cold starts."""
+    def summary(out):
+        assert cli.run("semilinear", str(CONFIGS / "semilinear_1d.ini"), str(out)) == 0
+        return dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+
+    warm = summary(tmp_path / "warm")
+    minimize = semilinear.minimize_G
+    monkeypatch.setattr(semilinear, "minimize_G", lambda *args, psi0=None, **kw: minimize(*args, **kw))
+    cold = summary(tmp_path / "cold")
+    assert int(warm["outer_iterations"]) == int(cold["outer_iterations"]) == 6
+    assert 2 * int(warm["cg_iterations"]) <= int(cold["cg_iterations"])
+    assert float(warm["terminal_mismatch"]) == pytest.approx(float(cold["terminal_mismatch"]), rel=1e-6)
 
 
 def test_free_trajectory_max_iterations_carries_last_iterate(spec):
