@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
-from .nash import (NashSolution, _controls_from_adjoints, _package_solution, q_norm, solve_nash_fixed_point,
-                   stacked_system)
+from .nash import (NashSolution, _controls_from_adjoints, _indicators, _package_solution, q_norm,
+                   solve_nash_fixed_point, stacked_system)
 from .operators import ProblemSpec, columns, control_sources, solve_forward
 
 
@@ -50,11 +50,11 @@ class HumResult:
     true_residual: float
 
 
-def _psi_source(spec, eta_arrs):
+def _psi_source(weights, eta_arrs):
+    """sum_i alpha_i chi_di eta_i, with weights[i] = alpha_i chi_di."""
     src = np.zeros_like(eta_arrs[0])
-    for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        src += spec.alpha[i] * chid * eta_arrs[i]
+    for wt, eta in zip(weights, eta_arrs):
+        src += wt * eta
     return src
 
 
@@ -71,14 +71,17 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     stepper = spec.stepper
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     n = grid.n_interior
+    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
+    chis = _indicators(spec.follower_masks)
+    zero = np.zeros(n)
 
     def sweep(state):
         psi, etas = state
-        psi_new = stepper.march_backward(psi0_int, _psi_source(spec, etas), family="forward")
+        psi_new = stepper.march_backward(psi0_int, _psi_source(weights, etas), family="forward")
         # the companions' sources -chi_i psi^{j-1}/mu_i are the Nash controls
         # of psi: the coupled adjoint is the transpose of the Nash system
-        eta_srcs = np.stack(_controls_from_adjoints(spec, (psi_new, psi_new)), axis=-1)
-        etas_new = columns(stepper.march_forward(np.zeros(n), eta_srcs, family="adjoint"))
+        eta_srcs = np.stack(_controls_from_adjoints(spec, (psi_new, psi_new), chis), axis=-1)
+        etas_new = columns(stepper.march_forward(zero, eta_srcs, family="adjoint"))
         change = None
         if psi is not None:
             change = q_norm(grid, psi_new - psi)
@@ -123,7 +126,8 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
     W = np.vstack([w0_int, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
-    nash = _package_solution(spec, W, phis, _controls_from_adjoints(spec, phis), 1, [0.0])
+    vs = _controls_from_adjoints(spec, phis, _indicators(spec.follower_masks))
+    nash = _package_solution(spec, W, phis, vs, 1, [0.0])
 
     psi0_int = np.zeros(n) if psi0 is None else grid.to_interior(np.asarray(psi0, dtype=float))
     rhs = np.zeros((3, nt, n))

@@ -1,17 +1,18 @@
 """Minimal linear algebra behind the time steppers and HUM solver.
 
 Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
-stacks of small matrices are inverted densely in one batch (numpy's stacked
-inverse) after a batched partial-pivot LU check.  Conjugate gradient and the
-fixed-point driver are written against callbacks so the HUM operator and
-the sweeps, which involve nested PDE solves, plug in without ever being
-materialized.
+stacks of small matrices are inverted densely from one LAPACK LU per
+matrix, which also carries the pivot check, and small symmetric matrices
+are diagonalized.  Conjugate gradient and the fixed-point driver are
+written against callbacks so the HUM operator and the sweeps, which
+involve nested PDE solves, plug in without ever being materialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -86,29 +87,52 @@ class DenseInverse:
         return x[..., 0].T
 
 
-def invert_stack(stack) -> list:
-    """DenseInverse of every matrix in an (L, n, n) stack, by one batched inversion.
+def _checked_lu(stack):
+    """LAPACK getrf factors (lu, piv) of every matrix in an (L, n, n) stack.
 
-    A batched partial-pivot LU checks each matrix first with factorize's
-    rule: a pivot below PIVOT_RTOL times the matrix's largest entry, a zero
-    matrix or a non-finite entry raises SingularMatrix naming the matrix.
+    Applies factorize's rule to each matrix: a pivot below PIVOT_RTOL times
+    the matrix's largest entry, a zero matrix or a non-finite entry raises
+    SingularMatrix naming the matrix.
     """
     stack = np.asarray(stack, dtype=float)
     scale = np.abs(stack).max(axis=(1, 2))
     bad = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0))
     if bad.size:
         raise SingularMatrix(f"matrix {bad[0]} of the stack is zero or not finite")
-    upper = scipy.linalg.lu(stack, p_indices=True, check_finite=False)[2]
-    pivots = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=1)
+    factors = [scipy.linalg.lapack.dgetrf(matrix)[:2] for matrix in stack]
+    pivots = np.array([np.abs(np.diagonal(lu)).min() for lu, _ in factors])
     bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
     if bad.size:
         raise SingularMatrix(f"matrix {bad[0]} of the stack: pivot {pivots[bad[0]]:.3e} "
                              f"below {PIVOT_RTOL:.0e}*scale")
-    try:
-        inverses = np.linalg.inv(stack)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    return factors
+
+
+def invert_stack(stack) -> list:
+    """DenseInverse of every matrix in an (L, n, n) stack.
+
+    Each matrix is factored once (getrf), checked by _checked_lu's rule and
+    inverted from those factors (getri).
+    """
+    inverses = np.array([scipy.linalg.lapack.dgetri(lu, piv)[0] for lu, piv in _checked_lu(stack)])
     return [DenseInverse(inv) for inv in inverses]
+
+
+class Modes(NamedTuple):
+    """Orthonormal eigenvectors Q (columns) of a symmetric matrix and its
+    reciprocal eigenvalues w: the matrix's inverse is Q diag(w) Q'."""
+
+    Q: np.ndarray
+    w: np.ndarray
+
+
+def symmetric_modes(matrix) -> Modes:
+    """Modes of a symmetric matrix.  It passes _checked_lu's rule first, so a
+    singular matrix raises SingularMatrix as in invert_stack."""
+    _checked_lu(matrix[None])
+    # scipy's LAPACK, as for the LU: numpy's own BLAS threads can stall behind scipy's
+    lam, Q = scipy.linalg.eigh(matrix, driver="evd", check_finite=False)
+    return Modes(Q, 1.0 / lam)
 
 
 @dataclass

@@ -52,14 +52,18 @@ class NashSolution:
         return (self.v1, self.v2)
 
 
-def _controls_from_adjoints(spec, phi_arrays):
-    """v_i^j = -chi_i * phi_i^{j-1} / mu_i, bitwise, level 0 zero."""
-    grid = spec.grid
+def _indicators(masks):
+    """Interior indicator vector of each mask."""
+    return tuple(m.interior_vector() for m in masks)
+
+
+def _controls_from_adjoints(spec, phi_arrays, chis):
+    """v_i^j = -chi_i * phi_i^{j-1} / mu_i, bitwise, level 0 zero; chis are
+    the follower indicators (_indicators(spec.follower_masks))."""
     out = []
-    for i, phi in enumerate(phi_arrays):
-        chi = spec.follower_masks[i].interior_vector()
+    for phi, chi, mu in zip(phi_arrays, chis, spec.mu):
         v = np.zeros_like(phi)
-        v[1:] = -(phi[:-1] * chi) / spec.mu[i]
+        v[1:] = -(phi[:-1] * chi) / mu
         out.append(v)
     return out
 
@@ -115,22 +119,6 @@ def compute_rhs(spec: ProblemSpec, f=None):
     return tuple(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i]) for i in range(2))
 
 
-def _sweep(spec, z, f_src, w0_int):
-    """One fixed-point sweep: both adjoints from frozen z in one 2-column
-    march, then the controls, then the state."""
-    grid = spec.grid
-    stepper = spec.stepper
-    src = np.stack([spec.alpha[i] * spec.target_masks[i].interior_vector() * (z - spec.targets[i].interior())
-                    for i in range(2)], axis=-1)
-    phis = columns(stepper.march_backward(np.zeros(grid.n_interior), src, family="adjoint"))
-    vs = _controls_from_adjoints(spec, phis)
-    src = f_src.copy()
-    for i, v in enumerate(vs):
-        src += v * spec.follower_masks[i].interior_vector()
-    W = stepper.march_forward(w0_int, src)
-    return W, phis, vs
-
-
 def solve_nash_fixed_point(
     spec: ProblemSpec,
     f=None,
@@ -149,15 +137,28 @@ def solve_nash_fixed_point(
     is called after every sweep.
     """
     grid = spec.grid
+    stepper = spec.stepper
     w0_int = grid.to_interior(spec.w0)
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
+    # per-solve vectors: alpha_i chi_di, the targets' interiors, chi_i
+    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
+    targets = [wd.interior() for wd in spec.targets]
+    chis = _indicators(spec.follower_masks)
+    zero = np.zeros(grid.n_interior)
     sweeps = itertools.count(1)
 
     def sweep(state):
+        # both adjoints from frozen z in one 2-column march, then the controls, then the state
         z = state[0]
-        W, phis, vs = _sweep(spec, z, f_src, w0_int)
+        src = np.stack([wt * (z - wd) for wt, wd in zip(weights, targets)], axis=-1)
+        phis = columns(stepper.march_backward(zero, src, family="adjoint"))
+        vs = _controls_from_adjoints(spec, phis, chis)
+        src = f_src.copy()
+        for v, chi in zip(vs, chis):
+            src += v * chi
+        W = stepper.march_forward(w0_int, src)
         change = q_norm(grid, W - z)
         if on_sweep is not None:
             on_sweep(next(sweeps), W, vs, change)

@@ -8,7 +8,8 @@ weights at boundary nodes.  This reproduces the classical clamped stencil
 
 Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
-solver precision (discretize-then-optimize).  Small grids step with dense
+solver precision (discretize-then-optimize).  Small grids march symmetric
+time-constant steps in their eigenbasis and other steps with dense
 inverses, one mat-vec per step; larger ones with SuperLU factorizations.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatch
-from .linalg import factorize, invert_stack
+from .linalg import Modes, factorize, invert_stack, symmetric_modes
 from .mesh import Grid, SpaceTimeField, SubdomainMask
 
 
@@ -170,26 +171,41 @@ def _fields_time_constant(a_field, b_fields):
 
 
 DENSE_MAX_N = 128  # up to this many interior unknowns a step is one mat-vec with a dense inverse
+MODAL_MAX_N = 110  # up to this many a symmetric time-constant family marches in its eigenbasis
 
 
 class _Family(NamedTuple):
     a: SpaceTimeField
     b: tuple
     time_constant: bool
-    solvers: list  # the solver of each step 1..nt
+    solvers: list  # per step 1..nt: a Factorization, a DenseInverse, or the Modes of a modal family
+    inverses: tuple  # dense non-modal families: the arrays steps 1..nt multiply by, and their transposes
+    matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
 
 
 class TimeStepper:
-    """Per-level backward-Euler step matrices, kept ready to solve with.
+    """Per-level backward-Euler step matrices, kept ready to march with.
 
-    Up to DENSE_MAX_N interior unknowns a family of step matrices is kept
-    as dense inverses, built and inverted as one stack: a step is one
-    mat-vec, and a transposed step multiplies by the transpose of the same
-    inverse, so the adjoint march is the exact transpose of the forward
-    one.  Above the cap each level keeps a SuperLU factorization, and one
-    factorization serves a step matrix and its transpose.  When the
-    coefficients are time-independent one level serves every step.  The
-    sparse step matrices themselves are rebuilt on demand by step_matrix.
+    Every family of step matrices (forward, and adjoint when its
+    coefficients differ) has one representation, chosen by the number n of
+    interior unknowns and by the coefficients:
+
+    - Modal, up to MODAL_MAX_N unknowns for time-constant coefficients
+      without transport, whose step matrix S is symmetric: S = Q diag(1/w) Q'.
+      A march transforms its datum and sources once, runs the recurrence
+      as a log-depth scan over time and transforms back.  A backward march
+      scans the reversed time axis with the same Q and w.
+    - Dense, up to DENSE_MAX_N unknowns otherwise: the inverse of each
+      distinct level, built and inverted as one stack.  A step is one
+      mat-vec, and a transposed step multiplies by the transpose of the
+      same inverse.
+    - Above the cap each level keeps a SuperLU factorization, and one
+      factorization serves a step matrix and its transpose.
+
+    Either way the backward march is the transpose of the forward one.
+    When the coefficients are time-independent one level serves every step.
+    A march whose datum and sources are all zero returns zeros at once.
+    The sparse step matrices themselves come from step_matrix.
     """
 
     def __init__(self, grid: Grid, a: SpaceTimeField, b: tuple, a_adj=None, b_adj=None):
@@ -205,13 +221,19 @@ class TimeStepper:
 
     def _build(self, a_field, b_fields):
         grid = self.grid
+        n, nt = grid.n_interior, grid.nt
         const = _fields_time_constant(a_field, b_fields)
-        levels = [1] if const else list(range(1, grid.nt + 1))
-        if grid.n_interior <= DENSE_MAX_N:
+        levels = [1] if const else list(range(1, nt + 1))
+        inverses = None
+        if const and n <= MODAL_MAX_N and not any(np.any(bf.values) for bf in b_fields):
+            solvers = [symmetric_modes(self._dense_step_stack(a_field, b_fields, levels)[0])]
+        elif n <= DENSE_MAX_N:
             solvers = invert_stack(self._dense_step_stack(a_field, b_fields, levels))
+            arrays = [s.inv for s in solvers] * (nt if const else 1)
+            inverses = (arrays, [inv.T for inv in arrays])
         else:
             solvers = [factorize(self._step_matrix(a_field, b_fields, j)) for j in levels]
-        return _Family(a_field, b_fields, const, solvers * grid.nt if const else solvers)
+        return _Family(a_field, b_fields, const, solvers * nt if const else solvers, inverses, {})
 
     def _step_matrix(self, a_field, b_fields, level):
         grid = self.grid
@@ -243,22 +265,32 @@ class TimeStepper:
             raise ValueError(f"unknown matrix family {family!r}") from None
 
     def step(self, j, family="forward"):
-        """Solver of the step matrix used by forward step j (1..nt): a
-        DenseInverse up to DENSE_MAX_N unknowns, a Factorization above."""
+        """What forward step j (1..nt) solves with: the Modes of a modal
+        family, else a DenseInverse up to DENSE_MAX_N unknowns and a
+        Factorization above."""
         return self._family(family).solvers[j - 1]
 
     def step_matrix(self, j, family="forward"):
-        """The sparse step matrix I + dt L_j itself (1..nt), built on demand."""
-        fam = self._family(family)
-        return self._step_matrix(fam.a, fam.b, 1 if fam.time_constant else j)
+        """The sparse step matrix I + dt L_j itself (1..nt).
 
-    def _march_arrays(self, datum, sources, level):
-        """Output array holding the start datum at `level`, and the sources times dt.
+        A time-constant family builds it once and returns that matrix for
+        every j; callers must not modify it.
+        """
+        fam = self._family(family)
+        if not fam.time_constant:
+            return self._step_matrix(fam.a, fam.b, j)
+        if not fam.matrices:
+            fam.matrices[1] = self._step_matrix(fam.a, fam.b, 1)
+        return fam.matrices[1]
+
+    def _march_inputs(self, datum, sources):
+        """The datum and sources as float arrays, and the column count k.
 
         The datum is (n,) or (n, k); the sources are None, (nt+1, n) or
         (nt+1, n, k).  Any 3-D argument, or a 2-D datum, makes the march
         multi-column, shape (nt+1, n, k); a 1-D datum is then shared by
         every column.  Column counts must agree: nothing else broadcasts.
+        k is None for a single-column march of shape (nt+1, n).
         """
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
@@ -275,40 +307,121 @@ class TimeStepper:
             if k is not None and src_k != k:
                 raise ShapeMismatch(f"march datum has {k} columns, sources shape {sources.shape}")
             k = src_k
-            sources = grid.dt * sources
-        out = np.zeros((nt + 1, n) if k is None else (nt + 1, n, k))
-        out[level] = datum if datum.ndim == out.ndim - 1 else datum[:, None]
-        return out, sources
+        return datum, sources, k
+
+    def _march(self, datum, sources, family, backward):
+        """march_forward, or march_backward when backward is true."""
+        grid = self.grid
+        n, nt = grid.n_interior, grid.nt
+        fam = self._family(family)
+        datum, sources, k = self._march_inputs(datum, sources)
+        shape = (nt + 1, n) if k is None else (nt + 1, n, k)
+        if not datum.any() and (sources is None or not sources.any()):
+            return np.zeros(shape)
+        if isinstance(fam.solvers[0], Modes):
+            return _modal_march(fam.solvers[0], datum, sources, grid.dt, nt, k, backward)
+        out = np.zeros(shape)
+        out[nt if backward else 0] = datum if datum.ndim == out.ndim - 1 else datum[:, None]
+        dt_src = None if sources is None else grid.dt * sources
+        if fam.inverses is None:
+            _solver_loop(fam.solvers, out, dt_src, backward)
+        else:
+            _inverse_loop(fam.inverses[backward], out, dt_src, backward)
+        return out
 
     def march_forward(self, w0_int, sources=None, family="forward"):
         """March (I + dt L_j) w^j = w^{j-1} + dt s^j for j = 1..nt.
 
         sources is an (nt+1, n) array, or (nt+1, n, k) for k columns that
-        march at once (one k-column solve per step); level j feeds step j
-        (level 0 is never used).  Returns all levels, shape (nt+1, n) or
-        (nt+1, n, k); see _march_arrays for the shapes accepted.
+        march at once; level j feeds step j (level 0 is never used).
+        Returns all levels, shape (nt+1, n) or (nt+1, n, k); see
+        _march_inputs for the shapes accepted.  Column c of a k-column
+        march is bit for bit the single-column march of its data.
         """
-        solvers = self._family(family).solvers
-        out, dt_src = self._march_arrays(w0_int, sources, 0)
-        for j in range(1, self.grid.nt + 1):
-            rhs = out[j - 1] if dt_src is None else out[j - 1] + dt_src[j]
-            solvers[j - 1].solve(rhs, out=out[j])
-        return out
+        return self._march(w0_int, sources, family, backward=False)
 
     def march_backward(self, terminal_int, sources=None, family="forward"):
-        """Exact transpose march: (I + dt L_j)' p^{j-1} = p^j + dt s^j.
+        """Transpose march: (I + dt L_j)' p^{j-1} = p^j + dt s^j.
 
         Runs j = nt..1; the stored level nt is the terminal datum and the
         multiplier of step j lands at level j-1.  Source level j pairs with
         state level j in the duality identity.  Shapes as in march_forward.
         """
-        nt = self.grid.nt
-        solvers = self._family(family).solvers
-        out, dt_src = self._march_arrays(terminal_int, sources, nt)
-        for j in range(nt, 0, -1):
-            rhs = out[j] if dt_src is None else out[j] + dt_src[j]
-            solvers[j - 1].solve(rhs, transpose=True, out=out[j - 1])
-        return out
+        return self._march(terminal_int, sources, family, backward=True)
+
+
+def _steps(nt, backward):
+    """(j, level read, level written) of each step, in marching order."""
+    if backward:
+        return [(j, j, j - 1) for j in range(nt, 0, -1)]
+    return [(j, j - 1, j) for j in range(1, nt + 1)]
+
+
+def _solver_loop(solvers, out, dt_src, backward):
+    """out[to] = S_j^{-1} (out[from] + dt s^j), or S_j^{-T}, one solver call per step."""
+    rhs = np.empty_like(out[0])
+    for j, read, write in _steps(len(solvers), backward):
+        src = out[read] if dt_src is None else np.add(out[read], dt_src[j], out=rhs)
+        solvers[j - 1].solve(src, transpose=backward, out=out[write])
+
+
+def _inverse_loop(mats, out, dt_src, backward):
+    """out[to] = M_j (out[from] + dt s^j) with M_j the (transposed) inverse of step j.
+
+    A k-column level multiplies as a stack of k mat-vecs, as DenseInverse.solve
+    does, so each column is bit for bit the single-column march.
+    """
+    rhs = np.empty_like(out[0])
+    if out.ndim == 3:  # (n, k) levels as stacks of k column vectors (k, n, 1)
+        levels, rhs_in = list(out.transpose(0, 2, 1)[..., None]), rhs.T[..., None]
+    else:
+        levels, rhs_in = list(out), rhs
+    plain = list(out)
+    srcs = None if dt_src is None else list(dt_src)
+    for j, read, write in _steps(len(mats), backward):
+        if srcs is None:
+            np.matmul(mats[j - 1], levels[read], out=levels[write])
+        else:
+            np.add(plain[read], srcs[j], out=rhs)
+            np.matmul(mats[j - 1], rhs_in, out=levels[write])
+
+
+def _modal_march(modes, datum, sources, dt, nt, k, backward):
+    """March with the step inverse Q diag(w) Q' of a symmetric time-constant family.
+
+    In modal coordinates step j reads y^j = w * (y^{j-1} + dt s^j).  The
+    datum and the sources are transformed with one GEMM of shape
+    (nt+1, n) @ (n, n) per column, the recurrence runs as a log-depth
+    (Hillis-Steele) scan over time, elementwise, and one GEMM per column
+    transforms back.  So column c of a k-column march is bit for bit the
+    single-column march.  A backward march is the same scan over the
+    reversed time axis.
+    """
+    Q, w = modes.Q, modes.w
+    # time on axis -2: (nt+1, n), or (k, nt+1, n) so that each column is one contiguous GEMM operand
+    x = np.empty((nt + 1, Q.shape[0]) if k is None else (k, nt + 1, Q.shape[0]))
+    data, fed = (nt, slice(0, nt)) if backward else (0, slice(1, nt + 1))  # source j feeds level j or j-1
+    x[..., data, :] = datum.T
+    if sources is None:
+        x[..., fed, :] = 0.0
+    else:
+        stacked = sources if k is None else np.moveaxis(sources, -1, 0)
+        np.multiply(dt, stacked[..., 1:, :], out=x[..., fed, :])
+    y = x @ Q
+    y[..., fed, :] *= w
+    # after the round with shift d, level l holds sum_{i=0..2d-1} w^i x_{l-i} (x_{l+i} backward)
+    power, shift = w, 1
+    while shift <= nt:
+        if backward:
+            y[..., :-shift, :] += power * y[..., shift:, :]
+        else:
+            y[..., shift:, :] += power * y[..., :-shift, :]
+        shift *= 2
+        if shift <= nt:
+            power = power * power
+    y = y @ Q.T
+    y[..., data, :] = datum.T  # the datum level holds the datum itself, not its round trip
+    return y if k is None else np.moveaxis(y, 0, -1)
 
 
 def columns(arr):

@@ -191,10 +191,10 @@ def test_lambda_symmetry_and_psd(spec, rng):
 
 
 def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
-    """On the nx = nt = 64 null-control grid (62 unknowns, dense step
-    inverses) a transposed step multiplies by the transpose of the forward
-    step's own inverse, so the coupled adjoint inside Lambda is the exact
-    transpose of the Nash solve and Lambda's symmetry defect
+    """On the nx = nt = 64 null-control grid (62 unknowns, modal marches)
+    a backward march is the forward scan reversed in time with the same
+    eigenvectors and reciprocal eigenvalues, so the coupled adjoint inside
+    Lambda is the transpose of the Nash solve and Lambda's symmetry defect
     |<x, Lambda y> - <Lambda x, y>| / (||x|| ||Lambda y||) is rounding only.
     SuperLU's plain and transposed solves give about 2e-15, so the bound
     tells the two apart."""

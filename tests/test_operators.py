@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
-from hierctrl.linalg import DenseInverse, Factorization, factorize
+from hierctrl.linalg import DenseInverse, Factorization, Modes, factorize
 from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
-from hierctrl.operators import (DENSE_MAX_N, ProblemSpec, _spatial_operator,
+from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
                                 assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
 
 from conftest import make_nash_spec
@@ -406,3 +407,130 @@ def test_coefficient_change_builds_its_own_stepper(rng, name):
     else:
         changed = spec.with_(**{name: (SpaceTimeField(g, rng.uniform(0.0, 1.0, shape)),)})
     assert changed.stepper is not spec.stepper
+
+
+def _modal_stepper(nx=14, nt=8, length=1.0):
+    """Time-constant reaction, no transport: a symmetric family, kept as modes."""
+    g = build_grid(1, length, nx, 1.0, nt)
+    st = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
+    assert isinstance(st.step(1), Modes) and st.step(1) is st.step(g.nt)
+    return g, st
+
+
+@pytest.mark.parametrize("nx,nt,length", [(14, 8, 1.0), (64, 64, 6.0)])  # the latter: the benchmark grid
+@pytest.mark.parametrize("direction", ["march_forward", "march_backward"])
+def test_two_column_modal_march_matches_single_columns_bitwise(rng, direction, nx, nt, length):
+    g, st = _modal_stepper(nx, nt, length)
+    march = getattr(st, direction)
+    datum = rng.standard_normal((g.n_interior, 2))
+    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    both = march(datum, src)
+    assert both.shape == (g.nt + 1, g.n_interior, 2)
+    for k in range(2):
+        assert np.array_equal(both[:, :, k], march(datum[:, k], src[:, :, k]))
+    shared = march(datum[:, 0], src)
+    for k in range(2):
+        assert np.array_equal(shared[:, :, k], march(datum[:, 0], src[:, :, k]))
+    free = march(datum, None)
+    for k in range(2):
+        assert np.array_equal(free[:, :, k], march(datum[:, k], None))
+
+
+@pytest.mark.parametrize("nt", [4, 7, 33, 64])
+def test_modal_march_matches_step_loop(rng, monkeypatch, nt):
+    """The eigenbasis scan and the dense-inverse step loop march the same
+    symmetric family to rounding."""
+    g, modal = _modal_stepper(nx=24, nt=nt, length=6.0)
+    monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
+    loop = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
+    assert isinstance(loop.step(1), DenseInverse)
+    datum = rng.standard_normal((g.n_interior, 2))
+    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    for direction in ("march_forward", "march_backward"):
+        got, ref = getattr(modal, direction)(datum, src), getattr(loop, direction)(datum, src)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_duality_identity_on_modal_stepper(rng):
+    g, st = _modal_stepper()
+    spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
+    assert spec.stepper is not st and isinstance(spec.stepper.step(1), Modes)
+    for _ in range(5):
+        gap = duality_gap(
+            spec,
+            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal((g.nt + 1, g.n_interior)),
+            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal((g.nt + 1, g.n_interior)),
+        )
+        assert gap <= 1e-12
+
+
+def test_singular_symmetric_level_raises():
+    """A time-constant reaction that leaves the last pivot of the symmetric
+    step matrix at rounding level: the modal family keeps the LU rule."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    M = np.eye(g.n_interior) + g.dt * assemble_biharmonic(g).toarray()
+    schur = M[-1, :-1] @ np.linalg.solve(M[:-1, :-1], M[:-1, -1])
+    a = np.zeros((g.nt + 1,) + g.nx)
+    a[:, -2] = (schur - M[-1, -1]) / g.dt
+    with pytest.raises(SingularMatrix, match="matrix 0 "):
+        _plain_spec(g, a_values=a).stepper
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("backward", [False, True])
+def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
+    """A march with zero datum and sources returns zeros without stepping;
+    on the inverse path the stepped march gives the same bits."""
+    g, st = _frozen_like_stepper(rng)
+    n, nt = g.n_interior, g.nt
+    shape = (nt + 1, n) if k is None else (nt + 1, n, k)
+    got = (st.march_backward if backward else st.march_forward)(np.zeros(n), np.zeros(shape))
+    stepped = np.zeros(shape)
+    for j in range(nt, 0, -1) if backward else range(1, nt + 1):
+        read, write = (j, j - 1) if backward else (j - 1, j)
+        stepped[write] = st.step(j).solve(stepped[read] + g.dt * np.zeros(shape[1:]), transpose=backward)
+    assert got.shape == shape and np.array_equal(got, stepped)
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("backward", [False, True])
+def test_step_loop_equals_solver_loop_bitwise(rng, k, backward):
+    """The dense step loop gives the bits of one DenseInverse.solve per step."""
+    g, st = _frozen_like_stepper(rng)
+    n, nt = g.n_interior, g.nt
+    datum = rng.standard_normal(n if k is None else (n, k))
+    src = rng.standard_normal((nt + 1, n) if k is None else (nt + 1, n, k))
+    got = (st.march_backward if backward else st.march_forward)(datum, src, family="adjoint")
+    ref = np.zeros_like(src)
+    ref[nt if backward else 0] = datum
+    for j in range(nt, 0, -1) if backward else range(1, nt + 1):
+        read, write = (j, j - 1) if backward else (j - 1, j)
+        ref[write] = st.step(j, "adjoint").solve(ref[read] + g.dt * src[j], transpose=backward)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("nx,modal", [(MODAL_MAX_N + 2, True), (MODAL_MAX_N + 3, False)])
+def test_modal_cap_in_1d(nx, modal):
+    g = build_grid(1, 1.0, nx, 1.0, 4)
+    st = _plain_spec(g).stepper
+    assert isinstance(st.step(1), Modes if modal else DenseInverse)
+
+
+def test_transport_or_time_dependence_keeps_inverses(rng):
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    shape = (g.nt + 1,) + g.nx
+    transport = _plain_spec(g, b_values=[np.full(shape, 0.5)]).stepper
+    varying = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, shape)).stepper
+    assert isinstance(transport.step(1), DenseInverse) and transport.step(1) is transport.step(g.nt)
+    assert isinstance(varying.step(1), DenseInverse) and varying.step(1) is not varying.step(2)
+
+
+def test_time_constant_step_matrix_built_once():
+    g, st = _modal_stepper()
+    first = st.step_matrix(1)
+    assert all(st.step_matrix(j) is first for j in range(1, g.nt + 1))
+    fresh = st._step_matrix(st._family("forward").a, st._family("forward").b, g.nt)
+    assert abs(first - fresh).max() == 0.0
