@@ -42,8 +42,8 @@ def dump_field(path, field):
     nx = g.nx[0]
     ny = g.nx[1] if g.dim == 2 else 1
     lines = [f"# {nx} {ny} {g.nt}"]
-    for k in range(g.nt + 1):
-        lines.append(" ".join(fmt(v) for v in field.values[k].reshape(-1)))
+    for row in field.values.reshape(g.nt + 1, -1):
+        lines.append(" ".join(["%.17g" % v for v in row.tolist()]))  # as fmt, without a call per value
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -22,20 +22,39 @@ from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
 from .nash import (NashSolution, _controls_from_adjoints, _indicators, _package_solution, q_norm,
                    solve_nash_fixed_point, stacked_system)
-from .operators import ProblemSpec, columns, control_sources, solve_forward
+from .operators import ProblemSpec, columns, control_sources, solve_forward, stack_columns
 
 
 @dataclass
 class CoupledAdjointState:
+    """psi and its forward companions eta_i = F_adj(-chi_i psi^{j-1}/mu_i).
+
+    A coupled-adjoint solve that marched eta_1 and eta_2 keeps them.  One
+    that marched only their sum (the shared case) leaves companions None
+    until eta1, eta2 or etas is first read; that read marches both from
+    psi as one 2-column march and keeps them.
+    """
     psi: SpaceTimeField
-    eta1: SpaceTimeField
-    eta2: SpaceTimeField
+    spec: ProblemSpec
     iterations: int = 0
     history: list = None
+    companions: tuple = None
 
     @property
     def etas(self):
-        return (self.eta1, self.eta2)
+        if self.companions is None:
+            spec = self.spec
+            etas = _companions(spec, self.psi.interior(), _indicators(spec.follower_masks), 2)
+            self.companions = tuple(SpaceTimeField.from_interior(spec.grid, eta) for eta in etas)
+        return self.companions
+
+    @property
+    def eta1(self):
+        return self.etas[0]
+
+    @property
+    def eta2(self):
+        return self.etas[1]
 
 
 @dataclass
@@ -51,37 +70,51 @@ class HumResult:
 
 
 def _psi_source(weights, eta_arrs):
-    """sum_i alpha_i chi_di eta_i, with weights[i] = alpha_i chi_di."""
+    """sum_c weights[c] eta_c over the companion columns."""
     src = np.zeros_like(eta_arrs[0])
     for wt, eta in zip(weights, eta_arrs):
         src += wt * eta
     return src
 
 
-def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
-    """Fixed point over (psi, eta1, eta2); linear in the terminal datum psi0.
+def _companions(spec, psi, chis, k):
+    """The forward companions of psi: eta_1 and eta_2 as two columns (k = 2),
+    or their sum as one (k = 1).  eta_i marches the Nash control
+    -chi_i psi^{j-1}/mu_i of psi (chis: the follower indicators), as the
+    coupled adjoint is the transpose of the Nash system."""
+    srcs = _controls_from_adjoints(spec, (psi, psi), chis)
+    if k == 1:
+        srcs = [srcs[0] + srcs[1]]
+    zero = np.zeros(spec.grid.n_interior)
+    return columns(spec.stepper.march_forward(zero, stack_columns(srcs), family="adjoint"))
 
-    psi marches backward with the transposed forward matrices, then eta_1
-    and eta_2 march forward together, one column each, with the
-    adjoint-coefficient family; together they are the exact transpose of
-    the optimality system.  The first sweep has no
+
+def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
+    """Fixed point over psi and its forward companions; linear in the
+    terminal datum psi0.
+
+    psi marches backward with the transposed forward matrices, fed by
+    sum_i alpha_i chi_di eta_i; then the companions march forward with the
+    adjoint-coefficient family.  Together they are the exact transpose of
+    the optimality system.  When both target weights alpha_i chi_di are
+    equal (the shared case) psi reads only eta_1 + eta_2, so a sweep
+    marches that sum as one column, the transpose of the merged Nash
+    sweep; otherwise eta_1 and eta_2 march as two columns.  The change is
+    measured on psi and the marched columns.  The first sweep has no
     predecessor, so its change is not recorded.
     """
     grid = spec.grid
     stepper = spec.stepper
     psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
-    n = grid.n_interior
     weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
+    if np.array_equal(*weights):
+        weights = weights[:1]
     chis = _indicators(spec.follower_masks)
-    zero = np.zeros(n)
 
     def sweep(state):
         psi, etas = state
         psi_new = stepper.march_backward(psi0_int, _psi_source(weights, etas), family="forward")
-        # the companions' sources -chi_i psi^{j-1}/mu_i are the Nash controls
-        # of psi: the coupled adjoint is the transpose of the Nash system
-        eta_srcs = np.stack(_controls_from_adjoints(spec, (psi_new, psi_new), chis), axis=-1)
-        etas_new = columns(stepper.march_forward(zero, eta_srcs, family="adjoint"))
+        etas_new = _companions(spec, psi_new, chis, len(weights))
         change = None
         if psi is not None:
             change = q_norm(grid, psi_new - psi)
@@ -89,18 +122,19 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
                 change = math.hypot(change, q_norm(grid, e_new - e_old))
         return (psi_new, etas_new), change, max(q_norm(grid, psi_new), TINY)
 
-    start = (None, [np.zeros((grid.nt + 1, n)) for _ in range(2)])
+    start = (None, [np.zeros((grid.nt + 1, grid.n_interior)) for _ in weights])
     (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint")
-    return _coupled_state(grid, psi, etas, it, history)
+    return _coupled_state(spec, psi, etas if len(etas) == 2 else None, it, history)
 
 
-def _coupled_state(grid, psi, etas, iterations, history):
+def _coupled_state(spec, psi, etas, iterations, history):
+    grid = spec.grid
     return CoupledAdjointState(
         psi=SpaceTimeField.from_interior(grid, psi),
-        eta1=SpaceTimeField.from_interior(grid, etas[0]),
-        eta2=SpaceTimeField.from_interior(grid, etas[1]),
+        spec=spec,
         iterations=iterations,
         history=history,
+        companions=None if etas is None else tuple(SpaceTimeField.from_interior(grid, e) for e in etas),
     )
 
 
@@ -135,7 +169,7 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
     psi = np.vstack([x[0], psi0_int])
     etas = [np.vstack([np.zeros(n), x[1 + i]]) for i in range(2)]
-    return nash, _coupled_state(grid, psi, etas, 1, [0.0])
+    return nash, _coupled_state(spec, psi, etas, 1, [0.0])
 
 
 def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTimeField:

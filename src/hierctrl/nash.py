@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from .errors import TooLarge
 from .linalg import TINY, iterate
 from .mesh import SpaceTimeField
-from .operators import ProblemSpec, columns, control_sources, solve_forward
+from .operators import ProblemSpec, columns, control_sources, solve_forward, stack_columns
 
 
 def q_norm(grid, arr):
@@ -81,7 +81,7 @@ def _response_adjoint(spec, g_states, followers=(0, 1)):
     control-side arrays on O_i.  g_states[k] goes with followers[k]; they
     march together, one column each, in a single backward march."""
     grid = spec.grid
-    P = spec.stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states, axis=-1), family="adjoint")
+    P = spec.stepper.march_backward(np.zeros(grid.n_interior), stack_columns(g_states), family="adjoint")
     out = []
     for i, p in zip(followers, columns(P)):
         o = np.zeros_like(p)
@@ -130,6 +130,13 @@ def solve_nash_fixed_point(
 ) -> NashSolution:
     """Contraction fixed point z -> w^z over the coupled optimality system.
 
+    Each sweep marches the follower adjoints backward from the frozen state
+    z, one column per distinct target term alpha_i chi_di (z - w_id): when
+    both followers weigh and track alike (the shared case) their adjoints
+    are one equation, marched as one column that serves as phi_1 and
+    phi_2, bitwise what a 2-column march gives.  Then the state marches
+    forward under the controls.
+
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
     change; failures are raised by linalg.iterate.  extra_source, when
     given, is an unmasked interior source added to the state equation (the
@@ -142,18 +149,22 @@ def solve_nash_fixed_point(
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
-    # per-solve vectors: alpha_i chi_di, the targets' interiors, chi_i
-    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
-    targets = [wd.interior() for wd in spec.targets]
+    # per-solve vectors: (alpha_i chi_di, w_id) of each distinct target term, chi_i
+    terms = [(al * chid, wd.interior())
+             for al, chid, wd in zip(spec.alpha, _indicators(spec.target_masks), spec.targets)]
+    if all(np.array_equal(a, b) for a, b in zip(*terms)):
+        terms = terms[:1]
     chis = _indicators(spec.follower_masks)
     zero = np.zeros(grid.n_interior)
     sweeps = itertools.count(1)
 
     def sweep(state):
-        # both adjoints from frozen z in one 2-column march, then the controls, then the state
+        # the adjoints from frozen z in one march, then the controls, then the state
         z = state[0]
-        src = np.stack([wt * (z - wd) for wt, wd in zip(weights, targets)], axis=-1)
+        src = stack_columns([wt * (z - wd) for wt, wd in terms])
         phis = columns(stepper.march_backward(zero, src, family="adjoint"))
+        if len(phis) == 1:
+            phis = phis * 2
         vs = _controls_from_adjoints(spec, phis, chis)
         src = f_src.copy()
         for v, chi in zip(vs, chis):

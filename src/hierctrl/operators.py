@@ -425,8 +425,17 @@ def _modal_march(modes, datum, sources, dt, nt, k, backward):
 
 
 def columns(arr):
-    """The k columns of an (nt+1, n, k) march, each as a contiguous (nt+1, n) array."""
+    """The k columns of an (nt+1, n, k) march, each as a contiguous (nt+1, n)
+    array; an (nt+1, n) march is its own single column."""
+    if arr.ndim == 2:
+        return [arr]
     return list(np.moveaxis(arr, -1, 0).copy())
+
+
+def stack_columns(arrs):
+    """The sources of one march from a list of (nt+1, n) columns: (nt+1, n, k),
+    or a single column as it is, so that it marches in the plain form."""
+    return arrs[0] if len(arrs) == 1 else np.stack(arrs, axis=-1)
 
 
 def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):

@@ -426,24 +426,86 @@ def test_check_target_condition_decaying_theta_finite(spec):
 
 
 def _count_marches(monkeypatch):
-    """Wrap both TimeStepper marches with a shared call counter."""
+    """Wrap both TimeStepper marches with a shared recorder of
+    (march name, column count k), in call order."""
     calls = []
     for name in ("march_forward", "march_backward"):
         original = getattr(TimeStepper, name)
 
-        def counted(self, *args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(self, *args, **kwargs)
+        def counted(self, datum, sources=None, *args, _original=original, _name=name, **kwargs):
+            if np.ndim(sources) == 3:
+                k = np.shape(sources)[2]
+            else:
+                k = np.shape(datum)[1] if np.ndim(datum) == 2 else 1
+            calls.append((_name, k))
+            return _original(self, datum, sources, *args, **kwargs)
 
         monkeypatch.setattr(TimeStepper, name, counted)
     return calls
 
 
 def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):
-    """psi marches backward, then eta_1 and eta_2 as one 2-column forward
-    march: 2 marches per sweep, not 3."""
+    """psi marches backward, then the forward companions in one march (one
+    column per distinct target weight): 2 marches per sweep, not 3."""
     psi0 = _random_psi0(spec, rng)
     calls = _count_marches(monkeypatch)
     st = solve_coupled_adjoint(spec, psi0)
     assert st.iterations > 2
     assert len(calls) == 2 * st.iterations
+
+
+def _assert_matches_oracle(spec, st, psi0):
+    _, dn = dense_oracle(spec, psi0=psi0)
+    g = spec.grid
+    for a, b in ((st.psi, dn.psi), (st.eta1, dn.eta1), (st.eta2, dn.eta2)):
+        nd = q_norm(g, a.interior() - b.interior())
+        assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
+
+
+@pytest.mark.parametrize("targets", ["shared", "distinct"])
+def test_equal_weights_march_one_companion_column(spec, rng, targets, monkeypatch):
+    """Equal weights alpha_i chi_di: psi reads only eta_1 + eta_2, so each
+    sweep marches that sum as one column (the targets do not enter the
+    coupled adjoint).  The companions read from psi match the oracle."""
+    if targets == "distinct":
+        z = SpaceTimeField(spec.grid, np.ones_like(spec.targets[0].values))
+        spec = spec.with_(targets=(spec.targets[0], z))
+    psi0 = _random_psi0(spec, rng)
+    calls = _count_marches(monkeypatch)
+    st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
+    assert st.iterations > 2
+    assert calls == [("march_backward", 1), ("march_forward", 1)] * st.iterations
+    assert st.companions is None
+    monkeypatch.undo()
+    _assert_matches_oracle(spec, st, psi0)
+
+
+def test_distinct_weights_march_two_companion_columns(spec, rng, monkeypatch):
+    """Different alpha_i keep one companion column per follower; the solve
+    keeps both, so reading them marches nothing more."""
+    spec = spec.with_(alpha=(1e-3, 2.5e-3))
+    psi0 = _random_psi0(spec, rng)
+    calls = _count_marches(monkeypatch)
+    st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
+    assert calls == [("march_backward", 1), ("march_forward", 2)] * st.iterations
+    del calls[:]
+    st.etas
+    assert calls == []
+    monkeypatch.undo()
+    _assert_matches_oracle(spec, st, psi0)
+
+
+def test_reading_companions_costs_one_two_column_march(spec, rng, monkeypatch):
+    """The first read of eta1 marches eta_1 and eta_2 from psi as one
+    2-column march, the same march the unmerged sweep ends with; later
+    reads march nothing, and grad_G never reads them."""
+    psi0 = _random_psi0(spec, rng)
+    st = solve_coupled_adjoint(spec, psi0)
+    calls = _count_marches(monkeypatch)
+    eta1 = st.eta1
+    assert calls == [("march_forward", 2)]
+    assert st.eta2 is st.etas[1] and st.eta1 is eta1
+    assert calls == [("march_forward", 2)]
+    del calls[:]
+    grad_G(spec, psi0, eps=0.0)
+    assert calls and all(k == 1 for _, k in calls)

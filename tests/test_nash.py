@@ -230,23 +230,59 @@ def test_history_recorded(nash_spec):
 
 
 def _count_marches(monkeypatch):
-    """Wrap both TimeStepper marches with a shared call counter."""
+    """Wrap both TimeStepper marches with a shared recorder of
+    (march name, column count k), in call order."""
     calls = []
     for name in ("march_forward", "march_backward"):
         original = getattr(TimeStepper, name)
 
-        def counted(self, *args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(self, *args, **kwargs)
+        def counted(self, datum, sources=None, *args, _original=original, _name=name, **kwargs):
+            if np.ndim(sources) == 3:
+                k = np.shape(sources)[2]
+            else:
+                k = np.shape(datum)[1] if np.ndim(datum) == 2 else 1
+            calls.append((_name, k))
+            return _original(self, datum, sources, *args, **kwargs)
 
         monkeypatch.setattr(TimeStepper, name, counted)
     return calls
 
 
 def test_nash_sweep_makes_two_marches(nash_spec, monkeypatch):
-    """Both follower adjoints march as one 2-column backward march, then the
-    state marches forward: 2 marches per sweep, not 3."""
+    """The follower adjoints march in one backward march (one column per
+    distinct target term), then the state marches forward: 2 marches per
+    sweep, not 3."""
     calls = _count_marches(monkeypatch)
     sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid))
     assert sol.iterations > 2
     assert len(calls) == 2 * sol.iterations
+
+
+def test_shared_nash_sweep_marches_one_adjoint_column(nash_spec, monkeypatch):
+    """Equal weights alpha_i chi_di and equal targets make the two follower
+    adjoints one equation: each sweep marches it as one column, backward,
+    then the state forward, and that column is phi_1 and phi_2 alike."""
+    calls = _count_marches(monkeypatch)
+    sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid))
+    assert sol.iterations > 2
+    assert calls == [("march_backward", 1), ("march_forward", 1)] * sol.iterations
+    assert np.array_equal(sol.phi1.values, sol.phi2.values)
+
+
+@pytest.mark.parametrize("change", ["alpha", "targets"])
+def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monkeypatch):
+    """Different alpha_i, or different targets, keep one adjoint column per
+    follower, and the fixed point still matches the oracle."""
+    wd = nash_spec.targets[0]
+    kw = {"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, 0.5 * wd)}
+    spec = nash_spec.with_(**kw)
+    f = leader_bump(spec.grid)
+    calls = _count_marches(monkeypatch)
+    sol = solve_nash_fixed_point(spec, f, tol_rel=1e-12)
+    assert calls == [("march_backward", 2), ("march_forward", 1)] * sol.iterations
+    monkeypatch.undo()
+    oracle, _ = dense_oracle(spec, f)
+    g = spec.grid
+    for a, b in zip((sol.w, *sol.phis, *sol.controls), (oracle.w, *oracle.phis, *oracle.controls)):
+        assert q_norm(g, a.interior() - b.interior()) <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
+    assert q_norm(g, sol.phi1.interior() - sol.phi2.interior()) > 1e-3 * q_norm(g, sol.phi1.interior())
