@@ -585,18 +585,17 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
         while not np.any(psi0_int):
             resampled += 1
             psi0_int = rng.standard_normal(grid.n_interior)
-        psi0 = grid.from_interior(psi0_int)
-        st = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
-        num = norm_h(grid, st.psi.values[0]) ** 2
+        st = solve_coupled_adjoint(spec, psi0_int, tol_rel=tol_rel)
+        num = norm_h(grid, st.psi[0]) ** 2
         if weights.case == "shared":
             obs = spec.alpha[0] * st.eta1 + spec.alpha[1] * st.eta2
-            obs_sq = SpaceTimeField(grid, obs.values**2)
+            obs_sq = SpaceTimeField.from_interior(grid, obs**2)
             num += integrate(obs_sq, spec.target_masks[0], log_weight=log_th2)
         else:
             for i, eta in enumerate(st.etas):
-                eta_sq = SpaceTimeField(grid, eta.values**2)
+                eta_sq = SpaceTimeField.from_interior(grid, eta**2)
                 num += integrate(eta_sq, spec.target_masks[i], log_weight=log_th2)
-        psi_sq = SpaceTimeField(grid, st.psi.values**2)
+        psi_sq = SpaceTimeField.from_interior(grid, st.psi**2)
         den = integrate(psi_sq, spec.leader_mask)
         dens.append(den)
         ratios.append(num / den if den > 0 else math.inf)

@@ -21,6 +21,7 @@ from .carleman import carleman_ratio_report, check_weight_properties, estimate_o
 from .config import load_config, validate_for
 from .errors import HierctrlError
 from .hum import control_to_trajectory, dense_oracle, minimize_G, solve_coupled_adjoint
+from .mesh import SpaceTimeField
 from .nash import cost_followers, cost_leader, q_norm, solve_nash_fixed_point, verify_first_order, _raw_residuals
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
@@ -68,7 +69,7 @@ def write_manifest(out, subcommand, config):
 
 
 def _run_nash(inputs, out):
-    spec, f, solver = inputs.spec, inputs.f, inputs.config.solver
+    spec, f, solver = inputs.spec, inputs.f.interior(), inputs.config.solver
     rows = []
 
     def on_sweep(it, W, vs, change):
@@ -79,15 +80,15 @@ def _run_nash(inputs, out):
         spec, f, tol_rel=solver["nash_tol"], max_iter=solver["nash_max_iter"],
         damping=solver["damping"], on_sweep=on_sweep)
     write_csv(Path(out, "nash_history.csv"), ("iter", "change_norm", "residual_1", "residual_2"), rows)
-    for name, field in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
-        dump_field(Path(out, f"{name}.field.txt"), field)
+    for name, arr in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
+        dump_field(Path(out, f"{name}.field.txt"), SpaceTimeField.from_interior(spec.grid, arr))
     j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
     residuals = verify_first_order(spec, sol)
     write_summary(Path(out, "summary.txt"), [
         ("iterations", sol.iterations),
-        ("w_norm", fmt(q_norm(spec.grid, sol.w.interior()))),
-        ("v1_norm", fmt(q_norm(spec.grid, sol.v1.interior()))),
-        ("v2_norm", fmt(q_norm(spec.grid, sol.v2.interior()))),
+        ("w_norm", fmt(q_norm(spec.grid, sol.w))),
+        ("v1_norm", fmt(q_norm(spec.grid, sol.v1))),
+        ("v2_norm", fmt(q_norm(spec.grid, sol.v2))),
         ("residual_1", fmt(residuals[0])),
         ("residual_2", fmt(residuals[1])),
         ("J1", fmt(j1)),
@@ -103,7 +104,7 @@ def _write_sweep(out, spec, hums):
     rows = []
     history = []
     for res in hums:
-        f_norm = q_norm(spec.grid, res.f.interior() * chi)
+        f_norm = q_norm(spec.grid, res.f * chi)
         rows.append((res.eps, res.terminal_norm, res.cg_iterations, f_norm, 0.5 * f_norm**2))
         history.extend((res.eps, k, r) for k, r in enumerate(res.cg_residuals))
     write_csv(Path(out, "sweep.csv"), ("eps", "terminal_norm", "cg_iters", "f_norm", "J_leader"), rows)
@@ -117,8 +118,8 @@ def _run_null_control(inputs, out):
                          max_iter=config.solver["cg_max_iter"])
     tns = _write_sweep(out, spec, results)
     last = results[-1]
-    dump_field(Path(out, "f.field.txt"), last.f)
-    dump_field(Path(out, "w.field.txt"), last.nash.w)
+    dump_field(Path(out, "f.field.txt"), SpaceTimeField.from_interior(spec.grid, last.f))
+    dump_field(Path(out, "w.field.txt"), SpaceTimeField.from_interior(spec.grid, last.nash.w))
     write_summary(Path(out, "summary.txt"), [
         ("eps_count", len(tns)),
         ("terminal_first", fmt(tns[0])),
@@ -182,7 +183,7 @@ def _run_semilinear(inputs, out):
 
 def _run_second_order(inputs, out):
     spec, nonlin, config = inputs.spec, inputs.nonlinearity, inputs.config
-    qe = solve_quasi_equilibrium(spec, nonlin, inputs.f, tol=config.solver["nash_tol"],
+    qe = solve_quasi_equilibrium(spec, nonlin, inputs.f.interior(), tol=config.solver["nash_tol"],
                                  inner_tol=config.solver["nash_tol"])
     report = verify_equilibrium_sufficiency(spec, nonlin, qe,
                                             n_directions=config.solver["n_directions"],
@@ -250,16 +251,16 @@ def _run_carleman(inputs, out):
 
 
 def _run_oracle(inputs, out):
-    spec, f, config = inputs.spec, inputs.f, inputs.config
+    spec, f, config = inputs.spec, inputs.f.interior(), inputs.config
     fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"])
     rng = np.random.default_rng(config.seed)
-    psi0 = spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior))
+    psi0 = rng.standard_normal(spec.grid.n_interior)
     oracle, dn = dense_oracle(spec, f, psi0)
-    scale = max(q_norm(spec.grid, oracle.w.interior()), 1e-300)
-    nash_rel = q_norm(spec.grid, fixed.w.interior() - oracle.w.interior()) / scale
+    scale = max(q_norm(spec.grid, oracle.w), 1e-300)
+    nash_rel = q_norm(spec.grid, fixed.w - oracle.w) / scale
     it = solve_coupled_adjoint(spec, psi0, tol_rel=config.solver["coupled_tol"])
-    scale = max(q_norm(spec.grid, dn.psi.interior()), 1e-300)
-    adj_rel = q_norm(spec.grid, it.psi.interior() - dn.psi.interior()) / scale
+    scale = max(q_norm(spec.grid, dn.psi), 1e-300)
+    adj_rel = q_norm(spec.grid, it.psi - dn.psi) / scale
     nash_res = verify_first_order(spec, fixed)
     oracle_res = verify_first_order(spec, oracle)
     write_summary(Path(out, "summary.txt"), [

@@ -20,21 +20,22 @@ import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import SpaceTimeField, norm_h
-from .nash import (NashSolution, _control_weights, _controls_from_adjoints, _indicators, _package_solution,
-                   q_norm, solve_nash_fixed_point, stacked_system)
+from .nash import (NashSolution, _control_weights, _controls_from_adjoints, _indicators, q_norm,
+                   solve_nash_fixed_point, stacked_system)
 from .operators import ProblemSpec, columns, control_sources, solve_forward
 
 
 @dataclass
 class CoupledAdjointState:
-    """psi and its forward companions eta_i = F_adj(-chi_i psi^{j-1}/mu_i).
+    """psi and its forward companions eta_i = F_adj(-chi_i psi^{j-1}/mu_i),
+    each an interior (nt+1, n) array with one row per time level 0..nt.
 
     A coupled-adjoint solve that marched eta_1 and eta_2 keeps them.  One
     that marched only their sum (the shared case) leaves companions None
     until eta1, eta2 or etas is first read; that read marches both from
     psi as one 2-column march and keeps them.
     """
-    psi: SpaceTimeField
+    psi: np.ndarray
     spec: ProblemSpec
     iterations: int = 0
     history: list = None
@@ -43,9 +44,8 @@ class CoupledAdjointState:
     @property
     def etas(self):
         if self.companions is None:
-            spec = self.spec
-            etas = _companions(spec, self.psi.interior(), [-wt for wt in _control_weights(spec, 2)])
-            self.companions = tuple(SpaceTimeField.from_interior(spec.grid, eta) for eta in etas)
+            neg_weights = [-wt for wt in _control_weights(self.spec, 2)]
+            self.companions = tuple(_companions(self.spec, self.psi, neg_weights))
         return self.companions
 
     @property
@@ -59,8 +59,10 @@ class CoupledAdjointState:
 
 @dataclass
 class HumResult:
+    """One penalized HUM solve: the interior terminal datum psi0, shape
+    (n,), and the leader control f, an interior (nt+1, n) array."""
     psi0: np.ndarray
-    f: SpaceTimeField
+    f: np.ndarray
     nash: NashSolution
     terminal_norm: float
     cg_residuals: list
@@ -85,7 +87,7 @@ def _companions(spec, psi, neg_weights, src=None):
 
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
     """Fixed point over psi and its forward companions; linear in the
-    terminal datum psi0.
+    terminal datum psi0, an interior (n,) vector.
 
     psi marches backward with the transposed forward matrices, fed by
     sum_i alpha_i chi_di eta_i; then the companions march forward with the
@@ -99,7 +101,6 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     """
     grid = spec.grid
     stepper = spec.stepper
-    psi0_int = grid.to_interior(np.asarray(psi0, dtype=float))
     weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
     if np.array_equal(*weights):
         weights = weights[:1]
@@ -113,7 +114,7 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
         np.multiply(weights[0], etas[0], out=psi_src)
         for wt, eta in zip(weights[1:], etas[1:]):
             np.add(psi_src, wt * eta, out=psi_src)
-        psi_new = stepper.march_backward(psi0_int, psi_src, family="forward")
+        psi_new = stepper.march_backward(psi0, psi_src, family="forward")
         etas_new = _companions(spec, psi_new, neg_controls, eta_src)
         change = None
         if psi is not None:
@@ -124,18 +125,7 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
 
     start = (None, [np.zeros((grid.nt + 1, grid.n_interior)) for _ in weights])
     (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint")
-    return _coupled_state(spec, psi, etas if len(etas) == 2 else None, it, history)
-
-
-def _coupled_state(spec, psi, etas, iterations, history):
-    grid = spec.grid
-    return CoupledAdjointState(
-        psi=SpaceTimeField.from_interior(grid, psi),
-        spec=spec,
-        iterations=iterations,
-        history=history,
-        companions=None if etas is None else tuple(SpaceTimeField.from_interior(grid, e) for e in etas),
-    )
+    return CoupledAdjointState(psi, spec, it, history, tuple(etas) if len(etas) == 2 else None)
 
 
 def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
@@ -143,8 +133,9 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
 
     Factors the stacked system once.  The solve with leader f gives the
     Nash solution the fixed point is tested against; the transposed solve,
-    with psi0 feeding the w^nt row, gives the coupled adjoint state.
-    Returns (NashSolution, CoupledAdjointState).
+    with psi0 feeding the w^nt row, gives the coupled adjoint state.  f is
+    an interior (nt+1, n) array and psi0 an interior (n,) vector; either
+    may be None (zero).  Returns (NashSolution, CoupledAdjointState).
     """
     grid = spec.grid
     n = grid.n_interior
@@ -161,65 +152,66 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     W = np.vstack([w0_int, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
     vs = _controls_from_adjoints(spec, phis, _indicators(spec.follower_masks))
-    nash = _package_solution(spec, W, phis, vs, 1, [0.0])
+    nash = NashSolution(W, *phis, *vs, 1, [0.0])
 
-    psi0_int = np.zeros(n) if psi0 is None else grid.to_interior(np.asarray(psi0, dtype=float))
+    psi0 = np.zeros(n) if psi0 is None else psi0
     rhs = np.zeros((3, nt, n))
-    rhs[0, nt - 1] = psi0_int
+    rhs[0, nt - 1] = psi0
     x = lu.solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
-    psi = np.vstack([x[0], psi0_int])
-    etas = [np.vstack([np.zeros(n), x[1 + i]]) for i in range(2)]
-    return nash, _coupled_state(spec, psi, etas, 1, [0.0])
+    psi = np.vstack([x[0], psi0])
+    etas = tuple(np.vstack([np.zeros(n), x[1 + i]]) for i in range(2))
+    return nash, CoupledAdjointState(psi, spec, 1, [0.0], etas)
 
 
-def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState) -> SpaceTimeField:
-    """Leader control f = psi restricted to the leader region.
+def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState):
+    """Leader control f = psi restricted to the leader region, as an
+    interior (nt+1, n) array.
 
     Control level j carries psi^{j-1}: the value pairing with forward step j
     in the discrete duality.
     """
-    grid = spec.grid
     chi = spec.leader_mask.interior_vector()
-    psi = coupled.psi.interior()
-    f = np.zeros_like(psi)
-    f[1:] = psi[:-1] * chi
-    return SpaceTimeField.from_interior(grid, f)
+    f = np.zeros_like(coupled.psi)
+    f[1:] = coupled.psi[:-1] * chi
+    return f
 
 
 def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12):
     """Penalized HUM functional.
 
     The nonsmooth eps*||psi0|| penalty is replaced by (eps/2)*||psi0||^2,
-    so the functional is a CG-solvable quadratic.
+    so the functional is a CG-solvable quadratic in the interior (n,)
+    vector psi0.
     """
     grid = spec.grid
     coupled = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
-    psi = coupled.psi.interior()
+    psi = coupled.psi
     chi = spec.leader_mask.interior_vector()
     quad = 0.5 * grid.dt * grid.hd * float(np.sum(chi * psi[:-1] * psi[:-1]))
     w0_int = grid.to_interior(spec.w0)
     affine = grid.hd * float(np.dot(w0_int, psi[0]))
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
-        eta = coupled.etas[i].interior()
+        eta = coupled.etas[i]
         wd = spec.targets[i].interior()
         affine -= spec.alpha[i] * grid.dt * grid.hd * float(np.sum(chid * eta[1:] * wd[1:]))
-    p0 = norm_h(grid, np.asarray(psi0, dtype=float))
+    p0 = norm_h(grid, psi0)
     return quad + affine + 0.5 * eps * p0 * p0
 
 
 def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12):
     """Gradient of G_eps: terminal state of the optimality system driven by
-    f = psi chi_O, plus the penalty gradient."""
-    psi0 = np.asarray(psi0, dtype=float)
+    f = psi chi_O, plus the penalty gradient.  psi0 and the gradient are
+    interior (n,) vectors."""
     coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol)
     f = leader_from_psi(spec, coupled)
     nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
-    return nash.w.values[-1] + eps * psi0
+    return nash.w[-1] + eps * psi0
 
 
 def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
-    """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD)."""
+    """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD),
+    on interior (n,) vectors."""
     return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
@@ -238,10 +230,10 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     (floating-point drift of the shift recurrences), that eps is refined
     once by a single-shift CG on the residual equation.
 
-    psi0, for a single eps only, is a start in place of the CG run: it is
-    reconstructed and refined like a drifted shift, so a start that already
-    meets cg_tol costs no CG iteration, and its cg_residuals begin with its
-    true residual relative to ||b||.
+    psi0, an interior (n,) vector for a single eps only, is a start in place
+    of the CG run: it is reconstructed and refined like a drifted shift, so
+    a start that already meets cg_tol costs no CG iteration, and its
+    cg_residuals begin with its true residual relative to ||b||.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
@@ -249,31 +241,27 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     eps_list = [float(e) for e in np.atleast_1d(eps)]
     if psi0 is not None and len(eps_list) != 1:
         raise ValueError("a psi0 start takes a single eps")
-    b_full = grad_G(spec, np.zeros(grid.nx), eps=0.0, inner_tol=inner_tol)
-    b_int = grid.to_interior(b_full)
-    norm_b = max(float(np.linalg.norm(b_int)), TINY)
+    b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol)
+    norm_b = max(float(np.linalg.norm(b)), TINY)
     zspec = spec.with_zero_data()
 
-    def apply(x_int):
-        lam = grad_G(zspec, grid.from_interior(x_int), eps=0.0, inner_tol=inner_tol)
-        return grid.to_interior(lam)
+    def apply(x):
+        return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol)
 
-    def reconstruct(x_int, e):
-        psi0 = grid.from_interior(x_int)
-        coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol)
+    def reconstruct(x, e):
+        coupled = solve_coupled_adjoint(spec, x, tol_rel=inner_tol)
         f = leader_from_psi(spec, coupled)
         nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
-        r_true = grid.to_interior(nash.w.values[-1]) + e * x_int
-        return psi0, f, nash, r_true
+        return f, nash, nash.w[-1] + e * x
 
     if psi0 is None:
-        cg = conjugate_gradient(apply, -b_int, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+        cg = conjugate_gradient(apply, -b, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
         starts = zip(eps_list, cg.xs, cg.histories, cg.shift_iterations)
     else:
-        starts = [(eps_list[0], grid.to_interior(np.asarray(psi0, dtype=float)), None, 0)]
+        starts = [(eps_list[0], psi0, None, 0)]
     results = []
-    for e, x_int, residuals, iterations in starts:
-        psi0, f, nash, r_true = reconstruct(x_int, e)
+    for e, x, residuals, iterations in starts:
+        f, nash, r_true = reconstruct(x, e)
         norm_r = float(np.linalg.norm(r_true))
         if residuals is None:
             residuals = [norm_r / norm_b]
@@ -282,13 +270,14 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
                                      max_iter=max_iter, shifts=(e,))
             residuals = residuals + [h * norm_r / norm_b for h in fix.histories[0][1:]]
             iterations += fix.iterations
-            psi0, f, nash, r_true = reconstruct(x_int + fix.xs[0], e)
+            x = x + fix.xs[0]
+            f, nash, r_true = reconstruct(x, e)
             norm_r = float(np.linalg.norm(r_true))
         results.append(HumResult(
-            psi0=psi0,
+            psi0=x,
             f=f,
             nash=nash,
-            terminal_norm=norm_h(grid, nash.w.values[-1]),
+            terminal_norm=norm_h(grid, nash.w[-1]),
             cg_residuals=residuals,
             cg_iterations=iterations,
             eps=e,
@@ -321,7 +310,8 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     ubar = solve_forward(base, w0=ubar0)
     wspec = spec.with_(w0=u0 - ubar0, targets=tuple(z - ubar for z in zetas))
     hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
-    results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
+    results = [TrajectoryResult(hum=hum, u=SpaceTimeField.from_interior(spec.grid, hum.nash.w) + ubar,
+                                ubar=ubar, terminal_mismatch=hum.terminal_norm)
                for hum in hums]
     return results if np.ndim(eps) else results[0]
 

@@ -231,11 +231,6 @@ class SpaceTimeField:
     def __sub__(self, other):
         return SpaceTimeField(self.grid, self.values - other.values)
 
-    def __mul__(self, scalar):
-        return SpaceTimeField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def time_weights(grid):
     """Trapezoidal weights over time levels (half weights at k=0, nt)."""

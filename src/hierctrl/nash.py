@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from .errors import TooLarge
 from .linalg import TINY, iterate
-from .mesh import SpaceTimeField
 from .operators import ProblemSpec, columns, control_sources, solve_forward, stack_columns
 
 
@@ -36,11 +35,14 @@ def q_norm(grid, arr):
 
 @dataclass
 class NashSolution:
-    w: SpaceTimeField
-    phi1: SpaceTimeField
-    phi2: SpaceTimeField
-    v1: SpaceTimeField
-    v2: SpaceTimeField
+    """State, follower adjoints and follower controls, each an interior
+    (nt+1, n) array with one row per time level 0..nt.  The fixed point
+    returns phi1 and phi2 as one array in the shared case."""
+    w: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
     iterations: int
     history: list
 
@@ -90,12 +92,10 @@ def _controls_from_adjoints(spec, phi_arrays, chis):
     return out
 
 
-def apply_response(spec: ProblemSpec, i, v: SpaceTimeField) -> SpaceTimeField:
+def apply_response(spec: ProblemSpec, i, v):
     """Response operator A_i: state driven by v on follower region i, zero IC."""
-    grid = spec.grid
-    src = v.interior() * spec.follower_masks[i].interior_vector()
-    W = spec.stepper.march_forward(np.zeros(grid.n_interior), src)
-    return SpaceTimeField.from_interior(grid, W)
+    src = v * spec.follower_masks[i].interior_vector()
+    return spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
 
 
 def _response_adjoint(spec, g_states, followers=(0, 1)):
@@ -114,33 +114,30 @@ def _response_adjoint(spec, g_states, followers=(0, 1)):
     return out
 
 
-def apply_response_adjoint(spec: ProblemSpec, i, g: SpaceTimeField) -> SpaceTimeField:
-    adj, = _response_adjoint(spec, [g.interior()], followers=(i,))
-    return SpaceTimeField.from_interior(spec.grid, adj)
+def apply_response_adjoint(spec: ProblemSpec, i, g):
+    adj, = _response_adjoint(spec, [g], followers=(i,))
+    return adj
 
 
-def apply_A(spec: ProblemSpec, v1: SpaceTimeField, v2: SpaceTimeField):
+def apply_A(spec: ProblemSpec, v1, v2):
     """Equilibrium operator: A(v1,v2)_i = alpha_i A_i*((A1v1+A2v2) chi_di) + mu_i v_i."""
-    grid = spec.grid
     src = control_sources(spec, v1=v1, v2=v2)
-    W = spec.stepper.march_forward(np.zeros(grid.n_interior), src)
+    W = spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
     adjs = _response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks])
     out = []
-    for i in range(2):
+    for i, vi in enumerate((v1, v2)):
         chi = spec.follower_masks[i].interior_vector()
-        vi = (v1, v2)[i].interior() * chi
-        out.append(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i] + spec.mu[i] * vi))
+        out.append(spec.alpha[i] * adjs[i] + spec.mu[i] * (vi * chi))
     return tuple(out)
 
 
 def compute_rhs(spec: ProblemSpec, f=None):
     """Right side of the equilibrium equation built from the free state."""
-    grid = spec.grid
     src = control_sources(spec, f=f)
-    Z = spec.stepper.march_forward(grid.to_interior(spec.w0), src)
+    Z = spec.stepper.march_forward(spec.grid.to_interior(spec.w0), src)
     adjs = _response_adjoint(spec, [(wd.interior() - Z) * m.interior_vector()
                                     for wd, m in _distinct_targets(spec)])
-    return tuple(SpaceTimeField.from_interior(grid, spec.alpha[i] * adjs[i]) for i in range(2))
+    return tuple(spec.alpha[i] * adjs[i] for i in range(2))
 
 
 def solve_nash_fixed_point(
@@ -165,10 +162,11 @@ def solve_nash_fixed_point(
     damping 1 the next iterate is W itself.
 
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
-    change; failures are raised by linalg.iterate.  extra_source, when
-    given, is an unmasked interior source added to the state equation (the
-    frozen constant term of semilinear sweeps); on_sweep(it, W, vs, change)
-    is called after every sweep.
+    change; failures are raised by linalg.iterate.  f, the leader control,
+    is an interior (nt+1, n) array or None.  extra_source, when given, is
+    an unmasked interior source added to the state equation (the frozen
+    constant term of semilinear sweeps); on_sweep(it, W, vs, change) is
+    called after every sweep.
     """
     grid = spec.grid
     stepper = spec.stepper
@@ -211,20 +209,7 @@ def solve_nash_fixed_point(
 
     start = (np.zeros(shape), 0.0)
     (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point")
-    return _package_solution(spec, W, phis, _controls_from_adjoints(spec, phis, chis), it, history)
-
-
-def _package_solution(spec, W, phis, vs, iterations, history):
-    grid = spec.grid
-    return NashSolution(
-        w=SpaceTimeField.from_interior(grid, W),
-        phi1=SpaceTimeField.from_interior(grid, phis[0]),
-        phi2=SpaceTimeField.from_interior(grid, phis[1]),
-        v1=SpaceTimeField.from_interior(grid, vs[0]),
-        v2=SpaceTimeField.from_interior(grid, vs[1]),
-        iterations=iterations,
-        history=list(history),
-    )
+    return NashSolution(W, *phis, *_controls_from_adjoints(spec, phis, chis), it, list(history))
 
 
 ORACLE_MAX_UNKNOWNS = 20000  # the stacked system is factored whole, so its size is capped
@@ -282,21 +267,21 @@ def verify_first_order(spec: ProblemSpec, solution: NashSolution):
     r_i = alpha_i A_i*((w - w_id) chi_di) + mu_i v_i, reported relative to
     max(||mu_i v_i||, tiny).
     """
-    return _raw_residuals(spec, solution.w.interior(), [v.interior() for v in solution.controls])
+    return _raw_residuals(spec, solution.w, solution.controls)
 
 
 def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
     """Discrete follower costs, in the same quadrature the optimality
-    system is derived from (right-endpoint rule in time)."""
+    system is derived from (right-endpoint rule in time).  f, v1, v2 and
+    the state w, when given, are interior (nt+1, n) arrays."""
     grid = spec.grid
     if w is None:
-        w = solve_forward(spec, f=f, v1=v1, v2=v2)
-    W = w.interior()
+        w = solve_forward(spec, f=f, v1=v1, v2=v2).interior()
     out = []
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
-        dev = (W - spec.targets[i].interior()) * np.sqrt(chid)
-        vi = (v1, v2)[i].interior() * np.sqrt(spec.follower_masks[i].interior_vector())
+        dev = (w - spec.targets[i].interior()) * np.sqrt(chid)
+        vi = (v1, v2)[i] * np.sqrt(spec.follower_masks[i].interior_vector())
         ji = 0.5 * spec.alpha[i] * q_norm(grid, dev) ** 2 + 0.5 * spec.mu[i] * q_norm(grid, vi) ** 2
         out.append(ji)
     return tuple(out)
@@ -305,4 +290,4 @@ def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
 def cost_leader(spec: ProblemSpec, f):
     grid = spec.grid
     chi = np.sqrt(spec.leader_mask.interior_vector())
-    return 0.5 * q_norm(grid, f.interior() * chi) ** 2
+    return 0.5 * q_norm(grid, f * chi) ** 2

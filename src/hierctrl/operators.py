@@ -453,7 +453,8 @@ def stack_columns(arrs):
 
 
 def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):
-    """Interior source array for f*chi_O + v1*chi_O1 + v2*chi_O2."""
+    """Interior source array for f*chi_O + v1*chi_O1 + v2*chi_O2; each
+    control, when given, is an interior (nt+1, n) array."""
     grid = spec.grid
     src = np.zeros((grid.nt + 1, grid.n_interior))
     pairs = [
@@ -461,14 +462,15 @@ def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):
         (v1, spec.follower_masks[0]),
         (v2, spec.follower_masks[1]),
     ]
-    for fld, mask in pairs:
-        if fld is not None:
-            src += fld.interior() * mask.interior_vector()
+    for ctrl, mask in pairs:
+        if ctrl is not None:
+            src += ctrl * mask.interior_vector()
     return src
 
 
 def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None) -> SpaceTimeField:
-    """State solve under leader f and followers v1, v2 (backward Euler)."""
+    """State solve under leader f and followers v1, v2 (backward Euler);
+    the controls are interior arrays, as in control_sources."""
     grid = spec.grid
     w0_full = spec.w0 if w0 is None else np.asarray(w0, dtype=float)
     w0_int = grid.to_interior(w0_full)

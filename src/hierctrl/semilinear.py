@@ -249,22 +249,28 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
 
     Each sweep solves the linear system with secant coefficients at z and
     the constant remainder F(0,0); convergence is measured in the discrete
-    (z, grad z) norm.
+    (z, grad z) norm.  f is the leader control as an interior (nt+1, n)
+    array, or None.  The iterate and the result are full-grid fields, as
+    the secant coefficients need the gradient at every node.
     """
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
     extra = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
 
+    def field(arr):
+        return SpaceTimeField.from_interior(grid, arr)
+
     def sweep(state):
         z = state[0]
         frozen = _frozen_spec(spec, nonlin, z, base=None)
         sol = solve_nash_fixed_point(frozen, f, tol_rel=inner_tol, extra_source=extra)
-        return (sol.w, sol), *_picard_change(grid, z, sol.w)
+        w = field(sol.w)
+        return (w, sol), *_picard_change(grid, z, w)
 
-    (_, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, 50,
+    (u, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, 50,
                                     "quasi-equilibrium Picard")
     return QuasiEquilibrium(
-        u=sol.w, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
+        u=u, phi1=field(sol.phi1), phi2=field(sol.phi2), v1=field(sol.v1), v2=field(sol.v2),
         outer_iterations=it, history=history)
 
 
@@ -273,7 +279,7 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
 
     The state rows use the true nonlinearity at the converged iterate; the
     adjoint rows use the tangent coefficients there.  Relative to the
-    solution scale.
+    solution scale.  f is the leader control as an interior array.
     """
     grid = spec.grid
     U = qe.u.interior()
@@ -367,13 +373,14 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter,
                          psi0=None if previous is None else previous.psi0)
         hums.append(hum)
-        return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
+        w = SpaceTimeField.from_interior(grid, hum.nash.w)
+        return (w, hum), *_picard_change(grid, z, w)
 
     (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid), None), outer_tol, max_outer,
                                    "semilinear outer loop", diverged=OuterDivergence)
     u = SpaceTimeField(grid, z.values + ubar.values)
     return SemilinearControlResult(
-        hum=hum, f=hum.f, u=u, ubar=ubar, w=z,
+        hum=hum, f=SpaceTimeField.from_interior(grid, hum.f), u=u, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
         target_check=target_check, cg_residuals=[h.cg_residuals for h in hums],

@@ -62,8 +62,9 @@ def make_hum_spec(nx=16, nt=16, alpha=1e-3, mu=1.0):
 
 
 def leader_bump(grid, amplitude=0.3):
+    """A leader control as an interior (nt+1, n) array, the same at every level."""
     x = grid.coords(0)
-    return SpaceTimeField.from_spatial(grid, amplitude * np.sin(2 * np.pi * x / grid.lengths[0]))
+    return SpaceTimeField.from_spatial(grid, amplitude * np.sin(2 * np.pi * x / grid.lengths[0])).interior()
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,7 @@ def test_criterion_01_transpose_contract_and_duality():
     "reproduced by the interior stencil, while the clamped mirror closure has "
     "an exact -4/h defect at wall-adjacent rows (u'''(0) = -12 != 0); any "
     "closure exact on quartics gives zero error instead -- no consistent "
-    "scheme shows ratio ~4 on this function; see notes/decisions.md",
+    "scheme shows ratio ~4 on this function; see README, \"Install and test\"",
 )
 def test_criterion_02_biharmonic_consistency_ratio():
     errs = []
@@ -106,7 +106,7 @@ def test_criterion_03_nash_fixed_point_vs_oracle():
     sol = solve_nash_fixed_point(spec, f, tol_rel=1e-12)
     oracle, _ = dense_oracle(spec, f)
     g = spec.grid
-    rel = q_norm(g, sol.w.interior() - oracle.w.interior()) / max(q_norm(g, oracle.w.interior()), 1e-300)
+    rel = q_norm(g, sol.w - oracle.w) / max(q_norm(g, oracle.w), 1e-300)
     res = verify_first_order(spec, sol)
     elapsed = time.monotonic() - t0
     ok = rel <= 1e-8 and max(res) <= 1e-8 and elapsed < 30.0
@@ -123,13 +123,13 @@ def test_criterion_04_nash_local_optimality():
     worst = np.inf
     ok = True
     for i in range(2):
-        vn = q_norm(g, sol.controls[i].interior())
+        vn = q_norm(g, sol.controls[i])
         for _ in range(20):
             delta = rng.standard_normal((g.nt + 1, g.n_interior))
             delta *= spec.follower_masks[i].interior_vector()
             delta[0] = 0.0
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
-            vi = SpaceTimeField.from_interior(g, sol.controls[i].interior() + delta)
+            vi = sol.controls[i] + delta
             pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
             perturbed = cost_followers(spec, f, pair[0], pair[1])
             worst = min(worst, perturbed[i] - base[i])
@@ -157,11 +157,11 @@ def test_criterion_06_hum_gradient_check():
     g = spec.grid
     eps = 1e-3
     rng = np.random.default_rng(106)
-    psi0 = g.from_interior(rng.standard_normal(g.n_interior))
+    psi0 = rng.standard_normal(g.n_interior)
     grad = grad_G(spec, psi0, eps, inner_tol=1e-13)
     worst = 0.0
     for _ in range(5):
-        d = g.from_interior(rng.standard_normal(g.n_interior))
+        d = rng.standard_normal(g.n_interior)
         an = inner_h(g, grad, d)
         best = np.inf
         for h in (1e-4, 1e-5, 1e-6):
@@ -181,8 +181,8 @@ def test_criterion_07_lambda_symmetry_psd():
     worst_psd = 0.0
     ok = True
     for _ in range(10):
-        a = g.from_interior(rng.standard_normal(g.n_interior))
-        b = g.from_interior(rng.standard_normal(g.n_interior))
+        a = rng.standard_normal(g.n_interior)
+        b = rng.standard_normal(g.n_interior)
         la = apply_lambda(spec, a, inner_tol=1e-12)
         lb = apply_lambda(spec, b, inner_tol=1e-12)
         sym = abs(inner_h(g, la, b) - inner_h(g, a, lb))
@@ -215,7 +215,7 @@ def test_criterion_09_trajectory_zero_case():
     ubar0 = 3.0 * (x / L) ** 2 * (1 - x / L) ** 2
     ubar = solve_forward(spec.with_(w0=ubar0), w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
-    f_zero = bool(np.all(res.hum.f.values == 0.0))
+    f_zero = bool(np.all(res.hum.f == 0.0))
     ok = f_zero and res.terminal_mismatch == 0.0
     assert _report(9, ok, f"f == 0: {f_zero}, terminal mismatch {res.terminal_mismatch}")
 
@@ -256,7 +256,7 @@ def test_criterion_12_semilinear_reduction():
     lin = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-12)
     qe = solve_quasi_equilibrium(nash_spec, preset_zero(), f, tol=1e-10)
     g = nash_spec.grid
-    rel_nash = q_norm(g, qe.u.interior() - lin.w.interior()) / max(q_norm(g, lin.w.interior()), 1e-300)
+    rel_nash = q_norm(g, qe.u.interior() - lin.w) / max(q_norm(g, lin.w), 1e-300)
 
     hum_spec = make_hum_spec()
     gh = hum_spec.grid
@@ -264,8 +264,8 @@ def test_criterion_12_semilinear_reduction():
     lin_tr = control_to_trajectory(hum_spec, hum_spec.w0, np.zeros(gh.nx), (z, z),
                                    eps=1e-4, cg_tol=1e-9)
     sem = semilinear_null_control(hum_spec, preset_zero(), np.zeros(gh.nx), eps=1e-4, cg_tol=1e-9)
-    rel_hum = q_norm(gh, sem.f.interior() - lin_tr.hum.f.interior()) / \
-        max(q_norm(gh, lin_tr.hum.f.interior()), 1e-300)
+    rel_hum = q_norm(gh, sem.f.interior() - lin_tr.hum.f) / \
+        max(q_norm(gh, lin_tr.hum.f), 1e-300)
     ok = rel_nash <= 1e-10 and rel_hum <= 1e-10
     assert _report(12, ok, f"nash reduction {rel_nash:.2e}, null-control reduction {rel_hum:.2e}")
 

@@ -28,21 +28,21 @@ def spec():
 
 
 def _random_psi0(spec, rng):
-    return spec.grid.from_interior(rng.standard_normal(spec.grid.n_interior))
+    return rng.standard_normal(spec.grid.n_interior)
 
 
 def test_coupled_adjoint_zero_datum(spec):
-    st = solve_coupled_adjoint(spec, np.zeros(spec.grid.nx))
+    st = solve_coupled_adjoint(spec, np.zeros(spec.grid.n_interior))
     for f in (st.psi, st.eta1, st.eta2):
-        assert np.all(f.values == 0.0)
+        assert np.all(f == 0.0)
 
 
 def test_coupled_adjoint_invariants_exact(spec, rng):
     psi0 = _random_psi0(spec, rng)
     st = solve_coupled_adjoint(spec, psi0)
-    assert np.array_equal(st.psi.values[-1], psi0)
-    assert np.all(st.eta1.values[0] == 0.0)
-    assert np.all(st.eta2.values[0] == 0.0)
+    assert np.array_equal(st.psi[-1], psi0)
+    assert np.all(st.eta1[0] == 0.0)
+    assert np.all(st.eta2[0] == 0.0)
 
 
 def test_coupled_adjoint_decoupled_two_sweeps(rng):
@@ -50,8 +50,8 @@ def test_coupled_adjoint_decoupled_two_sweeps(rng):
     psi0 = _random_psi0(spec0, rng)
     st = solve_coupled_adjoint(spec0, psi0)
     assert st.iterations == 2
-    plain = spec0.stepper.march_backward(spec0.grid.to_interior(psi0), None, family="forward")
-    assert np.allclose(st.psi.interior(), plain, atol=1e-14)
+    plain = spec0.stepper.march_backward(psi0, None, family="forward")
+    assert np.allclose(st.psi, plain, atol=1e-14)
 
 
 def test_coupled_adjoint_matches_dense_oracle(spec, rng):
@@ -60,8 +60,8 @@ def test_coupled_adjoint_matches_dense_oracle(spec, rng):
     it = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
     _, dn = dense_oracle(spec, psi0=psi0)
     for a, b in ((it.psi, dn.psi), (it.eta1, dn.eta1), (it.eta2, dn.eta2)):
-        nd = q_norm(g, a.interior() - b.interior())
-        assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
+        nd = q_norm(g, a - b)
+        assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
 
 def test_coupled_adjoint_max_iterations_carries_last_iterate(spec, rng):
@@ -90,13 +90,13 @@ def test_coupled_adjoint_linear_in_datum(spec, rng):
     s1 = solve_coupled_adjoint(spec, p1, tol_rel=1e-13)
     s2 = solve_coupled_adjoint(spec, p2, tol_rel=1e-13)
     s12 = solve_coupled_adjoint(spec, a * p1 + b * p2, tol_rel=1e-13)
-    combo = a * s1.psi.values + b * s2.psi.values
+    combo = a * s1.psi + b * s2.psi
     scale = max(np.abs(combo).max(), 1e-300)
-    assert np.abs(s12.psi.values - combo).max() <= 1e-9 * scale
+    assert np.abs(s12.psi - combo).max() <= 1e-9 * scale
 
 
 def test_eval_G_zero_datum(spec):
-    assert eval_G(spec, np.zeros(spec.grid.nx), 1e-3) == 0.0
+    assert eval_G(spec, np.zeros(spec.grid.n_interior), 1e-3) == 0.0
 
 
 def test_eval_G_nonnegative_without_affine_data(spec, rng):
@@ -116,7 +116,7 @@ def test_eval_G_quadratic_scaling(spec, rng):
 
 def test_grad_zero_everything(spec):
     zspec = spec.with_zero_data()
-    grad = grad_G(zspec, np.zeros(spec.grid.nx), 1e-3)
+    grad = grad_G(zspec, np.zeros(spec.grid.n_interior), 1e-3)
     assert np.all(grad == 0.0)
 
 
@@ -158,23 +158,23 @@ def test_two_system_duality_identity(spec, rng):
 
     g = spec.grid
     for _ in range(3):
-        f = SpaceTimeField.from_interior(g, rng.standard_normal((g.nt + 1, g.n_interior)))
+        f = rng.standard_normal((g.nt + 1, g.n_interior))
         psi0 = _random_psi0(spec, rng)
         nash = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
         coup = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
-        psi = coup.psi.interior()
-        W = nash.w.interior()
+        psi = coup.psi
+        W = nash.w
         chiO = spec.leader_mask.interior_vector()
-        lhs = g.dt * g.hd * float(np.sum((f.interior()[1:] * chiO) * psi[:-1]))
+        lhs = g.dt * g.hd * float(np.sum((f[1:] * chiO) * psi[:-1]))
         for i in range(2):
             chi = spec.follower_masks[i].interior_vector()
-            phi = nash.phis[i].interior()
+            phi = nash.phis[i]
             lhs -= g.dt * g.hd / spec.mu[i] * float(np.sum((phi[:-1] * chi) * psi[:-1]))
-        rhs = g.hd * float(np.dot(W[-1], g.to_interior(psi0)))
+        rhs = g.hd * float(np.dot(W[-1], psi0))
         rhs -= g.hd * float(np.dot(g.to_interior(spec.w0), psi[0]))
         for i in range(2):
             chid = spec.target_masks[i].interior_vector()
-            eta = coup.etas[i].interior()
+            eta = coup.etas[i]
             rhs += spec.alpha[i] * g.dt * g.hd * float(np.sum((eta[1:] * chid) * W[1:]))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-300)
 
@@ -210,7 +210,7 @@ def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
     rng = np.random.default_rng(0)
 
     def lam(v):
-        return g.to_interior(apply_lambda(spec, g.from_interior(v), inner_tol=1e-11))
+        return apply_lambda(spec, v, inner_tol=1e-11)
 
     for _ in range(5):
         x, y = rng.standard_normal(g.n_interior), rng.standard_normal(g.n_interior)
@@ -235,7 +235,7 @@ def test_minimize_zero_data(spec):
     zspec = spec.with_zero_data()
     res = minimize_G(zspec, 1e-3)
     assert np.all(res.psi0 == 0.0)
-    assert np.all(res.f.values == 0.0)
+    assert np.all(res.f == 0.0)
     assert res.terminal_norm == 0.0
 
 
@@ -243,9 +243,9 @@ def test_minimize_plugback(spec):
     eps = 1e-3
     res = minimize_G(spec, eps, cg_tol=1e-9)
     g = spec.grid
-    x = g.to_interior(res.psi0)
-    lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12))
-    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12))
+    x = res.psi0
+    lam = apply_lambda(spec, res.psi0, inner_tol=1e-12)
+    b = grad_G(spec, np.zeros(g.n_interior), 0.0, inner_tol=1e-12)
     resid = np.linalg.norm(lam + eps * x + b) / max(np.linalg.norm(b), 1e-300)
     assert resid <= 10 * 1e-9
 
@@ -273,14 +273,14 @@ def test_minimize_sweep_matches_single_eps_runs(spec):
     cg_tol = 1e-10
     sweep = minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol)
     assert [r.eps for r in sweep] == list(EPS_SWEEP)
-    b = g.to_interior(grad_G(spec, np.zeros(g.nx), 0.0, inner_tol=1e-12))
+    b = grad_G(spec, np.zeros(g.n_interior), 0.0, inner_tol=1e-12)
     for eps, res in zip(EPS_SWEEP, sweep):
         single = minimize_G(spec, eps, cg_tol=cg_tol)
         assert res.terminal_norm == pytest.approx(single.terminal_norm, rel=1e-6)
         assert res.true_residual <= cg_tol
         assert len(res.cg_residuals) == res.cg_iterations + 1
-        x = g.to_interior(res.psi0)
-        lam = g.to_interior(apply_lambda(spec, res.psi0, inner_tol=1e-12))
+        x = res.psi0
+        lam = apply_lambda(spec, res.psi0, inner_tol=1e-12)
         assert np.linalg.norm(lam + eps * x + b) / np.linalg.norm(b) <= 10 * cg_tol
     # the smallest eps is the base system of the shared Krylov sequence: plain CG
     assert np.array_equal(sweep[-1].psi0, single.psi0)
@@ -336,7 +336,7 @@ def test_minimize_warm_start_refines_a_perturbed_start(spec, rng):
 
 def test_minimize_warm_start_takes_a_single_eps(spec):
     with pytest.raises(ValueError):
-        minimize_G(spec, EPS_SWEEP, psi0=np.zeros(spec.grid.nx))
+        minimize_G(spec, EPS_SWEEP, psi0=np.zeros(spec.grid.n_interior))
 
 
 def test_leader_field_is_masked_psi(spec, rng):
@@ -344,8 +344,8 @@ def test_leader_field_is_masked_psi(spec, rng):
     st = solve_coupled_adjoint(spec, psi0)
     f = leader_from_psi(spec, st)
     chi = spec.leader_mask.interior_vector()
-    assert np.array_equal(f.interior()[1:], st.psi.interior()[:-1] * chi)
-    assert np.all(f.interior()[0] == 0.0)
+    assert np.array_equal(f[1:], st.psi[:-1] * chi)
+    assert np.all(f[0] == 0.0)
 
 
 def test_trajectory_zero_case(spec):
@@ -356,7 +356,7 @@ def test_trajectory_zero_case(spec):
     base = spec.with_(w0=ubar0)
     ubar = solve_forward(base, w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
-    assert np.all(res.hum.f.values == 0.0)
+    assert np.all(res.hum.f == 0.0)
     assert res.terminal_mismatch == 0.0
     assert np.allclose(res.u.values, ubar.values, atol=1e-14)
 
@@ -459,8 +459,8 @@ def _assert_matches_oracle(spec, st, psi0):
     _, dn = dense_oracle(spec, psi0=psi0)
     g = spec.grid
     for a, b in ((st.psi, dn.psi), (st.eta1, dn.eta1), (st.eta2, dn.eta2)):
-        nd = q_norm(g, a.interior() - b.interior())
-        assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
+        nd = q_norm(g, a - b)
+        assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
 
 @pytest.mark.parametrize("targets", ["shared", "distinct"])
@@ -522,3 +522,40 @@ def test_coupled_adjoint_never_forms_controls(spec, rng, alpha, monkeypatch):
     st = solve_coupled_adjoint(spec.with_(alpha=alpha), _random_psi0(spec, rng))
     st.etas
     assert st.iterations > 2 and calls == []
+
+
+def _count_fields(monkeypatch):
+    """Count SpaceTimeField constructions: each one runs __post_init__."""
+    calls = []
+    original = SpaceTimeField.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(SpaceTimeField, "__post_init__", counted)
+    return calls
+
+
+def test_lambda_apply_builds_no_field(monkeypatch):
+    """A Lambda apply, the CG matvec, runs on interior arrays from the
+    coupled adjoint through the leader control and the Nash solve to w(T):
+    on the nx = nt = 64 grid it builds no SpaceTimeField."""
+    zspec = make_hum_spec(nx=64, nt=64).with_zero_data()
+    x = np.random.default_rng(3).standard_normal(zspec.grid.n_interior)
+    calls = _count_fields(monkeypatch)
+    grad_G(zspec, x, 0.0)
+    assert calls == []
+
+
+def test_minimize_field_count_does_not_grow_with_cg_iterations(monkeypatch):
+    """The fields a HUM solve builds are set-up, not per CG iteration."""
+    spec = make_hum_spec(nx=64, nt=64)
+    counts, iterations = [], []
+    for cg_tol in (1e-4, 1e-10):
+        calls = _count_fields(monkeypatch)
+        iterations.append(minimize_G(spec, 1e-3, cg_tol=cg_tol).cg_iterations)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert iterations[0] < iterations[1]
+    assert counts[0] == counts[1]

@@ -13,27 +13,27 @@ from hierctrl.operators import TimeStepper, control_sources
 from conftest import leader_bump, make_nash_spec
 
 
-def _ctrl_field(spec, rng, i):
+def _random_control(spec, rng, i):
     g = spec.grid
     arr = rng.standard_normal((g.nt + 1, g.n_interior)) * spec.follower_masks[i].interior_vector()
     arr[0] = 0.0
-    return SpaceTimeField.from_interior(g, arr)
+    return arr
 
 
 def test_response_zero_input(nash_spec):
     g = nash_spec.grid
-    w = apply_response(nash_spec, 0, SpaceTimeField.zeros(g))
-    assert np.all(w.values == 0.0)
+    w = apply_response(nash_spec, 0, np.zeros((g.nt + 1, g.n_interior)))
+    assert np.all(w == 0.0)
 
 
 def test_response_linearity(nash_spec, rng):
-    v1 = _ctrl_field(nash_spec, rng, 0)
-    v2 = _ctrl_field(nash_spec, rng, 0)
+    v1 = _random_control(nash_spec, rng, 0)
+    v2 = _random_control(nash_spec, rng, 0)
     a, b = 1.7, -0.45
-    combo = SpaceTimeField(nash_spec.grid, a * v1.values + b * v2.values)
-    lhs = apply_response(nash_spec, 0, combo).values
-    rhs = a * apply_response(nash_spec, 0, v1).values + \
-        b * apply_response(nash_spec, 0, v2).values
+    combo = a * v1 + b * v2
+    lhs = apply_response(nash_spec, 0, combo)
+    rhs = a * apply_response(nash_spec, 0, v1) + \
+        b * apply_response(nash_spec, 0, v2)
     scale = max(np.abs(rhs).max(), 1e-300)
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -41,29 +41,29 @@ def test_response_linearity(nash_spec, rng):
 def test_response_adjoint_consistency(nash_spec, rng):
     g = nash_spec.grid
     for i in range(2):
-        v = _ctrl_field(nash_spec, rng, i)
-        gfield = SpaceTimeField.from_interior(g, rng.standard_normal((g.nt + 1, g.n_interior)))
+        v = _random_control(nash_spec, rng, i)
+        garr = rng.standard_normal((g.nt + 1, g.n_interior))
         w = apply_response(nash_spec, i, v)
-        adj = apply_response_adjoint(nash_spec, i, gfield)
-        lhs = g.dt * g.hd * float(np.sum(w.interior()[1:] * gfield.interior()[1:]))
-        rhs = g.dt * g.hd * float(np.sum(v.interior()[1:] * adj.interior()[1:]))
+        adj = apply_response_adjoint(nash_spec, i, garr)
+        lhs = g.dt * g.hd * float(np.sum(w[1:] * garr[1:]))
+        rhs = g.dt * g.hd * float(np.sum(v[1:] * adj[1:]))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-300)
 
 
 def test_apply_A_collapses_without_observation(rng):
     spec = make_nash_spec(alpha=0.0)
-    v1 = _ctrl_field(spec, rng, 0)
-    v2 = _ctrl_field(spec, rng, 1)
+    v1 = _random_control(spec, rng, 0)
+    v2 = _random_control(spec, rng, 1)
     r1, r2 = apply_A(spec, v1, v2)
-    assert np.allclose(r1.values, spec.mu[0] * v1.values)
-    assert np.allclose(r2.values, spec.mu[1] * v2.values)
+    assert np.allclose(r1, spec.mu[0] * v1)
+    assert np.allclose(r2, spec.mu[1] * v2)
 
 
 def test_apply_A_zero_controls(nash_spec):
     g = nash_spec.grid
-    z = SpaceTimeField.zeros(g)
+    z = np.zeros((g.nt + 1, g.n_interior))
     r1, r2 = apply_A(nash_spec, z, z)
-    assert np.all(r1.values == 0.0) and np.all(r2.values == 0.0)
+    assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
 
 
 def test_apply_A_coercivity_sample(nash_spec, rng):
@@ -71,12 +71,12 @@ def test_apply_A_coercivity_sample(nash_spec, rng):
     g = nash_spec.grid
     bound = 0.25 * min(nash_spec.mu)
     for _ in range(20):
-        v1 = _ctrl_field(nash_spec, rng, 0)
-        v2 = _ctrl_field(nash_spec, rng, 1)
+        v1 = _random_control(nash_spec, rng, 0)
+        v2 = _random_control(nash_spec, rng, 1)
         r1, r2 = apply_A(nash_spec, v1, v2)
-        inner = g.dt * g.hd * (float(np.sum(r1.interior()[1:] * v1.interior()[1:]))
-                               + float(np.sum(r2.interior()[1:] * v2.interior()[1:])))
-        norm2 = q_norm(g, v1.interior()) ** 2 + q_norm(g, v2.interior()) ** 2
+        inner = g.dt * g.hd * (float(np.sum(r1[1:] * v1[1:]))
+                               + float(np.sum(r2[1:] * v2[1:])))
+        norm2 = q_norm(g, v1) ** 2 + q_norm(g, v2) ** 2
         assert inner >= bound * norm2
 
 
@@ -84,8 +84,8 @@ def test_fixed_point_zero_data_single_sweep():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
     sol = solve_nash_fixed_point(spec)
     assert sol.iterations == 1
-    for field in (sol.w, sol.phi1, sol.phi2, sol.v1, sol.v2):
-        assert np.all(field.values == 0.0)
+    for arr in (sol.w, sol.phi1, sol.phi2, sol.v1, sol.v2):
+        assert np.all(arr == 0.0)
 
 
 def test_fixed_point_matches_dense_oracle(nash_spec):
@@ -93,18 +93,18 @@ def test_fixed_point_matches_dense_oracle(nash_spec):
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-12)
     oracle, _ = dense_oracle(nash_spec, f)
     g = nash_spec.grid
-    num = q_norm(g, sol.w.interior() - oracle.w.interior())
-    den = max(q_norm(g, oracle.w.interior()), 1e-300)
+    num = q_norm(g, sol.w - oracle.w)
+    den = max(q_norm(g, oracle.w), 1e-300)
     assert num / den <= 1e-8
     for a, b in zip(sol.controls, oracle.controls):
-        nd = q_norm(g, a.interior() - b.interior())
-        assert nd <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
+        nd = q_norm(g, a - b)
+        assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
 
 def test_oracle_zero_data():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
     oracle, _ = dense_oracle(spec)
-    assert np.all(oracle.w.values == 0.0)
+    assert np.all(oracle.w == 0.0)
 
 
 def test_oracle_size_guard():
@@ -119,18 +119,18 @@ def test_oracle_plugback_residual(nash_spec):
     oracle, _ = dense_oracle(nash_spec, f)
     g = nash_spec.grid
     st = nash_spec.stepper
-    W = oracle.w.interior()
+    W = oracle.w
     from hierctrl.operators import control_sources
 
     src = control_sources(nash_spec, f=f)
     for i in range(2):
-        src = src + oracle.controls[i].interior() * nash_spec.follower_masks[i].interior_vector()
+        src = src + oracle.controls[i] * nash_spec.follower_masks[i].interior_vector()
     res = 0.0
     for j in range(1, g.nt + 1):
         r = st.step_matrix(j, "forward") @ W[j] - W[j - 1] - g.dt * src[j]
         res = max(res, np.abs(r).max())
     for i in range(2):
-        P = oracle.phis[i].interior()
+        P = oracle.phis[i]
         chid = nash_spec.target_masks[i].interior_vector()
         wd = nash_spec.targets[i].interior()
         for j in range(1, g.nt + 1):
@@ -147,9 +147,9 @@ def test_control_relation_exact(nash_spec):
     sol = solve_nash_fixed_point(nash_spec, f)
     for i, (v, phi) in enumerate(zip(sol.controls, sol.phis)):
         chi = nash_spec.follower_masks[i].interior_vector()
-        expected = -(phi.interior()[:-1] * chi) / nash_spec.mu[i]
-        assert np.array_equal(v.interior()[1:], expected)
-        assert np.all(v.interior()[0] == 0.0)
+        expected = -(phi[:-1] * chi) / nash_spec.mu[i]
+        assert np.array_equal(v[1:], expected)
+        assert np.all(v[0] == 0.0)
 
 
 def test_first_order_residuals(nash_spec):
@@ -162,7 +162,7 @@ def test_first_order_residuals(nash_spec):
 def test_first_order_detects_perturbation(nash_spec):
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f)
-    bumped = SpaceTimeField(nash_spec.grid, sol.v1.values * 1.1)
+    bumped = sol.v1 * 1.1
     class _Fake:
         w = sol.w
         controls = (bumped, sol.v2)
@@ -199,13 +199,13 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
     g = nash_spec.grid
     base = cost_followers(nash_spec, f, sol.v1, sol.v2, w=sol.w)
     for i in range(2):
-        vn = q_norm(g, sol.controls[i].interior())
+        vn = q_norm(g, sol.controls[i])
         for _ in range(20):
             delta = rng.standard_normal((g.nt + 1, g.n_interior))
             delta *= nash_spec.follower_masks[i].interior_vector()
             delta[0] = 0.0
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
-            vi = SpaceTimeField.from_interior(g, sol.controls[i].interior() + delta)
+            vi = sol.controls[i] + delta
             pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
             perturbed = cost_followers(nash_spec, f, pair[0], pair[1])
             assert perturbed[i] >= base[i] - 1e-15 * max(base[i], 1.0)
@@ -219,8 +219,8 @@ def test_compute_rhs_matches_equilibrium_equation(nash_spec):
     b1, b2 = compute_rhs(nash_spec, f)
     g = nash_spec.grid
     for r, b in ((r1, b1), (r2, b2)):
-        gap = q_norm(g, r.interior() - b.interior())
-        assert gap <= 1e-9 * max(q_norm(g, b.interior()), 1e-300)
+        gap = q_norm(g, r - b)
+        assert gap <= 1e-9 * max(q_norm(g, b), 1e-300)
 
 
 def test_history_recorded(nash_spec):
@@ -267,7 +267,7 @@ def test_shared_nash_sweep_marches_one_adjoint_column(nash_spec, monkeypatch):
     sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid))
     assert sol.iterations > 2
     assert calls == [("march_backward", 1), ("march_forward", 1)] * sol.iterations
-    assert np.array_equal(sol.phi1.values, sol.phi2.values)
+    assert np.array_equal(sol.phi1, sol.phi2)
 
 
 @pytest.mark.parametrize("change", ["alpha", "targets"])
@@ -275,7 +275,8 @@ def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monk
     """Different alpha_i, or different targets, keep one adjoint column per
     follower, and the fixed point still matches the oracle."""
     wd = nash_spec.targets[0]
-    kw = {"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, 0.5 * wd)}
+    half = SpaceTimeField(wd.grid, 0.5 * wd.values)
+    kw = {"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, half)}
     spec = nash_spec.with_(**kw)
     f = leader_bump(spec.grid)
     calls = _count_marches(monkeypatch)
@@ -285,13 +286,14 @@ def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monk
     oracle, _ = dense_oracle(spec, f)
     g = spec.grid
     for a, b in zip((sol.w, *sol.phis, *sol.controls), (oracle.w, *oracle.phis, *oracle.controls)):
-        assert q_norm(g, a.interior() - b.interior()) <= 1e-8 * max(q_norm(g, b.interior()), 1e-300)
-    assert q_norm(g, sol.phi1.interior() - sol.phi2.interior()) > 1e-3 * q_norm(g, sol.phi1.interior())
+        assert q_norm(g, a - b) <= 1e-8 * max(q_norm(g, b), 1e-300)
+    assert q_norm(g, sol.phi1 - sol.phi2) > 1e-3 * q_norm(g, sol.phi1)
 
 
 def _distinct_spec(nash_spec, change):
     wd = nash_spec.targets[0]
-    return nash_spec.with_(**{"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, 0.5 * wd)})
+    half = SpaceTimeField(wd.grid, 0.5 * wd.values)
+    return nash_spec.with_(**{"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, half)})
 
 
 def test_shared_checks_march_one_adjoint_column(nash_spec, monkeypatch):
@@ -308,7 +310,7 @@ def test_shared_checks_march_one_adjoint_column(nash_spec, monkeypatch):
     assert verify_first_order(nash_spec, sol) == residuals
     two = compute_rhs(nash_spec, f)
     assert calls == [("march_backward", 2), ("march_forward", 1), ("march_backward", 2)]
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(rhs, two))
+    assert all(np.array_equal(a, b) for a, b in zip(rhs, two))
 
 
 @pytest.mark.parametrize("change", ["alpha", "targets"])
@@ -342,7 +344,7 @@ def test_nash_solve_forms_controls_once(nash_spec, monkeypatch):
     del calls[:]
     seen = solve_nash_fixed_point(nash_spec, f, on_sweep=lambda *args: None)
     assert len(calls) == seen.iterations + 1
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(sol.controls, seen.controls))
+    assert all(np.array_equal(a, b) for a, b in zip(sol.controls, seen.controls))
 
 
 @pytest.mark.parametrize("case", ["shared", "alpha", "targets"])
