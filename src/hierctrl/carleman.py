@@ -358,7 +358,7 @@ def check_case(spec, case):
     targets are identical; distinct ones meet the leader region differently."""
     if case == "shared":
         same_mask = np.array_equal(spec.target_masks[0].indicator, spec.target_masks[1].indicator)
-        same_target = np.array_equal(spec.targets[0].values, spec.targets[1].values)
+        same_target = np.array_equal(spec.targets[0], spec.targets[1])  # interior: what every solve reads
         if not (same_mask and same_target):
             raise CaseMismatch("shared case requires identical observation regions and targets")
     elif case == "distinct":
@@ -386,15 +386,16 @@ def check_target_condition(spec, log_theta: SpaceTimeField):
     """Weighted target-compatibility integrals per follower.
 
     Returns [(value, infinite)] of the theta^{-2}-weighted squared
-    deviation of the shifted targets over each observation region.  Where
-    theta vanishes on the terminal level the integrand is zero (the
-    endpoint convention); a value beyond the range of a double is inf.
+    deviation of the shifted targets, interior arrays, over each
+    observation region.  Where theta vanishes on the terminal level the
+    integrand is zero (the endpoint convention); a value beyond the range
+    of a double is inf.
     """
     grid = spec.grid
     log_weight = SpaceTimeField(grid, -2.0 * log_theta.values)
     out = []
     for i in range(2):
-        sq = spec.targets[i].values ** 2
+        sq = grid.from_interior_levels(spec.targets[i] ** 2)
         sq[-1, np.exp(log_theta.values[-1]) == 0.0] = 0.0
         value = integrate(SpaceTimeField(grid, sq), spec.target_masks[i], log_weight=log_weight)
         out.append((value, math.isinf(value)))
@@ -502,7 +503,7 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
     ratios.  A sample with a side that is 0 or inf in a double is skipped.
     """
     lam, s = weights.lam, weights.s
-    zero = SpaceTimeField.zeros(grid)
+    zero = np.zeros((grid.nt + 1, grid.n_interior))
     stepper = TimeStepper(grid, zero, (zero,) * grid.dim)
     ext = extended_laplacian(grid)
     rng = np.random.default_rng(seed)
@@ -519,10 +520,10 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
     skipped = 0
     for _ in range(n_samples):
         g_int = rng.standard_normal((grid.nt + 1, grid.n_interior))
-        g_full = np.stack([grid.from_interior(g_int[k]) for k in range(grid.nt + 1)])
+        g_full = grid.from_interior_levels(g_int)
         # backward march: (I + dt Lap^2)' z^{j-1} = z^j + dt g^j
         Z = stepper.march_backward(rng.standard_normal(grid.n_interior), g_int)
-        z_full = np.stack([grid.from_interior(Z[k]) for k in range(grid.nt + 1)])
+        z_full = grid.from_interior_levels(Z)
 
         grads_sq = sum(g * g for g in st_gradient(grid, z_full))
         # Laplacian via the mirror-ghost rows: correct next to the walls

@@ -69,7 +69,7 @@ def write_manifest(out, subcommand, config):
 
 
 def _run_nash(inputs, out):
-    spec, f, solver = inputs.spec, inputs.f.interior(), inputs.config.solver
+    spec, f, solver = inputs.spec, inputs.f, inputs.config.solver
     rows = []
 
     def on_sweep(it, W, vs, change):
@@ -138,8 +138,8 @@ def _run_trajectory(inputs, out):
     # the terminal mismatch is the w-problem terminal norm, bitwise
     mms = _write_sweep(out, spec, [r.hum for r in results])
     last = results[-1]
-    dump_field(Path(out, "u.field.txt"), last.u)
-    dump_field(Path(out, "ubar.field.txt"), last.ubar)
+    dump_field(Path(out, "u.field.txt"), SpaceTimeField.from_interior(spec.grid, last.u))
+    dump_field(Path(out, "ubar.field.txt"), SpaceTimeField.from_interior(spec.grid, last.ubar))
     write_summary(Path(out, "summary.txt"), [
         ("mismatch_first", fmt(mms[0])),
         ("mismatch_last", fmt(mms[-1])),
@@ -162,9 +162,8 @@ def _run_semilinear(inputs, out):
     write_csv(Path(out, "cg_history.csv"), ("outer", "iter", "residual"),
               [(outer, k, r) for outer, residuals in enumerate(res.cg_residuals, start=1)
                for k, r in enumerate(residuals)])
-    dump_field(Path(out, "u.field.txt"), res.u)
-    dump_field(Path(out, "ubar.field.txt"), res.ubar)
-    dump_field(Path(out, "f.field.txt"), res.f)
+    for name, arr in (("u", res.u), ("ubar", res.ubar), ("f", res.f)):
+        dump_field(Path(out, f"{name}.field.txt"), SpaceTimeField.from_interior(spec.grid, arr))
     items = [
         ("eps", fmt(eps)),
         ("outer_iterations", res.outer_iterations),
@@ -183,7 +182,7 @@ def _run_semilinear(inputs, out):
 
 def _run_second_order(inputs, out):
     spec, nonlin, config = inputs.spec, inputs.nonlinearity, inputs.config
-    qe = solve_quasi_equilibrium(spec, nonlin, inputs.f.interior(), tol=config.solver["nash_tol"],
+    qe = solve_quasi_equilibrium(spec, nonlin, inputs.f, tol=config.solver["nash_tol"],
                                  inner_tol=config.solver["nash_tol"])
     report = verify_equilibrium_sufficiency(spec, nonlin, qe,
                                             n_directions=config.solver["n_directions"],
@@ -251,7 +250,7 @@ def _run_carleman(inputs, out):
 
 
 def _run_oracle(inputs, out):
-    spec, f, config = inputs.spec, inputs.f.interior(), inputs.config
+    spec, f, config = inputs.spec, inputs.f, inputs.config
     fixed = solve_nash_fixed_point(spec, f, tol_rel=config.solver["nash_tol"])
     rng = np.random.default_rng(config.seed)
     psi0 = rng.standard_normal(spec.grid.n_interior)

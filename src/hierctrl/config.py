@@ -17,7 +17,7 @@ import numpy as np
 from .carleman import CarlemanWeights, build_carleman_weights, check_case, default_parameters
 from .errors import ConfigError, EmptyMask, HierctrlError, InvalidGrid, ParseError
 from .expressions import parse_expr
-from .mesh import SpaceTimeField, build_grid, build_mask
+from .mesh import build_grid, build_mask
 from .operators import ProblemSpec
 from .semilinear import Nonlinearity, from_expression, preset_grad_tanh, preset_tanh, preset_zero
 
@@ -263,7 +263,7 @@ def load_config(path) -> RunConfig:
 #   spec          every box is required; a ProblemSpec is built whenever all are given
 #   control       the hypotheses of a computed leader: each target region meets the
 #                 leader region, and the geometry fits the shared or distinct case
-#   f             the given leader field
+#   f             the given leader control
 #   nonlinearity  the Nonlinearity; hessian: it must have analytic second derivatives
 #   weights       the Carleman weights; theta: the weights as a diagnostic, left out
 #                 when they cannot be built
@@ -286,10 +286,10 @@ class RunInputs:
 
     config: RunConfig
     spec: ProblemSpec = None
-    f: SpaceTimeField = None
+    f: np.ndarray = None  # interior (nt+1, n)
     nonlinearity: Nonlinearity = None
     weights: CarlemanWeights = None
-    ubar0: np.ndarray = None
+    ubar0: np.ndarray = None  # interior (n,)
 
 
 def validate_for(config: RunConfig, subcommand) -> RunInputs:
@@ -337,18 +337,21 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
 
 
 def _eval_spatial(config, name):
+    """The expression on every node, checked finite there; its interior (n,) values."""
     grid = config.grid
     meshes = grid.meshes()
     env = {"x": meshes[0]}
     if grid.dim == 2:
         env["y"] = meshes[1]
-    vals = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx).copy()
+    vals = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx)
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"data.{name} evaluates to non-finite values")
-    return vals
+    return grid.to_interior(vals)
 
 
 def _eval_spacetime(config, name):
+    """The expression on every node and level, checked finite there; its
+    interior (nt+1, n) values."""
     grid = config.grid
     meshes = grid.meshes()
     out = np.empty((grid.nt + 1,) + grid.nx)
@@ -359,7 +362,7 @@ def _eval_spacetime(config, name):
         out[k] = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx)
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} evaluates to non-finite values")
-    return SpaceTimeField(grid, out)
+    return grid.to_interior_levels(out)
 
 
 def build_problem_spec(config: RunConfig) -> ProblemSpec:
@@ -381,7 +384,7 @@ def build_problem_spec(config: RunConfig) -> ProblemSpec:
     )
 
 
-def build_leader_field(config: RunConfig) -> SpaceTimeField:
+def build_leader_field(config: RunConfig) -> np.ndarray:
     return _eval_spacetime(config, "f")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
-from .mesh import SpaceTimeField, norm_h
+from .mesh import norm_h
 from .nash import (NashSolution, _control_weights, _controls_from_adjoints, _indicators, q_norm,
                    solve_nash_fixed_point, stacked_system)
 from .operators import ProblemSpec, columns, control_sources, solve_forward
@@ -141,15 +141,14 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     n = grid.n_interior
     nt = grid.nt
     lu = factorize(stacked_system(spec))
-    w0_int = grid.to_interior(spec.w0)
     rhs = np.zeros((3, nt, n))
     rhs[0] += grid.dt * control_sources(spec, f=f)[1:]
-    rhs[0, 0] += w0_int
+    rhs[0, 0] += spec.w0
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
-        rhs[1 + i] += -grid.dt * spec.alpha[i] * chid * spec.targets[i].interior()[1:]
+        rhs[1 + i] += -grid.dt * spec.alpha[i] * chid * spec.targets[i][1:]
     x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
-    W = np.vstack([w0_int, x[0]])
+    W = np.vstack([spec.w0, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
     vs = _controls_from_adjoints(spec, phis, _indicators(spec.follower_masks))
     nash = NashSolution(W, *phis, *vs, 1, [0.0])
@@ -188,12 +187,11 @@ def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12):
     psi = coupled.psi
     chi = spec.leader_mask.interior_vector()
     quad = 0.5 * grid.dt * grid.hd * float(np.sum(chi * psi[:-1] * psi[:-1]))
-    w0_int = grid.to_interior(spec.w0)
-    affine = grid.hd * float(np.dot(w0_int, psi[0]))
+    affine = grid.hd * float(np.dot(spec.w0, psi[0]))
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
         eta = coupled.etas[i]
-        wd = spec.targets[i].interior()
+        wd = spec.targets[i]
         affine -= spec.alpha[i] * grid.dt * grid.hd * float(np.sum(chid * eta[1:] * wd[1:]))
     p0 = norm_h(grid, psi0)
     return quad + affine + 0.5 * eps * p0 * p0
@@ -288,9 +286,11 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
 
 @dataclass
 class TrajectoryResult:
+    """The controlled trajectory u and the free one ubar, interior (nt+1, n)
+    arrays, with the HUM solve of their difference."""
     hum: HumResult
-    u: SpaceTimeField
-    ubar: SpaceTimeField
+    u: np.ndarray
+    ubar: np.ndarray
     terminal_mismatch: float
 
 
@@ -301,7 +301,8 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     w_id = zeta_id - ubar), runs minimize_G and reconstructs u = w + ubar.
     The terminal mismatch ||u(T) - ubar(T)|| is the w-problem terminal norm,
     bitwise.  eps is one penalty or a sequence of them, as in minimize_G,
-    giving one TrajectoryResult or a list of them.
+    giving one TrajectoryResult or a list of them.  u0 and ubar0 are (n,)
+    vectors and zetas two interior (nt+1, n) arrays.
     """
     u0 = np.asarray(u0, dtype=float)
     ubar0 = np.asarray(ubar0, dtype=float)
@@ -310,8 +311,7 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     ubar = solve_forward(base, w0=ubar0)
     wspec = spec.with_(w0=u0 - ubar0, targets=tuple(z - ubar for z in zetas))
     hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
-    results = [TrajectoryResult(hum=hum, u=SpaceTimeField.from_interior(spec.grid, hum.nash.w) + ubar,
-                                ubar=ubar, terminal_mismatch=hum.terminal_norm)
+    results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
                for hum in hums]
     return results if np.ndim(eps) else results[0]
 

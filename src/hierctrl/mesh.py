@@ -2,9 +2,11 @@
 centered difference stencils on space-time arrays.
 
 Nodes include the boundary; unknowns live on interior nodes (clamped
-boundary values are identically zero).  Fields carry one value per
-(spatial node, time level k = 0..nt).  All containers are immutable value
-data after construction; operations are pure.
+boundary values are identically zero).  Solvers hold a space-time quantity
+as an interior (nt+1, n) array; a SpaceTimeField carries one value per
+(spatial node, time level k = 0..nt), for the weighted integrals and the
+field dumps.  All containers are immutable value data after construction;
+operations are pure.
 """
 
 from __future__ import annotations
@@ -102,13 +104,20 @@ class Grid:
             raise ShapeMismatch(f"expected spatial shape {self.nx}, got {full.shape}")
         return full[self.interior_slices()].reshape(-1).copy()
 
-    def from_interior(self, vec):
-        """Embed an interior vector into a full spatial array (boundary zero)."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_interior,):
-            raise ShapeMismatch(f"expected {self.n_interior} interior values, got {vec.shape}")
-        full = np.zeros(self.nx)
-        full[self.interior_slices()] = vec.reshape(self.interior_shape)
+    def to_interior_levels(self, full):
+        """The interior values of an (nt+1, *nx) array, as an (nt+1, n) array."""
+        full = np.asarray(full)
+        if full.shape != (self.nt + 1,) + self.nx:
+            raise ShapeMismatch(f"expected space-time shape {(self.nt + 1,) + self.nx}, got {full.shape}")
+        return full[(slice(None),) + self.interior_slices()].reshape(self.nt + 1, -1).copy()
+
+    def from_interior_levels(self, arr):
+        """Embed an interior (nt+1, n) array into an (nt+1, *nx) array (boundary zero)."""
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (self.nt + 1, self.n_interior):
+            raise ShapeMismatch(f"expected interior array {(self.nt + 1, self.n_interior)}, got {arr.shape}")
+        full = np.zeros((self.nt + 1,) + self.nx)
+        full[(slice(None),) + self.interior_slices()] = arr.reshape((self.nt + 1,) + self.interior_shape)
         return full
 
 
@@ -192,44 +201,9 @@ class SpaceTimeField:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.nt + 1,) + grid.nx))
-
-    @classmethod
     def from_interior(cls, grid, interior):
         """Build from an array of interior values, one row per time level."""
-        interior = np.asarray(interior, dtype=float)
-        if interior.shape != (grid.nt + 1, grid.n_interior):
-            raise ShapeMismatch(
-                f"expected interior array {(grid.nt + 1, grid.n_interior)}, got {interior.shape}"
-            )
-        vals = np.zeros((grid.nt + 1,) + grid.nx)
-        vals[(slice(None),) + grid.interior_slices()] = interior.reshape(
-            (grid.nt + 1,) + grid.interior_shape
-        )
-        return cls(grid, vals)
-
-    @classmethod
-    def from_spatial(cls, grid, spatial):
-        """Repeat one spatial array over all time levels."""
-        spatial = np.asarray(spatial, dtype=float)
-        if spatial.shape != grid.nx:
-            raise ShapeMismatch(f"spatial shape {spatial.shape} != {grid.nx}")
-        return cls(grid, np.broadcast_to(spatial, (grid.nt + 1,) + grid.nx).copy())
-
-    def interior(self):
-        """Interior values as an array of shape (nt+1, n_interior)."""
-        sl = (slice(None),) + self.grid.interior_slices()
-        return self.values[sl].reshape(self.grid.nt + 1, -1).copy()
-
-    def level(self, k):
-        return self.values[k]
-
-    def __add__(self, other):
-        return SpaceTimeField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return SpaceTimeField(self.grid, self.values - other.values)
+        return cls(grid, grid.from_interior_levels(interior))
 
 
 def time_weights(grid):
@@ -276,15 +250,11 @@ def integrate(field, mask, log_weight=None):
 
 
 def inner_h(grid, u, v):
-    """Discrete spatial inner product h^d * sum over interior nodes."""
+    """Discrete spatial inner product h^d * sum over interior nodes of two (n,) vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape == grid.nx:
-        u = grid.to_interior(u)
-    if v.shape == grid.nx:
-        v = grid.to_interior(v)
-    if u.shape != v.shape:
-        raise ShapeMismatch(f"shape mismatch {u.shape} vs {v.shape}")
+    if u.shape != (grid.n_interior,) or v.shape != (grid.n_interior,):
+        raise ShapeMismatch(f"need two ({grid.n_interior},) vectors, got {u.shape} and {v.shape}")
     return grid.hd * float(np.dot(u, v))
 
 
@@ -316,11 +286,24 @@ def st_gradient(grid, values):
     return tuple(_st_axis_difference(grid, values, ax) for ax in range(grid.dim))
 
 
-def st_divergence(grid, comps):
-    """Centered divergence of a per-axis tuple of (nt+1, *nx) arrays."""
+def _interior_difference(grid, arr, ax):
+    """_st_axis_difference of an interior (nt+1, n) array, read on its zero-padded
+    full-node form: (v[p] - v[m]) / (2h) at every interior node."""
+    return grid.to_interior_levels(_st_axis_difference(grid, grid.from_interior_levels(arr), ax))
+
+
+def interior_gradient(grid, arr):
+    """Centered spatial gradient of an interior (nt+1, n) array with zero
+    boundary values, one interior array per axis."""
+    return tuple(_interior_difference(grid, arr, ax) for ax in range(grid.dim))
+
+
+def interior_divergence(grid, comps):
+    """Centered divergence of a per-axis tuple of interior (nt+1, n) arrays with
+    zero boundary values."""
     out = np.zeros_like(comps[0])
     for ax in range(grid.dim):
-        out = out + _st_axis_difference(grid, comps[ax], ax)
+        out = out + _interior_difference(grid, comps[ax], ax)
     return out
 
 

@@ -63,8 +63,7 @@ def _indicators(masks):
 def _target_terms(spec):
     """(alpha_i chi_di, w_id) of each distinct follower target term: one in
     the shared case, where both followers weigh and track alike."""
-    terms = [(al * chid, wd.interior())
-             for al, chid, wd in zip(spec.alpha, _indicators(spec.target_masks), spec.targets)]
+    terms = [(al * chid, wd) for al, chid, wd in zip(spec.alpha, _indicators(spec.target_masks), spec.targets)]
     return terms[:1] if all(np.array_equal(a, b) for a, b in zip(*terms)) else terms
 
 
@@ -134,8 +133,8 @@ def apply_A(spec: ProblemSpec, v1, v2):
 def compute_rhs(spec: ProblemSpec, f=None):
     """Right side of the equilibrium equation built from the free state."""
     src = control_sources(spec, f=f)
-    Z = spec.stepper.march_forward(spec.grid.to_interior(spec.w0), src)
-    adjs = _response_adjoint(spec, [(wd.interior() - Z) * m.interior_vector()
+    Z = spec.stepper.march_forward(spec.w0, src)
+    adjs = _response_adjoint(spec, [(wd - Z) * m.interior_vector()
                                     for wd, m in _distinct_targets(spec)])
     return tuple(spec.alpha[i] * adjs[i] for i in range(2))
 
@@ -170,7 +169,6 @@ def solve_nash_fixed_point(
     """
     grid = spec.grid
     stepper = spec.stepper
-    w0_int = grid.to_interior(spec.w0)
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
@@ -198,7 +196,7 @@ def solve_nash_fixed_point(
         for phi, wt in zip(phis[1:], weights[1:]):
             fed += phi[:-1] * wt
         np.subtract(f_src[1:], fed, out=fed)
-        W = stepper.march_forward(w0_int, state_src)
+        W = stepper.march_forward(spec.w0, state_src)
         step = W - z
         change, w_norm = q_norm(grid, step), q_norm(grid, W)
         if on_sweep is not None:
@@ -250,7 +248,7 @@ def stacked_system(spec: ProblemSpec):
 
 def _raw_residuals(spec, W, v_arrays):
     grid = spec.grid
-    adjs = _response_adjoint(spec, [(W - wd.interior()) * m.interior_vector()
+    adjs = _response_adjoint(spec, [(W - wd) * m.interior_vector()
                                     for wd, m in _distinct_targets(spec)])
     out = []
     for i in range(2):
@@ -276,11 +274,11 @@ def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
     the state w, when given, are interior (nt+1, n) arrays."""
     grid = spec.grid
     if w is None:
-        w = solve_forward(spec, f=f, v1=v1, v2=v2).interior()
+        w = solve_forward(spec, f=f, v1=v1, v2=v2)
     out = []
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
-        dev = (w - spec.targets[i].interior()) * np.sqrt(chid)
+        dev = (w - spec.targets[i]) * np.sqrt(chid)
         vi = (v1, v2)[i] * np.sqrt(spec.follower_masks[i].interior_vector())
         ji = 0.5 * spec.alpha[i] * q_norm(grid, dev) ** 2 + 0.5 * spec.mu[i] * q_norm(grid, vi) ** 2
         out.append(ji)

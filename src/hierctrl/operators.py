@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import ShapeMismatch
 from .linalg import factorize, invert_stack, symmetric_modes
-from .mesh import Grid, SpaceTimeField, SubdomainMask
+from .mesh import Grid, SubdomainMask
 
 
 def _axis_laplacian_rows(n, h):
@@ -83,12 +83,25 @@ def gradient_matrices(grid: Grid):
                  for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
 
 
+def _interior_data(name, value, shape):
+    """value as a float array, which must have the given shape."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{name} shape {arr.shape} != {shape}")
+    return arr
+
+
 _COEFFICIENT_FIELDS = ("grid", "a", "b", "a_adj", "b_adj")  # what a TimeStepper is built from
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Coefficients, control geometry, weights, targets and initial data.
+
+    The data are interior arrays: a, each component of b, a_adj, each
+    component of b_adj and the two targets have shape (nt+1, n), one row
+    per time level, and w0 has shape (n,).  The spec checks these shapes
+    when it is built.
 
     a_adj / b_adj, when set, are the coefficients of the backward (adjoint)
     equations; they default to a / b, which makes the adjoint step matrices
@@ -102,7 +115,7 @@ class ProblemSpec:
     """
 
     grid: Grid
-    a: SpaceTimeField
+    a: np.ndarray
     b: tuple
     leader_mask: SubdomainMask
     follower_masks: tuple
@@ -111,20 +124,27 @@ class ProblemSpec:
     mu: tuple
     targets: tuple
     w0: np.ndarray
-    a_adj: SpaceTimeField = None
+    a_adj: np.ndarray = None
     b_adj: tuple = None
     _stepper_holder: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.b) != self.grid.dim:
-            raise ShapeMismatch(f"need {self.grid.dim} velocity components, got {len(self.b)}")
         # mu_i = 0 is rejected outright; alpha_i = 0 is tolerated as the
         # decoupled diagnostic limit even though the model assumes it positive
         if any(al < 0 for al in self.alpha) or any(m <= 0 for m in self.mu):
             raise ValueError("need alpha_i >= 0 and mu_i > 0")
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
-        if self.w0.shape != self.grid.nx:
-            raise ShapeMismatch(f"w0 shape {self.w0.shape} != {self.grid.nx}")
+        levels = (self.grid.nt + 1, self.grid.n_interior)
+        object.__setattr__(self, "w0", _interior_data("w0", self.w0, levels[1:]))
+        for name in ("a", "a_adj"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _interior_data(name, getattr(self, name), levels))
+        for name, count in (("b", self.grid.dim), ("b_adj", self.grid.dim), ("targets", 2)):
+            arrays = getattr(self, name)
+            if arrays is None:
+                continue
+            if len(arrays) != count:
+                raise ShapeMismatch(f"need {count} {name} arrays, got {len(arrays)}")
+            object.__setattr__(self, name, tuple(_interior_data(name, v, levels) for v in arrays))
         object.__setattr__(self, "_stepper_holder", [])
 
     @property
@@ -143,8 +163,8 @@ class ProblemSpec:
 
     def with_zero_data(self):
         """Same operators and geometry, zero initial data and targets."""
-        z = SpaceTimeField.zeros(self.grid)
-        return self.with_(w0=np.zeros(self.grid.nx), targets=(z, z))
+        z = np.zeros((self.grid.nt + 1, self.grid.n_interior))
+        return self.with_(w0=np.zeros(self.grid.n_interior), targets=(z, z))
 
     def has_controllability_geometry(self):
         return all(m.intersects(self.leader_mask) for m in self.target_masks)
@@ -154,21 +174,19 @@ class ProblemSpec:
             raise ValueError("each target region must intersect the leader region")
 
 
-def _spatial_operator(grid, biharm, grads, a_field, b_fields, level):
-    a_int = grid.to_interior(a_field.level(level))
-    L = biharm + sp.diags(a_int)
-    for axis, bf in enumerate(b_fields):
-        b_int = grid.to_interior(bf.level(level))
-        if np.any(b_int):
-            L = L + sp.diags(b_int) @ grads[axis]
+def _spatial_operator(biharm, grads, a, b, level):
+    L = biharm + sp.diags(a[level])
+    for axis, b_axis in enumerate(b):
+        if np.any(b_axis[level]):
+            L = L + sp.diags(b_axis[level]) @ grads[axis]
     return L.tocsr()
 
 
-def _fields_time_constant(a_field, b_fields):
+def _time_constant(a, b):
     def const(f):
-        return bool(np.all(f.values == f.values[0]))
+        return bool(np.all(f == f[0]))
 
-    return const(a_field) and all(const(bf) for bf in b_fields)
+    return const(a) and all(const(b_axis) for b_axis in b)
 
 
 DENSE_MAX_N = 128  # up to this many interior unknowns a step is one mat-vec with a dense inverse
@@ -176,7 +194,7 @@ MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in
 
 
 class _Family(NamedTuple):
-    a: SpaceTimeField
+    a: np.ndarray
     b: tuple
     time_constant: bool
     solvers: list  # per step 1..nt: a Factorization, a DenseInverse, or the Modes of a modal family
@@ -206,13 +224,14 @@ class TimeStepper:
     - Above the cap each level keeps a SuperLU factorization, and one
       factorization serves a step matrix and its transpose.
 
-    Either way the backward march is the transpose of the forward one.
+    The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
+    them.  Either way the backward march is the transpose of the forward one.
     When the coefficients are time-independent one level serves every step.
     A march whose datum and sources are all zero returns zeros at once.
     The sparse step matrices themselves come from step_matrix.
     """
 
-    def __init__(self, grid: Grid, a: SpaceTimeField, b: tuple, a_adj=None, b_adj=None):
+    def __init__(self, grid: Grid, a: np.ndarray, b: tuple, a_adj=None, b_adj=None):
         self.grid = grid
         self.biharm = assemble_biharmonic(grid)
         self.grads = gradient_matrices(grid)
@@ -223,30 +242,30 @@ class TimeStepper:
             adjoint = self._build(a if a_adj is None else a_adj, b if b_adj is None else b_adj)
         self._families = {"forward": forward, "adjoint": adjoint}
 
-    def _build(self, a_field, b_fields):
+    def _build(self, a, b):
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
-        const = _fields_time_constant(a_field, b_fields)
+        const = _time_constant(a, b)
         levels = [1] if const else list(range(1, nt + 1))
         inverses = modal = None
-        if const and n <= MODAL_MAX_N and not any(np.any(bf.values) for bf in b_fields):
-            modes = symmetric_modes(self._dense_step_stack(a_field, b_fields, levels)[0])
+        if const and n <= MODAL_MAX_N and not any(np.any(b_axis) for b_axis in b):
+            modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
             solvers = [modes]
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
         elif n <= DENSE_MAX_N:
-            solvers = invert_stack(self._dense_step_stack(a_field, b_fields, levels))
+            solvers = invert_stack(self._dense_step_stack(a, b, levels))
             arrays = [s.inv for s in solvers] * (nt if const else 1)
             inverses = (arrays, [inv.T for inv in arrays])
         else:
-            solvers = [factorize(self._step_matrix(a_field, b_fields, j)) for j in levels]
-        return _Family(a_field, b_fields, const, solvers * nt if const else solvers, inverses, modal, {})
+            solvers = [factorize(self._step_matrix(a, b, j)) for j in levels]
+        return _Family(a, b, const, solvers * nt if const else solvers, inverses, modal, {})
 
-    def _step_matrix(self, a_field, b_fields, level):
+    def _step_matrix(self, a, b, level):
         grid = self.grid
-        L = _spatial_operator(grid, self.biharm, self.grads, a_field, b_fields, level)
+        L = _spatial_operator(self.biharm, self.grads, a, b, level)
         return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
 
-    def _dense_step_stack(self, a_field, b_fields, levels):
+    def _dense_step_stack(self, a, b, levels):
         """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given levels, shape (L, n, n).
 
         Entry for entry the arithmetic of _spatial_operator and _step_matrix,
@@ -255,11 +274,11 @@ class TimeStepper:
         grid = self.grid
         diag = np.arange(grid.n_interior)
         stack = np.repeat(self.biharm.toarray()[None], len(levels), axis=0)
-        stack[:, diag, diag] += a_field.interior()[levels]
-        for grad, bf in zip(self.grads, b_fields):
-            b_int = bf.interior()[levels]
-            if np.any(b_int):
-                stack += b_int[:, :, None] * grad.toarray()
+        stack[:, diag, diag] += a[levels]
+        for grad, b_axis in zip(self.grads, b):
+            b_levels = b_axis[levels]
+            if np.any(b_levels):
+                stack += b_levels[:, :, None] * grad.toarray()
         stack *= grid.dt
         stack[:, diag, diag] += 1.0
         return stack
@@ -468,28 +487,26 @@ def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):
     return src
 
 
-def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None) -> SpaceTimeField:
-    """State solve under leader f and followers v1, v2 (backward Euler);
-    the controls are interior arrays, as in control_sources."""
-    grid = spec.grid
-    w0_full = spec.w0 if w0 is None else np.asarray(w0, dtype=float)
-    w0_int = grid.to_interior(w0_full)
-    src = control_sources(spec, f, v1, v2)
-    W = spec.stepper.march_forward(w0_int, src)
-    return SpaceTimeField.from_interior(grid, W)
+def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None):
+    """State solve under leader f and followers v1, v2 (backward Euler).
+
+    The controls are interior (nt+1, n) arrays, as in control_sources, and
+    w0, when given in place of spec.w0, an (n,) vector.  Returns the state
+    as an interior (nt+1, n) array.
+    """
+    w0 = spec.w0 if w0 is None else w0
+    return spec.stepper.march_forward(w0, control_sources(spec, f, v1, v2))
 
 
-def solve_adjoint(spec: ProblemSpec, sources: SpaceTimeField, terminal) -> SpaceTimeField:
+def solve_adjoint(spec: ProblemSpec, sources, terminal):
     """Backward solve with the transposed step matrices.
 
     Realizes the continuous adjoint equation (divergence-form transport
-    term) as the exact transpose of the forward scheme.
+    term) as the exact transpose of the forward scheme.  sources is an
+    interior (nt+1, n) array or None and terminal an (n,) vector; returns
+    an interior (nt+1, n) array.
     """
-    grid = spec.grid
-    term_int = grid.to_interior(np.asarray(terminal, dtype=float))
-    src = sources.interior() if sources is not None else None
-    P = spec.stepper.march_backward(term_int, src, family="adjoint")
-    return SpaceTimeField.from_interior(grid, P)
+    return spec.stepper.march_backward(terminal, sources, family="adjoint")
 
 
 def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources):
@@ -497,11 +514,14 @@ def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources):
 
     <psiT, w^nt>_h + dt sum_j <s^j, w^j>_h
       = <psi^0, w^0>_h + dt sum_j <psi^{j-1}, g^j>_h
+
+    w0 and terminal are (n,) vectors, the sources interior (nt+1, n) arrays
+    or None.
     """
     grid = spec.grid
     stepper = spec.stepper
-    W = stepper.march_forward(grid.to_interior(w0), fwd_sources)
-    P = stepper.march_backward(grid.to_interior(terminal), adj_sources)
+    W = stepper.march_forward(w0, fwd_sources)
+    P = stepper.march_backward(terminal, adj_sources)
     hd = grid.hd
     lhs = hd * float(np.dot(P[-1], W[-1]))
     if adj_sources is not None:

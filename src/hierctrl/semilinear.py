@@ -5,6 +5,10 @@ coefficients G1, G2 (tau-averaged derivatives) modify the state equation,
 the tangent derivatives modify the adjoint equations, and each sweep is a
 linear solve handled by the nash / hum machinery with coefficient
 overrides.  Everything reduces bitwise to the linear path when F vanishes.
+
+Every iterate, coefficient and result is an interior (nt+1, n) array.  An
+iterate's boundary values are zero, so its centred gradient at an interior
+node reads only interior values and zeros (mesh.interior_gradient).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import OuterDivergence, UnsupportedNonlinearity
 from .expressions import parse_expr
 from .hum import HumResult, minimize_G
 from .linalg import TINY, iterate
-from .mesh import SpaceTimeField, st_divergence, st_gradient
+from .mesh import interior_divergence, interior_gradient
 from .nash import q_norm, solve_nash_fixed_point
 from .operators import ProblemSpec, TimeStepper, control_sources
 
@@ -157,80 +161,71 @@ def sample_bound(nonlin: Nonlinearity, dim, u_range=(-3.0, 3.0), p_range=(-3.0, 
     return float(np.max(total))
 
 
-def eval_secant_coeffs(nonlin: Nonlinearity, base, z: SpaceTimeField):
+def eval_secant_coeffs(grid, nonlin: Nonlinearity, base, z):
     """tau-averaged derivative coefficients along the segment base -> base+z.
 
     G1 = int_0^1 F_u(base + tau z, grad base + tau grad z) dtau and the
     gradient-slot analogue G2, evaluated per node by 8-point Gauss-Legendre.
-    base = None means the zero-base variant.
+    base and z are interior (nt+1, n) arrays, and so are G1 and each
+    component of G2; base = None means the zero-base variant.
     """
-    grid = z.grid
-    zv = z.values
-    gz = st_gradient(grid, zv)
+    gz = interior_gradient(grid, z)
     if base is None:
-        bv = np.zeros_like(zv)
-        gb = tuple(np.zeros_like(zv) for _ in range(grid.dim))
+        base = np.zeros_like(z)
+        gb = tuple(np.zeros_like(z) for _ in range(grid.dim))
     else:
-        bv = base.values
-        gb = st_gradient(grid, bv)
-    g1 = np.zeros_like(zv)
-    g2 = [np.zeros_like(zv) for _ in range(grid.dim)]
+        gb = interior_gradient(grid, base)
+    g1 = np.zeros_like(z)
+    g2 = [np.zeros_like(z) for _ in range(grid.dim)]
     for tau, wq in zip(_GL_NODES, _GL_WEIGHTS):
-        u = bv + tau * zv
+        u = base + tau * z
         p = tuple(gb[ax] + tau * gz[ax] for ax in range(grid.dim))
         g1 += wq * nonlin.f_u(u, p)
         comps = nonlin.grad_p(u, p)
         for ax in range(grid.dim):
             g2[ax] += wq * comps[ax]
-    return SpaceTimeField(grid, g1), tuple(SpaceTimeField(grid, c) for c in g2)
+    return g1, tuple(g2)
 
 
-def _frozen_spec(spec: ProblemSpec, nonlin, z: SpaceTimeField, base=None):
+def _frozen_spec(spec: ProblemSpec, nonlin, z, base=None):
     """Linear spec for one frozen-z sweep.
 
     State equation coefficients pick up the secant averages; the adjoint
     equations pick up the tangent derivatives at base+z.
     """
     grid = spec.grid
-    g1, g2 = eval_secant_coeffs(nonlin, base, z)
-    eval_at = z if base is None else base + z
-    uv = eval_at.values
-    gp = st_gradient(grid, uv)
-    fu = nonlin.f_u(uv, gp)
-    gpf = nonlin.grad_p(uv, gp)
-    a_fwd = SpaceTimeField(grid, spec.a.values - g1.values)
-    b_fwd = tuple(SpaceTimeField(grid, spec.b[ax].values - g2[ax].values) for ax in range(grid.dim))
-    a_adj = SpaceTimeField(grid, spec.a.values - fu)
-    b_adj = tuple(SpaceTimeField(grid, spec.b[ax].values - gpf[ax]) for ax in range(grid.dim))
-    return spec.with_(a=a_fwd, b=b_fwd, a_adj=a_adj, b_adj=b_adj)
+    g1, g2 = eval_secant_coeffs(grid, nonlin, base, z)
+    u = z if base is None else base + z
+    gp = interior_gradient(grid, u)
+    fu = nonlin.f_u(u, gp)
+    gpf = nonlin.grad_p(u, gp)
+    return spec.with_(a=spec.a - g1, b=tuple(spec.b[ax] - g2[ax] for ax in range(grid.dim)),
+                      a_adj=spec.a - fu, b_adj=tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim)))
 
 
-def _z_change_norm(grid, d_values):
+def _z_change_norm(grid, d):
     """Discrete norm of (z, grad z) iterate changes."""
-    total = q_norm(grid, _interior_levels(grid, d_values)) ** 2
-    for g in st_gradient(grid, d_values):
-        total += q_norm(grid, _interior_levels(grid, g)) ** 2
+    total = q_norm(grid, d) ** 2
+    for g in interior_gradient(grid, d):
+        total += q_norm(grid, g) ** 2
     return math.sqrt(total)
 
 
 def _picard_change(grid, z, w):
     """(change, scale) of a Picard step z -> w, both in the (z, grad z) norm."""
-    scale = max(_z_change_norm(grid, z.values), _z_change_norm(grid, w.values), TINY)
-    return _z_change_norm(grid, w.values - z.values), scale
-
-
-def _interior_levels(grid, values):
-    sl = (slice(None),) + grid.interior_slices()
-    return values[sl].reshape(grid.nt + 1, -1)
+    scale = max(_z_change_norm(grid, z), _z_change_norm(grid, w), TINY)
+    return _z_change_norm(grid, w - z), scale
 
 
 @dataclass
 class QuasiEquilibrium:
-    u: SpaceTimeField
-    phi1: SpaceTimeField
-    phi2: SpaceTimeField
-    v1: SpaceTimeField
-    v2: SpaceTimeField
+    """State u, follower adjoints phi_i and controls v_i, each an interior
+    (nt+1, n) array."""
+    u: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
     outer_iterations: int
     history: list
 
@@ -250,28 +245,22 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
     Each sweep solves the linear system with secant coefficients at z and
     the constant remainder F(0,0); convergence is measured in the discrete
     (z, grad z) norm.  f is the leader control as an interior (nt+1, n)
-    array, or None.  The iterate and the result are full-grid fields, as
-    the secant coefficients need the gradient at every node.
+    array, or None.
     """
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
     extra = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
 
-    def field(arr):
-        return SpaceTimeField.from_interior(grid, arr)
-
     def sweep(state):
         z = state[0]
         frozen = _frozen_spec(spec, nonlin, z, base=None)
         sol = solve_nash_fixed_point(frozen, f, tol_rel=inner_tol, extra_source=extra)
-        w = field(sol.w)
-        return (w, sol), *_picard_change(grid, z, w)
+        return (sol.w, sol), *_picard_change(grid, z, sol.w)
 
-    (u, sol), it, history = iterate(sweep, (SpaceTimeField.zeros(grid),), tol, 50,
+    (u, sol), it, history = iterate(sweep, (np.zeros((grid.nt + 1, grid.n_interior)),), tol, 50,
                                     "quasi-equilibrium Picard")
-    return QuasiEquilibrium(
-        u=u, phi1=field(sol.phi1), phi2=field(sol.phi2), v1=field(sol.v1), v2=field(sol.v2),
-        outer_iterations=it, history=history)
+    return QuasiEquilibrium(u=u, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
+                            outer_iterations=it, history=history)
 
 
 def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: QuasiEquilibrium):
@@ -282,26 +271,23 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
     solution scale.  f is the leader control as an interior array.
     """
     grid = spec.grid
-    U = qe.u.interior()
-    uv = qe.u.values
-    gp = st_gradient(grid, uv)
-    Fv = nonlin.f(uv, gp)
-    F_int = _interior_levels(grid, Fv)
+    U = qe.u
+    F_int = nonlin.f(U, interior_gradient(grid, U))
     src = control_sources(spec, f=f)
     for i in range(2):
-        src = src + qe.controls[i].interior() * spec.follower_masks[i].interior_vector()
+        src = src + qe.controls[i] * spec.follower_masks[i].interior_vector()
     res = 0.0
     for j in range(1, grid.nt + 1):
         M = spec.stepper.step_matrix(j, "forward")
         r = M @ U[j] - U[j - 1] - grid.dt * (src[j] + F_int[j])
         res += grid.dt * grid.hd * float(np.dot(r, r))
     res_state = math.sqrt(res)
-    tg = _frozen_spec(spec, nonlin, SpaceTimeField(grid, uv), base=None).stepper
+    tg = _frozen_spec(spec, nonlin, U, base=None).stepper
     res_adj = 0.0
     for i in range(2):
-        P = qe.phis[i].interior()
+        P = qe.phis[i]
         chid = spec.target_masks[i].interior_vector()
-        wd = spec.targets[i].interior()
+        wd = spec.targets[i]
         for j in range(1, grid.nt + 1):
             A = tg.step_matrix(j, "adjoint").T
             rhs = (P[j] if j < grid.nt else np.zeros_like(P[0])) + grid.dt * spec.alpha[i] * chid * (U[j] - wd[j])
@@ -312,29 +298,33 @@ def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: Q
     return res_state / scale, res_adj / scale
 
 
-def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60) -> SpaceTimeField:
-    """Uncontrolled semilinear trajectory by secant-coefficient Picard."""
+def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60):
+    """Uncontrolled semilinear trajectory by secant-coefficient Picard, from
+    the (n,) vector ubar0; an interior (nt+1, n) array."""
     grid = spec.grid
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    ubar0_int = grid.to_interior(np.asarray(ubar0, dtype=float))
     src = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
 
     def sweep(z):
         st = _frozen_spec(spec, nonlin, z, base=None).stepper
-        u = SpaceTimeField.from_interior(grid, st.march_forward(ubar0_int, src))
+        u = st.march_forward(ubar0, src)
         return u, *_picard_change(grid, z, u)
 
-    u, _, _ = iterate(sweep, SpaceTimeField.zeros(grid), 1e-12, max_iter, "free trajectory Picard")
+    u, _, _ = iterate(sweep, np.zeros((grid.nt + 1, grid.n_interior)), 1e-12, max_iter,
+                      "free trajectory Picard")
     return u
 
 
 @dataclass
 class SemilinearControlResult:
+    """The leader control f, the controlled state u, the free trajectory ubar
+    and their difference w = u - ubar, each an interior (nt+1, n) array,
+    with the last outer iteration's HUM solve."""
     hum: HumResult
-    f: SpaceTimeField
-    u: SpaceTimeField
-    ubar: SpaceTimeField
-    w: SpaceTimeField
+    f: np.ndarray
+    u: np.ndarray
+    ubar: np.ndarray
+    w: np.ndarray
     terminal_mismatch: float
     outer_iterations: int
     history: list
@@ -354,12 +344,12 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     the second iteration on, the HUM solve starts from the previous psi0:
     the frozen coefficients move little between iterations.
     spec.w0 holds the absolute initial state u0 and spec.targets the
-    absolute targets zeta_id.
+    absolute targets zeta_id; ubar0 is an (n,) vector.
     """
     grid = spec.grid
     spec.require_controllability_geometry()
     ubar = solve_free_trajectory(spec, nonlin, ubar0)
-    w0 = spec.w0 - np.asarray(ubar0, dtype=float)
+    w0 = spec.w0 - ubar0
     wtargets = tuple(t - ubar for t in spec.targets)
     base_wspec = spec.with_(w0=w0, targets=wtargets)
     target_check = None
@@ -373,14 +363,13 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter,
                          psi0=None if previous is None else previous.psi0)
         hums.append(hum)
-        w = SpaceTimeField.from_interior(grid, hum.nash.w)
-        return (w, hum), *_picard_change(grid, z, w)
+        return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 
-    (z, hum), _, history = iterate(sweep, (SpaceTimeField.zeros(grid), None), outer_tol, max_outer,
-                                   "semilinear outer loop", diverged=OuterDivergence)
-    u = SpaceTimeField(grid, z.values + ubar.values)
+    start = (np.zeros((grid.nt + 1, grid.n_interior)), None)
+    (z, hum), _, history = iterate(sweep, start, outer_tol, max_outer, "semilinear outer loop",
+                                   diverged=OuterDivergence)
     return SemilinearControlResult(
-        hum=hum, f=SpaceTimeField.from_interior(grid, hum.f), u=u, ubar=ubar, w=z,
+        hum=hum, f=hum.f, u=z + ubar, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
         target_check=target_check, cg_residuals=[h.cg_residuals for h in hums],
@@ -390,23 +379,21 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
 def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> TimeStepper:
     """Stepper of the equation linearized at the equilibrium state."""
     grid = spec.grid
-    uv = equilibrium.u.values
-    gu = st_gradient(grid, uv)
-    fu = nonlin.f_u(uv, gu)
-    gpf = nonlin.grad_p(uv, gu)
-    return spec.with_(
-        a=SpaceTimeField(grid, spec.a.values - fu),
-        b=tuple(SpaceTimeField(grid, spec.b[ax].values - gpf[ax]) for ax in range(grid.dim)),
-        a_adj=None, b_adj=None,
-    ).stepper
+    u = equilibrium.u
+    gu = interior_gradient(grid, u)
+    fu = nonlin.f_u(u, gu)
+    gpf = nonlin.grad_p(u, gu)
+    return spec.with_(a=spec.a - fu, b=tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim)),
+                      a_adj=None, b_adj=None).stepper
 
 
 def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
-                      i, direction: SpaceTimeField, stepper=None) -> float:
+                      i, direction, stepper=None) -> float:
     """Quadratic form of follower i's cost at the equilibrium.
 
-    Solves the tangent state h driven by the direction, then the backward
-    companion eta with the second-derivative sources, and returns
+    Solves the tangent state h driven by the direction, an interior
+    (nt+1, n) array, then the backward companion eta with the
+    second-derivative sources, and returns
     int int_Oi direction*eta + mu_i ||direction||^2.  stepper, when given,
     is the tangent stepper of this spec and equilibrium (_tangent_stepper),
     which every direction shares.
@@ -416,39 +403,34 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
             "second-order checker needs analytic second derivatives; "
             "expression-based nonlinearities are first-order only")
     grid = spec.grid
-    uv = equilibrium.u.values
-    gu = st_gradient(grid, uv)
+    u = equilibrium.u
+    gu = interior_gradient(grid, u)
     st = stepper or _tangent_stepper(spec, nonlin, equilibrium)
     chi = spec.follower_masks[i].interior_vector()
-    src = direction.interior() * chi
-    H = st.march_forward(np.zeros(grid.n_interior), src)
-    h_field = SpaceTimeField.from_interior(grid, H)
-    hv = h_field.values
-    gh = st_gradient(grid, hv)
-    phiv = equilibrium.phis[i].values
+    H = st.march_forward(np.zeros(grid.n_interior), direction * chi)
+    gh = interior_gradient(grid, H)
+    phi = equilibrium.phis[i]
     # multiplier of step j is stored at level j-1; align it with state level j
-    phi_at = np.zeros_like(phiv)
-    phi_at[1:] = phiv[:-1]
-    fuu = nonlin.f_uu(uv, gu)
-    gpfu = nonlin.grad_p_f_u(uv, gu)
-    hpp = nonlin.hess_p(uv, gu)
-    src_eta = fuu * phi_at * hv
+    phi_at = np.zeros_like(phi)
+    phi_at[1:] = phi[:-1]
+    fuu = nonlin.f_uu(u, gu)
+    gpfu = nonlin.grad_p_f_u(u, gu)
+    hpp = nonlin.hess_p(u, gu)
+    src_eta = fuu * phi_at * H
     for ax in range(grid.dim):
         src_eta = src_eta + gpfu[ax] * gh[ax] * phi_at
     vec = []
     for ax in range(grid.dim):
-        comp = gpfu[ax] * hv * phi_at
+        comp = gpfu[ax] * H * phi_at
         for bx in range(grid.dim):
             comp = comp + hpp[ax][bx] * gh[bx] * phi_at
         vec.append(comp)
-    src_eta = src_eta - st_divergence(grid, tuple(vec))
-    chid_full = spec.target_masks[i].indicator.astype(float)
-    src_eta = src_eta + spec.alpha[i] * chid_full * hv
-    src_int = _interior_levels(grid, src_eta)
-    E = st.march_backward(np.zeros(grid.n_interior), src_int, family="adjoint")
-    d_int = direction.interior()
-    cross = grid.dt * grid.hd * float(np.sum((d_int[1:] * chi) * E[:-1]))
-    norm2 = q_norm(grid, d_int * chi) ** 2
+    src_eta = src_eta - interior_divergence(grid, tuple(vec))
+    chid = spec.target_masks[i].interior_vector()
+    src_eta = src_eta + spec.alpha[i] * chid * H
+    E = st.march_backward(np.zeros(grid.n_interior), src_eta, family="adjoint")
+    cross = grid.dt * grid.hd * float(np.sum((direction[1:] * chi) * E[:-1]))
+    norm2 = q_norm(grid, direction * chi) ** 2
     return cross + spec.mu[i] * norm2
 
 
@@ -487,9 +469,8 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
             if nrm == 0.0:
                 continue
             d /= nrm
-            direction = SpaceTimeField.from_interior(grid, d)
             stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
-            forms.append(second_order_form(spec, nonlin, equilibrium, i, direction, stepper=stepper))
+            forms.append(second_order_form(spec, nonlin, equilibrium, i, d, stepper=stepper))
         all_forms.append(tuple(forms))
         if forms:
             mins.append(min(forms))

@@ -9,7 +9,7 @@ has real signal to remove.
 import numpy as np
 import pytest
 
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask
+from hierctrl.mesh import build_grid, build_mask
 from hierctrl.operators import ProblemSpec
 
 L_REF = 6.0
@@ -22,20 +22,20 @@ def make_nash_spec(nx=12, nt=10, alpha=1e-3, mu=1.0, with_targets=True):
     x = g.coords(0)
     w0 = 16.0 * (x / L) ** 2 * (1 - x / L) ** 2
     if with_targets:
-        wd = SpaceTimeField.from_spatial(g, 0.5 * np.sin(np.pi * x / L))
+        wd = constant_in_time(g, 0.5 * np.sin(np.pi * x / L))
     else:
-        wd = SpaceTimeField.zeros(g)
+        wd = np.zeros((g.nt + 1, g.n_interior))
     return ProblemSpec(
         grid=g,
-        a=SpaceTimeField.zeros(g),
-        b=(SpaceTimeField.zeros(g),),
+        a=np.zeros((g.nt + 1, g.n_interior)),
+        b=(np.zeros((g.nt + 1, g.n_interior)),),
         leader_mask=build_mask(g, (0.25 * L, 0.70 * L)),
         follower_masks=(build_mask(g, (0.15 * L, 0.45 * L)), build_mask(g, (0.55 * L, 0.85 * L))),
         target_masks=(build_mask(g, (0.35 * L, 0.65 * L)),) * 2,
         alpha=(alpha, alpha),
         mu=(mu, mu),
         targets=(wd, wd),
-        w0=w0,
+        w0=g.to_interior(w0),
     )
 
 
@@ -46,25 +46,31 @@ def make_hum_spec(nx=16, nt=16, alpha=1e-3, mu=1.0):
     g = build_grid(1, L, nx, 1.0, nt)
     x = g.coords(0)
     w0 = 16.0 * (x / L) ** 2 * (1 - x / L) ** 2
-    z = SpaceTimeField.zeros(g)
+    z = np.zeros((g.nt + 1, g.n_interior))
     return ProblemSpec(
         grid=g,
-        a=SpaceTimeField.zeros(g),
-        b=(SpaceTimeField.zeros(g),),
+        a=z,
+        b=(z,),
         leader_mask=build_mask(g, (0.30 * L, 0.80 * L)),
         follower_masks=(build_mask(g, (0.15 * L, 0.45 * L)), build_mask(g, (0.55 * L, 0.85 * L))),
         target_masks=(build_mask(g, (0.50 * L, 0.90 * L)),) * 2,
         alpha=(alpha, alpha),
         mu=(mu, mu),
         targets=(z, z),
-        w0=w0,
+        w0=g.to_interior(w0),
     )
+
+
+def constant_in_time(grid, spatial):
+    """The interior values of a full-node spatial array, repeated at every
+    time level: an interior (nt+1, n) array."""
+    return np.tile(grid.to_interior(spatial), (grid.nt + 1, 1))
 
 
 def leader_bump(grid, amplitude=0.3):
     """A leader control as an interior (nt+1, n) array, the same at every level."""
     x = grid.coords(0)
-    return SpaceTimeField.from_spatial(grid, amplitude * np.sin(2 * np.pi * x / grid.lengths[0])).interior()
+    return constant_in_time(grid, amplitude * np.sin(2 * np.pi * x / grid.lengths[0]))
 
 
 @pytest.fixture(scope="session")

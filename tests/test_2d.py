@@ -7,10 +7,12 @@ import pytest
 
 from hierctrl.carleman import build_carleman_weights, carleman_ratio_report, check_weight_properties
 from hierctrl.hum import dense_oracle, eval_G, grad_G, minimize_G
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, inner_h
+from hierctrl.mesh import build_grid, build_mask, inner_h
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import ProblemSpec
 from hierctrl.semilinear import preset_tanh, solve_quasi_equilibrium, verify_equilibrium_sufficiency
+
+from conftest import constant_in_time
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +21,26 @@ def spec2d():
     g = build_grid(2, (L, L), (8, 8), 1.0, 6)
     X, Y = g.meshes()
     w0 = 256.0 * (X / L) ** 2 * (1 - X / L) ** 2 * (Y / L) ** 2 * (1 - Y / L) ** 2
-    z = SpaceTimeField.zeros(g)
+    z = np.zeros((g.nt + 1, g.n_interior))
     box = lambda lo, hi: ((lo * L, hi * L), (0.1 * L, 0.9 * L))
     return ProblemSpec(
         grid=g,
-        a=SpaceTimeField.zeros(g),
-        b=(SpaceTimeField.zeros(g), SpaceTimeField.zeros(g)),
+        a=z,
+        b=(z, z),
         leader_mask=build_mask(g, box(0.25, 0.75)),
         follower_masks=(build_mask(g, box(0.1, 0.45)), build_mask(g, box(0.55, 0.9))),
         target_masks=(build_mask(g, box(0.3, 0.8)),) * 2,
         alpha=(1e-3, 1e-3),
         mu=(1.0, 1.0),
         targets=(z, z),
-        w0=w0,
+        w0=g.to_interior(w0),
     )
 
 
 def test_nash_2d_matches_oracle(spec2d):
     g = spec2d.grid
     X, _ = g.meshes()
-    f = SpaceTimeField.from_spatial(g, 0.2 * np.sin(np.pi * X / g.lengths[0])).interior()
+    f = constant_in_time(g, 0.2 * np.sin(np.pi * X / g.lengths[0]))
     sol = solve_nash_fixed_point(spec2d, f, tol_rel=1e-12)
     oracle, _ = dense_oracle(spec2d, f)
     rel = q_norm(g, sol.w - oracle.w) / max(q_norm(g, oracle.w), 1e-300)
@@ -68,7 +70,7 @@ def test_null_control_2d_smoke(spec2d):
 def test_sufficiency_dimension_flag_2d(spec2d):
     g = spec2d.grid
     X, _ = g.meshes()
-    f = SpaceTimeField.from_spatial(g, 0.2 * np.sin(np.pi * X / g.lengths[0])).interior()
+    f = constant_in_time(g, 0.2 * np.sin(np.pi * X / g.lengths[0]))
     nl = preset_tanh(0.3)
     qe = solve_quasi_equilibrium(spec2d, nl, f, tol=1e-9)
     rep = verify_equilibrium_sufficiency(spec2d, nl, qe, n_directions=3, seed=5)

@@ -20,7 +20,7 @@ from hierctrl.carleman import (build_carleman_weights, check_weight_properties,
                                estimate_observability)
 from hierctrl.errors import ContractionFailure
 from hierctrl.hum import (apply_lambda, control_to_trajectory, dense_oracle, eval_G, grad_G, minimize_G)
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, inner_h, norm_h
+from hierctrl.mesh import build_grid, build_mask, full_mask, inner_h, norm_h
 from hierctrl.nash import (cost_followers, q_norm, solve_nash_fixed_point,
                            verify_first_order)
 from hierctrl.operators import ProblemSpec, assemble_biharmonic, duality_gap, solve_forward
@@ -42,15 +42,15 @@ def test_criterion_01_transpose_contract_and_duality():
     g = build_grid(1, 1.0, 16, 1.0, 8)
     rng = np.random.default_rng(101)
     shape = (g.nt + 1,) + g.nx
-    z = SpaceTimeField.zeros(g)
+    z = np.zeros((g.nt + 1, g.n_interior))
     spec = ProblemSpec(
         grid=g,
-        a=SpaceTimeField(g, rng.standard_normal(shape)),
-        b=(SpaceTimeField(g, rng.standard_normal(shape)),),
+        a=g.to_interior_levels(rng.standard_normal(shape)),
+        b=(g.to_interior_levels(rng.standard_normal(shape)),),
         leader_mask=build_mask(g, (0.25, 0.75)),
         follower_masks=(build_mask(g, (0.2, 0.5)), build_mask(g, (0.5, 0.8))),
         target_masks=(build_mask(g, (0.35, 0.65)),) * 2,
-        alpha=(1e-3, 1e-3), mu=(1.0, 1.0), targets=(z, z), w0=np.zeros(g.nx),
+        alpha=(1e-3, 1e-3), mu=(1.0, 1.0), targets=(z, z), w0=np.zeros(g.n_interior),
     )
     st = spec.stepper
     import scipy.sparse as sp
@@ -60,16 +60,16 @@ def test_criterion_01_transpose_contract_and_duality():
     eye = sp.identity(g.n_interior, format="csr")
     max_entry = 0.0
     for j in range(1, g.nt + 1):
-        fwd_step = eye + g.dt * _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, j)
+        fwd_step = eye + g.dt * _spatial_operator(st.biharm, st.grads, spec.a, spec.b, j)
         adj_step = st.step_matrix(j, "adjoint").T  # matrix the backward march solves with
         max_entry = max(max_entry, abs(adj_step - fwd_step.T).max())
     gaps = []
     for _ in range(10):
         gaps.append(duality_gap(
             spec,
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
         ))
     elapsed = time.monotonic() - t0
@@ -212,7 +212,7 @@ def test_criterion_09_trajectory_zero_case():
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = 3.0 * (x / L) ** 2 * (1 - x / L) ** 2
+    ubar0 = g.to_interior(3.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     ubar = solve_forward(spec.with_(w0=ubar0), w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
     f_zero = bool(np.all(res.hum.f == 0.0))
@@ -256,15 +256,15 @@ def test_criterion_12_semilinear_reduction():
     lin = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-12)
     qe = solve_quasi_equilibrium(nash_spec, preset_zero(), f, tol=1e-10)
     g = nash_spec.grid
-    rel_nash = q_norm(g, qe.u.interior() - lin.w) / max(q_norm(g, lin.w), 1e-300)
+    rel_nash = q_norm(g, qe.u - lin.w) / max(q_norm(g, lin.w), 1e-300)
 
     hum_spec = make_hum_spec()
     gh = hum_spec.grid
-    z = SpaceTimeField.zeros(gh)
-    lin_tr = control_to_trajectory(hum_spec, hum_spec.w0, np.zeros(gh.nx), (z, z),
+    z = np.zeros((gh.nt + 1, gh.n_interior))
+    lin_tr = control_to_trajectory(hum_spec, hum_spec.w0, np.zeros(gh.n_interior), (z, z),
                                    eps=1e-4, cg_tol=1e-9)
-    sem = semilinear_null_control(hum_spec, preset_zero(), np.zeros(gh.nx), eps=1e-4, cg_tol=1e-9)
-    rel_hum = q_norm(gh, sem.f.interior() - lin_tr.hum.f) / \
+    sem = semilinear_null_control(hum_spec, preset_zero(), np.zeros(gh.n_interior), eps=1e-4, cg_tol=1e-9)
+    rel_hum = q_norm(gh, sem.f - lin_tr.hum.f) / \
         max(q_norm(gh, lin_tr.hum.f), 1e-300)
     ok = rel_nash <= 1e-10 and rel_hum <= 1e-10
     assert _report(12, ok, f"nash reduction {rel_nash:.2e}, null-control reduction {rel_hum:.2e}")
@@ -273,7 +273,7 @@ def test_criterion_12_semilinear_reduction():
 def test_criterion_13_semilinear_null_control():
     spec = make_hum_spec()
     nl = preset_tanh(0.5)
-    res = semilinear_null_control(spec, nl, np.zeros(spec.grid.nx), eps=1e-4,
+    res = semilinear_null_control(spec, nl, np.zeros(spec.grid.n_interior), eps=1e-4,
                                   outer_tol=1e-9, cg_tol=1e-9, max_outer=30)
     bound = sample_bound(nl, spec.grid.dim)
     ok = (res.outer_iterations <= 30 and np.isfinite(res.terminal_mismatch)

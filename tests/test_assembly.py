@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask
+from hierctrl.mesh import build_grid, build_mask
 from hierctrl.nash import stacked_system
 from hierctrl.operators import ProblemSpec, assemble_biharmonic, extended_laplacian, gradient_matrices
 
@@ -154,16 +154,17 @@ def _spec(grid, varying):
     shape = (grid.nt + 1,) + grid.nx
     box = lambda lo, hi: tuple((lo * L, hi * L) for L in grid.lengths)
 
-    def field():
-        return SpaceTimeField(grid, rng.standard_normal(shape)) if varying else SpaceTimeField.zeros(grid)
+    z = np.zeros((grid.nt + 1, grid.n_interior))
 
-    z = SpaceTimeField.zeros(grid)
+    def field():
+        return grid.to_interior_levels(rng.standard_normal(shape)) if varying else z
+
     spec = ProblemSpec(
         grid=grid, a=field(), b=tuple(field() for _ in range(grid.dim)),
         leader_mask=build_mask(grid, box(0.25, 0.75)),
         follower_masks=(build_mask(grid, box(0.2, 0.5)), build_mask(grid, box(0.5, 0.8))),
         target_masks=(build_mask(grid, box(0.3, 0.6)), build_mask(grid, box(0.4, 0.7))),
-        alpha=(1e-3, 2.5e-3), mu=(1.0, 0.7), targets=(z, z), w0=np.zeros(grid.nx),
+        alpha=(1e-3, 2.5e-3), mu=(1.0, 0.7), targets=(z, z), w0=np.zeros(grid.n_interior),
     )
     if varying:
         spec = spec.with_(a_adj=field(), b_adj=tuple(field() for _ in range(grid.dim)))

@@ -171,7 +171,7 @@ def test_two_system_duality_identity(spec, rng):
             phi = nash.phis[i]
             lhs -= g.dt * g.hd / spec.mu[i] * float(np.sum((phi[:-1] * chi) * psi[:-1]))
         rhs = g.hd * float(np.dot(W[-1], psi0))
-        rhs -= g.hd * float(np.dot(g.to_interior(spec.w0), psi[0]))
+        rhs -= g.hd * float(np.dot(spec.w0, psi[0]))
         for i in range(2):
             chid = spec.target_masks[i].interior_vector()
             eta = coup.etas[i]
@@ -352,32 +352,32 @@ def test_trajectory_zero_case(spec):
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = 4.0 * (x / L) ** 2 * (1 - x / L) ** 2
+    ubar0 = g.to_interior(4.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     base = spec.with_(w0=ubar0)
     ubar = solve_forward(base, w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
     assert np.all(res.hum.f == 0.0)
     assert res.terminal_mismatch == 0.0
-    assert np.allclose(res.u.values, ubar.values, atol=1e-14)
+    assert np.allclose(res.u, ubar, atol=1e-14)
 
 
 def test_trajectory_mismatch_is_terminal_norm(spec):
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = 2.0 * (x / L) ** 2 * (1 - x / L) ** 2
-    zetas = (SpaceTimeField.zeros(g), SpaceTimeField.zeros(g))
+    ubar0 = g.to_interior(2.0 * (x / L) ** 2 * (1 - x / L) ** 2)
+    zetas = (np.zeros((g.nt + 1, g.n_interior)),) * 2
     res = control_to_trajectory(spec, u0=spec.w0, ubar0=ubar0, zetas=zetas, eps=1e-3)
     assert res.terminal_mismatch == res.hum.terminal_norm
-    diff = res.u.values[-1] - res.ubar.values[-1]
+    diff = res.u[-1] - res.ubar[-1]
     assert norm_h(g, diff) == pytest.approx(res.terminal_mismatch, rel=1e-12)
 
 
 def test_trajectory_sweep_drops_tenfold(spec):
     g = spec.grid
-    zetas = (SpaceTimeField.zeros(g), SpaceTimeField.zeros(g))
-    first = control_to_trajectory(spec, spec.w0, np.zeros(g.nx), zetas, 1e-1).terminal_mismatch
-    last = control_to_trajectory(spec, spec.w0, np.zeros(g.nx), zetas, 1e-5).terminal_mismatch
+    zetas = (np.zeros((g.nt + 1, g.n_interior)),) * 2
+    first = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-1).terminal_mismatch
+    last = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-5).terminal_mismatch
     assert first / last >= 10.0
 
 
@@ -393,19 +393,19 @@ def test_check_target_condition_zero_targets(spec):
 
 def test_check_target_condition_unit_cylinder():
     g = build_grid(1, 1.0, 9, 1.0, 8)
-    ones = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
+    ones = np.ones((g.nt + 1, g.n_interior))
     from hierctrl.mesh import build_mask
     from hierctrl.operators import ProblemSpec
 
     spec = ProblemSpec(
-        grid=g, a=SpaceTimeField.zeros(g), b=(SpaceTimeField.zeros(g),),
+        grid=g, a=np.zeros((g.nt + 1, g.n_interior)), b=(np.zeros((g.nt + 1, g.n_interior)),),
         leader_mask=build_mask(g, (0.25, 0.75)),
         follower_masks=(build_mask(g, (0.2, 0.5)), build_mask(g, (0.5, 0.8))),
         target_masks=(full_mask(g), full_mask(g)),
         alpha=(1e-3, 1e-3), mu=(1.0, 1.0),
-        targets=(ones, ones), w0=np.zeros(g.nx),
+        targets=(ones, ones), w0=np.zeros(g.n_interior),
     )
-    out = check_target_condition(spec, SpaceTimeField.zeros(g))  # theta = 1
+    out = check_target_condition(spec, SpaceTimeField(g, np.zeros((g.nt + 1,) + g.nx)))  # theta = 1
     assert out[0][0] == pytest.approx(1.0, abs=1e-12)
     assert out[0][1] is False
 
@@ -418,7 +418,7 @@ def test_check_target_condition_decaying_theta_finite(spec):
 
     g = spec.grid
     w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0])
-    ones = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
+    ones = np.ones((g.nt + 1, g.n_interior))
     offset = spec.with_(targets=(ones, ones))
     out = check_target_condition(offset, w.log_theta)
     for value, flagged in out:
@@ -469,7 +469,7 @@ def test_equal_weights_march_one_companion_column(spec, rng, targets, monkeypatc
     sweep marches that sum as one column (the targets do not enter the
     coupled adjoint).  The companions read from psi match the oracle."""
     if targets == "distinct":
-        z = SpaceTimeField(spec.grid, np.ones_like(spec.targets[0].values))
+        z = np.ones_like(spec.targets[0])
         spec = spec.with_(targets=(spec.targets[0], z))
     psi0 = _random_psi0(spec, rng)
     calls = _count_marches(monkeypatch)

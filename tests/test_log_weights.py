@@ -42,7 +42,7 @@ def _ref_target_condition(spec, theta):
     nw = grid.node_weights()
     out = []
     for i in range(2):
-        wd = spec.targets[i].values
+        wd = grid.from_interior_levels(spec.targets[i])
         mask = spec.target_masks[i].indicator
         total = 0.0
         for k in range(grid.nt + 1):
@@ -102,7 +102,7 @@ def test_theta_inverse_squared_matches_old_target_check():
     rng = np.random.default_rng(5)
     shape = (grid.nt + 1,) + grid.nx
     for targets in ((0.1 * np.ones(shape),) * 2, (rng.standard_normal(shape), rng.standard_normal(shape))):
-        tspec = spec.with_(targets=tuple(SpaceTimeField(grid, t) for t in targets))
+        tspec = spec.with_(targets=tuple(grid.to_interior_levels(t) for t in targets))
         ours = check_target_condition(tspec, w.log_theta)
         refs = _ref_target_condition(tspec, _ref_theta(w))
         for (value, infinite), ref in zip(ours, refs):

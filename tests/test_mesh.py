@@ -3,7 +3,8 @@ import pytest
 
 from hierctrl.errors import EmptyMask, InvalidGrid, ShapeMismatch
 from hierctrl.mesh import (SpaceTimeField, build_grid, build_mask, full_mask, inner_h, integrate,
-                           norm_h, st_gradient, st_second_differences)
+                           interior_divergence, interior_gradient, norm_h, st_gradient,
+                           st_second_differences)
 
 
 def test_grid_spacings_1d():
@@ -69,12 +70,12 @@ def test_integrate_constant_exact():
 
 def test_integrate_zero():
     g = build_grid(1, 1.0, 9, 1.0, 8)
-    assert integrate(SpaceTimeField.zeros(g), full_mask(g)) == 0.0
+    assert integrate(SpaceTimeField(g, np.zeros((g.nt + 1,) + g.nx)), full_mask(g)) == 0.0
 
 
 def test_integrate_linear_profile():
     g = build_grid(1, 1.0, 17, 1.0, 8)
-    f = SpaceTimeField.from_spatial(g, g.coords(0))
+    f = SpaceTimeField(g, np.tile(g.coords(0), (g.nt + 1, 1)))
     assert abs(integrate(f, full_mask(g)) - 0.5) <= g.h[0] ** 2
 
 
@@ -121,7 +122,7 @@ def test_integrate_log_weight_rejects_negative_field(rng):
     vals = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
     vals[2, 5] = -1e-300
     with pytest.raises(ValueError, match="nonnegative"):
-        integrate(SpaceTimeField(g, vals), full_mask(g), log_weight=SpaceTimeField.zeros(g))
+        integrate(SpaceTimeField(g, vals), full_mask(g), log_weight=SpaceTimeField(g, np.zeros(vals.shape)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -156,6 +157,31 @@ def test_inner_product_spd(rng):
     assert norm_h(g, np.zeros(g.n_interior)) == 0.0
 
 
+def test_inner_product_takes_interior_vectors_only(rng):
+    """A full-node spatial array is not converted by its shape: it is rejected."""
+    g = build_grid(1, 1.0, 12, 1.0, 6)
+    v = rng.standard_normal(g.n_interior)
+    with pytest.raises(ShapeMismatch):
+        inner_h(g, np.zeros(g.nx), v)
+    with pytest.raises(ShapeMismatch):
+        norm_h(g, np.zeros(g.nx))
+
+
+def test_interior_stencils_are_st_gradient_on_zero_padded_data(rng):
+    """The gradient and divergence of interior arrays equal, bit for bit, the
+    full-node centred differences of their zero-padded forms at every
+    interior node, in 1D and 2D."""
+    for g in (build_grid(1, 1.0, 9, 1.0, 4), build_grid(2, (1.0, 1.5), (7, 8), 0.5, 4)):
+        arrs = [rng.standard_normal((g.nt + 1, g.n_interior)) for _ in range(g.dim)]
+        full = [g.from_interior_levels(a) for a in arrs]
+        for got, ref in zip(interior_gradient(g, arrs[0]), st_gradient(g, full[0])):
+            assert np.array_equal(got, g.to_interior_levels(ref))
+        ref = np.zeros_like(full[0])
+        for ax in range(g.dim):
+            ref = ref + st_gradient(g, full[ax])[ax]
+        assert np.array_equal(interior_divergence(g, arrs), g.to_interior_levels(ref))
+
+
 def test_field_shape_validation():
     g = build_grid(1, 1.0, 9, 1.0, 8)
     with pytest.raises(ShapeMismatch):
@@ -178,8 +204,11 @@ def test_mask_rejects_boundary_nodes():
 
 def test_interior_roundtrip(rng):
     g = build_grid(2, (1.0, 1.0), (8, 7), 1.0, 5)
-    vec = rng.standard_normal(g.n_interior)
-    assert np.array_equal(g.to_interior(g.from_interior(vec)), vec)
+    arr = rng.standard_normal((g.nt + 1, g.n_interior))
+    full = g.from_interior_levels(arr)
+    assert np.array_equal(g.to_interior_levels(full), arr)
+    assert np.array_equal(g.to_interior(full[2]), arr[2])
+    assert not full[:, [0, -1]].any() and not full[:, :, [0, -1]].any()
 
 
 def test_2d_stencils_exact_on_quadratics():

@@ -4,7 +4,6 @@ import pytest
 import hierctrl.nash as nash
 from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
 from hierctrl.hum import dense_oracle
-from hierctrl.mesh import SpaceTimeField
 from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
                            cost_followers, q_norm,
                            solve_nash_fixed_point, verify_first_order)
@@ -81,7 +80,7 @@ def test_apply_A_coercivity_sample(nash_spec, rng):
 
 
 def test_fixed_point_zero_data_single_sweep():
-    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
+    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     sol = solve_nash_fixed_point(spec)
     assert sol.iterations == 1
     for arr in (sol.w, sol.phi1, sol.phi2, sol.v1, sol.v2):
@@ -102,7 +101,7 @@ def test_fixed_point_matches_dense_oracle(nash_spec):
 
 
 def test_oracle_zero_data():
-    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
+    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     oracle, _ = dense_oracle(spec)
     assert np.all(oracle.w == 0.0)
 
@@ -132,7 +131,7 @@ def test_oracle_plugback_residual(nash_spec):
     for i in range(2):
         P = oracle.phis[i]
         chid = nash_spec.target_masks[i].interior_vector()
-        wd = nash_spec.targets[i].interior()
+        wd = nash_spec.targets[i]
         for j in range(1, g.nt + 1):
             rhs = (P[j] if j < g.nt else np.zeros_like(P[0])) \
                 + g.dt * nash_spec.alpha[i] * chid * (W[j] - wd[j])
@@ -275,7 +274,7 @@ def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monk
     """Different alpha_i, or different targets, keep one adjoint column per
     follower, and the fixed point still matches the oracle."""
     wd = nash_spec.targets[0]
-    half = SpaceTimeField(wd.grid, 0.5 * wd.values)
+    half = 0.5 * wd
     kw = {"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, half)}
     spec = nash_spec.with_(**kw)
     f = leader_bump(spec.grid)
@@ -292,7 +291,7 @@ def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monk
 
 def _distinct_spec(nash_spec, change):
     wd = nash_spec.targets[0]
-    half = SpaceTimeField(wd.grid, 0.5 * wd.values)
+    half = 0.5 * wd
     return nash_spec.with_(**{"alpha": (1e-3, 2.5e-3)} if change == "alpha" else {"targets": (wd, half)})
 
 

@@ -5,28 +5,29 @@ import scipy.sparse as sp
 from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import DenseInverse, Factorization, Modes, factorize
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, norm_h
+from hierctrl.mesh import build_grid, build_mask, norm_h
 from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
                                 assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
 
-from conftest import make_nash_spec
+from conftest import make_hum_spec, make_nash_spec
 
 
 def _plain_spec(grid, a_values=None, b_values=None):
-    a = SpaceTimeField.zeros(grid) if a_values is None else SpaceTimeField(grid, a_values)
+    """A spec whose coefficients are the interior values of full-node arrays."""
+    z = np.zeros((grid.nt + 1, grid.n_interior))
+    a = z if a_values is None else grid.to_interior_levels(a_values)
     if b_values is None:
-        b = tuple(SpaceTimeField.zeros(grid) for _ in range(grid.dim))
+        b = (z,) * grid.dim
     else:
-        b = tuple(SpaceTimeField(grid, bv) for bv in b_values)
+        b = tuple(grid.to_interior_levels(bv) for bv in b_values)
     L = grid.lengths[0]
     box = lambda lo, hi: tuple((lo * Lx, hi * Lx) for Lx in grid.lengths)
-    z = SpaceTimeField.zeros(grid)
     return ProblemSpec(
         grid=grid, a=a, b=b,
         leader_mask=build_mask(grid, box(0.25, 0.75)),
         follower_masks=(build_mask(grid, box(0.2, 0.5)), build_mask(grid, box(0.5, 0.8))),
         target_masks=(build_mask(grid, box(0.35, 0.65)),) * 2,
-        alpha=(1e-3, 1e-3), mu=(1.0, 1.0), targets=(z, z), w0=np.zeros(grid.nx),
+        alpha=(1e-3, 1e-3), mu=(1.0, 1.0), targets=(z, z), w0=np.zeros(grid.n_interior),
     )
 
 
@@ -90,7 +91,7 @@ def test_reaction_shift_is_identity():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.ones((g.nt + 1,) + g.nx))
     st = spec.stepper
-    L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, 1)
+    L = _spatial_operator(st.biharm, st.grads, spec.a, spec.b, 1)
     M = assemble_biharmonic(g)
     diff = L - M
     assert abs(diff - np.eye(g.n_interior)).max() <= 1e-14
@@ -123,7 +124,7 @@ def test_transpose_contract_exact(rng):
     st = spec.stepper
     eye = sp.identity(g.n_interior, format="csr")
     for level in (1, 4, 8):
-        L = _spatial_operator(g, st.biharm, st.grads, spec.a, spec.b, level)
+        L = _spatial_operator(st.biharm, st.grads, spec.a, spec.b, level)
         assert abs(L - L.T).max() > 0.0  # transport makes the operator nonsymmetric
         adj_step = st.step_matrix(level, "adjoint").T  # what the backward march solves with
         assert abs(adj_step - (eye + g.dt * L).T).max() == 0.0
@@ -134,16 +135,16 @@ def test_transpose_contract_exact(rng):
 def test_solve_forward_zero_data():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g)
-    w = solve_forward(spec, w0=np.zeros(g.nx))
-    assert np.all(w.values == 0.0)
+    w = solve_forward(spec, w0=np.zeros(g.n_interior))
+    assert np.all(w == 0.0)
 
 
 def test_solve_forward_dissipative(rng):
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g)
-    w0 = g.from_interior(rng.standard_normal(g.n_interior))
+    w0 = rng.standard_normal(g.n_interior)
     w = solve_forward(spec, w0=w0)
-    norms = [norm_h(g, w.values[k]) for k in range(g.nt + 1)]
+    norms = [norm_h(g, w[k]) for k in range(g.nt + 1)]
     assert all(norms[k + 1] <= norms[k] + 1e-15 for k in range(g.nt))
 
 
@@ -155,9 +156,9 @@ def test_duality_identity_random_coefficients(rng):
     for _ in range(5):
         gap = duality_gap(
             spec,
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
         )
         assert gap <= 1e-10
@@ -170,9 +171,9 @@ def test_duality_identity_2d(rng):
                        b_values=[rng.standard_normal(shape), rng.standard_normal(shape)])
     gap = duality_gap(
         spec,
-        g.from_interior(rng.standard_normal(g.n_interior)),
+        rng.standard_normal(g.n_interior),
         rng.standard_normal((g.nt + 1, g.n_interior)),
-        g.from_interior(rng.standard_normal(g.n_interior)),
+        rng.standard_normal(g.n_interior),
         rng.standard_normal((g.nt + 1, g.n_interior)),
     )
     assert gap <= 1e-10
@@ -185,12 +186,12 @@ def test_public_adjoint_pairing(rng):
     g = spec.grid
     f = rng.standard_normal((g.nt + 1, g.n_interior))
     w = solve_forward(spec, f=f, w0=spec.w0)
-    psiT = g.from_interior(rng.standard_normal(g.n_interior))
+    psiT = rng.standard_normal(g.n_interior)
     psi = solve_adjoint(spec, None, psiT)
-    lhs = g.hd * float(np.dot(g.to_interior(w.values[-1]), g.to_interior(psiT)))
-    rhs = g.hd * float(np.dot(g.to_interior(spec.w0), g.to_interior(psi.values[0])))
+    lhs = g.hd * float(np.dot(w[-1], psiT))
+    rhs = g.hd * float(np.dot(spec.w0, psi[0]))
     chi = spec.leader_mask.interior_vector()
-    pi = psi.interior()
+    pi = psi
     rhs += g.dt * g.hd * float(np.sum(pi[:-1] * (f[1:] * chi)))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-300)
 
@@ -198,25 +199,25 @@ def test_public_adjoint_pairing(rng):
 def test_adjoint_equals_time_reversed_forward(rng):
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g)
-    data = g.from_interior(rng.standard_normal(g.n_interior))
+    data = rng.standard_normal(g.n_interior)
     w = solve_forward(spec, w0=data)
     psi = solve_adjoint(spec, None, data)
-    assert np.allclose(psi.values[::-1], w.values, atol=1e-14)
+    assert np.allclose(psi[::-1], w, atol=1e-14)
 
 
 def test_adjoint_zero_data():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g)
-    psi = solve_adjoint(spec, SpaceTimeField.zeros(g), np.zeros(g.nx))
-    assert np.all(psi.values == 0.0)
+    psi = solve_adjoint(spec, np.zeros((g.nt + 1, g.n_interior)), np.zeros(g.n_interior))
+    assert np.all(psi == 0.0)
 
 
 def test_adjoint_terminal_stored_exactly(rng):
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g)
-    psiT = g.from_interior(rng.standard_normal(g.n_interior))
+    psiT = rng.standard_normal(g.n_interior)
     psi = solve_adjoint(spec, None, psiT)
-    assert np.array_equal(psi.values[-1], psiT)
+    assert np.array_equal(psi[-1], psiT)
 
 
 def test_time_dependent_coefficients_still_dual(rng):
@@ -227,9 +228,9 @@ def test_time_dependent_coefficients_still_dual(rng):
     spec = _plain_spec(g, a_values=a_vals, b_values=[0.5 * t * np.ones_like(a_vals)])
     gap = duality_gap(
         spec,
-        g.from_interior(rng.standard_normal(g.n_interior)),
+        rng.standard_normal(g.n_interior),
         rng.standard_normal((g.nt + 1, g.n_interior)),
-        g.from_interior(rng.standard_normal(g.n_interior)),
+        rng.standard_normal(g.n_interior),
         rng.standard_normal((g.nt + 1, g.n_interior)),
     )
     assert gap <= 1e-10
@@ -241,8 +242,8 @@ def _frozen_like_stepper(rng):
     g = build_grid(1, 1.0, 14, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[rng.standard_normal(shape)])
-    spec = spec.with_(a_adj=SpaceTimeField(g, rng.standard_normal(shape)),
-                      b_adj=(SpaceTimeField(g, rng.standard_normal(shape)),))
+    spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
+                      b_adj=(g.to_interior_levels(rng.standard_normal(shape)),))
     st = spec.stepper
     assert st.step(1, "forward") is not st.step(2, "forward")
     assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
@@ -382,13 +383,27 @@ def test_singular_level_in_dense_stack_raises():
         _plain_spec(g, a_values=a).stepper
 
 
+@pytest.mark.parametrize("name", ["a", "b", "a_adj", "b_adj", "targets", "w0"])
+def test_spec_rejects_data_of_another_grid(name):
+    """Data built on an nt = 19 grid (20 levels) do not fit an nt = 16 spec:
+    the spec raises ShapeMismatch when it is built, before a stepper reads
+    the wrong time levels or a sweep meets arrays of another shape."""
+    spec = make_hum_spec(nx=16, nt=16)
+    other = build_grid(1, spec.grid.lengths, 16, spec.grid.T, 19)
+    levels = np.zeros((other.nt + 1, other.n_interior))
+    data = {"a": levels, "b": (levels,), "a_adj": levels, "b_adj": (levels,),
+            "targets": (levels, levels), "w0": np.zeros(other.nx)}
+    with pytest.raises(ShapeMismatch, match=name):
+        spec.with_(**{name: data[name]})
+
+
 def test_data_only_copy_shares_the_stepper(rng):
     """with_ keeps the stepper of a copy that leaves grid and coefficients
     alone, also for copies made before the first march."""
     spec = _plain_spec(build_grid(1, 1.0, 12, 1.0, 6))
     g = spec.grid
-    z = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx))
-    early = spec.with_(w0=g.from_interior(rng.standard_normal(g.n_interior)))
+    z = g.to_interior_levels(rng.standard_normal((g.nt + 1,) + g.nx))
+    early = spec.with_(w0=rng.standard_normal(g.n_interior))
     copies = [early, spec.with_zero_data(), spec.with_(mu=(2.0, 3.0), targets=(z, z)),
               spec.with_(a=spec.a, b=spec.b)]
     assert all(c.stepper is spec.stepper for c in copies)
@@ -403,9 +418,9 @@ def test_coefficient_change_builds_its_own_stepper(rng, name):
         # same shapes, another length: every field still fits
         changed = spec.with_(grid=build_grid(1, 2.0, 12, 1.0, 6))
     elif name in ("a", "a_adj"):
-        changed = spec.with_(**{name: SpaceTimeField(g, rng.uniform(0.0, 1.0, shape))})
+        changed = spec.with_(**{name: g.to_interior_levels(rng.uniform(0.0, 1.0, shape))})
     else:
-        changed = spec.with_(**{name: (SpaceTimeField(g, rng.uniform(0.0, 1.0, shape)),)})
+        changed = spec.with_(**{name: (g.to_interior_levels(rng.uniform(0.0, 1.0, shape)),)})
     assert changed.stepper is not spec.stepper
 
 
@@ -477,9 +492,9 @@ def test_duality_identity_on_modal_stepper(rng):
     for _ in range(5):
         gap = duality_gap(
             spec,
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
-            g.from_interior(rng.standard_normal(g.n_interior)),
+            rng.standard_normal(g.n_interior),
             rng.standard_normal((g.nt + 1, g.n_interior)),
         )
         assert gap <= 1e-12

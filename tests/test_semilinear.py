@@ -8,6 +8,7 @@ import pytest
 
 from hierctrl import cli, semilinear
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
+from hierctrl.config import load_config, validate_for
 from hierctrl.hum import control_to_trajectory
 from hierctrl.mesh import SpaceTimeField
 from hierctrl.nash import q_norm, solve_nash_fixed_point
@@ -42,7 +43,7 @@ def _unit_direction(spec, rng, i):
     d = rng.standard_normal((g.nt + 1, g.n_interior)) * spec.follower_masks[i].interior_vector()
     d[0] = 0.0
     d /= q_norm(g, d)
-    return SpaceTimeField.from_interior(g, d)
+    return d
 
 
 def test_secant_constant_for_linear_F(spec):
@@ -51,27 +52,27 @@ def test_secant_constant_for_linear_F(spec):
     nl = from_expression(f"{c}*u", bound=c, dim=1)
     g = spec.grid
     rng = np.random.default_rng(0)
-    z = SpaceTimeField.from_interior(g, rng.standard_normal((g.nt + 1, g.n_interior)))
-    g1, g2 = eval_secant_coeffs(nl, None, z)
-    assert np.abs(g1.values - c).max() <= 1e-9
-    assert np.abs(g2[0].values).max() <= 1e-9
+    z = rng.standard_normal((g.nt + 1, g.n_interior))
+    g1, g2 = eval_secant_coeffs(g, nl, None, z)
+    assert np.abs(g1 - c).max() <= 1e-9
+    assert np.abs(g2[0]).max() <= 1e-9
 
 
 def test_secant_zero_argument_gives_pointwise_derivatives(spec):
     nl = preset_tanh(1.0)
     g = spec.grid
-    z = SpaceTimeField.zeros(g)
-    g1, g2 = eval_secant_coeffs(nl, None, z)
-    assert np.abs(g1.values - 1.0).max() <= 1e-14  # F_u(0,0) = sech^2(0) = 1
-    assert np.abs(g2[0].values).max() == 0.0
+    z = np.zeros((g.nt + 1, g.n_interior))
+    g1, g2 = eval_secant_coeffs(g, nl, None, z)
+    assert np.abs(g1 - 1.0).max() <= 1e-14  # F_u(0,0) = sech^2(0) = 1
+    assert np.abs(g2[0]).max() == 0.0
 
 
 def test_secant_tanh_unit_argument(spec):
     nl = preset_tanh(1.0)
     g = spec.grid
-    ones = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
-    g1, _ = eval_secant_coeffs(nl, None, ones)
-    interior = g1.values[(slice(None),) + g.interior_slices()]
+    ones = np.ones((g.nt + 1, g.n_interior))
+    g1, _ = eval_secant_coeffs(g, nl, None, ones)
+    interior = g1
     assert np.abs(interior - math.tanh(1.0)).max() <= 1e-10
 
 
@@ -79,25 +80,25 @@ def test_quasi_equilibrium_reduces_to_linear(spec, leader):
     lin = solve_nash_fixed_point(spec, leader, tol_rel=1e-12)
     qe = solve_quasi_equilibrium(spec, preset_zero(), leader, tol=1e-10)
     g = spec.grid
-    rel = q_norm(g, qe.u.interior() - lin.w) / max(q_norm(g, lin.w), 1e-300)
+    rel = q_norm(g, qe.u - lin.w) / max(q_norm(g, lin.w), 1e-300)
     assert rel <= 1e-10
     for a, b in zip(qe.controls, lin.controls):
-        assert np.abs(a.interior() - b).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
 
 def test_quasi_equilibrium_zero_data():
-    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((12,)))
+    spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     qe = solve_quasi_equilibrium(spec, preset_tanh(0.5), None, tol=1e-10)
-    assert np.all(qe.u.values == 0.0)
-    assert np.all(qe.v1.values == 0.0) and np.all(qe.v2.values == 0.0)
+    assert np.all(qe.u == 0.0)
+    assert np.all(qe.v1 == 0.0) and np.all(qe.v2 == 0.0)
 
 
 def _tripling_states(spec):
     """Iterates 3^k * profile: every change is three times the one before."""
     g = spec.grid
-    profile = g.from_interior(np.linspace(1.0, 2.0, g.n_interior))
+    profile = np.linspace(1.0, 2.0, g.n_interior)
     powers = itertools.count(1)
-    return lambda: SpaceTimeField.from_spatial(g, 3.0 ** next(powers) * profile).interior()
+    return lambda: np.tile(3.0 ** next(powers) * profile, (g.nt + 1, 1))
 
 
 def test_quasi_equilibrium_divergence_detected(spec, leader, monkeypatch):
@@ -116,9 +117,50 @@ def test_outer_loop_divergence_detected(monkeypatch):
     monkeypatch.setattr(semilinear, "minimize_G",
                         lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states()), psi0=None))
     with pytest.raises(OuterDivergence) as err:
-        semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.nx), eps=1e-4)
+        semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.n_interior), eps=1e-4)
     assert err.value.iterations == 11
     assert err.value.ratio == pytest.approx(3.0)
+
+
+def test_non_finite_outer_iterate_is_a_typed_divergence(monkeypatch):
+    """An inf in the third outer iterate stops the loop with OuterDivergence,
+    which carries the iteration count, not with an error of the data format."""
+    spec = make_hum_spec()
+    minimize = semilinear.minimize_G
+    hums = []
+
+    def poisoned(*args, **kwargs):
+        hums.append(minimize(*args, **kwargs))
+        if len(hums) == 3:
+            hums[-1].nash.w[-1, 0] = np.inf
+        return hums[-1]
+
+    monkeypatch.setattr(semilinear, "minimize_G", poisoned)
+    with pytest.raises(OuterDivergence, match="non-finite values at sweep 3") as err:
+        semilinear_null_control(spec, preset_tanh(0.5), np.zeros(spec.grid.n_interior), eps=1e-4,
+                                outer_tol=1e-9, cg_tol=1e-9)
+    assert err.value.iterations == 3 and len(hums) == 3
+
+
+def test_shipped_semilinear_control_builds_no_field(monkeypatch):
+    """Without the target check, the semilinear outer loop on the shipped
+    config runs on interior arrays throughout: it builds no SpaceTimeField."""
+    config = load_config(CONFIGS / "semilinear_1d.ini")
+    inputs = validate_for(config, "semilinear")
+    solver = config.solver
+    built = []
+    original = SpaceTimeField.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(SpaceTimeField, "__post_init__", counted)
+    res = semilinear_null_control(inputs.spec, inputs.nonlinearity, inputs.ubar0, config.eps_list[-1],
+                                  outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],
+                                  cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], log_theta=None)
+    assert res.outer_iterations == 6
+    assert built == []
 
 
 def test_shipped_semilinear_warm_start_halves_cg(tmp_path, monkeypatch):
@@ -141,7 +183,7 @@ def test_shipped_semilinear_warm_start_halves_cg(tmp_path, monkeypatch):
 def test_free_trajectory_max_iterations_carries_last_iterate(spec):
     with pytest.raises(MaxIterations) as err:
         solve_free_trajectory(spec, preset_tanh(0.5), spec.w0, max_iter=1)
-    assert isinstance(err.value.best, SpaceTimeField)
+    assert err.value.best.shape == (spec.grid.nt + 1, spec.grid.n_interior)
     assert err.value.iterations == 1 and len(err.value.history) == 1
 
 
@@ -154,8 +196,8 @@ def test_quasi_equilibrium_plugback(spec, leader, tanh_equilibrium):
 def test_quasi_equilibrium_control_relation(spec, tanh_equilibrium):
     for i, (v, phi) in enumerate(zip(tanh_equilibrium.controls, tanh_equilibrium.phis)):
         chi = spec.follower_masks[i].interior_vector()
-        expected = -(phi.interior()[:-1] * chi) / spec.mu[i]
-        assert np.array_equal(v.interior()[1:], expected)
+        expected = -(phi[:-1] * chi) / spec.mu[i]
+        assert np.array_equal(v[1:], expected)
 
 
 def test_sampled_bound_respected():
@@ -165,37 +207,37 @@ def test_sampled_bound_respected():
 
 def test_secant_coefficients_within_bound(spec, tanh_equilibrium):
     nl = preset_tanh(0.5)
-    g1, g2 = eval_secant_coeffs(nl, None, tanh_equilibrium.u)
-    assert np.abs(g1.values).max() <= nl.bound + 1e-12
-    assert np.abs(g2[0].values).max() <= nl.bound + 1e-12
+    g1, g2 = eval_secant_coeffs(spec.grid, nl, None, tanh_equilibrium.u)
+    assert np.abs(g1).max() <= nl.bound + 1e-12
+    assert np.abs(g2[0]).max() <= nl.bound + 1e-12
 
 
 def test_free_trajectory_linear_case(spec):
     g = spec.grid
     x = g.coords(0)
-    ubar0 = 4.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2
+    ubar0 = g.to_interior(4.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
     u = solve_free_trajectory(spec, preset_zero(), ubar0)
     from hierctrl.operators import solve_forward
 
     lin = solve_forward(spec, w0=ubar0)
-    assert np.abs(u.values - lin.values).max() <= 1e-12
+    assert np.abs(u - lin).max() <= 1e-12
 
 
 def test_null_control_reduces_to_linear():
     spec = make_hum_spec()
     g = spec.grid
-    z = SpaceTimeField.zeros(g)
-    ubar0 = np.zeros(g.nx)
+    z = np.zeros((g.nt + 1, g.n_interior))
+    ubar0 = np.zeros(g.n_interior)
     lin = control_to_trajectory(spec, spec.w0, ubar0, (z, z), eps=1e-4, cg_tol=1e-9)
     sem = semilinear_null_control(spec, preset_zero(), ubar0, eps=1e-4, cg_tol=1e-9)
-    rel = q_norm(g, sem.f.interior() - lin.hum.f) / max(q_norm(g, lin.hum.f), 1e-300)
+    rel = q_norm(g, sem.f - lin.hum.f) / max(q_norm(g, lin.hum.f), 1e-300)
     assert rel <= 1e-10
     assert abs(sem.terminal_mismatch - lin.terminal_mismatch) <= 1e-10 * lin.terminal_mismatch
 
 
 def test_null_control_tanh_converges():
     spec = make_hum_spec()
-    res = semilinear_null_control(spec, preset_tanh(0.5), np.zeros(spec.grid.nx),
+    res = semilinear_null_control(spec, preset_tanh(0.5), np.zeros(spec.grid.n_interior),
                                   eps=1e-4, outer_tol=1e-9, cg_tol=1e-9, max_outer=30)
     assert res.outer_iterations <= 30
     assert np.isfinite(res.terminal_mismatch)
@@ -207,12 +249,12 @@ def test_null_control_zero_data_one_outer():
     g = spec.grid
     nl = preset_tanh(0.5)
     x = g.coords(0)
-    ubar0 = 2.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2
+    ubar0 = g.to_interior(2.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
     ubar = solve_free_trajectory(spec, nl, ubar0)
     same = spec.with_(w0=ubar0.copy(), targets=(ubar, ubar))
     res = semilinear_null_control(same, nl, ubar0, eps=1e-4)
     assert res.outer_iterations == 1
-    assert np.all(res.f.values == 0.0)
+    assert np.all(res.f == 0.0)
     assert res.terminal_mismatch == 0.0
 
 
@@ -226,7 +268,7 @@ def test_second_order_linear_nonnegative(spec, leader, rng):
 
 
 def test_second_order_zero_direction(spec, tanh_equilibrium):
-    z = SpaceTimeField.zeros(spec.grid)
+    z = np.zeros((spec.grid.nt + 1, spec.grid.n_interior))
     assert second_order_form(spec, preset_tanh(0.5), tanh_equilibrium, 0, z) == 0.0
 
 
@@ -235,8 +277,8 @@ def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
     g = spec.grid
     d1 = _unit_direction(spec, rng, 0)
     d2 = _unit_direction(spec, rng, 0)
-    dp = SpaceTimeField(g, d1.values + d2.values)
-    dm = SpaceTimeField(g, d1.values - d2.values)
+    dp = d1 + d2
+    dm = d1 - d2
     lhs = second_order_form(spec, nl, tanh_equilibrium, 0, dp) \
         + second_order_form(spec, nl, tanh_equilibrium, 0, dm)
     rhs = 2.0 * second_order_form(spec, nl, tanh_equilibrium, 0, d1) \
@@ -246,7 +288,7 @@ def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
 
 def test_second_order_rejects_expression_nonlinearity(spec, tanh_equilibrium):
     nl = from_expression("0.1*u", bound=0.1, dim=1)
-    d = SpaceTimeField.zeros(spec.grid)
+    d = np.zeros((spec.grid.nt + 1, spec.grid.n_interior))
     with pytest.raises(UnsupportedNonlinearity):
         second_order_form(spec, nl, tanh_equilibrium, 0, d)
 
@@ -300,7 +342,7 @@ def test_expression_nonlinearity_first_order_path(spec, leader):
     qe = solve_quasi_equilibrium(spec, nl, leader, tol=1e-9)
     ref = solve_quasi_equilibrium(spec, preset_tanh(0.2), leader, tol=1e-9)
     g = spec.grid
-    rel = q_norm(g, qe.u.interior() - ref.u.interior()) / max(q_norm(g, ref.u.interior()), 1e-300)
+    rel = q_norm(g, qe.u - ref.u) / max(q_norm(g, ref.u), 1e-300)
     assert rel <= 1e-5  # finite-difference derivatives vs analytic
 
 

@@ -29,7 +29,6 @@ TEST_REFERENCES = {
 # passes unlisted.
 METHOD_TEST_REFERENCES = {
     ("carleman", "EtaFunction", "on_nodes"): "eta on the grid nodes, which the weight-property checks sample",
-    ("mesh", "SpaceTimeField", "from_spatial"): "a field constant in time: the test problems' targets and leaders",
     ("mesh", "SubdomainMask", "node_count"): "the node count the mask-building checks assert",
     ("operators", "TimeStepper", "step"): "the per-level representation (Modes, DenseInverse or "
                                           "Factorization) the tests inspect and march against",
