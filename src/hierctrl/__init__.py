@@ -4,12 +4,11 @@ Picard extensions, and Carleman-weight and observability checks."""
 
 __version__ = "0.1.0"
 
-from .mesh import Grid, SpaceTimeField, SubdomainMask, build_grid, build_mask, full_mask, integrate
+from .mesh import Grid, SubdomainMask, build_grid, build_mask, full_mask, integrate
 from .operators import ProblemSpec, solve_adjoint, solve_forward
 
 __all__ = [
     "Grid",
-    "SpaceTimeField",
     "SubdomainMask",
     "ProblemSpec",
     "build_grid",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CaseMismatch, InvalidCenter
 from .hum import solve_coupled_adjoint
-from .mesh import (SpaceTimeField, SubdomainMask, build_mask, full_mask, integrate, norm_h, st_gradient,
+from .mesh import (SubdomainMask, build_mask, check_field, full_mask, integrate, norm_h, st_gradient,
                    st_second_differences)
 from .operators import TimeStepper, extended_laplacian
 
@@ -239,7 +239,8 @@ class WeightForm:
 
 
 def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
-    """Sample the closed-form weights on all nodes and time levels.
+    """Sample the closed-form weights on all nodes and time levels, as two
+    (nt+1, *nx) arrays alpha and xi.
 
     Singular levels carry xi = XI_CAP and alpha = ALPHA_FLOOR, which makes
     exp(2 s alpha) exactly zero there.
@@ -253,22 +254,25 @@ def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
         r = form._r(t)
         alpha = np.where(singular, ALPHA_FLOOR, (A - form.B) / r)
         xi = np.where(singular, XI_CAP, A / r)
-    return SpaceTimeField(grid, alpha), SpaceTimeField(grid, xi)
+    return check_field(grid, alpha), check_field(grid, xi)
 
 
 @dataclass
 class CarlemanWeights:
+    """The weights of one geometry case; alpha, xi, their ell-modified
+    variants and log_theta are full-node (nt+1, *nx) arrays."""
+
     grid: object
     case: str
     lam: float
     s: float
     eta_fn: EtaFunction
-    alpha: SpaceTimeField
-    xi: SpaceTimeField
-    alpha_ell: SpaceTimeField
-    xi_ell: SpaceTimeField
+    alpha: np.ndarray
+    xi: np.ndarray
+    alpha_ell: np.ndarray
+    xi_ell: np.ndarray
     omega0: SubdomainMask
-    log_theta: SpaceTimeField = None
+    log_theta: np.ndarray = None
     eta_pair: tuple = None       # distinct case: (EtaFunction, EtaFunction)
     mod_pair: tuple = None       # distinct case: ((alpha_ell_i, xi_ell_i))_i
     otilde: SubdomainMask = None
@@ -368,36 +372,36 @@ def check_case(spec, case):
             raise CaseMismatch("distinct case requires different intersections with the leader region")
 
 
-def build_log_theta(weights: CarlemanWeights) -> SpaceTimeField:
+def build_log_theta(weights: CarlemanWeights) -> np.ndarray:
     """Log of the observability weight theta = xi~^3 exp(s alpha~), min over
     the pair in the distinct case.  Finite everywhere; on the terminal level
     the floored alpha~ makes theta exactly zero."""
 
     def one(alpha_ell, xi_ell):
-        return weights.s * alpha_ell.values + 3.0 * np.log(xi_ell.values)
+        return weights.s * alpha_ell + 3.0 * np.log(xi_ell)
 
     if weights.mod_pair is None:
-        return SpaceTimeField(weights.grid, one(weights.alpha_ell, weights.xi_ell))
+        return check_field(weights.grid, one(weights.alpha_ell, weights.xi_ell))
     (a1, x1), (a2, x2) = weights.mod_pair
-    return SpaceTimeField(weights.grid, np.minimum(one(a1, x1), one(a2, x2)))
+    return check_field(weights.grid, np.minimum(one(a1, x1), one(a2, x2)))
 
 
-def check_target_condition(spec, log_theta: SpaceTimeField):
+def check_target_condition(spec, log_theta):
     """Weighted target-compatibility integrals per follower.
 
     Returns [(value, infinite)] of the theta^{-2}-weighted squared
     deviation of the shifted targets, interior arrays, over each
-    observation region.  Where theta vanishes on the terminal level the
-    integrand is zero (the endpoint convention); a value beyond the range
-    of a double is inf.
+    observation region; log_theta is a full-node (nt+1, *nx) array.
+    Where theta vanishes on the terminal level the integrand is zero (the
+    endpoint convention); a value beyond the range of a double is inf.
     """
     grid = spec.grid
-    log_weight = SpaceTimeField(grid, -2.0 * log_theta.values)
+    log_weight = -2.0 * log_theta
     out = []
     for i in range(2):
         sq = grid.from_interior_levels(spec.targets[i] ** 2)
-        sq[-1, np.exp(log_theta.values[-1]) == 0.0] = 0.0
-        value = integrate(SpaceTimeField(grid, sq), spec.target_masks[i], log_weight=log_weight)
+        sq[-1, np.exp(log_theta[-1]) == 0.0] = 0.0
+        value = integrate(sq, spec.target_masks[i], log_weight=log_weight)
         out.append((value, math.isinf(value)))
     return out
 
@@ -510,11 +514,10 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
     full = full_mask(grid)
     shape = (grid.nt + 1,) + grid.nx
     # log of xi^k exp(2 s alpha), k = 0..7
-    log_w = [SpaceTimeField(grid, 2.0 * s * weights.alpha.values + k * np.log(weights.xi.values))
-             for k in range(8)]
+    log_w = [2.0 * s * weights.alpha + k * np.log(weights.xi) for k in range(8)]
 
     def weighted(k, energy, mask=full):
-        return integrate(SpaceTimeField(grid, energy), mask, log_weight=log_w[k])
+        return integrate(energy, mask, log_weight=log_w[k])
 
     samples = []
     skipped = 0
@@ -580,7 +583,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
     rng = np.random.default_rng(seed)
     ratios, dens = [], []
     resampled = 0
-    log_th2 = SpaceTimeField(grid, 2.0 * weights.log_theta.values)
+    log_th2 = 2.0 * weights.log_theta
     for _ in range(n_samples):
         psi0_int = rng.standard_normal(grid.n_interior)
         while not np.any(psi0_int):
@@ -590,14 +593,11 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
         num = norm_h(grid, st.psi[0]) ** 2
         if weights.case == "shared":
             obs = spec.alpha[0] * st.eta1 + spec.alpha[1] * st.eta2
-            obs_sq = SpaceTimeField.from_interior(grid, obs**2)
-            num += integrate(obs_sq, spec.target_masks[0], log_weight=log_th2)
+            num += integrate(grid.from_interior_levels(obs**2), spec.target_masks[0], log_weight=log_th2)
         else:
             for i, eta in enumerate(st.etas):
-                eta_sq = SpaceTimeField.from_interior(grid, eta**2)
-                num += integrate(eta_sq, spec.target_masks[i], log_weight=log_th2)
-        psi_sq = SpaceTimeField.from_interior(grid, st.psi**2)
-        den = integrate(psi_sq, spec.leader_mask)
+                num += integrate(grid.from_interior_levels(eta**2), spec.target_masks[i], log_weight=log_th2)
+        den = integrate(grid.from_interior_levels(st.psi**2), spec.leader_mask)
         dens.append(den)
         ratios.append(num / den if den > 0 else math.inf)
     return ObservabilityReport(ratios=ratios, denominators=dens,

@@ -21,7 +21,7 @@ from .carleman import carleman_ratio_report, check_weight_properties, estimate_o
 from .config import load_config, validate_for
 from .errors import HierctrlError
 from .hum import control_to_trajectory, dense_oracle, minimize_G, solve_coupled_adjoint
-from .mesh import SpaceTimeField
+from .mesh import check_field
 from .nash import cost_followers, cost_leader, q_norm, solve_nash_fixed_point, verify_first_order, _raw_residuals
 from .semilinear import semilinear_null_control, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
@@ -38,12 +38,12 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def dump_field(path, field):
-    g = field.grid
-    nx = g.nx[0]
-    ny = g.nx[1] if g.dim == 2 else 1
-    lines = [f"# {nx} {ny} {g.nt}"]
-    for row in field.values.reshape(g.nt + 1, -1):
+def dump_field(path, grid, arr):
+    """Write an interior (nt+1, n) array on every node, one line per time level."""
+    values = check_field(grid, grid.from_interior_levels(arr))
+    ny = grid.nx[1] if grid.dim == 2 else 1
+    lines = [f"# {grid.nx[0]} {ny} {grid.nt}"]
+    for row in values.reshape(grid.nt + 1, -1):
         lines.append(" ".join(["%.17g" % v for v in row.tolist()]))  # as fmt, without a call per value
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -81,7 +81,7 @@ def _run_nash(inputs, out):
         damping=solver["damping"], on_sweep=on_sweep)
     write_csv(Path(out, "nash_history.csv"), ("iter", "change_norm", "residual_1", "residual_2"), rows)
     for name, arr in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
-        dump_field(Path(out, f"{name}.field.txt"), SpaceTimeField.from_interior(spec.grid, arr))
+        dump_field(Path(out, f"{name}.field.txt"), spec.grid, arr)
     j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
     residuals = verify_first_order(spec, sol)
     write_summary(Path(out, "summary.txt"), [
@@ -118,8 +118,8 @@ def _run_null_control(inputs, out):
                          max_iter=config.solver["cg_max_iter"])
     tns = _write_sweep(out, spec, results)
     last = results[-1]
-    dump_field(Path(out, "f.field.txt"), SpaceTimeField.from_interior(spec.grid, last.f))
-    dump_field(Path(out, "w.field.txt"), SpaceTimeField.from_interior(spec.grid, last.nash.w))
+    dump_field(Path(out, "f.field.txt"), spec.grid, last.f)
+    dump_field(Path(out, "w.field.txt"), spec.grid, last.nash.w)
     write_summary(Path(out, "summary.txt"), [
         ("eps_count", len(tns)),
         ("terminal_first", fmt(tns[0])),
@@ -138,8 +138,8 @@ def _run_trajectory(inputs, out):
     # the terminal mismatch is the w-problem terminal norm, bitwise
     mms = _write_sweep(out, spec, [r.hum for r in results])
     last = results[-1]
-    dump_field(Path(out, "u.field.txt"), SpaceTimeField.from_interior(spec.grid, last.u))
-    dump_field(Path(out, "ubar.field.txt"), SpaceTimeField.from_interior(spec.grid, last.ubar))
+    dump_field(Path(out, "u.field.txt"), spec.grid, last.u)
+    dump_field(Path(out, "ubar.field.txt"), spec.grid, last.ubar)
     write_summary(Path(out, "summary.txt"), [
         ("mismatch_first", fmt(mms[0])),
         ("mismatch_last", fmt(mms[-1])),
@@ -163,7 +163,7 @@ def _run_semilinear(inputs, out):
               [(outer, k, r) for outer, residuals in enumerate(res.cg_residuals, start=1)
                for k, r in enumerate(residuals)])
     for name, arr in (("u", res.u), ("ubar", res.ubar), ("f", res.f)):
-        dump_field(Path(out, f"{name}.field.txt"), SpaceTimeField.from_interior(spec.grid, arr))
+        dump_field(Path(out, f"{name}.field.txt"), spec.grid, arr)
     items = [
         ("eps", fmt(eps)),
         ("outer_iterations", res.outer_iterations),

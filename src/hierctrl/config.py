@@ -143,19 +143,13 @@ def load_config(path) -> RunConfig:
     space_vars = {"x", "y"} if dim == 2 else {"x"}
     st_vars = space_vars | {"t"}
 
-    exprs = {}
-    coeff = sections.get("coefficients", {})
-    exprs["a"] = _parse_expression(coeff.get("a", "0"), "coefficients.a", st_vars)
-    for ax in range(dim):
-        key = f"b{ax + 1}"
-        exprs[key] = _parse_expression(coeff.get(key, "0"), f"coefficients.{key}", st_vars)
-
-    data = sections.get("data", {})
-    exprs["u0"] = _parse_expression(data.get("u0", "0"), "data.u0", space_vars)
-    exprs["ubar0"] = _parse_expression(data.get("ubar0", "0"), "data.ubar0", space_vars)
-    exprs["zeta1"] = _parse_expression(data.get("zeta1", "0"), "data.zeta1", st_vars)
-    exprs["zeta2"] = _parse_expression(data.get("zeta2", "0"), "data.zeta2", st_vars)
-    exprs["f"] = _parse_expression(data.get("f", "0"), "data.f", st_vars)
+    exprs = {}  # keyed "section.key", as the file spells it and every error names it
+    for section, keys, allowed in (("coefficients", ["a"] + [f"b{ax + 1}" for ax in range(dim)], st_vars),
+                                   ("data", ["u0", "ubar0"], space_vars),
+                                   ("data", ["zeta1", "zeta2", "f"], st_vars)):
+        for key in keys:
+            name = f"{section}.{key}"
+            exprs[name] = _parse_expression(sections.get(section, {}).get(key, "0"), name, allowed)
 
     geom = sections.get("geometry", {})
     boxes = {}
@@ -324,7 +318,7 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
     if "f" in needs:
         inputs.f = build_leader_field(config)
     if "ubar0" in needs:
-        inputs.ubar0 = _eval_spatial(config, "ubar0")
+        inputs.ubar0 = _eval_spatial(config, "data.ubar0")
     if "nonlinearity" in needs:
         inputs.nonlinearity = build_nonlinearity(config)
     if "weights" in needs or "theta" in needs:
@@ -337,7 +331,8 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
 
 
 def _eval_spatial(config, name):
-    """The expression on every node, checked finite there; its interior (n,) values."""
+    """The expression named "section.key", on every node, checked finite
+    there; its interior (n,) values."""
     grid = config.grid
     meshes = grid.meshes()
     env = {"x": meshes[0]}
@@ -345,13 +340,13 @@ def _eval_spatial(config, name):
         env["y"] = meshes[1]
     vals = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx)
     if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"data.{name} evaluates to non-finite values")
+        raise ConfigError(f"{name} evaluates to non-finite values")
     return grid.to_interior(vals)
 
 
 def _eval_spacetime(config, name):
-    """The expression on every node and level, checked finite there; its
-    interior (nt+1, n) values."""
+    """The expression named "section.key", on every node and level, checked
+    finite there; its interior (nt+1, n) values."""
     grid = config.grid
     meshes = grid.meshes()
     out = np.empty((grid.nt + 1,) + grid.nx)
@@ -367,10 +362,10 @@ def _eval_spacetime(config, name):
 
 def build_problem_spec(config: RunConfig) -> ProblemSpec:
     grid = config.grid
-    b = tuple(_eval_spacetime(config, f"b{ax + 1}") for ax in range(grid.dim))
+    b = tuple(_eval_spacetime(config, f"coefficients.b{ax + 1}") for ax in range(grid.dim))
     return ProblemSpec(
         grid=grid,
-        a=_eval_spacetime(config, "a"),
+        a=_eval_spacetime(config, "coefficients.a"),
         b=b,
         leader_mask=build_mask(grid, config.boxes["leader"]),
         follower_masks=(build_mask(grid, config.boxes["follower1"]),
@@ -379,13 +374,13 @@ def build_problem_spec(config: RunConfig) -> ProblemSpec:
                       build_mask(grid, config.boxes["target2"])),
         alpha=config.alpha,
         mu=config.mu,
-        targets=(_eval_spacetime(config, "zeta1"), _eval_spacetime(config, "zeta2")),
-        w0=_eval_spatial(config, "u0"),
+        targets=(_eval_spacetime(config, "data.zeta1"), _eval_spacetime(config, "data.zeta2")),
+        w0=_eval_spatial(config, "data.u0"),
     )
 
 
 def build_leader_field(config: RunConfig) -> np.ndarray:
-    return _eval_spacetime(config, "f")
+    return _eval_spacetime(config, "data.f")
 
 
 def build_carleman(config: RunConfig) -> CarlemanWeights:

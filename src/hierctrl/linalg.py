@@ -61,32 +61,6 @@ def factorize(matrix) -> Factorization:
     return Factorization(lu)
 
 
-class DenseInverse:
-    """Dense inverse of a small square matrix; solves with it or its transpose.
-
-    A solve is one mat-vec per column.  A transposed solve multiplies by
-    the transpose of the same array, so the two solves are exact
-    transposes of each other.
-    """
-
-    __slots__ = ("inv",)
-
-    def __init__(self, inv):
-        self.inv = inv
-
-    def solve(self, rhs, transpose=False, out=None):
-        """rhs is (n,) or (n, k); the solution is written to out when given.
-
-        Column c of the result is bit for bit the solve of rhs[:, c]: the
-        columns are a stack of mat-vecs, since one GEMM would round differently.
-        """
-        inv = self.inv.T if transpose else self.inv
-        if rhs.ndim == 1:
-            return np.matmul(inv, rhs, out=out)
-        x = np.matmul(inv, rhs.T[..., None], out=None if out is None else out.T[..., None])
-        return x[..., 0].T
-
-
 def _checked_lu(stack):
     """LAPACK getrf factors (lu, piv) of every matrix in an (L, n, n) stack.
 
@@ -108,14 +82,13 @@ def _checked_lu(stack):
     return factors
 
 
-def invert_stack(stack) -> list:
-    """DenseInverse of every matrix in an (L, n, n) stack.
+def invert_stack(stack) -> np.ndarray:
+    """The inverse of every matrix in an (L, n, n) stack, as an (L, n, n) array.
 
     Each matrix is factored once (getrf), checked by _checked_lu's rule and
     inverted from those factors (getri).
     """
-    inverses = np.array([scipy.linalg.lapack.dgetri(lu, piv)[0] for lu, piv in _checked_lu(stack)])
-    return [DenseInverse(inv) for inv in inverses]
+    return np.array([scipy.linalg.lapack.dgetri(lu, piv)[0] for lu, piv in _checked_lu(stack)])
 
 
 class Modes(NamedTuple):

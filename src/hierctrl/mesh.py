@@ -2,11 +2,11 @@
 centered difference stencils on space-time arrays.
 
 Nodes include the boundary; unknowns live on interior nodes (clamped
-boundary values are identically zero).  Solvers hold a space-time quantity
-as an interior (nt+1, n) array; a SpaceTimeField carries one value per
-(spatial node, time level k = 0..nt), for the weighted integrals and the
-field dumps.  All containers are immutable value data after construction;
-operations are pure.
+boundary values are identically zero).  A space-time quantity is an
+interior (nt+1, n) array, one row per time level k = 0..nt; the full-node
+(nt+1, *nx) form, boundary nodes included, serves only the stencils, the
+weighted integrals and the field dumps.  All containers are immutable
+value data after construction; operations are pure.
 """
 
 from __future__ import annotations
@@ -184,28 +184,6 @@ def full_mask(grid) -> SubdomainMask:
     return SubdomainMask(grid, grid.interior_bool())
 
 
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Scalar field sampled at every node and time level k = 0..nt."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        expected = (self.grid.nt + 1,) + self.grid.nx
-        if vals.shape != expected:
-            raise ShapeMismatch(f"field shape {vals.shape} != {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ShapeMismatch("field contains non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_interior(cls, grid, interior):
-        """Build from an array of interior values, one row per time level."""
-        return cls(grid, grid.from_interior_levels(interior))
-
-
 def time_weights(grid):
     """Trapezoidal weights over time levels (half weights at k=0, nt)."""
     w = np.full(grid.nt + 1, grid.dt)
@@ -214,34 +192,45 @@ def time_weights(grid):
     return w
 
 
-def integrate(field, mask, log_weight=None):
-    """Space-time integral of field * exp(log_weight) over the masked region.
+def check_field(grid, values):
+    """values as a float full-node (nt+1, *nx) array; ShapeMismatch unless
+    it has that shape and finite entries."""
+    vals = np.asarray(values, dtype=float)
+    expected = (grid.nt + 1,) + grid.nx
+    if vals.shape != expected:
+        raise ShapeMismatch(f"field shape {vals.shape} != {expected}")
+    if not np.all(np.isfinite(vals)):
+        raise ShapeMismatch("field contains non-finite entries")
+    return vals
 
-    Trapezoidal rule in time; in space each masked node contributes its
-    node weight (see Grid.node_weights).  Exact for constants on the full
-    interior mask.
 
-    A log-weighted field must be nonnegative.  With b the quadrature weight
-    times the field and m the largest log-weight where b > 0, the integral
-    is exp(m) sum b exp(log_weight - m), its scale applied as exp(m/2) twice
-    so that no rounding of m + log(sum) enters: 0, finite or inf, never
-    NaN, however far exp(log_weight) lies outside the range of a double.
+def integrate(values, mask, log_weight=None):
+    """Space-time integral of values * exp(log_weight) over the masked region.
+
+    values and log_weight are full-node (nt+1, *nx) arrays on mask.grid,
+    with finite entries.  Trapezoidal rule in time; in space each masked
+    node contributes its node weight (see Grid.node_weights).  Exact for
+    constants on the full interior mask.
+
+    A log-weighted integrand must be nonnegative.  With b the quadrature
+    weight times the integrand and m the largest log-weight where b > 0,
+    the integral is exp(m) sum b exp(log_weight - m), its scale applied as
+    exp(m/2) twice so that no rounding of m + log(sum) enters: 0, finite or
+    inf, never NaN, however far exp(log_weight) lies outside the range of a
+    double.
     """
-    grid = field.grid
-    if mask.grid is not grid and mask.grid != grid:
-        raise ShapeMismatch("mask and field live on different grids")
-    vals = field.values
+    grid = mask.grid
+    vals = check_field(grid, values)
     nw = grid.node_weights() * mask.indicator
     if log_weight is None:
         per_level = np.tensordot(vals, nw, axes=(tuple(range(1, vals.ndim)), tuple(range(nw.ndim))))
         return float(np.dot(time_weights(grid), per_level))
-    if log_weight.grid != grid:
-        raise ShapeMismatch("log_weight and field live on different grids")
+    log_weight = check_field(grid, log_weight)
     if np.any(vals < 0.0):
         raise ValueError("a log-weighted integrand must be nonnegative")
     b = time_weights(grid).reshape((-1,) + (1,) * grid.dim) * nw * vals
     positive = b > 0.0
-    ell = log_weight.values[positive]
+    ell = log_weight[positive]
     m = ell.max(initial=-np.inf)  # -inf when no b > 0: the integral is 0
     total = np.sum(b[positive] * np.exp(ell - m))
     with np.errstate(over="ignore"):

@@ -194,12 +194,15 @@ MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in
 
 
 class _Family(NamedTuple):
+    """One family of step matrices.  Exactly one of modal, inverses and
+    factors is set: the representation the family marches with."""
+
     a: np.ndarray
     b: tuple
     time_constant: bool
-    solvers: list  # per step 1..nt: a Factorization, a DenseInverse, or the Modes of a modal family
-    inverses: tuple  # dense non-modal families: the arrays steps 1..nt multiply by, and their transposes
-    modal: tuple  # modal families: Q, the source transform dt diag(w) Q' and the band of _recurrence_band
+    modal: tuple  # Q, the source transform dt diag(w) Q' and the band of _recurrence_band
+    inverses: tuple  # the inverses steps 1..nt multiply by, and their transposes
+    factors: list  # the SuperLU Factorization of each step 1..nt
     matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
 
 
@@ -207,8 +210,8 @@ class TimeStepper:
     """Per-level backward-Euler step matrices, kept ready to march with.
 
     Every family of step matrices (forward, and adjoint when its
-    coefficients differ) has one representation, chosen by the number n of
-    interior unknowns and by the coefficients:
+    coefficients differ) keeps one representation (_Family), chosen by the
+    number n of interior unknowns and by the coefficients:
 
     - Modal, up to MODAL_MAX_N unknowns for time-constant coefficients
       without transport, whose step matrix S is symmetric: S = Q diag(1/w) Q'.
@@ -218,9 +221,9 @@ class TimeStepper:
       is the forward march of the time-reversed data, with the same Q, w
       and band.
     - Dense, up to DENSE_MAX_N unknowns otherwise: the inverse of each
-      distinct level, built and inverted as one stack.  A step is one
-      mat-vec, and a transposed step multiplies by the transpose of the
-      same inverse.
+      distinct level, built and inverted as one (L, n, n) stack whose
+      slices the steps multiply by.  A step is one mat-vec, and a
+      transposed step multiplies by the transpose of the same inverse.
     - Above the cap each level keeps a SuperLU factorization, and one
       factorization serves a step matrix and its transpose.
 
@@ -247,18 +250,16 @@ class TimeStepper:
         n, nt = grid.n_interior, grid.nt
         const = _time_constant(a, b)
         levels = [1] if const else list(range(1, nt + 1))
-        inverses = modal = None
+        modal = inverses = factors = None
         if const and n <= MODAL_MAX_N and not any(np.any(b_axis) for b_axis in b):
             modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
-            solvers = [modes]
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
         elif n <= DENSE_MAX_N:
-            solvers = invert_stack(self._dense_step_stack(a, b, levels))
-            arrays = [s.inv for s in solvers] * (nt if const else 1)
+            arrays = list(invert_stack(self._dense_step_stack(a, b, levels))) * (nt if const else 1)
             inverses = (arrays, [inv.T for inv in arrays])
         else:
-            solvers = [factorize(self._step_matrix(a, b, j)) for j in levels]
-        return _Family(a, b, const, solvers * nt if const else solvers, inverses, modal, {})
+            factors = [factorize(self._step_matrix(a, b, j)) for j in levels] * (nt if const else 1)
+        return _Family(a, b, const, modal, inverses, factors, {})
 
     def _step_matrix(self, a, b, level):
         grid = self.grid
@@ -288,12 +289,6 @@ class TimeStepper:
             return self._families[family]
         except KeyError:
             raise ValueError(f"unknown matrix family {family!r}") from None
-
-    def step(self, j, family="forward"):
-        """What forward step j (1..nt) solves with: the Modes of a modal
-        family, else a DenseInverse up to DENSE_MAX_N unknowns and a
-        Factorization above."""
-        return self._family(family).solvers[j - 1]
 
     def step_matrix(self, j, family="forward"):
         """The sparse step matrix I + dt L_j itself (1..nt).
@@ -349,7 +344,7 @@ class TimeStepper:
         out[nt if backward else 0] = datum if datum.ndim == out.ndim - 1 else datum[:, None]
         dt_src = None if sources is None else grid.dt * sources
         if fam.inverses is None:
-            _solver_loop(fam.solvers, out, dt_src, backward)
+            _solver_loop(fam.factors, out, dt_src, backward)
         else:
             _inverse_loop(fam.inverses[backward], out, dt_src, backward)
         return out
@@ -382,19 +377,20 @@ def _steps(nt, backward):
     return [(j, j - 1, j) for j in range(1, nt + 1)]
 
 
-def _solver_loop(solvers, out, dt_src, backward):
-    """out[to] = S_j^{-1} (out[from] + dt s^j), or S_j^{-T}, one solver call per step."""
+def _solver_loop(factors, out, dt_src, backward):
+    """out[to] = S_j^{-1} (out[from] + dt s^j), or S_j^{-T}, one SuperLU solve per step."""
     rhs = np.empty_like(out[0])
-    for j, read, write in _steps(len(solvers), backward):
+    for j, read, write in _steps(len(factors), backward):
         src = out[read] if dt_src is None else np.add(out[read], dt_src[j], out=rhs)
-        solvers[j - 1].solve(src, transpose=backward, out=out[write])
+        factors[j - 1].solve(src, transpose=backward, out=out[write])
 
 
 def _inverse_loop(mats, out, dt_src, backward):
     """out[to] = M_j (out[from] + dt s^j) with M_j the (transposed) inverse of step j.
 
-    A k-column level multiplies as a stack of k mat-vecs, as DenseInverse.solve
-    does, so each column is bit for bit the single-column march.
+    A k-column level multiplies as a stack of k mat-vecs, not as one GEMM,
+    which would round differently, so each column is bit for bit the
+    single-column march.
     """
     rhs = np.empty_like(out[0])
     if out.ndim == 3:  # (n, k) levels as stacks of k column vectors (k, n, 1)

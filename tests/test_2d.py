@@ -86,7 +86,7 @@ def test_carleman_weights_2d():
     assert rep.xi_inv_ok
     assert rep.time_bound_relaxed_ok
     assert any("corner" in note for note in rep.notes)
-    assert np.all(np.exp(w.log_theta.values[-1]) == 0.0)
+    assert np.all(np.exp(w.log_theta[-1]) == 0.0)
 
 
 @pytest.mark.parametrize("nx", [(9, 10)], ids=["plain"])

@@ -224,7 +224,7 @@ def test_criterion_10_carleman_weight_properties():
     g = build_grid(1, 1.0, 24, 1.0, 24)
     w = build_carleman_weights(g, "shared", center=0.5)  # default lambda, s
     rep = check_weight_properties(w, n_samples=100, seed=110)
-    xi = w.xi.values
+    xi = w.xi
     xi_inv_everywhere = float(np.max(1.0 / xi)) <= g.T / 2.0 + 1e-15
     ok = (rep.identity_max_rel <= 1e-12 and rep.xi_inv_ok and xi_inv_everywhere
           and rep.time_bound_relaxed_ok)

@@ -10,7 +10,7 @@ from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_c
 from hierctrl import operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
 from hierctrl.linalg import factorize
-from hierctrl.mesh import SpaceTimeField, build_grid, full_mask
+from hierctrl.mesh import build_grid, full_mask
 
 from conftest import make_hum_spec
 
@@ -75,14 +75,14 @@ def test_default_parameters():
 def test_xi_bounded_below(grid, weights):
     """xi^{-1} <= T/2 holds at the midpoint level and everywhere else."""
     k = grid.nt // 2
-    xi_mid = weights.xi.values[k]
+    xi_mid = weights.xi[k]
     assert np.max(1.0 / xi_mid) <= grid.T / 2.0 + 1e-15
-    interior = weights.xi.values[1:-1]
+    interior = weights.xi[1:-1]
     assert np.max(1.0 / interior) <= grid.T / 2.0 + 1e-15
 
 
 def test_alpha_negative_interior(grid, weights):
-    assert np.all(weights.alpha.values[1:-1] < 0.0)
+    assert np.all(weights.alpha[1:-1] < 0.0)
 
 
 def test_gradient_identity_100_samples(grid, weights):
@@ -115,17 +115,17 @@ def test_doubling_lambda_preserves_identity(grid):
 def test_endpoint_conventions(grid, weights):
     from hierctrl.carleman import ALPHA_FLOOR, XI_CAP
 
-    assert np.all(weights.alpha.values[0] == ALPHA_FLOOR)
-    assert np.all(weights.xi.values[-1] == XI_CAP)
-    assert np.all(np.exp(2.0 * weights.s * weights.alpha.values[0]) == 0.0)
+    assert np.all(weights.alpha[0] == ALPHA_FLOOR)
+    assert np.all(weights.xi[-1] == XI_CAP)
+    assert np.all(np.exp(2.0 * weights.s * weights.alpha[0]) == 0.0)
     # ell variant is regular at t = 0, singular only at t = T
-    assert np.all(np.isfinite(weights.alpha_ell.values[0]))
-    assert np.all(weights.alpha_ell.values[0] > ALPHA_FLOOR)
-    assert np.all(weights.alpha_ell.values[-1] == ALPHA_FLOOR)
+    assert np.all(np.isfinite(weights.alpha_ell[0]))
+    assert np.all(weights.alpha_ell[0] > ALPHA_FLOOR)
+    assert np.all(weights.alpha_ell[-1] == ALPHA_FLOOR)
 
 
 def test_theta_zero_at_horizon_positive_inside(grid, weights):
-    th = np.exp(weights.log_theta.values)
+    th = np.exp(weights.log_theta)
     assert np.all(th[-1] == 0.0)
     assert np.all(th[1:-1][:, 1:-1] > 0.0)
     assert np.all(np.isfinite(th))
@@ -148,7 +148,7 @@ def test_distinct_equal_centers_degenerate_min(grid):
         CarlemanWeights(grid=grid, case="shared", lam=w.lam, s=w.s, eta_fn=w.eta_fn,
                         alpha=w.alpha, xi=w.xi, alpha_ell=w.alpha_ell, xi_ell=w.xi_ell,
                         omega0=w.omega0))
-    assert np.array_equal(w.log_theta.values, cand.values)
+    assert np.array_equal(w.log_theta, cand)
 
 
 def test_distinct_missing_center_raises(grid):
@@ -194,9 +194,9 @@ def test_observability_decoupled_matches_plain_ratio(rng):
     for k in range(3):
         psi0_int = check_rng.standard_normal(g.n_interior)
         P = st.march_backward(psi0_int, None, family="forward")
-        psi = SpaceTimeField.from_interior(g, P)
+        psi = g.from_interior_levels(P)
         num = norm_h(g, P[0]) ** 2
-        den = integrate(SpaceTimeField(g, psi.values**2), spec.leader_mask)
+        den = integrate(psi**2, spec.leader_mask)
         assert rep.ratios[k] == pytest.approx(num / den, rel=1e-9)
 
 
@@ -270,7 +270,7 @@ def test_weight_form_matches_sampled_fields(grid, weights):
     t = grid.times()[k]
     x = grid.coords(0)
     alpha_direct = form.alpha((x,), np.full_like(x, t))
-    assert np.allclose(alpha_direct, weights.alpha.values[k], rtol=1e-13)
+    assert np.allclose(alpha_direct, weights.alpha[k], rtol=1e-13)
 
 
 @pytest.mark.parametrize("dims", [1, 2], ids=["1-plain", "2-plain"])

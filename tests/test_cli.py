@@ -165,16 +165,16 @@ def test_manifest_contents(tmp_path):
 
 
 def test_field_dump_format(tmp_path):
-    from hierctrl.mesh import SpaceTimeField, build_grid
+    from hierctrl.mesh import build_grid
 
     g = build_grid(1, 1.0, 9, 1.0, 4)
-    f = SpaceTimeField(g, np.arange((g.nt + 1) * 9, dtype=float).reshape(g.nt + 1, 9))
+    arr = np.arange((g.nt + 1) * g.n_interior, dtype=float).reshape(g.nt + 1, g.n_interior) + 1.0
     path = tmp_path / "x.field.txt"
-    dump_field(path, f)
+    dump_field(path, g, arr)
     lines = path.read_text().splitlines()
     assert lines[0] == "# 9 1 4"
     assert len(lines) == 1 + g.nt + 1
-    assert lines[1].split()[0] == fmt(0.0)
+    assert lines[1].split() == [fmt(v) for v in [0.0, *arr[0], 0.0]]  # boundary nodes hold zero
 
 
 def test_null_control_sweep_decreasing(tmp_path):
@@ -343,6 +343,20 @@ def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
     assert not out.exists()
     record = json.loads(capsys.readouterr().err.strip())
     assert record["stage"] == "validation"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("coefficients", "a"), ("coefficients", "b1"), ("data", "zeta1"), ("data", "zeta2"), ("data", "f"),
+    ("data", "u0"),
+])
+def test_non_finite_expression_is_named_as_the_file_spells_it(tmp_path, capsys, section, key):
+    """A non-finite space-time or initial expression fails validation (exit 2)
+    with a message that names its key with its section."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with("nash_1d.ini", section, key, '"1/x"'))
+    assert run("nash", cfg, tmp_path / "never") == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["message"] == f"{section}.{key} evaluates to non-finite values"
 
 
 @pytest.mark.parametrize("subcommand, code", [

@@ -5,7 +5,7 @@ import pytest
 
 from hierctrl.errors import ShapeMismatch, UnsupportedNonlinearity
 from hierctrl.hum import solve_coupled_adjoint
-from hierctrl.mesh import SpaceTimeField, build_grid, build_mask, full_mask, integrate
+from hierctrl.mesh import build_grid, build_mask, full_mask, integrate
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.semilinear import from_expression
 
@@ -13,13 +13,15 @@ from conftest import leader_bump, make_hum_spec, make_nash_spec
 
 
 def test_integrate_grid_mismatch():
+    """integrate reads the grid from the mask: an integrand or a log-weight
+    shaped for another grid is rejected."""
     g1 = build_grid(1, 1.0, 9, 1.0, 8)
     g2 = build_grid(1, 1.0, 12, 1.0, 8)
-    f = SpaceTimeField(g1, np.zeros((g1.nt + 1,) + g1.nx))
+    f = np.zeros((g1.nt + 1,) + g1.nx)
     with pytest.raises(ShapeMismatch):
         integrate(f, full_mask(g2))
     with pytest.raises(ShapeMismatch):
-        integrate(f, full_mask(g1), log_weight=SpaceTimeField(g2, np.zeros((g2.nt + 1,) + g2.nx)))
+        integrate(f, full_mask(g1), log_weight=np.zeros((g2.nt + 1,) + g2.nx))
 
 
 def test_nash_damped_iteration_same_solution(nash_spec):

@@ -13,7 +13,7 @@ from hierctrl.linalg import conjugate_gradient
 from hierctrl.hum import (apply_lambda, control_to_trajectory,
                           dense_oracle, eval_G, grad_G,
                           leader_from_psi, minimize_G, solve_coupled_adjoint)
-from hierctrl.mesh import SpaceTimeField, build_grid, full_mask, inner_h, norm_h
+from hierctrl.mesh import Grid, build_grid, full_mask, inner_h, norm_h
 from hierctrl.nash import q_norm
 from hierctrl.operators import TimeStepper, solve_forward
 
@@ -405,7 +405,7 @@ def test_check_target_condition_unit_cylinder():
         alpha=(1e-3, 1e-3), mu=(1.0, 1.0),
         targets=(ones, ones), w0=np.zeros(g.n_interior),
     )
-    out = check_target_condition(spec, SpaceTimeField(g, np.zeros((g.nt + 1,) + g.nx)))  # theta = 1
+    out = check_target_condition(spec, np.zeros((g.nt + 1,) + g.nx))  # theta = 1
     assert out[0][0] == pytest.approx(1.0, abs=1e-12)
     assert out[0][1] is False
 
@@ -525,22 +525,23 @@ def test_coupled_adjoint_never_forms_controls(spec, rng, alpha, monkeypatch):
 
 
 def _count_fields(monkeypatch):
-    """Count SpaceTimeField constructions: each one runs __post_init__."""
+    """Count full-node space-time arrays built from interior ones:
+    Grid.from_interior_levels is the only way to build one."""
     calls = []
-    original = SpaceTimeField.__post_init__
+    original = Grid.from_interior_levels
 
-    def counted(self):
+    def counted(self, arr):
         calls.append(1)
-        original(self)
+        return original(self, arr)
 
-    monkeypatch.setattr(SpaceTimeField, "__post_init__", counted)
+    monkeypatch.setattr(Grid, "from_interior_levels", counted)
     return calls
 
 
 def test_lambda_apply_builds_no_field(monkeypatch):
     """A Lambda apply, the CG matvec, runs on interior arrays from the
     coupled adjoint through the leader control and the Nash solve to w(T):
-    on the nx = nt = 64 grid it builds no SpaceTimeField."""
+    on the nx = nt = 64 grid it builds no full-node array."""
     zspec = make_hum_spec(nx=64, nt=64).with_zero_data()
     x = np.random.default_rng(3).standard_normal(zspec.grid.n_interior)
     calls = _count_fields(monkeypatch)
@@ -549,7 +550,7 @@ def test_lambda_apply_builds_no_field(monkeypatch):
 
 
 def test_minimize_field_count_does_not_grow_with_cg_iterations(monkeypatch):
-    """The fields a HUM solve builds are set-up, not per CG iteration."""
+    """The full-node arrays a HUM solve builds are set-up, not per CG iteration."""
     spec = make_hum_spec(nx=64, nt=64)
     counts, iterations = [], []
     for cg_tol in (1e-4, 1e-10):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
 from hierctrl.linalg import PATIENCE, conjugate_gradient, factorize, invert_stack, iterate
+from hierctrl.operators import _inverse_loop
 
 
 def _random_spd(n, seed):
@@ -55,11 +56,11 @@ def test_invert_stack_inverts_every_matrix():
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((4, 9, 9)) + 9 * np.eye(9)
     invs = invert_stack(stack)
-    assert len(invs) == 4
+    assert invs.shape == (4, 9, 9)
     b = rng.standard_normal(9)
     for A, inv in zip(stack, invs):
-        assert np.allclose(A @ inv.solve(b), b, rtol=0, atol=1e-12)
-        assert np.allclose(A.T @ inv.solve(b, transpose=True), b, rtol=0, atol=1e-12)
+        assert np.allclose(A @ (inv @ b), b, rtol=0, atol=1e-12)
+        assert np.allclose(A.T @ (inv.T @ b), b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
@@ -77,16 +78,20 @@ def test_invert_stack_singular_level_raises(bad):
 @pytest.mark.parametrize("n", [12, 62, 128, 484])
 @pytest.mark.parametrize("transpose", [False, True])
 def test_dense_inverse_columns_bitwise(n, transpose):
-    """A k-column solve is bit for bit k one-column solves, also written in place."""
+    """A k-column step of the dense step loop, written in place, is bit for
+    bit k one-column multiplies, with and without a source."""
     rng = np.random.default_rng(n)
     inv = invert_stack((rng.standard_normal((n, n)) + n * np.eye(n))[None])[0]
+    mat = inv.T if transpose else inv
     for k in (2, 3, 5):
-        rhs = rng.standard_normal((n, k))
-        cols = np.stack([inv.solve(rhs[:, c], transpose=transpose) for c in range(k)], axis=1)
-        assert np.array_equal(inv.solve(rhs, transpose=transpose), cols)
-        out = np.empty((n, k))
-        inv.solve(rhs, transpose=transpose, out=out)
-        assert np.array_equal(out, cols)
+        datum, src = rng.standard_normal((n, k)), rng.standard_normal((2, n, k))
+        for dt_src in (None, src):
+            out = np.zeros((2, n, k))
+            out[0] = datum
+            _inverse_loop([mat], out, dt_src, backward=False)
+            rhs = datum if dt_src is None else datum + dt_src[1]
+            cols = np.stack([mat @ rhs[:, c] for c in range(k)], axis=1)
+            assert np.array_equal(out[1], cols)
 
 
 def test_cg_identity_one_iteration():

@@ -11,7 +11,7 @@ import pytest
 
 from hierctrl.carleman import check_target_condition
 from hierctrl.config import build_carleman, build_problem_spec, load_config
-from hierctrl.mesh import SpaceTimeField, full_mask, integrate
+from hierctrl.mesh import full_mask, integrate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -27,8 +27,8 @@ def _ref_qint(grid, levels, mask):
 
 def _ref_theta(weights):
     """The old product form xi~^3 exp(s alpha~), zero on the terminal level (shared case)."""
-    e = np.exp(weights.s * weights.alpha_ell.values)
-    out = np.where(e == 0.0, 0.0, weights.xi_ell.values ** 3 * e)
+    e = np.exp(weights.s * weights.alpha_ell)
+    out = np.where(e == 0.0, 0.0, weights.xi_ell ** 3 * e)
     out[-1] = 0.0
     return out
 
@@ -66,11 +66,11 @@ def test_ratio_report_weights_match_product_form(k):
     grid = w.grid
     rng = np.random.default_rng(k)
     energy = rng.standard_normal((grid.nt + 1,) + grid.nx) ** 2
-    product = w.xi.values ** k * energy * np.exp(2.0 * w.s * w.alpha.values)
+    product = w.xi ** k * energy * np.exp(2.0 * w.s * w.alpha)
     assert np.all(np.isfinite(product))
-    log_w = SpaceTimeField(grid, 2.0 * w.s * w.alpha.values + k * np.log(w.xi.values))
+    log_w = 2.0 * w.s * w.alpha + k * np.log(w.xi)
     for mask in (full_mask(grid), w.omega0):
-        ours = integrate(SpaceTimeField(grid, energy), mask, log_weight=log_w)
+        ours = integrate(energy, mask, log_weight=log_w)
         ref = _ref_qint(grid, product, mask)
         assert ref > 0.0
         assert _rel(ours, ref) <= 1e-14
@@ -82,12 +82,12 @@ def test_theta_squared_matches_product_form(config):
     w = build_carleman(cfg)
     spec = build_problem_spec(cfg)
     grid = spec.grid
-    theta = np.exp(w.log_theta.values)
+    theta = np.exp(w.log_theta)
     energy = np.random.default_rng(3).standard_normal((grid.nt + 1,) + grid.nx) ** 2
-    log_th2 = SpaceTimeField(grid, 2.0 * w.log_theta.values)
+    log_th2 = 2.0 * w.log_theta
     for mask in spec.target_masks:
-        ours = integrate(SpaceTimeField(grid, energy), mask, log_weight=log_th2)
-        ref = integrate(SpaceTimeField(grid, energy * theta**2), mask)
+        ours = integrate(energy, mask, log_weight=log_th2)
+        ref = integrate(energy * theta**2, mask)
         assert ref > 0.0
         assert _rel(ours, ref) <= 1e-14
 

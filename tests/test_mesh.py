@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from hierctrl.cli import dump_field
 from hierctrl.errors import EmptyMask, InvalidGrid, ShapeMismatch
-from hierctrl.mesh import (SpaceTimeField, build_grid, build_mask, full_mask, inner_h, integrate,
+from hierctrl.mesh import (build_grid, build_mask, full_mask, inner_h, integrate,
                            interior_divergence, interior_gradient, norm_h, st_gradient,
                            st_second_differences)
 
@@ -64,35 +65,35 @@ def test_mask_2d_box():
 
 def test_integrate_constant_exact():
     g = build_grid(1, 1.0, 9, 1.0, 8)
-    f = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
+    f = np.ones((g.nt + 1,) + g.nx)
     assert integrate(f, full_mask(g)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_zero():
     g = build_grid(1, 1.0, 9, 1.0, 8)
-    assert integrate(SpaceTimeField(g, np.zeros((g.nt + 1,) + g.nx)), full_mask(g)) == 0.0
+    assert integrate(np.zeros((g.nt + 1,) + g.nx), full_mask(g)) == 0.0
 
 
 def test_integrate_linear_profile():
     g = build_grid(1, 1.0, 17, 1.0, 8)
-    f = SpaceTimeField(g, np.tile(g.coords(0), (g.nt + 1, 1)))
+    f = np.tile(g.coords(0), (g.nt + 1, 1))
     assert abs(integrate(f, full_mask(g)) - 0.5) <= g.h[0] ** 2
 
 
 def test_integrate_constant_2d():
     g = build_grid(2, (1.0, 2.0), (9, 9), 0.5, 8)
-    f = SpaceTimeField(g, np.ones((g.nt + 1,) + g.nx))
+    f = np.ones((g.nt + 1,) + g.nx)
     assert integrate(f, full_mask(g)) == pytest.approx(1.0 * 2.0 * 0.5, abs=1e-12)
 
 
 def test_integrate_linear_in_field(rng):
     g = build_grid(1, 1.0, 12, 1.0, 6)
     shape = (g.nt + 1,) + g.nx
-    f1 = SpaceTimeField(g, rng.standard_normal(shape))
-    f2 = SpaceTimeField(g, rng.standard_normal(shape))
+    f1 = rng.standard_normal(shape)
+    f2 = rng.standard_normal(shape)
     m = build_mask(g, (0.2, 0.8))
     a, b = 0.37, -1.9
-    combo = SpaceTimeField(g, a * f1.values + b * f2.values)
+    combo = a * f1 + b * f2
     lhs = integrate(combo, m)
     rhs = a * integrate(f1, m) + b * integrate(f2, m)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
@@ -100,7 +101,7 @@ def test_integrate_linear_in_field(rng):
 
 def test_integrate_disjoint_masks_add_exactly(rng):
     g = build_grid(1, 1.0, 17, 1.0, 6)
-    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx))
+    f = rng.standard_normal((g.nt + 1,) + g.nx)
     m1 = build_mask(g, (0.06, 0.45))
     m2 = build_mask(g, (0.51, 0.95))
     assert not m1.intersects(m2)
@@ -109,11 +110,11 @@ def test_integrate_disjoint_masks_add_exactly(rng):
 
 def test_integrate_weight_argument(rng):
     g = build_grid(1, 1.0, 12, 1.0, 6)
-    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
-    w = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
-    prod = SpaceTimeField(g, f.values * w.values)
+    f = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
+    w = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
+    prod = f * w
     m = full_mask(g)
-    log_w = SpaceTimeField(g, np.log(w.values))
+    log_w = np.log(w)
     assert integrate(f, m, log_weight=log_w) == pytest.approx(integrate(prod, m), rel=1e-14)
 
 
@@ -122,7 +123,7 @@ def test_integrate_log_weight_rejects_negative_field(rng):
     vals = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
     vals[2, 5] = -1e-300
     with pytest.raises(ValueError, match="nonnegative"):
-        integrate(SpaceTimeField(g, vals), full_mask(g), log_weight=SpaceTimeField(g, np.zeros(vals.shape)))
+        integrate(vals, full_mask(g), log_weight=np.zeros(vals.shape))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -131,21 +132,19 @@ def test_integrate_log_weight_beyond_double_range(rng):
     value, or inf, never NaN and without a warning; log-weights where the
     field is zero do not count."""
     g = build_grid(1, 1.0, 12, 1.0, 6)
-    f = SpaceTimeField(g, rng.standard_normal((g.nt + 1,) + g.nx) ** 2)
+    f = rng.standard_normal((g.nt + 1,) + g.nx) ** 2
     m = full_mask(g)
     base = integrate(f, m)
     ones = np.ones((g.nt + 1,) + g.nx)
     for log_w, expected in ((-1e30, 0.0), (-800.0, 0.0), (1000.0, np.inf), (1e30, np.inf)):
-        assert integrate(f, m, log_weight=SpaceTimeField(g, log_w * ones)) == expected
+        assert integrate(f, m, log_weight=log_w * ones) == expected
     # exp(800) overflows, exp(800) exp(-700) = exp(100) does not
-    shifted = integrate(SpaceTimeField(g, f.values * np.exp(-700.0)), m,
-                        log_weight=SpaceTimeField(g, 800.0 * ones))
+    shifted = integrate(f * np.exp(-700.0), m, log_weight=800.0 * ones)
     assert shifted == pytest.approx(base * np.exp(100.0), rel=1e-12)
-    sparse = f.values.copy()
+    sparse = f.copy()
     sparse[1:] = 0.0
     huge_on_zeros = np.where(sparse > 0.0, 0.0, 1e30)
-    assert integrate(SpaceTimeField(g, sparse), m, log_weight=SpaceTimeField(g, huge_on_zeros)) == \
-        pytest.approx(integrate(SpaceTimeField(g, sparse), m), rel=1e-14)
+    assert integrate(sparse, m, log_weight=huge_on_zeros) == pytest.approx(integrate(sparse, m), rel=1e-14)
 
 
 def test_inner_product_spd(rng):
@@ -182,14 +181,26 @@ def test_interior_stencils_are_st_gradient_on_zero_padded_data(rng):
         assert np.array_equal(interior_divergence(g, arrs), g.to_interior_levels(ref))
 
 
-def test_field_shape_validation():
+def test_field_shape_validation(tmp_path):
+    """integrate takes full-node (nt+1, *nx) arrays and dump_field interior
+    (nt+1, n) ones; a wrong shape or a non-finite entry raises ShapeMismatch,
+    and dump_field then writes nothing."""
     g = build_grid(1, 1.0, 9, 1.0, 8)
-    with pytest.raises(ShapeMismatch):
-        SpaceTimeField(g, np.zeros((g.nt, 9)))
-    bad = np.zeros((g.nt + 1, 9))
+    good = np.zeros((g.nt + 1, 9))
+    bad = good.copy()
     bad[0, 0] = np.inf
-    with pytest.raises(ShapeMismatch):
-        SpaceTimeField(g, bad)
+    for wrong in (np.zeros((g.nt, 9)), np.zeros((g.nt + 1, 7)), bad):
+        with pytest.raises(ShapeMismatch):
+            integrate(wrong, full_mask(g))
+        with pytest.raises(ShapeMismatch):
+            integrate(good, full_mask(g), log_weight=wrong)
+    path = tmp_path / "x.field.txt"
+    interior = np.zeros((g.nt + 1, g.n_interior))
+    interior[3, 2] = np.nan
+    for wrong in (np.zeros((g.nt + 1, 9)), np.zeros((g.nt, g.n_interior)), interior):
+        with pytest.raises(ShapeMismatch):
+            dump_field(path, g, wrong)
+    assert not path.exists()
 
 
 def test_mask_rejects_boundary_nodes():

@@ -4,12 +4,22 @@ import scipy.sparse as sp
 
 from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
-from hierctrl.linalg import DenseInverse, Factorization, Modes, factorize
+from hierctrl.linalg import Factorization, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
 from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
                                 assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
 
 from conftest import make_hum_spec, make_nash_spec
+
+
+def _inverse(st, j, family="forward", transpose=False):
+    """The array dense step j (1..nt) multiplies by, or its transposed step."""
+    return st._family(family).inverses[transpose][j - 1]
+
+
+def _apply(mat, x):
+    """mat @ x, an (n, k) x as k mat-vecs, one per column."""
+    return mat @ x if x.ndim == 1 else np.stack([mat @ col for col in x.T], axis=1)
 
 
 def _plain_spec(grid, a_values=None, b_values=None):
@@ -110,7 +120,8 @@ def test_operator_symmetric_without_transport():
 def test_unknown_matrix_family_rejected():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     st = _plain_spec(g).stepper
-    for call in (lambda: st.step_matrix(1, "adjiont"), lambda: st.step(1, "backward"),
+    for call in (lambda: st.step_matrix(1, "adjiont"),
+                 lambda: st.march_backward(np.zeros(g.n_interior), family="backward"),
                  lambda: st.march_forward(np.zeros(g.n_interior), family="Forward")):
         with pytest.raises(ValueError, match="unknown matrix family"):
             call()
@@ -245,7 +256,7 @@ def _frozen_like_stepper(rng):
     spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
                       b_adj=(g.to_interior_levels(rng.standard_normal(shape)),))
     st = spec.stepper
-    assert st.step(1, "forward") is not st.step(2, "forward")
+    assert _inverse(st, 1) is not _inverse(st, 2)
     assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
     return g, st
 
@@ -322,7 +333,7 @@ def test_dense_marches_match_superlu_solves(rng, family):
     time-dependent transport and distinct adjoint coefficients they agree
     with SuperLU solves of the sparse step matrices, level by level."""
     g, st = _frozen_like_stepper(rng)
-    assert isinstance(st.step(1, family), DenseInverse)
+    assert st._family(family).inverses is not None
     n, nt = g.n_interior, g.nt
     facts = [factorize(st.step_matrix(j, family)) for j in range(1, nt + 1)]
     datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
@@ -341,13 +352,17 @@ def test_dense_marches_match_superlu_solves(rng, family):
 
 def test_dense_transposed_step_uses_the_same_inverse(rng):
     """A transposed step multiplies by the transpose of the forward step's
-    own inverse, so the two are exact transposes of each other."""
+    own inverse, so the two are exact transposes of each other; every
+    inverse is a view of the one (L, n, n) stack the family inverted."""
     g, st = _frozen_like_stepper(rng)
     x = rng.standard_normal(g.n_interior)
+    stack = _inverse(st, 1, "adjoint").base
+    assert stack.shape == (g.nt, g.n_interior, g.n_interior)
     for j in (1, 4, 8):
-        inv = st.step(j, "adjoint")
-        assert np.array_equal(inv.solve(x), inv.inv @ x)
-        assert np.array_equal(inv.solve(x, transpose=True), inv.inv.T @ x)
+        inv, inv_t = _inverse(st, j, "adjoint"), _inverse(st, j, "adjoint", transpose=True)
+        assert inv.base is stack and inv_t.base is stack
+        assert np.array_equal(inv_t, inv.T)
+        assert np.array_equal(inv_t @ x, inv.T @ x)
 
 
 @pytest.mark.parametrize("nx,dense", [(DENSE_MAX_N + 2, True), (DENSE_MAX_N + 3, False)])
@@ -355,7 +370,8 @@ def test_dense_cap_in_1d(nx, dense):
     """A transport term keeps the family off the modal path, which reaches the dense cap."""
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g, b_values=[np.full((g.nt + 1,) + g.nx, 0.5)]).stepper
-    assert isinstance(st.step(1), DenseInverse if dense else Factorization)
+    fam = st._family("forward")
+    assert (fam.inverses is not None, fam.factors is not None) == (dense, not dense)
 
 
 def test_2d_benchmark_grid_stays_on_superlu(rng):
@@ -363,10 +379,11 @@ def test_2d_benchmark_grid_stays_on_superlu(rng):
     g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 4)
     assert g.n_interior == 484 > DENSE_MAX_N
     st = _plain_spec(g).stepper
-    assert isinstance(st.step(1), Factorization)
+    factors = st._family("forward").factors
+    assert isinstance(factors[0], Factorization) and all(f is factors[0] for f in factors)
     w0 = rng.standard_normal(g.n_interior)
     W = st.march_forward(w0)
-    assert np.array_equal(W[1], st.step(1).solve(w0))
+    assert np.array_equal(W[1], factors[0].solve(w0))
 
 
 def test_singular_level_in_dense_stack_raises():
@@ -428,7 +445,8 @@ def _modal_stepper(nx=14, nt=8, length=1.0):
     """Time-constant reaction, no transport: a symmetric family, kept as modes."""
     g = build_grid(1, length, nx, 1.0, nt)
     st = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
-    assert isinstance(st.step(1), Modes) and st.step(1) is st.step(g.nt)
+    fam = st._family("forward")
+    assert fam.modal is not None and fam.inverses is None and fam.factors is None
     return g, st
 
 
@@ -462,7 +480,7 @@ def test_modal_march_matches_step_loop(rng, monkeypatch, nx, nt, rtol):
     g, modal = _modal_stepper(nx=nx, nt=nt, length=6.0)
     monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
     loop = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
-    assert isinstance(loop.step(1), DenseInverse)
+    assert loop._family("forward").inverses is not None
     datum = rng.standard_normal((g.n_interior, 2))
     src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
     for direction in ("march_forward", "march_backward"):
@@ -488,7 +506,7 @@ def test_backward_modal_march_is_reversed_forward_march(rng, nx, nt, length, k):
 def test_duality_identity_on_modal_stepper(rng):
     g, st = _modal_stepper()
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
-    assert spec.stepper is not st and isinstance(spec.stepper.step(1), Modes)
+    assert spec.stepper is not st and spec.stepper._family("forward").modal is not None
     for _ in range(5):
         gap = duality_gap(
             spec,
@@ -524,7 +542,8 @@ def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
     stepped = np.zeros(shape)
     for j in range(nt, 0, -1) if backward else range(1, nt + 1):
         read, write = (j, j - 1) if backward else (j - 1, j)
-        stepped[write] = st.step(j).solve(stepped[read] + g.dt * np.zeros(shape[1:]), transpose=backward)
+        step = _inverse(st, j, transpose=backward)
+        stepped[write] = _apply(step, stepped[read] + g.dt * np.zeros(shape[1:]))
     assert got.shape == shape and np.array_equal(got, stepped)
     assert not np.signbit(got).any()
 
@@ -532,7 +551,8 @@ def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
 @pytest.mark.parametrize("k", [None, 2])
 @pytest.mark.parametrize("backward", [False, True])
 def test_step_loop_equals_solver_loop_bitwise(rng, k, backward):
-    """The dense step loop gives the bits of one DenseInverse.solve per step."""
+    """The dense step loop gives the bits of one multiply by the step's
+    (transposed) inverse per step, column by column."""
     g, st = _frozen_like_stepper(rng)
     n, nt = g.n_interior, g.nt
     datum = rng.standard_normal(n if k is None else (n, k))
@@ -542,7 +562,7 @@ def test_step_loop_equals_solver_loop_bitwise(rng, k, backward):
     ref[nt if backward else 0] = datum
     for j in range(nt, 0, -1) if backward else range(1, nt + 1):
         read, write = (j, j - 1) if backward else (j - 1, j)
-        ref[write] = st.step(j, "adjoint").solve(ref[read] + g.dt * src[j], transpose=backward)
+        ref[write] = _apply(_inverse(st, j, "adjoint", transpose=backward), ref[read] + g.dt * src[j])
     assert np.array_equal(got, ref)
 
 
@@ -550,7 +570,7 @@ def test_step_loop_equals_solver_loop_bitwise(rng, k, backward):
 def test_modal_cap_in_1d(nx, modal):
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g).stepper
-    assert isinstance(st.step(1), Modes) == modal
+    assert (st._family("forward").modal is not None) == modal
 
 
 def test_transport_or_time_dependence_keeps_inverses(rng):
@@ -558,8 +578,10 @@ def test_transport_or_time_dependence_keeps_inverses(rng):
     shape = (g.nt + 1,) + g.nx
     transport = _plain_spec(g, b_values=[np.full(shape, 0.5)]).stepper
     varying = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, shape)).stepper
-    assert isinstance(transport.step(1), DenseInverse) and transport.step(1) is transport.step(g.nt)
-    assert isinstance(varying.step(1), DenseInverse) and varying.step(1) is not varying.step(2)
+    assert transport._family("forward").inverses is not None
+    assert _inverse(transport, 1) is _inverse(transport, g.nt)
+    assert varying._family("forward").inverses is not None
+    assert _inverse(varying, 1) is not _inverse(varying, 2)
 
 
 def test_time_constant_step_matrix_built_once():

@@ -8,9 +8,7 @@ import pytest
 
 from hierctrl import cli, semilinear
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
-from hierctrl.config import load_config, validate_for
 from hierctrl.hum import control_to_trajectory
-from hierctrl.mesh import SpaceTimeField
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.semilinear import (eval_secant_coeffs, from_expression, preset_grad_tanh,
                                  preset_tanh, preset_zero, quasi_equilibrium_residual,
@@ -142,25 +140,15 @@ def test_non_finite_outer_iterate_is_a_typed_divergence(monkeypatch):
     assert err.value.iterations == 3 and len(hums) == 3
 
 
-def test_shipped_semilinear_control_builds_no_field(monkeypatch):
-    """Without the target check, the semilinear outer loop on the shipped
-    config runs on interior arrays throughout: it builds no SpaceTimeField."""
-    config = load_config(CONFIGS / "semilinear_1d.ini")
-    inputs = validate_for(config, "semilinear")
-    solver = config.solver
-    built = []
-    original = SpaceTimeField.__post_init__
-
-    def counted(self):
-        built.append(1)
-        original(self)
-
-    monkeypatch.setattr(SpaceTimeField, "__post_init__", counted)
-    res = semilinear_null_control(inputs.spec, inputs.nonlinearity, inputs.ubar0, config.eps_list[-1],
-                                  outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],
-                                  cg_tol=solver["cg_tol"], cg_max_iter=solver["cg_max_iter"], log_theta=None)
-    assert res.outer_iterations == 6
-    assert built == []
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the warm-started outer loop stalls on the "
+                   "HUM solve's own error; at c = 5 it raises MaxIterations after 30 outer iterations")
+def test_shipped_semilinear_converges_at_c_5(tmp_path):
+    """The shipped semilinear config with F = 5 tanh(u) converges and exits 0;
+    a cold-started outer loop did so in 8 outer iterations."""
+    text = (CONFIGS / "semilinear_1d.ini").read_text()
+    config = tmp_path / "c5.ini"
+    config.write_text(text.replace("\nc = 0.5\n", "\nc = 5\n"))  # unchanged text converges: a strict XPASS
+    assert cli.run("semilinear", str(config), str(tmp_path / "out")) == 0
 
 
 def test_shipped_semilinear_warm_start_halves_cg(tmp_path, monkeypatch):

@@ -25,13 +25,11 @@ TEST_REFERENCES = {
 
 # (module, class, method): why a public method stays although no attribute
 # access in src/ names it.  The match is by name, so a method that shares
-# its name with one src/ calls (DenseInverse.solve, Factorization.solve)
+# its name with one src/ calls (a `solve` beside Factorization.solve)
 # passes unlisted.
 METHOD_TEST_REFERENCES = {
     ("carleman", "EtaFunction", "on_nodes"): "eta on the grid nodes, which the weight-property checks sample",
     ("mesh", "SubdomainMask", "node_count"): "the node count the mask-building checks assert",
-    ("operators", "TimeStepper", "step"): "the per-level representation (Modes, DenseInverse or "
-                                          "Factorization) the tests inspect and march against",
 }
 
 

@@ -92,14 +92,14 @@ def test_weights_and_theta_match_level_loops(name):
             for k, eta_fn in enumerate(etas):
                 alpha, xi = build_weights(eta_fn, w.lam, w.s, variant)
                 ref[variant, k] = _ref_build_weights(eta_fn, w.lam, w.s, variant)
-                assert np.array_equal(alpha.values, ref[variant, k][0])
-                assert np.array_equal(xi.values, ref[variant, k][1])
+                assert np.array_equal(alpha, ref[variant, k][0])
+                assert np.array_equal(xi, ref[variant, k][1])
         pairs = [ref["ell-modified", k] for k in range(len(etas))]
         theta = _ref_theta(grid, w.s, pairs)
-    assert np.array_equal(w.alpha.values, ref["sharp", 0][0])
-    assert np.array_equal(w.xi_ell.values, ref["ell-modified", 0][1])
-    assert np.array_equal(w.log_theta.values, _ref_log_theta(grid, w.s, pairs))
-    ours = np.exp(w.log_theta.values)
+    assert np.array_equal(w.alpha, ref["sharp", 0][0])
+    assert np.array_equal(w.xi_ell, ref["ell-modified", 0][1])
+    assert np.array_equal(w.log_theta, _ref_log_theta(grid, w.s, pairs))
+    ours = np.exp(w.log_theta)
     assert np.array_equal(ours == 0.0, theta == 0.0)
     nonzero = theta != 0.0
     assert np.all(np.abs(ours[nonzero] - theta[nonzero]) <= 1e-14 * theta[nonzero])
@@ -114,11 +114,11 @@ def test_large_lambda_cases_underflow(name):
     with np.errstate(over="ignore", invalid="ignore"):
         w = build_carleman_weights(grid, **kw)
         inner = slice(1, grid.nt)
-        assert np.all(np.isfinite(w.alpha_ell.values[inner]))
-        assert np.all(np.exp(w.s * w.alpha_ell.values[inner]) == 0.0)
-        assert np.isinf(w.xi_ell.values[inner] ** 3).any() == (name == "1d-cube-overflow")
-    assert np.all(np.isfinite(w.log_theta.values))
-    assert not np.exp(w.log_theta.values).any()
+        assert np.all(np.isfinite(w.alpha_ell[inner]))
+        assert np.all(np.exp(w.s * w.alpha_ell[inner]) == 0.0)
+        assert np.isinf(w.xi_ell[inner] ** 3).any() == (name == "1d-cube-overflow")
+    assert np.all(np.isfinite(w.log_theta))
+    assert not np.exp(w.log_theta).any()
 
 
 def test_distinct_window_case_has_two_weights():
@@ -127,7 +127,7 @@ def test_distinct_window_case_has_two_weights():
     w = build_carleman_weights(grid, **kw)
     (a1, _), (a2, _) = w.mod_pair
     assert w.otilde is not None
-    assert not np.array_equal(a1.values, a2.values)
+    assert not np.array_equal(a1, a2)
 
 
 def test_unknown_variant_rejected():
