@@ -203,11 +203,9 @@ def load_config(path) -> RunConfig:
             solver[key] = type(SOLVER_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
-    for key in ("nash_max_iter", "cg_max_iter", "max_outer", "n_samples"):
+    for key in ("nash_max_iter", "cg_max_iter", "max_outer", "n_samples", "n_directions"):
         if solver[key] < 1:
             raise ConfigError(f"solver.{key} must be at least 1")
-    if solver["n_directions"] < 0:
-        raise ConfigError("solver.n_directions must be nonnegative")
     for key in ("nash_tol", "coupled_tol", "cg_tol", "outer_tol"):
         if not (np.isfinite(solver[key]) and solver[key] > 0):
             raise ConfigError(f"solver.{key} must be finite and positive")

@@ -22,7 +22,7 @@ from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import norm_h
 from .nash import (NashSolution, _control_weights, _controls_from_adjoints, _indicators, q_norm,
                    solve_nash_fixed_point, stacked_system)
-from .operators import ProblemSpec, columns, control_sources, solve_forward
+from .operators import ProblemSpec, control_sources, solve_forward
 
 
 @dataclass
@@ -72,17 +72,17 @@ class HumResult:
 
 
 def _companions(spec, psi, neg_weights, src=None):
-    """The forward companions of psi, eta_1 and eta_2 or their sum: column c
-    marches -shift(psi) weights[c] (nash._control_weights; neg_weights holds
-    them negated), the Nash state source of psi, as the coupled adjoint is
-    the transpose of the Nash system.  src is an optional source buffer."""
+    """The forward companions of psi, eta_1 and eta_2 or their sum, as a
+    (k, nt+1, n) march: column c marches -shift(psi) weights[c]
+    (nash._control_weights; neg_weights holds them negated), the Nash state
+    source of psi, as the coupled adjoint is the transpose of the Nash
+    system.  src is an optional (k, nt+1, n) source buffer."""
     grid = spec.grid
-    k = len(neg_weights)
     if src is None:
-        src = np.zeros((grid.nt + 1, grid.n_interior) if k == 1 else (grid.nt + 1, grid.n_interior, k))
-    for c, wt in enumerate(neg_weights):
-        np.multiply(psi[:-1], wt, out=(src if k == 1 else src[..., c])[1:])
-    return columns(spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint"))
+        src = np.zeros((len(neg_weights), grid.nt + 1, grid.n_interior))
+    for col, wt in zip(src, neg_weights):
+        np.multiply(psi[:-1], wt, out=col[1:])
+    return spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint")
 
 
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
@@ -95,8 +95,9 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     the optimality system.  When both target weights alpha_i chi_di are
     equal (the shared case) psi reads only eta_1 + eta_2, so a sweep
     marches that sum as one column, the transpose of the merged Nash
-    sweep; otherwise eta_1 and eta_2 march as two columns, from buffers the
-    solve keeps.  The change is measured on psi and the marched columns.
+    sweep; otherwise eta_1 and eta_2 march as two columns.  Either way the
+    companions march as one (k, nt+1, n) march from a buffer the solve
+    keeps.  The change is measured on psi and the marched columns.
     The first sweep has no predecessor, so its change is not recorded.
     """
     grid = spec.grid
@@ -105,9 +106,8 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     if np.array_equal(*weights):
         weights = weights[:1]
     neg_controls = [-wt for wt in _control_weights(spec, len(weights))]
-    shape = (grid.nt + 1, grid.n_interior)
-    psi_src = np.empty(shape)
-    eta_src = np.zeros(shape if len(weights) == 1 else shape + (len(weights),))
+    psi_src = np.empty((grid.nt + 1, grid.n_interior))
+    eta_src = np.zeros((len(weights),) + psi_src.shape)
 
     def sweep(state):
         psi, etas = state
@@ -123,7 +123,7 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
                 change = math.hypot(change, q_norm(grid, e_new - e_old))
         return (psi_new, etas_new), change, max(q_norm(grid, psi_new), TINY)
 
-    start = (None, [np.zeros((grid.nt + 1, grid.n_interior)) for _ in weights])
+    start = (None, np.zeros_like(eta_src))
     (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint")
     return CoupledAdjointState(psi, spec, it, history, tuple(etas) if len(etas) == 2 else None)
 

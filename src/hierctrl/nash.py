@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import TooLarge
 from .linalg import TINY, iterate
-from .operators import ProblemSpec, columns, control_sources, solve_forward, stack_columns
+from .operators import ProblemSpec, control_sources, solve_forward
 
 
 def q_norm(grid, arr):
@@ -100,13 +100,12 @@ def apply_response(spec: ProblemSpec, i, v):
 def _response_adjoint(spec, g_states, followers=(0, 1)):
     """A_i^* for each i in followers: state-side arrays (levels 1..nt) to
     control-side arrays on O_i.  g_states[k] goes with followers[k]; they
-    march together, one column each, in a single backward march; a single
-    g_state serves every follower."""
+    march together as the columns of one (k, nt+1, n) backward march; a
+    single g_state serves every follower."""
     grid = spec.grid
-    P = spec.stepper.march_backward(np.zeros(grid.n_interior), stack_columns(g_states), family="adjoint")
-    ps = columns(P)
+    ps = spec.stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states), family="adjoint")
     out = []
-    for i, p in zip(followers, ps * len(followers) if len(ps) == 1 else ps):
+    for i, p in zip(followers, list(ps) * len(followers) if len(ps) == 1 else ps):
         o = np.zeros_like(p)
         o[1:] = p[:-1] * spec.follower_masks[i].interior_vector()
         out.append(o)
@@ -178,17 +177,16 @@ def solve_nash_fixed_point(
     chis = _indicators(spec.follower_masks)
     zero = np.zeros(grid.n_interior)
     shape = (grid.nt + 1, grid.n_interior)
-    adj_src = np.empty(shape if len(terms) == 1 else shape + (len(terms),))
+    adj_src = np.empty((len(terms),) + shape)
     state_src = f_src.copy()  # level 0 is never read by a march
     sweeps = itertools.count(1)
 
     def sweep(state):
         # the adjoints from frozen z in one march, then the state under the controls they give
         z, z_norm = state[:2]
-        for c, (wt, wd) in enumerate(terms):
-            col = adj_src if len(terms) == 1 else adj_src[..., c]
+        for col, (wt, wd) in zip(adj_src, terms):
             np.multiply(wt, np.subtract(z, wd, out=col), out=col)
-        phis = columns(stepper.march_backward(zero, adj_src, family="adjoint"))
+        phis = list(stepper.march_backward(zero, adj_src, family="adjoint"))
         if len(phis) == 1:
             phis = phis * 2
         fed = state_src[1:]

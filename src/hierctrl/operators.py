@@ -306,57 +306,63 @@ class TimeStepper:
     def _march_inputs(self, datum, sources):
         """The datum and sources as float arrays, and the column count k.
 
-        The datum is (n,) or (n, k); the sources are None, (nt+1, n) or
-        (nt+1, n, k).  Any 3-D argument, or a 2-D datum, makes the march
-        multi-column, shape (nt+1, n, k); a 1-D datum is then shared by
+        The datum is (n,) or (k, n); the sources are None, (nt+1, n) or
+        (k, nt+1, n).  Any 3-D argument, or a 2-D datum, makes the march
+        multi-column, shape (k, nt+1, n); a 1-D datum is then shared by
         every column.  Column counts must agree: nothing else broadcasts.
-        k is None for a single-column march of shape (nt+1, n).
+        k is None for a single-column march of shape (nt+1, n).  The
+        sources come back as (k, nt+1, n), a single column as (1, nt+1, n).
         """
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
         datum = np.asarray(datum, dtype=float)
-        if datum.ndim not in (1, 2) or datum.shape[0] != n:
-            raise ShapeMismatch(f"march datum shape {datum.shape}: need ({n},) or ({n}, k)")
-        k = datum.shape[1] if datum.ndim == 2 else None
+        if datum.ndim not in (1, 2) or datum.shape[-1] != n:
+            raise ShapeMismatch(f"march datum shape {datum.shape}: need ({n},) or (k, {n})")
+        k = len(datum) if datum.ndim == 2 else None
         if sources is not None:
             sources = np.asarray(sources, dtype=float)
-            if sources.ndim not in (2, 3) or sources.shape[:2] != (nt + 1, n):
+            if sources.ndim not in (2, 3) or sources.shape[-2:] != (nt + 1, n):
                 raise ShapeMismatch(f"march sources shape {sources.shape}: "
-                                    f"need ({nt + 1}, {n}) or ({nt + 1}, {n}, k)")
-            src_k = sources.shape[2] if sources.ndim == 3 else None
+                                    f"need ({nt + 1}, {n}) or (k, {nt + 1}, {n})")
+            src_k = len(sources) if sources.ndim == 3 else None
             if k is not None and src_k != k:
                 raise ShapeMismatch(f"march datum has {k} columns, sources shape {sources.shape}")
             k = src_k
+            sources = sources.reshape(-1, nt + 1, n)
         return datum, sources, k
 
     def _march(self, datum, sources, family, backward):
-        """march_forward, or march_backward when backward is true."""
+        """march_forward, or march_backward when backward is true.
+
+        Every march fills one (k, nt+1, n) array, k = 1 for a single column.
+        """
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
         fam = self._family(family)
         datum, sources, k = self._march_inputs(datum, sources)
-        shape = (nt + 1, n) if k is None else (nt + 1, n, k)
         if not datum.any() and (sources is None or not sources.any()):
-            return np.zeros(shape)
+            return np.zeros((nt + 1, n) if k is None else (k, nt + 1, n))
         if fam.modal is not None:
-            return _modal_march(*fam.modal, datum, sources, k, backward)
-        out = np.zeros(shape)
-        out[nt if backward else 0] = datum if datum.ndim == out.ndim - 1 else datum[:, None]
-        dt_src = None if sources is None else grid.dt * sources
-        if fam.inverses is None:
-            _solver_loop(fam.factors, out, dt_src, backward)
+            out = _modal_march(*fam.modal, datum, sources, k or 1, backward)
         else:
-            _inverse_loop(fam.inverses[backward], out, dt_src, backward)
-        return out
+            out = np.zeros((k or 1, nt + 1, n))
+            out[:, nt if backward else 0] = datum
+            dt_src = None if sources is None else grid.dt * sources
+            if fam.inverses is None:
+                _solver_loop(fam.factors, out, dt_src, backward)
+            else:
+                _inverse_loop(fam.inverses[backward], out, dt_src, backward)
+        return out[0] if k is None else out
 
     def march_forward(self, w0_int, sources=None, family="forward"):
         """March (I + dt L_j) w^j = w^{j-1} + dt s^j for j = 1..nt.
 
-        sources is an (nt+1, n) array, or (nt+1, n, k) for k columns that
+        sources is an (nt+1, n) array, or (k, nt+1, n) for k columns that
         march at once; level j feeds step j (level 0 is never used).
-        Returns all levels, shape (nt+1, n) or (nt+1, n, k); see
-        _march_inputs for the shapes accepted.  Column c of a k-column
-        march is bit for bit the single-column march of its data.
+        Returns all levels, shape (nt+1, n) or (k, nt+1, n), so column c is
+        the (nt+1, n) block out[c]; see _march_inputs for the shapes
+        accepted.  Column c of a k-column march is bit for bit the
+        single-column march of its data.
         """
         return self._march(w0_int, sources, family, backward=False)
 
@@ -378,27 +384,35 @@ def _steps(nt, backward):
 
 
 def _solver_loop(factors, out, dt_src, backward):
-    """out[to] = S_j^{-1} (out[from] + dt s^j), or S_j^{-T}, one SuperLU solve per step."""
-    rhs = np.empty_like(out[0])
+    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), or S_j^{-T}, one SuperLU
+    solve per step; out is (k, nt+1, n) and dt_src None or (k, nt+1, n).
+
+    A level's k columns go to the solve as one (n, k) right-hand side, the
+    transpose of the (k, n) level; SuperLU solves each column on its own.
+    """
+    rhs = np.empty_like(out[:, 0])
     for j, read, write in _steps(len(factors), backward):
-        src = out[read] if dt_src is None else np.add(out[read], dt_src[j], out=rhs)
-        factors[j - 1].solve(src, transpose=backward, out=out[write])
+        src = out[:, read] if dt_src is None else np.add(out[:, read], dt_src[:, j], out=rhs)
+        factors[j - 1].solve(src.T, transpose=backward, out=out[:, write].T)
 
 
 def _inverse_loop(mats, out, dt_src, backward):
-    """out[to] = M_j (out[from] + dt s^j) with M_j the (transposed) inverse of step j.
+    """out[:, to] = M_j (out[:, from] + dt s^j) with M_j the (transposed)
+    inverse of step j; out is (k, nt+1, n) and dt_src None or (k, nt+1, n).
 
-    A k-column level multiplies as a stack of k mat-vecs, not as one GEMM,
-    which would round differently, so each column is bit for bit the
-    single-column march.
+    A k-column level multiplies as a stack of k mat-vecs (k, n, 1), each on
+    a contiguous row of its column, not as one GEMM, which would round
+    differently, so each column is bit for bit the single-column march.  A
+    single column steps on plain (n,) rows: the same bits, and faster than
+    a one-column stack.
     """
-    rhs = np.empty_like(out[0])
-    if out.ndim == 3:  # (n, k) levels as stacks of k column vectors (k, n, 1)
-        levels, rhs_in = list(out.transpose(0, 2, 1)[..., None]), rhs.T[..., None]
-    else:
-        levels, rhs_in = list(out), rhs
-    plain = list(out)
-    srcs = None if dt_src is None else list(dt_src)
+    single = len(out) == 1
+    by_level = out[0] if single else out.swapaxes(0, 1)  # (nt+1, n) or (nt+1, k, n)
+    plain = list(by_level)
+    levels = plain if single else list(by_level[..., None])
+    srcs = None if dt_src is None else list(dt_src[0] if single else dt_src.swapaxes(0, 1))
+    rhs = np.empty_like(plain[0])
+    rhs_in = rhs if single else rhs[..., None]
     for j, read, write in _steps(len(mats), backward):
         if srcs is None:
             np.matmul(mats[j - 1], levels[read], out=levels[write])
@@ -418,7 +432,8 @@ def _recurrence_band(w, nt):
 
 
 def _modal_march(Q, source_transform, band, datum, sources, k, backward):
-    """March with the step inverse Q diag(w) Q' of a symmetric time-constant family.
+    """March k columns with the step inverse Q diag(w) Q' of a symmetric
+    time-constant family; returns (k, nt+1, n).
 
     In modal coordinates step j reads y^j = w * (y^{j-1} + dt s^j), a unit
     lower bidiagonal system over time for each mode.  One GEMM per column
@@ -435,36 +450,19 @@ def _modal_march(Q, source_transform, band, datum, sources, k, backward):
     """
     n, levels = Q.shape[0], band.shape[1] // Q.shape[0]
     # per column (nt+1, n) in marching order, the datum first, so each column is one GEMM operand
-    x = np.empty((1 if k is None else k, levels, n))
-    x[:, 0, :] = datum.T
+    x = np.empty((k, levels, n))
+    x[:, 0] = datum
     if sources is None:
-        x[:, 1:, :] = 0.0
+        x[:, 1:] = 0.0
     else:
-        src = (sources[None] if k is None else np.moveaxis(sources, -1, 0))[:, 1:, :]
-        x[:, 1:, :] = src[:, ::-1] if backward else src  # step j reads source j
+        x[:, 1:] = sources[:, :0:-1] if backward else sources[:, 1:]  # step j reads source j
     y = np.matmul(source_transform, x.transpose(0, 2, 1))  # (k, n, nt+1): mode-major right-hand sides
     y[:, :, 0] = np.matmul(Q.T, x[:, 0, :, None])[..., 0]
     # as one (n (nt+1), k) F-ordered array, which dtbtrs solves in place
-    y = dtbtrs(band, y.reshape(len(y), -1).T, uplo="L", diag="U", overwrite_b=1)[0]
-    out = np.matmul(y.T.reshape(-1, n, levels).transpose(0, 2, 1), Q.T)
-    out[:, 0, :] = datum.T  # the datum level holds the datum itself, not its round trip
-    if backward:
-        out = out[:, ::-1]
-    return out[0] if k is None else np.moveaxis(out, 0, -1)
-
-
-def columns(arr):
-    """The k columns of an (nt+1, n, k) march, each as a contiguous (nt+1, n)
-    array; an (nt+1, n) march is its own single column."""
-    if arr.ndim == 2:
-        return [arr]
-    return list(np.moveaxis(arr, -1, 0).copy())
-
-
-def stack_columns(arrs):
-    """The sources of one march from a list of (nt+1, n) columns: (nt+1, n, k),
-    or a single column as it is, so that it marches in the plain form."""
-    return arrs[0] if len(arrs) == 1 else np.stack(arrs, axis=-1)
+    y = dtbtrs(band, y.reshape(k, -1).T, uplo="L", diag="U", overwrite_b=1)[0]
+    out = np.matmul(y.T.reshape(k, n, levels).transpose(0, 2, 1), Q.T)
+    out[:, 0] = datum  # the datum level holds the datum itself, not its round trip
+    return out[:, ::-1] if backward else out
 
 
 def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):

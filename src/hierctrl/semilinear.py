@@ -482,7 +482,7 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
     return SufficiencyReport(
         min_form=tuple(mins),
         c_hat=tuple(chats),
-        all_positive=positive if n_directions > 0 else True,
+        all_positive=positive,
         n_directions=n_directions,
         dimension_in_analysis_range=grid.dim >= 2,
         forms=tuple(all_forms),

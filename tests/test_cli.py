@@ -141,6 +141,7 @@ def test_malformed_config_fails_validation(tmp_path, capsys, text):
     pytest.param(SOLVER + "n_samples = -5\n", None, "ConfigError", id="n-samples-negative"),
     pytest.param(SOLVER + "n_samples = 0\n", None, "ConfigError", id="n-samples-zero"),
     pytest.param(SOLVER + "n_directions = -1\n", None, "ConfigError", id="n-directions-negative"),
+    pytest.param(SOLVER + "n_directions = 0\n", None, "ConfigError", id="n-directions-zero"),
 ])
 def test_bad_number_fails_validation(tmp_path, capsys, text, seed, error):
     cfg = tmp_path / "bad.ini"

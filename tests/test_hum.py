@@ -435,9 +435,9 @@ def _count_marches(monkeypatch):
 
         def counted(self, datum, sources=None, *args, _original=original, _name=name, **kwargs):
             if np.ndim(sources) == 3:
-                k = np.shape(sources)[2]
+                k = np.shape(sources)[0]
             else:
-                k = np.shape(datum)[1] if np.ndim(datum) == 2 else 1
+                k = np.shape(datum)[0] if np.ndim(datum) == 2 else 1
             calls.append((_name, k))
             return _original(self, datum, sources, *args, **kwargs)
 

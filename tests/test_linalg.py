@@ -79,19 +79,21 @@ def test_invert_stack_singular_level_raises(bad):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_dense_inverse_columns_bitwise(n, transpose):
     """A k-column step of the dense step loop, written in place, is bit for
-    bit k one-column multiplies, with and without a source."""
+    bit k one-column multiplies of contiguous columns, with and without a
+    source."""
     rng = np.random.default_rng(n)
     inv = invert_stack((rng.standard_normal((n, n)) + n * np.eye(n))[None])[0]
     mat = inv.T if transpose else inv
-    for k in (2, 3, 5):
-        datum, src = rng.standard_normal((n, k)), rng.standard_normal((2, n, k))
+    for k in (1, 2, 3, 5):
+        datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, 2, n))
         for dt_src in (None, src):
-            out = np.zeros((2, n, k))
-            out[0] = datum
+            out = np.zeros((k, 2, n))
+            out[:, 0] = datum
             _inverse_loop([mat], out, dt_src, backward=False)
-            rhs = datum if dt_src is None else datum + dt_src[1]
-            cols = np.stack([mat @ rhs[:, c] for c in range(k)], axis=1)
-            assert np.array_equal(out[1], cols)
+            for c in range(k):
+                rhs = datum[c].copy() if dt_src is None else datum[c] + dt_src[c, 1]
+                assert rhs.flags.c_contiguous
+                assert np.array_equal(out[c, 1], mat @ rhs)
 
 
 def test_cg_identity_one_iteration():

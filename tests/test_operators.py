@@ -17,9 +17,26 @@ def _inverse(st, j, family="forward", transpose=False):
     return st._family(family).inverses[transpose][j - 1]
 
 
-def _apply(mat, x):
-    """mat @ x, an (n, k) x as k mat-vecs, one per column."""
-    return mat @ x if x.ndim == 1 else np.stack([mat @ col for col in x.T], axis=1)
+def _step(st, family, j, transpose, x):
+    """Step j (1..nt) of one (n,) column x: one multiply by the dense
+    (transposed) inverse, or one SuperLU solve above the dense cap."""
+    fam = st._family(family)
+    if fam.inverses is not None:
+        return fam.inverses[transpose][j - 1] @ x
+    return fam.factors[j - 1].solve(x, transpose=transpose)
+
+
+def _stepped(st, family, datum, src, backward):
+    """A march as one _step per level and column: datum (n,) or (k, n),
+    src (nt+1, n) or (k, nt+1, n), each column contiguous."""
+    n, nt = st.grid.n_interior, st.grid.nt
+    out = np.zeros_like(src)
+    for col, d, s in zip(out.reshape(-1, nt + 1, n), datum.reshape(-1, n), src.reshape(-1, nt + 1, n)):
+        col[nt if backward else 0] = d
+        for j in range(nt, 0, -1) if backward else range(1, nt + 1):
+            read, write = (j, j - 1) if backward else (j - 1, j)
+            col[write] = _step(st, family, j, backward, col[read] + st.grid.dt * s[j])
+    return out
 
 
 def _plain_spec(grid, a_values=None, b_values=None):
@@ -247,37 +264,56 @@ def test_time_dependent_coefficients_still_dual(rng):
     assert gap <= 1e-10
 
 
-def _frozen_like_stepper(rng):
+def _frozen_like_stepper(rng, nx=14):
     """Time-dependent a and b with distinct adjoint coefficients, as the
-    semilinear frozen specs have: both families factorize every level."""
-    g = build_grid(1, 1.0, 14, 1.0, 8)
+    semilinear frozen specs have: both families keep every level, as dense
+    inverses up to DENSE_MAX_N unknowns and SuperLU factors above."""
+    g = build_grid(1, 1.0, nx, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[rng.standard_normal(shape)])
     spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
                       b_adj=(g.to_interior_levels(rng.standard_normal(shape)),))
     st = spec.stepper
-    assert _inverse(st, 1) is not _inverse(st, 2)
+    fam = st._family("forward")
+    if g.n_interior <= DENSE_MAX_N:
+        assert _inverse(st, 1) is not _inverse(st, 2)
+    else:
+        assert fam.inverses is None and fam.factors[0] is not fam.factors[1]
     assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
     return g, st
 
 
-@pytest.mark.parametrize("family", ["forward", "adjoint"])
-@pytest.mark.parametrize("direction", ["march_forward", "march_backward"])
-def test_two_column_march_matches_single_columns_bitwise(rng, family, direction):
-    g, st = _frozen_like_stepper(rng)
+# interior sizes n = nx - 2: the dense loop at 12, 14 (the shipped 1D grids), 38 (semilinear_1d),
+# 62, 98 and 128 (the cap), and SuperLU at 144
+COLUMN_SIZES = (12, 14, 38, 62, 98, 128, 144)
+
+
+def _on_column_grids(cases):
+    """pytest params (*values, nx) of every case (id, values) on every
+    COLUMN_SIZES grid; on the n = 12 grid a case keeps its own id."""
+    return [pytest.param(*values, n + 2, id=case_id if n == 12 else f"{case_id}-n{n}")
+            for n in COLUMN_SIZES for case_id, values in cases]
+
+
+@pytest.mark.parametrize("direction,family,nx", _on_column_grids(
+    [(f"{d}-{f}", (d, f)) for d in ("march_forward", "march_backward") for f in ("forward", "adjoint")]))
+def test_two_column_march_matches_single_columns_bitwise(rng, family, direction, nx):
+    """Each column of a 2-column march is bit for bit the single-column
+    march of its own contiguous data."""
+    g, st = _frozen_like_stepper(rng, nx)
     march = getattr(st, direction)
-    datum = rng.standard_normal((g.n_interior, 2))
-    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    datum = rng.standard_normal((2, g.n_interior))
+    src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     both = march(datum, src, family=family)
-    assert both.shape == (g.nt + 1, g.n_interior, 2)
+    assert both.shape == (2, g.nt + 1, g.n_interior)
     for k in range(2):
-        assert np.array_equal(both[:, :, k], march(datum[:, k], src[:, :, k], family=family))
+        assert np.array_equal(both[k], march(datum[k], src[k], family=family))
     # a shared (n,) datum and no sources
-    shared = march(datum[:, 0], src, family=family)
-    assert np.array_equal(shared[:, :, 1], march(datum[:, 0], src[:, :, 1], family=family))
+    shared = march(datum[0], src, family=family)
+    assert np.array_equal(shared[1], march(datum[0], src[1], family=family))
     free = march(datum, None, family=family)
     for k in range(2):
-        assert np.array_equal(free[:, :, k], march(datum[:, k], None, family=family))
+        assert np.array_equal(free[k], march(datum[k], None, family=family))
 
 
 @pytest.mark.parametrize("direction", ["march_forward", "march_backward"])
@@ -288,8 +324,8 @@ def test_one_column_march_equals_plain_form(rng, direction):
     src = rng.standard_normal((g.nt + 1, g.n_interior))
     plain = march(datum, src, family="adjoint")
     assert plain.shape == (g.nt + 1, g.n_interior)
-    assert np.array_equal(march(datum, src[:, :, None], family="adjoint")[:, :, 0], plain)
-    assert np.array_equal(march(datum[:, None], src[:, :, None], family="adjoint")[:, :, 0], plain)
+    assert np.array_equal(march(datum, src[None], family="adjoint")[0], plain)
+    assert np.array_equal(march(datum[None], src[None], family="adjoint")[0], plain)
 
 
 def test_duality_identity_per_column(rng):
@@ -297,25 +333,27 @@ def test_duality_identity_per_column(rng):
     column by column, for a 2-column forward and backward march."""
     g, st = _frozen_like_stepper(rng)
     n, nt = g.n_interior, g.nt
-    w0, psiT = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-    s, gsrc = rng.standard_normal((nt + 1, n, 2)), rng.standard_normal((nt + 1, n, 2))
+    w0, psiT = rng.standard_normal((2, n)), rng.standard_normal((2, n))
+    s, gsrc = rng.standard_normal((2, nt + 1, n)), rng.standard_normal((2, nt + 1, n))
     W = st.march_forward(w0, s)
     P = st.march_backward(psiT, gsrc)
     for k in range(2):
-        lhs = P[-1, :, k] @ W[-1, :, k] + g.dt * np.sum(gsrc[1:, :, k] * W[1:, :, k])
-        rhs = P[0, :, k] @ W[0, :, k] + g.dt * np.sum(P[:-1, :, k] * s[1:, :, k])
+        lhs = P[k, -1] @ W[k, -1] + g.dt * np.sum(gsrc[k, 1:] * W[k, 1:])
+        rhs = P[k, 0] @ W[k, 0] + g.dt * np.sum(P[k, :-1] * s[k, 1:])
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
 @pytest.mark.parametrize("datum_shape,source_shape", [
     ((13,), None),                   # datum too long
-    ((12, 2, 1), None),              # datum 3-D
+    ((1, 2, 12), None),              # datum 3-D
     ((12,), (9, 13)),                # sources with the wrong n
-    ((12,), (8, 12, 2)),             # sources with the wrong level count
-    ((12,), (9, 12, 2, 1)),          # sources 4-D
-    ((12, 2), (9, 12, 3)),           # column counts disagree
-    ((12, 2), (9, 12)),              # a 2-column datum with single-column sources
-    ((12, 1), (9, 12)),              # a 1-column datum does not broadcast either
+    ((12,), (2, 8, 12)),             # sources with the wrong level count
+    ((12,), (1, 2, 9, 12)),          # sources 4-D
+    ((2, 12), (3, 9, 12)),           # column counts disagree
+    ((2, 12), (9, 12)),              # a 2-column datum with single-column sources
+    ((1, 12), (9, 12)),              # a 1-column datum does not broadcast either
+    ((12, 2), None),                 # datum with the column axis last
+    ((12,), (9, 12, 2)),             # sources with the column axis last
 ])
 def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
     g = build_grid(1, 1.0, 14, 1.0, 8)
@@ -348,6 +386,23 @@ def test_dense_marches_match_superlu_solves(rng, family):
     for got, ref in ((st.march_forward(datum, src, family=family), fwd),
                      (st.march_backward(datum, src, family=family), bwd)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,nx", [(1, 16), (1, 40), (2, (8, 8)), (2, (12, 12))])
+def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
+    """Slice l of _dense_step_stack is the sparse step matrix of levels[l]
+    (_step_matrix), entry for entry, with time-dependent reaction and
+    transport along every axis."""
+    g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
+    shape = (g.nt + 1,) + g.nx
+    spec = _plain_spec(g, a_values=rng.standard_normal(shape),
+                       b_values=[rng.standard_normal(shape) for _ in range(dim)])
+    st = spec.stepper
+    levels = [1, 3, 4, 6]
+    stack = st._dense_step_stack(spec.a, spec.b, levels)
+    assert stack.shape == (len(levels), g.n_interior, g.n_interior)
+    for sl, j in zip(stack, levels):
+        assert np.array_equal(sl, st._step_matrix(spec.a, spec.b, j).toarray())
 
 
 def test_dense_transposed_step_uses_the_same_inverse(rng):
@@ -455,18 +510,18 @@ def _modal_stepper(nx=14, nt=8, length=1.0):
 def test_two_column_modal_march_matches_single_columns_bitwise(rng, direction, nx, nt, length):
     g, st = _modal_stepper(nx, nt, length)
     march = getattr(st, direction)
-    datum = rng.standard_normal((g.n_interior, 2))
-    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    datum = rng.standard_normal((2, g.n_interior))
+    src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     both = march(datum, src)
-    assert both.shape == (g.nt + 1, g.n_interior, 2)
+    assert both.shape == (2, g.nt + 1, g.n_interior)
     for k in range(2):
-        assert np.array_equal(both[:, :, k], march(datum[:, k], src[:, :, k]))
-    shared = march(datum[:, 0], src)
+        assert np.array_equal(both[k], march(datum[k], src[k]))
+    shared = march(datum[0], src)
     for k in range(2):
-        assert np.array_equal(shared[:, :, k], march(datum[:, 0], src[:, :, k]))
+        assert np.array_equal(shared[k], march(datum[0], src[k]))
     free = march(datum, None)
     for k in range(2):
-        assert np.array_equal(free[:, :, k], march(datum[:, k], None))
+        assert np.array_equal(free[k], march(datum[k], None))
 
 
 # the 62-unknown benchmark grid: the eigendecomposition rounds at about 1e-16 of
@@ -481,8 +536,8 @@ def test_modal_march_matches_step_loop(rng, monkeypatch, nx, nt, rtol):
     monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
     loop = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
     assert loop._family("forward").inverses is not None
-    datum = rng.standard_normal((g.n_interior, 2))
-    src = rng.standard_normal((g.nt + 1, g.n_interior, 2))
+    datum = rng.standard_normal((2, g.n_interior))
+    src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     for direction in ("march_forward", "march_backward"):
         got, ref = getattr(modal, direction)(datum, src), getattr(loop, direction)(datum, src)
         assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
@@ -496,11 +551,11 @@ def test_backward_modal_march_is_reversed_forward_march(rng, nx, nt, length, k):
     so the reversed sources are levels nt..1 at levels 1..nt."""
     g, st = _modal_stepper(nx, nt, length)
     n = g.n_interior
-    datum = rng.standard_normal(n if k is None else (n, k))
-    src = rng.standard_normal((nt + 1, n) if k is None else (nt + 1, n, k))
+    datum = rng.standard_normal(n if k is None else (k, n))
+    src = rng.standard_normal((nt + 1, n) if k is None else (k, nt + 1, n))
     reversed_src = src.copy()
-    reversed_src[1:] = src[1:][::-1]
-    assert np.array_equal(st.march_backward(datum, src)[::-1], st.march_forward(datum, reversed_src))
+    reversed_src[..., 1:, :] = src[..., :0:-1, :]
+    assert np.array_equal(st.march_backward(datum, src)[..., ::-1, :], st.march_forward(datum, reversed_src))
 
 
 def test_duality_identity_on_modal_stepper(rng):
@@ -537,33 +592,26 @@ def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
     on the inverse path the stepped march gives the same bits."""
     g, st = _frozen_like_stepper(rng)
     n, nt = g.n_interior, g.nt
-    shape = (nt + 1, n) if k is None else (nt + 1, n, k)
+    shape = (nt + 1, n) if k is None else (k, nt + 1, n)
     got = (st.march_backward if backward else st.march_forward)(np.zeros(n), np.zeros(shape))
-    stepped = np.zeros(shape)
-    for j in range(nt, 0, -1) if backward else range(1, nt + 1):
-        read, write = (j, j - 1) if backward else (j - 1, j)
-        step = _inverse(st, j, transpose=backward)
-        stepped[write] = _apply(step, stepped[read] + g.dt * np.zeros(shape[1:]))
+    stepped = _stepped(st, "forward", np.zeros(shape[:-2] + (n,)), np.zeros(shape), backward)
     assert got.shape == shape and np.array_equal(got, stepped)
     assert not np.signbit(got).any()
 
 
-@pytest.mark.parametrize("k", [None, 2])
-@pytest.mark.parametrize("backward", [False, True])
-def test_step_loop_equals_solver_loop_bitwise(rng, k, backward):
-    """The dense step loop gives the bits of one multiply by the step's
-    (transposed) inverse per step, column by column."""
-    g, st = _frozen_like_stepper(rng)
+@pytest.mark.parametrize("backward,k,family,nx", _on_column_grids(
+    [(f"{b}-{k}" + ("" if f == "adjoint" else f"-{f}"), (b, k, f))
+     for b in (False, True) for k in (None, 2) for f in ("adjoint", "forward")]))
+def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, nx):
+    """The step loop gives the bits of one multiply by the step's
+    (transposed) inverse per step, or above the dense cap one SuperLU
+    solve, column by column on contiguous columns."""
+    g, st = _frozen_like_stepper(rng, nx)
     n, nt = g.n_interior, g.nt
-    datum = rng.standard_normal(n if k is None else (n, k))
-    src = rng.standard_normal((nt + 1, n) if k is None else (nt + 1, n, k))
-    got = (st.march_backward if backward else st.march_forward)(datum, src, family="adjoint")
-    ref = np.zeros_like(src)
-    ref[nt if backward else 0] = datum
-    for j in range(nt, 0, -1) if backward else range(1, nt + 1):
-        read, write = (j, j - 1) if backward else (j - 1, j)
-        ref[write] = _apply(_inverse(st, j, "adjoint", transpose=backward), ref[read] + g.dt * src[j])
-    assert np.array_equal(got, ref)
+    datum = rng.standard_normal(n if k is None else (k, n))
+    src = rng.standard_normal((nt + 1, n) if k is None else (k, nt + 1, n))
+    got = (st.march_backward if backward else st.march_forward)(datum, src, family=family)
+    assert np.array_equal(got, _stepped(st, family, datum, src, backward))
 
 
 @pytest.mark.parametrize("nx,modal", [(MODAL_MAX_N + 2, True), (MODAL_MAX_N + 3, False)])
