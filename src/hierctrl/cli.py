@@ -152,7 +152,7 @@ def _run_semilinear(inputs, out):
     spec, nonlin, solver = inputs.spec, inputs.nonlinearity, inputs.config.solver
     # the weights are a diagnostic here; without them the target check is left out
     log_theta = inputs.weights.log_theta if inputs.weights is not None else None
-    eps = inputs.config.eps_list[-1]
+    eps, = inputs.config.eps_list
     res = semilinear_null_control(
         spec, nonlin, inputs.ubar0, eps,
         outer_tol=solver["outer_tol"], max_outer=solver["max_outer"],

@@ -325,6 +325,8 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
         except HierctrlError:
             if "weights" in needs:
                 raise
+    if subcommand == "semilinear" and len(config.eps_list) != 1:
+        raise ConfigError(f"weights.eps_list: semilinear solves for one eps, got {len(config.eps_list)}")
     return inputs
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import TINY, conjugate_gradient, factorize, iterate
 from .mesh import norm_h
-from .nash import (NashSolution, _control_weights, _controls_from_adjoints, _indicators, q_norm,
-                   solve_nash_fixed_point, stacked_system)
+from .nash import (NashSolution, _control_weights, _indicators, q_norm, solve_nash_fixed_point,
+                   stacked_system)
 from .operators import ProblemSpec, control_sources, solve_forward
 
 
@@ -150,8 +150,7 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
     W = np.vstack([spec.w0, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
-    vs = _controls_from_adjoints(spec, phis, _indicators(spec.follower_masks))
-    nash = NashSolution(W, *phis, *vs, 1, [0.0])
+    nash = NashSolution(W, *phis, spec.follower_masks, spec.mu, 1, [0.0])
 
     psi0 = np.zeros(n) if psi0 is None else psi0
     rhs = np.zeros((3, nt, n))

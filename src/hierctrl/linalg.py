@@ -74,7 +74,7 @@ def _checked_lu(stack):
     if bad.size:
         raise SingularMatrix(f"matrix {bad[0]} of the stack is zero or not finite")
     factors = [scipy.linalg.lapack.dgetrf(matrix)[:2] for matrix in stack]
-    pivots = np.array([np.abs(np.diagonal(lu)).min() for lu, _ in factors])
+    pivots = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1)
     bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
     if bad.size:
         raise SingularMatrix(f"matrix {bad[0]} of the stack: pivot {pivots[bad[0]]:.3e} "

@@ -34,7 +34,11 @@ def _as_tuple(value, dim, name):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on a rectangle with uniform time levels."""
+    """Uniform tensor grid on a rectangle with uniform time levels.
+
+    operator_holder keeps the grid's biharmonic and gradient matrices once
+    operators.grid_operators has assembled them.
+    """
 
     dim: int
     lengths: tuple
@@ -45,6 +49,7 @@ class Grid:
     dt: float = field(init=False)
     n_interior: int = field(init=False)
     hd: float = field(init=False)  # spatial cell volume h^d
+    operator_holder: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -59,6 +64,7 @@ class Grid:
         object.__setattr__(self, "dt", self.T / self.nt)
         object.__setattr__(self, "n_interior", int(np.prod(self.interior_shape)))
         object.__setattr__(self, "hd", float(np.prod(self.h)))
+        object.__setattr__(self, "operator_holder", [])
 
     @property
     def interior_shape(self):
@@ -136,6 +142,7 @@ class SubdomainMask:
 
     grid: Grid
     indicator: np.ndarray
+    _interior: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ind = np.asarray(self.indicator, dtype=bool)
@@ -144,14 +151,18 @@ class SubdomainMask:
         if np.any(ind & ~self.grid.interior_bool()):
             raise EmptyMask("mask nodes must be strictly interior")
         object.__setattr__(self, "indicator", ind)
+        interior = ind[self.grid.interior_slices()].reshape(-1).astype(float)
+        interior.flags.writeable = False
+        object.__setattr__(self, "_interior", interior)
 
     @property
     def node_count(self):
         return int(self.indicator.sum())
 
     def interior_vector(self):
-        """Indicator restricted to interior nodes, flattened, as floats."""
-        return self.indicator[self.grid.interior_slices()].reshape(-1).astype(float)
+        """Indicator restricted to interior nodes, flattened, as floats; one
+        read-only array, computed when the mask is built."""
+        return self._interior
 
     def union(self, other):
         return SubdomainMask(self.grid, self.indicator | other.indicator)

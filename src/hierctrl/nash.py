@@ -37,14 +37,20 @@ def q_norm(grid, arr):
 class NashSolution:
     """State, follower adjoints and follower controls, each an interior
     (nt+1, n) array with one row per time level 0..nt.  The fixed point
-    returns phi1 and phi2 as one array in the shared case."""
+    returns phi1 and phi2 as one array in the shared case.
+
+    The controls v1 and v2 are formed from the adjoints, the follower
+    masks and mu (_controls_from_adjoints) when v1, v2 or controls is first
+    read, and kept: a Lambda apply never reads them.
+    """
     w: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    follower_masks: tuple
+    mu: tuple
     iterations: int
     history: list
+    formed_controls: tuple = None
 
     @property
     def phis(self):
@@ -52,7 +58,17 @@ class NashSolution:
 
     @property
     def controls(self):
-        return (self.v1, self.v2)
+        if self.formed_controls is None:
+            self.formed_controls = tuple(_controls_from_adjoints(self.follower_masks, self.mu, self.phis))
+        return self.formed_controls
+
+    @property
+    def v1(self):
+        return self.controls[0]
+
+    @property
+    def v2(self):
+        return self.controls[1]
 
 
 def _indicators(masks):
@@ -80,13 +96,12 @@ def _control_weights(spec, k):
     return [ws[0] + ws[1]] if k == 1 else ws
 
 
-def _controls_from_adjoints(spec, phi_arrays, chis):
-    """v_i^j = -chi_i * phi_i^{j-1} / mu_i, bitwise, level 0 zero; chis are
-    the follower indicators (_indicators(spec.follower_masks))."""
+def _controls_from_adjoints(follower_masks, mu, phi_arrays):
+    """v_i^j = -chi_i * phi_i^{j-1} / mu_i, bitwise, level 0 zero."""
     out = []
-    for phi, chi, mu in zip(phi_arrays, chis, spec.mu):
+    for phi, chi, mu_i in zip(phi_arrays, _indicators(follower_masks), mu):
         v = np.zeros_like(phi)
-        v[1:] = -(phi[:-1] * chi) / mu
+        v[1:] = -(phi[:-1] * chi) / mu_i
         out.append(v)
     return out
 
@@ -156,8 +171,9 @@ def solve_nash_fixed_point(
     phi_2, bitwise what a 2-column march gives.  Then the state marches
     forward under f + v_1 + v_2, fused as f - sum_c shift(phi_c) weights_c
     (_control_weights) in a buffer the solve keeps; v_i themselves are
-    formed from the converged adjoints, or every sweep for on_sweep.  With
-    damping 1 the next iterate is W itself.
+    formed every sweep only for on_sweep, and from the converged adjoints
+    when the solution's controls are first read.  With damping 1 the next
+    iterate is W itself.
 
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
     change; failures are raised by linalg.iterate.  f, the leader control,
@@ -174,7 +190,6 @@ def solve_nash_fixed_point(
     # per-solve vectors: (alpha_i chi_di, w_id) of each distinct target term, and its control weight
     terms = _target_terms(spec)
     weights = _control_weights(spec, len(terms))
-    chis = _indicators(spec.follower_masks)
     zero = np.zeros(grid.n_interior)
     shape = (grid.nt + 1, grid.n_interior)
     adj_src = np.empty((len(terms),) + shape)
@@ -198,14 +213,14 @@ def solve_nash_fixed_point(
         step = W - z
         change, w_norm = q_norm(grid, step), q_norm(grid, W)
         if on_sweep is not None:
-            on_sweep(next(sweeps), W, _controls_from_adjoints(spec, phis, chis), change)
+            on_sweep(next(sweeps), W, _controls_from_adjoints(spec.follower_masks, spec.mu, phis), change)
         z_next = W if damping == 1.0 else z + damping * step
         z_next_norm = w_norm if z_next is W else q_norm(grid, z_next)
         return (z_next, z_next_norm, W, phis), change, max(z_norm, w_norm, TINY)
 
     start = (np.zeros(shape), 0.0)
     (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point")
-    return NashSolution(W, *phis, *_controls_from_adjoints(spec, phis, chis), it, list(history))
+    return NashSolution(W, *phis, spec.follower_masks, spec.mu, it, list(history))
 
 
 ORACLE_MAX_UNKNOWNS = 20000  # the stacked system is factored whole, so its size is capped

@@ -10,7 +10,11 @@ Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
 solver precision (discretize-then-optimize).  Small grids march symmetric
 time-constant steps in their eigenbasis and other steps with dense
-inverses, one mat-vec per step; larger ones with SuperLU factorizations.
+inverses, one ndarray.dot mat-vec per step (not np.matmul, whose ufunc
+dispatch costs more than a small mat-vec and gives the same bits); larger
+ones with SuperLU factorizations.  The biharmonic and gradient matrices
+are assembled once per grid (grid_operators) and shared by every stepper
+on it.
 """
 
 from __future__ import annotations
@@ -81,6 +85,14 @@ def gradient_matrices(grid: Grid):
     eyes = [sp.identity(n - 2, format="csr") for n in grid.nx]
     return tuple(_on_axis(_axis_gradient(n, h), ax, eyes).tocsr()
                  for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
+
+
+def grid_operators(grid: Grid):
+    """(assemble_biharmonic(grid), gradient_matrices(grid)), assembled on
+    the grid's first use and kept on it; callers must not modify them."""
+    if not grid.operator_holder:
+        grid.operator_holder.append((assemble_biharmonic(grid), gradient_matrices(grid)))
+    return grid.operator_holder[0]
 
 
 def _interior_data(name, value, shape):
@@ -222,22 +234,25 @@ class TimeStepper:
       and band.
     - Dense, up to DENSE_MAX_N unknowns otherwise: the inverse of each
       distinct level, built and inverted as one (L, n, n) stack whose
-      slices the steps multiply by.  A step is one mat-vec, and a
-      transposed step multiplies by the transpose of the same inverse.
+      slices the steps multiply by.  A step is one mat-vec, one
+      ndarray.dot for a single column (np.matmul's ufunc dispatch would
+      cost more than the product), and a transposed step multiplies by the
+      transpose of the same inverse.
     - Above the cap each level keeps a SuperLU factorization, and one
       factorization serves a step matrix and its transpose.
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
-    them.  Either way the backward march is the transpose of the forward one.
-    When the coefficients are time-independent one level serves every step.
+    them.  Every stepper on a grid shares that grid's biharmonic and
+    gradient matrices (grid_operators).  Either way the backward march is
+    the transpose of the forward one.  When the coefficients are
+    time-independent one level serves every step.
     A march whose datum and sources are all zero returns zeros at once.
     The sparse step matrices themselves come from step_matrix.
     """
 
     def __init__(self, grid: Grid, a: np.ndarray, b: tuple, a_adj=None, b_adj=None):
         self.grid = grid
-        self.biharm = assemble_biharmonic(grid)
-        self.grads = gradient_matrices(grid)
+        self.biharm, self.grads = grid_operators(grid)
         forward = self._build(a, b)
         if a_adj is None and b_adj is None:
             adjoint = forward
@@ -403,8 +418,9 @@ def _inverse_loop(mats, out, dt_src, backward):
     A k-column level multiplies as a stack of k mat-vecs (k, n, 1), each on
     a contiguous row of its column, not as one GEMM, which would round
     differently, so each column is bit for bit the single-column march.  A
-    single column steps on plain (n,) rows: the same bits, and faster than
-    a one-column stack.
+    single column steps on plain (n,) rows, one ndarray.dot per step: the
+    same cblas_dgemv call, so the same bits, without np.matmul's ufunc
+    dispatch, which at these sizes costs more than the mat-vec itself.
     """
     single = len(out) == 1
     by_level = out[0] if single else out.swapaxes(0, 1)  # (nt+1, n) or (nt+1, k, n)
@@ -413,12 +429,13 @@ def _inverse_loop(mats, out, dt_src, backward):
     srcs = None if dt_src is None else list(dt_src[0] if single else dt_src.swapaxes(0, 1))
     rhs = np.empty_like(plain[0])
     rhs_in = rhs if single else rhs[..., None]
+    multiply = np.ndarray.dot if single else np.matmul
     for j, read, write in _steps(len(mats), backward):
         if srcs is None:
-            np.matmul(mats[j - 1], levels[read], out=levels[write])
+            multiply(mats[j - 1], levels[read], out=levels[write])
         else:
             np.add(plain[read], srcs[j], out=rhs)
-            np.matmul(mats[j - 1], rhs_in, out=levels[write])
+            multiply(mats[j - 1], rhs_in, out=levels[write])
 
 
 def _recurrence_band(w, nt):

@@ -378,6 +378,23 @@ def test_ubar0_is_validated_only_where_it_is_read(tmp_path, capsys, subcommand, 
         assert record["stage"] == "validation" and "ubar0" in record["message"]
 
 
+def _count_calls(monkeypatch, home, fn_name):
+    """Count the calls of home.fn_name, made through home or through any
+    hierctrl module that binds it."""
+    calls = []
+    original = getattr(home, fn_name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    bound = [module for name, module in list(sys.modules.items())
+             if name.startswith("hierctrl") and getattr(module, fn_name, None) is original]
+    for owner in dict.fromkeys([home, *bound]):
+        monkeypatch.setattr(owner, fn_name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("subcommand, config", [
     ("nash", "nash_1d.ini"),
     ("null-control", "null_control_1d.ini"),
@@ -391,43 +408,52 @@ def test_ubar0_is_validated_only_where_it_is_read(tmp_path, capsys, subcommand, 
 def test_run_builds_one_problem_spec(tmp_path, monkeypatch, subcommand, config):
     """Validation builds the ProblemSpec and the run uses that one: every
     module that binds build_problem_spec is counted."""
-    builds = []
-    original = hierctrl.config.build_problem_spec
-
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hierctrl") and getattr(module, "build_problem_spec", None) is original:
-            monkeypatch.setattr(module, "build_problem_spec", counted)
+    builds = _count_calls(monkeypatch, hierctrl.config, "build_problem_spec")
     assert run(subcommand, CONFIGS / config, tmp_path / "out") == 0
     assert len(builds) == 1
+
+
+def test_semilinear_assembles_the_biharmonic_once(tmp_path, monkeypatch):
+    """Every stepper of a semilinear run, one per outer iteration and
+    linearization, is on one grid and shares its operators."""
+    assembled = _count_calls(monkeypatch, operators, "assemble_biharmonic")
+    builds = _count_calls(monkeypatch, operators.TimeStepper, "__init__")
+    assert run("semilinear", CONFIGS / "semilinear_1d.ini", tmp_path / "out") == 0
+    assert len(builds) > 2 and len(assembled) == 1
+
+
+def test_null_control_forms_no_follower_controls(tmp_path, monkeypatch):
+    """No Nash solve of a null-control sweep has its controls read."""
+    formed = _count_calls(monkeypatch, hierctrl.nash, "_controls_from_adjoints")
+    assert run("null-control", CONFIGS / "null_control_1d.ini", tmp_path / "out") == 0
+    assert formed == []
 
 
 def test_oracle_factorizes_once(tmp_path, monkeypatch):
     """The oracle assembles the stacked system once and factors it once; the
     Nash and coupled-adjoint solves share that factorization.  Every module
     that binds factorize or stacked_system is counted."""
-    calls = {"factorize": [], "stacked_system": []}
-
-    def counting(original, log):
-        def counted(*args, **kwargs):
-            log.append(1)
-            return original(*args, **kwargs)
-        return counted
-
-    for fn_name, home in (("factorize", hierctrl.linalg), ("stacked_system", hierctrl.nash)):
-        original = getattr(home, fn_name)
-        counted = counting(original, calls[fn_name])
-        for name, module in list(sys.modules.items()):
-            if name.startswith("hierctrl") and getattr(module, fn_name, None) is original:
-                monkeypatch.setattr(module, fn_name, counted)
+    calls = {fn_name: _count_calls(monkeypatch, home, fn_name)
+             for fn_name, home in (("factorize", hierctrl.linalg), ("stacked_system", hierctrl.nash))}
     for config in ("nash_1d.ini", "nash_2d.ini"):
         for log in calls.values():
             log.clear()
         assert run("oracle", CONFIGS / config, tmp_path / config) == 0
         assert (len(calls["factorize"]), len(calls["stacked_system"])) == (1, 1)
+
+
+@pytest.mark.parametrize("eps_list", ["1e-1, 1e-4", "1e-1, 1e-2, 1e-3, 1e-4, 1e-5"])
+def test_semilinear_rejects_more_than_one_eps(tmp_path, capsys, eps_list):
+    """semilinear solves for one eps: a longer eps_list fails validation
+    (exit 2, no output directory) instead of running its last entry."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with("semilinear_1d.ini", "weights", "eps_list", eps_list))
+    out = tmp_path / "never"
+    assert run("semilinear", cfg, out) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and record["stage"] == "validation"
+    assert record["message"].startswith("weights.eps_list")
 
 
 def test_semilinear_honours_cg_max_iter(tmp_path):

@@ -63,15 +63,26 @@ def test_invert_stack_inverts_every_matrix():
         assert np.allclose(A.T @ (inv.T @ b), b, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
+BAD_MATRICES = [
     np.array([[1.0, 1.0], [1.0, 1.0]]),          # exactly singular: numpy would raise LinAlgError
     np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),  # pivot 1e-15 below the rule; numpy would invert it
     np.zeros((2, 2)),
     np.array([[np.inf, 0.0], [0.0, 1.0]]),
-])
+]
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_invert_stack_singular_level_raises(bad):
     stack = np.stack([np.eye(2), 3.0 * np.eye(2), bad])
     with pytest.raises(SingularMatrix, match="matrix 2 "):
+        invert_stack(stack)
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+def test_invert_stack_names_lowest_bad_level(bad):
+    """With bad matrices at levels 1 and 3 the error names level 1."""
+    stack = np.stack([np.eye(2), bad, 3.0 * np.eye(2), 2.0 * bad, 5.0 * np.eye(2)])
+    with pytest.raises(SingularMatrix, match="matrix 1 "):
         invert_stack(stack)
 
 

@@ -334,16 +334,31 @@ def _count_control_builds(monkeypatch):
 
 
 def test_nash_solve_forms_controls_once(nash_spec, monkeypatch):
-    """The sweeps march with the fused source and form v_i only from the
-    converged adjoints, or every sweep when on_sweep reads them."""
+    """The sweeps march with the fused source and form v_i only when the
+    solution's controls are first read, or every sweep when on_sweep reads
+    them; later reads form nothing."""
     f = leader_bump(nash_spec.grid)
     calls = _count_control_builds(monkeypatch)
     sol = solve_nash_fixed_point(nash_spec, f)
-    assert sol.iterations > 2 and len(calls) == 1
+    assert sol.iterations > 2 and len(calls) == 0
+    v1 = sol.v1
+    assert sol.v2 is sol.controls[1] and sol.v1 is v1 and len(calls) == 1
     del calls[:]
     seen = solve_nash_fixed_point(nash_spec, f, on_sweep=lambda *args: None)
-    assert len(calls) == seen.iterations + 1
+    assert len(calls) == seen.iterations
     assert all(np.array_equal(a, b) for a, b in zip(sol.controls, seen.controls))
+    assert len(calls) == seen.iterations + 1
+
+
+@pytest.mark.parametrize("case", ["shared", "alpha"])
+def test_controls_read_after_solve_are_formed_from_adjoints(nash_spec, case):
+    """v1 and v2, read after a fixed-point or an oracle solve, are bit for
+    bit _controls_from_adjoints of the solution's adjoints."""
+    spec = nash_spec if case == "shared" else _distinct_spec(nash_spec, case)
+    f = leader_bump(spec.grid)
+    for sol in (solve_nash_fixed_point(spec, f), dense_oracle(spec, f)[0]):
+        ref = nash._controls_from_adjoints(spec.follower_masks, spec.mu, [sol.phi1.copy(), sol.phi2.copy()])
+        assert np.array_equal(sol.v1, ref[0]) and np.array_equal(sol.v2, ref[1])
 
 
 @pytest.mark.parametrize("case", ["shared", "alpha", "targets"])

@@ -496,6 +496,21 @@ def test_coefficient_change_builds_its_own_stepper(rng, name):
     assert changed.stepper is not spec.stepper
 
 
+def test_steppers_on_one_grid_share_its_operators(rng):
+    """Every stepper on a grid, whatever its coefficients, reads the one
+    biharmonic and gradient matrices assembled for that grid; another grid
+    assembles its own."""
+    spec = _plain_spec(build_grid(1, 1.0, 12, 1.0, 6))
+    g = spec.grid
+    a = g.to_interior_levels(rng.uniform(0.0, 1.0, (g.nt + 1,) + g.nx))
+    steppers = [spec.stepper, spec.with_(a=a).stepper, spec.with_(a_adj=a, b_adj=(a,)).stepper]
+    assert len({id(st) for st in steppers}) == 3
+    biharm, grads = operators.grid_operators(g)
+    assert all(st.biharm is biharm and st.grads is grads for st in steppers)
+    other = spec.with_(grid=build_grid(1, 2.0, 12, 1.0, 6)).stepper
+    assert other.biharm is not biharm and other.grads[0] is not grads[0]
+
+
 def _modal_stepper(nx=14, nt=8, length=1.0):
     """Time-constant reaction, no transport: a symmetric family, kept as modes."""
     g = build_grid(1, length, nx, 1.0, nt)
