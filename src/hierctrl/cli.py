@@ -86,6 +86,7 @@ def _run_nash(inputs, out):
     residuals = verify_first_order(spec, sol)
     write_summary(Path(out, "summary.txt"), [
         ("iterations", sol.iterations),
+        ("contraction_estimate", fmt(sol.contraction_estimate)),
         ("w_norm", fmt(q_norm(spec.grid, sol.w))),
         ("v1_norm", fmt(q_norm(spec.grid, sol.v1))),
         ("v2_norm", fmt(q_norm(spec.grid, sol.v2))),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TINY, conjugate_gradient, factorize, iterate
+from .linalg import TINY, conjugate_gradient, contraction_estimate, factorize, iterate
 from .mesh import norm_h
 from .nash import (NashSolution, _control_weights, _indicators, q_norm, solve_nash_fixed_point,
                    stacked_system)
@@ -33,13 +33,16 @@ class CoupledAdjointState:
     A coupled-adjoint solve that marched eta_1 and eta_2 keeps them.  One
     that marched only their sum (the shared case) leaves companions None
     until eta1, eta2 or etas is first read; that read marches both from
-    psi as one 2-column march and keeps them.
+    psi as one 2-column march and keeps them.  contraction_estimate is the
+    fixed point's rho-hat (linalg.contraction_estimate), nan for a direct
+    solve or a history of one change.
     """
     psi: np.ndarray
     spec: ProblemSpec
     iterations: int = 0
     history: list = None
     companions: tuple = None
+    contraction_estimate: float = math.nan
 
     @property
     def etas(self):
@@ -99,6 +102,10 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     companions march as one (k, nt+1, n) march from a buffer the solve
     keeps.  The change is measured on psi and the marched columns.
     The first sweep has no predecessor, so its change is not recorded.
+    The sweep is affine, its linear part the transpose of the Nash
+    sweep's, so the solve also stops once Banach's bound
+    rho-hat/(1 - rho-hat) * change is below tol_rel times ||psi||
+    (linalg.iterate's error_bound).
     """
     grid = spec.grid
     stepper = spec.stepper
@@ -124,8 +131,10 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
         return (psi_new, etas_new), change, max(q_norm(grid, psi_new), TINY)
 
     start = (None, np.zeros_like(eta_src))
-    (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint")
-    return CoupledAdjointState(psi, spec, it, history, tuple(etas) if len(etas) == 2 else None)
+    (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint",
+                                       error_bound=True)
+    return CoupledAdjointState(psi, spec, it, history, tuple(etas) if len(etas) == 2 else None,
+                               contraction_estimate(history))
 
 
 def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
@@ -219,7 +228,9 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     one HumResult per eps in the same order; a sequence shares one
     multi-shift CG run.  b is the gradient at psi0 = 0 (one affine solve);
     Lambda applications run with zeroed affine data.  Inner solves run at
-    min(cg_tol/10, 1e-10) so their noise stays below the CG tolerance.
+    min(cg_tol/10, 1e-10): each stops once its last change, or Banach's
+    bound on its error, is below that, so the estimated error of every
+    inner solve stays a decade below the CG tolerance.
 
     Each psi0 is reconstructed with the affine data, which yields
     w(T) = Lambda psi0 + b and so the true residual w(T) + eps psi0 without

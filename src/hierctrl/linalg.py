@@ -23,6 +23,7 @@ from .errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, Singu
 
 PIVOT_RTOL = 1e-14
 PATIENCE = 10  # consecutive growing sweeps before a fixed point is declared divergent
+RHO_CAP = 0.5  # the error-bound stop trusts a contraction estimate only below this
 TINY = 1e-300
 
 
@@ -203,13 +204,25 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     )
 
 
-def iterate(sweep, x, tol_rel, max_iter, name, diverged=ContractionFailure):
+def contraction_estimate(history):
+    """rho-hat: the largest ratio between consecutive changes of a
+    fixed-point history, or nan with fewer than two changes."""
+    ratios = [b / max(a, TINY) for a, b in zip(history, history[1:])]
+    return max(ratios) if ratios else math.nan
+
+
+def iterate(sweep, x, tol_rel, max_iter, name, diverged=ContractionFailure, error_bound=False):
     """Fixed-point driver: x <- sweep(x) until the change is small.
 
     sweep(x) returns (x_next, change, scale); change is None when the sweep
     has nothing to compare against yet, and such a sweep is not recorded.
     Stops when change <= tol_rel * scale or change == 0 and returns
-    (x_next, iterations, history of recorded changes).  Raises `diverged`
+    (x_next, iterations, history of recorded changes).  With error_bound,
+    for a sweep that is an affine contraction, the loop also stops on
+    Banach's a-posteriori bound rho/(1 - rho) * change <= tol_rel * scale
+    on the distance of x_next to the fixed point, rho being the history's
+    contraction_estimate; that needs two recorded changes and a rho below
+    RHO_CAP.  Raises `diverged`
     (a ContractionFailure) on a non-finite change or after PATIENCE
     consecutive growing changes, MaxIterations carrying the last iterate
     otherwise.
@@ -234,5 +247,9 @@ def iterate(sweep, x, tol_rel, max_iter, name, diverged=ContractionFailure):
             streak = 0
         if change <= tol_rel * scale or change == 0.0:
             return x, it, history
+        if error_bound:
+            rho = contraction_estimate(history)  # nan, failing the cap, before two changes
+            if rho < RHO_CAP and rho / (1.0 - rho) * change <= tol_rel * scale:
+                return x, it, history
     raise MaxIterations(f"{name} did not converge in {max_iter} sweeps",
                         best=x, iterations=max_iter, history=history)

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TooLarge
-from .linalg import TINY, iterate
+from .linalg import TINY, contraction_estimate, iterate
 from .operators import ProblemSpec, control_sources, solve_forward
 
 
@@ -41,7 +41,9 @@ class NashSolution:
 
     The controls v1 and v2 are formed from the adjoints, the follower
     masks and mu (_controls_from_adjoints) when v1, v2 or controls is first
-    read, and kept: a Lambda apply never reads them.
+    read, and kept: a Lambda apply never reads them.  contraction_estimate
+    is the fixed point's rho-hat (linalg.contraction_estimate), nan for a
+    direct solve or a history of one change.
     """
     w: np.ndarray
     phi1: np.ndarray
@@ -50,6 +52,7 @@ class NashSolution:
     mu: tuple
     iterations: int
     history: list
+    contraction_estimate: float = math.nan
     formed_controls: tuple = None
 
     @property
@@ -176,11 +179,16 @@ def solve_nash_fixed_point(
     iterate is W itself.
 
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
-    change; failures are raised by linalg.iterate.  f, the leader control,
-    is an interior (nt+1, n) array or None.  extra_source, when given, is
-    an unmasked interior source added to the state equation (the frozen
-    constant term of semilinear sweeps); on_sweep(it, W, vs, change) is
-    called after every sweep.
+    change.  The sweep is an affine map of z, so without damping the solve
+    also stops once Banach's bound rho-hat/(1 - rho-hat) * change on the
+    error of W is below tol_rel times the state scale (linalg.iterate's
+    error_bound); with damping rho-hat would be the damped map's, so only
+    the change test applies.  Failures are raised by linalg.iterate.
+
+    f, the leader control, is an interior (nt+1, n) array or None.
+    extra_source, when given, is an unmasked interior source added to the
+    state equation (the frozen constant term of semilinear sweeps);
+    on_sweep(it, W, vs, change) is called after every sweep.
     """
     grid = spec.grid
     stepper = spec.stepper
@@ -219,8 +227,10 @@ def solve_nash_fixed_point(
         return (z_next, z_next_norm, W, phis), change, max(z_norm, w_norm, TINY)
 
     start = (np.zeros(shape), 0.0)
-    (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point")
-    return NashSolution(W, *phis, spec.follower_masks, spec.mu, it, list(history))
+    (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point",
+                                           error_bound=damping == 1.0)
+    return NashSolution(W, *phis, spec.follower_masks, spec.mu, it, history,
+                        contraction_estimate(history))
 
 
 ORACLE_MAX_UNKNOWNS = 20000  # the stacked system is factored whole, so its size is capped

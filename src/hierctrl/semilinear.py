@@ -355,14 +355,15 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     target_check = None
     if log_theta is not None:
         target_check = check_target_condition(base_wspec, log_theta)
-    hums = []
+    cg_residuals, cg_iterations = [], []  # per outer iteration; no HumResult outlives its iteration
 
     def sweep(state):
         z, previous = state
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
         hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter,
                          psi0=None if previous is None else previous.psi0)
-        hums.append(hum)
+        cg_residuals.append(hum.cg_residuals)
+        cg_iterations.append(hum.cg_iterations)
         return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
 
     start = (np.zeros((grid.nt + 1, grid.n_interior)), None)
@@ -372,8 +373,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         hum=hum, f=hum.f, u=z + ubar, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
-        target_check=target_check, cg_residuals=[h.cg_residuals for h in hums],
-        cg_iterations=sum(h.cg_iterations for h in hums))
+        target_check=target_check, cg_residuals=cg_residuals, cg_iterations=sum(cg_iterations))
 
 
 def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> TimeStepper:

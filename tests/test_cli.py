@@ -256,6 +256,19 @@ def test_carleman_csv(tmp_path):
     assert s["time_bound_relaxed_ok"] == "True"
 
 
+def test_nash_summary_reports_contraction_estimate(tmp_path):
+    """The shipped nash run reports its rho-hat after the sweep count, which
+    Banach's bound holds at 4; every other key keeps its place."""
+    out = tmp_path / "nash"
+    assert run("nash", CONFIGS / "nash_1d.ini", out) == 0
+    s = _summary(out)
+    assert list(s) == ["iterations", "contraction_estimate", "w_norm", "v1_norm", "v2_norm",
+                       "residual_1", "residual_2", "J1", "J2", "J_leader"]
+    assert s["iterations"] == "4"
+    assert 1e-5 < float(s["contraction_estimate"]) < 1e-3
+    assert max(float(s["residual_1"]), float(s["residual_2"])) <= 1e-8
+
+
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "orc"
     assert run("oracle", CONFIGS / "nash_1d.ini", out) == 0

@@ -191,6 +191,16 @@ def test_lambda_symmetry_and_psd(spec, rng):
         assert inner_h(g, la, a) >= -1e-10 * norm_h(g, a) ** 2
 
 
+def _benchmark_grid_spec(tmp_path):
+    """The shipped null-control problem on the nx = nt = 64 grid."""
+    cp = configparser.ConfigParser()
+    cp.read(CONFIGS / "null_control_1d.ini")
+    cp["grid"]["nx"] = cp["grid"]["nt"] = "64"
+    with open(tmp_path / "grid64.ini", "w") as fh:
+        cp.write(fh)
+    return build_problem_spec(load_config(tmp_path / "grid64.ini"))
+
+
 def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
     """On the nx = nt = 64 null-control grid (62 unknowns, modal marches)
     a backward march is the forward march of the time-reversed data, with
@@ -199,12 +209,7 @@ def test_lambda_symmetric_to_rounding_on_benchmark_grid(tmp_path):
     |<x, Lambda y> - <Lambda x, y>| / (||x|| ||Lambda y||) is rounding only.
     SuperLU's plain and transposed solves give about 2e-15, so the bound
     tells the two apart."""
-    cp = configparser.ConfigParser()
-    cp.read(CONFIGS / "null_control_1d.ini")
-    cp["grid"]["nx"] = cp["grid"]["nt"] = "64"
-    with open(tmp_path / "grid64.ini", "w") as fh:
-        cp.write(fh)
-    spec = build_problem_spec(load_config(tmp_path / "grid64.ini"))
+    spec = _benchmark_grid_spec(tmp_path)
     g = spec.grid
     assert g.n_interior == 62
     rng = np.random.default_rng(0)
@@ -443,6 +448,27 @@ def _count_marches(monkeypatch):
 
         monkeypatch.setattr(TimeStepper, name, counted)
     return calls
+
+
+def test_lambda_apply_marches_on_benchmark_grid(tmp_path, rng, monkeypatch):
+    """At the benchmark's rho of about 1e-4, Banach's bound stops the coupled
+    adjoint and the Nash solve of one Lambda apply after 3 sweeps each, at
+    2 marches a sweep: 12 marches, where the change rule alone made 16."""
+    spec = _benchmark_grid_spec(tmp_path)
+    psi0 = rng.standard_normal(spec.grid.n_interior)
+    calls = _count_marches(monkeypatch)
+    apply_lambda(spec, psi0, inner_tol=1e-11)  # the inner tolerance of the shipped cg_tol = 1e-10
+    assert len(calls) <= 12
+
+
+def test_coupled_adjoint_reports_contraction_estimate(spec, rng):
+    """The coupled adjoint's rho-hat is the largest ratio of its recorded
+    changes; the direct solve has none."""
+    st = solve_coupled_adjoint(spec, _random_psi0(spec, rng))
+    ratios = [b / a for a, b in zip(st.history, st.history[1:])]
+    assert st.contraction_estimate == max(ratios) < 1e-3
+    _, direct = dense_oracle(spec, psi0=_random_psi0(spec, rng))
+    assert np.isnan(direct.contraction_estimate)
 
 
 def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import PATIENCE, conjugate_gradient, factorize, invert_stack, iterate
+from hierctrl.linalg import (PATIENCE, RHO_CAP, conjugate_gradient, contraction_estimate, factorize,
+                             invert_stack, iterate)
 from hierctrl.operators import _inverse_loop
 
 
@@ -299,3 +300,63 @@ def test_iterate_max_iterations_carries_last_iterate():
     assert err.value.iterations == 5
     assert err.value.best == pytest.approx(1.0 - 0.9**5)
     assert err.value.history == pytest.approx([0.1 * 0.9**k for k in range(5)])
+
+
+def _linear_contraction(rho, n=6, seed=0):
+    """x -> K x + c with K symmetric of spectrum {-rho, rho}, so every change
+    is exactly rho times the last; returns the sweep and the fixed point."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    K = Q @ np.diag(rho * np.resize([1.0, -1.0], n)) @ Q.T
+    c = rng.standard_normal(n)
+
+    def sweep(x):
+        x_next = K @ x + c
+        return x_next, float(np.linalg.norm(x_next - x)), float(np.linalg.norm(x_next))
+    return sweep, np.linalg.solve(np.eye(n) - K, c)
+
+
+def test_error_bound_stops_a_sweep_early_within_tolerance():
+    """At rho = 1e-4 a loop left on the change rule (the default) runs until
+    its change is below tol_rel * scale, a sweep that only confirms a
+    correction far below the tolerance; Banach's bound stops one sweep
+    before it, with the error still below tol_rel * scale."""
+    sweep, exact = _linear_contraction(1e-4)
+    tol = 1e-10
+    plain, by_change, changes = iterate(sweep, np.zeros(6), tol, 50, "contraction")
+    assert changes[-1] <= tol * np.linalg.norm(plain) < changes[-2]
+    x, by_bound, history = iterate(sweep, np.zeros(6), tol, 50, "contraction", error_bound=True)
+    assert by_bound == by_change - 1
+    rho = contraction_estimate(history)
+    assert rho == pytest.approx(1e-4, rel=1e-6)
+    error = np.linalg.norm(x - exact)
+    assert error <= tol * np.linalg.norm(x)
+    assert error <= rho / (1.0 - rho) * history[-1]
+
+
+def test_error_bound_above_cap_keeps_change_rule():
+    """rho = 0.6 is above RHO_CAP: the solve stops on the same sweep, with
+    the same iterate, as the change rule alone."""
+    sweep, _ = _linear_contraction(0.6)
+    assert RHO_CAP == 0.5
+    plain = iterate(sweep, np.zeros(6), 1e-10, 200, "contraction")
+    bound = iterate(sweep, np.zeros(6), 1e-10, 200, "contraction", error_bound=True)
+    assert bound[1] == plain[1]
+    assert np.array_equal(bound[0], plain[0])
+    assert contraction_estimate(bound[2]) == pytest.approx(0.6, rel=1e-5)
+
+
+def test_error_bound_distrusts_a_growing_change():
+    """One change that grows makes rho-hat 2: with rho-hat above RHO_CAP,
+    rho/(1 - rho) * change is negative, and must not stop the loop."""
+    changes = [1.0, 2.0, 1e-3, 1e-7]
+    x, iterations, history = iterate(lambda k: (k + 1, changes[k], 1.0), 0, 1e-6, 10, "scripted",
+                                     error_bound=True)
+    assert contraction_estimate(history) == 2.0
+    assert iterations == x == 4
+
+
+def test_contraction_estimate_needs_two_changes():
+    assert math.isnan(contraction_estimate([]))
+    assert math.isnan(contraction_estimate([0.5]))
+    assert contraction_estimate([1.0, 0.1, 0.05]) == 0.5

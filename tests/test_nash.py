@@ -100,6 +100,20 @@ def test_fixed_point_matches_dense_oracle(nash_spec):
         assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
 
+def test_error_bound_stop_matches_oracle_at_larger_rho(nash_spec):
+    """At alpha = 1 the sweep contracts by rho of about 0.127, three decades
+    above the shipped weights: the solve stopped by Banach's bound still
+    matches the direct solve to its tolerance."""
+    spec = nash_spec.with_(alpha=(1.0, 1.0))
+    f = leader_bump(spec.grid)
+    sol = solve_nash_fixed_point(spec, f, tol_rel=1e-12)
+    assert 0.1 < sol.contraction_estimate < 0.15
+    oracle, _ = dense_oracle(spec, f)
+    g = spec.grid
+    assert q_norm(g, sol.w - oracle.w) <= 1e-12 * q_norm(g, oracle.w)
+    assert np.isnan(oracle.contraction_estimate)
+
+
 def test_oracle_zero_data():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     oracle, _ = dense_oracle(spec)

@@ -113,7 +113,8 @@ def test_outer_loop_divergence_detected(monkeypatch):
     spec = make_hum_spec()
     states = _tripling_states(spec)
     monkeypatch.setattr(semilinear, "minimize_G",
-                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states()), psi0=None))
+                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states()), psi0=None,
+                                                                cg_residuals=[], cg_iterations=0))
     with pytest.raises(OuterDivergence) as err:
         semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.n_interior), eps=1e-4)
     assert err.value.iterations == 11

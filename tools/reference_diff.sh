@@ -5,8 +5,10 @@
 # perfbench/workloads.write_jobs (as many per workload as perfbench/reference.json
 # records), checks REF out into a temporary git worktree, and runs every job
 # in-process through hierctrl.cli.run with each tree's src/.  Prints `diff -r`
-# of the two output trees and exits non-zero on any difference or failed job;
-# the worktree is removed either way.
+# of the two output trees, then one summary line per workload: how many jobs
+# differ, the largest relative change of each key value (perfbench/checks.py's
+# key_values) and each side's CG and outer-iteration totals.  Exits non-zero
+# on any difference or failed job; the worktree is removed either way.
 set -euo pipefail
 ref="${1:?usage: tools/reference_diff.sh REF}"
 root="$(git rev-parse --show-toplevel)"
@@ -57,5 +59,48 @@ EOF
 }
 run_tree "$tmp/ref" ref
 run_tree "$root" tree
-diff -r "$tmp/out-ref" "$tmp/out-tree"
+status=0
+diff -r "$tmp/out-ref" "$tmp/out-tree" || status=$?
+
+PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" <<'EOF'
+import csv
+import sys
+from pathlib import Path
+
+from checks import key_values
+from workloads import WORKLOADS
+
+
+def same(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    return names == sorted(p.name for p in b.iterdir()) and all(
+        (a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+def counts(out):
+    """(CG iterations, outer iterations) of one job's outputs."""
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    if "outer_iterations" in summary:
+        return int(summary["cg_iterations"]), int(summary["outer_iterations"])
+    with open(out / "sweep.csv", newline="") as handle:
+        return sum(int(row["cg_iters"]) for row in csv.DictReader(handle)), 0
+
+
+ref, tree = (Path(arg) for arg in sys.argv[1:])
+for name, workload in WORKLOADS.items():
+    jobs = sorted(p.name for p in (ref / name).iterdir())
+    differ = sum(not same(ref / name / job, tree / name / job) for job in jobs)
+    changes = [[abs(t - r) / max(abs(r), 1e-300) for r, t in
+                zip(key_values(workload.subcommand, ref / name / job),
+                    key_values(workload.subcommand, tree / name / job))] for job in jobs]
+    worst = " ".join(f"{max(column):.3g}" for column in zip(*changes))
+    cg, outer = ([sum(counts(side / name / job)[k] for job in jobs) for side in (ref, tree)]
+                 for k in (0, 1))
+    print(f"{name}: {differ} of {len(jobs)} jobs differ; largest relative change of each "
+          f"key value {worst}; CG iterations {cg[0]} -> {cg[1]}; "
+          f"outer iterations {outer[0]} -> {outer[1]}")
+EOF
+if ((status)); then
+  exit "$status"
+fi
 echo "reference jobs identical to $ref ($(find "$tmp/jobs" -name 'job-*.ini' | wc -l) jobs)"
