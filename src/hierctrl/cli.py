@@ -42,9 +42,10 @@ def dump_field(path, grid, arr):
     """Write an interior (nt+1, n) array on every node, one line per time level."""
     values = check_field(grid, grid.from_interior_levels(arr))
     ny = grid.nx[1] if grid.dim == 2 else 1
+    rows = values.reshape(grid.nt + 1, -1)
+    row_format = " ".join(["%.17g"] * rows.shape[1])  # as fmt, one format per row
     lines = [f"# {grid.nx[0]} {ny} {grid.nt}"]
-    for row in values.reshape(grid.nt + 1, -1):
-        lines.append(" ".join(["%.17g" % v for v in row.tolist()]))  # as fmt, without a call per value
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -120,7 +121,7 @@ def _run_null_control(inputs, out):
     tns = _write_sweep(out, spec, results)
     last = results[-1]
     dump_field(Path(out, "f.field.txt"), spec.grid, last.f)
-    dump_field(Path(out, "w.field.txt"), spec.grid, last.nash.w)
+    dump_field(Path(out, "w.field.txt"), spec.grid, last.w)
     write_summary(Path(out, "summary.txt"), [
         ("eps_count", len(tns)),
         ("terminal_first", fmt(tns[0])),

@@ -346,18 +346,21 @@ def _eval_spatial(config, name):
 
 def _eval_spacetime(config, name):
     """The expression named "section.key", on every node and level, checked
-    finite there; its interior (nt+1, n) values."""
+    finite there; its interior (nt+1, n) values.  An expression without t
+    is evaluated once, and that level serves every time level."""
     grid = config.grid
+    expr = config.exprs[name]
     meshes = grid.meshes()
-    out = np.empty((grid.nt + 1,) + grid.nx)
-    for k, t in enumerate(grid.times()):
+    times = grid.times() if "t" in expr.variables() else [None]
+    out = np.empty((len(times),) + grid.nx)
+    for k, t in enumerate(times):
         env = {"x": meshes[0], "t": t}
         if grid.dim == 2:
             env["y"] = meshes[1]
-        out[k] = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx)
+        out[k] = np.broadcast_to(np.asarray(expr.evaluate(env), dtype=float), grid.nx)
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} evaluates to non-finite values")
-    return grid.to_interior_levels(out)
+    return grid.to_interior_levels(np.broadcast_to(out, (grid.nt + 1,) + grid.nx))
 
 
 def build_problem_spec(config: RunConfig) -> ProblemSpec:

@@ -63,10 +63,11 @@ class CoupledAdjointState:
 @dataclass
 class HumResult:
     """One penalized HUM solve: the interior terminal datum psi0, shape
-    (n,), and the leader control f, an interior (nt+1, n) array."""
+    (n,), the leader control f and the state w it drives, interior
+    (nt+1, n) arrays, and terminal_norm, the norm of w(T)."""
     psi0: np.ndarray
     f: np.ndarray
-    nash: NashSolution
+    w: np.ndarray
     terminal_norm: float
     cg_residuals: list
     cg_iterations: int
@@ -205,13 +206,17 @@ def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12):
     return quad + affine + 0.5 * eps * p0 * p0
 
 
-def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12):
+def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, fields=None):
     """Gradient of G_eps: terminal state of the optimality system driven by
     f = psi chi_O, plus the penalty gradient.  psi0 and the gradient are
-    interior (n,) vectors."""
+    interior (n,) vectors.  fields, when given, is a list the leader
+    control f and the state w, interior (nt+1, n) arrays, are appended to
+    as one (f, w) pair."""
     coupled = solve_coupled_adjoint(spec, psi0, tol_rel=inner_tol)
     f = leader_from_psi(spec, coupled)
     nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
+    if fields is not None:
+        fields.append((f, nash.w))
     return nash.w[-1] + eps * psi0
 
 
@@ -232,16 +237,24 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     bound on its error, is below that, so the estimated error of every
     inner solve stays a decade below the CG tolerance.
 
-    Each psi0 is reconstructed with the affine data, which yields
-    w(T) = Lambda psi0 + b and so the true residual w(T) + eps psi0 without
-    another Lambda apply.  Where it misses cg_tol relative to ||b||
+    No solve follows the CG run.  f and w are linear and affine in psi0, and
+    each Lambda apply keeps the (f, w) of its direction d_k (grad_G's
+    fields), so each eps takes f = sum_k gamma_k f_k and
+    w = w_b + sum_k gamma_k w_k from CG's coefficients gamma
+    (CGResult.coefficients), w_b being the state of the affine solve: one
+    tensordot for every eps.  Then w(T) = b + sum_k gamma_k Lambda d_k,
+    and the true residual is w(T) + eps psi0, with psi0 from CG's vector
+    recurrence, so the shift recurrences are checked against the products
+    Lambda d_k that were applied.  Where it misses cg_tol relative to ||b||
     (floating-point drift of the shift recurrences), that eps is refined
-    once by a single-shift CG on the residual equation.
+    once by a single-shift CG on the residual equation, whose own
+    combination is added to f and w.
 
     psi0, an interior (n,) vector for a single eps only, is a start in place
-    of the CG run: it is reconstructed and refined like a drifted shift, so
-    a start that already meets cg_tol costs no CG iteration, and its
-    cg_residuals begin with its true residual relative to ||b||.
+    of the CG run: it is evaluated with the affine data and refined like a
+    drifted shift, so a start that already meets cg_tol costs no CG
+    iteration, and its cg_residuals begin with its true residual relative
+    to ||b||.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
@@ -249,43 +262,49 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     eps_list = [float(e) for e in np.atleast_1d(eps)]
     if psi0 is not None and len(eps_list) != 1:
         raise ValueError("a psi0 start takes a single eps")
-    b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol)
+    fields = []  # (f, w) of the affine solve, then of every direction Lambda is applied to
+    b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
     norm_b = max(float(np.linalg.norm(b)), TINY)
     zspec = spec.with_zero_data()
 
     def apply(x):
-        return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol)
+        return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol, fields=fields)
 
-    def reconstruct(x, e):
-        coupled = solve_coupled_adjoint(spec, x, tol_rel=inner_tol)
-        f = leader_from_psi(spec, coupled)
-        nash = solve_nash_fixed_point(spec, f, tol_rel=inner_tol)
-        return f, nash, nash.w[-1] + e * x
+    def combine(base, coefficients, first):
+        """base's (f, w) plus, for each row of coefficients, its combination
+        of the fields of the directions applied from fields[first] on."""
+        weights = np.hstack([np.ones((len(coefficients), 1)), coefficients])
+        return [np.tensordot(weights, np.stack([field, *column[first:]]), axes=1)
+                for field, column in zip(base, zip(*fields))]
 
     if psi0 is None:
         cg = conjugate_gradient(apply, -b, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
-        starts = zip(eps_list, cg.xs, cg.histories, cg.shift_iterations)
+        fs, ws = combine(fields[0], cg.coefficients, 1)
+        starts = zip(eps_list, cg.xs, fs, ws, cg.histories, cg.shift_iterations)
     else:
-        starts = [(eps_list[0], psi0, None, 0)]
+        grad_G(spec, psi0, eps=0.0, inner_tol=inner_tol, fields=fields)
+        starts = [(eps_list[0], psi0, *fields.pop(), None, 0)]
     results = []
-    for e, x, residuals, iterations in starts:
-        f, nash, r_true = reconstruct(x, e)
+    for e, x, f, w, residuals, iterations in starts:
+        r_true = w[-1] + e * x
         norm_r = float(np.linalg.norm(r_true))
         if residuals is None:
             residuals = [norm_r / norm_b]
         if norm_r > cg_tol * norm_b:
+            first = len(fields)
             fix = conjugate_gradient(apply, -r_true, tol_rel=cg_tol * norm_b / norm_r,
                                      max_iter=max_iter, shifts=(e,))
             residuals = residuals + [h * norm_r / norm_b for h in fix.histories[0][1:]]
             iterations += fix.iterations
             x = x + fix.xs[0]
-            f, nash, r_true = reconstruct(x, e)
+            (f,), (w,) = combine((f, w), fix.coefficients, first)
+            r_true = w[-1] + e * x
             norm_r = float(np.linalg.norm(r_true))
         results.append(HumResult(
             psi0=x,
             f=f,
-            nash=nash,
-            terminal_norm=norm_h(grid, nash.w[-1]),
+            w=w,
+            terminal_norm=norm_h(grid, w[-1]),
             cg_residuals=residuals,
             cg_iterations=iterations,
             eps=e,
@@ -321,7 +340,7 @@ def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     ubar = solve_forward(base, w0=ubar0)
     wspec = spec.with_(w0=u0 - ubar0, targets=tuple(z - ubar for z in zetas))
     hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
-    results = [TrajectoryResult(hum=hum, u=hum.nash.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
+    results = [TrajectoryResult(hum=hum, u=hum.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
                for hum in hums]
     return results if np.ndim(eps) else results[0]
 

@@ -116,12 +116,16 @@ class CGResult:
     iterations counts operator applications.  shift_iterations[i] is the
     iteration at which shift i converged, and histories[i] holds its
     recurrence residuals |zeta_k| ||r_k|| / ||b|| for k = 0..shift_iterations[i].
+    coefficients, shape (len(xs), iterations), writes each solution in the
+    directions CG applied the operator to: x_i = sum_k coefficients[i, k] d_k,
+    d_k being the k-th argument of apply, to rounding.
     """
 
     xs: list
     iterations: int
     histories: list
     shift_iterations: list
+    coefficients: np.ndarray
 
 
 def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> CGResult:
@@ -133,7 +137,10 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     through the zeta recurrences (Jegerlehner, hep-lat/9612014) at O(n) per
     shift per iteration and stops once its residual is below tol_rel.  On
     the base shift zeta is exactly 1, so a single shift is plain CG, bit for
-    bit.  Raises MaxIterations carrying the best iterate of every shift,
+    bit.  The xs and ps updates also run on coefficient vectors over the
+    applied directions p_k, with r_k = p_k - beta_{k-1} p_{k-1}, which gives
+    CGResult.coefficients and leaves xs bit for bit as they were.  Raises
+    MaxIterations carrying the best iterate of every shift,
     every history and the iteration each shift converged at (None for those
     that missed), NonFiniteBreakdown on any non-finite scalar.
     """
@@ -142,7 +149,8 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     m = len(shifts)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m)
+        return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
+                        np.zeros((m, 0)))
     base_shift = float(shifts.min())
     rel_shift = shifts - base_shift
     r = b.copy()
@@ -151,6 +159,9 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     rel0 = np.sqrt(rs) / norm_b
     xs = np.zeros((m, b.size))
     ps = np.tile(b, (m, 1))
+    gx = np.zeros((m, max_iter + 1))  # xs and ps in the directions p_0, p_1, ...
+    gp = np.zeros((m, max_iter + 1))
+    gp[:, 0] = 1.0
     zeta = np.ones(m)
     zeta_old = np.ones(m)
     alpha_old, beta_old = 1.0, 0.0
@@ -179,6 +190,10 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
             raise NonFiniteBreakdown("non-finite shift recurrence in CG")
         xs[act] = xs[act] + (alpha * z_new / z)[:, None] * ps[act]
         ps[act] = z_new[:, None] * r + (beta * (z_new / z) ** 2)[:, None] * ps[act]
+        gx[act] += (alpha * z_new / z)[:, None] * gp[act]
+        gp[act] *= (beta * (z_new / z) ** 2)[:, None]
+        gp[act, it] += z_new  # r = p_it - beta p_{it-1}
+        gp[act, it - 1] -= z_new * beta
         zeta_old[act], zeta[act] = z, z_new
         rels = np.abs(z_new) * (np.sqrt(rs_new) / norm_b)
         for i, rel in zip(act, rels):
@@ -189,7 +204,7 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
                 active[i] = False
                 shift_iterations[i] = it
         if not active.any():
-            return CGResult(list(xs), it, histories, shift_iterations)
+            return CGResult(list(xs), it, histories, shift_iterations, gx[:, :it].copy())
         p = r + beta * p
         rs = rs_new
         alpha_old, beta_old = alpha, beta

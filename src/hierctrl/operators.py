@@ -254,10 +254,13 @@ class TimeStepper:
         self.grid = grid
         self.biharm, self.grads = grid_operators(grid)
         forward = self._build(a, b)
-        if a_adj is None and b_adj is None:
+        a_adj = a if a_adj is None else a_adj
+        b_adj = b if b_adj is None else b_adj
+        # adjoint coefficients equal to the forward ones entry for entry share its family
+        if np.array_equal(a_adj, a) and all(map(np.array_equal, b_adj, b)):
             adjoint = forward
         else:
-            adjoint = self._build(a if a_adj is None else a_adj, b if b_adj is None else b_adj)
+            adjoint = self._build(a_adj, b_adj)
         self._families = {"forward": forward, "adjoint": adjoint}
 
     def _build(self, a, b):

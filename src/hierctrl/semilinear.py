@@ -364,7 +364,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
                          psi0=None if previous is None else previous.psi0)
         cg_residuals.append(hum.cg_residuals)
         cg_iterations.append(hum.cg_iterations)
-        return (hum.nash.w, hum), *_picard_change(grid, z, hum.nash.w)
+        return (hum.w, hum), *_picard_change(grid, z, hum.w)
 
     start = (np.zeros((grid.nt + 1, grid.n_interior)), None)
     (z, hum), _, history = iterate(sweep, start, outer_tol, max_outer, "semilinear outer loop",

@@ -178,6 +178,51 @@ def test_field_dump_format(tmp_path):
     assert lines[1].split() == [fmt(v) for v in [0.0, *arr[0], 0.0]]  # boundary nodes hold zero
 
 
+def test_field_dump_rows_match_per_value_formatting(tmp_path):
+    """One format per row writes the bytes one format per value wrote,
+    signed zeros, subnormals and huge values included."""
+    from hierctrl.mesh import build_grid
+
+    g = build_grid(1, 1.0, 7, 1.0, 4)
+    values = [0.0, -0.0, -1.5, 1e-310, 1e300, -2.0 / 3.0, np.pi, -1e-310, -1e300, 5e-324]
+    arr = np.resize(values, (g.nt + 1, g.n_interior))
+    path = tmp_path / "x.field.txt"
+    dump_field(path, g, arr)
+    rows = [" ".join(["%.17g" % v for v in row]) for row in g.from_interior_levels(arr).tolist()]
+    assert path.read_bytes() == "\n".join(["# 7 1 4", *rows, ""]).encode()
+    assert "-0 " in rows[0] and "9.9999999999999694e-311" in rows[0]
+
+
+class _CountedExpression:
+    """An expression that counts its evaluations."""
+
+    def __init__(self, expr):
+        self.expr, self.evaluations = expr, 0
+
+    def variables(self):
+        return self.expr.variables()
+
+    def evaluate(self, env):
+        self.evaluations += 1
+        return self.expr.evaluate(env)
+
+
+@pytest.mark.parametrize("text,evaluations", [("exp(-x) * (1 + x)", 1), ("exp(-x) * (1 + t)", 11)])  # nt = 10
+def test_spacetime_expression_without_t_is_evaluated_once(tmp_path, text, evaluations):
+    """A t-free data expression is evaluated once and serves every level,
+    bitwise what one evaluation per level gives; with t it takes nt + 1."""
+    cfg = tmp_path / "f.ini"
+    cfg.write_text(ZERO_NASH.replace('f = "0"', f'f = "{text}"'))
+    config = hierctrl.config.load_config(cfg)
+    grid = config.grid
+    counted = config.exprs["data.f"] = _CountedExpression(config.exprs["data.f"])
+    values = hierctrl.config._eval_spacetime(config, "data.f")
+    assert counted.evaluations == evaluations
+    expr, x = counted.expr, grid.meshes()[0]
+    per_level = np.array([np.broadcast_to(expr.evaluate({"x": x, "t": t}), grid.nx) for t in grid.times()])
+    assert np.array_equal(values, grid.to_interior_levels(per_level))
+
+
 def test_null_control_sweep_decreasing(tmp_path):
     out = tmp_path / "nc"
     assert run("null-control", CONFIGS / "null_control_1d.ini", out) == 0

@@ -222,6 +222,30 @@ def test_single_shift_is_plain_cg_bitwise(shift):
     assert res.histories[0] == history
 
 
+def test_multishift_coefficients_rebuild_each_solution_from_the_applied_directions():
+    """x_s = sum_k coefficients[s, k] d_k over the directions d_k CG applied
+    A to, for every shift, including one that freezes early."""
+    A, b = _spread_spd(40, 11)
+    shifts = (1e-4, 1e-2, 1.0)
+    applied = []
+
+    def apply(v):
+        applied.append(v.copy())
+        return A @ v
+
+    res = conjugate_gradient(apply, b, tol_rel=1e-10, shifts=shifts)
+    assert res.shift_iterations[2] < res.iterations  # the large shift froze early
+    assert res.coefficients.shape == (3, res.iterations) == (3, len(applied))
+    assert np.all(res.coefficients[2, res.shift_iterations[2]:] == 0.0)
+    for x, gamma in zip(res.xs, res.coefficients):
+        assert np.linalg.norm(gamma @ np.array(applied) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_cg_zero_rhs_has_no_coefficients():
+    res = conjugate_gradient(lambda v: v, np.zeros(4), shifts=(0.0, 1.0))
+    assert res.coefficients.shape == (2, 0)
+
+
 def test_multishift_max_iterations_carries_best_per_shift():
     A, b = _spread_spd(40, 9)
     shifts = (1.0, 1e-4)

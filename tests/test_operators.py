@@ -511,6 +511,29 @@ def test_steppers_on_one_grid_share_its_operators(rng):
     assert other.biharm is not biharm and other.grads[0] is not grads[0]
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_equal_adjoint_coefficients_share_the_forward_family(rng, time_dependent):
+    """Adjoint coefficients equal to the forward ones entry for entry build
+    no second family (modal when time-constant, dense inverses otherwise):
+    the adjoint marches are bitwise those of a stepper built without them.
+    Coefficients that differ anywhere still build their own."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    shape = (g.nt + 1, g.n_interior)
+    a = rng.uniform(0.0, 1.0, shape) if time_dependent else np.full(shape, 0.7)
+    b = (rng.uniform(0.0, 1.0, shape) if time_dependent else np.zeros(shape),)
+    plain = operators.TimeStepper(g, a, b)
+    st = operators.TimeStepper(g, a, b, a_adj=a.copy(), b_adj=(b[0].copy(),))
+    assert st._families["adjoint"] is st._families["forward"]
+    datum, src = rng.standard_normal(g.n_interior), rng.standard_normal(shape)
+    for march in ("march_forward", "march_backward"):
+        assert np.array_equal(getattr(st, march)(datum, src, family="adjoint"),
+                              getattr(plain, march)(datum, src, family="adjoint"))
+    a_adj = a.copy()
+    a_adj[-1, 0] += 1.0
+    other = operators.TimeStepper(g, a, b, a_adj=a_adj)
+    assert other._families["adjoint"] is not other._families["forward"]
+
+
 def _modal_stepper(nx=14, nt=8, length=1.0):
     """Time-constant reaction, no transport: a symmetric family, kept as modes."""
     g = build_grid(1, length, nx, 1.0, nt)

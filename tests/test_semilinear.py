@@ -113,7 +113,7 @@ def test_outer_loop_divergence_detected(monkeypatch):
     spec = make_hum_spec()
     states = _tripling_states(spec)
     monkeypatch.setattr(semilinear, "minimize_G",
-                        lambda *args, **kwargs: SimpleNamespace(nash=SimpleNamespace(w=states()), psi0=None,
+                        lambda *args, **kwargs: SimpleNamespace(w=states(), psi0=None,
                                                                 cg_residuals=[], cg_iterations=0))
     with pytest.raises(OuterDivergence) as err:
         semilinear_null_control(spec, preset_zero(), np.zeros(spec.grid.n_interior), eps=1e-4)
@@ -131,7 +131,7 @@ def test_non_finite_outer_iterate_is_a_typed_divergence(monkeypatch):
     def poisoned(*args, **kwargs):
         hums.append(minimize(*args, **kwargs))
         if len(hums) == 3:
-            hums[-1].nash.w[-1, 0] = np.inf
+            hums[-1].w[-1, 0] = np.inf
         return hums[-1]
 
     monkeypatch.setattr(semilinear, "minimize_G", poisoned)

@@ -6,10 +6,10 @@
 # (SECONDS defaults to 50) PAIRS times from the root of each tree, REF first
 # in the odd pairs and the working tree first in the even ones.  Both sides
 # run this tree's perfbench/, so the benchmark code is the same.  Prints each
-# pair's job_s_mean, job_cpu_s_mean and jobs_per_s, the median change ratio
-# (tree / REF) of every metric, and as the last line one JSON object holding
-# every run's result line.  Exits non-zero if a run fails; the worktree is
-# removed either way.
+# pair's job_s_mean, job_cpu_s_mean, jobs_per_s, setup_s and peak_rss_mb, the
+# median change ratio (tree / REF) of every metric, and as the last line one
+# JSON object holding every run's result line.  Exits non-zero if a run
+# fails; the worktree is removed either way.
 set -euo pipefail
 usage="usage: tools/bench_pairs.sh REF WORKLOAD PAIRS [SECONDS]"
 ref="${1:?$usage}"
@@ -49,7 +49,7 @@ from pathlib import Path
 runs, pairs, ref, workload = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4]
 results = {side: [json.loads((runs / f"{p}-{side}.json").read_text()) for p in range(1, pairs + 1)]
            for side in ("ref", "tree")}
-shown = ("job_s_mean", "job_cpu_s_mean", "jobs_per_s")
+shown = ("job_s_mean", "job_cpu_s_mean", "jobs_per_s", "setup_s", "peak_rss_mb")
 print(f"{workload}: {ref} (ref) against the working tree (tree), {pairs} pairs")
 for p, (r, t) in enumerate(zip(results["ref"], results["tree"]), start=1):
     cells = [f"{m} {r['metrics'][m]['value']:.6g} -> {t['metrics'][m]['value']:.6g}" for m in shown]
