@@ -2,13 +2,18 @@
 
 Variables x, y, t; operators + - * / ^ (right-associative power binds
 tighter than unary minus, which binds tighter than * /); functions sin,
-cos, exp, tanh, abs; numeric literals.  Evaluation broadcasts over numpy
-arrays.  Parse errors carry the byte offset and the token set expected
+cos, exp, tanh, abs; numeric literals.  That is Python's expression
+grammar with ^ for **, so CPython's parser reads the text, and one walk
+over its tree admits only these forms.  Evaluation broadcasts over numpy
+arrays.  Parse errors carry the character offset and the tokens expected
 there.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,210 +28,102 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-    def evaluate(self, env):
-        return self.value
-
-    def variables(self):
-        return set()
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def evaluate(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {self.name!r} in expression") from None
-
-    def variables(self):
-        return {self.name}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: np.divide,
+           ast.Pow: np.power}
+# `**`, and every character the language lacks: what is left is ASCII, so
+# CPython's columns are character offsets
+_FOREIGN = re.compile(r"\*\*|[^\sA-Za-z0-9_.+\-*/^()]")
+# a number's leading zeros (007 is 7), which CPython rejects; not an exponent's
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_OPERAND = ("number", "identifier", "(", "-")
+# deepest tree admitted: its evaluation then stays far inside Python's recursion limit
+_MAX_DEPTH = 500
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: object
+class Expression:
+    """A parsed expression: a tree of BinOp (+ - * / **), UnaryOp (-), Call
+    (of a FUNCTIONS name, one argument), Name and float Constant nodes, and
+    the names it reads as variables."""
+
+    tree: ast.expr
+    names: frozenset
 
     def evaluate(self, env):
-        return -self.operand.evaluate(env)
+        """Its value with env's variables (numpy arrays broadcast).  Division
+        by zero and overflow give inf or nan without a warning, judged where
+        the values land; an unbound variable is a ValueError."""
+        with np.errstate(all="ignore"):
+            return _evaluate(self.tree, env)
 
     def variables(self):
-        return self.operand.variables()
+        """Its variables; a function's name in a call is not one."""
+        return self.names
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-    def evaluate(self, env):
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return a / b
-        with np.errstate(invalid="ignore"):
-            return np.power(a, b)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-    def evaluate(self, env):
-        return FUNCTIONS[self.func](self.arg.evaluate(env))
-
-    def variables(self):
-        return self.arg.variables()
-
-
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._run()
-
-    def _run(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                seen_dot = False
-                while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                    if text[j] == ".":
-                        seen_dot = True
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        while k < n and text[k].isdigit():
-                            k += 1
-                        j = k
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", i, expected=("number", "identifier", "operator"))
-        self.tokens.append(("end", "", n))
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _Tokenizer(text).tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], expected=(kind,))
-        return self.advance()
-
-    def parse(self):
-        node = self.expression()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2], expected=("end",))
-        return node
-
-    def expression(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return Bin("^", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        kind, value, offset = tok
-        if kind == "num":
-            self.advance()
-            return Num(float(value))
-        if kind == "ident":
-            self.advance()
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", offset, expected=tuple(sorted(FUNCTIONS)))
-                self.advance()
-                arg = self.expression()
-                self.expect(")")
-                return Call(value, arg)
-            return Var(value)
-        if kind == "(":
-            self.advance()
-            node = self.expression()
-            self.expect(")")
-            return node
-        raise ParseError(
-            f"expected an operand, found {value!r}" if value else "expected an operand, found end of input",
-            offset,
-            expected=("number", "identifier", "(", "-"),
-        )
+def _evaluate(node, env):
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.Call):
+        return FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+    if isinstance(node, ast.Name):
+        if node.id not in env:
+            raise ValueError(f"unbound variable {node.id!r} in expression")
+        return env[node.id]
+    return node.value
 
 
 def parse_expr(text):
-    """Parse an expression; raises ParseError with offset and expectations."""
-    return _Parser(text).parse()
+    """Parse text into an Expression.
+
+    CPython's parser reads the text with every whitespace character (the
+    newline of a configparser continuation line too) as a blank, a
+    number's leading zeros as blanks and ^ as **.  A walk over the tree
+    then admits only the language's forms; a constant must be written as
+    the language's number and is kept as its float.  Raises ParseError with
+    an offset into text: CPython's message and offset for a syntax error,
+    the walk's for a form outside the language.
+    """
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise ParseError(f"unexpected {foreign.group()!r}", foreign.end() - 1, _OPERAND)
+    flat = _LEADING_ZEROS.sub(lambda zeros: " " * len(zeros.group()), re.sub(r"\s", " ", text))
+    start = len(flat) - len(flat.lstrip())
+    pieces = ["**" if c == "^" else c for c in flat[start:]]
+    source = "".join(pieces)
+    # origin[i]: the offset in text of source[i] (of its end, for i = len(source))
+    origin = [start + i for i, piece in enumerate(pieces) for _ in piece] + [len(text)]
+    names = set()
+
+    def admit(node, depth=0):
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH}", origin[node.col_offset], _OPERAND)
+        segment = source[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            admit(node.left, depth + 1)
+            admit(node.right, depth + 1)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            admit(node.operand, depth + 1)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1:
+            if node.func.id not in FUNCTIONS:
+                raise ParseError(f"unknown function {node.func.id!r}", origin[node.col_offset], sorted(FUNCTIONS))
+            admit(node.args[0], depth + 1)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+            node.value = float(segment)
+        else:
+            raise ParseError(f"{segment!r} is not in the expression language", origin[node.col_offset], _OPERAND)
+
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        offset = origin[min(max((exc.offset or 1) - 1, 0), len(source))]
+        raise ParseError(exc.msg, offset, (")",) if "never closed" in exc.msg else _OPERAND) from None
+    except (RecursionError, MemoryError):  # CPython's parser overflows its stack with a MemoryError
+        raise ParseError(f"expression nested deeper than {_MAX_DEPTH}", 0, _OPERAND) from None
+    admit(tree)
+    return Expression(tree, frozenset(names))

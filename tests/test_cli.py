@@ -404,17 +404,23 @@ def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
     assert record["stage"] == "validation"
 
 
-@pytest.mark.parametrize("section, key", [
-    ("coefficients", "a"), ("coefficients", "b1"), ("data", "zeta1"), ("data", "zeta2"), ("data", "f"),
-    ("data", "u0"),
+@pytest.mark.parametrize("section, key, text", [
+    # 1/x keeps the bare section-key id
+    pytest.param(section, key, text, id=f"{section}-{key}" + (f"-{text}" if text != "1/x" else ""))
+    for text in ("1/x", "1/0", "0^-1", "exp(1000)")
+    for section, key in [("coefficients", "a"), ("coefficients", "b1"), ("data", "zeta1"), ("data", "zeta2"),
+                         ("data", "f"), ("data", "u0")]
 ])
-def test_non_finite_expression_is_named_as_the_file_spells_it(tmp_path, capsys, section, key):
-    """A non-finite space-time or initial expression fails validation (exit 2)
-    with a message that names its key with its section."""
+def test_non_finite_expression_is_named_as_the_file_spells_it(tmp_path, capsys, section, key, text):
+    """A non-finite space-time or initial expression fails validation (exit 2,
+    no output directory) with a message that names its key with its section,
+    whether a division by zero or an overflow makes it so."""
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(_with("nash_1d.ini", section, key, '"1/x"'))
+    cfg.write_text(_with("nash_1d.ini", section, key, f'"{text}"'))
     assert run("nash", cfg, tmp_path / "never") == 2
+    assert not (tmp_path / "never").exists()
     record = json.loads(capsys.readouterr().err.strip())
+    assert record["stage"] == "validation"
     assert record["message"] == f"{section}.{key} evaluates to non-finite values"
 
 

@@ -86,3 +86,57 @@ def test_vectorized_evaluation():
 
 def test_variables_collection():
     assert parse_expr("x*sin(t)+y").variables() == {"x", "t", "y"}
+
+
+ENV = {"x": 2.0, "y": 3.0, "sin": 0.25}
+
+
+@pytest.mark.parametrize("text, variables, value", [
+    ("007*x", {"x"}, 14.0),
+    (" x", {"x"}, 2.0),
+    ("1 +\n 2", set(), 3.0),
+    ("1.", set(), 1.0),
+    (".5", set(), 0.5),
+    ("1.e3", set(), 1000.0),
+    ("1E+3", set(), 1000.0),
+    ("00.5", set(), 0.5),
+    ("1e007", set(), 1e7),
+    ("1e-007", set(), 1e-7),
+    ("--x", {"x"}, 2.0),
+    ("-(x)^2", {"x"}, -4.0),
+    ("x^-y^2", {"x", "y"}, 2.0 ** -9),
+    ("2^-1", set(), 0.5),
+    ("sin (x)", {"x"}, np.sin(2.0)),
+    ("((x))", {"x"}, 2.0),
+    ("x\t*\ty", {"x", "y"}, 6.0),
+    ("sin", {"sin"}, 0.25),
+    ("sin + sin(x)", {"sin", "x"}, 0.25 + np.sin(2.0)),
+    ("exp(x/y) - 1/3", {"x", "y"}, np.exp(2.0 / 3.0) - 1.0 / 3.0),
+])
+def test_accepted_language(text, variables, value):
+    """Each input parses to these variables and evaluates, bit for bit, to
+    this value at x = 2, y = 3 (and the variable sin = 0.25)."""
+    expr = parse_expr(text)
+    assert expr.variables() == variables
+    assert expr.evaluate(ENV) == value
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "+x", "1j", "0x10", "1_0", "1e", "x.real", "x//2", "x y", "2x", "1.2.3", "exp(x)(y)",
+    "sin(x, y)", "x < y", '"a"', "", "x)+(y", "1 #\n+ 2", "x \\\n+ 2",
+])
+def test_rejected_language(text):
+    """Each input is a ParseError at an offset inside the text."""
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert 0 <= err.value.offset <= len(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "x" + ")" * 300, "+".join(["x"] * 600), "-" * 3000 + "x", "^".join(["x"] * 3000),
+], ids=["300 parentheses", "600 terms", "3000 minus signs", "3000 powers"])
+def test_deep_nesting_is_a_parse_error(text):
+    """Nesting too deep to parse, or deeper than the walk admits, is a
+    ParseError, not a RecursionError or a MemoryError."""
+    with pytest.raises(ParseError):
+        parse_expr(text)
