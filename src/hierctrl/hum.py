@@ -20,8 +20,7 @@ import numpy as np
 
 from .linalg import TINY, conjugate_gradient, contraction_estimate, factorize, iterate
 from .mesh import norm_h
-from .nash import (NashSolution, _control_weights, _indicators, q_norm, solve_nash_fixed_point,
-                   stacked_system)
+from .nash import NashSolution, _control_weights, _indicators, solve_nash_fixed_point, stacked_system
 from .operators import ProblemSpec, control_sources, solve_forward
 
 
@@ -30,12 +29,11 @@ class CoupledAdjointState:
     """psi and its forward companions eta_i = F_adj(-chi_i psi^{j-1}/mu_i),
     each an interior (nt+1, n) array with one row per time level 0..nt.
 
-    A coupled-adjoint solve that marched eta_1 and eta_2 keeps them.  One
-    that marched only their sum (the shared case) leaves companions None
-    until eta1, eta2 or etas is first read; that read marches both from
-    psi as one 2-column march and keeps them.  contraction_estimate is the
-    fixed point's rho-hat (linalg.contraction_estimate), nan for a direct
-    solve or a history of one change.
+    companions stays None until eta1, eta2 or etas is first read; that read
+    marches both from psi as one 2-column march and keeps them.  A direct
+    solve sets them.  contraction_estimate is the fixed point's rho-hat
+    (linalg.contraction_estimate), nan for a direct solve or a history of
+    one change.
     """
     psi: np.ndarray
     spec: ProblemSpec
@@ -47,8 +45,7 @@ class CoupledAdjointState:
     @property
     def etas(self):
         if self.companions is None:
-            neg_weights = [-wt for wt in _control_weights(self.spec, 2)]
-            self.companions = tuple(_companions(self.spec, self.psi, neg_weights))
+            self.companions = tuple(_companions(self.spec, self.psi))
         return self.companions
 
     @property
@@ -75,67 +72,74 @@ class HumResult:
     true_residual: float
 
 
-def _companions(spec, psi, neg_weights, src=None):
-    """The forward companions of psi, eta_1 and eta_2 or their sum, as a
-    (k, nt+1, n) march: column c marches -shift(psi) weights[c]
-    (nash._control_weights; neg_weights holds them negated), the Nash state
-    source of psi, as the coupled adjoint is the transpose of the Nash
-    system.  src is an optional (k, nt+1, n) source buffer."""
+def _companions(spec, psi):
+    """The forward companions of psi, eta_1 and eta_2, as one (2, nt+1, n)
+    march: column i marches -shift(psi) chi_i/mu_i (nash._control_weights),
+    the Nash state source of psi, as the coupled adjoint is the transpose
+    of the Nash system."""
     grid = spec.grid
-    if src is None:
-        src = np.zeros((len(neg_weights), grid.nt + 1, grid.n_interior))
-    for col, wt in zip(src, neg_weights):
-        np.multiply(psi[:-1], wt, out=col[1:])
+    src = np.zeros((2, grid.nt + 1, grid.n_interior))
+    for col, wt in zip(src, _control_weights(spec, 2)):
+        np.multiply(psi[:-1], -wt, out=col[1:])
     return spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint")
 
 
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
-    """Fixed point over psi and its forward companions; linear in the
-    terminal datum psi0, an interior (n,) vector.
+    """Fixed point over psi; linear in the terminal datum psi0, an interior
+    (n,) vector.
 
     psi marches backward with the transposed forward matrices, fed by
-    sum_i alpha_i chi_di eta_i; then the companions march forward with the
-    adjoint-coefficient family.  Together they are the exact transpose of
-    the optimality system.  When both target weights alpha_i chi_di are
-    equal (the shared case) psi reads only eta_1 + eta_2, so a sweep
-    marches that sum as one column, the transpose of the merged Nash
-    sweep; otherwise eta_1 and eta_2 march as two columns.  Either way the
-    companions march as one (k, nt+1, n) march from a buffer the solve
-    keeps.  The change is measured on psi and the marched columns.
-    The first sweep has no predecessor, so its change is not recorded.
+    sum_i alpha_i chi_di eta_i, where the companions eta_i march forward
+    with the adjoint-coefficient family from the previous psi.  Together
+    they are the exact transpose of the optimality system, and a sweep,
+    companions first and then psi, is the transpose of the Nash sweep.
+    When both target weights alpha_i chi_di are equal (the shared case)
+    psi reads only eta_1 + eta_2, so a sweep marches that sum as one
+    column, the transpose of the merged Nash sweep; otherwise eta_1 and
+    eta_2 march as two columns.  Either way the companions march as one
+    (k, nt+1, n) march from a buffer the solve keeps.  The first sweep
+    marches psi alone, since its predecessor is zero, and has no change to
+    record.  The change is measured on psi, and the companions are read
+    from the final psi when first wanted (CoupledAdjointState.etas).
+
+    The sweeps run in the coordinates each step family marches in, as
+    nash.solve_nash_fixed_point's do, and psi is transformed back once.
     The sweep is affine, its linear part the transpose of the Nash
     sweep's, so the solve also stops once Banach's bound
     rho-hat/(1 - rho-hat) * change is below tol_rel times ||psi||
     (linalg.iterate's error_bound).
     """
-    grid = spec.grid
     stepper = spec.stepper
+    fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
     weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
     if np.array_equal(*weights):
         weights = weights[:1]
-    neg_controls = [-wt for wt in _control_weights(spec, len(weights))]
-    psi_src = np.empty((grid.nt + 1, grid.n_interior))
-    eta_src = np.zeros((len(weights),) + psi_src.shape)
+    psi_couplings = [stepper.coupling(wt, "adjoint", "forward") for wt in weights]
+    eta_couplings = [stepper.coupling(-wt, "forward", "adjoint")
+                     for wt in _control_weights(spec, len(weights))]
+    datum = fwd.datum(psi0)
+    zero = np.zeros(spec.grid.n_interior)
+    psi_src = fwd.zeros()
+    eta_src = adj.zeros(len(weights))
 
-    def sweep(state):
-        psi, etas = state
-        np.multiply(weights[0], etas[0], out=psi_src)
-        for wt, eta in zip(weights[1:], etas[1:]):
-            np.add(psi_src, wt * eta, out=psi_src)
-        psi_new = stepper.march_backward(psi0, psi_src, family="forward")
-        etas_new = _companions(spec, psi_new, neg_controls, eta_src)
-        change = None
+    def sweep(psi):
         if psi is not None:
-            change = q_norm(grid, psi_new - psi)
-            for e_new, e_old in zip(etas_new, etas):
-                change = math.hypot(change, q_norm(grid, e_new - e_old))
-        return (psi_new, etas_new), change, max(q_norm(grid, psi_new), TINY)
+            for col, coupling in zip(eta_src, eta_couplings):
+                coupling.apply(fwd.levels(psi, shifted=True), out=adj.source_levels(col))
+            etas = stepper.march_forward(zero, eta_src, family="adjoint", coordinates=True)
+            fed = fwd.source_levels(psi_src, backward=True)
+            psi_couplings[0].apply(adj.levels(etas[0]), out=fed)
+            for eta, coupling in zip(etas[1:], psi_couplings[1:]):
+                fed += coupling.apply(adj.levels(eta))
+        psi_new = stepper.march_backward(datum, psi_src, family="forward", coordinates=True)
+        change = None if psi is None else fwd.q_norm(psi_new - psi)
+        return psi_new, change, max(fwd.q_norm(psi_new), TINY)
 
-    start = (None, np.zeros_like(eta_src))
-    (psi, etas), it, history = iterate(sweep, start, tol_rel, max_iter, "coupled adjoint",
-                                       error_bound=True)
-    return CoupledAdjointState(psi, spec, it, history, tuple(etas) if len(etas) == 2 else None,
-                               contraction_estimate(history))
+    psi, it, history = iterate(sweep, None, tol_rel, max_iter, "coupled adjoint", error_bound=True)
+    psi = fwd.physical(psi)
+    psi[-1] = psi0  # the datum itself, not its round trip through the coordinates
+    return CoupledAdjointState(psi, spec, it, history,
+                               contraction_estimate=contraction_estimate(history))
 
 
 def dense_oracle(spec: ProblemSpec, f=None, psi0=None):

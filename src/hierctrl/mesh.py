@@ -262,6 +262,12 @@ def norm_h(grid, u):
     return math.sqrt(max(inner_h(grid, u, u), 0.0))
 
 
+def q_norm(grid, arr):
+    """Discrete L2(Q) norm over levels 1..nt of an interior array, as one BLAS dot."""
+    levels = arr[1:].ravel()
+    return math.sqrt(grid.dt * grid.hd * float(np.dot(levels, levels)))
+
+
 def _axis_shifts(grid, ax):
     """Index tuples (centre, plus, minus) along spatial axis ax of an (nt+1, *nx) array."""
     sl_c = [slice(None)] * (grid.dim + 1)

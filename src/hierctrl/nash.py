@@ -24,13 +24,8 @@ import scipy.sparse as sp
 
 from .errors import TooLarge
 from .linalg import TINY, contraction_estimate, iterate
+from .mesh import q_norm
 from .operators import ProblemSpec, control_sources, solve_forward
-
-
-def q_norm(grid, arr):
-    """Discrete L2(Q) norm over levels 1..nt of an interior array, as one BLAS dot."""
-    levels = arr[1:].ravel()
-    return math.sqrt(grid.dt * grid.hd * float(np.dot(levels, levels)))
 
 
 @dataclass
@@ -178,6 +173,14 @@ def solve_nash_fixed_point(
     when the solution's controls are first read.  With damping 1 the next
     iterate is W itself.
 
+    The sweeps run in the coordinates each step family marches in
+    (operators.Coordinates): every mask product is a Coupling from the
+    adjoint family's coordinates to the forward family's or back, so a
+    modal march is one GEMM and one band solve.  f, w0, w_id and
+    extra_source are transformed once per solve, and the result once at
+    exit; on_sweep gets physical arrays.  Dense and SuperLU families
+    march in physical space, with exactly the physical arithmetic.
+
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
     change.  The sweep is an affine map of z, so without damping the solve
     also stops once Banach's bound rho-hat/(1 - rho-hat) * change on the
@@ -190,45 +193,56 @@ def solve_nash_fixed_point(
     state equation (the frozen constant term of semilinear sweeps);
     on_sweep(it, W, vs, change) is called after every sweep.
     """
-    grid = spec.grid
     stepper = spec.stepper
+    fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
-    # per-solve vectors: (alpha_i chi_di, w_id) of each distinct target term, and its control weight
+    f_src = fwd.source(f_src)
+    # per-solve couplings: alpha_i chi_di of each distinct target term, and its control weight
     terms = _target_terms(spec)
-    weights = _control_weights(spec, len(terms))
-    zero = np.zeros(grid.n_interior)
-    shape = (grid.nt + 1, grid.n_interior)
-    adj_src = np.empty((len(terms),) + shape)
-    state_src = f_src.copy()  # level 0 is never read by a march
+    adj_couplings = [stepper.coupling(wt, "forward", "adjoint") for wt, _ in terms]
+    targets = [fwd.field(wd) if wd.any() else None for _, wd in terms]
+    state_couplings = [stepper.coupling(wt, "adjoint", "forward")
+                       for wt in _control_weights(spec, len(terms))]
+    datum = fwd.datum(spec.w0)
+    zero = np.zeros(spec.grid.n_interior)
+    adj_src = adj.zeros(len(terms))
+    fed_src, state_src = fwd.zeros(), fwd.zeros()  # the follower part of the state source, and all of it
     sweeps = itertools.count(1)
+
+    def physical(W, phis):
+        W, phis = fwd.physical(W), [adj.physical(phi) for phi in phis]
+        W[0] = spec.w0  # the datum itself, not its round trip through the coordinates
+        return W, phis * 2 if len(phis) == 1 else phis
 
     def sweep(state):
         # the adjoints from frozen z in one march, then the state under the controls they give
         z, z_norm = state[:2]
-        for col, (wt, wd) in zip(adj_src, terms):
-            np.multiply(wt, np.subtract(z, wd, out=col), out=col)
-        phis = list(stepper.march_backward(zero, adj_src, family="adjoint"))
-        if len(phis) == 1:
-            phis = phis * 2
-        fed = state_src[1:]
-        np.multiply(phis[0][:-1], weights[0], out=fed)
-        for phi, wt in zip(phis[1:], weights[1:]):
-            fed += phi[:-1] * wt
-        np.subtract(f_src[1:], fed, out=fed)
-        W = stepper.march_forward(spec.w0, state_src)
+        for col, coupling, wd in zip(adj_src, adj_couplings, targets):
+            coupling.apply(fwd.levels(z if wd is None else z - wd),
+                           out=adj.source_levels(col, backward=True))
+        phis = stepper.march_backward(zero, adj_src, family="adjoint", coordinates=True)
+        fed = fwd.source_levels(fed_src)
+        state_couplings[0].apply(adj.levels(phis[0], shifted=True), out=fed)
+        for phi, coupling in zip(phis[1:], state_couplings[1:]):
+            fed += coupling.apply(adj.levels(phi, shifted=True))
+        np.subtract(f_src, fed_src, out=state_src)
+        W = stepper.march_forward(datum, state_src, coordinates=True)
         step = W - z
-        change, w_norm = q_norm(grid, step), q_norm(grid, W)
+        change, w_norm = fwd.q_norm(step), fwd.q_norm(W)
         if on_sweep is not None:
-            on_sweep(next(sweeps), W, _controls_from_adjoints(spec.follower_masks, spec.mu, phis), change)
+            W_phys, phis_phys = physical(W, phis)
+            on_sweep(next(sweeps), W_phys, _controls_from_adjoints(spec.follower_masks, spec.mu, phis_phys),
+                     change)
         z_next = W if damping == 1.0 else z + damping * step
-        z_next_norm = w_norm if z_next is W else q_norm(grid, z_next)
+        z_next_norm = w_norm if z_next is W else fwd.q_norm(z_next)
         return (z_next, z_next_norm, W, phis), change, max(z_norm, w_norm, TINY)
 
-    start = (np.zeros(shape), 0.0)
+    start = (fwd.zeros(), 0.0)
     (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point",
                                            error_bound=damping == 1.0)
+    W, phis = physical(W, phis)
     return NashSolution(W, *phis, spec.follower_masks, spec.mu, it, history,
                         contraction_estimate(history))
 

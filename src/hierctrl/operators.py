@@ -14,12 +14,15 @@ inverses, one ndarray.dot mat-vec per step (not np.matmul, whose ufunc
 dispatch costs more than a small mat-vec and gives the same bits); larger
 ones with SuperLU factorizations.  The biharmonic and gradient matrices
 are assembled once per grid (grid_operators) and shared by every stepper
-on it.
+on it.  Fixed points that march a family many times can stay in its
+Coordinates, the eigenbasis of a modal family, and pass fields between
+families through Couplings.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -29,7 +32,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import ShapeMismatch
 from .linalg import factorize, invert_stack, symmetric_modes
-from .mesh import Grid, SubdomainMask
+from .mesh import Grid, SubdomainMask, q_norm
 
 
 def _axis_laplacian_rows(n, h):
@@ -205,6 +208,103 @@ DENSE_MAX_N = 128  # up to this many interior unknowns a step is one mat-vec wit
 MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in its eigenbasis
 
 
+class Coordinates:
+    """The coordinates a family of step matrices marches in.
+
+    A modal family's coordinates are its eigenbasis, y = Q'u at every level,
+    and a coordinate array is mode-major, shape (n, nt+1) or (k, n, nt+1),
+    which is the layout its band solve reads.  A march in these coordinates
+    takes the band right-hand sides themselves: dt diag(w) Q' s^j at
+    column j forward and at column j-1 backward, the datum column left to
+    the march.  Every other family marches in physical space (Q = I): its
+    coordinate arrays are the interior (nt+1, n) arrays, and a march reads
+    its sources as always, so arithmetic in these coordinates is exactly the
+    physical one.
+    """
+
+    def __init__(self, grid, modal=None):
+        self.grid = grid
+        self.Q, self.source_transform = modal[:2] if modal is not None else (None, None)
+        self.modal = modal is not None
+
+    def zeros(self, k=None):
+        """A zero coordinate array, with k columns when k is given."""
+        n, levels = self.grid.n_interior, self.grid.nt + 1
+        shape = (n, levels) if self.modal else (levels, n)
+        return np.zeros(shape if k is None else (k, *shape))
+
+    def levels(self, arr, shifted=False):
+        """The view of a single-column field holding levels 1..nt, or
+        0..nt-1 when shifted."""
+        at = slice(None, -1) if shifted else slice(1, None)
+        return arr[:, at] if self.modal else arr[at]
+
+    def source_levels(self, arr, backward=False):
+        """The view of a single-column march input that source levels
+        1..nt go to: a backward modal march reads source j at column j-1."""
+        return self.levels(arr, shifted=backward and self.modal)
+
+    def datum(self, v):
+        """An (n,) vector in these coordinates."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.grid.n_interior,):
+            raise ShapeMismatch(f"datum shape {v.shape}: need ({self.grid.n_interior},)")
+        return self.Q.T @ v if self.modal else v
+
+    def field(self, u):
+        """An interior (nt+1, n) field in these coordinates."""
+        return np.matmul(self.Q.T, u.T) if self.modal else u
+
+    def source(self, s):
+        """The forward march input of an interior (nt+1, n) source array."""
+        if not self.modal:
+            return s
+        out = self.zeros()
+        np.matmul(self.source_transform, s[1:].T, out=self.source_levels(out))
+        return out
+
+    def physical(self, y):
+        """A single-column coordinate array as an interior (nt+1, n) array."""
+        return np.matmul(y.T, self.Q.T) if self.modal else y
+
+    def q_norm(self, y):
+        """mesh.q_norm of the physical field, to rounding since Q is orthonormal."""
+        if not self.modal:
+            return q_norm(self.grid, y)
+        levels = self.levels(y)
+        return math.sqrt(self.grid.dt * self.grid.hd * float(np.einsum("ml,ml->", levels, levels)))
+
+
+class Coupling(NamedTuple):
+    """The map from a field in one family's coordinates to a source of
+    another's: multiply by the weights in physical space, as a march input.
+    It is the matrix C = dt diag(w) Q_to' diag(weights) Q_from, built once,
+    when either family is modal (dt diag(w) only when the target is; Q = I
+    for a physical family), and the elementwise product between physical
+    families, so their arithmetic is unchanged."""
+
+    matrix: np.ndarray
+    weights: np.ndarray
+    source: Coordinates
+    target: Coordinates
+
+    def apply(self, y, out=None):
+        """The coupling of y, the level view of a single-column field
+        (Coordinates.levels), into out, a source_levels view, when given."""
+        if self.matrix is None:
+            return np.multiply(y, self.weights, out=out)
+        if self.target.modal:
+            return np.matmul(self.matrix, y if self.source.modal else y.T, out=out)
+        return np.matmul(y.T, self.matrix.T, out=out)
+
+
+def _coupling_matrix(weights, source, target):
+    if target.modal:
+        matrix = target.source_transform * weights
+        return matrix @ source.Q if source.modal else matrix
+    return weights[:, None] * source.Q if source.modal else None
+
+
 class _Family(NamedTuple):
     """One family of step matrices.  Exactly one of modal, inverses and
     factors is set: the representation the family marches with."""
@@ -216,6 +316,7 @@ class _Family(NamedTuple):
     inverses: tuple  # the inverses steps 1..nt multiply by, and their transposes
     factors: list  # the SuperLU Factorization of each step 1..nt
     matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
+    coordinates: Coordinates
 
 
 class TimeStepper:
@@ -248,6 +349,11 @@ class TimeStepper:
     time-independent one level serves every step.
     A march whose datum and sources are all zero returns zeros at once.
     The sparse step matrices themselves come from step_matrix.
+
+    Each family also has its Coordinates (coordinates), in which a march
+    can run (march_forward's coordinates), and the stepper keeps the
+    Coupling of each weight vector between two families' coordinates
+    (coupling), built on first use.
     """
 
     def __init__(self, grid: Grid, a: np.ndarray, b: tuple, a_adj=None, b_adj=None):
@@ -262,6 +368,7 @@ class TimeStepper:
         else:
             adjoint = self._build(a_adj, b_adj)
         self._families = {"forward": forward, "adjoint": adjoint}
+        self._couplings = {}
 
     def _build(self, a, b):
         grid = self.grid
@@ -277,7 +384,7 @@ class TimeStepper:
             inverses = (arrays, [inv.T for inv in arrays])
         else:
             factors = [factorize(self._step_matrix(a, b, j)) for j in levels] * (nt if const else 1)
-        return _Family(a, b, const, modal, inverses, factors, {})
+        return _Family(a, b, const, modal, inverses, factors, {}, Coordinates(grid, modal))
 
     def _step_matrix(self, a, b, level):
         grid = self.grid
@@ -321,6 +428,20 @@ class TimeStepper:
             fam.matrices[1] = self._step_matrix(fam.a, fam.b, 1)
         return fam.matrices[1]
 
+    def coordinates(self, family="forward") -> Coordinates:
+        """The coordinates the family marches in."""
+        return self._family(family).coordinates
+
+    def coupling(self, weights, source, target) -> Coupling:
+        """The Coupling of weights from family source's coordinates to family
+        target's, built on first use and kept for these weights (one for
+        both directions when the families are one)."""
+        frm, to = self.coordinates(source), self.coordinates(target)
+        key = (frm, to, weights.tobytes())
+        if key not in self._couplings:
+            self._couplings[key] = Coupling(_coupling_matrix(weights, frm, to), weights, frm, to)
+        return self._couplings[key]
+
     def _march_inputs(self, datum, sources):
         """The datum and sources as float arrays, and the column count k.
 
@@ -349,7 +470,7 @@ class TimeStepper:
             sources = sources.reshape(-1, nt + 1, n)
         return datum, sources, k
 
-    def _march(self, datum, sources, family, backward):
+    def _march(self, datum, sources, family, backward, coordinates=False):
         """march_forward, or march_backward when backward is true.
 
         Every march fills one (k, nt+1, n) array, k = 1 for a single column.
@@ -357,6 +478,8 @@ class TimeStepper:
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
         fam = self._family(family)
+        if coordinates and fam.modal is not None:
+            return _band_march(fam.modal[2], datum, sources, backward)
         datum, sources, k = self._march_inputs(datum, sources)
         if not datum.any() and (sources is None or not sources.any()):
             return np.zeros((nt + 1, n) if k is None else (k, nt + 1, n))
@@ -372,7 +495,7 @@ class TimeStepper:
                 _inverse_loop(fam.inverses[backward], out, dt_src, backward)
         return out[0] if k is None else out
 
-    def march_forward(self, w0_int, sources=None, family="forward"):
+    def march_forward(self, w0_int, sources=None, family="forward", coordinates=False):
         """March (I + dt L_j) w^j = w^{j-1} + dt s^j for j = 1..nt.
 
         sources is an (nt+1, n) array, or (k, nt+1, n) for k columns that
@@ -381,17 +504,24 @@ class TimeStepper:
         the (nt+1, n) block out[c]; see _march_inputs for the shapes
         accepted.  Column c of a k-column march is bit for bit the
         single-column march of its data.
-        """
-        return self._march(w0_int, sources, family, backward=False)
 
-    def march_backward(self, terminal_int, sources=None, family="forward"):
+        With coordinates, the datum, the sources and the result are in the
+        family's Coordinates.  A physical family marches exactly as
+        without; a modal family's march is then one band solve on its
+        sources, the band right-hand sides, whose datum column it sets.
+        """
+        return self._march(w0_int, sources, family, False, coordinates)
+
+    def march_backward(self, terminal_int, sources=None, family="forward", coordinates=False):
         """Transpose march: (I + dt L_j)' p^{j-1} = p^j + dt s^j.
 
         Runs j = nt..1; the stored level nt is the terminal datum and the
         multiplier of step j lands at level j-1.  Source level j pairs with
-        state level j in the duality identity.  Shapes as in march_forward.
+        state level j in the duality identity.  Shapes and coordinates as in
+        march_forward; in a modal family's coordinates this is the
+        transposed band solve.
         """
-        return self._march(terminal_int, sources, family, backward=True)
+        return self._march(terminal_int, sources, family, True, coordinates)
 
 
 def _steps(nt, backward):
@@ -449,6 +579,21 @@ def _recurrence_band(w, nt):
     band = np.zeros((2, len(w), nt + 1))
     band[1, :, :-1] = -w[:, None]
     return np.asfortranarray(band.reshape(2, -1))
+
+
+def _band_march(band, datum, rhs, backward):
+    """A modal march in the family's coordinates: rhs, (n, nt+1) or
+    (k, n, nt+1), holds the band right-hand sides; its datum column (level
+    nt backward, 0 forward) is set to datum here.  Level l of mode m then
+    solves y_l - w_m y_{l-1} = rhs_l forward, and with the transposed band
+    p_l - w_m p_{l+1} = rhs_l backward: one LAPACK band solve for every
+    column.  Returns a new array of rhs's shape."""
+    rhs[..., -1 if backward else 0] = datum
+    if not rhs.any():
+        return np.zeros_like(rhs)
+    k = len(rhs) if rhs.ndim == 3 else 1
+    y = dtbtrs(band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
+    return y.T.reshape(rhs.shape)
 
 
 def _modal_march(Q, source_transform, band, datum, sources, k, backward):

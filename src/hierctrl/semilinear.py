@@ -125,10 +125,20 @@ def from_expression(text, bound, dim=1) -> Nonlinearity:
     def f(u, p):
         return ast.evaluate(env(u, p))
 
+    def difference(plus, minus, h, name):
+        """(plus - minus) / 2h, which must be finite: frozen coefficients
+        are built from it, and a step matrix cannot hold inf or nan."""
+        with np.errstate(all="ignore"):
+            out = (plus - minus) / (2.0 * h)
+        if not np.all(np.isfinite(out)):
+            raise UnsupportedNonlinearity(f"nonlinearity.expr = {text!r}: its finite-difference {name} "
+                                          "is not finite where the solve evaluates it")
+        return out
+
     def f_u(u, p):
         u = np.asarray(u, dtype=float)
         h = 1e-6 * (1.0 + np.abs(u))
-        return (ast.evaluate({**env(u + h, p)}) - ast.evaluate({**env(u - h, p)})) / (2.0 * h)
+        return difference(ast.evaluate({**env(u + h, p)}), ast.evaluate({**env(u - h, p)}), h, "dF/du")
 
     def grad_p(u, p):
         out = []
@@ -139,7 +149,7 @@ def from_expression(text, bound, dim=1) -> Nonlinearity:
             pm = list(p)
             pp[i] = pi + h
             pm[i] = pi - h
-            out.append((f(u, tuple(pp)) - f(u, tuple(pm))) / (2.0 * h))
+            out.append(difference(f(u, tuple(pp)), f(u, tuple(pm)), h, f"dF/dp{i + 1}"))
         return tuple(out)
 
     origin = f(np.zeros(1), tuple(np.zeros(1) for _ in range(dim)))

@@ -2,6 +2,7 @@ import configparser
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,35 @@ def test_semilinear_honours_cg_max_iter(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "MaxIterations" and record["stage"] == "solve"
     assert record["iterations"] == 2
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_semilinear_non_finite_frozen_coefficients_are_a_typed_error(tmp_path, capsys, monkeypatch, action):
+    """exp(3000 u) overflows once the iterate grows: its finite-difference
+    derivative, from which the frozen coefficients are built, is not
+    finite.  With overflow warnings as errors or not, the run exits 1 with
+    an UnsupportedNonlinearity naming nonlinearity.expr, raised before the
+    stepper of those coefficients is built."""
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_with_keys("semilinear_1d.ini", [
+        ("nonlinearity", "preset", "expr"), ("nonlinearity", "expr", '"exp(3000*u) - 1"'),
+        ("nonlinearity", "bound", "1")]))
+    builds = []
+    original = operators.TimeStepper.__init__
+
+    def counted(self, grid, a, *args):
+        builds.append(np.isfinite(a).all())
+        original(self, grid, a, *args)
+
+    monkeypatch.setattr(operators.TimeStepper, "__init__", counted)
+    out = tmp_path / "exp"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert run("semilinear", cfg, out) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UnsupportedNonlinearity" and record["stage"] == "solve"
+    assert record["message"].startswith("nonlinearity.expr = 'exp(3000*u) - 1'")
+    assert builds and all(builds)
 
 
 def test_semilinear_runs_without_weights_it_cannot_build(tmp_path):

@@ -1,0 +1,129 @@
+"""The inner fixed points in the coordinates each step family marches in.
+
+A modal family marches in its eigenbasis and every other family in
+physical space (operators.Coordinates); the Nash and coupled-adjoint sweeps
+run in those coordinates and return physical arrays.  Both must match the
+direct stacked solves whatever the families are.
+"""
+
+import numpy as np
+import pytest
+from conftest import leader_bump, make_nash_spec
+
+from hierctrl import operators
+from hierctrl.hum import apply_lambda, dense_oracle, solve_coupled_adjoint
+from hierctrl.nash import q_norm, solve_nash_fixed_point
+
+# module constants that force each representation on the 10-unknown reference grid
+FAMILIES = {
+    "modal": {},
+    "dense": {"MODAL_MAX_N": 0},
+    "superlu": {"MODAL_MAX_N": 0, "DENSE_MAX_N": 0},
+}
+
+
+def _spec(case):
+    spec = make_nash_spec()
+    if case == "alpha":
+        return spec.with_(alpha=(1e-3, 2.5e-3))
+    if case == "targets":
+        return spec.with_(targets=(spec.targets[0], 0.5 * spec.targets[0]))
+    if case == "mixed":  # a time-dependent adjoint reaction: its family cannot be modal
+        g = spec.grid
+        ramp = np.linspace(0.0, 0.5, g.nt + 1)[:, None] * np.ones(g.n_interior)
+        return spec.with_(a_adj=ramp)
+    return spec
+
+
+def _rel(grid, a, b):
+    return q_norm(grid, a - b) / max(q_norm(grid, b), 1e-300)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", ["shared", "alpha", "targets", "mixed"])
+def test_fixed_points_match_oracle_in_every_family(family, case, monkeypatch, rng):
+    """Nash and coupled-adjoint fixed points against dense_oracle, to 1e-10
+    relative, on modal, dense and SuperLU families, in the shared and
+    distinct cases, and with a modal forward family beside a dense adjoint
+    one, whose couplings are Q' diag I and I diag Q."""
+    for name, value in FAMILIES[family].items():
+        monkeypatch.setattr(operators, name, value)
+    spec = _spec(case)
+    stepper, g = spec.stepper, spec.grid
+    assert stepper.coordinates("forward").modal == (family == "modal")
+    assert stepper.coordinates("adjoint").modal == (family == "modal" and case != "mixed")
+    f = leader_bump(g)
+    psi0 = rng.standard_normal(g.n_interior)
+    sol = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
+    st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
+    nash, coupled = dense_oracle(spec, f, psi0)
+    for a, b in zip((sol.w, *sol.phis, *sol.controls), (nash.w, *nash.phis, *nash.controls)):
+        assert _rel(g, a, b) <= 1e-10
+    for a, b in zip((st.psi, *st.etas), (coupled.psi, *coupled.etas)):
+        assert _rel(g, a, b) <= 1e-10
+    assert np.array_equal(sol.w[0], spec.w0) and np.array_equal(st.psi[-1], psi0)
+
+
+def test_damped_nash_converges_to_undamped_on_modal_spec():
+    spec = make_nash_spec()
+    assert spec.stepper.coordinates().modal
+    f = leader_bump(spec.grid)
+    plain = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
+    damped = solve_nash_fixed_point(spec, f, tol_rel=1e-13, damping=0.6)
+    assert damped.iterations > plain.iterations
+    for a, b in zip((damped.w, *damped.phis), (plain.w, *plain.phis)):
+        assert _rel(spec.grid, a, b) <= 1e-10
+
+
+def test_extra_source_in_modal_coordinates_matches_physical(monkeypatch):
+    """The unmasked state source of the semilinear sweeps is transformed
+    with f once per solve: modal and dense families give one equilibrium."""
+    g = make_nash_spec().grid
+    extra = np.full((g.nt + 1, g.n_interior), 0.3)
+    f = leader_bump(g)
+    modal = solve_nash_fixed_point(make_nash_spec(), f, tol_rel=1e-13, extra_source=extra)
+    monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
+    dense = solve_nash_fixed_point(make_nash_spec(), f, tol_rel=1e-13, extra_source=extra)
+    for a, b in zip((modal.w, *modal.phis), (dense.w, *dense.phis)):
+        assert _rel(g, a, b) <= 1e-10
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_modal_march_in_coordinates_is_the_physical_march(backward, rng):
+    """A march in a modal family's coordinates, transformed back, is the
+    physical march to rounding; its datum level is the datum's transform."""
+    spec = make_nash_spec()
+    stepper, g = spec.stepper, spec.grid
+    coords = stepper.coordinates()
+    datum = rng.standard_normal(g.n_interior)
+    src = rng.standard_normal((g.nt + 1, g.n_interior))
+    march = stepper.march_backward if backward else stepper.march_forward
+    rhs = coords.source(src)
+    if backward:  # a backward march reads source level j at column j-1
+        rhs[:, :-1] = rhs[:, 1:].copy()
+    y = march(coords.datum(datum), rhs, coordinates=True)
+    ref = march(datum, src)
+    assert np.abs(coords.physical(y) - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(y[:, -1 if backward else 0], coords.datum(datum))
+    assert abs(coords.q_norm(y) - q_norm(g, ref)) <= 1e-14 * q_norm(g, ref)
+
+
+def test_couplings_are_built_once_per_stepper(monkeypatch, rng):
+    """A Lambda apply builds its coupling matrices on the stepper's first
+    solve and every later apply reuses them.  With one family for both
+    directions there are three: alpha chi_d, for the Nash adjoint source
+    and the coupled adjoint's psi source, and the summed control weights
+    with either sign."""
+    spec = make_nash_spec()
+    built = []
+    original = operators._coupling_matrix
+
+    def counted(*args):
+        built.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(operators, "_coupling_matrix", counted)
+    apply_lambda(spec, rng.standard_normal(spec.grid.n_interior))
+    first = len(built)
+    apply_lambda(spec, rng.standard_normal(spec.grid.n_interior))
+    assert first == 3 and len(built) == first

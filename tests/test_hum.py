@@ -517,12 +517,13 @@ def _count_marches(monkeypatch):
 def test_lambda_apply_marches_on_benchmark_grid(tmp_path, rng, monkeypatch):
     """At the benchmark's rho of about 1e-4, Banach's bound stops the coupled
     adjoint and the Nash solve of one Lambda apply after 3 sweeps each, at
-    2 marches a sweep: 12 marches, where the change rule alone made 16."""
+    2 marches a sweep, less the coupled adjoint's first companion march:
+    11 marches, where the change rule alone made 16."""
     spec = _benchmark_grid_spec(tmp_path)
     psi0 = rng.standard_normal(spec.grid.n_interior)
     calls = _count_marches(monkeypatch)
     apply_lambda(spec, psi0, inner_tol=1e-11)  # the inner tolerance of the shipped cg_tol = 1e-10
-    assert len(calls) <= 12
+    assert len(calls) <= 11
 
 
 def test_coupled_adjoint_reports_contraction_estimate(spec, rng):
@@ -536,13 +537,15 @@ def test_coupled_adjoint_reports_contraction_estimate(spec, rng):
 
 
 def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):
-    """psi marches backward, then the forward companions in one march (one
-    column per distinct target weight): 2 marches per sweep, not 3."""
+    """The forward companions of the previous psi march in one march (one
+    column per distinct target weight), then psi backward: 2 marches per
+    sweep, not 3, and the first sweep, whose companions are zero, marches
+    psi alone."""
     psi0 = _random_psi0(spec, rng)
     calls = _count_marches(monkeypatch)
     st = solve_coupled_adjoint(spec, psi0)
     assert st.iterations > 2
-    assert len(calls) == 2 * st.iterations
+    assert len(calls) == 2 * st.iterations - 1
 
 
 def _assert_matches_oracle(spec, st, psi0):
@@ -565,30 +568,31 @@ def test_equal_weights_march_one_companion_column(spec, rng, targets, monkeypatc
     calls = _count_marches(monkeypatch)
     st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
     assert st.iterations > 2
-    assert calls == [("march_backward", 1), ("march_forward", 1)] * st.iterations
+    assert calls == [("march_backward", 1)] + [("march_forward", 1), ("march_backward", 1)] * (st.iterations - 1)
     assert st.companions is None
     monkeypatch.undo()
     _assert_matches_oracle(spec, st, psi0)
 
 
 def test_distinct_weights_march_two_companion_columns(spec, rng, monkeypatch):
-    """Different alpha_i keep one companion column per follower; the solve
-    keeps both, so reading them marches nothing more."""
+    """Different alpha_i keep one companion column per follower in every
+    sweep after the first; the solve keeps neither, and the first read
+    marches both from the final psi as one 2-column march."""
     spec = spec.with_(alpha=(1e-3, 2.5e-3))
     psi0 = _random_psi0(spec, rng)
     calls = _count_marches(monkeypatch)
     st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
-    assert calls == [("march_backward", 1), ("march_forward", 2)] * st.iterations
+    assert calls == [("march_backward", 1)] + [("march_forward", 2), ("march_backward", 1)] * (st.iterations - 1)
     del calls[:]
     st.etas
-    assert calls == []
+    assert calls == [("march_forward", 2)]
     monkeypatch.undo()
     _assert_matches_oracle(spec, st, psi0)
 
 
 def test_reading_companions_costs_one_two_column_march(spec, rng, monkeypatch):
     """The first read of eta1 marches eta_1 and eta_2 from psi as one
-    2-column march, the same march the unmerged sweep ends with; later
+    2-column march, the companion march of a distinct-case sweep; later
     reads march nothing, and grad_G never reads them."""
     psi0 = _random_psi0(spec, rng)
     st = solve_coupled_adjoint(spec, psi0)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark this working tree against git revision REF in alternating pairs.
 # Usage: tools/bench_pairs.sh REF WORKLOAD PAIRS [SECONDS]
-# Checks REF out into a temporary git worktree, then runs
+# Exports REF into a temporary directory with `git archive`, then runs
 # `perfbench/run.py --workload WORKLOAD --seed 1 --seconds SECONDS --trace 0`
 # (SECONDS defaults to 50) PAIRS times from the root of each tree, REF first
 # in the odd pairs and the working tree first in the even ones.  Both sides
@@ -9,7 +9,7 @@
 # pair's job_s_mean, job_cpu_s_mean, jobs_per_s, setup_s and peak_rss_mb, the
 # median change ratio (tree / REF) of every metric, and as the last line one
 # JSON object holding every run's result line.  Exits non-zero if a run
-# fails; the worktree is removed either way.
+# fails; the temporary directory is removed either way.
 set -euo pipefail
 usage="usage: tools/bench_pairs.sh REF WORKLOAD PAIRS [SECONDS]"
 ref="${1:?$usage}"
@@ -18,13 +18,9 @@ pairs="${3:?$usage}"
 seconds="${4:-50}"
 root="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-  git -C "$root" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 mkdir "$tmp/runs"
 
 bench() {  # bench TREE NAME PAIR: one benchmark run of TREE, its result line kept as runs/PAIR-NAME.json

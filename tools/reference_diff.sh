@@ -1,25 +1,29 @@
 #!/usr/bin/env bash
 # Compare the benchmark reference jobs of this working tree with those of git revision REF.
-# Usage: tools/reference_diff.sh REF
+# Usage: tools/reference_diff.sh REF [RTOL]
 # Writes the seed-1 jobs of every perfbench workload once, with
 # perfbench/workloads.write_jobs (as many per workload as perfbench/reference.json
-# records), checks REF out into a temporary git worktree, and runs every job
-# in-process through hierctrl.cli.run with each tree's src/.  Prints `diff -r`
-# of the two output trees, then one summary line per workload: how many jobs
-# differ, the largest relative change of each key value (perfbench/checks.py's
-# key_values) and each side's CG and outer-iteration totals.  Exits non-zero
-# on any difference or failed job; the worktree is removed either way.
+# records), exports REF into a temporary directory with `git archive`, and
+# runs every job in-process through hierctrl.cli.run with each tree's src/.
+# Prints one summary line per workload: how many jobs differ, the largest
+# relative change of each key value (perfbench/checks.py's key_values) and
+# each side's CG and outer-iteration totals, then every count that moved: the
+# CG iterations of each eps, or the CG and outer iterations of a semilinear
+# job.
+# Without RTOL the comparison is exact: it also prints `diff -r` of the two
+# output trees and exits non-zero on any difference or failed job.  With RTOL
+# it exits 0 when no job failed and every key value moved by at most RTOL
+# relative, so a change that moves outputs at rounding level can state its
+# tolerance.  The temporary directory is removed either way.
 set -euo pipefail
-ref="${1:?usage: tools/reference_diff.sh REF}"
+usage="usage: tools/reference_diff.sh REF [RTOL]"
+ref="${1:?$usage}"
+rtol="${2:-}"
 root="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-  git -C "$root" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 PYTHONPATH="$root/perfbench" python - "$root" "$tmp/jobs" <<'EOF'
 import json
@@ -57,12 +61,14 @@ print(f"{tree}: {failed} failed jobs", file=sys.stderr)
 sys.exit(1 if failed else 0)
 EOF
 }
-run_tree "$tmp/ref" ref
-run_tree "$root" tree
 status=0
-diff -r "$tmp/out-ref" "$tmp/out-tree" || status=$?
+run_tree "$tmp/ref" ref || status=$?
+run_tree "$root" tree || status=$?
+if [[ -z "$rtol" ]]; then
+  diff -r "$tmp/out-ref" "$tmp/out-tree" || status=$?
+fi
 
-PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" <<'EOF'
+PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" <<'EOF' || status=$?
 import csv
 import sys
 from pathlib import Path
@@ -78,29 +84,47 @@ def same(a, b):
 
 
 def counts(out):
-    """(CG iterations, outer iterations) of one job's outputs."""
+    """{label: count} of one job's outputs: the CG iterations of each eps,
+    or the CG and outer iterations of a semilinear job."""
     summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
     if "outer_iterations" in summary:
-        return int(summary["cg_iterations"]), int(summary["outer_iterations"])
+        return {"cg": int(summary["cg_iterations"]), "outer": int(summary["outer_iterations"])}
     with open(out / "sweep.csv", newline="") as handle:
-        return sum(int(row["cg_iters"]) for row in csv.DictReader(handle)), 0
+        return {f"eps {row['eps']} cg": int(row["cg_iters"]) for row in csv.DictReader(handle)}
 
 
-ref, tree = (Path(arg) for arg in sys.argv[1:])
+ref, tree, rtol = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+largest = 0.0
 for name, workload in WORKLOADS.items():
     jobs = sorted(p.name for p in (ref / name).iterdir())
     differ = sum(not same(ref / name / job, tree / name / job) for job in jobs)
     changes = [[abs(t - r) / max(abs(r), 1e-300) for r, t in
                 zip(key_values(workload.subcommand, ref / name / job),
                     key_values(workload.subcommand, tree / name / job))] for job in jobs]
-    worst = " ".join(f"{max(column):.3g}" for column in zip(*changes))
-    cg, outer = ([sum(counts(side / name / job)[k] for job in jobs) for side in (ref, tree)]
-                 for k in (0, 1))
+    worst = [max(column) for column in zip(*changes)]
+    largest = max(largest, *worst)
+    per_job = {side: {job: counts(side / name / job) for job in jobs} for side in (ref, tree)}
+    cg, outer = ([sum(n for c in per_job[side].values() for label, n in c.items() if keep(label))
+                  for side in (ref, tree)]
+                 for keep in (lambda label: label != "outer", lambda label: label == "outer"))
     print(f"{name}: {differ} of {len(jobs)} jobs differ; largest relative change of each "
-          f"key value {worst}; CG iterations {cg[0]} -> {cg[1]}; "
+          f"key value {' '.join(f'{w:.3g}' for w in worst)}; CG iterations {cg[0]} -> {cg[1]}; "
           f"outer iterations {outer[0]} -> {outer[1]}")
+    for job in jobs:
+        before, after = per_job[ref][job], per_job[tree][job]
+        moved = [f"{label} {n} -> {after.get(label)}" for label, n in before.items() if after.get(label) != n]
+        if moved:
+            print(f"  {job}: " + "; ".join(moved))
+if rtol:
+    print(f"largest relative change of any key value {largest:.3g} (RTOL {float(rtol):.3g})")
+    sys.exit(0 if largest <= float(rtol) else 1)
 EOF
 if ((status)); then
   exit "$status"
 fi
-echo "reference jobs identical to $ref ($(find "$tmp/jobs" -name 'job-*.ini' | wc -l) jobs)"
+jobs="$(find "$tmp/jobs" -name 'job-*.ini' | wc -l) jobs"
+if [[ -z "$rtol" ]]; then
+  echo "reference jobs identical to $ref ($jobs)"
+else
+  echo "reference jobs within $rtol of $ref ($jobs)"
+fi

@@ -1,22 +1,18 @@
 #!/usr/bin/env bash
 # Compare the shipped runs of this working tree with those of git revision REF.
 # Usage: tools/shipped_diff.sh REF
-# Checks REF out into a temporary git worktree and runs tools/shipped_runs.sh
+# Exports REF into a temporary directory with `git archive` and runs tools/shipped_runs.sh
 # from each tree, through a `hierctrl` shim that runs `python -m hierctrl.cli`
 # on that tree's src/, with overflow warnings turned into errors as in CI.
 # Prints `diff -r` of the two output trees and exits non-zero on any
-# difference or failed run; the worktree is removed either way.
+# difference or failed run; the temporary directory is removed either way.
 set -euo pipefail
 ref="${1:?usage: tools/shipped_diff.sh REF}"
 root="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-  git -C "$root" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 run_tree() {  # run_tree TREE NAME: the shipped runs of TREE into $tmp/out-NAME
   local tree="$1" bin="$tmp/bin-$2"
