@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import TINY, conjugate_gradient, contraction_estimate, factorize, iterate
 from .mesh import norm_h
 from .nash import NashSolution, _control_weights, _indicators, solve_nash_fixed_point, stacked_system
-from .operators import ProblemSpec, control_sources, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 
 
 @dataclass
@@ -84,6 +84,19 @@ def _companions(spec, psi):
     return spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint")
 
 
+def _coupled_setup(spec):
+    """What solve_coupled_adjoint derives from the spec alone, kept on the
+    spec (ProblemSpec.setup): the coupling alpha_i chi_di of each distinct
+    target weight, adjoint to forward, and the coupling of minus each
+    companion column's control weight, forward to adjoint."""
+    stepper = spec.stepper
+    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
+    if np.array_equal(*weights):
+        weights = weights[:1]
+    return ([stepper.coupling(wt, "adjoint", "forward") for wt in weights],
+            [stepper.coupling(-wt, "forward", "adjoint") for wt in _control_weights(spec, len(weights))])
+
+
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
     """Fixed point over psi; linear in the terminal datum psi0, an interior
     (n,) vector.
@@ -103,7 +116,9 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     from the final psi when first wanted (CoupledAdjointState.etas).
 
     The sweeps run in the coordinates each step family marches in, as
-    nash.solve_nash_fixed_point's do, and psi is transformed back once.
+    nash.solve_nash_fixed_point's do, through couplings that are the
+    spec's setup (_coupled_setup), built on its first solve; psi0 is
+    transformed once per solve and psi back once at exit.
     The sweep is affine, its linear part the transpose of the Nash
     sweep's, so the solve also stops once Banach's bound
     rho-hat/(1 - rho-hat) * change is below tol_rel times ||psi||
@@ -111,16 +126,11 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     """
     stepper = spec.stepper
     fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
-    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
-    if np.array_equal(*weights):
-        weights = weights[:1]
-    psi_couplings = [stepper.coupling(wt, "adjoint", "forward") for wt in weights]
-    eta_couplings = [stepper.coupling(-wt, "forward", "adjoint")
-                     for wt in _control_weights(spec, len(weights))]
+    psi_couplings, eta_couplings = spec.setup(_coupled_setup)
     datum = fwd.datum(psi0)
     zero = np.zeros(spec.grid.n_interior)
     psi_src = fwd.zeros()
-    eta_src = adj.zeros(len(weights))
+    eta_src = adj.zeros(len(eta_couplings))
 
     def sweep(psi):
         if psi is not None:
@@ -164,7 +174,7 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
     W = np.vstack([spec.w0, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
-    nash = NashSolution(W, *phis, spec.follower_masks, spec.mu, 1, [0.0])
+    nash = NashSolution(W, tuple(phis), Coordinates(grid), spec.follower_masks, spec.mu, 1, [0.0])
 
     psi0 = np.zeros(n) if psi0 is None else psi0
     rhs = np.zeros((3, nt, n))

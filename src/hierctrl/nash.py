@@ -25,34 +25,48 @@ import scipy.sparse as sp
 from .errors import TooLarge
 from .linalg import TINY, contraction_estimate, iterate
 from .mesh import q_norm
-from .operators import ProblemSpec, control_sources, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 
 
 @dataclass
 class NashSolution:
     """State, follower adjoints and follower controls, each an interior
-    (nt+1, n) array with one row per time level 0..nt.  The fixed point
-    returns phi1 and phi2 as one array in the shared case.
+    (nt+1, n) array with one row per time level 0..nt.
 
-    The controls v1 and v2 are formed from the adjoints, the follower
-    masks and mu (_controls_from_adjoints) when v1, v2 or controls is first
-    read, and kept: a Lambda apply never reads them.  contraction_estimate
-    is the fixed point's rho-hat (linalg.contraction_estimate), nan for a
+    adjoints are the follower adjoints as the solve left them, in
+    coordinates (operators.Coordinates, the adjoint family's for the fixed
+    point): one array serving phi1 and phi2 in the shared case.  phi1 and
+    phi2 are formed from them in physical space when phi1, phi2 or phis is
+    first read, and the controls v1 and v2 from those, the follower masks
+    and mu (_controls_from_adjoints) when v1, v2 or controls is first read;
+    both are kept.  A Lambda apply reads neither.  contraction_estimate is
+    the fixed point's rho-hat (linalg.contraction_estimate), nan for a
     direct solve or a history of one change.
     """
     w: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
+    adjoints: tuple
+    coordinates: Coordinates
     follower_masks: tuple
     mu: tuple
     iterations: int
     history: list
     contraction_estimate: float = math.nan
+    formed_phis: tuple = None
     formed_controls: tuple = None
 
     @property
     def phis(self):
-        return (self.phi1, self.phi2)
+        if self.formed_phis is None:
+            self.formed_phis = tuple(_physical_adjoints(self.coordinates, self.adjoints))
+        return self.formed_phis
+
+    @property
+    def phi1(self):
+        return self.phis[0]
+
+    @property
+    def phi2(self):
+        return self.phis[1]
 
     @property
     def controls(self):
@@ -92,6 +106,29 @@ def _control_weights(spec, k):
     their sum when one column serves both followers (k = 1)."""
     ws = [chi / mu for chi, mu in zip(_indicators(spec.follower_masks), spec.mu)]
     return [ws[0] + ws[1]] if k == 1 else ws
+
+
+def _nash_setup(spec):
+    """What solve_nash_fixed_point derives from the spec alone, kept on the
+    spec (ProblemSpec.setup): the coupling alpha_i chi_di of each distinct
+    target term, forward to adjoint; each term's w_id in forward
+    coordinates, None where it is zero; the coupling of each adjoint
+    column's control weight, adjoint to forward; and w0 in forward
+    coordinates."""
+    stepper = spec.stepper
+    fwd = stepper.coordinates("forward")
+    terms = _target_terms(spec)
+    return ([stepper.coupling(wt, "forward", "adjoint") for wt, _ in terms],
+            [fwd.field(wd) if wd.any() else None for _, wd in terms],
+            [stepper.coupling(wt, "adjoint", "forward") for wt in _control_weights(spec, len(terms))],
+            fwd.datum(spec.w0))
+
+
+def _physical_adjoints(coordinates, adjoints):
+    """phi_1 and phi_2 in physical space from adjoints in coordinates; a
+    single adjoint serves both."""
+    phis = [coordinates.physical(phi) for phi in adjoints]
+    return phis * 2 if len(phis) == 1 else phis
 
 
 def _controls_from_adjoints(follower_masks, mu, phi_arrays):
@@ -176,10 +213,15 @@ def solve_nash_fixed_point(
     The sweeps run in the coordinates each step family marches in
     (operators.Coordinates): every mask product is a Coupling from the
     adjoint family's coordinates to the forward family's or back, so a
-    modal march is one GEMM and one band solve.  f, w0, w_id and
-    extra_source are transformed once per solve, and the result once at
-    exit; on_sweep gets physical arrays.  Dense and SuperLU families
-    march in physical space, with exactly the physical arithmetic.
+    modal march is one GEMM and one band solve.  The couplings, w0 and the
+    non-zero w_id in coordinates are the spec's setup (_nash_setup), built
+    on its first solve; f and extra_source are transformed once per solve,
+    W once at exit, and the adjoints when the solution's phis are first
+    read.  on_sweep gets physical arrays.  Dense and SuperLU families
+    march in physical space, with exactly the physical arithmetic.  While
+    the iterate is the zero start and every w_id is zero, the adjoints and
+    their part of the state source are zero, so the first sweep marches
+    only the state.
 
     Convergence is measured in the discrete L2(Q) norm of the state-iterate
     change.  The sweep is an affine map of z, so without damping the solve
@@ -195,55 +237,52 @@ def solve_nash_fixed_point(
     """
     stepper = spec.stepper
     fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
+    adj_couplings, targets, state_couplings, datum = spec.setup(_nash_setup)
     f_src = control_sources(spec, f=f)
     if extra_source is not None:
         f_src = f_src + extra_source
     f_src = fwd.source(f_src)
-    # per-solve couplings: alpha_i chi_di of each distinct target term, and its control weight
-    terms = _target_terms(spec)
-    adj_couplings = [stepper.coupling(wt, "forward", "adjoint") for wt, _ in terms]
-    targets = [fwd.field(wd) if wd.any() else None for _, wd in terms]
-    state_couplings = [stepper.coupling(wt, "adjoint", "forward")
-                       for wt in _control_weights(spec, len(terms))]
-    datum = fwd.datum(spec.w0)
     zero = np.zeros(spec.grid.n_interior)
-    adj_src = adj.zeros(len(terms))
+    zero_targets = all(wd is None for wd in targets)
+    adj_src = adj.zeros(len(targets))
     fed_src, state_src = fwd.zeros(), fwd.zeros()  # the follower part of the state source, and all of it
+    start = fwd.zeros()
     sweeps = itertools.count(1)
 
-    def physical(W, phis):
-        W, phis = fwd.physical(W), [adj.physical(phi) for phi in phis]
+    def physical(W):
+        W = fwd.physical(W)
         W[0] = spec.w0  # the datum itself, not its round trip through the coordinates
-        return W, phis * 2 if len(phis) == 1 else phis
+        return W
 
     def sweep(state):
         # the adjoints from frozen z in one march, then the state under the controls they give
         z, z_norm = state[:2]
-        for col, coupling, wd in zip(adj_src, adj_couplings, targets):
-            coupling.apply(fwd.levels(z if wd is None else z - wd),
-                           out=adj.source_levels(col, backward=True))
-        phis = stepper.march_backward(zero, adj_src, family="adjoint", coordinates=True)
-        fed = fwd.source_levels(fed_src)
-        state_couplings[0].apply(adj.levels(phis[0], shifted=True), out=fed)
-        for phi, coupling in zip(phis[1:], state_couplings[1:]):
-            fed += coupling.apply(adj.levels(phi, shifted=True))
-        np.subtract(f_src, fed_src, out=state_src)
+        if z is start and zero_targets:  # zero adjoints, bitwise what their march gives
+            phis = adj.zeros(len(targets))
+            np.copyto(state_src, f_src)
+        else:
+            for col, coupling, wd in zip(adj_src, adj_couplings, targets):
+                coupling.apply(fwd.levels(z if wd is None else z - wd),
+                               out=adj.source_levels(col, backward=True))
+            phis = stepper.march_backward(zero, adj_src, family="adjoint", coordinates=True)
+            fed = fwd.source_levels(fed_src)
+            state_couplings[0].apply(adj.levels(phis[0], shifted=True), out=fed)
+            for phi, coupling in zip(phis[1:], state_couplings[1:]):
+                fed += coupling.apply(adj.levels(phi, shifted=True))
+            np.subtract(f_src, fed_src, out=state_src)
         W = stepper.march_forward(datum, state_src, coordinates=True)
         step = W - z
         change, w_norm = fwd.q_norm(step), fwd.q_norm(W)
         if on_sweep is not None:
-            W_phys, phis_phys = physical(W, phis)
-            on_sweep(next(sweeps), W_phys, _controls_from_adjoints(spec.follower_masks, spec.mu, phis_phys),
-                     change)
+            vs = _controls_from_adjoints(spec.follower_masks, spec.mu, _physical_adjoints(adj, phis))
+            on_sweep(next(sweeps), physical(W), vs, change)
         z_next = W if damping == 1.0 else z + damping * step
         z_next_norm = w_norm if z_next is W else fwd.q_norm(z_next)
         return (z_next, z_next_norm, W, phis), change, max(z_norm, w_norm, TINY)
 
-    start = (fwd.zeros(), 0.0)
-    (_, _, W, phis), it, history = iterate(sweep, start, tol_rel, max_iter, "Nash fixed point",
+    (_, _, W, phis), it, history = iterate(sweep, (start, 0.0), tol_rel, max_iter, "Nash fixed point",
                                            error_bound=damping == 1.0)
-    W, phis = physical(W, phis)
-    return NashSolution(W, *phis, spec.follower_masks, spec.mu, it, history,
+    return NashSolution(physical(W), tuple(phis), adj, spec.follower_masks, spec.mu, it, history,
                         contraction_estimate(history))
 
 

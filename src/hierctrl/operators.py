@@ -126,7 +126,10 @@ class ProblemSpec:
 
     The spec owns its TimeStepper (`stepper`), built on first use.  Copies
     made by with_ that keep grid and coefficients share it, even when the
-    copy is made before anything has marched.
+    copy is made before anything has marched.  The spec also keeps what a
+    solver derives from it alone (setup), which copies never share, as
+    their data may differ.  Either way, callers must not modify a spec's
+    arrays in place.
     """
 
     grid: Grid
@@ -142,6 +145,7 @@ class ProblemSpec:
     a_adj: np.ndarray = None
     b_adj: tuple = None
     _stepper_holder: list = field(init=False, repr=False, compare=False)
+    _setups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # mu_i = 0 is rejected outright; alpha_i = 0 is tolerated as the
@@ -161,6 +165,7 @@ class ProblemSpec:
                 raise ShapeMismatch(f"need {count} {name} arrays, got {len(arrays)}")
             object.__setattr__(self, name, tuple(_interior_data(name, v, levels) for v in arrays))
         object.__setattr__(self, "_stepper_holder", [])
+        object.__setattr__(self, "_setups", {})
 
     @property
     def stepper(self) -> TimeStepper:
@@ -169,8 +174,16 @@ class ProblemSpec:
             self._stepper_holder.append(TimeStepper(self.grid, self.a, self.b, self.a_adj, self.b_adj))
         return self._stepper_holder[0]
 
+    def setup(self, build):
+        """build(self), built on the first call with this build and kept;
+        callers must not modify it."""
+        if build not in self._setups:
+            self._setups[build] = build(self)
+        return self._setups[build]
+
     def with_(self, **kw):
-        """A copy with fields replaced; it shares the stepper unless a coefficient field changes."""
+        """A copy with fields replaced; it shares the stepper unless a
+        coefficient field changes, and never the setups."""
         new = replace(self, **kw)
         if all(kw[name] is getattr(self, name) for name in _COEFFICIENT_FIELDS if name in kw):
             object.__setattr__(new, "_stepper_holder", self._stepper_holder)
@@ -347,7 +360,8 @@ class TimeStepper:
     gradient matrices (grid_operators).  Either way the backward march is
     the transpose of the forward one.  When the coefficients are
     time-independent one level serves every step.
-    A march whose datum and sources are all zero returns zeros at once.
+    A physical march whose datum and sources are all zero returns zeros at
+    once; a march in modal coordinates solves such data to exact zeros.
     The sparse step matrices themselves come from step_matrix.
 
     Each family also has its Coordinates (coordinates), in which a march
@@ -587,10 +601,9 @@ def _band_march(band, datum, rhs, backward):
     nt backward, 0 forward) is set to datum here.  Level l of mode m then
     solves y_l - w_m y_{l-1} = rhs_l forward, and with the transposed band
     p_l - w_m p_{l+1} = rhs_l backward: one LAPACK band solve for every
-    column.  Returns a new array of rhs's shape."""
+    column.  Returns a new array of rhs's shape, exact zeros when datum and
+    rhs are all zero."""
     rhs[..., -1 if backward else 0] = datum
-    if not rhs.any():
-        return np.zeros_like(rhs)
     k = len(rhs) if rhs.ndim == 3 else 1
     y = dtbtrs(band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
     return y.T.reshape(rhs.shape)

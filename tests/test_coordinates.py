@@ -127,3 +127,53 @@ def test_couplings_are_built_once_per_stepper(monkeypatch, rng):
     first = len(built)
     apply_lambda(spec, rng.standard_normal(spec.grid.n_interior))
     assert first == 3 and len(built) == first
+
+
+def _same(a, b):
+    """Bit for bit equal: arrays by value and dtype, sequences item by item."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _nash_outputs(spec, f, extra, damping, record):
+    seen = []
+
+    def on_sweep(it, W, vs, change):
+        seen.append((it, W.copy(), [v.copy() for v in vs], change))
+
+    sol = solve_nash_fixed_point(spec, f, tol_rel=1e-13, damping=damping, extra_source=extra,
+                                 on_sweep=on_sweep if record else None)
+    return [sol.w, sol.phis, sol.controls, sol.iterations, sol.history, seen]
+
+
+def _coupled_outputs(spec, psi0):
+    st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
+    return [st.psi, st.etas, st.iterations, st.history]
+
+
+@pytest.mark.parametrize("zero_data", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", ["shared", "alpha", "targets"])
+def test_consecutive_solves_on_one_spec_match_fresh_copies(family, case, zero_data, monkeypatch, rng):
+    """A spec keeps its inner-solve setup across solves and nothing else:
+    consecutive solves with different psi0, f and extra_source, with and
+    without on_sweep and damping, equal bit for bit the same solves on a
+    fresh with_ copy, which builds its own setup."""
+    for name, value in FAMILIES[family].items():
+        monkeypatch.setattr(operators, name, value)
+    spec = _spec(case)
+    if zero_data:  # the first Nash sweep of a zero-target solve marches the state alone
+        spec = spec.with_zero_data()
+    g = spec.grid
+    shape = (g.nt + 1, g.n_interior)
+    extra = np.full(shape, 0.3)
+    nash_runs = [(leader_bump(g), None, 1.0, False), (rng.standard_normal(shape), extra, 1.0, True),
+                 (leader_bump(g, 0.1), None, 0.6, True), (None, extra, 0.6, False)]
+    for f, extra_source, damping, record in nash_runs:
+        kept = _nash_outputs(spec, f, extra_source, damping, record)
+        assert _same(kept, _nash_outputs(spec.with_(), f, extra_source, damping, record))
+        psi0 = rng.standard_normal(g.n_interior)
+        assert _same(_coupled_outputs(spec, psi0), _coupled_outputs(spec.with_(), psi0))

@@ -15,9 +15,9 @@ from hierctrl.hum import (apply_lambda, control_to_trajectory,
                           leader_from_psi, minimize_G, solve_coupled_adjoint)
 from hierctrl.mesh import Grid, build_grid, full_mask, inner_h, norm_h
 from hierctrl.nash import q_norm, solve_nash_fixed_point
-from hierctrl.operators import TimeStepper, solve_forward
+from hierctrl.operators import Coupling, TimeStepper, solve_forward
 
-from conftest import make_hum_spec
+from conftest import leader_bump, make_hum_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -517,13 +517,72 @@ def _count_marches(monkeypatch):
 def test_lambda_apply_marches_on_benchmark_grid(tmp_path, rng, monkeypatch):
     """At the benchmark's rho of about 1e-4, Banach's bound stops the coupled
     adjoint and the Nash solve of one Lambda apply after 3 sweeps each, at
-    2 marches a sweep, less the coupled adjoint's first companion march:
-    11 marches, where the change rule alone made 16."""
+    2 marches a sweep, less the coupled adjoint's first companion march
+    and the Nash solve's first adjoint march: 10 marches, where the change
+    rule alone made 16."""
     spec = _benchmark_grid_spec(tmp_path)
     psi0 = rng.standard_normal(spec.grid.n_interior)
     calls = _count_marches(monkeypatch)
     apply_lambda(spec, psi0, inner_tol=1e-11)  # the inner tolerance of the shipped cg_tol = 1e-10
-    assert len(calls) <= 11
+    assert len(calls) <= 10
+
+
+def _count_couplings(monkeypatch):
+    """Count Coupling.apply calls."""
+    calls = []
+    original = Coupling.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coupling, "apply", counted)
+    return calls
+
+
+def test_zero_data_nash_first_sweep_marches_the_state_alone(spec, rng, monkeypatch):
+    """With zero targets the first sweep's iterate, the zero start, gives
+    zero adjoints: that sweep applies no coupling and marches the state
+    alone, and each later sweep couples and marches twice (shared case)."""
+    zspec = spec.with_zero_data()
+    f = leader_from_psi(zspec, solve_coupled_adjoint(zspec, _random_psi0(spec, rng)))
+    marches, couplings = _count_marches(monkeypatch), _count_couplings(monkeypatch)
+    sol = solve_nash_fixed_point(zspec, f)
+    k = sol.iterations
+    assert k > 2
+    assert marches == [("march_forward", 1)] + [("march_backward", 1), ("march_forward", 1)] * (k - 1)
+    assert len(couplings) == 2 * (k - 1)
+
+
+def test_nash_with_a_target_couples_its_first_sweep(spec, monkeypatch):
+    """A non-zero target enters the first sweep's adjoint source, so every
+    sweep couples and marches its adjoint, the first one too."""
+    g = spec.grid
+    wd = np.full((g.nt + 1, g.n_interior), 0.1)
+    tspec = spec.with_(targets=(wd, wd))
+    marches, couplings = _count_marches(monkeypatch), _count_couplings(monkeypatch)
+    sol = solve_nash_fixed_point(tspec, leader_bump(g))
+    assert sol.iterations > 2
+    assert marches == [("march_backward", 1), ("march_forward", 1)] * sol.iterations
+    assert len(couplings) == 2 * sol.iterations
+
+
+def test_minimize_builds_each_inner_setup_once_per_spec(spec, monkeypatch):
+    """minimize_G's affine solve and every Lambda apply share two specs,
+    the data spec and its zero-data copy, so each solver's setup is built
+    twice however many CG iterations run."""
+    built = []
+    for module, name in ((hum, "_coupled_setup"), (nash, "_nash_setup")):
+        original = getattr(module, name)
+
+        def counted(spec, _original=original, _name=name):
+            built.append(_name)
+            return _original(spec)
+
+        monkeypatch.setattr(module, name, counted)
+    res = minimize_G(spec, 1e-3, cg_tol=1e-10)
+    assert res.cg_iterations > 5
+    assert sorted(built) == ["_coupled_setup"] * 2 + ["_nash_setup"] * 2
 
 
 def test_coupled_adjoint_reports_contraction_estimate(spec, rng):

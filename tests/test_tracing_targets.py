@@ -10,7 +10,11 @@ import functools
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import make_hum_spec
+
+from hierctrl import hum
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -28,3 +32,23 @@ def _targets():
 def test_traced_entry_point_resolves(module, path):
     obj = functools.reduce(getattr, path.split("."), importlib.import_module(f"hierctrl.{module}"))
     assert callable(obj)
+
+
+def test_grad_G_reaches_each_traced_solver_once(monkeypatch):
+    """grad_G calls both inner solvers through hum's own bindings, the ones
+    the tracer patches there, once each, so a Lambda apply's traced calls
+    and sweeps count every inner solve."""
+    traced = {(module, path) for module, path in _targets()}
+    assert {("hum", "solve_coupled_adjoint"), ("nash", "solve_nash_fixed_point")} <= traced
+    calls = []
+    for name in ("solve_coupled_adjoint", "solve_nash_fixed_point"):
+        original = getattr(hum, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hum, name, counted)
+    spec = make_hum_spec().with_zero_data()
+    hum.grad_G(spec, np.random.default_rng(5).standard_normal(spec.grid.n_interior), 0.0)
+    assert calls == ["solve_coupled_adjoint", "solve_nash_fixed_point"]
