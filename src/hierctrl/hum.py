@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TINY, conjugate_gradient, contraction_estimate, factorize, iterate
+from .linalg import TINY, RitzPairs, conjugate_gradient, contraction_estimate, factorize, iterate, ritz_pairs
 from .mesh import norm_h
 from .nash import NashSolution, _control_weights, _indicators, solve_nash_fixed_point, stacked_system
 from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
+
+RITZ_DIRECTIONS = 8  # a single-eps solve applying Lambda to this many directions yields Ritz pairs
+RITZ_CAP = 20  # the most Ritz pairs a solve keeps
 
 
 @dataclass
@@ -61,7 +64,14 @@ class CoupledAdjointState:
 class HumResult:
     """One penalized HUM solve: the interior terminal datum psi0, shape
     (n,), the leader control f and the state w it drives, interior
-    (nt+1, n) arrays, and terminal_norm, the norm of w(T)."""
+    (nt+1, n) arrays, and terminal_norm, the norm of w(T).
+
+    cg_residuals are CG's residuals relative to ||b||, refinements included,
+    cg_iterations its Lambda applies.  ritz holds the Ritz pairs of Lambda
+    above eps that a later solve with a nearby Lambda is preconditioned
+    with (minimize_G's ritz): this solve's own when it made enough Lambda
+    applies, else the ones it was given; None for several eps.
+    """
     psi0: np.ndarray
     f: np.ndarray
     w: np.ndarray
@@ -70,6 +80,7 @@ class HumResult:
     cg_iterations: int
     eps: float
     true_residual: float
+    ritz: RitzPairs = None
 
 
 def _companions(spec, psi):
@@ -123,12 +134,19 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     sweep's, so the solve also stops once Banach's bound
     rho-hat/(1 - rho-hat) * change is below tol_rel times ||psi||
     (linalg.iterate's error_bound).
+
+    A zero psi0 gives the zero state, psi and both companions, without a
+    sweep or a march (0 iterations, an empty history).
     """
+    grid = spec.grid
     stepper = spec.stepper
     fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
-    psi_couplings, eta_couplings = spec.setup(_coupled_setup)
     datum = fwd.datum(psi0)
-    zero = np.zeros(spec.grid.n_interior)
+    if not datum.any():
+        psi, *etas = np.zeros((3, grid.nt + 1, grid.n_interior))
+        return CoupledAdjointState(psi, spec, 0, [], tuple(etas))
+    psi_couplings, eta_couplings = spec.setup(_coupled_setup)
+    zero = np.zeros(grid.n_interior)
     psi_src = fwd.zeros()
     eta_src = adj.zeros(len(eta_couplings))
 
@@ -240,7 +258,7 @@ def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
     return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, ritz=None):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     eps is one penalty, giving one HumResult, or a sequence of them, giving
@@ -269,19 +287,32 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
     drifted shift, so a start that already meets cg_tol costs no CG
     iteration, and its cg_residuals begin with its true residual relative
     to ||b||.
+
+    ritz, Ritz pairs (linalg.RitzPairs) of a nearby Lambda, for a single eps
+    only, turns every refinement into preconditioned CG under
+    RitzPairs.preconditioner(eps), which deflates the few eigenvalues above
+    eps that plain CG spends its iterations on; its residuals stay
+    unpreconditioned and relative to ||b||.  A single-eps solve that applies
+    Lambda to at least RITZ_DIRECTIONS directions returns, as
+    HumResult.ritz, the Rayleigh-Ritz pairs of those directions and their
+    products Lambda d_k, all from this Lambda, with values above eps, at most
+    RITZ_CAP of them; otherwise it returns the ritz it was given.  This
+    costs no Lambda apply.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
     inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
-    if psi0 is not None and len(eps_list) != 1:
-        raise ValueError("a psi0 start takes a single eps")
+    if (psi0 is not None or ritz is not None) and len(eps_list) != 1:
+        raise ValueError("a psi0 start or Ritz pairs take a single eps")
     fields = []  # (f, w) of the affine solve, then of every direction Lambda is applied to
     b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
     norm_b = max(float(np.linalg.norm(b)), TINY)
     zspec = spec.with_zero_data()
+    directions = []  # every d_k, in the order of fields[1:]
 
     def apply(x):
+        directions.append(x)
         return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol, fields=fields)
 
     def combine(base, coefficients, first):
@@ -307,7 +338,8 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
         if norm_r > cg_tol * norm_b:
             first = len(fields)
             fix = conjugate_gradient(apply, -r_true, tol_rel=cg_tol * norm_b / norm_r,
-                                     max_iter=max_iter, shifts=(e,))
+                                     max_iter=max_iter, shifts=(e,),
+                                     preconditioner=None if ritz is None else ritz.preconditioner(e))
             residuals = residuals + [h * norm_r / norm_b for h in fix.histories[0][1:]]
             iterations += fix.iterations
             x = x + fix.xs[0]
@@ -324,6 +356,10 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None):
             eps=e,
             true_residual=norm_r / norm_b,
         ))
+    if len(eps_list) == 1:
+        if len(directions) >= RITZ_DIRECTIONS:
+            ritz = ritz_pairs(directions, [w[-1] for _, w in fields[1:]], eps_list[0], RITZ_CAP)
+        results[0].ritz = ritz
     return results if np.ndim(eps) else results[0]
 
 

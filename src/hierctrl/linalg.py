@@ -115,10 +115,12 @@ class CGResult:
 
     iterations counts operator applications.  shift_iterations[i] is the
     iteration at which shift i converged, and histories[i] holds its
-    recurrence residuals |zeta_k| ||r_k|| / ||b|| for k = 0..shift_iterations[i].
+    recurrence residuals |zeta_k| ||r_k|| / ||b|| for k = 0..shift_iterations[i]
+    (under a preconditioner, ||r_k|| / ||b||: never the preconditioned norm).
     coefficients, shape (len(xs), iterations), writes each solution in the
     directions CG applied the operator to: x_i = sum_k coefficients[i, k] d_k,
-    d_k being the k-th argument of apply, to rounding.
+    d_k being the k-th argument of apply, to rounding; preconditioned or
+    not, those are the search directions p_k.
     """
 
     xs: list
@@ -128,7 +130,58 @@ class CGResult:
     coefficients: np.ndarray
 
 
-def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> CGResult:
+class RitzPairs(NamedTuple):
+    """Ritz values (descending) and orthonormal Ritz vectors (columns) of a
+    symmetric operator on a subspace (ritz_pairs)."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def preconditioner(self, shift):
+        """M^-1 = V (Theta + shift)^-1 V' + (I - V V')/shift, the inverse of
+        A + shift I when the pairs are exact eigenpairs and the rest of A's
+        spectrum is zero; shift must be positive."""
+        V, scale = self.vectors, 1.0 / (self.values + shift) - 1.0 / shift
+
+        def apply(r):
+            return r / shift + V @ (scale * (V.T @ r))
+
+        return apply
+
+
+def ritz_pairs(directions, products, floor, cap) -> RitzPairs:
+    """Rayleigh-Ritz for a symmetric A on the span of directions.
+
+    directions is a (k, n) array of vectors d_j and products holds A d_j in
+    the same layout, so no application of A is made.  The directions are
+    orthonormalized by an SVD that drops singular values below 1e-10 times
+    the largest, so a rank-deficient set is harmless.  Returns the pairs
+    whose value is above floor, the largest first, at most cap of them.
+    """
+    D = np.asarray(directions, dtype=float).T
+    AD = np.asarray(products, dtype=float).T
+    U, s, Wt = np.linalg.svd(D, full_matrices=False)
+    keep = s > 1e-10 * s[0]
+    Q = U[:, keep]
+    AQ = AD @ (Wt[keep].T / s[keep])
+    H = Q.T @ AQ
+    theta, Y = np.linalg.eigh(0.5 * (H + H.T))
+    top = np.flatnonzero(theta > floor)[::-1][:cap]
+    return RitzPairs(theta[top], Q @ Y[:, top])
+
+
+def _curvature(p, Ap):
+    """<p, A p>, raising NonFiniteBreakdown unless it is finite and positive."""
+    denom = float(np.dot(p, Ap))
+    if not np.isfinite(denom) or denom <= 0.0:
+        if denom <= 0.0 and np.isfinite(denom):
+            raise NonFiniteBreakdown(f"operator not positive definite: <p,Ap> = {denom:.3e}")
+        raise NonFiniteBreakdown("non-finite curvature in CG")
+    return denom
+
+
+def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
+                       preconditioner=None) -> CGResult:
     """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
     apply(p) returns A p.  One Krylov sequence runs on the base system, the
@@ -143,14 +196,25 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     MaxIterations carrying the best iterate of every shift,
     every history and the iteration each shift converged at (None for those
     that missed), NonFiniteBreakdown on any non-finite scalar.
+
+    preconditioner, a callable r -> M^-1 r with M SPD, makes it
+    preconditioned CG on the single shift it takes (a preconditioner breaks
+    the shift invariance, so with several shifts it raises ValueError).  Its
+    histories are still the unpreconditioned recurrence residuals
+    ||r_k|| / ||b|| and it stops on them, so tol_rel keeps its meaning; its
+    coefficients are the step lengths, x = sum_k alpha_k p_k.
     """
     b = np.asarray(b, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
     m = len(shifts)
+    if preconditioner is not None and m != 1:
+        raise ValueError(f"a preconditioner takes a single shift, not {m}")
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
                         np.zeros((m, 0)))
+    if preconditioner is not None:
+        return _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, float(shifts[0]), preconditioner)
     base_shift = float(shifts.min())
     rel_shift = shifts - base_shift
     r = b.copy()
@@ -171,12 +235,7 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
     best_x, best_res = xs.copy(), np.full(m, rel0)
     for it in range(1, max_iter + 1):
         Ap = np.asarray(apply(p), dtype=float) + base_shift * p
-        denom = float(np.dot(p, Ap))
-        if not np.isfinite(denom) or denom <= 0.0:
-            if denom <= 0.0 and np.isfinite(denom):
-                raise NonFiniteBreakdown(f"operator not positive definite: <p,Ap> = {denom:.3e}")
-            raise NonFiniteBreakdown("non-finite curvature in CG")
-        alpha = rs / denom
+        alpha = rs / _curvature(p, Ap)
         r = r - alpha * Ap
         rs_new = float(np.dot(r, r))
         if not np.isfinite(rs_new):
@@ -216,6 +275,43 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,)) -> 
         history=histories,
         shifts=[float(s) for s in shifts],
         shift_iterations=[None if a else k for a, k in zip(active, shift_iterations)],
+    )
+
+
+def _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, shift, preconditioner) -> CGResult:
+    """conjugate_gradient's single-shift path under a preconditioner."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = preconditioner(r)
+    rz = float(np.dot(r, p))
+    history = [1.0]
+    alphas = []
+    best_x, best_res = x, 1.0
+    for it in range(1, max_iter + 1):
+        Ap = np.asarray(apply(p), dtype=float) + shift * p
+        alpha = rz / _curvature(p, Ap)
+        alphas.append(alpha)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rel = float(np.linalg.norm(r)) / norm_b
+        if not np.isfinite(rel):
+            raise NonFiniteBreakdown("non-finite residual in CG")
+        history.append(rel)
+        if rel < best_res:
+            best_res, best_x = rel, x
+        if rel <= tol_rel:
+            return CGResult([x], it, [history], [it], np.array([alphas]))
+        z = preconditioner(r)
+        rz_new = float(np.dot(r, z))
+        if not np.isfinite(rz_new) or rz_new <= 0.0:
+            raise NonFiniteBreakdown(f"preconditioner not positive definite: <r,M^-1 r> = {rz_new:.3e}")
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise MaxIterations(
+        f"PCG did not reach tol {tol_rel:.1e} in {max_iter} iterations "
+        f"(best residual {best_res:.3e})",
+        best=[best_x], iterations=max_iter, history=[history], shifts=[shift],
+        shift_iterations=[None],
     )
 
 

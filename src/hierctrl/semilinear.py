@@ -351,8 +351,12 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     Outer loop: freeze z, build the linear spec with secant state
     coefficients and tangent adjoint coefficients around the trajectory,
     run the penalized HUM solver, update z with the controlled state.  From
-    the second iteration on, the HUM solve starts from the previous psi0:
-    the frozen coefficients move little between iterations.
+    the second iteration on, the HUM solve starts from the previous psi0,
+    and refines it by CG preconditioned with the Ritz pairs the previous
+    solve returned (minimize_G's ritz): the frozen coefficients, and so
+    Lambda's few eigenvalues above eps, move little between iterations.
+    The pairs come from the latest solve that applied Lambda often enough,
+    in practice the cold first one, and are always used.
     spec.w0 holds the absolute initial state u0 and spec.targets the
     absolute targets zeta_id; ubar0 is an (n,) vector.
     """
@@ -370,8 +374,8 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     def sweep(state):
         z, previous = state
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
-        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter,
-                         psi0=None if previous is None else previous.psi0)
+        start = {} if previous is None else {"psi0": previous.psi0, "ritz": previous.ritz}
+        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter, **start)
         cg_residuals.append(hum.cg_residuals)
         cg_iterations.append(hum.cg_iterations)
         return (hum.w, hum), *_picard_change(grid, z, hum.w)

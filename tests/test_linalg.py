@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import (PATIENCE, RHO_CAP, conjugate_gradient, contraction_estimate, factorize,
-                             invert_stack, iterate)
+from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, conjugate_gradient, contraction_estimate,
+                             factorize, invert_stack, iterate, ritz_pairs)
 from hierctrl.operators import _inverse_loop
 
 
@@ -270,6 +270,117 @@ def test_multishift_nonfinite_breakdown():
         conjugate_gradient(bad, np.ones(3), shifts=(1e-2, 1.0))
     with pytest.raises(NonFiniteBreakdown):
         conjugate_gradient(lambda v: -v, np.ones(3), shifts=(0.5, 0.1))
+
+
+EPS = 1e-4
+
+
+def _hum_like_spd(n=60, top=7, seed=12):
+    """SPD matrix shaped like the HUM operator: `top` eigenvalues in
+    1e-2..1, the rest below 1e-6, far under the shift EPS.  Returns the
+    matrix, its eigenvalues descending, the matching eigenvectors and a
+    right side."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([np.logspace(0, -2, top), np.logspace(-6, -12, n - top)])
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T), lam, Q, rng.standard_normal(n)
+
+
+def _recording(A):
+    """apply(v) = A v, keeping every direction and product it saw."""
+    directions, products = [], []
+
+    def apply(v):
+        directions.append(v.copy())
+        products.append(A @ v)
+        return products[-1]
+
+    return apply, directions, products
+
+
+def test_pcg_deflated_by_exact_top_eigenpairs_converges_in_a_few_iterations():
+    A, lam, Q, b = _hum_like_spd()
+    tol = 1e-10
+    pairs = RitzPairs(lam[:7], Q[:, :7])
+    plain = conjugate_gradient(lambda v: A @ v, b, tol_rel=tol, shifts=(EPS,))
+    res = conjugate_gradient(lambda v: A @ v, b, tol_rel=tol, shifts=(EPS,),
+                             preconditioner=pairs.preconditioner(EPS))
+    assert res.iterations <= 5 < plain.iterations
+    direct = np.linalg.solve(A + EPS * np.eye(len(b)), b)
+    assert np.linalg.norm(res.xs[0] - direct) <= 1e-8 * np.linalg.norm(direct)
+    assert np.linalg.norm(A @ res.xs[0] + EPS * res.xs[0] - b) <= tol * np.linalg.norm(b)
+    # the history is the unpreconditioned recurrence residual relative to ||b||
+    assert res.histories[0][0] == 1.0 and res.histories[0][-1] <= tol < min(res.histories[0][:-1])
+    assert len(res.histories[0]) == res.iterations + 1 and res.shift_iterations == [res.iterations]
+
+
+def test_pcg_with_the_identity_preconditioner_is_plain_cg():
+    A, b = _spread_spd(30, 8)
+    plain = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,))
+    res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,), preconditioner=lambda r: r)
+    assert res.iterations == plain.iterations
+    assert np.linalg.norm(res.xs[0] - plain.xs[0]) <= 1e-13 * np.linalg.norm(plain.xs[0])
+    assert np.allclose(res.histories[0], plain.histories[0], rtol=1e-8, atol=0.0)
+    assert np.allclose(res.coefficients, plain.coefficients, rtol=1e-10, atol=0.0)
+
+
+def test_pcg_coefficients_rebuild_the_solution_from_the_applied_directions():
+    A, lam, Q, b = _hum_like_spd(seed=13)
+    apply, directions, _ = _recording(A)
+    pairs = RitzPairs(lam[:5], Q[:, :5])  # two large eigenvalues left undeflated
+    res = conjugate_gradient(apply, b, tol_rel=1e-10, shifts=(EPS,), preconditioner=pairs.preconditioner(EPS))
+    assert res.coefficients.shape == (1, res.iterations) == (1, len(directions))
+    x = res.coefficients[0] @ np.array(directions)
+    assert np.linalg.norm(x - res.xs[0]) <= 1e-12 * np.linalg.norm(res.xs[0])
+
+
+def test_preconditioner_takes_a_single_shift():
+    with pytest.raises(ValueError, match="single shift"):
+        conjugate_gradient(lambda v: v, np.ones(3), shifts=(1e-2, 1.0), preconditioner=lambda r: r)
+
+
+def test_pcg_max_iterations_carries_best():
+    A, b = _spread_spd(40, 9)
+    with pytest.raises(MaxIterations) as err:
+        conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-14, max_iter=5, shifts=(1e-4,),
+                           preconditioner=lambda r: 2.0 * r)
+    assert err.value.iterations == 5 and len(err.value.history[0]) == 6
+    true_res = np.linalg.norm(A @ err.value.best[0] + 1e-4 * err.value.best[0] - b) / np.linalg.norm(b)
+    assert true_res == pytest.approx(min(err.value.history[0]), rel=1e-6)
+
+
+def test_ritz_pairs_of_cg_directions_recover_the_top_eigenvalues():
+    """Rayleigh-Ritz on the directions plain CG applied A to, with the
+    products it computed, finds the eigenvalues above the floor; the
+    Ritz vectors are orthonormal and nearly eigenvectors."""
+    A, lam, _, b = _hum_like_spd()
+    apply, directions, products = _recording(A)
+    conjugate_gradient(apply, b, tol_rel=1e-10, shifts=(EPS,))
+    pairs = ritz_pairs(directions, products, EPS, 20)
+    assert len(pairs.values) == 7
+    assert np.allclose(pairs.values, lam[:7], rtol=1e-8, atol=0.0)
+    V = pairs.vectors
+    assert np.allclose(V.T @ V, np.eye(7), atol=1e-12)
+    assert np.linalg.norm(A @ V - V * pairs.values, axis=0).max() <= 1e-6
+    # the cap keeps the largest
+    assert np.array_equal(ritz_pairs(directions, products, EPS, 3).values, pairs.values[:3])
+
+
+def test_ritz_pairs_survive_a_rank_deficient_direction_set():
+    """Repeated, zero and dependent directions add nothing to the span and
+    break nothing: the same pairs come back."""
+    A, lam, _, b = _hum_like_spd()
+    apply, directions, products = _recording(A)
+    conjugate_gradient(apply, b, tol_rel=1e-10, shifts=(EPS,))
+    pairs = ritz_pairs(directions, products, EPS, 20)
+    D, AD = np.array(directions), np.array(products)
+    combo = np.array([1.0, -2.0, 0.5]) @ D[:3]
+    extra_d = np.vstack([D, D[:4], np.zeros(len(b)), combo])
+    extra_ad = np.vstack([AD, AD[:4], np.zeros(len(b)), A @ combo])
+    again = ritz_pairs(extra_d, extra_ad, EPS, 20)
+    assert np.allclose(again.values, pairs.values, rtol=1e-8, atol=0.0)
+    assert np.all(np.isfinite(again.vectors))
 
 
 def _affine_sweep(factor):

@@ -52,3 +52,26 @@ def test_grad_G_reaches_each_traced_solver_once(monkeypatch):
     spec = make_hum_spec().with_zero_data()
     hum.grad_G(spec, np.random.default_rng(5).standard_normal(spec.grid.n_interior), 0.0)
     assert calls == ["solve_coupled_adjoint", "solve_nash_fixed_point"]
+
+
+def test_recycled_solve_reaches_the_traced_cg(monkeypatch):
+    """A warm-started minimize_G with Ritz pairs runs its preconditioned CG
+    through hum's conjugate_gradient binding, the one the tracer patches,
+    so the traced iterations are the solve's cg_iterations."""
+    assert ("linalg", "conjugate_gradient") in set(_targets())
+    spec = make_hum_spec()
+    cold = hum.minimize_G(spec, 1e-4, cg_tol=1e-9)
+    assert cold.cg_iterations >= hum.RITZ_DIRECTIONS and len(cold.ritz.values) > 0
+    calls = []
+    original = hum.conjugate_gradient
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((kwargs.get("preconditioner") is not None, result.iterations))
+        return result
+
+    monkeypatch.setattr(hum, "conjugate_gradient", counted)
+    warm = hum.minimize_G(spec.with_(w0=1.1 * spec.w0), 1e-4, cg_tol=1e-9, psi0=cold.psi0, ritz=cold.ritz)
+    assert warm.cg_iterations > 0
+    assert [pre for pre, _ in calls] == [True]
+    assert sum(its for _, its in calls) == warm.cg_iterations
