@@ -275,10 +275,10 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
     w = w_b + sum_k gamma_k w_k from CG's coefficients gamma
     (CGResult.coefficients), w_b being the state of the affine solve: one
     tensordot for every eps.  Then w(T) = b + sum_k gamma_k Lambda d_k,
-    and the true residual is w(T) + eps psi0, with psi0 from CG's vector
-    recurrence, so the shift recurrences are checked against the products
+    and the true residual is w(T) + eps psi0, psi0 = sum_k gamma_k d_k, so
+    the residual CG's recurrences estimated is checked against the products
     Lambda d_k that were applied.  Where it misses cg_tol relative to ||b||
-    (floating-point drift of the shift recurrences), that eps is refined
+    (floating-point drift of the recurrences), that eps is refined
     once by a single-shift CG on the residual equation, whose own
     combination is added to f and w.
 

@@ -115,12 +115,14 @@ class CGResult:
 
     iterations counts operator applications.  shift_iterations[i] is the
     iteration at which shift i converged, and histories[i] holds its
-    recurrence residuals |zeta_k| ||r_k|| / ||b|| for k = 0..shift_iterations[i]
-    (under a preconditioner, ||r_k|| / ||b||: never the preconditioned norm).
-    coefficients, shape (len(xs), iterations), writes each solution in the
-    directions CG applied the operator to: x_i = sum_k coefficients[i, k] d_k,
-    d_k being the k-th argument of apply, to rounding; preconditioned or
-    not, those are the search directions p_k.
+    recurrence residuals relative to ||b|| for k = 0..shift_iterations[i]:
+    beta_k |z_k / d_k| / ||b|| from the Lanczos recurrences, or ||r_k|| / ||b||
+    under a preconditioner (never the preconditioned norm).  coefficients,
+    shape (len(xs), iterations), writes each solution in the vectors the
+    operator was applied to: x_i = sum_k coefficients[i, k] d_k, d_k being
+    the k-th argument of apply, to rounding; without a preconditioner those
+    are the orthonormal Lanczos vectors v_k, with one the search directions
+    p_k.  Row i is zero after shift_iterations[i].
     """
 
     xs: list
@@ -184,18 +186,32 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
                        preconditioner=None) -> CGResult:
     """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
-    apply(p) returns A p.  One Krylov sequence runs on the base system, the
-    smallest shift, which must be SPD.  Shifted residuals are collinear with
-    the base residual, r_k(s) = zeta_k(s) r_k, so every other shift follows
-    through the zeta recurrences (Jegerlehner, hep-lat/9612014) at O(n) per
-    shift per iteration and stops once its residual is below tol_rel.  On
-    the base shift zeta is exactly 1, so a single shift is plain CG, bit for
-    bit.  The xs and ps updates also run on coefficient vectors over the
-    applied directions p_k, with r_k = p_k - beta_{k-1} p_{k-1}, which gives
-    CGResult.coefficients and leaves xs bit for bit as they were.  Raises
-    MaxIterations carrying the best iterate of every shift,
-    every history and the iteration each shift converged at (None for those
-    that missed), NonFiniteBreakdown on any non-finite scalar.
+    apply(v) returns A v for a symmetric A; A + s I must be positive
+    definite for every s.  Without a preconditioner this is CG in its
+    Lanczos form (Saad, Iterative Methods for Sparse Linear Systems, 2nd
+    ed., 2003, 6.7.1).  One Lanczos run on A builds the orthonormal vectors
+    v_1 = b/||b||, v_2, ... and the tridiagonal T_k (alpha_k on the
+    diagonal, beta_k beside it); each vector is applied to A once and kept
+    orthonormal to all earlier ones by classical Gram-Schmidt done twice,
+    so converged Ritz values are not found again and the iteration count
+    does not drift with rounding (Greenbaum & Strakos, SIAM J. Matrix Anal.
+    Appl. 13(1), 1992).  T_k + s I is T_k shifted, so every shift follows
+    its own LDL' factorization at O(1) per iteration: the pivots
+    d_k = alpha_k + s - beta_{k-1}^2 / d_{k-1} and z_k = -beta_{k-1} z_{k-1}
+    / d_{k-1}, z_1 = ||b||.  The residual of x_k = V_k y_k, y_k solving
+    (T_k + s I) y_k = ||b|| e_1, is beta_k |z_k / d_k|; a shift stops once
+    that is at most tol_rel ||b||, and y from one back substitution is its
+    coefficients over the applied v_k.  The Krylov space is invariant when
+    k = len(b) or when the second Gram-Schmidt pass takes more than half of
+    what the first left (that remainder was rounding inside the span;
+    Parlett, The Symmetric Eigenvalue Problem, 1998, 6.9); then beta_k = 0,
+    and every shift still running is solved exactly.  In exact arithmetic
+    the iterates are CG's.
+
+    Raises MaxIterations carrying the best iterate of every shift, every
+    history and the iteration each shift converged at (None for those that
+    missed), NonFiniteBreakdown on a non-finite scalar or a pivot d_k <= 0
+    (A + s I not positive definite).
 
     preconditioner, a callable r -> M^-1 r with M SPD, makes it
     preconditioned CG on the single shift it takes (a preconditioner breaks
@@ -205,7 +221,7 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
     coefficients are the step lengths, x = sum_k alpha_k p_k.
     """
     b = np.asarray(b, dtype=float)
-    shifts = np.asarray(shifts, dtype=float)
+    shifts = [float(s) for s in np.atleast_1d(shifts)]
     m = len(shifts)
     if preconditioner is not None and m != 1:
         raise ValueError(f"a preconditioner takes a single shift, not {m}")
@@ -214,67 +230,85 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
                         np.zeros((m, 0)))
     if preconditioner is not None:
-        return _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, float(shifts[0]), preconditioner)
-    base_shift = float(shifts.min())
-    rel_shift = shifts - base_shift
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.dot(r, r))
-    rel0 = np.sqrt(rs) / norm_b
-    xs = np.zeros((m, b.size))
-    ps = np.tile(b, (m, 1))
-    gx = np.zeros((m, max_iter + 1))  # xs and ps in the directions p_0, p_1, ...
-    gp = np.zeros((m, max_iter + 1))
-    gp[:, 0] = 1.0
-    zeta = np.ones(m)
-    zeta_old = np.ones(m)
-    alpha_old, beta_old = 1.0, 0.0
-    active = np.ones(m, dtype=bool)
-    histories = [[rel0] for _ in range(m)]
-    shift_iterations = [0] * m
-    best_x, best_res = xs.copy(), np.full(m, rel0)
-    for it in range(1, max_iter + 1):
-        Ap = np.asarray(apply(p), dtype=float) + base_shift * p
-        alpha = rs / _curvature(p, Ap)
-        r = r - alpha * Ap
-        rs_new = float(np.dot(r, r))
-        if not np.isfinite(rs_new):
-            raise NonFiniteBreakdown("non-finite residual in CG")
-        beta = rs_new / rs
-        act = np.flatnonzero(active)
-        z, zo = zeta[act], zeta_old[act]
-        z_new = z * zo * alpha_old / (alpha * beta_old * (zo - z)
-                                      + zo * alpha_old * (1.0 + rel_shift[act] * alpha))
-        if not np.all(np.isfinite(z_new)):
-            raise NonFiniteBreakdown("non-finite shift recurrence in CG")
-        xs[act] = xs[act] + (alpha * z_new / z)[:, None] * ps[act]
-        ps[act] = z_new[:, None] * r + (beta * (z_new / z) ** 2)[:, None] * ps[act]
-        gx[act] += (alpha * z_new / z)[:, None] * gp[act]
-        gp[act] *= (beta * (z_new / z) ** 2)[:, None]
-        gp[act, it] += z_new  # r = p_it - beta p_{it-1}
-        gp[act, it - 1] -= z_new * beta
-        zeta_old[act], zeta[act] = z, z_new
-        rels = np.abs(z_new) * (np.sqrt(rs_new) / norm_b)
-        for i, rel in zip(act, rels):
-            histories[i].append(rel)
-            if rel < best_res[i]:
-                best_res[i], best_x[i] = rel, xs[i]
-            if rel <= tol_rel:
-                active[i] = False
-                shift_iterations[i] = it
-        if not active.any():
-            return CGResult(list(xs), it, histories, shift_iterations, gx[:, :it].copy())
-        p = r + beta * p
-        rs = rs_new
-        alpha_old, beta_old = alpha, beta
+        return _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, shifts[0], preconditioner)
+    return _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts)
+
+
+def _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts) -> CGResult:
+    """conjugate_gradient's path without a preconditioner: multi-shift
+    Lanczos with full reorthogonalization."""
+    m, n = len(shifts), b.size
+    size = min(max_iter, n)
+    V = np.empty((max(size, 1), n))  # the Lanczos vectors, one per row
+    V[0] = b / norm_b
+    betas = []  # beta_1, beta_2, ...: beta_k couples v_k and v_{k+1}
+    pivots = [[] for _ in range(m)]  # d_k of each shift
+    zs = [[] for _ in range(m)]  # z_k of each shift
+    histories = [[1.0] for _ in range(m)]
+    shift_iterations = [None] * m
+    coefficients = np.zeros((m, size))
+    xs = [None] * m
+    active = list(range(m))
+
+    def solution(i, k):
+        """y of shift i after k iterations, by back substitution through L'."""
+        d = np.array(pivots[i][:k])
+        y = np.array(zs[i][:k]) / d
+        for j in range(k - 2, -1, -1):
+            y[j] -= betas[j] / d[j] * y[j + 1]
+        return y
+
+    for k in range(size):
+        u = np.asarray(apply(V[k]), dtype=float)
+        basis = V[:k + 1]
+        h = basis @ u
+        w = u - h @ basis
+        left = float(np.linalg.norm(w))
+        h2 = basis @ w
+        w -= h2 @ basis
+        alpha = float(h[k] + h2[k])
+        beta = float(np.linalg.norm(w))
+        if k + 1 == n or beta < 0.5 * left:  # w was rounding inside the span: invariant
+            beta = 0.0
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NonFiniteBreakdown("non-finite Lanczos coefficient in CG")
+        for i in list(active):
+            if k:
+                last_d, last_z = pivots[i][-1], zs[i][-1]
+                d, z = alpha + shifts[i] - betas[-1] ** 2 / last_d, -betas[-1] / last_d * last_z
+            else:
+                d, z = alpha + shifts[i], norm_b
+            if not d > 0.0:
+                raise NonFiniteBreakdown(f"operator not positive definite: pivot {d:.3e} "
+                                         f"at shift {shifts[i]:.3e}")
+            if not math.isfinite(d) or not math.isfinite(z):
+                raise NonFiniteBreakdown("non-finite shift recurrence in CG")
+            pivots[i].append(d)
+            zs[i].append(z)
+            histories[i].append(beta * abs(z / d) / norm_b)
+            if histories[i][-1] <= tol_rel:
+                active.remove(i)
+                shift_iterations[i] = k + 1
+                coefficients[i, :k + 1] = solution(i, k + 1)
+                xs[i] = coefficients[i, :k + 1] @ basis
+        if not active:
+            return CGResult(xs, k + 1, histories, shift_iterations, coefficients[:, :k + 1].copy())
+        betas.append(beta)
+        if k + 1 < size:
+            V[k + 1] = w / beta
+    best = []
+    for i, history in enumerate(histories):
+        k = int(np.argmin(history))
+        best.append(solution(i, k) @ V[:k])
+    worst = max(min(history) for history in histories)
     raise MaxIterations(
         f"CG did not reach tol {tol_rel:.1e} in {max_iter} iterations on "
-        f"{int(active.sum())} of {m} shifts (largest best residual {best_res.max():.3e})",
-        best=list(best_x),
+        f"{len(active)} of {m} shifts (largest best residual {worst:.3e})",
+        best=best,
         iterations=max_iter,
         history=histories,
-        shifts=[float(s) for s in shifts],
-        shift_iterations=[None if a else k for a, k in zip(active, shift_iterations)],
+        shifts=shifts,
+        shift_iterations=shift_iterations,
     )
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hierctrl.cli as cli
 import hierctrl.hum as hum
 import hierctrl.nash as nash
 from hierctrl.carleman import check_target_condition
@@ -285,9 +286,9 @@ def test_minimize_sweep_matches_single_eps_runs(spec):
         x = res.psi0
         lam = apply_lambda(spec, res.psi0, inner_tol=1e-12)
         assert np.linalg.norm(lam + eps * x + b) / np.linalg.norm(b) <= 10 * cg_tol
-    # the smallest eps is the base system of the shared Krylov sequence: plain CG
-    assert np.array_equal(sweep[-1].psi0, single.psi0)
-    assert sweep[-1].cg_residuals == single.cg_residuals
+        # one shift-free Lanczos basis, and each eps's own recurrences on it
+        assert np.array_equal(res.psi0, single.psi0)
+        assert res.cg_residuals == single.cg_residuals
 
 
 def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
@@ -301,7 +302,7 @@ def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
                                  preconditioner=preconditioner)
         calls.append(tuple(shifts))
         if len(shifts) > 1:
-            res.xs[0] = res.xs[0] * (1.0 + 1e-6)  # drift on the non-base shift
+            res.xs[0] = res.xs[0] * (1.0 + 1e-6)  # drift on the first shift
         return res
 
     monkeypatch.setattr(hum, "conjugate_gradient", drifting)
@@ -526,6 +527,29 @@ def test_lambda_apply_marches_on_benchmark_grid(tmp_path, rng, monkeypatch):
     calls = _count_marches(monkeypatch)
     apply_lambda(spec, psi0, inner_tol=1e-11)  # the inner tolerance of the shipped cg_tol = 1e-10
     assert len(calls) <= 10
+
+
+def test_benchmark_sweep_job_applies_lambda_at_most_16_times(tmp_path, monkeypatch):
+    """The seed-1 hum_sweep_1d benchmark job 0, written by perfbench's own
+    job generator: its 5-eps sweep evaluates grad_G at most 16 times, the
+    affine solve included (28 with textbook multi-shift CG, which loses
+    orthogonality on Lambda's cluster near zero)."""
+    perfbench = CONFIGS.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+
+    workload = workloads.WORKLOADS["hum_sweep_1d"]
+    ini = workloads.write_jobs(workload, 1, 1, CONFIGS.parent, tmp_path / "jobs")[0]
+    calls = []
+    original = hum.grad_G
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "grad_G", counted)
+    assert cli.run(workload.subcommand, str(ini), str(tmp_path / "out")) == 0
+    assert len(calls) <= 16
 
 
 def _count_couplings(monkeypatch):

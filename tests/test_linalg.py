@@ -213,13 +213,59 @@ def test_multishift_matches_independent_solves():
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.3])
-def test_single_shift_is_plain_cg_bitwise(shift):
+def test_single_shift_matches_textbook_cg(shift):
+    """In exact arithmetic the Lanczos form is textbook CG.  In floating
+    point the first residuals agree to rounding; textbook CG then loses
+    orthogonality on the ill-conditioned shift 0 (condition number 1000)
+    and needs more iterations, while the orthogonal basis never needs more."""
     A, b = _spread_spd(30, 8)
     x, its, history = _plain_cg(lambda v: A @ v + shift * v, b, 1e-10, 500)
     res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(shift,))
-    assert np.array_equal(res.xs[0], x)
-    assert res.iterations == res.shift_iterations[0] == its
-    assert res.histories[0] == history
+    assert res.iterations == res.shift_iterations[0] <= its
+    assert np.allclose(res.histories[0][:10], history[:10], rtol=1e-12, atol=0.0)
+    assert res.histories[0][-1] <= 1e-10 < min(res.histories[0][:-1])
+    assert np.linalg.norm(res.xs[0] - x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_multishift_takes_fewer_iterations_than_textbook_cg_on_a_hum_like_operator():
+    """On a spectrum shaped like the HUM operator's (a few eigenvalues above
+    the shifts, a cluster far below), textbook CG finds converged Ritz
+    values again; the orthogonal basis does not, so every shift needs
+    fewer iterations, and each still solves its system to the tolerance."""
+    A, lam, Q, b = _hum_like_spd()
+    shifts = (1e-2, 1e-3, EPS)
+    tol = 1e-10
+    res = conjugate_gradient(lambda v: A @ v, b, tol_rel=tol, shifts=shifts)
+    for s, x, its in zip(shifts, res.xs, res.shift_iterations):
+        _, textbook, _ = _plain_cg(lambda v: A @ v + s * v, b, tol, 500)
+        assert its < textbook
+        direct = np.linalg.solve(A + s * np.eye(len(b)), b)
+        assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+        assert np.linalg.norm(A @ x + s * x - b) <= tol * np.linalg.norm(b)
+
+
+def test_applied_vectors_are_orthonormal():
+    A, lam, Q, b = _hum_like_spd()
+    apply, directions, _ = _recording(A)
+    res = conjugate_gradient(apply, b, tol_rel=1e-12, shifts=(1e-2, EPS))
+    V = np.array(directions)
+    assert len(V) == res.iterations > 10
+    assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [0, 3])
+def test_eigenvector_right_side_converges_in_one_iteration(mode):
+    A, lam, Q, b = _hum_like_spd()
+    shifts = (1e-2, EPS)
+    res = conjugate_gradient(lambda v: A @ v, Q[:, mode], tol_rel=1e-10, shifts=shifts)
+    assert res.iterations == 1 and res.shift_iterations == [1, 1]
+    for s, x in zip(shifts, res.xs):
+        assert np.all(np.isfinite(x))
+        assert np.allclose(x, Q[:, mode] / (lam[mode] + s), rtol=1e-12, atol=1e-14)
+    # an exactly invariant start: beta_1 = 0, every shift solved, no division by it
+    res = conjugate_gradient(lambda v: 2.0 * v, np.ones(3), tol_rel=0.0, shifts=(0.0, 1.0))
+    assert res.iterations == 1 and res.histories == [[1.0, 0.0], [1.0, 0.0]]
+    assert np.allclose(res.xs, [np.full(3, 0.5), np.full(3, 1.0 / 3.0)], rtol=1e-15, atol=0.0)
 
 
 def test_multishift_coefficients_rebuild_each_solution_from_the_applied_directions():
@@ -317,12 +363,11 @@ def test_pcg_deflated_by_exact_top_eigenpairs_converges_in_a_few_iterations():
 
 def test_pcg_with_the_identity_preconditioner_is_plain_cg():
     A, b = _spread_spd(30, 8)
-    plain = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,))
+    x, its, history = _plain_cg(lambda v: A @ v + 0.3 * v, b, 1e-10, 500)
     res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,), preconditioner=lambda r: r)
-    assert res.iterations == plain.iterations
-    assert np.linalg.norm(res.xs[0] - plain.xs[0]) <= 1e-13 * np.linalg.norm(plain.xs[0])
-    assert np.allclose(res.histories[0], plain.histories[0], rtol=1e-8, atol=0.0)
-    assert np.allclose(res.coefficients, plain.coefficients, rtol=1e-10, atol=0.0)
+    assert res.iterations == its
+    assert np.array_equal(res.xs[0], x)
+    assert res.histories[0] == history
 
 
 def test_pcg_coefficients_rebuild_the_solution_from_the_applied_directions():

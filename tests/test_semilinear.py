@@ -9,7 +9,7 @@ import pytest
 
 from hierctrl import cli, semilinear
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
-from hierctrl.hum import control_to_trajectory
+from hierctrl.hum import RITZ_DIRECTIONS, control_to_trajectory
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.semilinear import (eval_secant_coeffs, from_expression, preset_grad_tanh,
                                  preset_tanh, preset_zero, quasi_equilibrium_residual,
@@ -187,6 +187,24 @@ def test_shipped_semilinear_recycles_ritz_pairs(tmp_path):
     assert sorted(per_outer) == list(range(1, 7))
     assert sum(per_outer.values()) == int(summary["cg_iterations"])
     assert max(per_outer[k] for k in range(2, 7)) <= 6
+
+
+def test_shipped_semilinear_cold_solve_count(tmp_path, monkeypatch):
+    """The first, cold HUM solve of the shipped run takes at most 13 CG
+    iterations (19 with textbook CG), still enough directions for the Ritz
+    pairs the later solves are preconditioned by."""
+    solves = []
+    original = semilinear.minimize_G
+
+    def recorded(*args, **kwargs):
+        solves.append(original(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(semilinear, "minimize_G", recorded)
+    assert cli.run("semilinear", str(CONFIGS / "semilinear_1d.ini"), str(tmp_path / "out")) == 0
+    assert RITZ_DIRECTIONS <= solves[0].cg_iterations <= 13
+    assert len(solves[0].ritz.values) > 0
+    assert all(later.ritz is solves[0].ritz for later in solves[1:])
 
 
 @pytest.mark.parametrize("job", [4, 46])

@@ -6,10 +6,18 @@
 # records), exports REF into a temporary directory with `git archive`, and
 # runs every job in-process through hierctrl.cli.run with each tree's src/.
 # Prints one summary line per workload: how many jobs differ, the largest
-# relative change of each key value (perfbench/checks.py's key_values) and
-# each side's CG and outer-iteration totals, then every count that moved: the
-# CG iterations of each eps, or the CG and outer iterations of a semilinear
-# job.
+# relative change of each key value (perfbench/checks.py's key_values), each
+# side's CG and outer-iteration totals and its Lambda applies (total and
+# per-job range), then every count that moved: the CG iterations of each eps,
+# or the CG and outer iterations of a semilinear job.  Lambda applies count
+# the HUM gradient evaluations a job makes, each the cost of one Lambda
+# apply: one affine solve per HUM solve, plus, for a null-control job, the
+# CG iterations of its shared multi-shift run (the largest count of any eps
+# before its refinement) and every refinement iteration, and for a semilinear
+# job its CG iterations and one warm-start evaluation per outer iteration
+# after the first.  A per-eps cg_iters sum is not this number.  Each side
+# also gets a line with its perfbench/checks.py check_job failures against
+# perfbench/reference.json and its worst deviation from that file.
 # Without RTOL the comparison is exact: it also prints `diff -r` of the two
 # output trees and exits non-zero on any difference or failed job.  With RTOL
 # it exits 0 when no job failed and every key value moved by at most RTOL
@@ -68,12 +76,15 @@ if [[ -z "$rtol" ]]; then
   diff -r "$tmp/out-ref" "$tmp/out-tree" || status=$?
 fi
 
-PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" <<'EOF' || status=$?
+PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" "$tmp/jobs" "$root" <<'EOF' || status=$?
+import configparser
 import csv
+import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-from checks import key_values
+from checks import check_job, key_values
 from workloads import WORKLOADS
 
 
@@ -93,7 +104,26 @@ def counts(out):
         return {f"eps {row['eps']} cg": int(row["cg_iters"]) for row in csv.DictReader(handle)}
 
 
-ref, tree, rtol = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+def applies(out, ini):
+    """The Lambda applies of one job (see the header of this script)."""
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    if "outer_iterations" in summary:
+        return int(summary["cg_iterations"]) + 2 * int(summary["outer_iterations"]) - 1
+    config = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    config.read(ini)
+    cg_tol = float(config["solver"]["cg_tol"])
+    residuals = defaultdict(list)
+    with open(out / "cg_history.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            residuals[row["eps"]].append(float(row["residual"]))
+    # a shift of the shared run stops at its first residual <= cg_tol; rows after it refine
+    shared = [next(k for k, r in enumerate(rs) if r <= cg_tol) for rs in residuals.values()]
+    refined = sum(len(rs) - 1 - k for rs, k in zip(residuals.values(), shared))
+    return 1 + max(shared) + refined
+
+
+ref, tree, rtol, inis = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], Path(sys.argv[4])
+recorded = json.loads((Path(sys.argv[5]) / "perfbench" / "reference.json").read_text())
 largest = 0.0
 for name, workload in WORKLOADS.items():
     jobs = sorted(p.name for p in (ref / name).iterdir())
@@ -107,9 +137,19 @@ for name, workload in WORKLOADS.items():
     cg, outer = ([sum(n for c in per_job[side].values() for label, n in c.items() if keep(label))
                   for side in (ref, tree)]
                  for keep in (lambda label: label != "outer", lambda label: label == "outer"))
+    lam = [[applies(side / name / job, inis / name / f"{job}.ini") for job in jobs] for side in (ref, tree)]
     print(f"{name}: {differ} of {len(jobs)} jobs differ; largest relative change of each "
           f"key value {' '.join(f'{w:.3g}' for w in worst)}; CG iterations {cg[0]} -> {cg[1]}; "
-          f"outer iterations {outer[0]} -> {outer[1]}")
+          f"outer iterations {outer[0]} -> {outer[1]}; Lambda applies "
+          + " -> ".join(f"{sum(a)} ({min(a)}-{max(a)} per job)" for a in lam))
+    for side in (ref, tree):
+        failed = sum(check_job(workload.subcommand, inis / name / f"{job}.ini", side / name / job, 0,
+                               recorded[name][int(job.split("-")[1])]) is not None for job in jobs)
+        deviation = max(abs(g - r) / abs(r) for job in jobs for g, r in
+                        zip(key_values(workload.subcommand, side / name / job),
+                            recorded[name][int(job.split("-")[1])]))
+        print(f"  {side.name}: {failed} of {len(jobs)} jobs fail check_job against reference.json; "
+              f"worst deviation from it {deviation:.3g}")
     for job in jobs:
         before, after = per_job[ref][job], per_job[tree][job]
         moved = [f"{label} {n} -> {after.get(label)}" for label, n in before.items() if after.get(label) != n]
