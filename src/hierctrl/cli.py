@@ -194,7 +194,7 @@ def _run_second_order(inputs, out):
         for k, val in enumerate(forms):
             rows.append((i, k, val))
     write_csv(Path(out, "second_order.csv"), ("follower", "sample", "form"), rows)
-    write_summary(Path(out, "summary.txt"), [
+    items = [
         ("n_directions", report.n_directions),
         ("min_form_1", fmt(report.min_form[0])),
         ("min_form_2", fmt(report.min_form[1])),
@@ -203,7 +203,11 @@ def _run_second_order(inputs, out):
         ("all_positive", report.all_positive),
         ("sufficiency_verified", report.all_positive),
         ("dimension_in_analysis_range", report.dimension_in_analysis_range),
-    ])
+    ]
+    for name, values in (("lambda_min", report.lambda_min), ("lambda_max", report.lambda_max),
+                         ("c_hat_sharp", report.c_hat_sharp)):
+        items += [(f"{name}_{i}", fmt(v)) for i, v in enumerate(values, start=1) if v is not None]
+    write_summary(Path(out, "summary.txt"), items)
     return 0
 
 

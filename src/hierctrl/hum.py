@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TINY, RitzPairs, conjugate_gradient, contraction_estimate, factorize, iterate, ritz_pairs
+from .linalg import TINY, RitzPairs, conjugate_gradient, contraction_estimate, factorize, ritz_pairs
 from .mesh import norm_h
-from .nash import NashSolution, _control_weights, _indicators, solve_nash_fixed_point, stacked_system
+from .nash import NashSolution, _control_weights, alternate, solve_nash_fixed_point, stacked_system
 from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 
 RITZ_DIRECTIONS = 8  # a single-eps solve applying Lambda to this many directions yields Ritz pairs
@@ -85,85 +85,36 @@ class HumResult:
 
 def _companions(spec, psi):
     """The forward companions of psi, eta_1 and eta_2, as one (2, nt+1, n)
-    march: column i marches -shift(psi) chi_i/mu_i (nash._control_weights),
-    the Nash state source of psi, as the coupled adjoint is the transpose
-    of the Nash system."""
+    march: column i marches shift(psi) times -chi_i/mu_i
+    (nash._control_weights), the Nash state source of psi, as the coupled
+    adjoint is the transpose of the Nash system."""
     grid = spec.grid
     src = np.zeros((2, grid.nt + 1, grid.n_interior))
     for col, wt in zip(src, _control_weights(spec, 2)):
-        np.multiply(psi[:-1], -wt, out=col[1:])
+        np.multiply(psi[:-1], wt, out=col[1:])
     return spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint")
 
 
-def _coupled_setup(spec):
-    """What solve_coupled_adjoint derives from the spec alone, kept on the
-    spec (ProblemSpec.setup): the coupling alpha_i chi_di of each distinct
-    target weight, adjoint to forward, and the coupling of minus each
-    companion column's control weight, forward to adjoint."""
-    stepper = spec.stepper
-    weights = [al * chid for al, chid in zip(spec.alpha, _indicators(spec.target_masks))]
-    if np.array_equal(*weights):
-        weights = weights[:1]
-    return ([stepper.coupling(wt, "adjoint", "forward") for wt in weights],
-            [stepper.coupling(-wt, "forward", "adjoint") for wt in _control_weights(spec, len(weights))])
-
-
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
-    """Fixed point over psi; linear in the terminal datum psi0, an interior
-    (n,) vector.
+    """Fixed point over psi, linear in the terminal datum psi0, an interior
+    (n,) vector: nash.alternate run transposed.
 
     psi marches backward with the transposed forward matrices, fed by
     sum_i alpha_i chi_di eta_i, where the companions eta_i march forward
-    with the adjoint-coefficient family from the previous psi.  Together
-    they are the exact transpose of the optimality system, and a sweep,
-    companions first and then psi, is the transpose of the Nash sweep.
-    When both target weights alpha_i chi_di are equal (the shared case)
-    psi reads only eta_1 + eta_2, so a sweep marches that sum as one
-    column, the transpose of the merged Nash sweep; otherwise eta_1 and
-    eta_2 march as two columns.  Either way the companions march as one
-    (k, nt+1, n) march from a buffer the solve keeps.  The first sweep
-    marches psi alone, since its predecessor is zero, and has no change to
-    record.  The change is measured on psi, and the companions are read
-    from the final psi when first wanted (CoupledAdjointState.etas).
-
-    The sweeps run in the coordinates each step family marches in, as
-    nash.solve_nash_fixed_point's do, through couplings that are the
-    spec's setup (_coupled_setup), built on its first solve; psi0 is
-    transformed once per solve and psi back once at exit.
-    The sweep is affine, its linear part the transpose of the Nash
-    sweep's, so the solve also stops once Banach's bound
-    rho-hat/(1 - rho-hat) * change is below tol_rel times ||psi||
-    (linalg.iterate's error_bound).
-
-    A zero psi0 gives the zero state, psi and both companions, without a
-    sweep or a march (0 iterations, an empty history).
+    with the adjoint-coefficient family from the previous psi; their sum
+    marches as one column when both target weights are equal.  The change
+    is measured on psi, and the companions are read from the final psi when
+    first wanted (CoupledAdjointState.etas).  A zero psi0 gives the zero
+    state, psi and both companions, without a sweep or a march (0
+    iterations, an empty history).
     """
     grid = spec.grid
-    stepper = spec.stepper
-    fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
+    fwd = spec.stepper.coordinates("forward")
     datum = fwd.datum(psi0)
     if not datum.any():
         psi, *etas = np.zeros((3, grid.nt + 1, grid.n_interior))
         return CoupledAdjointState(psi, spec, 0, [], tuple(etas))
-    psi_couplings, eta_couplings = spec.setup(_coupled_setup)
-    zero = np.zeros(grid.n_interior)
-    psi_src = fwd.zeros()
-    eta_src = adj.zeros(len(eta_couplings))
-
-    def sweep(psi):
-        if psi is not None:
-            for col, coupling in zip(eta_src, eta_couplings):
-                coupling.apply(fwd.levels(psi, shifted=True), out=adj.source_levels(col))
-            etas = stepper.march_forward(zero, eta_src, family="adjoint", coordinates=True)
-            fed = fwd.source_levels(psi_src, backward=True)
-            psi_couplings[0].apply(adj.levels(etas[0]), out=fed)
-            for eta, coupling in zip(etas[1:], psi_couplings[1:]):
-                fed += coupling.apply(adj.levels(eta))
-        psi_new = stepper.march_backward(datum, psi_src, family="forward", coordinates=True)
-        change = None if psi is None else fwd.q_norm(psi_new - psi)
-        return psi_new, change, max(fwd.q_norm(psi_new), TINY)
-
-    psi, it, history = iterate(sweep, None, tol_rel, max_iter, "coupled adjoint", error_bound=True)
+    psi, _, it, history = alternate(spec, datum, transposed=True, tol_rel=tol_rel, max_iter=max_iter)
     psi = fwd.physical(psi)
     psi[-1] = psi0  # the datum itself, not its round trip through the coordinates
     return CoupledAdjointState(psi, spec, it, history,

@@ -1,9 +1,10 @@
 """Follower Nash equilibrium for a given leader control.
 
-Response operators, the variational equilibrium equation, the contraction
-fixed point over the coupled optimality system, that system as one stacked
-space-time matrix (hum.dense_oracle factors it), and the first-order
-residuals.
+Response operators, the variational equilibrium equation, the alternating
+sweep over the coupled optimality system, run forward for the contraction
+fixed point and transposed for hum's coupled adjoint, that system as one
+stacked space-time matrix (hum.dense_oracle factors it), and the
+first-order residuals.
 
 Discrete conventions.  Control fields carry their degrees of freedom at
 levels 1..nt (level 0 is identically zero); the control value at level j
@@ -102,26 +103,39 @@ def _distinct_targets(spec):
 
 def _control_weights(spec, k):
     """The weight of shift(phi_c) for each of k adjoint columns in the state
-    source f - sum_c shift(phi_c) weights[c] = f + sum_i v_i: chi_i/mu_i, or
-    their sum when one column serves both followers (k = 1)."""
-    ws = [chi / mu for chi, mu in zip(_indicators(spec.follower_masks), spec.mu)]
+    source f + sum_c shift(phi_c) weights[c] = f + sum_i v_i: -chi_i/mu_i,
+    or their sum when one column serves both followers (k = 1)."""
+    ws = [-chi / mu for chi, mu in zip(_indicators(spec.follower_masks), spec.mu)]
     return [ws[0] + ws[1]] if k == 1 else ws
 
 
-def _nash_setup(spec):
-    """What solve_nash_fixed_point derives from the spec alone, kept on the
-    spec (ProblemSpec.setup): the coupling alpha_i chi_di of each distinct
-    target term, forward to adjoint; each term's w_id in forward
-    coordinates, None where it is zero; the coupling of each adjoint
-    column's control weight, adjoint to forward; and w0 in forward
-    coordinates."""
+def _sweep_setup(spec):
+    """What alternate derives from the spec alone, kept on the spec
+    (ProblemSpec.setup): for each direction (transposed False, True) the
+    companion couplings, forward to adjoint coordinates, the main-field
+    couplings, adjoint to forward, and each companion column's offset in
+    forward coordinates, None where zero.
+
+    Forward there is a column per distinct target term (alpha_i chi_di,
+    w_id): alpha_i chi_di feeds the adjoints from z - w_id and the control
+    weights feed the state.  Transposed there is a column per distinct
+    alpha_i chi_di, as the targets never enter psi: the same couplings in
+    the other roles, without offsets."""
     stepper = spec.stepper
     fwd = stepper.coordinates("forward")
     terms = _target_terms(spec)
-    return ([stepper.coupling(wt, "forward", "adjoint") for wt, _ in terms],
-            [fwd.field(wd) if wd.any() else None for _, wd in terms],
-            [stepper.coupling(wt, "adjoint", "forward") for wt in _control_weights(spec, len(terms))],
-            fwd.datum(spec.w0))
+    weights = [wt for wt, _ in terms]
+    distinct = weights[:1] if all(np.array_equal(weights[0], wt) for wt in weights) else weights
+
+    def couplings(ws, source, target):
+        return [stepper.coupling(wt, source, target) for wt in ws]
+
+    return {False: (couplings(weights, "forward", "adjoint"),
+                    couplings(_control_weights(spec, len(weights)), "adjoint", "forward"),
+                    [fwd.field(wd) if wd.any() else None for _, wd in terms]),
+            True: (couplings(_control_weights(spec, len(distinct)), "forward", "adjoint"),
+                   couplings(distinct, "adjoint", "forward"),
+                   [None] * len(distinct))}
 
 
 def _physical_adjoints(coordinates, adjoints):
@@ -188,6 +202,82 @@ def compute_rhs(spec: ProblemSpec, f=None):
     return tuple(spec.alpha[i] * adjs[i] for i in range(2))
 
 
+def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1e-12, max_iter=200,
+              damping=1.0, on_sweep=None):
+    """The alternating sweep over the optimality system, run forward (the
+    Nash fixed point) or transposed (the coupled adjoint, whose system is
+    the transpose of stacked_system).
+
+    The main field, the state forward or psi transposed, marches in the
+    forward family from datum, an (n,) vector, at level 0 forward and nt
+    transposed.  The companions, the follower adjoints forward or eta_i
+    transposed, march in the adjoint family the other way in time, as one
+    (k, nt+1, n) march.  A sweep marches the companions from the main
+    iterate less each column's offset, then the main field under source
+    (None for zero) plus the companions' part, through the couplings and
+    offsets of the spec's setup (_sweep_setup).  While the iterate is the
+    start and there are no offsets the companions are zero, so that sweep
+    marches the main field alone.  datum, source and every field are in
+    the coordinates each family marches in (operators.Coordinates): a
+    modal march is one band solve and a coupling one GEMM, and dense and
+    SuperLU families keep the physical arithmetic.
+
+    The change is the discrete L2(Q) norm of the main iterate's, which
+    moves by damping times it.  The sweep is affine, so without damping the
+    solve also stops on Banach's bound (linalg.iterate's error_bound);
+    failures are raised by linalg.iterate.  on_sweep(X, companions, change)
+    is called after every sweep.  Returns the last main field and
+    companions, in coordinates, the iterations and the history.
+    """
+    stepper = spec.stepper
+    fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
+    to_companions, to_main, offsets = spec.setup(_sweep_setup)[transposed]
+    march_companions, march_main = ((stepper.march_forward, stepper.march_backward) if transposed
+                                    else (stepper.march_backward, stepper.march_forward))
+    zero = np.zeros(spec.grid.n_interior)
+    companion_src = adj.zeros(len(offsets))
+    fed = fwd.zeros()  # the companions' part of the main source
+    main_src = fed if source is None else fwd.zeros()
+    no_offsets = all(offset is None for offset in offsets)
+    # The stop rule is the one rule that depends on the direction, kept so by measurement (Nash's
+    # rule on the transpose adds a Lambda apply to hum_sweep_1d jobs): the Nash solve records its
+    # change from the zero state start and scales it by max(||z||, ||W||); the transpose starts
+    # with no iterate, so its first sweep records nothing, and scales by ||psi_new||.
+    start, keep_norm = (None, False) if transposed else (fwd.zeros(), True)
+
+    def sweep(state):
+        x, x_norm = state[:2]
+        if x is start and no_offsets:  # zero companions, bitwise what their march gives
+            companions = adj.zeros(len(offsets))
+            if source is not None:
+                np.copyto(main_src, source)
+        else:
+            for col, coupling, offset in zip(companion_src, to_companions, offsets):
+                coupling.apply(fwd.levels(x if offset is None else x - offset, shifted=transposed),
+                               out=adj.source_levels(col, backward=not transposed))
+            companions = march_companions(zero, companion_src, family="adjoint", coordinates=True)
+            levels = fwd.source_levels(fed, backward=transposed)
+            to_main[0].apply(adj.levels(companions[0], shifted=not transposed), out=levels)
+            for companion, coupling in zip(companions[1:], to_main[1:]):
+                levels += coupling.apply(adj.levels(companion, shifted=not transposed))
+            if source is not None:
+                np.add(source, fed, out=main_src)
+        X = march_main(datum, main_src, coordinates=True)
+        step = None if x is None else X - x
+        change = None if step is None else fwd.q_norm(step)
+        norm = fwd.q_norm(X)
+        if on_sweep is not None:
+            on_sweep(X, companions, change)
+        x_next = X if damping == 1.0 else x + damping * step
+        next_norm = norm if x_next is X else fwd.q_norm(x_next)
+        return (x_next, next_norm if keep_norm else 0.0, X, companions), change, max(x_norm, norm, TINY)
+
+    (_, _, X, companions), it, history = iterate(
+        sweep, (start, 0.0), tol_rel, max_iter, "coupled adjoint" if transposed else "Nash fixed point",
+        error_bound=damping == 1.0)
+    return X, companions, it, history
+
+
 def solve_nash_fixed_point(
     spec: ProblemSpec,
     f=None,
@@ -197,91 +287,37 @@ def solve_nash_fixed_point(
     extra_source=None,
     on_sweep=None,
 ) -> NashSolution:
-    """Contraction fixed point z -> w^z over the coupled optimality system.
+    """Contraction fixed point z -> w^z over the coupled optimality system:
+    alternate run forward from w0.
 
-    Each sweep marches the follower adjoints backward from the frozen state
-    z, one column per distinct target term alpha_i chi_di (z - w_id): when
-    both followers weigh and track alike (the shared case) their adjoints
-    are one equation, marched as one column that serves as phi_1 and
-    phi_2, bitwise what a 2-column march gives.  Then the state marches
-    forward under f + v_1 + v_2, fused as f - sum_c shift(phi_c) weights_c
-    (_control_weights) in a buffer the solve keeps; v_i themselves are
-    formed every sweep only for on_sweep, and from the converged adjoints
-    when the solution's controls are first read.  With damping 1 the next
-    iterate is W itself.
-
-    The sweeps run in the coordinates each step family marches in
-    (operators.Coordinates): every mask product is a Coupling from the
-    adjoint family's coordinates to the forward family's or back, so a
-    modal march is one GEMM and one band solve.  The couplings, w0 and the
-    non-zero w_id in coordinates are the spec's setup (_nash_setup), built
-    on its first solve; f and extra_source are transformed once per solve,
-    W once at exit, and the adjoints when the solution's phis are first
-    read.  on_sweep gets physical arrays.  Dense and SuperLU families
-    march in physical space, with exactly the physical arithmetic.  While
-    the iterate is the zero start and every w_id is zero, the adjoints and
-    their part of the state source are zero, so the first sweep marches
-    only the state.
-
-    Convergence is measured in the discrete L2(Q) norm of the state-iterate
-    change.  The sweep is an affine map of z, so without damping the solve
-    also stops once Banach's bound rho-hat/(1 - rho-hat) * change on the
-    error of W is below tol_rel times the state scale (linalg.iterate's
-    error_bound); with damping rho-hat would be the damped map's, so only
-    the change test applies.  Failures are raised by linalg.iterate.
-
-    f, the leader control, is an interior (nt+1, n) array or None.
-    extra_source, when given, is an unmasked interior source added to the
-    state equation (the frozen constant term of semilinear sweeps);
-    on_sweep(it, W, vs, change) is called after every sweep.
+    Each sweep marches the follower adjoints backward from the frozen
+    state z, one column serving phi_1 and phi_2 in the shared case, then
+    the state forward under f + v_1 + v_2; with damping 1 the next iterate
+    is W itself.  f, the leader control, is an interior (nt+1, n) array or
+    None; extra_source, when given, is an unmasked interior source added
+    to the state equation (the frozen constant term of semilinear sweeps).
+    on_sweep(it, W, vs, change) gets physical arrays after every sweep.
     """
-    stepper = spec.stepper
-    fwd, adj = stepper.coordinates("forward"), stepper.coordinates("adjoint")
-    adj_couplings, targets, state_couplings, datum = spec.setup(_nash_setup)
-    f_src = control_sources(spec, f=f)
+    fwd, adj = spec.stepper.coordinates("forward"), spec.stepper.coordinates("adjoint")
+    source = control_sources(spec, f=f)
     if extra_source is not None:
-        f_src = f_src + extra_source
-    f_src = fwd.source(f_src)
-    zero = np.zeros(spec.grid.n_interior)
-    zero_targets = all(wd is None for wd in targets)
-    adj_src = adj.zeros(len(targets))
-    fed_src, state_src = fwd.zeros(), fwd.zeros()  # the follower part of the state source, and all of it
-    start = fwd.zeros()
-    sweeps = itertools.count(1)
+        source = source + extra_source
 
     def physical(W):
         W = fwd.physical(W)
         W[0] = spec.w0  # the datum itself, not its round trip through the coordinates
         return W
 
-    def sweep(state):
-        # the adjoints from frozen z in one march, then the state under the controls they give
-        z, z_norm = state[:2]
-        if z is start and zero_targets:  # zero adjoints, bitwise what their march gives
-            phis = adj.zeros(len(targets))
-            np.copyto(state_src, f_src)
-        else:
-            for col, coupling, wd in zip(adj_src, adj_couplings, targets):
-                coupling.apply(fwd.levels(z if wd is None else z - wd),
-                               out=adj.source_levels(col, backward=True))
-            phis = stepper.march_backward(zero, adj_src, family="adjoint", coordinates=True)
-            fed = fwd.source_levels(fed_src)
-            state_couplings[0].apply(adj.levels(phis[0], shifted=True), out=fed)
-            for phi, coupling in zip(phis[1:], state_couplings[1:]):
-                fed += coupling.apply(adj.levels(phi, shifted=True))
-            np.subtract(f_src, fed_src, out=state_src)
-        W = stepper.march_forward(datum, state_src, coordinates=True)
-        step = W - z
-        change, w_norm = fwd.q_norm(step), fwd.q_norm(W)
-        if on_sweep is not None:
+    hook = None
+    if on_sweep is not None:
+        sweeps = itertools.count(1)
+
+        def hook(W, phis, change):
             vs = _controls_from_adjoints(spec.follower_masks, spec.mu, _physical_adjoints(adj, phis))
             on_sweep(next(sweeps), physical(W), vs, change)
-        z_next = W if damping == 1.0 else z + damping * step
-        z_next_norm = w_norm if z_next is W else fwd.q_norm(z_next)
-        return (z_next, z_next_norm, W, phis), change, max(z_norm, w_norm, TINY)
 
-    (_, _, W, phis), it, history = iterate(sweep, (start, 0.0), tol_rel, max_iter, "Nash fixed point",
-                                           error_bound=damping == 1.0)
+    W, phis, it, history = alternate(spec, fwd.datum(spec.w0), fwd.source(source), tol_rel=tol_rel,
+                                     max_iter=max_iter, damping=damping, on_sweep=hook)
     return NashSolution(physical(W), tuple(phis), adj, spec.follower_masks, spec.mu, it, history,
                         contraction_estimate(history))
 

@@ -401,17 +401,10 @@ def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> Ti
                       a_adj=None, b_adj=None).stepper
 
 
-def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
-                      i, direction, stepper=None) -> float:
-    """Quadratic form of follower i's cost at the equilibrium.
-
-    Solves the tangent state h driven by the direction, an interior
-    (nt+1, n) array, then the backward companion eta with the
-    second-derivative sources, and returns
-    int int_Oi direction*eta + mu_i ||direction||^2.  stepper, when given,
-    is the tangent stepper of this spec and equilibrium (_tangent_stepper),
-    which every direction shares.
-    """
+def _form_companion(spec, nonlin, equilibrium, i, direction, stepper):
+    """The backward companion eta of follower i's quadratic form
+    (second_order_form) for the direction, an interior (nt+1, n) array:
+    linear in the direction."""
     if not nonlin.has_second_order:
         raise UnsupportedNonlinearity(
             "second-order checker needs analytic second derivatives; "
@@ -442,20 +435,74 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
     src_eta = src_eta - interior_divergence(grid, tuple(vec))
     chid = spec.target_masks[i].interior_vector()
     src_eta = src_eta + spec.alpha[i] * chid * H
-    E = st.march_backward(np.zeros(grid.n_interior), src_eta, family="adjoint")
+    return st.march_backward(np.zeros(grid.n_interior), src_eta, family="adjoint")
+
+
+def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
+                      i, direction, stepper=None) -> float:
+    """Quadratic form of follower i's cost at the equilibrium.
+
+    Solves the tangent state h driven by the direction, an interior
+    (nt+1, n) array, then the backward companion eta with the
+    second-derivative sources, and returns
+    int int_Oi direction*eta + mu_i ||direction||^2.  stepper, when given,
+    is the tangent stepper of this spec and equilibrium (_tangent_stepper),
+    which every direction shares.
+    """
+    E = _form_companion(spec, nonlin, equilibrium, i, direction, stepper)
+    grid = spec.grid
+    chi = spec.follower_masks[i].interior_vector()
     cross = grid.dt * grid.hd * float(np.sum((direction[1:] * chi) * E[:-1]))
     norm2 = q_norm(grid, direction * chi) ** 2
     return cross + spec.mu[i] * norm2
 
 
+HESSIAN_MAX_UNKNOWNS = 400  # up to this many control unknowns a follower's form is assembled whole
+
+
+def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, stepper=None):
+    """The smallest and largest eigenvalue of follower i's quadratic form
+    (second_order_form) on its control unknowns, levels 1..nt on O_i, in
+    the discrete L2(Q) inner product the sampled directions are unit in.
+
+    The companion eta is linear in the direction, so one companion per unit
+    direction gives the form's matrix, whose symmetric part's spectrum is
+    taken densely (eigvalsh).  None above HESSIAN_MAX_UNKNOWNS unknowns or
+    with none.  stepper as in second_order_form.
+    """
+    grid = spec.grid
+    nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
+    m = grid.nt * len(nodes)
+    if not 0 < m <= HESSIAN_MAX_UNKNOWNS:
+        return None
+    stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
+    levels, columns = np.divmod(np.arange(m), len(nodes))
+    nodes = nodes[columns]
+    unit = 1.0 / math.sqrt(grid.dt * grid.hd)
+    cross = np.empty((m, m))  # the form's cross term of unit directions l and k at [l, k]
+    for row, level, node in zip(cross, levels, nodes):
+        d = np.zeros((grid.nt + 1, grid.n_interior))
+        d[level + 1, node] = unit
+        row[:] = _form_companion(spec, nonlin, equilibrium, i, d, stepper)[levels, nodes]
+    cross *= grid.dt * grid.hd * unit
+    values = np.linalg.eigvalsh(0.5 * (cross + cross.T) + spec.mu[i] * np.eye(m))
+    return float(values[0]), float(values[-1])
+
+
 @dataclass
 class SufficiencyReport:
+    """lambda_min and lambda_max are form_extremes of each follower, and
+    c_hat_sharp lambda_min - mu_i, the sharp c_hat; None where follower i
+    has more than HESSIAN_MAX_UNKNOWNS control unknowns."""
     min_form: tuple
     c_hat: tuple
     all_positive: bool
     n_directions: int
     dimension_in_analysis_range: bool
     forms: tuple = ((), ())
+    lambda_min: tuple = (None, None)
+    lambda_max: tuple = (None, None)
+    c_hat_sharp: tuple = (None, None)
 
 
 def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
@@ -464,13 +511,14 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
 
     Positive sampled forms back the equilibrium/quasi-equilibrium
     equivalence; c_hat_i = min (form - mu_i ||w||^2)/||w||^2 stands in for
-    the nonconstructive coupling constant.  1D runs are flagged as outside
-    the dimension range (2..20) the second-order equivalence analysis
-    assumes.
+    the nonconstructive coupling constant, and the form's extreme
+    eigenvalues (form_extremes) give its sharp value.  1D runs are flagged
+    as outside the dimension range (2..20) the second-order equivalence
+    analysis assumes.
     """
     grid = spec.grid
     rng = np.random.default_rng(seed)
-    mins, chats, all_forms = [], [], []
+    mins, chats, all_forms, extremes = [], [], [], []
     positive = True
     stepper = None
     for i in range(2):
@@ -493,6 +541,8 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
         else:
             mins.append(math.nan)
             chats.append(math.nan)
+        extremes.append(form_extremes(spec, nonlin, equilibrium, i, stepper=stepper) or (None, None))
+    lam_min, lam_max = zip(*extremes)
     return SufficiencyReport(
         min_form=tuple(mins),
         c_hat=tuple(chats),
@@ -500,4 +550,7 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
         n_directions=n_directions,
         dimension_in_analysis_range=grid.dim >= 2,
         forms=tuple(all_forms),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        c_hat_sharp=tuple(None if lam is None else lam - mu for lam, mu in zip(lam_min, spec.mu)),
     )

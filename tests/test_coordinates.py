@@ -111,9 +111,10 @@ def test_modal_march_in_coordinates_is_the_physical_march(backward, rng):
 def test_couplings_are_built_once_per_stepper(monkeypatch, rng):
     """A Lambda apply builds its coupling matrices on the stepper's first
     solve and every later apply reuses them.  With one family for both
-    directions there are three: alpha chi_d, for the Nash adjoint source
-    and the coupled adjoint's psi source, and the summed control weights
-    with either sign."""
+    directions there are two, each serving the sweep and its transpose:
+    alpha chi_d, for the Nash adjoint source and the coupled adjoint's psi
+    source, and the summed control weights -chi_i/mu_i, for the Nash state
+    source and the companions' source."""
     spec = make_nash_spec()
     built = []
     original = operators._coupling_matrix
@@ -126,7 +127,7 @@ def test_couplings_are_built_once_per_stepper(monkeypatch, rng):
     apply_lambda(spec, rng.standard_normal(spec.grid.n_interior))
     first = len(built)
     apply_lambda(spec, rng.standard_normal(spec.grid.n_interior))
-    assert first == 3 and len(built) == first
+    assert first == 2 and len(built) == first
 
 
 def _same(a, b):

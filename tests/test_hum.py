@@ -7,6 +7,7 @@ import pytest
 import hierctrl.cli as cli
 import hierctrl.hum as hum
 import hierctrl.nash as nash
+from hierctrl import operators
 from hierctrl.carleman import check_target_condition
 from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations
@@ -19,6 +20,7 @@ from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import Coupling, TimeStepper, solve_forward
 
 from conftest import leader_bump, make_hum_spec
+from test_coordinates import FAMILIES, _spec as family_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,14 +149,21 @@ def test_gradient_linear_part_homogeneous(spec, rng):
     assert np.abs(g2 - 3.0 * g1).max() <= 1e-8 * scale
 
 
-def test_two_system_duality_identity(spec, rng):
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", ["shared", "alpha", "targets", "mixed"])
+def test_two_system_duality_identity(family, case, monkeypatch, rng):
     """Pairing the optimality system (driven by a random leader) with the
     coupled adjoint system (random terminal datum): both sides of the
-    resulting identity, computed from the two independent solves, agree.
+    resulting identity, computed from the two independent solves, agree on
+    modal, dense and SuperLU families in every case test_coordinates runs,
+    so the sweep and its transpose pair wherever they march.
 
     dt sum <f chi, psi> - dt sum sum_i <chi_i phi_i, psi>/mu_i
       = <w(T), psi0> - <w0, psi(0)> + dt sum sum_i alpha_i <chi_di eta_i, w>
     """
+    for name, value in FAMILIES[family].items():
+        monkeypatch.setattr(operators, name, value)
+    spec = family_spec(case)
     g = spec.grid
     for _ in range(3):
         f = rng.standard_normal((g.nt + 1, g.n_interior))
@@ -594,22 +603,21 @@ def test_nash_with_a_target_couples_its_first_sweep(spec, monkeypatch):
 
 def test_minimize_builds_each_inner_setup_once_per_spec(spec, monkeypatch):
     """minimize_G's affine solve and every Lambda apply share two specs,
-    the data spec and its zero-data copy, so each solver's setup is built
-    at most twice however many CG iterations run.  The affine solve's
-    coupled adjoint has psi0 = 0 and returns zeros without a sweep, so the
-    coupled setup is built for the zero-data spec alone."""
+    the data spec and its zero-data copy, so the sweep setup, which holds
+    both directions, is built once for each however many CG iterations
+    run.  The affine solve's coupled adjoint has psi0 = 0 and returns zeros
+    without a sweep, so the data spec's setup is built by its Nash solve."""
     built = []
-    for module, name in ((hum, "_coupled_setup"), (nash, "_nash_setup")):
-        original = getattr(module, name)
+    original = nash._sweep_setup
 
-        def counted(spec, _original=original, _name=name):
-            built.append(_name)
-            return _original(spec)
+    def counted(spec):
+        built.append(spec)
+        return original(spec)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(nash, "_sweep_setup", counted)
     res = minimize_G(spec, 1e-3, cg_tol=1e-10)
     assert res.cg_iterations > 5
-    assert sorted(built) == ["_coupled_setup"] + ["_nash_setup"] * 2
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 def test_coupled_adjoint_reports_contraction_estimate(spec, rng):

@@ -331,6 +331,24 @@ def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
 
+def test_shipped_second_order_reports_sharp_constants(tmp_path):
+    """On the shipped config the sampled c_hat_i is positive while the
+    form's smallest eigenvalue lies just below mu_i = 1: the sharp constant
+    is negative and bounds every sampled form from below.  The values are
+    those of the 30x30 follower Hessians assembled independently."""
+    out = tmp_path / "so"
+    assert cli.run("second-order", str(CONFIGS / "second_order_1d.ini"), str(out)) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    sharp, lambda_max = (-4.838e-8, -4.279e-8), (1.000087, 1.000088)
+    for i in (1, 2):
+        value = {key: float(summary[f"{key}_{i}"]) for key in
+                 ("c_hat", "c_hat_sharp", "lambda_min", "lambda_max", "min_form")}
+        assert value["c_hat_sharp"] < 0.0 < value["c_hat"]
+        assert value["lambda_min"] <= value["min_form"]
+        assert abs(value["c_hat_sharp"] - sharp[i - 1]) <= 1e-10
+        assert abs(value["lambda_max"] - lambda_max[i - 1]) <= 1e-6
+
+
 def test_second_order_rejects_expression_nonlinearity(spec, tanh_equilibrium):
     nl = from_expression("0.1*u", bound=0.1, dim=1)
     d = np.zeros((spec.grid.nt + 1, spec.grid.n_interior))
