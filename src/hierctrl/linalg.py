@@ -115,14 +115,12 @@ class CGResult:
 
     iterations counts operator applications.  shift_iterations[i] is the
     iteration at which shift i converged, and histories[i] holds its
-    recurrence residuals relative to ||b|| for k = 0..shift_iterations[i]:
-    beta_k |z_k / d_k| / ||b|| from the Lanczos recurrences, or ||r_k|| / ||b||
-    under a preconditioner (never the preconditioned norm).  coefficients,
-    shape (len(xs), iterations), writes each solution in the vectors the
-    operator was applied to: x_i = sum_k coefficients[i, k] d_k, d_k being
-    the k-th argument of apply, to rounding; without a preconditioner those
-    are the orthonormal Lanczos vectors v_k, with one the search directions
-    p_k.  Row i is zero after shift_iterations[i].
+    recurrence residuals ||b - (A + s_i I) x_k|| / ||b|| for
+    k = 0..shift_iterations[i], under a preconditioner too (never the
+    preconditioned norm).  coefficients, shape (len(xs), iterations), writes
+    each solution in the vectors the operator was applied to:
+    x_i = sum_k coefficients[i, k] d_k, d_k being the k-th argument of
+    apply, to rounding.  Row i is zero after shift_iterations[i].
     """
 
     xs: list
@@ -172,76 +170,79 @@ def ritz_pairs(directions, products, floor, cap) -> RitzPairs:
     return RitzPairs(theta[top], Q @ Y[:, top])
 
 
-def _curvature(p, Ap):
-    """<p, A p>, raising NonFiniteBreakdown unless it is finite and positive."""
-    denom = float(np.dot(p, Ap))
-    if not np.isfinite(denom) or denom <= 0.0:
-        if denom <= 0.0 and np.isfinite(denom):
-            raise NonFiniteBreakdown(f"operator not positive definite: <p,Ap> = {denom:.3e}")
-        raise NonFiniteBreakdown("non-finite curvature in CG")
-    return denom
-
-
 def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
                        preconditioner=None) -> CGResult:
     """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
     apply(v) returns A v for a symmetric A; A + s I must be positive
-    definite for every s.  Without a preconditioner this is CG in its
-    Lanczos form (Saad, Iterative Methods for Sparse Linear Systems, 2nd
-    ed., 2003, 6.7.1).  One Lanczos run on A builds the orthonormal vectors
-    v_1 = b/||b||, v_2, ... and the tridiagonal T_k (alpha_k on the
-    diagonal, beta_k beside it); each vector is applied to A once and kept
-    orthonormal to all earlier ones by classical Gram-Schmidt done twice,
-    so converged Ritz values are not found again and the iteration count
-    does not drift with rounding (Greenbaum & Strakos, SIAM J. Matrix Anal.
-    Appl. 13(1), 1992).  T_k + s I is T_k shifted, so every shift follows
-    its own LDL' factorization at O(1) per iteration: the pivots
+    definite for every s.  This is CG in its Lanczos form (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7.1).  One Lanczos
+    run on A builds the orthonormal vectors v_1 = b/||b||, v_2, ... and the
+    tridiagonal T_k (alpha_k on the diagonal, beta_k beside it); each vector
+    is applied to A once and kept orthonormal to all earlier ones by
+    classical Gram-Schmidt done twice, so converged Ritz values are not
+    found again and the iteration count does not drift with rounding
+    (Greenbaum & Strakos, SIAM J. Matrix Anal. Appl. 13(1), 1992).
+    T_k + s I is T_k shifted, so every shift follows its own LDL'
+    factorization at O(1) per iteration: the pivots
     d_k = alpha_k + s - beta_{k-1}^2 / d_{k-1} and z_k = -beta_{k-1} z_{k-1}
     / d_{k-1}, z_1 = ||b||.  The residual of x_k = V_k y_k, y_k solving
-    (T_k + s I) y_k = ||b|| e_1, is beta_k |z_k / d_k|; a shift stops once
-    that is at most tol_rel ||b||, and y from one back substitution is its
-    coefficients over the applied v_k.  The Krylov space is invariant when
-    k = len(b) or when the second Gram-Schmidt pass takes more than half of
-    what the first left (that remainder was rounding inside the span;
-    Parlett, The Symmetric Eigenvalue Problem, 1998, 6.9); then beta_k = 0,
-    and every shift still running is solved exactly.  In exact arithmetic
-    the iterates are CG's.
+    (T_k + s I) y_k = ||b|| e_1, is |z_k / d_k| ||w_k||, w_k being what the
+    Gram-Schmidt passes leave; a shift stops once that is at most
+    tol_rel ||b||, and y from one back substitution is its coefficients over
+    the applied vectors.  The Krylov space is invariant when k = len(b) or
+    when the second Gram-Schmidt pass takes more than half of what the first
+    left (that remainder was rounding inside the span; Parlett, The
+    Symmetric Eigenvalue Problem, 1998, 6.9); then beta_k = 0, and every
+    shift still running is solved exactly.  In exact arithmetic the iterates
+    are CG's.
 
-    Raises MaxIterations carrying the best iterate of every shift, every
-    history and the iteration each shift converged at (None for those that
-    missed), NonFiniteBreakdown on a non-finite scalar or a pivot d_k <= 0
-    (A + s I not positive definite).
+    preconditioner, a callable r -> M^-1 r with M SPD, runs the same process
+    on M^-1 (A + s I) in the M inner product (Saad, 9.2) for the single
+    shift it takes (a preconditioner breaks the shift invariance, so with
+    several shifts it raises ValueError).  The v_k are M^-1-orthonormal:
+    the Gram-Schmidt inner products are taken against the vectors M^-1 v_k
+    that apply receives, z_1 = sqrt(b' M^-1 b), v_1 = b / z_1 and
+    beta_k = sqrt(w_k' M^-1 w_k).  The shift goes into the product
+    (A + s I) M^-1 v_k and T_k is left unshifted.  The residual
+    |z_k / d_k| ||w_k|| and the stop rule stay unpreconditioned, so tol_rel
+    keeps its meaning.
 
-    preconditioner, a callable r -> M^-1 r with M SPD, makes it
-    preconditioned CG on the single shift it takes (a preconditioner breaks
-    the shift invariance, so with several shifts it raises ValueError).  Its
-    histories are still the unpreconditioned recurrence residuals
-    ||r_k|| / ||b|| and it stops on them, so tol_rel keeps its meaning; its
-    coefficients are the step lengths, x = sum_k alpha_k p_k.
+    Raises MaxIterations carrying the best iterate of every shift (from its
+    smallest residual), every history and the iteration each shift
+    converged at (None for those that missed), NonFiniteBreakdown on a
+    non-finite scalar, a pivot d_k <= 0 (A + s I not positive definite) or
+    a w' M^-1 w <= 0 (M not positive definite).
     """
     b = np.asarray(b, dtype=float)
     shifts = [float(s) for s in np.atleast_1d(shifts)]
-    m = len(shifts)
+    m, n = len(shifts), b.size
     if preconditioner is not None and m != 1:
         raise ValueError(f"a preconditioner takes a single shift, not {m}")
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
                         np.zeros((m, 0)))
-    if preconditioner is not None:
-        return _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, shifts[0], preconditioner)
-    return _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts)
 
+    def normalized(w, norm_w):
+        """(beta, w / beta, M^-1 w / beta), beta the M^-1-norm of w; norm_w,
+        its 2-norm, is beta without a preconditioner."""
+        if preconditioner is None:
+            v = w / norm_w
+            return norm_w, v, v
+        mw = np.asarray(preconditioner(w), dtype=float)
+        square = float(np.dot(w, mw))
+        if not (math.isfinite(square) and square > 0.0):
+            raise NonFiniteBreakdown(f"preconditioner not positive definite: <r,M^-1 r> = {square:.3e}")
+        beta = math.sqrt(square)
+        return beta, w / beta, mw / beta
 
-def _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts) -> CGResult:
-    """conjugate_gradient's path without a preconditioner: multi-shift
-    Lanczos with full reorthogonalization."""
-    m, n = len(shifts), b.size
     size = min(max_iter, n)
-    V = np.empty((max(size, 1), n))  # the Lanczos vectors, one per row
-    V[0] = b / norm_b
-    betas = []  # beta_1, beta_2, ...: beta_k couples v_k and v_{k+1}
+    V = np.empty((max(size, 1), n))  # the Lanczos vectors v_k, one per row
+    Z = V if preconditioner is None else np.empty_like(V)  # the applied vectors M^-1 v_k
+    diagonal = shifts if preconditioner is None else [0.0]  # added to T_k's diagonal
+    beta, V[0], Z[0] = normalized(b, norm_b)
+    betas = [beta]  # beta_0 = z_1, then beta_k coupling v_k and v_{k+1}
     pivots = [[] for _ in range(m)]  # d_k of each shift
     zs = [[] for _ in range(m)]  # z_k of each shift
     histories = [[1.0] for _ in range(m)]
@@ -255,29 +256,30 @@ def _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts) -> CGResult:
         d = np.array(pivots[i][:k])
         y = np.array(zs[i][:k]) / d
         for j in range(k - 2, -1, -1):
-            y[j] -= betas[j] / d[j] * y[j + 1]
+            y[j] -= betas[j + 1] / d[j] * y[j + 1]
         return y
 
     for k in range(size):
-        u = np.asarray(apply(V[k]), dtype=float)
-        basis = V[:k + 1]
-        h = basis @ u
-        w = u - h @ basis
+        u = np.asarray(apply(Z[k]), dtype=float)
+        if preconditioner is not None:
+            u = u + shifts[0] * Z[k]
+        h = Z[:k + 1] @ u
+        w = u - h @ V[:k + 1]
         left = float(np.linalg.norm(w))
-        h2 = basis @ w
-        w -= h2 @ basis
+        h2 = Z[:k + 1] @ w
+        w -= h2 @ V[:k + 1]
         alpha = float(h[k] + h2[k])
-        beta = float(np.linalg.norm(w))
-        if k + 1 == n or beta < 0.5 * left:  # w was rounding inside the span: invariant
-            beta = 0.0
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
+        norm_w = float(np.linalg.norm(w))
+        if k + 1 == n or norm_w < 0.5 * left:  # w was rounding inside the span: invariant
+            norm_w = 0.0
+        if not (math.isfinite(alpha) and math.isfinite(norm_w)):
             raise NonFiniteBreakdown("non-finite Lanczos coefficient in CG")
         for i in list(active):
             if k:
                 last_d, last_z = pivots[i][-1], zs[i][-1]
-                d, z = alpha + shifts[i] - betas[-1] ** 2 / last_d, -betas[-1] / last_d * last_z
+                d, z = alpha + diagonal[i] - betas[-1] ** 2 / last_d, -betas[-1] / last_d * last_z
             else:
-                d, z = alpha + shifts[i], norm_b
+                d, z = alpha + diagonal[i], betas[0]
             if not d > 0.0:
                 raise NonFiniteBreakdown(f"operator not positive definite: pivot {d:.3e} "
                                          f"at shift {shifts[i]:.3e}")
@@ -285,21 +287,21 @@ def _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts) -> CGResult:
                 raise NonFiniteBreakdown("non-finite shift recurrence in CG")
             pivots[i].append(d)
             zs[i].append(z)
-            histories[i].append(beta * abs(z / d) / norm_b)
+            histories[i].append(norm_w * abs(z / d) / norm_b)
             if histories[i][-1] <= tol_rel:
                 active.remove(i)
                 shift_iterations[i] = k + 1
                 coefficients[i, :k + 1] = solution(i, k + 1)
-                xs[i] = coefficients[i, :k + 1] @ basis
+                xs[i] = coefficients[i, :k + 1] @ Z[:k + 1]
         if not active:
             return CGResult(xs, k + 1, histories, shift_iterations, coefficients[:, :k + 1].copy())
-        betas.append(beta)
         if k + 1 < size:
-            V[k + 1] = w / beta
+            beta, V[k + 1], Z[k + 1] = normalized(w, norm_w)
+            betas.append(beta)
     best = []
     for i, history in enumerate(histories):
         k = int(np.argmin(history))
-        best.append(solution(i, k) @ V[:k])
+        best.append(solution(i, k) @ Z[:k])
     worst = max(min(history) for history in histories)
     raise MaxIterations(
         f"CG did not reach tol {tol_rel:.1e} in {max_iter} iterations on "
@@ -309,43 +311,6 @@ def _lanczos(apply, b, norm_b, tol_rel, max_iter, shifts) -> CGResult:
         history=histories,
         shifts=shifts,
         shift_iterations=shift_iterations,
-    )
-
-
-def _preconditioned_cg(apply, b, norm_b, tol_rel, max_iter, shift, preconditioner) -> CGResult:
-    """conjugate_gradient's single-shift path under a preconditioner."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = preconditioner(r)
-    rz = float(np.dot(r, p))
-    history = [1.0]
-    alphas = []
-    best_x, best_res = x, 1.0
-    for it in range(1, max_iter + 1):
-        Ap = np.asarray(apply(p), dtype=float) + shift * p
-        alpha = rz / _curvature(p, Ap)
-        alphas.append(alpha)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rel = float(np.linalg.norm(r)) / norm_b
-        if not np.isfinite(rel):
-            raise NonFiniteBreakdown("non-finite residual in CG")
-        history.append(rel)
-        if rel < best_res:
-            best_res, best_x = rel, x
-        if rel <= tol_rel:
-            return CGResult([x], it, [history], [it], np.array([alphas]))
-        z = preconditioner(r)
-        rz_new = float(np.dot(r, z))
-        if not np.isfinite(rz_new) or rz_new <= 0.0:
-            raise NonFiniteBreakdown(f"preconditioner not positive definite: <r,M^-1 r> = {rz_new:.3e}")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise MaxIterations(
-        f"PCG did not reach tol {tol_rel:.1e} in {max_iter} iterations "
-        f"(best residual {best_res:.3e})",
-        best=[best_x], iterations=max_iter, history=[history], shifts=[shift],
-        shift_iterations=[None],
     )
 
 

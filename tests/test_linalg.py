@@ -361,13 +361,43 @@ def test_pcg_deflated_by_exact_top_eigenpairs_converges_in_a_few_iterations():
     assert len(res.histories[0]) == res.iterations + 1 and res.shift_iterations == [res.iterations]
 
 
-def test_pcg_with_the_identity_preconditioner_is_plain_cg():
+def test_the_identity_preconditioner_reproduces_the_unpreconditioned_solve():
+    """With M = I the preconditioned process is the same Lanczos run, with
+    the shift in the product instead of in T_k: equal to rounding."""
     A, b = _spread_spd(30, 8)
-    x, its, history = _plain_cg(lambda v: A @ v + 0.3 * v, b, 1e-10, 500)
+    plain = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,))
     res = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,), preconditioner=lambda r: r)
-    assert res.iterations == its
-    assert np.array_equal(res.xs[0], x)
-    assert res.histories[0] == history
+    assert res.iterations == plain.iterations
+    assert np.linalg.norm(res.xs[0] - plain.xs[0]) <= 1e-14 * np.linalg.norm(plain.xs[0])
+    assert np.allclose(res.histories[0], plain.histories[0], rtol=1e-13, atol=0.0)
+
+
+def test_a_preconditioner_that_is_not_positive_definite_is_a_typed_failure():
+    A, b = _spread_spd(30, 8)
+    with pytest.raises(NonFiniteBreakdown, match="preconditioner not positive definite"):
+        conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=(0.3,), preconditioner=lambda r: -r)
+
+
+@pytest.mark.parametrize("top, bound", [(None, 11), (3, 8), (5, 6)])
+def test_preconditioned_basis_is_m_orthonormal_and_deflation_pays(top, bound):
+    """Under the identity (top None) or M^-1 = V (Theta + eps)^-1 V' +
+    (I - V V')/eps from the top eigenpairs, the applied vectors
+    d_k = M^-1 v_k are M-orthonormal (D M D' = I), and each deflated
+    eigenvalue saves iterations."""
+    A, lam, Q, b = _hum_like_spd()
+    if top is None:
+        preconditioner, M = (lambda r: r), np.eye(len(b))
+    else:
+        V = Q[:, :top]
+        preconditioner = RitzPairs(lam[:top], V).preconditioner(EPS)
+        M = V @ np.diag(lam[:top] + EPS) @ V.T + EPS * (np.eye(len(b)) - V @ V.T)
+    apply, directions, _ = _recording(A)
+    res = conjugate_gradient(apply, b, tol_rel=1e-10, shifts=(EPS,), preconditioner=preconditioner)
+    D = np.array(directions)
+    assert len(D) == res.iterations <= bound
+    assert np.abs(D @ M @ D.T - np.eye(len(D))).max() <= 1e-11
+    direct = np.linalg.solve(A + EPS * np.eye(len(b)), b)
+    assert np.linalg.norm(res.xs[0] - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_pcg_coefficients_rebuild_the_solution_from_the_applied_directions():
