@@ -206,7 +206,7 @@ def _run_second_order(inputs, out):
     ]
     for name, values in (("lambda_min", report.lambda_min), ("lambda_max", report.lambda_max),
                          ("c_hat_sharp", report.c_hat_sharp)):
-        items += [(f"{name}_{i}", fmt(v)) for i, v in enumerate(values, start=1) if v is not None]
+        items += [(f"{name}_{i}", fmt(v)) for i, v in enumerate(values, start=1)]
     write_summary(Path(out, "summary.txt"), items)
     return 0
 

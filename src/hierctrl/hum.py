@@ -23,7 +23,7 @@ from .mesh import norm_h
 from .nash import NashSolution, _control_weights, alternate, solve_nash_fixed_point, stacked_system
 from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 
-RITZ_DIRECTIONS = 8  # a single-eps solve applying Lambda to this many directions yields Ritz pairs
+RITZ_DIRECTIONS = 8  # a single-eps CG run from b of this many iterations yields Ritz pairs
 RITZ_CAP = 20  # the most Ritz pairs a solve keeps
 
 
@@ -69,8 +69,9 @@ class HumResult:
     cg_residuals are CG's residuals relative to ||b||, refinements included,
     cg_iterations its Lambda applies.  ritz holds the Ritz pairs of Lambda
     above eps that a later solve with a nearby Lambda is preconditioned
-    with (minimize_G's ritz): this solve's own when it made enough Lambda
-    applies, else the ones it was given; None for several eps.
+    with (minimize_G's ritz): those of this solve's own cold CG run, from
+    its T_k, when that run made enough iterations, else the ones it was
+    given; None for several eps.
     """
     psi0: np.ndarray
     f: np.ndarray
@@ -167,28 +168,6 @@ def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState):
     return f
 
 
-def eval_G(spec: ProblemSpec, psi0, eps, tol_rel=1e-12):
-    """Penalized HUM functional.
-
-    The nonsmooth eps*||psi0|| penalty is replaced by (eps/2)*||psi0||^2,
-    so the functional is a CG-solvable quadratic in the interior (n,)
-    vector psi0.
-    """
-    grid = spec.grid
-    coupled = solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
-    psi = coupled.psi
-    chi = spec.leader_mask.interior_vector()
-    quad = 0.5 * grid.dt * grid.hd * float(np.sum(chi * psi[:-1] * psi[:-1]))
-    affine = grid.hd * float(np.dot(spec.w0, psi[0]))
-    for i in range(2):
-        chid = spec.target_masks[i].interior_vector()
-        eta = coupled.etas[i]
-        wd = spec.targets[i]
-        affine -= spec.alpha[i] * grid.dt * grid.hd * float(np.sum(chid * eta[1:] * wd[1:]))
-    p0 = norm_h(grid, psi0)
-    return quad + affine + 0.5 * eps * p0 * p0
-
-
 def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, fields=None):
     """Gradient of G_eps: terminal state of the optimality system driven by
     f = psi chi_O, plus the penalty gradient.  psi0 and the gradient are
@@ -201,12 +180,6 @@ def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, fields=None):
     if fields is not None:
         fields.append((f, nash.w))
     return nash.w[-1] + eps * psi0
-
-
-def apply_lambda(spec: ProblemSpec, psi0, inner_tol=1e-12):
-    """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD),
-    on interior (n,) vectors."""
-    return grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
 
 
 def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, ritz=None):
@@ -243,12 +216,14 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
     only, turns every refinement into preconditioned CG under
     RitzPairs.preconditioner(eps), which deflates the few eigenvalues above
     eps that plain CG spends its iterations on; its residuals stay
-    unpreconditioned and relative to ||b||.  A single-eps solve that applies
-    Lambda to at least RITZ_DIRECTIONS directions returns, as
-    HumResult.ritz, the Rayleigh-Ritz pairs of those directions and their
-    products Lambda d_k, all from this Lambda, with values above eps, at most
-    RITZ_CAP of them; otherwise it returns the ritz it was given.  This
-    costs no Lambda apply.
+    unpreconditioned and relative to ||b||.  A single-eps solve whose cold,
+    unpreconditioned CG run from b makes at least RITZ_DIRECTIONS
+    iterations returns, as HumResult.ritz, that run's Ritz pairs
+    (linalg.ritz_pairs of its T_k and orthonormal basis) with values above
+    eps, at most RITZ_CAP of them; a warm solve, or a shorter run, returns
+    the ritz it was given.  This costs no Lambda apply.  A preconditioned
+    run's T_k belongs to the pencil (Lambda + eps, M), not to Lambda, so
+    no pairs are taken from a refinement.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
@@ -260,10 +235,8 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
     b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
     norm_b = max(float(np.linalg.norm(b)), TINY)
     zspec = spec.with_zero_data()
-    directions = []  # every d_k, in the order of fields[1:]
 
     def apply(x):
-        directions.append(x)
         return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol, fields=fields)
 
     def combine(base, coefficients, first):
@@ -273,8 +246,11 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
         return [np.tensordot(weights, np.stack([field, *column[first:]]), axes=1)
                 for field, column in zip(base, zip(*fields))]
 
+    recycled = ritz  # the pairs returned; the refinements run on the ones given
     if psi0 is None:
         cg = conjugate_gradient(apply, -b, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+        if len(eps_list) == 1 and cg.iterations >= RITZ_DIRECTIONS:
+            recycled = ritz_pairs(cg, eps_list[0], RITZ_CAP)
         fs, ws = combine(fields[0], cg.coefficients, 1)
         starts = zip(eps_list, cg.xs, fs, ws, cg.histories, cg.shift_iterations)
     else:
@@ -306,11 +282,8 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
             cg_iterations=iterations,
             eps=e,
             true_residual=norm_r / norm_b,
+            ritz=recycled,
         ))
-    if len(eps_list) == 1:
-        if len(directions) >= RITZ_DIRECTIONS:
-            ritz = ritz_pairs(directions, [w[-1] for _, w in fields[1:]], eps_list[0], RITZ_CAP)
-        results[0].ritz = ritz
     return results if np.ndim(eps) else results[0]
 
 

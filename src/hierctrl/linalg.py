@@ -3,8 +3,9 @@
 Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
 stacks of small matrices are inverted densely from one LAPACK LU per
 matrix, which also carries the pivot check, and small symmetric matrices
-are diagonalized.  Conjugate gradient and the fixed-point driver are
-written against callbacks so the HUM operator and the sweeps, which
+are diagonalized.  One Lanczos process, which conjugate gradient and the
+Ritz pairs run on, and the fixed-point driver are written against
+callbacks so the HUM operator, the follower forms and the sweeps, which
 involve nested PDE solves, plug in without ever being materialized.
 """
 
@@ -121,6 +122,14 @@ class CGResult:
     each solution in the vectors the operator was applied to:
     x_i = sum_k coefficients[i, k] d_k, d_k being the k-th argument of
     apply, to rounding.  Row i is zero after shift_iterations[i].
+
+    basis, shape (iterations, len(b)), holds the Lanczos vectors v_k as
+    rows, and alphas (iterations values) and betas (one fewer) are the
+    diagonal and the off-diagonal of the tridiagonal T_k they span
+    (lanczos).  Without a preconditioner the v_k are the orthonormal d_k
+    and T_k = V_k' A V_k, so its eigenpairs give A's Rayleigh-Ritz pairs on
+    the Krylov space (ritz_pairs); under one the v_k are M^-1-orthonormal
+    and T_k = D_k' (A + s I) D_k belongs to the pencil (A + s I, M).
     """
 
     xs: list
@@ -128,11 +137,14 @@ class CGResult:
     histories: list
     shift_iterations: list
     coefficients: np.ndarray
+    basis: np.ndarray
+    alphas: np.ndarray
+    betas: np.ndarray
 
 
 class RitzPairs(NamedTuple):
     """Ritz values (descending) and orthonormal Ritz vectors (columns) of a
-    symmetric operator on a subspace (ritz_pairs)."""
+    symmetric operator on a Krylov space (ritz_pairs)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -149,25 +161,85 @@ class RitzPairs(NamedTuple):
         return apply
 
 
-def ritz_pairs(directions, products, floor, cap) -> RitzPairs:
-    """Rayleigh-Ritz for a symmetric A on the span of directions.
-
-    directions is a (k, n) array of vectors d_j and products holds A d_j in
-    the same layout, so no application of A is made.  The directions are
-    orthonormalized by an SVD that drops singular values below 1e-10 times
-    the largest, so a rank-deficient set is harmless.  Returns the pairs
-    whose value is above floor, the largest first, at most cap of them.
+def ritz_pairs(cg: CGResult, floor, cap) -> RitzPairs:
+    """Rayleigh-Ritz for a symmetric A on the Krylov space of an
+    unpreconditioned conjugate_gradient run, from what the run returned:
+    the eigenpairs (theta, y) of its T_k (scipy.linalg.eigh_tridiagonal),
+    the vectors mapped through its orthonormal basis, sum_j y_j v_j.  No
+    application of A is made.  Returns the pairs whose value is above
+    floor, the largest first, at most cap of them.
     """
-    D = np.asarray(directions, dtype=float).T
-    AD = np.asarray(products, dtype=float).T
-    U, s, Wt = np.linalg.svd(D, full_matrices=False)
-    keep = s > 1e-10 * s[0]
-    Q = U[:, keep]
-    AQ = AD @ (Wt[keep].T / s[keep])
-    H = Q.T @ AQ
-    theta, Y = np.linalg.eigh(0.5 * (H + H.T))
+    theta, Y = scipy.linalg.eigh_tridiagonal(cg.alphas, cg.betas)
     top = np.flatnonzero(theta > floor)[::-1][:cap]
-    return RitzPairs(theta[top], Q @ Y[:, top])
+    return RitzPairs(theta[top], cg.basis.T @ Y[:, top])
+
+
+def lanczos(apply, b, size, preconditioner=None):
+    """The Lanczos process on a symmetric A from a nonzero b: a generator of
+    at most size steps.
+
+    Step k applies A once, apply(z_k) returning A z_k, and yields
+    (V, Z, alphas, betas, norm_w).  The rows of V are the Lanczos vectors
+    v_1 = b / beta_0, ..., v_k, those of Z the vectors A was applied to;
+    alphas holds T_k's diagonal and betas beta_0, then beta_j coupling v_j
+    and v_{j+1}, k values in all; norm_w is the 2-norm of the remainder
+    w_k = A z_k - V_k h_k left after v_k is made orthogonal to all earlier
+    vectors by classical Gram-Schmidt done twice, so converged Ritz values
+    are not found again (Greenbaum & Strakos, SIAM J. Matrix Anal. Appl.
+    13(1), 1992).  Without a preconditioner Z is V, A V_k = V_k T_k +
+    w_k e_k', and norm_w |e_k' y| bounds the residual of the Ritz pair of
+    T_k's eigenpair (theta, y) (Parlett, The Symmetric Eigenvalue Problem,
+    SIAM 1998, ch. 13).  The Krylov space is invariant when k = len(b) or
+    when the second Gram-Schmidt pass takes more than half of what the
+    first left (that remainder was rounding inside the span; Parlett 6.9):
+    norm_w is then 0, and the process ends after that step.  A remainder is
+    normalized into the next vector only when the caller resumes.  V and Z
+    are views of the process's own arrays and alphas and betas its own
+    lists, which grow when it resumes; a caller keeping them copies them.
+
+    preconditioner, a callable r -> M^-1 r with M SPD, makes the v_k
+    M^-1-orthonormal: the Gram-Schmidt inner products are taken against the
+    applied vectors z_k = M^-1 v_k, and beta_j = sqrt(w' M^-1 w).
+
+    Raises NonFiniteBreakdown on a non-finite alpha or norm_w and on a
+    w' M^-1 w <= 0 (M not positive definite).
+    """
+
+    def normalized(w, norm_w):
+        """(beta, w / beta, M^-1 w / beta), beta the M^-1-norm of w; norm_w,
+        its 2-norm, is beta without a preconditioner."""
+        if preconditioner is None:
+            v = w / norm_w
+            return norm_w, v, v
+        mw = np.asarray(preconditioner(w), dtype=float)
+        square = float(np.dot(w, mw))
+        if not (math.isfinite(square) and square > 0.0):
+            raise NonFiniteBreakdown(f"preconditioner not positive definite: <r,M^-1 r> = {square:.3e}")
+        beta = math.sqrt(square)
+        return beta, w / beta, mw / beta
+
+    V = np.empty((size, b.size))
+    Z = V if preconditioner is None else np.empty_like(V)
+    alphas, betas = [], []
+    w, norm_w = b, float(np.linalg.norm(b))
+    for k in range(size):
+        beta, V[k], Z[k] = normalized(w, norm_w)
+        betas.append(beta)
+        u = np.asarray(apply(Z[k]), dtype=float)
+        h = Z[:k + 1] @ u
+        w = u - h @ V[:k + 1]
+        left = float(np.linalg.norm(w))
+        h2 = Z[:k + 1] @ w
+        w -= h2 @ V[:k + 1]
+        alphas.append(float(h[k] + h2[k]))
+        norm_w = float(np.linalg.norm(w))
+        if k + 1 == b.size or norm_w < 0.5 * left:  # w was rounding inside the span: invariant
+            norm_w = 0.0
+        if not (math.isfinite(alphas[k]) and math.isfinite(norm_w)):
+            raise NonFiniteBreakdown("non-finite Lanczos coefficient")
+        yield V[:k + 1], Z[:k + 1], alphas, betas, norm_w
+        if norm_w == 0.0:
+            return
 
 
 def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
@@ -176,35 +248,27 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
 
     apply(v) returns A v for a symmetric A; A + s I must be positive
     definite for every s.  This is CG in its Lanczos form (Saad, Iterative
-    Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7.1).  One Lanczos
-    run on A builds the orthonormal vectors v_1 = b/||b||, v_2, ... and the
-    tridiagonal T_k (alpha_k on the diagonal, beta_k beside it); each vector
-    is applied to A once and kept orthonormal to all earlier ones by
-    classical Gram-Schmidt done twice, so converged Ritz values are not
-    found again and the iteration count does not drift with rounding
-    (Greenbaum & Strakos, SIAM J. Matrix Anal. Appl. 13(1), 1992).
-    T_k + s I is T_k shifted, so every shift follows its own LDL'
-    factorization at O(1) per iteration: the pivots
+    Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7.1): one lanczos
+    run on A from b, at most max_iter steps, builds the orthonormal v_k and
+    the tridiagonal T_k (alpha_k on the diagonal, beta_k beside it); its
+    full reorthogonalization keeps the iteration count from drifting with
+    rounding.  T_k + s I is T_k shifted, so every shift follows its own
+    LDL' factorization at O(1) per iteration: the pivots
     d_k = alpha_k + s - beta_{k-1}^2 / d_{k-1} and z_k = -beta_{k-1} z_{k-1}
     / d_{k-1}, z_1 = ||b||.  The residual of x_k = V_k y_k, y_k solving
-    (T_k + s I) y_k = ||b|| e_1, is |z_k / d_k| ||w_k||, w_k being what the
-    Gram-Schmidt passes leave; a shift stops once that is at most
-    tol_rel ||b||, and y from one back substitution is its coefficients over
-    the applied vectors.  The Krylov space is invariant when k = len(b) or
-    when the second Gram-Schmidt pass takes more than half of what the first
-    left (that remainder was rounding inside the span; Parlett, The
-    Symmetric Eigenvalue Problem, 1998, 6.9); then beta_k = 0, and every
-    shift still running is solved exactly.  In exact arithmetic the iterates
-    are CG's.
+    (T_k + s I) y_k = ||b|| e_1, is |z_k / d_k| ||w_k||, w_k being the
+    step's remainder; a shift stops once that is at most tol_rel ||b||, and
+    y from one back substitution is its coefficients over the applied
+    vectors.  On an invariant Krylov space ||w_k|| = 0, and every shift
+    still running is solved exactly.  In exact arithmetic the iterates are
+    CG's.  The result also returns the run's basis and T_k.
 
     preconditioner, a callable r -> M^-1 r with M SPD, runs the same process
     on M^-1 (A + s I) in the M inner product (Saad, 9.2) for the single
     shift it takes (a preconditioner breaks the shift invariance, so with
-    several shifts it raises ValueError).  The v_k are M^-1-orthonormal:
-    the Gram-Schmidt inner products are taken against the vectors M^-1 v_k
-    that apply receives, z_1 = sqrt(b' M^-1 b), v_1 = b / z_1 and
-    beta_k = sqrt(w_k' M^-1 w_k).  The shift goes into the product
-    (A + s I) M^-1 v_k and T_k is left unshifted.  The residual
+    several shifts it raises ValueError): lanczos with the preconditioner
+    on A + s I, whose v_k are M^-1-orthonormal, so the shift goes into the
+    product (A + s I) M^-1 v_k and T_k is left unshifted.  The residual
     |z_k / d_k| ||w_k|| and the stop rule stay unpreconditioned, so tol_rel
     keeps its meaning.
 
@@ -222,27 +286,11 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
-                        np.zeros((m, 0)))
-
-    def normalized(w, norm_w):
-        """(beta, w / beta, M^-1 w / beta), beta the M^-1-norm of w; norm_w,
-        its 2-norm, is beta without a preconditioner."""
-        if preconditioner is None:
-            v = w / norm_w
-            return norm_w, v, v
-        mw = np.asarray(preconditioner(w), dtype=float)
-        square = float(np.dot(w, mw))
-        if not (math.isfinite(square) and square > 0.0):
-            raise NonFiniteBreakdown(f"preconditioner not positive definite: <r,M^-1 r> = {square:.3e}")
-        beta = math.sqrt(square)
-        return beta, w / beta, mw / beta
-
+                        np.zeros((m, 0)), np.zeros((0, n)), np.zeros(0), np.zeros(0))
+    operator, diagonal = apply, shifts  # diagonal: what each shift adds to T_k's diagonal
+    if preconditioner is not None:
+        operator, diagonal = (lambda z: np.asarray(apply(z), dtype=float) + shifts[0] * z), [0.0]
     size = min(max_iter, n)
-    V = np.empty((max(size, 1), n))  # the Lanczos vectors v_k, one per row
-    Z = V if preconditioner is None else np.empty_like(V)  # the applied vectors M^-1 v_k
-    diagonal = shifts if preconditioner is None else [0.0]  # added to T_k's diagonal
-    beta, V[0], Z[0] = normalized(b, norm_b)
-    betas = [beta]  # beta_0 = z_1, then beta_k coupling v_k and v_{k+1}
     pivots = [[] for _ in range(m)]  # d_k of each shift
     zs = [[] for _ in range(m)]  # z_k of each shift
     histories = [[1.0] for _ in range(m)]
@@ -259,27 +307,13 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
             y[j] -= betas[j + 1] / d[j] * y[j + 1]
         return y
 
-    for k in range(size):
-        u = np.asarray(apply(Z[k]), dtype=float)
-        if preconditioner is not None:
-            u = u + shifts[0] * Z[k]
-        h = Z[:k + 1] @ u
-        w = u - h @ V[:k + 1]
-        left = float(np.linalg.norm(w))
-        h2 = Z[:k + 1] @ w
-        w -= h2 @ V[:k + 1]
-        alpha = float(h[k] + h2[k])
-        norm_w = float(np.linalg.norm(w))
-        if k + 1 == n or norm_w < 0.5 * left:  # w was rounding inside the span: invariant
-            norm_w = 0.0
-        if not (math.isfinite(alpha) and math.isfinite(norm_w)):
-            raise NonFiniteBreakdown("non-finite Lanczos coefficient in CG")
+    for k, (V, Z, alphas, betas, norm_w) in enumerate(lanczos(operator, b, size, preconditioner)):
         for i in list(active):
             if k:
                 last_d, last_z = pivots[i][-1], zs[i][-1]
-                d, z = alpha + diagonal[i] - betas[-1] ** 2 / last_d, -betas[-1] / last_d * last_z
+                d, z = alphas[k] + diagonal[i] - betas[k] ** 2 / last_d, -betas[k] / last_d * last_z
             else:
-                d, z = alpha + diagonal[i], betas[0]
+                d, z = alphas[0] + diagonal[i], betas[0]
             if not d > 0.0:
                 raise NonFiniteBreakdown(f"operator not positive definite: pivot {d:.3e} "
                                          f"at shift {shifts[i]:.3e}")
@@ -292,16 +326,14 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
                 active.remove(i)
                 shift_iterations[i] = k + 1
                 coefficients[i, :k + 1] = solution(i, k + 1)
-                xs[i] = coefficients[i, :k + 1] @ Z[:k + 1]
+                xs[i] = coefficients[i, :k + 1] @ Z
         if not active:
-            return CGResult(xs, k + 1, histories, shift_iterations, coefficients[:, :k + 1].copy())
-        if k + 1 < size:
-            beta, V[k + 1], Z[k + 1] = normalized(w, norm_w)
-            betas.append(beta)
+            return CGResult(xs, k + 1, histories, shift_iterations, coefficients[:, :k + 1].copy(),
+                            V, np.array(alphas), np.array(betas[1:]))
     best = []
     for i, history in enumerate(histories):
         k = int(np.argmin(history))
-        best.append(solution(i, k) @ Z[:k])
+        best.append(solution(i, k) @ Z[:k] if k else np.zeros(n))  # k = 0: the zero start
     worst = max(min(history) for history in histories)
     raise MaxIterations(
         f"CG did not reach tol {tol_rel:.1e} in {max_iter} iterations on "

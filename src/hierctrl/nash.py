@@ -155,12 +155,6 @@ def _controls_from_adjoints(follower_masks, mu, phi_arrays):
     return out
 
 
-def apply_response(spec: ProblemSpec, i, v):
-    """Response operator A_i: state driven by v on follower region i, zero IC."""
-    src = v * spec.follower_masks[i].interior_vector()
-    return spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
-
-
 def _response_adjoint(spec, g_states, followers=(0, 1)):
     """A_i^* for each i in followers: state-side arrays (levels 1..nt) to
     control-side arrays on O_i.  g_states[k] goes with followers[k]; they
@@ -174,32 +168,6 @@ def _response_adjoint(spec, g_states, followers=(0, 1)):
         o[1:] = p[:-1] * spec.follower_masks[i].interior_vector()
         out.append(o)
     return out
-
-
-def apply_response_adjoint(spec: ProblemSpec, i, g):
-    adj, = _response_adjoint(spec, [g], followers=(i,))
-    return adj
-
-
-def apply_A(spec: ProblemSpec, v1, v2):
-    """Equilibrium operator: A(v1,v2)_i = alpha_i A_i*((A1v1+A2v2) chi_di) + mu_i v_i."""
-    src = control_sources(spec, v1=v1, v2=v2)
-    W = spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
-    adjs = _response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks])
-    out = []
-    for i, vi in enumerate((v1, v2)):
-        chi = spec.follower_masks[i].interior_vector()
-        out.append(spec.alpha[i] * adjs[i] + spec.mu[i] * (vi * chi))
-    return tuple(out)
-
-
-def compute_rhs(spec: ProblemSpec, f=None):
-    """Right side of the equilibrium equation built from the free state."""
-    src = control_sources(spec, f=f)
-    Z = spec.stepper.march_forward(spec.w0, src)
-    adjs = _response_adjoint(spec, [(wd - Z) * m.interior_vector()
-                                    for wd, m in _distinct_targets(spec)])
-    return tuple(spec.alpha[i] * adjs[i] for i in range(2))
 
 
 def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1e-12, max_iter=200,

@@ -680,26 +680,3 @@ def solve_adjoint(spec: ProblemSpec, sources, terminal):
     """
     return spec.stepper.march_backward(terminal, sources, family="adjoint")
 
-
-def duality_gap(spec: ProblemSpec, w0, fwd_sources, terminal, adj_sources):
-    """Residual of the exact discrete duality identity (should be ~0).
-
-    <psiT, w^nt>_h + dt sum_j <s^j, w^j>_h
-      = <psi^0, w^0>_h + dt sum_j <psi^{j-1}, g^j>_h
-
-    w0 and terminal are (n,) vectors, the sources interior (nt+1, n) arrays
-    or None.
-    """
-    grid = spec.grid
-    stepper = spec.stepper
-    W = stepper.march_forward(w0, fwd_sources)
-    P = stepper.march_backward(terminal, adj_sources)
-    hd = grid.hd
-    lhs = hd * float(np.dot(P[-1], W[-1]))
-    if adj_sources is not None:
-        lhs += grid.dt * hd * float(np.sum(adj_sources[1:] * W[1:]))
-    rhs = hd * float(np.dot(P[0], W[0]))
-    if fwd_sources is not None:
-        rhs += grid.dt * hd * float(np.sum(P[:-1] * fwd_sources[1:]))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale

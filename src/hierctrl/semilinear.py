@@ -17,15 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .carleman import check_target_condition
 from .errors import OuterDivergence, UnsupportedNonlinearity
 from .expressions import parse_expr
 from .hum import HumResult, minimize_G
-from .linalg import TINY, iterate
+from .linalg import TINY, iterate, lanczos
 from .mesh import interior_divergence, interior_gradient
 from .nash import q_norm, solve_nash_fixed_point
-from .operators import ProblemSpec, TimeStepper, control_sources
+from .operators import ProblemSpec, TimeStepper
 
 GL_POINTS = 8
 
@@ -158,19 +159,6 @@ def from_expression(text, bound, dim=1) -> Nonlinearity:
     return Nonlinearity(f"expr:{text}", float(bound), f, f_u, grad_p)
 
 
-def sample_bound(nonlin: Nonlinearity, dim, u_range=(-3.0, 3.0), p_range=(-3.0, 3.0), n=41):
-    """Max over a sample grid of |F_u| + sum |dF/dp|; must stay within M."""
-    us = np.linspace(*u_range, n)
-    ps = np.linspace(*p_range, n)
-    grids = np.meshgrid(us, *([ps] * dim), indexing="ij")
-    u = grids[0]
-    p = tuple(grids[1:])
-    total = np.abs(nonlin.f_u(u, p))
-    for comp in nonlin.grad_p(u, p):
-        total = total + np.abs(comp)
-    return float(np.max(total))
-
-
 def eval_secant_coeffs(grid, nonlin: Nonlinearity, base, z):
     """tau-averaged derivative coefficients along the segment base -> base+z.
 
@@ -271,41 +259,6 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
                                     "quasi-equilibrium Picard")
     return QuasiEquilibrium(u=u, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
                             outer_iterations=it, history=history)
-
-
-def quasi_equilibrium_residual(spec: ProblemSpec, nonlin: Nonlinearity, f, qe: QuasiEquilibrium):
-    """Plug-back residual of the stepped semilinear optimality system.
-
-    The state rows use the true nonlinearity at the converged iterate; the
-    adjoint rows use the tangent coefficients there.  Relative to the
-    solution scale.  f is the leader control as an interior array.
-    """
-    grid = spec.grid
-    U = qe.u
-    F_int = nonlin.f(U, interior_gradient(grid, U))
-    src = control_sources(spec, f=f)
-    for i in range(2):
-        src = src + qe.controls[i] * spec.follower_masks[i].interior_vector()
-    res = 0.0
-    for j in range(1, grid.nt + 1):
-        M = spec.stepper.step_matrix(j, "forward")
-        r = M @ U[j] - U[j - 1] - grid.dt * (src[j] + F_int[j])
-        res += grid.dt * grid.hd * float(np.dot(r, r))
-    res_state = math.sqrt(res)
-    tg = _frozen_spec(spec, nonlin, U, base=None).stepper
-    res_adj = 0.0
-    for i in range(2):
-        P = qe.phis[i]
-        chid = spec.target_masks[i].interior_vector()
-        wd = spec.targets[i]
-        for j in range(1, grid.nt + 1):
-            A = tg.step_matrix(j, "adjoint").T
-            rhs = (P[j] if j < grid.nt else np.zeros_like(P[0])) + grid.dt * spec.alpha[i] * chid * (U[j] - wd[j])
-            r = A @ P[j - 1] - rhs
-            res_adj += grid.dt * grid.hd * float(np.dot(r, r))
-    res_adj = math.sqrt(res_adj)
-    scale = max(q_norm(grid, U), 1.0)
-    return res_state / scale, res_adj / scale
 
 
 def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60):
@@ -457,7 +410,7 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
     return cross + spec.mu[i] * norm2
 
 
-HESSIAN_MAX_UNKNOWNS = 400  # up to this many control unknowns a follower's form is assembled whole
+FORM_TOL = 1e-10  # form_extremes stops once both extreme Ritz bounds are this small relative to the largest
 
 
 def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, stepper=None):
@@ -465,44 +418,46 @@ def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, stepp
     (second_order_form) on its control unknowns, levels 1..nt on O_i, in
     the discrete L2(Q) inner product the sampled directions are unit in.
 
-    The companion eta is linear in the direction, so one companion per unit
-    direction gives the form's matrix, whose symmetric part's spectrum is
-    taken densely (eigvalsh).  None above HESSIAN_MAX_UNKNOWNS unknowns or
-    with none.  stepper as in second_order_form.
+    The form is mu_i plus its cross term, which is linear in the direction:
+    on the unknowns' L2(Q)-unit basis, the cross term of a direction x is
+    read from one companion march of x embedded on O_i.  The Lanczos
+    process (linalg.lanczos) runs on it from the all-ones vector, and stops
+    once the Ritz bounds ||w_k|| |e_k' y| of T_k's smallest and largest
+    eigenvalues are both at most FORM_TOL times the larger of their
+    magnitudes, or when the Krylov space is invariant.  stepper as in
+    second_order_form.
     """
     grid = spec.grid
     nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
-    m = grid.nt * len(nodes)
-    if not 0 < m <= HESSIAN_MAX_UNKNOWNS:
-        return None
     stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
-    levels, columns = np.divmod(np.arange(m), len(nodes))
-    nodes = nodes[columns]
-    unit = 1.0 / math.sqrt(grid.dt * grid.hd)
-    cross = np.empty((m, m))  # the form's cross term of unit directions l and k at [l, k]
-    for row, level, node in zip(cross, levels, nodes):
+
+    def cross(x):
         d = np.zeros((grid.nt + 1, grid.n_interior))
-        d[level + 1, node] = unit
-        row[:] = _form_companion(spec, nonlin, equilibrium, i, d, stepper)[levels, nodes]
-    cross *= grid.dt * grid.hd * unit
-    values = np.linalg.eigvalsh(0.5 * (cross + cross.T) + spec.mu[i] * np.eye(m))
-    return float(values[0]), float(values[-1])
+        d[1:, nodes] = x.reshape(grid.nt, len(nodes))
+        return _form_companion(spec, nonlin, equilibrium, i, d, stepper)[:-1, nodes].ravel()
+
+    m = grid.nt * len(nodes)
+    for _, _, alphas, betas, norm_w in lanczos(cross, np.ones(m), m):
+        theta, Y = scipy.linalg.eigh_tridiagonal(alphas, betas[1:])
+        if norm_w * np.abs(Y[-1, [0, -1]]).max() <= FORM_TOL * np.abs(theta[[0, -1]]).max():
+            break
+    return float(theta[0]) + spec.mu[i], float(theta[-1]) + spec.mu[i]
 
 
 @dataclass
 class SufficiencyReport:
-    """lambda_min and lambda_max are form_extremes of each follower, and
-    c_hat_sharp lambda_min - mu_i, the sharp c_hat; None where follower i
-    has more than HESSIAN_MAX_UNKNOWNS control unknowns."""
+    """The sampled forms of each follower (forms), their minimum and
+    c_hat = min_form - mu_i; lambda_min and lambda_max are form_extremes of
+    each follower, and c_hat_sharp lambda_min - mu_i, the sharp c_hat."""
     min_form: tuple
     c_hat: tuple
     all_positive: bool
     n_directions: int
     dimension_in_analysis_range: bool
-    forms: tuple = ((), ())
-    lambda_min: tuple = (None, None)
-    lambda_max: tuple = (None, None)
-    c_hat_sharp: tuple = (None, None)
+    forms: tuple
+    lambda_min: tuple
+    lambda_max: tuple
+    c_hat_sharp: tuple
 
 
 def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
@@ -541,7 +496,7 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
         else:
             mins.append(math.nan)
             chats.append(math.nan)
-        extremes.append(form_extremes(spec, nonlin, equilibrium, i, stepper=stepper) or (None, None))
+        extremes.append(form_extremes(spec, nonlin, equilibrium, i, stepper=stepper))
     lam_min, lam_max = zip(*extremes)
     return SufficiencyReport(
         min_form=tuple(mins),
@@ -552,5 +507,5 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
         forms=tuple(all_forms),
         lambda_min=lam_min,
         lambda_max=lam_max,
-        c_hat_sharp=tuple(None if lam is None else lam - mu for lam, mu in zip(lam_min, spec.mu)),
+        c_hat_sharp=tuple(lam - mu for lam, mu in zip(lam_min, spec.mu)),
     )

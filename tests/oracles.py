@@ -1,0 +1,170 @@
+"""Reference operators and residuals the tests check the solvers against.
+
+No subcommand runs these: each is an independent route to a quantity the
+package computes another way (Lambda alone, the HUM functional, the
+follower response operators, the discrete duality identity, plug-back
+residuals and the dense follower form), so it lives with the tests.
+Helpers the tests patch (nash._distinct_targets) are read through their
+modules.
+"""
+
+import math
+
+import numpy as np
+
+from hierctrl import hum, nash, semilinear
+from hierctrl.mesh import interior_gradient, norm_h, q_norm
+from hierctrl.operators import control_sources
+
+
+def eval_G(spec, psi0, eps, tol_rel=1e-12):
+    """Penalized HUM functional.
+
+    The nonsmooth eps*||psi0|| penalty is replaced by (eps/2)*||psi0||^2,
+    so the functional is a CG-solvable quadratic in the interior (n,)
+    vector psi0.
+    """
+    grid = spec.grid
+    coupled = hum.solve_coupled_adjoint(spec, psi0, tol_rel=tol_rel)
+    psi = coupled.psi
+    chi = spec.leader_mask.interior_vector()
+    quad = 0.5 * grid.dt * grid.hd * float(np.sum(chi * psi[:-1] * psi[:-1]))
+    affine = grid.hd * float(np.dot(spec.w0, psi[0]))
+    for i in range(2):
+        chid = spec.target_masks[i].interior_vector()
+        eta = coupled.etas[i]
+        wd = spec.targets[i]
+        affine -= spec.alpha[i] * grid.dt * grid.hd * float(np.sum(chid * eta[1:] * wd[1:]))
+    p0 = norm_h(grid, psi0)
+    return quad + affine + 0.5 * eps * p0 * p0
+
+
+def apply_lambda(spec, psi0, inner_tol=1e-12):
+    """HUM operator: psi0 -> w(T) with zeroed affine data (symmetric PSD),
+    on interior (n,) vectors."""
+    return hum.grad_G(spec.with_zero_data(), psi0, eps=0.0, inner_tol=inner_tol)
+
+
+def apply_response(spec, i, v):
+    """Response operator A_i: state driven by v on follower region i, zero IC."""
+    src = v * spec.follower_masks[i].interior_vector()
+    return spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
+
+
+def apply_response_adjoint(spec, i, g):
+    adj, = nash._response_adjoint(spec, [g], followers=(i,))
+    return adj
+
+
+def apply_A(spec, v1, v2):
+    """Equilibrium operator: A(v1,v2)_i = alpha_i A_i*((A1v1+A2v2) chi_di) + mu_i v_i."""
+    src = control_sources(spec, v1=v1, v2=v2)
+    W = spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
+    adjs = nash._response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks])
+    out = []
+    for i, vi in enumerate((v1, v2)):
+        chi = spec.follower_masks[i].interior_vector()
+        out.append(spec.alpha[i] * adjs[i] + spec.mu[i] * (vi * chi))
+    return tuple(out)
+
+
+def compute_rhs(spec, f=None):
+    """Right side of the equilibrium equation built from the free state."""
+    src = control_sources(spec, f=f)
+    Z = spec.stepper.march_forward(spec.w0, src)
+    adjs = nash._response_adjoint(spec, [(wd - Z) * m.interior_vector()
+                                         for wd, m in nash._distinct_targets(spec)])
+    return tuple(spec.alpha[i] * adjs[i] for i in range(2))
+
+
+def duality_gap(spec, w0, fwd_sources, terminal, adj_sources):
+    """Residual of the exact discrete duality identity (should be ~0).
+
+    <psiT, w^nt>_h + dt sum_j <s^j, w^j>_h
+      = <psi^0, w^0>_h + dt sum_j <psi^{j-1}, g^j>_h
+
+    w0 and terminal are (n,) vectors, the sources interior (nt+1, n) arrays
+    or None.
+    """
+    grid = spec.grid
+    stepper = spec.stepper
+    W = stepper.march_forward(w0, fwd_sources)
+    P = stepper.march_backward(terminal, adj_sources)
+    hd = grid.hd
+    lhs = hd * float(np.dot(P[-1], W[-1]))
+    if adj_sources is not None:
+        lhs += grid.dt * hd * float(np.sum(adj_sources[1:] * W[1:]))
+    rhs = hd * float(np.dot(P[0], W[0]))
+    if fwd_sources is not None:
+        rhs += grid.dt * hd * float(np.sum(P[:-1] * fwd_sources[1:]))
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    return abs(lhs - rhs) / scale
+
+
+def sample_bound(nonlin, dim, u_range=(-3.0, 3.0), p_range=(-3.0, 3.0), n=41):
+    """Max over a sample grid of |F_u| + sum |dF/dp|; must stay within M."""
+    us = np.linspace(*u_range, n)
+    ps = np.linspace(*p_range, n)
+    grids = np.meshgrid(us, *([ps] * dim), indexing="ij")
+    u = grids[0]
+    p = tuple(grids[1:])
+    total = np.abs(nonlin.f_u(u, p))
+    for comp in nonlin.grad_p(u, p):
+        total = total + np.abs(comp)
+    return float(np.max(total))
+
+
+def quasi_equilibrium_residual(spec, nonlin, f, qe):
+    """Plug-back residual of the stepped semilinear optimality system.
+
+    The state rows use the true nonlinearity at the converged iterate; the
+    adjoint rows use the tangent coefficients there.  Relative to the
+    solution scale.  f is the leader control as an interior array.
+    """
+    grid = spec.grid
+    U = qe.u
+    F_int = nonlin.f(U, interior_gradient(grid, U))
+    src = control_sources(spec, f=f)
+    for i in range(2):
+        src = src + qe.controls[i] * spec.follower_masks[i].interior_vector()
+    res = 0.0
+    for j in range(1, grid.nt + 1):
+        M = spec.stepper.step_matrix(j, "forward")
+        r = M @ U[j] - U[j - 1] - grid.dt * (src[j] + F_int[j])
+        res += grid.dt * grid.hd * float(np.dot(r, r))
+    res_state = math.sqrt(res)
+    tg = semilinear._frozen_spec(spec, nonlin, U, base=None).stepper
+    res_adj = 0.0
+    for i in range(2):
+        P = qe.phis[i]
+        chid = spec.target_masks[i].interior_vector()
+        wd = spec.targets[i]
+        for j in range(1, grid.nt + 1):
+            A = tg.step_matrix(j, "adjoint").T
+            rhs = (P[j] if j < grid.nt else np.zeros_like(P[0])) + grid.dt * spec.alpha[i] * chid * (U[j] - wd[j])
+            r = A @ P[j - 1] - rhs
+            res_adj += grid.dt * grid.hd * float(np.dot(r, r))
+    res_adj = math.sqrt(res_adj)
+    scale = max(q_norm(grid, U), 1.0)
+    return res_state / scale, res_adj / scale
+
+
+def form_matrix(spec, nonlin, equilibrium, i):
+    """Follower i's quadratic form (semilinear.second_order_form) as a dense
+    symmetric matrix on its control unknowns, levels 1..nt on O_i, in the
+    L2(Q)-unit basis: one companion march per unknown gives the cross term,
+    which is symmetrized, plus mu_i I."""
+    grid = spec.grid
+    stepper = semilinear._tangent_stepper(spec, nonlin, equilibrium)
+    nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
+    m = grid.nt * len(nodes)
+    levels, columns = np.divmod(np.arange(m), len(nodes))
+    nodes = nodes[columns]
+    unit = 1.0 / math.sqrt(grid.dt * grid.hd)
+    cross = np.empty((m, m))  # the cross term of unit directions l and k at [l, k]
+    for row, level, node in zip(cross, levels, nodes):
+        d = np.zeros((grid.nt + 1, grid.n_interior))
+        d[level + 1, node] = unit
+        row[:] = semilinear._form_companion(spec, nonlin, equilibrium, i, d, stepper)[levels, nodes]
+    cross *= grid.dt * grid.hd * unit
+    return 0.5 * (cross + cross.T) + spec.mu[i] * np.eye(m)

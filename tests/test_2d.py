@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from hierctrl.carleman import build_carleman_weights, carleman_ratio_report, check_weight_properties
-from hierctrl.hum import dense_oracle, eval_G, grad_G, minimize_G
+from hierctrl.hum import dense_oracle, grad_G, minimize_G
 from hierctrl.mesh import build_grid, build_mask, inner_h
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import ProblemSpec
 from hierctrl.semilinear import preset_tanh, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
 from conftest import constant_in_time
+from oracles import eval_G
 
 
 @pytest.fixture(scope="module")

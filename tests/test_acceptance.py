@@ -19,15 +19,15 @@ import pytest
 from hierctrl.carleman import (build_carleman_weights, check_weight_properties,
                                estimate_observability)
 from hierctrl.errors import ContractionFailure
-from hierctrl.hum import (apply_lambda, control_to_trajectory, dense_oracle, eval_G, grad_G, minimize_G)
+from hierctrl.hum import control_to_trajectory, dense_oracle, grad_G, minimize_G
 from hierctrl.mesh import build_grid, build_mask, full_mask, inner_h, norm_h
-from hierctrl.nash import (cost_followers, q_norm, solve_nash_fixed_point,
-                           verify_first_order)
-from hierctrl.operators import ProblemSpec, assemble_biharmonic, duality_gap, solve_forward
-from hierctrl.semilinear import (preset_tanh, preset_zero, sample_bound, semilinear_null_control,
+from hierctrl.nash import cost_followers, q_norm, solve_nash_fixed_point, verify_first_order
+from hierctrl.operators import ProblemSpec, assemble_biharmonic, solve_forward
+from hierctrl.semilinear import (preset_tanh, preset_zero, semilinear_null_control,
                                  solve_quasi_equilibrium, verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
+from oracles import apply_lambda, duality_gap, eval_G, sample_bound
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -9,9 +9,10 @@ direct stacked solves whatever the families are.
 import numpy as np
 import pytest
 from conftest import leader_bump, make_nash_spec
+from oracles import apply_lambda
 
 from hierctrl import operators
-from hierctrl.hum import apply_lambda, dense_oracle, solve_coupled_adjoint
+from hierctrl.hum import dense_oracle, solve_coupled_adjoint
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 
 # module constants that force each representation on the 10-unknown reference grid

@@ -12,14 +12,14 @@ from hierctrl.carleman import check_target_condition
 from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations
 from hierctrl.linalg import conjugate_gradient
-from hierctrl.hum import (apply_lambda, control_to_trajectory,
-                          dense_oracle, eval_G, grad_G,
-                          leader_from_psi, minimize_G, solve_coupled_adjoint)
+from hierctrl.hum import (control_to_trajectory, dense_oracle, grad_G, leader_from_psi, minimize_G,
+                          solve_coupled_adjoint)
 from hierctrl.mesh import Grid, build_grid, full_mask, inner_h, norm_h
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import Coupling, TimeStepper, solve_forward
 
 from conftest import leader_bump, make_hum_spec
+from oracles import apply_lambda, eval_G
 from test_coordinates import FAMILIES, _spec as family_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -298,6 +298,20 @@ def test_minimize_sweep_matches_single_eps_runs(spec):
         # one shift-free Lanczos basis, and each eps's own recurrences on it
         assert np.array_equal(res.psi0, single.psi0)
         assert res.cg_residuals == single.cg_residuals
+
+
+def test_cold_solve_ritz_top_value_matches_the_dense_lambda():
+    """On a small null-control grid (n = 14) the Ritz pairs of the cold
+    solve, taken from its CG run's T_k, carry Lambda's largest eigenvalue:
+    that of Lambda assembled densely from n applies, to 1e-6 relative."""
+    spec = make_hum_spec()
+    n = spec.grid.n_interior
+    assert n == 14
+    dense = np.array([apply_lambda(spec, e) for e in np.eye(n)])
+    top = np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]
+    res = minimize_G(spec, 1e-5, cg_tol=1e-10)
+    assert res.cg_iterations >= hum.RITZ_DIRECTIONS
+    assert abs(res.ritz.values[0] - top) <= 1e-6 * top
 
 
 def test_minimize_refines_a_drifted_shift(spec, monkeypatch):

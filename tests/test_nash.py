@@ -4,12 +4,11 @@ import pytest
 import hierctrl.nash as nash
 from hierctrl.errors import ContractionFailure, MaxIterations, TooLarge
 from hierctrl.hum import dense_oracle
-from hierctrl.nash import (apply_A, apply_response, apply_response_adjoint, compute_rhs,
-                           cost_followers, q_norm,
-                           solve_nash_fixed_point, verify_first_order)
+from hierctrl.nash import cost_followers, q_norm, solve_nash_fixed_point, verify_first_order
 from hierctrl.operators import TimeStepper, control_sources
 
 from conftest import leader_bump, make_nash_spec
+from oracles import apply_A, apply_response, apply_response_adjoint, compute_rhs
 
 
 def _random_control(spec, rng, i):

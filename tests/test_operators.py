@@ -7,9 +7,10 @@ from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import Factorization, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
 from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
-                                assemble_biharmonic, duality_gap, solve_adjoint, solve_forward)
+                                assemble_biharmonic, solve_adjoint, solve_forward)
 
 from conftest import make_hum_spec, make_nash_spec
+from oracles import duality_gap
 
 
 def _inverse(st, j, family="forward", transpose=False):

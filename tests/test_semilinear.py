@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from hierctrl import cli, semilinear
+from hierctrl.config import load_config, validate_for
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
 from hierctrl.hum import RITZ_DIRECTIONS, control_to_trajectory
 from hierctrl.nash import q_norm, solve_nash_fixed_point
-from hierctrl.semilinear import (eval_secant_coeffs, from_expression, preset_grad_tanh,
-                                 preset_tanh, preset_zero, quasi_equilibrium_residual,
-                                 sample_bound, second_order_form, semilinear_null_control,
+from hierctrl.semilinear import (eval_secant_coeffs, form_extremes, from_expression, preset_grad_tanh,
+                                 preset_tanh, preset_zero, second_order_form, semilinear_null_control,
                                  solve_free_trajectory, solve_quasi_equilibrium,
                                  verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
+from oracles import form_matrix, quasi_equilibrium_residual, sample_bound
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -347,6 +348,36 @@ def test_shipped_second_order_reports_sharp_constants(tmp_path):
         assert value["lambda_min"] <= value["min_form"]
         assert abs(value["c_hat_sharp"] - sharp[i - 1]) <= 1e-10
         assert abs(value["lambda_max"] - lambda_max[i - 1]) <= 1e-6
+
+
+def test_form_extremes_match_the_dense_form_on_the_shipped_grid():
+    """The Lanczos extremes of each follower's form on second_order_1d.ini
+    agree with eigvalsh of the form assembled densely, one companion march
+    per control unknown (oracles.form_matrix), to 1e-12."""
+    inputs = validate_for(load_config(CONFIGS / "second_order_1d.ini"), "second-order")
+    spec, nl, tol = inputs.spec, inputs.nonlinearity, inputs.config.solver["nash_tol"]
+    qe = solve_quasi_equilibrium(spec, nl, inputs.f, tol=tol, inner_tol=tol)
+    for i in range(2):
+        values = np.linalg.eigvalsh(form_matrix(spec, nl, qe, i))
+        low, high = form_extremes(spec, nl, qe, i)
+        assert abs(low - values[0]) <= 1e-12
+        assert abs(high - values[-1]) <= 1e-12
+
+
+def test_second_order_reports_sharp_constants_on_a_fine_grid(tmp_path):
+    """At nx = 80, nt = 40 each follower has 960 control unknowns, and the
+    summary still carries all six sharp lines, with lambda_min_i at most
+    every sampled form."""
+    text = (CONFIGS / "second_order_1d.ini").read_text()
+    ini = tmp_path / "fine.ini"
+    ini.write_text(text.replace("nx = 12", "nx = 80").replace("nt = 10", "nt = 40"))
+    out = tmp_path / "so"
+    assert cli.run("second-order", str(ini), str(out)) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    for i in (1, 2):
+        for name in ("lambda_min", "lambda_max", "c_hat_sharp"):
+            assert math.isfinite(float(summary[f"{name}_{i}"]))
+        assert float(summary[f"lambda_min_{i}"]) <= float(summary[f"min_form_{i}"])
 
 
 def test_second_order_rejects_expression_nonlinearity(spec, tanh_equilibrium):

@@ -10,18 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hierctrl"
 
-# (module, function): why it stays although no command reaches it
-TEST_REFERENCES = {
-    ("hum", "apply_lambda"): "Lambda alone, for the symmetry and semidefiniteness checks",
-    ("hum", "eval_G"): "the functional whose finite differences check grad_G",
-    ("nash", "apply_A"): "the equilibrium operator the converged controls must satisfy",
-    ("nash", "apply_response"): "the response operator A_i of the duality and linearity checks",
-    ("nash", "apply_response_adjoint"): "A_i^*, the other side of the response duality check",
-    ("nash", "compute_rhs"): "the right side B of the equilibrium equation A(v) = B",
-    ("operators", "duality_gap"): "the discrete duality identity of the forward and backward marches",
-    ("semilinear", "quasi_equilibrium_residual"): "plug-back residual of the semilinear optimality system",
-    ("semilinear", "sample_bound"): "the sampled derivative bound a nonlinearity must keep within M",
-}
+# (module, function): why it stays although no command reaches it.  The
+# references the tests compare against live in tests/oracles.py instead.
+TEST_REFERENCES = {}
 
 # (module, class, method): why a public method stays although no attribute
 # access in src/ names it.  The match is by name, so a method that shares

@@ -8,9 +8,13 @@
 # each tree's jobs in one process through hierctrl.cli.run under
 # perfbench/tracing's Tracer and Patch, as a traced benchmark run does.  Every
 # count of tracing.job_metrics, each key that is not a time (*_s, *.s), is
-# compared job by job.  Prints each side's totals per workload and every job
-# whose counts differ, and exits non-zero on any difference or failed job.  The
-# temporary directory is removed either way.
+# compared job by job.  A work count (solves, marches, sweeps, iterations,
+# spans) decides the exit status; the output bytes (*.bytes keys) follow the
+# digits written, which move with rounding, so they are printed on their own
+# line per workload and decide nothing.  Prints each side's work-count totals
+# per workload and every job whose work counts differ, and exits non-zero on
+# any such difference or failed job.  The temporary directory is removed either
+# way.
 set -euo pipefail
 ref="${1:?usage: tools/count_diff.sh REF}"
 root="$(git rev-parse --show-toplevel)"
@@ -80,19 +84,33 @@ import json
 import sys
 
 ref, tree = (json.load(open(path)) for path in sys.argv[1:])
+
+
+def output(key):
+    return key.endswith(".bytes")
+
+
 differ = 0
 for name in ref:
     jobs = sorted(ref[name])
     moved = {job: [f"{key} {value} -> {tree[name].get(job, {}).get(key, 'missing')}"
-                   for key, value in ref[name][job].items() if tree[name].get(job, {}).get(key) != value]
+                   for key, value in ref[name][job].items()
+                   if not output(key) and tree[name].get(job, {}).get(key) != value]
              for job in jobs}
     moved = {job: lines for job, lines in moved.items() if lines}
     differ += len(moved) + (sorted(tree[name]) != jobs)
-    print(f"{name}: {len(moved)} of {len(jobs)} jobs differ in a traced count")
+    print(f"{name}: {len(moved)} of {len(jobs)} jobs differ in a traced work count")
+    written = {}
     for side, counts in (("ref", ref), ("tree", tree)):
         keys = sorted({key for job in counts[name].values() for key in job})
         totals = {key: sum(job.get(key, 0) for job in counts[name].values()) for key in keys}
-        print(f"  {side}: " + ", ".join(f"{key} {total:.10g}" for key, total in totals.items()))
+        print(f"  {side}: " + ", ".join(f"{key} {total:.10g}" for key, total in totals.items()
+                                         if not output(key)))
+        written[side] = {key: total for key, total in totals.items() if output(key)}
+    for key in sorted(written["ref"].keys() | written["tree"].keys()):
+        changed = sum(ref[name][job].get(key) != tree[name].get(job, {}).get(key) for job in jobs)
+        print(f"  output {key} (decides nothing): {written['ref'].get(key, 0):.10g} -> "
+              f"{written['tree'].get(key, 0):.10g}, {changed} of {len(jobs)} jobs differ")
     for job, lines in moved.items():
         print(f"  {job}: " + "; ".join(lines))
 sys.exit(1 if differ else 0)
@@ -100,4 +118,4 @@ EOF
 if ((status)); then
   exit "$status"
 fi
-echo "traced counts identical to $ref ($(find "$tmp/jobs" -name 'job-*.ini' | wc -l) jobs)"
+echo "traced work counts identical to $ref ($(find "$tmp/jobs" -name 'job-*.ini' | wc -l) jobs)"
