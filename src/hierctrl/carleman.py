@@ -234,9 +234,6 @@ class WeightForm:
         r = self._r(t)
         return tuple(self.lam * g * A / r for g in grads)
 
-    def grad_xi(self, coords, t):
-        return self.grad_alpha(coords, t)
-
 
 def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
     """Sample the closed-form weights on all nodes and time levels, as two
@@ -420,9 +417,11 @@ class WeightPropertyReport:
 def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> WeightPropertyReport:
     """Pointwise verification of the closed-form properties of the sharp weights.
 
-    Checks grad alpha = grad xi = lambda xi grad eta, xi^{-1} <= T/2, and
+    Checks grad alpha = lambda xi grad eta, xi^{-1} <= T/2, and
     |alpha_t| + |xi_t| <= (T/2) xi^3 (strict) with the relaxed T xi^3
     fallback, at random interior sample points with analytic derivatives.
+    grad xi = grad alpha holds by the closed form, as alpha and xi differ
+    by B/r(t) with B a constant, so it is not checked apart.
     """
     grid = weights.grid
     form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
@@ -432,13 +431,11 @@ def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> 
     grads_eta = weights.eta_fn.gradient(*coords)
     xi = form.xi(coords, ts)
     ga = form.grad_alpha(coords, ts)
-    gx = form.grad_xi(coords, ts)
     max_rel = 0.0
     for ax in range(grid.dim):
         ref = weights.lam * xi * grads_eta[ax]
         scale = np.maximum(np.abs(ref), 1e-300)
         max_rel = max(max_rel, float(np.max(np.abs(ga[ax] - ref) / scale)))
-        max_rel = max(max_rel, float(np.max(np.abs(gx[ax] - ref) / scale)))
     xi_inv_max = float(np.max(1.0 / xi))
     # |alpha_t| + |xi_t| <= c xi^3 (1 + 1e-12), in logs: xi^3 overflows for large lambda
     rate = np.abs(form.alpha_t(coords, ts)) + np.abs(form.xi_t(coords, ts))

@@ -36,11 +36,11 @@ class NashSolution:
 
     adjoints are the follower adjoints as the solve left them, in
     coordinates (operators.Coordinates, the adjoint family's for the fixed
-    point): one array serving phi1 and phi2 in the shared case.  phi1 and
-    phi2 are formed from them in physical space when phi1, phi2 or phis is
-    first read, and the controls v1 and v2 from those, the follower masks
-    and mu (_controls_from_adjoints) when v1, v2 or controls is first read;
-    both are kept.  A Lambda apply reads neither.  contraction_estimate is
+    point): one array serving phi_1 and phi_2 in the shared case.  phis,
+    the pair (phi_1, phi_2), is formed from them in physical space when it
+    is first read, and the controls v1 and v2 from those, the follower
+    masks and mu (_controls_from_adjoints) when v1, v2 or controls is first
+    read; both are kept.  A Lambda apply reads neither.  contraction_estimate is
     the fixed point's rho-hat (linalg.contraction_estimate), nan for a
     direct solve or a history of one change.
     """
@@ -60,14 +60,6 @@ class NashSolution:
         if self.formed_phis is None:
             self.formed_phis = tuple(_physical_adjoints(self.coordinates, self.adjoints))
         return self.formed_phis
-
-    @property
-    def phi1(self):
-        return self.phis[0]
-
-    @property
-    def phi2(self):
-        return self.phis[1]
 
     @property
     def controls(self):

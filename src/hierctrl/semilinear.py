@@ -26,7 +26,7 @@ from .hum import HumResult, minimize_G
 from .linalg import TINY, iterate, lanczos
 from .mesh import interior_divergence, interior_gradient
 from .nash import q_norm, solve_nash_fixed_point
-from .operators import ProblemSpec, TimeStepper
+from .operators import ProblemSpec
 
 GL_POINTS = 8
 
@@ -185,6 +185,16 @@ def eval_secant_coeffs(grid, nonlin: Nonlinearity, base, z):
     return g1, tuple(g2)
 
 
+def _tangent(spec: ProblemSpec, nonlin, u):
+    """The coefficients (a - F_u, b - grad_p F) of the equation linearized
+    at the interior (nt+1, n) array u."""
+    grid = spec.grid
+    gu = interior_gradient(grid, u)
+    fu = nonlin.f_u(u, gu)
+    gpf = nonlin.grad_p(u, gu)
+    return spec.a - fu, tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim))
+
+
 def _frozen_spec(spec: ProblemSpec, nonlin, z, base=None):
     """Linear spec for one frozen-z sweep.
 
@@ -193,12 +203,9 @@ def _frozen_spec(spec: ProblemSpec, nonlin, z, base=None):
     """
     grid = spec.grid
     g1, g2 = eval_secant_coeffs(grid, nonlin, base, z)
-    u = z if base is None else base + z
-    gp = interior_gradient(grid, u)
-    fu = nonlin.f_u(u, gp)
-    gpf = nonlin.grad_p(u, gp)
+    a_adj, b_adj = _tangent(spec, nonlin, z if base is None else base + z)
     return spec.with_(a=spec.a - g1, b=tuple(spec.b[ax] - g2[ax] for ax in range(grid.dim)),
-                      a_adj=spec.a - fu, b_adj=tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim)))
+                      a_adj=a_adj, b_adj=b_adj)
 
 
 def _z_change_norm(grid, d):
@@ -217,23 +224,13 @@ def _picard_change(grid, z, w):
 
 @dataclass
 class QuasiEquilibrium:
-    """State u, follower adjoints phi_i and controls v_i, each an interior
-    (nt+1, n) array."""
+    """State u, the follower adjoints phis = (phi_1, phi_2) and controls
+    controls = (v_1, v_2), each an interior (nt+1, n) array."""
     u: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    phis: tuple
+    controls: tuple
     outer_iterations: int
     history: list
-
-    @property
-    def phis(self):
-        return (self.phi1, self.phi2)
-
-    @property
-    def controls(self):
-        return (self.v1, self.v2)
 
 
 def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
@@ -257,8 +254,8 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
 
     (u, sol), it, history = iterate(sweep, (np.zeros((grid.nt + 1, grid.n_interior)),), tol, 50,
                                     "quasi-equilibrium Picard")
-    return QuasiEquilibrium(u=u, phi1=sol.phi1, phi2=sol.phi2, v1=sol.v1, v2=sol.v2,
-                            outer_iterations=it, history=history)
+    return QuasiEquilibrium(u=u, phis=sol.phis, controls=sol.controls, outer_iterations=it,
+                            history=history)
 
 
 def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60):
@@ -343,66 +340,69 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
         target_check=target_check, cg_residuals=cg_residuals, cg_iterations=sum(cg_iterations))
 
 
-def _tangent_stepper(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium) -> TimeStepper:
-    """Stepper of the equation linearized at the equilibrium state."""
-    grid = spec.grid
-    u = equilibrium.u
-    gu = interior_gradient(grid, u)
-    fu = nonlin.f_u(u, gu)
-    gpf = nonlin.grad_p(u, gu)
-    return spec.with_(a=spec.a - fu, b=tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim)),
-                      a_adj=None, b_adj=None).stepper
-
-
-def _form_companion(spec, nonlin, equilibrium, i, direction, stepper):
-    """The backward companion eta of follower i's quadratic form
-    (second_order_form) for the direction, an interior (nt+1, n) array:
-    linear in the direction."""
+def _form_companions(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium):
+    """For each follower i, the map from a direction, an interior (nt+1, n)
+    array, to the backward companion eta of follower i's quadratic form
+    (second_order_form), an interior (nt+1, n) array: linear in the
+    direction.  The tangent stepper (the equation linearized at the
+    equilibrium state, _tangent) and the second derivatives at the
+    equilibrium are evaluated here, once, and every map shares them; each
+    call of a map is one tangent march of the direction on O_i and one
+    companion march."""
     if not nonlin.has_second_order:
         raise UnsupportedNonlinearity(
             "second-order checker needs analytic second derivatives; "
             "expression-based nonlinearities are first-order only")
     grid = spec.grid
     u = equilibrium.u
+    a, b = _tangent(spec, nonlin, u)
+    st = spec.with_(a=a, b=b, a_adj=None, b_adj=None).stepper
     gu = interior_gradient(grid, u)
-    st = stepper or _tangent_stepper(spec, nonlin, equilibrium)
-    chi = spec.follower_masks[i].interior_vector()
-    H = st.march_forward(np.zeros(grid.n_interior), direction * chi)
-    gh = interior_gradient(grid, H)
-    phi = equilibrium.phis[i]
-    # multiplier of step j is stored at level j-1; align it with state level j
-    phi_at = np.zeros_like(phi)
-    phi_at[1:] = phi[:-1]
     fuu = nonlin.f_uu(u, gu)
     gpfu = nonlin.grad_p_f_u(u, gu)
     hpp = nonlin.hess_p(u, gu)
-    src_eta = fuu * phi_at * H
-    for ax in range(grid.dim):
-        src_eta = src_eta + gpfu[ax] * gh[ax] * phi_at
-    vec = []
-    for ax in range(grid.dim):
-        comp = gpfu[ax] * H * phi_at
-        for bx in range(grid.dim):
-            comp = comp + hpp[ax][bx] * gh[bx] * phi_at
-        vec.append(comp)
-    src_eta = src_eta - interior_divergence(grid, tuple(vec))
-    chid = spec.target_masks[i].interior_vector()
-    src_eta = src_eta + spec.alpha[i] * chid * H
-    return st.march_backward(np.zeros(grid.n_interior), src_eta, family="adjoint")
+
+    def companion(i):
+        chi = spec.follower_masks[i].interior_vector()
+        chid = spec.target_masks[i].interior_vector()
+        phi = equilibrium.phis[i]
+        # multiplier of step j is stored at level j-1; align it with state level j
+        phi_at = np.zeros_like(phi)
+        phi_at[1:] = phi[:-1]
+
+        def eta(direction):
+            H = st.march_forward(np.zeros(grid.n_interior), direction * chi)
+            gh = interior_gradient(grid, H)
+            src_eta = fuu * phi_at * H
+            for ax in range(grid.dim):
+                src_eta = src_eta + gpfu[ax] * gh[ax] * phi_at
+            vec = []
+            for ax in range(grid.dim):
+                comp = gpfu[ax] * H * phi_at
+                for bx in range(grid.dim):
+                    comp = comp + hpp[ax][bx] * gh[bx] * phi_at
+                vec.append(comp)
+            src_eta = src_eta - interior_divergence(grid, tuple(vec))
+            src_eta = src_eta + spec.alpha[i] * chid * H
+            return st.march_backward(np.zeros(grid.n_interior), src_eta, family="adjoint")
+
+        return eta
+
+    return [companion(i) for i in range(2)]
 
 
 def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
-                      i, direction, stepper=None) -> float:
+                      i, direction, eta=None) -> float:
     """Quadratic form of follower i's cost at the equilibrium.
 
     Solves the tangent state h driven by the direction, an interior
     (nt+1, n) array, then the backward companion eta with the
     second-derivative sources, and returns
-    int int_Oi direction*eta + mu_i ||direction||^2.  stepper, when given,
-    is the tangent stepper of this spec and equilibrium (_tangent_stepper),
+    int int_Oi direction*eta + mu_i ||direction||^2.  eta, when given, is
+    follower i's map of _form_companions for this spec and equilibrium,
     which every direction shares.
     """
-    E = _form_companion(spec, nonlin, equilibrium, i, direction, stepper)
+    E = (eta or _form_companions(spec, nonlin, equilibrium)[i])(direction)
     grid = spec.grid
     chi = spec.follower_masks[i].interior_vector()
     cross = grid.dt * grid.hd * float(np.sum((direction[1:] * chi) * E[:-1]))
@@ -413,42 +413,45 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
 FORM_TOL = 1e-10  # form_extremes stops once both extreme Ritz bounds are this small relative to the largest
 
 
-def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, stepper=None):
-    """The smallest and largest eigenvalue of follower i's quadratic form
-    (second_order_form) on its control unknowns, levels 1..nt on O_i, in
-    the discrete L2(Q) inner product the sampled directions are unit in.
+def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, eta=None):
+    """The smallest and largest eigenvalue, theta_min and theta_max, of the
+    cross term of follower i's quadratic form (second_order_form) on its
+    control unknowns, levels 1..nt on O_i, in the discrete L2(Q) inner
+    product the sampled directions are unit in.  The form's own extremes
+    are mu_i + theta_min and mu_i + theta_max.
 
-    The form is mu_i plus its cross term, which is linear in the direction:
-    on the unknowns' L2(Q)-unit basis, the cross term of a direction x is
-    read from one companion march of x embedded on O_i.  The Lanczos
-    process (linalg.lanczos) runs on it from the all-ones vector, and stops
-    once the Ritz bounds ||w_k|| |e_k' y| of T_k's smallest and largest
+    The cross term is linear in the direction: on the unknowns' L2(Q)-unit
+    basis, the cross term of a direction x is read from its companion eta
+    (_form_companions) of x embedded on O_i.  The Lanczos process
+    (linalg.lanczos) runs on it from the all-ones vector, and stops once
+    the Ritz bounds ||w_k|| |e_k' y| of T_k's smallest and largest
     eigenvalues are both at most FORM_TOL times the larger of their
-    magnitudes, or when the Krylov space is invariant.  stepper as in
+    magnitudes, or when the Krylov space is invariant.  eta as in
     second_order_form.
     """
     grid = spec.grid
     nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
-    stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
+    eta = eta or _form_companions(spec, nonlin, equilibrium)[i]
 
     def cross(x):
         d = np.zeros((grid.nt + 1, grid.n_interior))
         d[1:, nodes] = x.reshape(grid.nt, len(nodes))
-        return _form_companion(spec, nonlin, equilibrium, i, d, stepper)[:-1, nodes].ravel()
+        return eta(d)[:-1, nodes].ravel()
 
     m = grid.nt * len(nodes)
     for _, _, alphas, betas, norm_w in lanczos(cross, np.ones(m), m):
         theta, Y = scipy.linalg.eigh_tridiagonal(alphas, betas[1:])
         if norm_w * np.abs(Y[-1, [0, -1]]).max() <= FORM_TOL * np.abs(theta[[0, -1]]).max():
             break
-    return float(theta[0]) + spec.mu[i], float(theta[-1]) + spec.mu[i]
+    return float(theta[0]), float(theta[-1])
 
 
 @dataclass
 class SufficiencyReport:
     """The sampled forms of each follower (forms), their minimum and
-    c_hat = min_form - mu_i; lambda_min and lambda_max are form_extremes of
-    each follower, and c_hat_sharp lambda_min - mu_i, the sharp c_hat."""
+    c_hat = min_form - mu_i; lambda_min and lambda_max are mu_i plus the
+    cross-term extremes of form_extremes, and c_hat_sharp the smallest
+    cross-term eigenvalue itself, the sharp c_hat."""
     min_form: tuple
     c_hat: tuple
     all_positive: bool
@@ -466,46 +469,34 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
 
     Positive sampled forms back the equilibrium/quasi-equilibrium
     equivalence; c_hat_i = min (form - mu_i ||w||^2)/||w||^2 stands in for
-    the nonconstructive coupling constant, and the form's extreme
-    eigenvalues (form_extremes) give its sharp value.  1D runs are flagged
-    as outside the dimension range (2..20) the second-order equivalence
-    analysis assumes.
+    the nonconstructive coupling constant, and the cross term's smallest
+    eigenvalue (form_extremes) gives its sharp value.  Both run on each
+    follower's map of _form_companions.  1D runs are flagged as outside the
+    dimension range (2..20) the second-order equivalence analysis assumes.
     """
     grid = spec.grid
     rng = np.random.default_rng(seed)
-    mins, chats, all_forms, extremes = [], [], [], []
-    positive = True
-    stepper = None
-    for i in range(2):
+    forms, extremes = [], []
+    for i, eta in enumerate(_form_companions(spec, nonlin, equilibrium)):
         chi = spec.follower_masks[i].interior_vector()
-        forms = []
+        sampled = []
         for _ in range(n_directions):
             d = rng.standard_normal((grid.nt + 1, grid.n_interior)) * chi
             d[0] = 0.0
-            nrm = q_norm(grid, d)
-            if nrm == 0.0:
-                continue
-            d /= nrm
-            stepper = stepper or _tangent_stepper(spec, nonlin, equilibrium)
-            forms.append(second_order_form(spec, nonlin, equilibrium, i, d, stepper=stepper))
-        all_forms.append(tuple(forms))
-        if forms:
-            mins.append(min(forms))
-            chats.append(min(forms) - spec.mu[i])
-            positive = positive and all(v > 0 for v in forms)
-        else:
-            mins.append(math.nan)
-            chats.append(math.nan)
-        extremes.append(form_extremes(spec, nonlin, equilibrium, i, stepper=stepper))
-    lam_min, lam_max = zip(*extremes)
+            d /= q_norm(grid, d)
+            sampled.append(second_order_form(spec, nonlin, equilibrium, i, d, eta=eta))
+        forms.append(tuple(sampled))
+        extremes.append(form_extremes(spec, nonlin, equilibrium, i, eta=eta))
+    mins = tuple(min(sampled, default=math.nan) for sampled in forms)
+    theta_min, theta_max = zip(*extremes)
     return SufficiencyReport(
-        min_form=tuple(mins),
-        c_hat=tuple(chats),
-        all_positive=positive,
+        min_form=mins,
+        c_hat=tuple(low - mu for low, mu in zip(mins, spec.mu)),
+        all_positive=all(v > 0 for sampled in forms for v in sampled),
         n_directions=n_directions,
         dimension_in_analysis_range=grid.dim >= 2,
-        forms=tuple(all_forms),
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        c_hat_sharp=tuple(lam - mu for lam, mu in zip(lam_min, spec.mu)),
+        forms=tuple(forms),
+        lambda_min=tuple(theta + mu for theta, mu in zip(theta_min, spec.mu)),
+        lambda_max=tuple(theta + mu for theta, mu in zip(theta_max, spec.mu)),
+        c_hat_sharp=theta_min,
     )

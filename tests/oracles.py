@@ -150,12 +150,12 @@ def quasi_equilibrium_residual(spec, nonlin, f, qe):
 
 
 def form_matrix(spec, nonlin, equilibrium, i):
-    """Follower i's quadratic form (semilinear.second_order_form) as a dense
-    symmetric matrix on its control unknowns, levels 1..nt on O_i, in the
-    L2(Q)-unit basis: one companion march per unknown gives the cross term,
-    which is symmetrized, plus mu_i I."""
+    """The cross term of follower i's quadratic form
+    (semilinear.second_order_form) as a dense symmetric matrix on its
+    control unknowns, levels 1..nt on O_i, in the L2(Q)-unit basis: one
+    companion march per unknown, symmetrized.  The form is it plus mu_i I."""
     grid = spec.grid
-    stepper = semilinear._tangent_stepper(spec, nonlin, equilibrium)
+    eta = semilinear._form_companions(spec, nonlin, equilibrium)[i]
     nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
     m = grid.nt * len(nodes)
     levels, columns = np.divmod(np.arange(m), len(nodes))
@@ -165,6 +165,6 @@ def form_matrix(spec, nonlin, equilibrium, i):
     for row, level, node in zip(cross, levels, nodes):
         d = np.zeros((grid.nt + 1, grid.n_interior))
         d[level + 1, node] = unit
-        row[:] = semilinear._form_companion(spec, nonlin, equilibrium, i, d, stepper)[levels, nodes]
+        row[:] = eta(d)[levels, nodes]
     cross *= grid.dt * grid.hd * unit
-    return 0.5 * (cross + cross.T) + spec.mu[i] * np.eye(m)
+    return 0.5 * (cross + cross.T)

@@ -82,7 +82,7 @@ def test_fixed_point_zero_data_single_sweep():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     sol = solve_nash_fixed_point(spec)
     assert sol.iterations == 1
-    for arr in (sol.w, sol.phi1, sol.phi2, sol.v1, sol.v2):
+    for arr in (sol.w, sol.phis[0], sol.phis[1], sol.v1, sol.v2):
         assert np.all(arr == 0.0)
 
 
@@ -279,7 +279,7 @@ def test_shared_nash_sweep_marches_one_adjoint_column(nash_spec, monkeypatch):
     sol = solve_nash_fixed_point(nash_spec, leader_bump(nash_spec.grid))
     assert sol.iterations > 2
     assert calls == [("march_backward", 1), ("march_forward", 1)] * sol.iterations
-    assert np.array_equal(sol.phi1, sol.phi2)
+    assert np.array_equal(sol.phis[0], sol.phis[1])
 
 
 @pytest.mark.parametrize("change", ["alpha", "targets"])
@@ -299,7 +299,7 @@ def test_distinct_target_terms_march_two_adjoint_columns(nash_spec, change, monk
     g = spec.grid
     for a, b in zip((sol.w, *sol.phis, *sol.controls), (oracle.w, *oracle.phis, *oracle.controls)):
         assert q_norm(g, a - b) <= 1e-8 * max(q_norm(g, b), 1e-300)
-    assert q_norm(g, sol.phi1 - sol.phi2) > 1e-3 * q_norm(g, sol.phi1)
+    assert q_norm(g, sol.phis[0] - sol.phis[1]) > 1e-3 * q_norm(g, sol.phis[0])
 
 
 def _distinct_spec(nash_spec, change):
@@ -370,7 +370,7 @@ def test_controls_read_after_solve_are_formed_from_adjoints(nash_spec, case):
     spec = nash_spec if case == "shared" else _distinct_spec(nash_spec, case)
     f = leader_bump(spec.grid)
     for sol in (solve_nash_fixed_point(spec, f), dense_oracle(spec, f)[0]):
-        ref = nash._controls_from_adjoints(spec.follower_masks, spec.mu, [sol.phi1.copy(), sol.phi2.copy()])
+        ref = nash._controls_from_adjoints(spec.follower_masks, spec.mu, [sol.phis[0].copy(), sol.phis[1].copy()])
         assert np.array_equal(sol.v1, ref[0]) and np.array_equal(sol.v2, ref[1])
 
 

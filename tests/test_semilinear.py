@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hierctrl import cli, semilinear
+from hierctrl import cli, operators, semilinear
 from hierctrl.config import load_config, validate_for
 from hierctrl.errors import ContractionFailure, MaxIterations, OuterDivergence, UnsupportedNonlinearity
 from hierctrl.hum import RITZ_DIRECTIONS, control_to_trajectory
@@ -90,7 +91,7 @@ def test_quasi_equilibrium_zero_data():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     qe = solve_quasi_equilibrium(spec, preset_tanh(0.5), None, tol=1e-10)
     assert np.all(qe.u == 0.0)
-    assert np.all(qe.v1 == 0.0) and np.all(qe.v2 == 0.0)
+    assert all(np.all(v == 0.0) for v in qe.controls)
 
 
 def _tripling_states(spec):
@@ -351,9 +352,10 @@ def test_shipped_second_order_reports_sharp_constants(tmp_path):
 
 
 def test_form_extremes_match_the_dense_form_on_the_shipped_grid():
-    """The Lanczos extremes of each follower's form on second_order_1d.ini
-    agree with eigvalsh of the form assembled densely, one companion march
-    per control unknown (oracles.form_matrix), to 1e-12."""
+    """The Lanczos extremes of each follower's cross term on
+    second_order_1d.ini agree with eigvalsh of the cross term assembled
+    densely, one companion march per control unknown (oracles.form_matrix),
+    to 1e-12."""
     inputs = validate_for(load_config(CONFIGS / "second_order_1d.ini"), "second-order")
     spec, nl, tol = inputs.spec, inputs.nonlinearity, inputs.config.solver["nash_tol"]
     qe = solve_quasi_equilibrium(spec, nl, inputs.f, tol=tol, inner_tol=tol)
@@ -362,6 +364,73 @@ def test_form_extremes_match_the_dense_form_on_the_shipped_grid():
         low, high = form_extremes(spec, nl, qe, i)
         assert abs(low - values[0]) <= 1e-12
         assert abs(high - values[-1]) <= 1e-12
+
+
+def _shipped_second_order(mu=None):
+    """second_order_1d.ini's spec (with both mu_i set to mu when given), its
+    nonlinearity, quasi-equilibrium and inputs."""
+    inputs = validate_for(load_config(CONFIGS / "second_order_1d.ini"), "second-order")
+    spec, nl, tol = inputs.spec, inputs.nonlinearity, inputs.config.solver["nash_tol"]
+    if mu is not None:
+        spec = spec.with_(mu=(mu, mu))
+    return spec, nl, solve_quasi_equilibrium(spec, nl, inputs.f, tol=tol, inner_tol=tol), inputs
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e4, 1e6])
+def test_sharp_constant_matches_the_dense_cross_term_at_any_mu(mu):
+    """c_hat_sharp_i is the smallest eigenvalue of the cross term itself,
+    not lambda_min_i - mu_i, so it keeps its digits however large mu_i is:
+    it matches eigvalsh of the dense cross term (oracles.form_matrix) to
+    1e-10 relative on second_order_1d.ini."""
+    spec, nl, qe, _ = _shipped_second_order(mu)
+    rep = verify_equilibrium_sufficiency(spec, nl, qe, n_directions=0)
+    for i in range(2):
+        smallest = np.linalg.eigvalsh(form_matrix(spec, nl, qe, i))[0]
+        assert abs(rep.c_hat_sharp[i] - smallest) <= 1e-10 * abs(smallest)
+
+
+def test_sufficiency_evaluates_second_derivatives_once(monkeypatch):
+    """One verify_equilibrium_sufficiency on the shipped config evaluates
+    f_uu once for both followers, all 20 directions and every Lanczos step,
+    and marches twice per sampled direction and per Lanczos step: 180
+    marches."""
+    spec, nl, qe, inputs = _shipped_second_order()
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("march_forward", "march_backward"):
+        monkeypatch.setattr(operators.TimeStepper, name, counted("march", getattr(operators.TimeStepper, name)))
+    counted_nl = dataclasses.replace(nl, f_uu=counted("f_uu", nl.f_uu))
+    verify_equilibrium_sufficiency(spec, counted_nl, qe, n_directions=inputs.config.solver["n_directions"],
+                                   seed=inputs.config.seed)
+    assert calls.count("f_uu") == 1
+    assert calls.count("march") == 180
+
+
+def test_form_cross_term_is_symmetric_to_rounding():
+    """The cross term the Lanczos process of form_extremes runs on is
+    symmetric, as that process assumes: over random x, y on follower i's
+    control unknowns, |<x, Cy> - <Cx, y>| <= 1e-12 ||Cx|| ||y||."""
+    spec, nl, qe, _ = _shipped_second_order()
+    grid = spec.grid
+    rng = np.random.default_rng(7)
+    for i, eta in enumerate(semilinear._form_companions(spec, nl, qe)):
+        nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
+
+        def cross(x):
+            d = np.zeros((grid.nt + 1, grid.n_interior))
+            d[1:, nodes] = x.reshape(grid.nt, len(nodes))
+            return eta(d)[:-1, nodes].ravel()
+
+        for _ in range(5):
+            x, y = rng.standard_normal((2, grid.nt * len(nodes)))
+            cx = cross(x)
+            assert abs(x @ cross(y) - cx @ y) <= 1e-12 * np.linalg.norm(cx) * np.linalg.norm(y)
 
 
 def test_second_order_reports_sharp_constants_on_a_fine_grid(tmp_path):
@@ -400,13 +469,13 @@ def test_sufficiency_builds_one_tangent_stepper(spec, tanh_equilibrium, monkeypa
     """Every sampled direction of both followers marches with one shared
     tangent stepper: 1 build for 2 x 5 directions, not 10."""
     builds = []
-    original = semilinear.TimeStepper.__init__
+    original = operators.TimeStepper.__init__
 
     def counted(self, *args, **kwargs):
         builds.append(1)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(semilinear.TimeStepper, "__init__", counted)
+    monkeypatch.setattr(operators.TimeStepper, "__init__", counted)
     rep = verify_equilibrium_sufficiency(spec, preset_tanh(0.5), tanh_equilibrium,
                                          n_directions=5, seed=4)
     assert [len(forms) for forms in rep.forms] == [5, 5]

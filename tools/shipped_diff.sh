@@ -9,8 +9,12 @@
 # byte-identical and, for every file that differs, the largest relative move
 # of its numeric tokens; it exits 0 when no run failed, both trees hold the
 # same files, every differing file keeps its text between the numbers, and no
-# number moved by more than RTOL relative.  The temporary directory is removed
-# either way.
+# number moved by more than RTOL relative.  A move is measured relative to the
+# largest magnitude, in REF's output, of the quantity the number belongs to:
+# its column in a CSV, the whole dump past its header line in a *.field.txt,
+# and the number itself anywhere else (summary.txt, manifest.json), so a
+# rounding-level move of a tiny residual reads as what it is.  The temporary
+# directory is removed either way.
 set -euo pipefail
 usage="usage: tools/shipped_diff.sh REF [RTOL]"
 ref="${1:?$usage}"
@@ -50,17 +54,40 @@ def files(out):
     return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
 
 
-def move(before, after):
-    """The largest relative move of a numeric token, or None when the text
-    between the numbers, or their count, differs."""
+def quantities(name, text):
+    """The quantity of each numeric token of the file, in order: its column
+    in a CSV, the whole dump past the header line in a *.field.txt, and the
+    token alone anywhere else."""
+    keys = []
+    for row, line in enumerate(text.splitlines()):
+        for column, cell in enumerate(line.split(",") if name.endswith(".csv") else [line]):
+            for _ in NUMBER.findall(cell):
+                if name.endswith(".csv"):
+                    keys.append(("column", column))
+                elif name.endswith(".field.txt") and row > 0:
+                    keys.append(("field",))
+                else:
+                    keys.append(("token", len(keys)))
+    return keys
+
+
+def move(name, before, after):
+    """The largest move of a numeric token relative to its quantity's scale,
+    the largest finite magnitude of that quantity in before, or None when
+    the text between the numbers, or their count, differs."""
     texts = [NUMBER.split(before), NUMBER.split(after)]
     numbers = [NUMBER.findall(before), NUMBER.findall(after)]
     if texts[0] != texts[1] or len(numbers[0]) != len(numbers[1]):
         return None
+    keys = quantities(name, before)
+    refs, trees = ([float(x) for x in tokens] for tokens in numbers)
+    scale = {}
+    for key, r in zip(keys, refs):
+        scale[key] = max(scale.get(key, 0.0), abs(r) if math.isfinite(r) else 0.0)
     largest = 0.0
-    for r, t in zip(*([float(x) for x in tokens] for tokens in numbers)):
+    for key, r, t in zip(keys, refs, trees):
         if r != t and not (math.isnan(r) and math.isnan(t)):
-            largest = max(largest, abs(t - r) / abs(r) if r else math.inf)
+            largest = max(largest, abs(t - r) / scale[key] if scale[key] else math.inf)
     return largest
 
 
@@ -75,7 +102,7 @@ for name in sorted(set(files(ref)) & set(files(tree))):
     before, after = (ref / name).read_text(), (tree / name).read_text()
     if before == after:
         continue
-    largest = move(before, after)
+    largest = move(name, before, after)
     if largest is None:
         print(f"{name}: text between the numbers differs")
         ok = False
