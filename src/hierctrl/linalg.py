@@ -1,12 +1,14 @@
 """Minimal linear algebra behind the time steppers and HUM solver.
 
-Direct factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
+Sparse factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
+stacks of symmetric band matrices get LAPACK band Cholesky factors,
 stacks of small matrices are inverted densely from one LAPACK LU per
-matrix, which also carries the pivot check, and small symmetric matrices
-are diagonalized.  One Lanczos process, which conjugate gradient and the
-Ritz pairs run on, and the fixed-point driver are written against
-callbacks so the HUM operator, the follower forms and the sweeps, which
-involve nested PDE solves, plug in without ever being materialized.
+matrix, and small symmetric matrices are diagonalized; every one of them
+passes the same pivot check.  One Lanczos process, which conjugate
+gradient and the Ritz pairs run on, and the fixed-point driver are
+written against callbacks so the HUM operator, the follower forms and the
+sweeps, which involve nested PDE solves, plug in without ever being
+materialized.
 """
 
 from __future__ import annotations
@@ -63,6 +65,25 @@ def factorize(matrix) -> Factorization:
     return Factorization(lu)
 
 
+def _scales(stack):
+    """The largest magnitude of every matrix in a stack, which must be
+    nonzero and finite: SingularMatrix names the first that is not."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0))
+    if bad.size:
+        raise SingularMatrix(f"matrix {bad[0]} of the stack is zero or not finite")
+    return scale
+
+
+def _check_pivots(pivots, scale):
+    """SingularMatrix naming the first matrix of a stack whose smallest
+    pivot is below PIVOT_RTOL times its scale."""
+    bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
+    if bad.size:
+        raise SingularMatrix(f"matrix {bad[0]} of the stack: pivot {pivots[bad[0]]:.3e} "
+                             f"below {PIVOT_RTOL:.0e}*scale")
+
+
 def _checked_lu(stack):
     """LAPACK getrf factors (lu, piv) of every matrix in an (L, n, n) stack.
 
@@ -71,16 +92,9 @@ def _checked_lu(stack):
     SingularMatrix naming the matrix.
     """
     stack = np.asarray(stack, dtype=float)
-    scale = np.abs(stack).max(axis=(1, 2))
-    bad = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0))
-    if bad.size:
-        raise SingularMatrix(f"matrix {bad[0]} of the stack is zero or not finite")
+    scale = _scales(stack)
     factors = [scipy.linalg.lapack.dgetrf(matrix)[:2] for matrix in stack]
-    pivots = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1)
-    bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
-    if bad.size:
-        raise SingularMatrix(f"matrix {bad[0]} of the stack: pivot {pivots[bad[0]]:.3e} "
-                             f"below {PIVOT_RTOL:.0e}*scale")
+    _check_pivots(np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1), scale)
     return factors
 
 
@@ -91,6 +105,32 @@ def invert_stack(stack) -> np.ndarray:
     inverted from those factors (getri).
     """
     return np.array([scipy.linalg.lapack.dgetri(lu, piv)[0] for lu, piv in _checked_lu(stack)])
+
+
+def band_cholesky(bands):
+    """The band Cholesky factors of a stack of symmetric band matrices, or
+    None when LAPACK finds one of them not positive definite.
+
+    bands, shape (L, kd+1, n), holds each matrix in LAPACK's lower band
+    storage: bands[l, i, j] is entry (j+i, j) of matrix l.  All L are
+    factored by one dpbtrf call on their block-diagonal band, which gives
+    each matrix's own factor bit for bit.  Returns that (kd+1, L n) F-ordered
+    band: its columns l n .. (l+1) n - 1 are matrix l's factor, which
+    dpbtrs solves with (lower=1).  Each matrix passes _checked_lu's rule
+    restated for Cholesky: a pivot L_jj^2 below PIVOT_RTOL times the
+    matrix's largest entry, a zero matrix or a non-finite entry raises
+    SingularMatrix naming the matrix (Anderson et al., LAPACK Users' Guide,
+    3rd ed., SIAM 1999, 2.4).
+    """
+    bands = np.asarray(bands, dtype=float)
+    count, width, n = bands.shape
+    scale = _scales(bands)
+    block = np.asfortranarray(bands.transpose(1, 0, 2).reshape(width, count * n))
+    factor, info = scipy.linalg.lapack.dpbtrf(block, lower=1, overwrite_ab=1)
+    if info > 0:
+        return None
+    _check_pivots((factor[0].reshape(count, n) ** 2).min(axis=1), scale)
+    return factor
 
 
 class Modes(NamedTuple):

@@ -9,14 +9,15 @@ weights at boundary nodes.  This reproduces the classical clamped stencil
 Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
 solver precision (discretize-then-optimize).  Small grids march symmetric
-time-constant steps in their eigenbasis and other steps with dense
-inverses, one ndarray.dot mat-vec per step (not np.matmul, whose ufunc
-dispatch costs more than a small mat-vec and gives the same bits); larger
-ones with SuperLU factorizations.  The biharmonic and gradient matrices
-are assembled once per grid (grid_operators) and shared by every stepper
-on it.  Fixed points that march a family many times can stay in its
-Coordinates, the eigenbasis of a modal family, and pass fields between
-families through Couplings.
+time-constant steps in their eigenbasis; other symmetric steps march on
+LAPACK band Cholesky factors, one dpbtrs per step.  Steps with transport
+march with dense inverses on small grids, one ndarray.dot mat-vec per
+step (not np.matmul, whose ufunc dispatch costs more than a small mat-vec
+and gives the same bits), and with SuperLU factorizations on larger ones.
+The biharmonic and gradient matrices are assembled once per grid
+(grid_operators) and shared by every stepper on it.  Fixed points that
+march a family many times can stay in its Coordinates, the eigenbasis of
+a modal family, and pass fields between families through Couplings.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpbtrs, dtbtrs
 
 from .errors import ShapeMismatch
-from .linalg import factorize, invert_stack, symmetric_modes
+from .linalg import band_cholesky, factorize, invert_stack, symmetric_modes
 from .mesh import Grid, SubdomainMask, q_norm
 
 
@@ -210,6 +211,11 @@ def _spatial_operator(biharm, grads, a, b, level):
     return L.tocsr()
 
 
+def _entries(matrix):
+    """(rows, columns, values) of the stored entries of a CSR matrix."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices, matrix.data
+
+
 def _time_constant(a, b):
     def const(f):
         return bool(np.all(f == f[0]))
@@ -217,7 +223,7 @@ def _time_constant(a, b):
     return const(a) and all(const(b_axis) for b_axis in b)
 
 
-DENSE_MAX_N = 128  # up to this many interior unknowns a step is one mat-vec with a dense inverse
+DENSE_MAX_N = 128  # up to this many unknowns a step with transport is one mat-vec with a dense inverse
 MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in its eigenbasis
 
 
@@ -319,13 +325,15 @@ def _coupling_matrix(weights, source, target):
 
 
 class _Family(NamedTuple):
-    """One family of step matrices.  Exactly one of modal, inverses and
-    factors is set: the representation the family marches with."""
+    """One family of step matrices.  Exactly one of modal, cholesky,
+    inverses and factors is set: the representation the family marches
+    with."""
 
     a: np.ndarray
     b: tuple
     time_constant: bool
     modal: tuple  # Q, the source transform dt diag(w) Q' and the band of _recurrence_band
+    cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
     inverses: tuple  # the inverses steps 1..nt multiply by, and their transposes
     factors: list  # the SuperLU Factorization of each step 1..nt
     matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
@@ -346,6 +354,10 @@ class TimeStepper:
       a band built once per family, and transforms back.  A backward march
       is the forward march of the time-reversed data, with the same Q, w
       and band.
+    - Band Cholesky, for every other symmetric family (no transport), at
+      any size: the LAPACK band Cholesky factor of each distinct level, all
+      levels factored by one dpbtrf call (linalg.band_cholesky).  A step is
+      one dpbtrs solve, which is also the transposed step.
     - Dense, up to DENSE_MAX_N unknowns otherwise: the inverse of each
       distinct level, built and inverted as one (L, n, n) stack whose
       slices the steps multiply by.  A step is one mat-vec, one
@@ -354,6 +366,11 @@ class TimeStepper:
       transpose of the same inverse.
     - Above the cap each level keeps a SuperLU factorization, and one
       factorization serves a step matrix and its transpose.
+
+    A symmetric family that is not positive definite at some level, which
+    dpbtrf reports (for example a reaction with dt a <= -(1 + dt
+    lambda_min(B))), marches as a family with transport does: dense
+    inverses up to DENSE_MAX_N unknowns, SuperLU factors above.
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
     them.  Every stepper on a grid shares that grid's biharmonic and
@@ -389,38 +406,70 @@ class TimeStepper:
         n, nt = grid.n_interior, grid.nt
         const = _time_constant(a, b)
         levels = [1] if const else list(range(1, nt + 1))
-        modal = inverses = factors = None
-        if const and n <= MODAL_MAX_N and not any(np.any(b_axis) for b_axis in b):
+        steps = nt if const else 1  # how many steps each distinct level serves
+        symmetric = not any(np.any(b_axis) for b_axis in b)
+        modal = cholesky = inverses = factors = None
+        if symmetric and const and n <= MODAL_MAX_N:
             modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
+        elif symmetric and (band := band_cholesky(self._step_band(a, levels))) is not None:
+            cholesky = [band[:, l * n:(l + 1) * n] for l in range(len(levels))] * steps
         elif n <= DENSE_MAX_N:
-            arrays = list(invert_stack(self._dense_step_stack(a, b, levels))) * (nt if const else 1)
+            arrays = list(invert_stack(self._dense_step_stack(a, b, levels))) * steps
             inverses = (arrays, [inv.T for inv in arrays])
         else:
-            factors = [factorize(self._step_matrix(a, b, j)) for j in levels] * (nt if const else 1)
-        return _Family(a, b, const, modal, inverses, factors, {}, Coordinates(grid, modal))
+            factors = [factorize(self._step_matrix(a, b, j)) for j in levels] * steps
+        return _Family(a, b, const, modal, cholesky, inverses, factors, {}, Coordinates(grid, modal))
 
     def _step_matrix(self, a, b, level):
         grid = self.grid
         L = _spatial_operator(self.biharm, self.grads, a, b, level)
         return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
 
-    def _dense_step_stack(self, a, b, levels):
-        """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given levels, shape (L, n, n).
+    def _step_diagonals(self, a, b, levels):
+        """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given
+        levels, by diagonals: (offsets, data), data of shape
+        (L, len(offsets), n), with data[l, k, j] the entry
+        (j - offsets[k], j) of the step matrix of levels[l] (scipy's dia
+        layout) and zero where that row is outside the matrix.
 
-        Entry for entry the arithmetic of _spatial_operator and _step_matrix,
-        so slice l equals the sparse step matrix of levels[l] exactly.
+        Entry for entry the arithmetic of _spatial_operator and
+        _step_matrix, so the step band and the dense step stack, both read
+        from it, equal the sparse step matrices exactly.
         """
-        grid = self.grid
-        diag = np.arange(grid.n_interior)
-        stack = np.repeat(self.biharm.toarray()[None], len(levels), axis=0)
-        stack[:, diag, diag] += a[levels]
-        for grad, b_axis in zip(self.grads, b):
-            b_levels = b_axis[levels]
-            if np.any(b_levels):
-                stack += b_levels[:, :, None] * grad.toarray()
-        stack *= grid.dt
-        stack[:, diag, diag] += 1.0
+        n = self.grid.n_interior
+        transport = [(b_axis[levels], _entries(grad)) for grad, b_axis in zip(self.grads, b)
+                     if np.any(b_axis[levels])]
+        rows, cols, values = _entries(self.biharm)
+        offsets = np.unique(np.concatenate([cols - rows] + [c - r for _, (r, c, _) in transport]))
+        data = np.zeros((len(levels), len(offsets), n))
+        data[:, np.searchsorted(offsets, cols - rows), cols] = values
+        main = np.searchsorted(offsets, 0)
+        data[:, main] += a[levels]
+        for b_levels, (r, c, v) in transport:
+            data[:, np.searchsorted(offsets, c - r), c] += b_levels[:, r] * v
+        data *= self.grid.dt
+        data[:, main] += 1.0
+        return offsets, data
+
+    def _step_band(self, a, levels):
+        """The step matrices without transport, I + dt (B + diag(a_j)), of
+        the given levels in LAPACK's lower band storage, shape (L, kd+1, n):
+        band[l, i, j] is entry (j+i, j), zero past the last row."""
+        offsets, data = self._step_diagonals(a, (), levels)
+        lower = offsets <= 0
+        band = np.zeros((len(levels), 1 - offsets.min(), self.grid.n_interior))
+        band[:, -offsets[lower]] = data[:, lower]
+        return band
+
+    def _dense_step_stack(self, a, b, levels):
+        """The step matrices of the given levels as one (L, n, n) array."""
+        offsets, data = self._step_diagonals(a, b, levels)
+        n = self.grid.n_interior
+        rows = np.arange(n) - offsets[:, None]  # the row of each diagonal entry
+        k, cols = np.nonzero((rows >= 0) & (rows < n))
+        stack = np.zeros((len(levels), n, n))
+        stack[:, rows[k, cols], cols] = data[:, k, cols]
         return stack
 
     def _family(self, family):
@@ -503,7 +552,9 @@ class TimeStepper:
             out = np.zeros((k or 1, nt + 1, n))
             out[:, nt if backward else 0] = datum
             dt_src = None if sources is None else grid.dt * sources
-            if fam.inverses is None:
+            if fam.cholesky is not None:
+                _cholesky_loop(fam.cholesky, out, dt_src, backward)
+            elif fam.inverses is None:
                 _solver_loop(fam.factors, out, dt_src, backward)
             else:
                 _inverse_loop(fam.inverses[backward], out, dt_src, backward)
@@ -556,6 +607,40 @@ def _solver_loop(factors, out, dt_src, backward):
     for j, read, write in _steps(len(factors), backward):
         src = out[:, read] if dt_src is None else np.add(out[:, read], dt_src[:, j], out=rhs)
         factors[j - 1].solve(src.T, transpose=backward, out=out[:, write].T)
+
+
+def _cholesky_loop(factors, out, dt_src, backward):
+    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), one LAPACK dpbtrs solve
+    on the band Cholesky factor of step j per step, which is also the
+    transposed step: S_j is symmetric.  out is (k, nt+1, n) and dt_src None
+    or (k, nt+1, n).
+
+    A single column is solved in place on its contiguous row; k columns go
+    to the solve as one F-ordered (n, k) right-hand side, the transpose of
+    a (k, n) level, and dpbtrs solves each column on its own, so each column
+    is bit for bit the single-column march.  dpbtrs takes its arguments
+    positionally (lower, ldab, overwrite_b): parsing keywords costs about a
+    third of a 1D step.
+    """
+    width = len(factors[0])
+    if len(out) == 1:
+        rows = list(out[0])
+        srcs = None if dt_src is None else list(dt_src[0])
+        for j, read, write in _steps(len(factors), backward):
+            if srcs is None:
+                np.copyto(rows[write], rows[read])
+            else:
+                np.add(rows[read], srcs[j], out=rows[write])
+            dpbtrs(factors[j - 1], rows[write], 1, width, 1)
+        return
+    rhs = np.empty_like(out[:, 0])
+    for j, read, write in _steps(len(factors), backward):
+        if dt_src is None:
+            np.copyto(rhs, out[:, read])
+        else:
+            np.add(out[:, read], dt_src[:, j], out=rhs)
+        dpbtrs(factors[j - 1], rhs.T, 1, width, 1)
+        out[:, write] = rhs
 
 
 def _inverse_loop(mats, out, dt_src, backward):

@@ -195,17 +195,22 @@ def _tangent(spec: ProblemSpec, nonlin, u):
     return spec.a - fu, tuple(spec.b[ax] - gpf[ax] for ax in range(grid.dim))
 
 
+def _secant(spec: ProblemSpec, nonlin, z, base=None):
+    """The state coefficients (a - G1, b - G2) frozen at z, with the secant
+    averages along base -> base+z (eval_secant_coeffs)."""
+    g1, g2 = eval_secant_coeffs(spec.grid, nonlin, base, z)
+    return spec.a - g1, tuple(b_axis - g2_axis for b_axis, g2_axis in zip(spec.b, g2))
+
+
 def _frozen_spec(spec: ProblemSpec, nonlin, z, base=None):
     """Linear spec for one frozen-z sweep.
 
     State equation coefficients pick up the secant averages; the adjoint
     equations pick up the tangent derivatives at base+z.
     """
-    grid = spec.grid
-    g1, g2 = eval_secant_coeffs(grid, nonlin, base, z)
+    a, b = _secant(spec, nonlin, z, base)
     a_adj, b_adj = _tangent(spec, nonlin, z if base is None else base + z)
-    return spec.with_(a=spec.a - g1, b=tuple(spec.b[ax] - g2[ax] for ax in range(grid.dim)),
-                      a_adj=a_adj, b_adj=b_adj)
+    return spec.with_(a=a, b=b, a_adj=a_adj, b_adj=b_adj)
 
 
 def _z_change_norm(grid, d):
@@ -260,18 +265,23 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
 
 def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60):
     """Uncontrolled semilinear trajectory by secant-coefficient Picard, from
-    the (n,) vector ubar0; an interior (nt+1, n) array."""
+    the (n,) vector ubar0; an interior (nt+1, n) array.  Each sweep builds
+    the forward family of the secant coefficients alone, the one it
+    marches.  With ubar0 and F(0,0) both zero the trajectory is zero, and
+    no stepper is built."""
     grid = spec.grid
+    zero = np.zeros((grid.nt + 1, grid.n_interior))
     f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    src = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
+    if f00 == 0.0 and not np.any(ubar0):
+        return zero
+    src = np.full(zero.shape, f00) if f00 != 0.0 else None
 
     def sweep(z):
-        st = _frozen_spec(spec, nonlin, z, base=None).stepper
-        u = st.march_forward(ubar0, src)
+        a, b = _secant(spec, nonlin, z)
+        u = spec.with_(a=a, b=b, a_adj=None, b_adj=None).stepper.march_forward(ubar0, src)
         return u, *_picard_change(grid, z, u)
 
-    u, _, _ = iterate(sweep, np.zeros((grid.nt + 1, grid.n_interior)), 1e-12, max_iter,
-                      "free trajectory Picard")
+    u, _, _ = iterate(sweep, zero, 1e-12, max_iter, "free trajectory Picard")
     return u
 
 

@@ -15,12 +15,31 @@ from hierctrl import operators
 from hierctrl.hum import dense_oracle, solve_coupled_adjoint
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 
-# module constants that force each representation on the 10-unknown reference grid
+# the module constants that force each representation on the 10-unknown reference grid, and
+# whether the spec has a transport term, which keeps its families off the modal and band paths
 FAMILIES = {
-    "modal": {},
-    "dense": {"MODAL_MAX_N": 0},
-    "superlu": {"MODAL_MAX_N": 0, "DENSE_MAX_N": 0},
+    "modal": ({}, False),
+    "band": ({"MODAL_MAX_N": 0}, False),
+    "dense": ({"MODAL_MAX_N": 0}, True),
+    "superlu": ({"MODAL_MAX_N": 0, "DENSE_MAX_N": 0}, True),
 }
+
+
+def _representation(family):
+    """The name of the representation a stepper family marches with."""
+    return next(name for name in ("modal", "cholesky", "inverses", "factors")
+                if getattr(family, name) is not None)
+
+
+def _family_spec(family, case, monkeypatch):
+    """_spec(case) under the module constants of FAMILIES[family], with a
+    constant transport term b = 0.5 where it asks for one (the adjoint
+    family of the mixed case then takes it too: b_adj defaults to b)."""
+    constants, transport = FAMILIES[family]
+    for name, value in constants.items():
+        monkeypatch.setattr(operators, name, value)
+    spec = _spec(case)
+    return spec.with_(b=(np.full_like(spec.a, 0.5),)) if transport else spec
 
 
 def _spec(case):
@@ -44,13 +63,13 @@ def _rel(grid, a, b):
 @pytest.mark.parametrize("case", ["shared", "alpha", "targets", "mixed"])
 def test_fixed_points_match_oracle_in_every_family(family, case, monkeypatch, rng):
     """Nash and coupled-adjoint fixed points against dense_oracle, to 1e-10
-    relative, on modal, dense and SuperLU families, in the shared and
-    distinct cases, and with a modal forward family beside a dense adjoint
-    one, whose couplings are Q' diag I and I diag Q."""
-    for name, value in FAMILIES[family].items():
-        monkeypatch.setattr(operators, name, value)
-    spec = _spec(case)
+    relative, on modal, band Cholesky, dense and SuperLU families, in the
+    shared and distinct cases, and with a modal forward family beside a
+    band adjoint one, whose couplings are Q' diag I and I diag Q."""
+    spec = _family_spec(family, case, monkeypatch)
     stepper, g = spec.stepper, spec.grid
+    assert _representation(stepper._family("forward")) == {"band": "cholesky", "dense": "inverses",
+                                                           "superlu": "factors"}.get(family, family)
     assert stepper.coordinates("forward").modal == (family == "modal")
     assert stepper.coordinates("adjoint").modal == (family == "modal" and case != "mixed")
     f = leader_bump(g)
@@ -78,7 +97,7 @@ def test_damped_nash_converges_to_undamped_on_modal_spec():
 
 def test_extra_source_in_modal_coordinates_matches_physical(monkeypatch):
     """The unmasked state source of the semilinear sweeps is transformed
-    with f once per solve: modal and dense families give one equilibrium."""
+    with f once per solve: modal and band families give one equilibrium."""
     g = make_nash_spec().grid
     extra = np.full((g.nt + 1, g.n_interior), 0.3)
     f = leader_bump(g)
@@ -164,9 +183,7 @@ def test_consecutive_solves_on_one_spec_match_fresh_copies(family, case, zero_da
     consecutive solves with different psi0, f and extra_source, with and
     without on_sweep and damping, equal bit for bit the same solves on a
     fresh with_ copy, which builds its own setup."""
-    for name, value in FAMILIES[family].items():
-        monkeypatch.setattr(operators, name, value)
-    spec = _spec(case)
+    spec = _family_spec(family, case, monkeypatch)
     if zero_data:  # the first Nash sweep of a zero-target solve marches the state alone
         spec = spec.with_zero_data()
     g = spec.grid

@@ -7,7 +7,6 @@ import pytest
 import hierctrl.cli as cli
 import hierctrl.hum as hum
 import hierctrl.nash as nash
-from hierctrl import operators
 from hierctrl.carleman import check_target_condition
 from hierctrl.config import build_problem_spec, load_config
 from hierctrl.errors import ContractionFailure, MaxIterations
@@ -20,7 +19,7 @@ from hierctrl.operators import Coupling, TimeStepper, solve_forward
 
 from conftest import leader_bump, make_hum_spec
 from oracles import apply_lambda, eval_G
-from test_coordinates import FAMILIES, _spec as family_spec
+from test_coordinates import FAMILIES, _family_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,15 +154,14 @@ def test_two_system_duality_identity(family, case, monkeypatch, rng):
     """Pairing the optimality system (driven by a random leader) with the
     coupled adjoint system (random terminal datum): both sides of the
     resulting identity, computed from the two independent solves, agree on
-    modal, dense and SuperLU families in every case test_coordinates runs,
-    so the sweep and its transpose pair wherever they march.
+    modal, band Cholesky, dense and SuperLU families in every case
+    test_coordinates runs, so the sweep and its transpose pair wherever
+    they march.
 
     dt sum <f chi, psi> - dt sum sum_i <chi_i phi_i, psi>/mu_i
       = <w(T), psi0> - <w0, psi(0)> + dt sum sum_i alpha_i <chi_di eta_i, w>
     """
-    for name, value in FAMILIES[family].items():
-        monkeypatch.setattr(operators, name, value)
-    spec = family_spec(case)
+    spec = _family_spec(family, case, monkeypatch)
     g = spec.grid
     for _ in range(3):
         f = rng.standard_normal((g.nt + 1, g.n_interior))

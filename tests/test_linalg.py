@@ -5,15 +5,96 @@ import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, conjugate_gradient, contraction_estimate,
-                             factorize, invert_stack, iterate, ritz_pairs)
-from hierctrl.operators import _inverse_loop
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, band_cholesky, conjugate_gradient,
+                             contraction_estimate, factorize, invert_stack, iterate, ritz_pairs)
+from hierctrl.operators import _cholesky_loop, _inverse_loop
 
 
 def _random_spd(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     return A @ A.T + n * np.eye(n)
+
+def _random_spd_bands(count, kd, n, seed):
+    """count diagonally dominant symmetric band matrices in LAPACK's lower
+    band storage, shape (count, kd+1, n), zero past each matrix's last row."""
+    bands = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, kd + 1, n))
+    bands[:, 0] = 2.0 * (kd + 1)
+    for i in range(1, kd + 1):
+        bands[:, i, n - i:] = 0.0
+    return bands
+
+
+def _band_matrix(band):
+    """The dense symmetric matrix of one lower band."""
+    n = band.shape[1]
+    lower = sum(np.diag(band[i, :n - i], -i) for i in range(len(band)))
+    return lower + np.tril(lower, -1).T
+
+
+def test_band_cholesky_of_a_stack_is_each_matrix_factor_bitwise():
+    """One dpbtrf call on the block-diagonal band gives each matrix's own
+    factor bit for bit, which solves with that matrix."""
+    rng = np.random.default_rng(4)
+    for kd, n in ((2, 38), (20, 100), (44, 484)):
+        bands = _random_spd_bands(5, kd, n, kd)
+        factor = band_cholesky(bands)
+        assert factor.shape == (kd + 1, 5 * n) and factor.flags.f_contiguous
+        b = rng.standard_normal(n)
+        for l, band in enumerate(bands):
+            own = factor[:, l * n:(l + 1) * n]
+            assert np.array_equal(own, dpbtrf(band, lower=1)[0])
+            x = dpbtrs(own, b, lower=1)[0]
+            assert np.abs(_band_matrix(band) @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+
+BAD_BANDS = [
+    np.array([[1.0, 1.0 + 1e-15], [1.0, 0.0]]),  # positive definite, last pivot 1e-15 below the rule
+    np.zeros((2, 2)),
+    np.array([[np.inf, 1.0], [0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_BANDS)
+def test_band_cholesky_names_lowest_bad_level(bad):
+    """With bad matrices at levels 1 and 3 the error names level 1, as
+    invert_stack's rule does."""
+    good = np.array([[2.0, 2.0], [1.0, 0.0]])
+    bands = np.stack([good, bad, 3.0 * good, 2.0 * bad, 5.0 * good])
+    with pytest.raises(SingularMatrix, match="matrix 1 "):
+        band_cholesky(bands)
+
+
+@pytest.mark.parametrize("indefinite", [
+    np.array([[1.0, 1.0], [1.0, 0.0]]),    # exactly singular: the last pivot is 0
+    np.array([[1.0, -1.0], [2.0, 0.0]]),   # eigenvalues of both signs
+])
+def test_band_cholesky_of_an_indefinite_stack_is_none(indefinite):
+    good = np.array([[2.0, 2.0], [1.0, 0.0]])
+    assert band_cholesky(np.stack([good, indefinite, good])) is None
+
+
+@pytest.mark.parametrize("kd,n", [(2, 38), (2, 128), (20, 100), (44, 484)])
+@pytest.mark.parametrize("backward", [False, True])
+def test_band_cholesky_columns_bitwise(kd, n, backward):
+    """A k-column step of the band Cholesky step loop is bit for bit k
+    one-column solves of contiguous columns, with and without a source,
+    forward and backward (one solve serves both)."""
+    rng = np.random.default_rng(n)
+    factor = band_cholesky(_random_spd_bands(1, kd, n, n))
+    for k in (1, 2, 3, 5):
+        datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, 2, n))
+        for dt_src in (None, src):
+            out = np.zeros((k, 2, n))
+            out[:, 1 if backward else 0] = datum
+            _cholesky_loop([factor], out, dt_src, backward)
+            for c in range(k):
+                rhs = datum[c].copy() if dt_src is None else datum[c] + dt_src[c, 1]
+                assert rhs.flags.c_contiguous
+                assert np.array_equal(out[c, 0 if backward else 1], dpbtrs(factor, rhs, lower=1)[0])
+
 
 
 def test_factorize_identity():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
-from hierctrl.linalg import Factorization, factorize
+from hierctrl.linalg import PIVOT_RTOL, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
 from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
                                 assemble_biharmonic, solve_adjoint, solve_forward)
@@ -19,9 +20,12 @@ def _inverse(st, j, family="forward", transpose=False):
 
 
 def _step(st, family, j, transpose, x):
-    """Step j (1..nt) of one (n,) column x: one multiply by the dense
-    (transposed) inverse, or one SuperLU solve above the dense cap."""
+    """Step j (1..nt) of one (n,) column x: one band Cholesky solve on a
+    symmetric family, one multiply by the dense (transposed) inverse, or
+    one SuperLU solve above the dense cap."""
     fam = st._family(family)
+    if fam.cholesky is not None:
+        return dpbtrs(fam.cholesky[j - 1], x, lower=1)[0]
     if fam.inverses is not None:
         return fam.inverses[transpose][j - 1] @ x
     return fam.factors[j - 1].solve(x, transpose=transpose)
@@ -265,18 +269,27 @@ def test_time_dependent_coefficients_still_dual(rng):
     assert gap <= 1e-10
 
 
-def _frozen_like_stepper(rng, nx=14):
+def _frozen_like_stepper(rng, nx=14, transport=True):
     """Time-dependent a and b with distinct adjoint coefficients, as the
-    semilinear frozen specs have: both families keep every level, as dense
-    inverses up to DENSE_MAX_N unknowns and SuperLU factors above."""
+    semilinear frozen specs of a gradient nonlinearity have: both families
+    keep every level, as dense
+    inverses up to DENSE_MAX_N unknowns and SuperLU factors above.  Without
+    transport (b = b_adj = 0) both families are symmetric and keep band
+    Cholesky factors at any size."""
     g = build_grid(1, 1.0, nx, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
-    spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[rng.standard_normal(shape)])
+
+    def transport_values():
+        return rng.standard_normal(shape) if transport else np.zeros(shape)
+
+    spec = _plain_spec(g, a_values=rng.standard_normal(shape), b_values=[transport_values()])
     spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
-                      b_adj=(g.to_interior_levels(rng.standard_normal(shape)),))
+                      b_adj=(g.to_interior_levels(transport_values()),))
     st = spec.stepper
     fam = st._family("forward")
-    if g.n_interior <= DENSE_MAX_N:
+    if not transport:
+        assert fam.cholesky is not None and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
+    elif g.n_interior <= DENSE_MAX_N:
         assert _inverse(st, 1) is not _inverse(st, 2)
     else:
         assert fam.inverses is None and fam.factors[0] is not fam.factors[1]
@@ -285,7 +298,7 @@ def _frozen_like_stepper(rng, nx=14):
 
 
 # interior sizes n = nx - 2: the dense loop at 12, 14 (the shipped 1D grids), 38 (semilinear_1d),
-# 62, 98 and 128 (the cap), and SuperLU at 144
+# 62, 98 and 128 (the cap), and SuperLU at 144; symmetric families keep band factors at every size
 COLUMN_SIZES = (12, 14, 38, 62, 98, 128, 144)
 
 
@@ -296,12 +309,13 @@ def _on_column_grids(cases):
             for n in COLUMN_SIZES for case_id, values in cases]
 
 
-@pytest.mark.parametrize("direction,family,nx", _on_column_grids(
-    [(f"{d}-{f}", (d, f)) for d in ("march_forward", "march_backward") for f in ("forward", "adjoint")]))
-def test_two_column_march_matches_single_columns_bitwise(rng, family, direction, nx):
+@pytest.mark.parametrize("direction,family,transport,nx", _on_column_grids(
+    [(f"{d}-{f}" + ("" if t else "-symmetric"), (d, f, t))
+     for t in (True, False) for d in ("march_forward", "march_backward") for f in ("forward", "adjoint")]))
+def test_two_column_march_matches_single_columns_bitwise(rng, family, direction, transport, nx):
     """Each column of a 2-column march is bit for bit the single-column
     march of its own contiguous data."""
-    g, st = _frozen_like_stepper(rng, nx)
+    g, st = _frozen_like_stepper(rng, nx, transport)
     march = getattr(st, direction)
     datum = rng.standard_normal((2, g.n_interior))
     src = rng.standard_normal((2, g.nt + 1, g.n_interior))
@@ -366,6 +380,20 @@ def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
             march(np.zeros(datum_shape), src)
 
 
+def _superlu_marches(st, family, datum, src):
+    """Forward and backward marches by SuperLU solves of step_matrix, one per level."""
+    g = st.grid
+    n, nt = g.n_interior, g.nt
+    facts = [factorize(st.step_matrix(j, family)) for j in range(1, nt + 1)]
+    fwd, bwd = np.zeros((nt + 1, n)), np.zeros((nt + 1, n))
+    fwd[0], bwd[nt] = datum, datum
+    for j in range(1, nt + 1):
+        fwd[j] = facts[j - 1].solve(fwd[j - 1] + g.dt * src[j])
+    for j in range(nt, 0, -1):
+        bwd[j - 1] = facts[j - 1].solve(bwd[j] + g.dt * src[j], transpose=True)
+    return fwd, bwd
+
+
 @pytest.mark.parametrize("family", ["forward", "adjoint"])
 def test_dense_marches_match_superlu_solves(rng, family):
     """Below the cap both marches apply dense inverses.  On a spec with
@@ -374,16 +402,8 @@ def test_dense_marches_match_superlu_solves(rng, family):
     g, st = _frozen_like_stepper(rng)
     assert st._family(family).inverses is not None
     n, nt = g.n_interior, g.nt
-    facts = [factorize(st.step_matrix(j, family)) for j in range(1, nt + 1)]
     datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
-    fwd = np.zeros((nt + 1, n))
-    fwd[0] = datum
-    for j in range(1, nt + 1):
-        fwd[j] = facts[j - 1].solve(fwd[j - 1] + g.dt * src[j])
-    bwd = np.zeros((nt + 1, n))
-    bwd[nt] = datum
-    for j in range(nt, 0, -1):
-        bwd[j - 1] = facts[j - 1].solve(bwd[j] + g.dt * src[j], transpose=True)
+    fwd, bwd = _superlu_marches(st, family, datum, src)
     for got, ref in ((st.march_forward(datum, src, family=family), fwd),
                      (st.march_backward(datum, src, family=family), bwd)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -393,7 +413,9 @@ def test_dense_marches_match_superlu_solves(rng, family):
 def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
     """Slice l of _dense_step_stack is the sparse step matrix of levels[l]
     (_step_matrix), entry for entry, with time-dependent reaction and
-    transport along every axis."""
+    transport along every axis.  Without transport, slice l of _step_band
+    holds the same matrix's lower band, entry for entry, and zeros past
+    its last row."""
     g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape),
@@ -404,6 +426,15 @@ def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
     assert stack.shape == (len(levels), g.n_interior, g.n_interior)
     for sl, j in zip(stack, levels):
         assert np.array_equal(sl, st._step_matrix(spec.a, spec.b, j).toarray())
+    n, zero_b = g.n_interior, tuple(np.zeros_like(b_axis) for b_axis in spec.b)
+    band = st._step_band(spec.a, levels)
+    kd = 2 * (g.nx[-1] - 2) if dim == 2 else 2
+    assert band.shape == (len(levels), kd + 1, n)
+    for sl, j in zip(band, levels):
+        S = st._step_matrix(spec.a, zero_b, j).toarray()
+        for i in range(kd + 1):
+            assert np.array_equal(sl[i, :n - i], np.diagonal(S, -i)) and not sl[i, n - i:].any()
+        assert np.count_nonzero(np.triu(S, kd + 1)) == 0
 
 
 def test_dense_transposed_step_uses_the_same_inverse(rng):
@@ -430,16 +461,21 @@ def test_dense_cap_in_1d(nx, dense):
     assert (fam.inverses is not None, fam.factors is not None) == (dense, not dense)
 
 
-def test_2d_benchmark_grid_stays_on_superlu(rng):
-    """The 24 x 24 grid has 484 unknowns, above the cap: SuperLU factorizations."""
+def test_2d_benchmark_grid_marches_on_one_band_factor(rng):
+    """The 24 x 24 grid has 484 unknowns, above the modal cap: its
+    time-constant symmetric family keeps one band Cholesky factor (kd = 44)
+    that every step solves with."""
     g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 4)
-    assert g.n_interior == 484 > DENSE_MAX_N
+    assert g.n_interior == 484 > MODAL_MAX_N
     st = _plain_spec(g).stepper
-    factors = st._family("forward").factors
-    assert isinstance(factors[0], Factorization) and all(f is factors[0] for f in factors)
+    fam = st._family("forward")
+    assert fam.modal is None and fam.inverses is None and fam.factors is None
+    factors = fam.cholesky
+    assert factors[0].shape == (45, 484) and all(f is factors[0] for f in factors)
     w0 = rng.standard_normal(g.n_interior)
     W = st.march_forward(w0)
-    assert np.array_equal(W[1], factors[0].solve(w0))
+    assert np.array_equal(W[1], dpbtrs(factors[0], w0, lower=1)[0])
+    assert np.array_equal(st.march_backward(w0)[-2], W[1])
 
 
 def test_singular_level_in_dense_stack_raises():
@@ -569,12 +605,12 @@ def test_two_column_modal_march_matches_single_columns_bitwise(rng, direction, n
 @pytest.mark.parametrize("nx,nt,rtol", [pytest.param(24, nt, 1e-13, id=str(nt)) for nt in (4, 7, 33, 64)]
                          + [pytest.param(64, 64, 2e-12, id="benchmark-grid")])
 def test_modal_march_matches_step_loop(rng, monkeypatch, nx, nt, rtol):
-    """The eigenbasis band solve and the dense-inverse step loop march the
+    """The eigenbasis band solve and the band Cholesky step loop march the
     same symmetric family to rounding."""
     g, modal = _modal_stepper(nx=nx, nt=nt, length=6.0)
     monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
     loop = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
-    assert loop._family("forward").inverses is not None
+    assert loop._family("forward").cholesky is not None
     datum = rng.standard_normal((2, g.n_interior))
     src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     for direction in ("march_forward", "march_backward"):
@@ -638,14 +674,15 @@ def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
     assert not np.signbit(got).any()
 
 
-@pytest.mark.parametrize("backward,k,family,nx", _on_column_grids(
-    [(f"{b}-{k}" + ("" if f == "adjoint" else f"-{f}"), (b, k, f))
-     for b in (False, True) for k in (None, 2) for f in ("adjoint", "forward")]))
-def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, nx):
+@pytest.mark.parametrize("backward,k,family,transport,nx", _on_column_grids(
+    [(f"{b}-{k}" + ("" if f == "adjoint" else f"-{f}") + ("" if t else "-symmetric"), (b, k, f, t))
+     for t in (True, False) for b in (False, True) for k in (None, 2) for f in ("adjoint", "forward")]))
+def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, transport, nx):
     """The step loop gives the bits of one multiply by the step's
-    (transposed) inverse per step, or above the dense cap one SuperLU
-    solve, column by column on contiguous columns."""
-    g, st = _frozen_like_stepper(rng, nx)
+    (transposed) inverse per step, above the dense cap one SuperLU solve,
+    and on a symmetric family one band Cholesky solve, column by column on
+    contiguous columns."""
+    g, st = _frozen_like_stepper(rng, nx, transport)
     n, nt = g.n_interior, g.nt
     datum = rng.standard_normal(n if k is None else (k, n))
     src = rng.standard_normal((nt + 1, n) if k is None else (k, nt + 1, n))
@@ -660,15 +697,85 @@ def test_modal_cap_in_1d(nx, modal):
     assert (st._family("forward").modal is not None) == modal
 
 
-def test_transport_or_time_dependence_keeps_inverses(rng):
+def test_only_transport_keeps_inverses(rng):
+    """Below the caps a transport term keeps dense inverses, one shared by
+    every step when time-constant; a time-dependent symmetric family keeps
+    one band Cholesky factor per level instead."""
     g = build_grid(1, 1.0, 14, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
     transport = _plain_spec(g, b_values=[np.full(shape, 0.5)]).stepper
     varying = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, shape)).stepper
     assert transport._family("forward").inverses is not None
     assert _inverse(transport, 1) is _inverse(transport, g.nt)
-    assert varying._family("forward").inverses is not None
-    assert _inverse(varying, 1) is not _inverse(varying, 2)
+    fam = varying._family("forward")
+    assert fam.inverses is None and fam.factors is None and fam.modal is None
+    assert len(fam.cholesky) == g.nt and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
+
+
+def _symmetric_varying_stepper(rng, dim, nx, nt=6):
+    """A time-dependent reaction without transport, with a distinct adjoint
+    reaction: both families symmetric, neither modal."""
+    g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, nt)
+    shape = (g.nt + 1,) + g.nx
+    spec = _plain_spec(g, a_values=rng.uniform(-1.0, 1.0, shape))
+    spec = spec.with_(a_adj=g.to_interior_levels(rng.uniform(-1.0, 1.0, shape)))
+    return g, spec
+
+
+# 1D, and 2D below (n = 100) and above (n = 144) the dense cap
+@pytest.mark.parametrize("dim,nx", [(1, 14), (2, (12, 12)), (2, (14, 14))])
+@pytest.mark.parametrize("family", ["forward", "adjoint"])
+def test_band_marches_match_superlu_solves(rng, family, dim, nx):
+    """A time-dependent symmetric family marches on band Cholesky factors
+    at any size, and agrees with SuperLU solves of its sparse step
+    matrices, level by level, forward and backward."""
+    g, spec = _symmetric_varying_stepper(rng, dim, nx)
+    st = spec.stepper
+    assert st._family(family).cholesky is not None
+    assert st._family("adjoint") is not st._family("forward")
+    n, nt = g.n_interior, g.nt
+    datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
+    fwd, bwd = _superlu_marches(st, family, datum, src)
+    for got, ref in ((st.march_forward(datum, src, family=family), fwd),
+                     (st.march_backward(datum, src, family=family), bwd)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,nx", [(1, 14), (2, (12, 12))])
+def test_duality_identity_on_band_stepper(rng, dim, nx):
+    g, spec = _symmetric_varying_stepper(rng, dim, nx)
+    spec = spec.with_(a_adj=None)
+    assert spec.stepper._family("forward").cholesky is not None
+    for _ in range(3):
+        gap = duality_gap(
+            spec,
+            rng.standard_normal(g.n_interior),
+            rng.standard_normal((g.nt + 1, g.n_interior)),
+            rng.standard_normal(g.n_interior),
+            rng.standard_normal((g.nt + 1, g.n_interior)),
+        )
+        assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("nx,dense", [(14, True), (DENSE_MAX_N + 18, False)])
+def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx, dense):
+    """A reaction at level 3 below -(1 + dt lambda_min(B))/dt, midway
+    between the two smallest eigenvalues of that step matrix, makes it
+    indefinite and nonsingular: dpbtrf refuses it, and the family keeps
+    dense inverses up to the cap and SuperLU factors above, which march as
+    SuperLU solves of the step matrices do."""
+    g = build_grid(1, 1.0, nx, 1.0, 8)
+    lam = np.linalg.eigvalsh(np.eye(g.n_interior) + g.dt * assemble_biharmonic(g).toarray())[:2]
+    a = np.zeros((g.nt + 1,) + g.nx)
+    a[3] = -lam.mean() / g.dt
+    st = _plain_spec(g, a_values=a).stepper
+    assert lam[0] < -g.dt * a[3, 1] and np.linalg.eigvalsh(st.step_matrix(3).toarray())[0] < 0.0
+    fam = st._family("forward")
+    assert fam.cholesky is None and (fam.inverses is not None, fam.factors is not None) == (dense, not dense)
+    datum, src = rng.standard_normal(g.n_interior), rng.standard_normal((g.nt + 1, g.n_interior))
+    fwd, bwd = _superlu_marches(st, "forward", datum, src)
+    for got, ref in ((st.march_forward(datum, src), fwd), (st.march_backward(datum, src), bwd)):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_time_constant_step_matrix_built_once():
@@ -677,3 +784,22 @@ def test_time_constant_step_matrix_built_once():
     assert all(st.step_matrix(j) is first for j in range(1, g.nt + 1))
     fresh = st._step_matrix(st._family("forward").a, st._family("forward").b, g.nt)
     assert abs(first - fresh).max() == 0.0
+
+
+def test_near_singular_symmetric_level_raises_on_the_band_path():
+    """A reaction at the last interior node of level 3 that leaves the last
+    Cholesky pivot of that step matrix positive but below PIVOT_RTOL times
+    its scale: dpbtrf accepts the level, and the pivot rule raises
+    SingularMatrix naming stack entry 2 (levels 1..nt)."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    plain = _plain_spec(g)
+    band = plain.stepper._step_band(plain.a, [3])[0]
+    scale = np.abs(band).max()
+    last = dpbtrf(band, lower=1)[0][0, -1] ** 2  # the last pivot without the reaction
+    a = np.zeros((g.nt + 1,) + g.nx)
+    a[3, -2] = (0.3 * PIVOT_RTOL * scale - last) / g.dt
+    spec = _plain_spec(g, a_values=a)
+    factor, info = dpbtrf(plain.stepper._step_band(spec.a, [3])[0], lower=1)
+    assert info == 0 and 0.0 < factor[0, -1] ** 2 < PIVOT_RTOL * scale
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        spec.stepper

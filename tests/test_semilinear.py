@@ -270,6 +270,26 @@ def test_free_trajectory_linear_case(spec):
     assert np.abs(u - lin).max() <= 1e-12
 
 
+def test_free_trajectory_builds_only_the_family_it_marches(spec, monkeypatch):
+    """Each Picard sweep of the free trajectory builds one step family, the
+    secant one it marches forward, and no tangent adjoint family; a zero
+    ubar0 with F(0,0) = 0 builds and marches nothing and returns zeros."""
+    calls = {"_build": [], "march_forward": []}
+    for name, seen in calls.items():
+        def counted(self, *args, _original=getattr(operators.TimeStepper, name), _seen=seen, **kwargs):
+            _seen.append(1)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(operators.TimeStepper, name, counted)
+    solve_free_trajectory(spec, preset_tanh(0.5), spec.w0)
+    assert len(calls["march_forward"]) > 2 and len(calls["_build"]) == len(calls["march_forward"])
+    for seen in calls.values():
+        seen.clear()
+    g = spec.grid
+    u = solve_free_trajectory(spec, preset_tanh(0.5), np.zeros(g.n_interior))
+    assert calls == {"_build": [], "march_forward": []}
+    assert u.shape == (g.nt + 1, g.n_interior) and not u.any() and not np.signbit(u).any()
+
+
 def test_null_control_reduces_to_linear():
     spec = make_hum_spec()
     g = spec.grid
