@@ -66,12 +66,14 @@ class HumResult:
     (n,), the leader control f and the state w it drives, interior
     (nt+1, n) arrays, and terminal_norm, the norm of w(T).
 
-    cg_residuals are CG's residuals relative to ||b||, refinements included,
-    cg_iterations its Lambda applies.  ritz holds the Ritz pairs of Lambda
-    above eps that a later solve with a nearby Lambda is preconditioned
-    with (minimize_G's ritz): those of this solve's own cold CG run, from
-    its T_k, when that run made enough iterations, else the ones it was
-    given; None for several eps.
+    cg_residuals are CG's residuals relative to b_norm, refinements
+    included, cg_iterations its Lambda applies.  b_norm is the residual
+    scale: ||b|| of a cold solve, the one its start carried for a warm one
+    (minimize_G's start).  ritz holds the Ritz pairs of Lambda above eps
+    that a later solve with a nearby Lambda is preconditioned with: those
+    of this solve's own cold CG run, from its T_k, when that run made
+    enough iterations, else the ones its start carried; None for several
+    eps.
     """
     psi0: np.ndarray
     f: np.ndarray
@@ -81,6 +83,7 @@ class HumResult:
     cg_iterations: int
     eps: float
     true_residual: float
+    b_norm: float
     ritz: RitzPairs = None
 
 
@@ -182,7 +185,7 @@ def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, fields=None):
     return nash.w[-1] + eps * psi0
 
 
-def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, ritz=None):
+def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
     """Quadratic-penalty HUM: solve (Lambda + eps I) psi0 = -b by CG.
 
     eps is one penalty, giving one HumResult, or a sequence of them, giving
@@ -206,34 +209,32 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
     once by a single-shift CG on the residual equation, whose own
     combination is added to f and w.
 
-    psi0, an interior (n,) vector for a single eps only, is a start in place
-    of the CG run: it is evaluated with the affine data and refined like a
-    drifted shift, so a start that already meets cg_tol costs no CG
-    iteration, and its cg_residuals begin with its true residual relative
-    to ||b||.
+    start, a HumResult of a nearby problem, for a single eps only, takes
+    the place of the affine solve and the CG run: its psi0 is evaluated
+    with the affine data and refined like a drifted shift, and every
+    residual is measured against its b_norm, so no affine solve is made.
+    A start that already meets cg_tol costs no CG iteration, and its
+    cg_residuals begin with its true residual.  The start's Ritz pairs
+    (linalg.RitzPairs), when it has them, turn the refinement into
+    preconditioned CG under RitzPairs.preconditioner(eps), which deflates
+    the few eigenvalues above eps that plain CG spends its iterations on;
+    its residuals stay unpreconditioned.
 
-    ritz, Ritz pairs (linalg.RitzPairs) of a nearby Lambda, for a single eps
-    only, turns every refinement into preconditioned CG under
-    RitzPairs.preconditioner(eps), which deflates the few eigenvalues above
-    eps that plain CG spends its iterations on; its residuals stay
-    unpreconditioned and relative to ||b||.  A single-eps solve whose cold,
-    unpreconditioned CG run from b makes at least RITZ_DIRECTIONS
-    iterations returns, as HumResult.ritz, that run's Ritz pairs
-    (linalg.ritz_pairs of its T_k and orthonormal basis) with values above
-    eps, at most RITZ_CAP of them; a warm solve, or a shorter run, returns
-    the ritz it was given.  This costs no Lambda apply.  A preconditioned
-    run's T_k belongs to the pencil (Lambda + eps, M), not to Lambda, so
-    no pairs are taken from a refinement.
+    A single-eps solve whose cold, unpreconditioned CG run from b makes at
+    least RITZ_DIRECTIONS iterations returns, as HumResult.ritz, that
+    run's Ritz pairs (linalg.ritz_pairs of its T_k and orthonormal basis)
+    with values above eps, at most RITZ_CAP of them; a warm solve returns
+    its start's.  This costs no Lambda apply.  A preconditioned run's T_k
+    belongs to the pencil (Lambda + eps, M), not to Lambda, so no pairs are
+    taken from a refinement.
     """
     spec.require_controllability_geometry()
     grid = spec.grid
     inner_tol = min(cg_tol / 10.0, 1e-10)
     eps_list = [float(e) for e in np.atleast_1d(eps)]
-    if (psi0 is not None or ritz is not None) and len(eps_list) != 1:
-        raise ValueError("a psi0 start or Ritz pairs take a single eps")
-    fields = []  # (f, w) of the affine solve, then of every direction Lambda is applied to
-    b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
-    norm_b = max(float(np.linalg.norm(b)), TINY)
+    if start is not None and len(eps_list) != 1:
+        raise ValueError("a start takes a single eps")
+    fields = []  # (f, w) of the affine solve or the start, then of every direction Lambda is applied to
     zspec = spec.with_zero_data()
 
     def apply(x):
@@ -246,16 +247,20 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
         return [np.tensordot(weights, np.stack([field, *column[first:]]), axes=1)
                 for field, column in zip(base, zip(*fields))]
 
-    recycled = ritz  # the pairs returned; the refinements run on the ones given
-    if psi0 is None:
+    if start is None:
+        b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
+        norm_b = max(float(np.linalg.norm(b)), TINY)
+        ritz = recycled = None  # the pairs the refinements run on, and the ones returned
         cg = conjugate_gradient(apply, -b, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
         if len(eps_list) == 1 and cg.iterations >= RITZ_DIRECTIONS:
             recycled = ritz_pairs(cg, eps_list[0], RITZ_CAP)
         fs, ws = combine(fields[0], cg.coefficients, 1)
         starts = zip(eps_list, cg.xs, fs, ws, cg.histories, cg.shift_iterations)
     else:
-        grad_G(spec, psi0, eps=0.0, inner_tol=inner_tol, fields=fields)
-        starts = [(eps_list[0], psi0, *fields.pop(), None, 0)]
+        norm_b = start.b_norm
+        ritz = recycled = start.ritz
+        grad_G(spec, start.psi0, eps=0.0, inner_tol=inner_tol, fields=fields)
+        starts = [(eps_list[0], start.psi0, *fields.pop(), None, 0)]
     results = []
     for e, x, f, w, residuals, iterations in starts:
         r_true = w[-1] + e * x
@@ -282,6 +287,7 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, psi0=None, rit
             cg_iterations=iterations,
             eps=e,
             true_residual=norm_r / norm_b,
+            b_norm=norm_b,
             ritz=recycled,
         ))
     return results if np.ndim(eps) else results[0]

@@ -36,35 +36,65 @@ from .linalg import band_cholesky, factorize, invert_stack, symmetric_modes
 from .mesh import Grid, SubdomainMask, q_norm
 
 
-def _axis_laplacian_rows(n, h):
-    """All-node second difference along one axis from interior values.
+def _strides(grid: Grid):
+    """Flat-index stride of each axis over the interior nodes, row-major."""
+    m = grid.interior_shape
+    return np.array([math.prod(m[ax + 1:]) for ax in range(grid.dim)])
 
-    Shape (n, n-2).  Boundary rows carry the single mirrored arm
-    2*u_first_interior / h^2; boundary values themselves are zero.
+
+def _csr(values, columns, shape):
+    """CSR matrix of the nonzero entries of values, at the matching entries
+    of columns; the leading axes of both run over the rows in order, the
+    last over each row's entries in ascending column order."""
+    keep = values != 0.0
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(shape[0], -1).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((values[keep], columns[keep].astype(np.int32), indptr), shape=shape)
+
+
+def _laplacian_slots(grid: Grid):
+    """The extended Laplacian row by row, as (shifts, values).
+
+    Row j, a node, reads the interior values at its interior coordinates
+    (node index - 1) plus shifts[s], for the 2 dim + 1 slots s in ascending
+    column order: the lower neighbour along each axis, the node itself,
+    the upper neighbour along each axis in reverse.  values, shape
+    nx + (2 dim + 1,), holds the row's entries, zero where it has none.
+    Along one axis it is the second difference at an interior node and
+    the single mirrored arm 2 u_first_interior / h^2 at a wall (mirror
+    ghosts u_-1 = u_1, boundary values zero); a node on a wall of another
+    axis has no entry along this one, and the node's own entry is the sum
+    of the axes' centre weights in axis order.
     """
-    inv_h2 = 1.0 / (h * h)
-    near, far = np.full(n - 2, inv_h2), np.full(n - 2, inv_h2)
-    near[0] = far[-1] = 2.0 * inv_h2
-    return sp.diags([near, np.full(n - 2, -2.0 * inv_h2), far], [0, -1, -2], shape=(n, n - 2))
-
-
-def _axis_gradient(n, h):
-    """Centered first derivative on interior nodes (boundary values zero)."""
-    inv_2h = 0.5 / h
-    return sp.diags([-inv_2h, inv_2h], [-1, 1], shape=(n - 2, n - 2))
-
-
-def _on_axis(piece, ax, factors):
-    """Kronecker product over the axes of the 1-D factors, with piece in place of factor ax."""
-    return functools.reduce(sp.kron, factors[:ax] + [piece] + factors[ax + 1:])
+    dim = grid.dim
+    eye = np.eye(dim, dtype=int)
+    shifts = np.vstack([-eye, np.zeros((1, dim), dtype=int), eye[::-1]])
+    values = np.zeros(grid.nx + (len(shifts),))
+    centre = 0.0
+    for ax, (n, h) in enumerate(zip(grid.nx, grid.h)):
+        inv_h2 = 1.0 / (h * h)
+        lower, own, upper = np.zeros((3, n))
+        lower[2:], own[1:-1], upper[:-2] = inv_h2, -2.0 * inv_h2, inv_h2
+        lower[-1] = upper[0] = 2.0 * inv_h2
+        inside = np.ones(grid.nx, dtype=bool)  # interior along every other axis
+        for other, m in enumerate(grid.nx):
+            if other != ax:
+                inside[(slice(None),) * other + (slice(0, m, m - 1),)] = False
+        along = (slice(None),) + (None,) * (dim - 1 - ax)
+        values[..., ax] = np.where(inside, lower[along], 0.0)
+        values[..., -1 - ax] = np.where(inside, upper[along], 0.0)
+        centre = centre + np.where(inside, own[along], 0.0)
+    values[..., dim] = centre
+    return shifts, values
 
 
 def extended_laplacian(grid: Grid):
-    """Discrete Laplacian at every node given interior values: the Kronecker
-    sum of the 1-D second differences, embedded along the other axes."""
-    embeddings = [sp.eye(n, n - 2, k=-1) for n in grid.nx]
-    return sum(_on_axis(_axis_laplacian_rows(n, h), ax, embeddings)
-               for ax, (n, h) in enumerate(zip(grid.nx, grid.h))).tocsr()
+    """Discrete Laplacian at every node given interior values
+    (_laplacian_slots), shape (nodes, interior nodes)."""
+    shifts, values = _laplacian_slots(grid)
+    nodes = np.moveaxis(np.indices(grid.nx), 0, -1)
+    columns = (nodes[..., None, :] - 1 + shifts) @ _strides(grid)
+    return _csr(values, columns, (math.prod(grid.nx), grid.n_interior))
 
 
 def _boundary_halving(grid: Grid):
@@ -76,19 +106,50 @@ def _boundary_halving(grid: Grid):
 
 
 def assemble_biharmonic(grid: Grid):
-    """Symmetric clamped discrete biharmonic on interior nodes."""
-    A = extended_laplacian(grid)
-    tau = _boundary_halving(grid)
-    M = (A.T @ sp.diags(tau) @ A).tocsr()
-    M.sum_duplicates()
-    return M
+    """Symmetric clamped discrete biharmonic on interior nodes: A' D A with
+    A the extended Laplacian and D the boundary halving.
+
+    Built entry by entry from the rows of A (_laplacian_slots): entry
+    (i, k) sums tau_j A_ji A_jk over the nodes j, ascending, each term
+    formed as A_jk (tau_j A_ji), and an entry that sums to zero is left
+    out, as the sparse product A.T @ diag(tau) @ A forms them; so the two
+    agree bit for bit.  Node j reaches column i through slot s when
+    j = i + 1 - shifts[s], so the terms of the offset k - i =
+    shifts[t] - shifts[s] come in descending s.
+    """
+    shifts, values = _laplacian_slots(grid)
+    m = grid.interior_shape
+    scaled = _boundary_halving(grid).reshape(grid.nx + (1,)) * values
+    pairs = {}
+    for s in reversed(range(len(shifts))):
+        for t in range(len(shifts)):
+            pairs.setdefault(tuple(shifts[t] - shifts[s]), []).append((s, t))
+    strides = _strides(grid)
+    offsets = sorted(pairs, key=lambda offset: np.dot(offset, strides))
+    entries = np.zeros(m + (len(offsets),))
+    for q, offset in enumerate(offsets):
+        for s, t in pairs[offset]:
+            nodes = tuple(slice(1 - c, 1 - c + size) for c, size in zip(shifts[s], m))
+            entries[..., q] += values[nodes + (t,)] * scaled[nodes + (s,)]
+    # an offset that leaves the interior meets only zero slots, so its entries are zero and left out
+    columns = np.arange(grid.n_interior).reshape(m)[..., None] + np.dot(offsets, strides)
+    return _csr(entries, columns, (grid.n_interior, grid.n_interior))
 
 
 def gradient_matrices(grid: Grid):
-    """Centered gradient per axis, interior nodes to interior nodes."""
-    eyes = [sp.identity(n - 2, format="csr") for n in grid.nx]
-    return tuple(_on_axis(_axis_gradient(n, h), ax, eyes).tocsr()
-                 for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
+    """Centered gradient per axis, interior nodes to interior nodes: at each
+    interior node, (u[+1] - u[-1]) / 2h along the axis, boundary values zero."""
+    m = grid.interior_shape
+    flat = np.arange(grid.n_interior).reshape(m)
+    out = []
+    for ax, (stride, h) in enumerate(zip(_strides(grid), grid.h)):
+        inv_2h = 0.5 / h
+        weights = np.zeros(m + (2,))
+        index = np.arange(m[ax])[(slice(None),) + (None,) * (grid.dim - 1 - ax)]
+        weights[..., 0] = np.where(index >= 1, -inv_2h, 0.0)
+        weights[..., 1] = np.where(index <= m[ax] - 2, inv_2h, 0.0)
+        out.append(_csr(weights, flat[..., None] + np.array([-stride, stride]), (grid.n_interior,) * 2))
+    return tuple(out)
 
 
 def grid_operators(grid: Grid):

@@ -303,6 +303,14 @@ class SemilinearControlResult:
     cg_iterations: int = 0  # summed over outer iterations, refinements included
 
 
+# Forcing terms of the outer loop: a warm HUM solve stops once its residual, relative to the first
+# solve's ||b||, is at most FORCING_FACTOR times the last outer change relative to its scale,
+# clamped to [FORCING_FLOOR * cg_tol, max(FORCING_CAP, cg_tol)].
+FORCING_FACTOR = 1e-4
+FORCING_CAP = 1e-5
+FORCING_FLOOR = 1e-2
+
+
 def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
                             outer_tol=1e-8, max_outer=30, cg_tol=1e-9, cg_max_iter=300,
                             log_theta=None) -> SemilinearControlResult:
@@ -310,13 +318,20 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
 
     Outer loop: freeze z, build the linear spec with secant state
     coefficients and tangent adjoint coefficients around the trajectory,
-    run the penalized HUM solver, update z with the controlled state.  From
-    the second iteration on, the HUM solve starts from the previous psi0,
-    and refines it by CG preconditioned with the Ritz pairs the previous
-    solve returned (minimize_G's ritz): the frozen coefficients, and so
-    Lambda's few eigenvalues above eps, move little between iterations.
-    The pairs come from the latest solve that applied Lambda often enough,
-    in practice the cold first one, and are always used.
+    run the penalized HUM solver, update z with the controlled state.  The
+    loop is an inexact Picard iteration (Eisenstat & Walker's forcing
+    terms).  The first HUM solve is cold, at cg_tol relative to its own
+    ||b||.  Each later one starts from the previous HumResult (minimize_G's
+    start), so it makes no affine solve and measures its residuals against
+    the first solve's ||b||, and stops once they are at most
+    FORCING_FACTOR times the last outer change relative to its scale,
+    clamped to [FORCING_FLOOR * cg_tol, max(FORCING_CAP, cg_tol)]: a
+    loose solve while the outer change is large, a tight one as it
+    converges.  Its refinement is preconditioned with the Ritz pairs the
+    start carries: the frozen coefficients, and so Lambda's few
+    eigenvalues above eps, move little between iterations.  The pairs come
+    from the latest solve that applied Lambda often enough, in practice
+    the cold first one, and are always used.
     spec.w0 holds the absolute initial state u0 and spec.targets the
     absolute targets zeta_id; ubar0 is an (n,) vector.
     """
@@ -330,19 +345,21 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     if log_theta is not None:
         target_check = check_target_condition(base_wspec, log_theta)
     cg_residuals, cg_iterations = [], []  # per outer iteration; no HumResult outlives its iteration
+    cap, floor = max(FORCING_CAP, cg_tol), FORCING_FLOOR * cg_tol
 
     def sweep(state):
-        z, previous = state
+        z, previous, change = state  # change: the last outer change relative to its scale
         frozen = _frozen_spec(base_wspec, nonlin, z, base=ubar)
-        start = {} if previous is None else {"psi0": previous.psi0, "ritz": previous.ritz}
-        hum = minimize_G(frozen, eps, cg_tol=cg_tol, max_iter=cg_max_iter, **start)
+        tol = cg_tol if previous is None else min(cap, max(floor, FORCING_FACTOR * change))
+        hum = minimize_G(frozen, eps, cg_tol=tol, max_iter=cg_max_iter, start=previous)
         cg_residuals.append(hum.cg_residuals)
         cg_iterations.append(hum.cg_iterations)
-        return (hum.w, hum), *_picard_change(grid, z, hum.w)
+        change, scale = _picard_change(grid, z, hum.w)
+        return (hum.w, hum, change / scale), change, scale
 
-    start = (np.zeros((grid.nt + 1, grid.n_interior)), None)
-    (z, hum), _, history = iterate(sweep, start, outer_tol, max_outer, "semilinear outer loop",
-                                   diverged=OuterDivergence)
+    start = (np.zeros((grid.nt + 1, grid.n_interior)), None, None)
+    (z, hum, _), _, history = iterate(sweep, start, outer_tol, max_outer, "semilinear outer loop",
+                                      diverged=OuterDivergence)
     return SemilinearControlResult(
         hum=hum, f=hum.f, u=z + ubar, ubar=ubar, w=z,
         terminal_mismatch=hum.terminal_norm,

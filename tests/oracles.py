@@ -3,18 +3,21 @@
 No subcommand runs these: each is an independent route to a quantity the
 package computes another way (Lambda alone, the HUM functional, the
 follower response operators, the discrete duality identity, plug-back
-residuals and the dense follower form), so it lives with the tests.
+residuals, the dense follower form and the grid operators by sparse
+products), so it lives with the tests.
 Helpers the tests patch (nash._distinct_targets) are read through their
 modules.
 """
 
+import functools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from hierctrl import hum, nash, semilinear
 from hierctrl.mesh import interior_gradient, norm_h, q_norm
-from hierctrl.operators import control_sources
+from hierctrl.operators import _boundary_halving, control_sources
 
 
 def eval_G(spec, psi0, eps, tol_rel=1e-12):
@@ -168,3 +171,38 @@ def form_matrix(spec, nonlin, equilibrium, i):
         row[:] = eta(d)[levels, nodes]
     cross *= grid.dt * grid.hd * unit
     return 0.5 * (cross + cross.T)
+
+
+def _axis_laplacian_rows(n, h):
+    """All-node second difference along one axis from interior values.
+
+    Shape (n, n-2).  Boundary rows carry the single mirrored arm
+    2*u_first_interior / h^2; boundary values themselves are zero.
+    """
+    inv_h2 = 1.0 / (h * h)
+    near, far = np.full(n - 2, inv_h2), np.full(n - 2, inv_h2)
+    near[0] = far[-1] = 2.0 * inv_h2
+    return sp.diags([near, np.full(n - 2, -2.0 * inv_h2), far], [0, -1, -2], shape=(n, n - 2))
+
+
+def _on_axis(piece, ax, factors):
+    """Kronecker product over the axes of the 1-D factors, with piece in place of factor ax."""
+    return functools.reduce(sp.kron, factors[:ax] + [piece] + factors[ax + 1:])
+
+
+def sparse_product_grid_operators(grid):
+    """(extended Laplacian, biharmonic, gradient matrices) of the grid by
+    Kronecker and sparse products: the extended Laplacian is the Kronecker
+    sum of the 1-D second differences, embedded along the other axes, the
+    biharmonic A.T @ diag(tau) @ A with the boundary halving tau, and each
+    gradient the 1-D centred difference embedded by identities.  The
+    operators module builds the same CSR arrays entry by entry."""
+    embeddings = [sp.eye(n, n - 2, k=-1) for n in grid.nx]
+    A = sum(_on_axis(_axis_laplacian_rows(n, h), ax, embeddings)
+            for ax, (n, h) in enumerate(zip(grid.nx, grid.h))).tocsr()
+    M = (A.T @ sp.diags(_boundary_halving(grid)) @ A).tocsr()
+    M.sum_duplicates()
+    eyes = [sp.identity(n - 2, format="csr") for n in grid.nx]
+    grads = tuple(_on_axis(sp.diags([-0.5 / h, 0.5 / h], [-1, 1], shape=(n - 2, n - 2)), ax, eyes).tocsr()
+                  for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
+    return A, M, grads

@@ -11,6 +11,8 @@ from hierctrl.mesh import build_grid, build_mask
 from hierctrl.nash import stacked_system
 from hierctrl.operators import ProblemSpec, assemble_biharmonic, extended_laplacian, gradient_matrices
 
+from oracles import sparse_product_grid_operators
+
 
 def _ref_axis_laplacian_rows(n, h):
     inv_h2 = 1.0 / (h * h)
@@ -187,6 +189,23 @@ def assert_same_csr(got, ref):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("grid", [*GRIDS.values(), build_grid(1, 6.0, 64, 1.0, 8),
+                                  build_grid(2, (6.0, 6.0), (24, 24), 1.0, 4),
+                                  build_grid(2, (1.0, 1.5), (16, 20), 1.0, 4),
+                                  build_grid(2, (0.3, 7.5), (32, 9), 1.0, 4)],
+                         ids=[*GRIDS, "1d_64", "2d_24", "2d_16x20", "2d_32x9"])
+def test_grid_operators_by_entries_equal_sparse_products(grid):
+    """The entry-by-entry grid operators are the Kronecker and sparse-product
+    assembly bit for bit: the same data, indices and indptr, in 1D and 2D."""
+    A, M, grads = sparse_product_grid_operators(grid)
+    assert_same_csr(extended_laplacian(grid), A)
+    assert_same_csr(assemble_biharmonic(grid), M)
+    got = gradient_matrices(grid)
+    assert len(got) == len(grads) == grid.dim
+    for g, r in zip(got, grads):
+        assert_same_csr(g, r)
 
 
 @pytest.mark.parametrize("name", GRIDS)

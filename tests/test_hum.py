@@ -1,4 +1,5 @@
 import configparser
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +344,7 @@ def test_minimize_warm_start_at_its_own_solution_takes_no_cg(spec):
     combines its fields from the Lambda applies and the warm start solves
     for them, so residual and terminal norm agree to rounding."""
     cold = minimize_G(spec, 1e-3, cg_tol=1e-9)
-    warm = minimize_G(spec, 1e-3, cg_tol=1e-9, psi0=cold.psi0)
+    warm = minimize_G(spec, 1e-3, cg_tol=1e-9, start=cold)
     assert warm.cg_iterations == 0
     assert len(warm.cg_residuals) == 1
     assert abs(warm.cg_residuals[0] - cold.true_residual) <= 1e-14  # in units of ||b||
@@ -354,8 +355,8 @@ def test_minimize_warm_start_at_its_own_solution_takes_no_cg(spec):
 def test_minimize_warm_start_refines_a_perturbed_start(spec, rng):
     eps, cg_tol = 1e-3, 1e-9
     cold = minimize_G(spec, eps, cg_tol=cg_tol)
-    start = cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng)
-    warm = minimize_G(spec, eps, cg_tol=cg_tol, psi0=start)
+    start = replace(cold, psi0=cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng))
+    warm = minimize_G(spec, eps, cg_tol=cg_tol, start=start)
     assert 0 < warm.cg_iterations < cold.cg_iterations
     assert len(warm.cg_residuals) == warm.cg_iterations + 1
     assert warm.cg_residuals[0] > cg_tol
@@ -365,7 +366,7 @@ def test_minimize_warm_start_refines_a_perturbed_start(spec, rng):
 
 def test_minimize_warm_start_takes_a_single_eps(spec):
     with pytest.raises(ValueError):
-        minimize_G(spec, EPS_SWEEP, psi0=np.zeros(spec.grid.n_interior))
+        minimize_G(spec, EPS_SWEEP, start=minimize_G(spec, 1e-3))
 
 
 def _log_solves(monkeypatch):
@@ -401,16 +402,16 @@ def test_sweep_solves_for_b_and_each_apply_only(spec, monkeypatch):
 
 
 def test_refined_warm_start_solves_nothing_after_its_refinement(spec, rng, monkeypatch):
-    """b and the start are solved once each; the refined psi0 takes its
-    fields from the refinement's applies."""
+    """A warm start makes no affine solve: its start is solved once, and the
+    refined psi0 takes its fields from the refinement's applies."""
     eps, cg_tol = 1e-3, 1e-9
     cold = minimize_G(spec, eps, cg_tol=cg_tol)
-    start = cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng)
+    start = replace(cold, psi0=cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng))
     log = _log_solves(monkeypatch)
-    warm = minimize_G(spec, eps, cg_tol=cg_tol, psi0=start)
+    warm = minimize_G(spec, eps, cg_tol=cg_tol, start=start)
     assert warm.cg_iterations > 0
     assert log[-1] == ("cg", warm.cg_iterations)
-    assert log.count("nash") == log.count("coupled") == 2 + warm.cg_iterations
+    assert log.count("nash") == log.count("coupled") == 1 + warm.cg_iterations
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -419,8 +420,8 @@ def test_each_eps_fields_match_a_fresh_solve_at_its_psi0(spec, rng, warm):
     a coupled-adjoint and a Nash solve with the data give at its psi0."""
     if warm:
         cold = minimize_G(spec, 1e-3, cg_tol=1e-10)
-        start = cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng)
-        results = [minimize_G(spec, 1e-3, cg_tol=1e-10, psi0=start)]
+        start = replace(cold, psi0=cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng))
+        results = [minimize_G(spec, 1e-3, cg_tol=1e-10, start=start)]
     else:
         results = minimize_G(spec, EPS_SWEEP, cg_tol=1e-10)
     for res in results:

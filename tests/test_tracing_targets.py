@@ -71,7 +71,7 @@ def test_recycled_solve_reaches_the_traced_cg(monkeypatch):
         return result
 
     monkeypatch.setattr(hum, "conjugate_gradient", counted)
-    warm = hum.minimize_G(spec.with_(w0=1.1 * spec.w0), 1e-4, cg_tol=1e-9, psi0=cold.psi0, ritz=cold.ritz)
+    warm = hum.minimize_G(spec.with_(w0=1.1 * spec.w0), 1e-4, cg_tol=1e-9, start=cold)
     assert warm.cg_iterations > 0
     assert [pre for pre, _ in calls] == [True]
     assert sum(its for _, its in calls) == warm.cg_iterations

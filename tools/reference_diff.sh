@@ -9,15 +9,14 @@
 # relative change of each key value (perfbench/checks.py's key_values), each
 # side's CG and outer-iteration totals and its Lambda applies (total and
 # per-job range), then every count that moved: the CG iterations of each eps,
-# or the CG and outer iterations of a semilinear job.  Lambda applies count
-# the HUM gradient evaluations a job makes, each the cost of one Lambda
-# apply: one affine solve per HUM solve, plus, for a null-control job, the
-# CG iterations of its shared multi-shift run (the largest count of any eps
-# before its refinement) and every refinement iteration, and for a semilinear
-# job its CG iterations and one warm-start evaluation per outer iteration
-# after the first.  A per-eps cg_iters sum is not this number.  Each side
-# also gets a line with its perfbench/checks.py check_job failures against
-# perfbench/reference.json and its worst deviation from that file.
+# or the CG and outer iterations of a semilinear job, and the Lambda applies
+# of any job.  Lambda applies are counted, not inferred: while each tree runs
+# its jobs, its hierctrl.hum.grad_G, one HUM gradient evaluation at the cost
+# of one Lambda apply (affine solves and warm-start evaluations included), is
+# wrapped by a counter, read per job.  A per-eps cg_iters sum is not this
+# number.  Each side also gets a line with its perfbench/checks.py check_job
+# failures against perfbench/reference.json and its worst deviation from that
+# file.
 # Without RTOL the comparison is exact: it also prints `diff -r` of the two
 # output trees and exits non-zero on any difference or failed job.  With RTOL
 # it exits 0 when no job failed and every key value moved by at most RTOL
@@ -46,25 +45,43 @@ for name, workload in WORKLOADS.items():
     write_jobs(workload, reference["seed"], len(reference[name]), root, jobs / name)
 EOF
 
-run_tree() {  # run_tree TREE NAME: every job through TREE's hierctrl into $tmp/out-NAME
-  PYTHONPATH="$1/src:$root/perfbench" python - "$1" "$tmp/jobs" "$tmp/out-$2" <<'EOF'
+run_tree() {  # run_tree TREE NAME: every job through TREE's hierctrl into $tmp/out-NAME,
+              # its grad_G calls per job into $tmp/applies-NAME.json
+  PYTHONPATH="$1/src:$root/perfbench" python - "$1" "$tmp/jobs" "$tmp/out-$2" "$tmp/applies-$2.json" <<'EOF'
+import json
 import sys
 from pathlib import Path
 
 import hierctrl
+import hierctrl.hum as hum
 from hierctrl.cli import run
 from workloads import WORKLOADS
 
-tree, jobs, out = (Path(arg).resolve() for arg in sys.argv[1:])
+tree, jobs, out, applies = (Path(arg).resolve() for arg in sys.argv[1:])
 if tree not in Path(hierctrl.__file__).resolve().parents:
     sys.exit(f"hierctrl imported from {hierctrl.__file__}, not from {tree}")
+calls = 0
+grad_G = hum.grad_G
+
+
+def counted(*args, **kwargs):
+    global calls
+    calls += 1
+    return grad_G(*args, **kwargs)
+
+
+hum.grad_G = counted  # minimize_G looks grad_G up in hum's namespace at each call
 failed = 0
+per_job = {}
 for name, workload in WORKLOADS.items():
     for job in sorted((jobs / name).glob("job-*.ini")):
+        calls = 0
         code = run(workload.subcommand, str(job), str(out / name / job.stem))
+        per_job[f"{name}/{job.stem}"] = calls
         if code != 0:
             print(f"{name} {job.stem}: exit {code}", file=sys.stderr)
             failed += 1
+applies.write_text(json.dumps(per_job))
 print(f"{tree}: {failed} failed jobs", file=sys.stderr)
 sys.exit(1 if failed else 0)
 EOF
@@ -76,12 +93,11 @@ if [[ -z "$rtol" ]]; then
   diff -r "$tmp/out-ref" "$tmp/out-tree" || status=$?
 fi
 
-PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" "$tmp/jobs" "$root" <<'EOF' || status=$?
-import configparser
+PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" "$tmp/jobs" "$root" \
+  "$tmp/applies-ref.json" "$tmp/applies-tree.json" <<'EOF' || status=$?
 import csv
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from checks import check_job, key_values
@@ -104,26 +120,9 @@ def counts(out):
         return {f"eps {row['eps']} cg": int(row["cg_iters"]) for row in csv.DictReader(handle)}
 
 
-def applies(out, ini):
-    """The Lambda applies of one job (see the header of this script)."""
-    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
-    if "outer_iterations" in summary:
-        return int(summary["cg_iterations"]) + 2 * int(summary["outer_iterations"]) - 1
-    config = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    config.read(ini)
-    cg_tol = float(config["solver"]["cg_tol"])
-    residuals = defaultdict(list)
-    with open(out / "cg_history.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            residuals[row["eps"]].append(float(row["residual"]))
-    # a shift of the shared run stops at its first residual <= cg_tol; rows after it refine
-    shared = [next(k for k, r in enumerate(rs) if r <= cg_tol) for rs in residuals.values()]
-    refined = sum(len(rs) - 1 - k for rs, k in zip(residuals.values(), shared))
-    return 1 + max(shared) + refined
-
-
 ref, tree, rtol, inis = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], Path(sys.argv[4])
 recorded = json.loads((Path(sys.argv[5]) / "perfbench" / "reference.json").read_text())
+applies = {ref: json.loads(Path(sys.argv[6]).read_text()), tree: json.loads(Path(sys.argv[7]).read_text())}
 largest = 0.0
 for name, workload in WORKLOADS.items():
     jobs = sorted(p.name for p in (ref / name).iterdir())
@@ -137,7 +136,7 @@ for name, workload in WORKLOADS.items():
     cg, outer = ([sum(n for c in per_job[side].values() for label, n in c.items() if keep(label))
                   for side in (ref, tree)]
                  for keep in (lambda label: label != "outer", lambda label: label == "outer"))
-    lam = [[applies(side / name / job, inis / name / f"{job}.ini") for job in jobs] for side in (ref, tree)]
+    lam = [[applies[side][f"{name}/{job}"] for job in jobs] for side in (ref, tree)]
     print(f"{name}: {differ} of {len(jobs)} jobs differ; largest relative change of each "
           f"key value {' '.join(f'{w:.3g}' for w in worst)}; CG iterations {cg[0]} -> {cg[1]}; "
           f"outer iterations {outer[0]} -> {outer[1]}; Lambda applies "
@@ -153,6 +152,9 @@ for name, workload in WORKLOADS.items():
     for job in jobs:
         before, after = per_job[ref][job], per_job[tree][job]
         moved = [f"{label} {n} -> {after.get(label)}" for label, n in before.items() if after.get(label) != n]
+        key = f"{name}/{job}"
+        if applies[ref][key] != applies[tree][key]:
+            moved.append(f"applies {applies[ref][key]} -> {applies[tree][key]}")
         if moved:
             print(f"  {job}: " + "; ".join(moved))
 if rtol:
