@@ -1,14 +1,14 @@
 """Minimal linear algebra behind the time steppers and HUM solver.
 
-Sparse factorizations are delegated to SuperLU (scipy.sparse.linalg.splu);
-stacks of symmetric band matrices get LAPACK band Cholesky factors,
-stacks of small matrices are inverted densely from one LAPACK LU per
-matrix, and small symmetric matrices are diagonalized; every one of them
-passes the same pivot check.  One Lanczos process, which conjugate
-gradient and the Ritz pairs run on, and the fixed-point driver are
-written against callbacks so the HUM operator, the follower forms and the
-sweeps, which involve nested PDE solves, plug in without ever being
-materialized.
+Stacks of band matrices get LAPACK band factors, Cholesky for symmetric
+positive-definite ones and LU otherwise, and small symmetric matrices are
+diagonalized; every one of them passes the same pivot check.  The one
+sparse factorization, of dense_oracle's stacked space-time system, is
+delegated to SuperLU (scipy.sparse.linalg.splu).  One Lanczos process,
+which conjugate gradient and the Ritz pairs run on, and the fixed-point
+driver are written against callbacks so the HUM operator, the follower
+forms and the sweeps, which involve nested PDE solves, plug in without
+ever being materialized.
 """
 
 from __future__ import annotations
@@ -37,15 +37,10 @@ class Factorization:
 
     _lu: object
 
-    def solve(self, rhs, transpose=False, out=None):
+    def solve(self, rhs, transpose=False):
         """Solve with the matrix or its transpose; rhs is (n,) or (n, k), one
-        column per system.  The solution is written to out when given."""
-        rhs = np.asarray(rhs, dtype=float)
-        x = self._lu.solve(rhs, trans="T" if transpose else "N")
-        if out is None:
-            return x
-        out[...] = x
-        return out
+        column per system."""
+        return self._lu.solve(np.asarray(rhs, dtype=float), trans="T" if transpose else "N")
 
 
 def factorize(matrix) -> Factorization:
@@ -84,27 +79,35 @@ def _check_pivots(pivots, scale):
                              f"below {PIVOT_RTOL:.0e}*scale")
 
 
-def _checked_lu(stack):
-    """LAPACK getrf factors (lu, piv) of every matrix in an (L, n, n) stack.
+def _block_diagonal(bands):
+    """An (L, rows, n) stack of bands as the (rows, L n) F-ordered band of
+    their block-diagonal matrix, and its scales (_scales)."""
+    count, rows, n = bands.shape
+    return np.asfortranarray(bands.transpose(1, 0, 2).reshape(rows, count * n)), _scales(bands)
 
-    Applies factorize's rule to each matrix: a pivot below PIVOT_RTOL times
-    the matrix's largest entry, a zero matrix or a non-finite entry raises
-    SingularMatrix naming the matrix.
+
+def band_lu(bands, kl, ku):
+    """The band LU factors, with partial pivoting, of a stack of band matrices.
+
+    bands, shape (L, 2 kl + ku + 1, n), holds each matrix in LAPACK's
+    general band storage with kl rows of room for the fill: bands[l,
+    kl + ku + i - j, j] is entry (i, j) of matrix l, and the first kl rows
+    and the entries outside the matrix are zero.  All L are factored by one
+    dgbtrf call on their block-diagonal band, which gives each matrix's own
+    factor and pivots bit for bit.  Returns that (2 kl + ku + 1, L n)
+    F-ordered factor, whose columns l n .. (l+1) n - 1 are matrix l's, and
+    the pivots, shape (L, n), row l matrix l's own (0-based, as scipy's
+    dgbtrs takes them).  Each matrix passes the pivot rule: a pivot U_jj
+    below PIVOT_RTOL times the matrix's largest entry in magnitude, a zero
+    matrix or a non-finite entry raises SingularMatrix naming the matrix
+    (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999, 2.4).
     """
-    stack = np.asarray(stack, dtype=float)
-    scale = _scales(stack)
-    factors = [scipy.linalg.lapack.dgetrf(matrix)[:2] for matrix in stack]
-    _check_pivots(np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1), scale)
-    return factors
-
-
-def invert_stack(stack) -> np.ndarray:
-    """The inverse of every matrix in an (L, n, n) stack, as an (L, n, n) array.
-
-    Each matrix is factored once (getrf), checked by _checked_lu's rule and
-    inverted from those factors (getri).
-    """
-    return np.array([scipy.linalg.lapack.dgetri(lu, piv)[0] for lu, piv in _checked_lu(stack)])
+    bands = np.asarray(bands, dtype=float)
+    count, _, n = bands.shape
+    block, scale = _block_diagonal(bands)
+    factor, pivots, _ = scipy.linalg.lapack.dgbtrf(block, kl, ku, overwrite_ab=1)
+    _check_pivots(np.abs(factor[kl + ku].reshape(count, n)).min(axis=1), scale)
+    return factor, pivots.reshape(count, n) - n * np.arange(count, dtype=pivots.dtype)[:, None]
 
 
 def band_cholesky(bands):
@@ -116,16 +119,12 @@ def band_cholesky(bands):
     factored by one dpbtrf call on their block-diagonal band, which gives
     each matrix's own factor bit for bit.  Returns that (kd+1, L n) F-ordered
     band: its columns l n .. (l+1) n - 1 are matrix l's factor, which
-    dpbtrs solves with (lower=1).  Each matrix passes _checked_lu's rule
-    restated for Cholesky: a pivot L_jj^2 below PIVOT_RTOL times the
-    matrix's largest entry, a zero matrix or a non-finite entry raises
-    SingularMatrix naming the matrix (Anderson et al., LAPACK Users' Guide,
-    3rd ed., SIAM 1999, 2.4).
+    dpbtrs solves with (lower=1).  Each matrix passes band_lu's pivot rule
+    restated for Cholesky, with the pivot L_jj^2.
     """
     bands = np.asarray(bands, dtype=float)
-    count, width, n = bands.shape
-    scale = _scales(bands)
-    block = np.asfortranarray(bands.transpose(1, 0, 2).reshape(width, count * n))
+    count, _, n = bands.shape
+    block, scale = _block_diagonal(bands)
     factor, info = scipy.linalg.lapack.dpbtrf(block, lower=1, overwrite_ab=1)
     if info > 0:
         return None
@@ -142,9 +141,12 @@ class Modes(NamedTuple):
 
 
 def symmetric_modes(matrix) -> Modes:
-    """Modes of a symmetric matrix.  It passes _checked_lu's rule first, so a
-    singular matrix raises SingularMatrix as in invert_stack."""
-    _checked_lu(matrix[None])
+    """Modes of a symmetric matrix.  Its dense LU (getrf) passes band_lu's
+    pivot rule first, so a singular matrix raises SingularMatrix as a band
+    factor would."""
+    scale = _scales(matrix[None])
+    lu = scipy.linalg.lapack.dgetrf(matrix)[0]
+    _check_pivots(np.abs(lu.diagonal()).min(keepdims=True), scale)
     # scipy's LAPACK, as for the LU: numpy's own BLAS threads can stall behind scipy's
     lam, Q = scipy.linalg.eigh(matrix, driver="evd", check_finite=False)
     return Modes(Q, 1.0 / lam)

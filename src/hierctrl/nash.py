@@ -179,8 +179,8 @@ def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1
     start and there are no offsets the companions are zero, so that sweep
     marches the main field alone.  datum, source and every field are in
     the coordinates each family marches in (operators.Coordinates): a
-    modal march is one band solve and a coupling one GEMM, and dense and
-    SuperLU families keep the physical arithmetic.
+    modal march is one band solve and a coupling one GEMM, and band
+    Cholesky and band LU families keep the physical arithmetic.
 
     The change is the discrete L2(Q) norm of the main iterate's, which
     moves by damping times it.  The sweep is affine, so without damping the

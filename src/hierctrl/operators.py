@@ -9,13 +9,11 @@ weights at boundary nodes.  This reproduces the classical clamped stencil
 Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
 solver precision (discretize-then-optimize).  Small grids march symmetric
-time-constant steps in their eigenbasis; other symmetric steps march on
-LAPACK band Cholesky factors, one dpbtrs per step.  Steps with transport
-march with dense inverses on small grids, one ndarray.dot mat-vec per
-step (not np.matmul, whose ufunc dispatch costs more than a small mat-vec
-and gives the same bits), and with SuperLU factorizations on larger ones.
-The biharmonic and gradient matrices are assembled once per grid
-(grid_operators) and shared by every stepper on it.  Fixed points that
+time-constant steps in their eigenbasis; every other step is one LAPACK
+band solve, dpbtrs on a band Cholesky factor for a symmetric
+positive-definite step and dgbtrs on a band LU factor otherwise, whose
+transposed solve is the adjoint step.  The biharmonic and gradient
+matrices are assembled once per grid (grid_operators) and shared by every stepper on it.  Fixed points that
 march a family many times can stay in its Coordinates, the eigenbasis of
 a modal family, and pass fields between families through Couplings.
 """
@@ -29,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrs, dtbtrs
+from scipy.linalg.lapack import dgbtrs, dpbtrs, dtbtrs
 
 from .errors import ShapeMismatch
-from .linalg import band_cholesky, factorize, invert_stack, symmetric_modes
+from .linalg import band_cholesky, band_lu, symmetric_modes
 from .mesh import Grid, SubdomainMask, q_norm
 
 
@@ -284,7 +282,6 @@ def _time_constant(a, b):
     return const(a) and all(const(b_axis) for b_axis in b)
 
 
-DENSE_MAX_N = 128  # up to this many unknowns a step with transport is one mat-vec with a dense inverse
 MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in its eigenbasis
 
 
@@ -386,17 +383,15 @@ def _coupling_matrix(weights, source, target):
 
 
 class _Family(NamedTuple):
-    """One family of step matrices.  Exactly one of modal, cholesky,
-    inverses and factors is set: the representation the family marches
-    with."""
+    """One family of step matrices.  Exactly one of modal, cholesky and lu
+    is set: the representation the family marches with."""
 
     a: np.ndarray
     b: tuple
     time_constant: bool
     modal: tuple  # Q, the source transform dt diag(w) Q' and the band of _recurrence_band
     cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
-    inverses: tuple  # the inverses steps 1..nt multiply by, and their transposes
-    factors: list  # the SuperLU Factorization of each step 1..nt
+    lu: tuple  # (kl, ku, factors, pivots) of each step 1..nt, views of one band_lu pair
     matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
     coordinates: Coordinates
 
@@ -419,19 +414,16 @@ class TimeStepper:
       any size: the LAPACK band Cholesky factor of each distinct level, all
       levels factored by one dpbtrf call (linalg.band_cholesky).  A step is
       one dpbtrs solve, which is also the transposed step.
-    - Dense, up to DENSE_MAX_N unknowns otherwise: the inverse of each
-      distinct level, built and inverted as one (L, n, n) stack whose
-      slices the steps multiply by.  A step is one mat-vec, one
-      ndarray.dot for a single column (np.matmul's ufunc dispatch would
-      cost more than the product), and a transposed step multiplies by the
-      transpose of the same inverse.
-    - Above the cap each level keeps a SuperLU factorization, and one
-      factorization serves a step matrix and its transpose.
+    - Band LU, for every other family, at any size: the LAPACK band LU
+      factor of each distinct level, all levels factored by one dgbtrf call
+      (linalg.band_lu).  A step is one dgbtrs solve, and the transposed
+      step one dgbtrs solve with trans=1 on the same factor.  That covers
+      transport and a symmetric family that is not positive definite at
+      some level, which dpbtrf reports (for example a reaction with
+      dt a <= -(1 + dt lambda_min(B))).
 
-    A symmetric family that is not positive definite at some level, which
-    dpbtrf reports (for example a reaction with dt a <= -(1 + dt
-    lambda_min(B))), marches as a family with transport does: dense
-    inverses up to DENSE_MAX_N unknowns, SuperLU factors above.
+    Both band factors come from one assembly of the step band (_step_band)
+    and march through one step loop (_band_loop).
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
     them.  Every stepper on a grid shares that grid's biharmonic and
@@ -469,18 +461,18 @@ class TimeStepper:
         levels = [1] if const else list(range(1, nt + 1))
         steps = nt if const else 1  # how many steps each distinct level serves
         symmetric = not any(np.any(b_axis) for b_axis in b)
-        modal = cholesky = inverses = factors = None
+        modal = cholesky = lu = None
         if symmetric and const and n <= MODAL_MAX_N:
             modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
-        elif symmetric and (band := band_cholesky(self._step_band(a, levels))) is not None:
-            cholesky = [band[:, l * n:(l + 1) * n] for l in range(len(levels))] * steps
-        elif n <= DENSE_MAX_N:
-            arrays = list(invert_stack(self._dense_step_stack(a, b, levels))) * steps
-            inverses = (arrays, [inv.T for inv in arrays])
         else:
-            factors = [factorize(self._step_matrix(a, b, j)) for j in levels] * steps
-        return _Family(a, b, const, modal, cholesky, inverses, factors, {}, Coordinates(grid, modal))
+            band, kl, ku = self._step_band(a, b, levels)
+            if symmetric and (factor := band_cholesky(band[:, kl + ku:])) is not None:
+                cholesky = _per_step(factor, len(levels), steps)
+            else:
+                factor, pivots = band_lu(band, kl, ku)
+                lu = (kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps)
+        return _Family(a, b, const, modal, cholesky, lu, {}, Coordinates(grid, modal))
 
     def _step_matrix(self, a, b, level):
         grid = self.grid
@@ -513,15 +505,18 @@ class TimeStepper:
         data[:, main] += 1.0
         return offsets, data
 
-    def _step_band(self, a, levels):
-        """The step matrices without transport, I + dt (B + diag(a_j)), of
-        the given levels in LAPACK's lower band storage, shape (L, kd+1, n):
-        band[l, i, j] is entry (j+i, j), zero past the last row."""
-        offsets, data = self._step_diagonals(a, (), levels)
-        lower = offsets <= 0
-        band = np.zeros((len(levels), 1 - offsets.min(), self.grid.n_interior))
-        band[:, -offsets[lower]] = data[:, lower]
-        return band
+    def _step_band(self, a, b, levels):
+        """The step matrices of the given levels in LAPACK's general band
+        storage with room for an LU's fill, as (band, kl, ku): band, shape
+        (L, 2 kl + ku + 1, n), holds entry (i, j) at band[l, kl + ku + i - j, j]
+        and zeros in its first kl rows and outside the matrix.  Its rows
+        kl + ku onward are the lower band storage that dpbtrf reads:
+        row kl + ku + i holds entry (j+i, j)."""
+        offsets, data = self._step_diagonals(a, b, levels)
+        kl, ku = int(-offsets.min()), int(offsets.max())
+        band = np.zeros((len(levels), 2 * kl + ku + 1, self.grid.n_interior))
+        band[:, kl + ku - offsets] = data
+        return band, kl, ku
 
     def _dense_step_stack(self, a, b, levels):
         """The step matrices of the given levels as one (L, n, n) array."""
@@ -613,12 +608,7 @@ class TimeStepper:
             out = np.zeros((k or 1, nt + 1, n))
             out[:, nt if backward else 0] = datum
             dt_src = None if sources is None else grid.dt * sources
-            if fam.cholesky is not None:
-                _cholesky_loop(fam.cholesky, out, dt_src, backward)
-            elif fam.inverses is None:
-                _solver_loop(fam.factors, out, dt_src, backward)
-            else:
-                _inverse_loop(fam.inverses[backward], out, dt_src, backward)
+            _band_loop(_band_solve(fam, backward), out, dt_src, backward)
         return out[0] if k is None else out
 
     def march_forward(self, w0_int, sources=None, family="forward", coordinates=False):
@@ -657,78 +647,50 @@ def _steps(nt, backward):
     return [(j, j - 1, j) for j in range(1, nt + 1)]
 
 
-def _solver_loop(factors, out, dt_src, backward):
-    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), or S_j^{-T}, one SuperLU
-    solve per step; out is (k, nt+1, n) and dt_src None or (k, nt+1, n).
+def _per_step(factor, count, steps):
+    """The factor of each step 1..nt: views of the count levels' own columns
+    of one block-diagonal band factor, each level serving steps steps."""
+    n = factor.shape[1] // count
+    return [factor[:, l * n:(l + 1) * n] for l in range(count)] * steps
 
-    A level's k columns go to the solve as one (n, k) right-hand side, the
-    transpose of the (k, n) level; SuperLU solves each column on its own.
+
+def _band_solve(fam, backward):
+    """solve(j, x): x <- S_j^{-1} x, or S_j^{-T} x backward, in place on a
+    contiguous (n,) row x, one LAPACK solve on the family's band factor:
+    dpbtrs on a Cholesky factor (S_j is symmetric, so one solve serves both
+    directions), dgbtrs with trans=1 backward on an LU factor.  Both take
+    their arguments positionally (dpbtrs: lower, ldab, overwrite_b;
+    dgbtrs: trans, n, ldab, ldb, overwrite_b): parsing keywords costs about
+    a third of a 1D step."""
+    if fam.cholesky is not None:
+        factors = fam.cholesky
+        width = len(factors[0])
+        return lambda j, x: dpbtrs(factors[j - 1], x, 1, width, 1)
+    kl, ku, factors, pivots = fam.lu
+    trans, (width, n) = int(backward), factors[0].shape
+    return lambda j, x: dgbtrs(factors[j - 1], kl, ku, x, pivots[j - 1], trans, n, width, n, 1)
+
+
+def _band_loop(solve, out, dt_src, backward):
+    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), or S_j^{-T} backward,
+    one solve(j, x) (_band_solve) per step; out is (k, nt+1, n) and dt_src
+    None or (k, nt+1, n).
+
+    Each step is solved in place on the level's contiguous row, and the k
+    columns march one after another, so each column is bit for bit the
+    single-column march: one dgbtrs(trans=1) call on k columns rounds
+    differently from k one-column calls once kl >= 12.
     """
-    rhs = np.empty_like(out[:, 0])
-    for j, read, write in _steps(len(factors), backward):
-        src = out[:, read] if dt_src is None else np.add(out[:, read], dt_src[:, j], out=rhs)
-        factors[j - 1].solve(src.T, transpose=backward, out=out[:, write].T)
-
-
-def _cholesky_loop(factors, out, dt_src, backward):
-    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), one LAPACK dpbtrs solve
-    on the band Cholesky factor of step j per step, which is also the
-    transposed step: S_j is symmetric.  out is (k, nt+1, n) and dt_src None
-    or (k, nt+1, n).
-
-    A single column is solved in place on its contiguous row; k columns go
-    to the solve as one F-ordered (n, k) right-hand side, the transpose of
-    a (k, n) level, and dpbtrs solves each column on its own, so each column
-    is bit for bit the single-column march.  dpbtrs takes its arguments
-    positionally (lower, ldab, overwrite_b): parsing keywords costs about a
-    third of a 1D step.
-    """
-    width = len(factors[0])
-    if len(out) == 1:
-        rows = list(out[0])
-        srcs = None if dt_src is None else list(dt_src[0])
-        for j, read, write in _steps(len(factors), backward):
+    steps = _steps(out.shape[1] - 1, backward)
+    for c, column in enumerate(out):
+        rows = list(column)
+        srcs = None if dt_src is None else list(dt_src[c])
+        for j, read, write in steps:
             if srcs is None:
                 np.copyto(rows[write], rows[read])
             else:
                 np.add(rows[read], srcs[j], out=rows[write])
-            dpbtrs(factors[j - 1], rows[write], 1, width, 1)
-        return
-    rhs = np.empty_like(out[:, 0])
-    for j, read, write in _steps(len(factors), backward):
-        if dt_src is None:
-            np.copyto(rhs, out[:, read])
-        else:
-            np.add(out[:, read], dt_src[:, j], out=rhs)
-        dpbtrs(factors[j - 1], rhs.T, 1, width, 1)
-        out[:, write] = rhs
-
-
-def _inverse_loop(mats, out, dt_src, backward):
-    """out[:, to] = M_j (out[:, from] + dt s^j) with M_j the (transposed)
-    inverse of step j; out is (k, nt+1, n) and dt_src None or (k, nt+1, n).
-
-    A k-column level multiplies as a stack of k mat-vecs (k, n, 1), each on
-    a contiguous row of its column, not as one GEMM, which would round
-    differently, so each column is bit for bit the single-column march.  A
-    single column steps on plain (n,) rows, one ndarray.dot per step: the
-    same cblas_dgemv call, so the same bits, without np.matmul's ufunc
-    dispatch, which at these sizes costs more than the mat-vec itself.
-    """
-    single = len(out) == 1
-    by_level = out[0] if single else out.swapaxes(0, 1)  # (nt+1, n) or (nt+1, k, n)
-    plain = list(by_level)
-    levels = plain if single else list(by_level[..., None])
-    srcs = None if dt_src is None else list(dt_src[0] if single else dt_src.swapaxes(0, 1))
-    rhs = np.empty_like(plain[0])
-    rhs_in = rhs if single else rhs[..., None]
-    multiply = np.ndarray.dot if single else np.matmul
-    for j, read, write in _steps(len(mats), backward):
-        if srcs is None:
-            multiply(mats[j - 1], levels[read], out=levels[write])
-        else:
-            np.add(plain[read], srcs[j], out=rhs)
-            multiply(mats[j - 1], rhs_in, out=levels[write])
+            solve(j, rows[write])
 
 
 def _recurrence_band(w, nt):

@@ -16,19 +16,17 @@ from hierctrl.hum import dense_oracle, solve_coupled_adjoint
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 
 # the module constants that force each representation on the 10-unknown reference grid, and
-# whether the spec has a transport term, which keeps its families off the modal and band paths
+# whether the spec has a transport term, which keeps its families off the modal and Cholesky paths
 FAMILIES = {
     "modal": ({}, False),
     "band": ({"MODAL_MAX_N": 0}, False),
-    "dense": ({"MODAL_MAX_N": 0}, True),
-    "superlu": ({"MODAL_MAX_N": 0, "DENSE_MAX_N": 0}, True),
+    "lu": ({"MODAL_MAX_N": 0}, True),
 }
 
 
 def _representation(family):
     """The name of the representation a stepper family marches with."""
-    return next(name for name in ("modal", "cholesky", "inverses", "factors")
-                if getattr(family, name) is not None)
+    return next(name for name in ("modal", "cholesky", "lu") if getattr(family, name) is not None)
 
 
 def _family_spec(family, case, monkeypatch):
@@ -63,13 +61,12 @@ def _rel(grid, a, b):
 @pytest.mark.parametrize("case", ["shared", "alpha", "targets", "mixed"])
 def test_fixed_points_match_oracle_in_every_family(family, case, monkeypatch, rng):
     """Nash and coupled-adjoint fixed points against dense_oracle, to 1e-10
-    relative, on modal, band Cholesky, dense and SuperLU families, in the
+    relative, on modal, band Cholesky and band LU families, in the
     shared and distinct cases, and with a modal forward family beside a
     band adjoint one, whose couplings are Q' diag I and I diag Q."""
     spec = _family_spec(family, case, monkeypatch)
     stepper, g = spec.stepper, spec.grid
-    assert _representation(stepper._family("forward")) == {"band": "cholesky", "dense": "inverses",
-                                                           "superlu": "factors"}.get(family, family)
+    assert _representation(stepper._family("forward")) == {"band": "cholesky"}.get(family, family)
     assert stepper.coordinates("forward").modal == (family == "modal")
     assert stepper.coordinates("adjoint").modal == (family == "modal" and case != "mixed")
     f = leader_bump(g)

@@ -155,7 +155,7 @@ def test_two_system_duality_identity(family, case, monkeypatch, rng):
     """Pairing the optimality system (driven by a random leader) with the
     coupled adjoint system (random terminal datum): both sides of the
     resulting identity, computed from the two independent solves, agree on
-    modal, band Cholesky, dense and SuperLU families in every case
+    modal, band Cholesky and band LU families in every case
     test_coordinates runs, so the sweep and its transpose pair wherever
     they march.
 

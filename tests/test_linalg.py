@@ -1,15 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from hierctrl.errors import ContractionFailure, MaxIterations, NonFiniteBreakdown, SingularMatrix
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
-from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, band_cholesky, conjugate_gradient,
-                             contraction_estimate, factorize, invert_stack, iterate, ritz_pairs)
-from hierctrl.operators import _cholesky_loop, _inverse_loop
+from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, band_cholesky, band_lu, conjugate_gradient,
+                             contraction_estimate, factorize, iterate, ritz_pairs)
+from hierctrl.operators import _band_loop, _band_solve
 
 
 def _random_spd(n, seed):
@@ -25,6 +26,25 @@ def _random_spd_bands(count, kd, n, seed):
     for i in range(1, kd + 1):
         bands[:, i, n - i:] = 0.0
     return bands
+
+
+def _random_general_bands(count, kl, ku, n, seed):
+    """count band matrices in LAPACK's general band storage with room for
+    the fill, shape (count, 2 kl + ku + 1, n): rows kl .. 2 kl + ku hold
+    entries (j + i - kl - ku, j), the first kl rows and the entries outside
+    the matrix are zero.  Not diagonally dominant, so LU pivots."""
+    bands = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 2 * kl + ku + 1, n))
+    bands[:, :kl] = 0.0
+    j = np.arange(n)
+    for d in range(-ku, kl + 1):  # row kl + ku + d holds the entries (j + d, j)
+        bands[:, kl + ku + d, (j + d < 0) | (j + d >= n)] = 0.0
+    return bands
+
+
+def _general_matrix(band, kl, ku):
+    """The dense matrix of one general band."""
+    n = band.shape[1]
+    return sum(np.diag(band[kl + ku + d, max(0, -d):n - max(0, d)], -d) for d in range(-ku, kl + 1))
 
 
 def _band_matrix(band):
@@ -50,6 +70,57 @@ def test_band_cholesky_of_a_stack_is_each_matrix_factor_bitwise():
             assert np.abs(_band_matrix(band) @ x - b).max() <= 1e-12 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("kl,ku", [(2, 2), (12, 12), (28, 28)])
+def test_band_lu_of_a_stack_is_each_matrix_factor_bitwise(kl, ku):
+    """One dgbtrf call on the block-diagonal band gives each matrix's own
+    factor and pivots bit for bit, which solve with that matrix and, with
+    trans=1, with its transpose."""
+    rng = np.random.default_rng(kl)
+    n = 4 * (kl + ku) + 3
+    bands = _random_general_bands(5, kl, ku, n, kl)
+    factor, pivots = band_lu(bands, kl, ku)
+    assert factor.shape == (2 * kl + ku + 1, 5 * n) and factor.flags.f_contiguous
+    assert pivots.shape == (5, n)
+    b = rng.standard_normal(n)
+    for l, band in enumerate(bands):
+        own, own_pivots, info = dgbtrf(band, kl, ku)
+        assert info == 0 and not np.array_equal(own_pivots, np.arange(n))  # rows were swapped
+        assert np.array_equal(factor[:, l * n:(l + 1) * n], own)
+        assert np.array_equal(pivots[l], own_pivots)
+        A = _general_matrix(band, kl, ku)
+        for trans, matrix in ((0, A), (1, A.T)):
+            x = dgbtrs(factor[:, l * n:(l + 1) * n], kl, ku, b, pivots[l], trans=trans)[0]
+            bound = 1e-12 * (np.abs(matrix).max() * np.abs(x).max() + np.abs(b).max())
+            assert np.abs(matrix @ x - b).max() <= bound
+
+
+BAD_GENERAL_BANDS = [  # kl = ku = 1 and n = 2: rows 0 (fill), 1 (upper), 2 (diagonal), 3 (lower)
+    np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),  # exactly singular: the last pivot is 0
+    np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0 + 1e-15], [1.0, 0.0]]),  # last pivot 1e-15 below the rule
+    np.zeros((4, 2)),
+    np.array([[0.0, 0.0], [0.0, 1.0], [np.inf, 1.0], [0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_GENERAL_BANDS)
+def test_band_lu_singular_level_raises(bad):
+    """A bad matrix at the last level of the block-diagonal band, after two
+    good ones, raises SingularMatrix naming level 2."""
+    good = np.array([[0.0, 0.0], [0.0, -1.0], [2.0, 2.0], [1.0, 0.0]])
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        band_lu(np.stack([good, 3.0 * good, bad]), 1, 1)
+
+
+@pytest.mark.parametrize("bad", BAD_GENERAL_BANDS)
+def test_band_lu_names_lowest_bad_level(bad):
+    """With bad matrices at levels 1 and 3 the error names level 1: a
+    singular, a near-singular, a zero and a non-finite band."""
+    good = np.array([[0.0, 0.0], [0.0, -1.0], [2.0, 2.0], [1.0, 0.0]])
+    bands = np.stack([good, bad, 3.0 * good, 2.0 * bad, 5.0 * good])
+    with pytest.raises(SingularMatrix, match="matrix 1 "):
+        band_lu(bands, 1, 1)
+
+
 BAD_BANDS = [
     np.array([[1.0, 1.0 + 1e-15], [1.0, 0.0]]),  # positive definite, last pivot 1e-15 below the rule
     np.zeros((2, 2)),
@@ -58,9 +129,18 @@ BAD_BANDS = [
 
 
 @pytest.mark.parametrize("bad", BAD_BANDS)
+def test_band_cholesky_singular_level_raises(bad):
+    """A bad matrix at the last level of the block-diagonal band, after two
+    good ones, raises SingularMatrix naming level 2."""
+    good = np.array([[2.0, 2.0], [1.0, 0.0]])
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        band_cholesky(np.stack([good, 3.0 * good, bad]))
+
+
+@pytest.mark.parametrize("bad", BAD_BANDS)
 def test_band_cholesky_names_lowest_bad_level(bad):
     """With bad matrices at levels 1 and 3 the error names level 1, as
-    invert_stack's rule does."""
+    band_lu's rule does."""
     good = np.array([[2.0, 2.0], [1.0, 0.0]])
     bands = np.stack([good, bad, 3.0 * good, 2.0 * bad, 5.0 * good])
     with pytest.raises(SingularMatrix, match="matrix 1 "):
@@ -76,25 +156,43 @@ def test_band_cholesky_of_an_indefinite_stack_is_none(indefinite):
     assert band_cholesky(np.stack([good, indefinite, good])) is None
 
 
-@pytest.mark.parametrize("kd,n", [(2, 38), (2, 128), (20, 100), (44, 484)])
+def _loop_family(kind, kd, n):
+    """What _band_solve reads of a one-level family: a band Cholesky factor
+    of a random SPD band, or a band LU factor of a random general one, both
+    of bandwidth kd."""
+    if kind == "cholesky":
+        return SimpleNamespace(cholesky=[band_cholesky(_random_spd_bands(1, kd, n, n))], lu=None)
+    factor, pivots = band_lu(_random_general_bands(1, kd, kd, n, n), kd, kd)
+    return SimpleNamespace(cholesky=None, lu=(kd, kd, [factor], list(pivots)))
+
+
+def _own_solve(fam, backward, rhs):
+    """The one-column solve of the family's step 1 by a keyword call."""
+    if fam.cholesky is not None:
+        return dpbtrs(fam.cholesky[0], rhs, lower=1)[0]
+    kl, ku, factors, pivots = fam.lu
+    return dgbtrs(factors[0], kl, ku, rhs, pivots[0], trans=int(backward))[0]
+
+
+@pytest.mark.parametrize("kind", ["cholesky", "lu"])
+@pytest.mark.parametrize("kd,n", [(2, 38), (2, 128), (12, 100), (20, 100), (44, 484)])
 @pytest.mark.parametrize("backward", [False, True])
-def test_band_cholesky_columns_bitwise(kd, n, backward):
-    """A k-column step of the band Cholesky step loop is bit for bit k
-    one-column solves of contiguous columns, with and without a source,
-    forward and backward (one solve serves both)."""
+def test_band_loop_columns_bitwise(kind, kd, n, backward):
+    """A k-column step of the band step loop is bit for bit k one-column
+    solves of contiguous columns, with and without a source, forward and
+    backward (one dpbtrs solve serves both; dgbtrs solves trans=1 backward)."""
     rng = np.random.default_rng(n)
-    factor = band_cholesky(_random_spd_bands(1, kd, n, n))
+    fam = _loop_family(kind, kd, n)
     for k in (1, 2, 3, 5):
         datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, 2, n))
         for dt_src in (None, src):
             out = np.zeros((k, 2, n))
             out[:, 1 if backward else 0] = datum
-            _cholesky_loop([factor], out, dt_src, backward)
+            _band_loop(_band_solve(fam, backward), out, dt_src, backward)
             for c in range(k):
                 rhs = datum[c].copy() if dt_src is None else datum[c] + dt_src[c, 1]
                 assert rhs.flags.c_contiguous
-                assert np.array_equal(out[c, 0 if backward else 1], dpbtrs(factor, rhs, lower=1)[0])
-
+                assert np.array_equal(out[c, 0 if backward else 1], _own_solve(fam, backward, rhs))
 
 
 def test_factorize_identity():
@@ -132,61 +230,6 @@ def test_factorize_singular_raises():
         factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     with pytest.raises(SingularMatrix):
         factorize(sp.csr_matrix((3, 3)))
-
-
-def test_invert_stack_inverts_every_matrix():
-    rng = np.random.default_rng(3)
-    stack = rng.standard_normal((4, 9, 9)) + 9 * np.eye(9)
-    invs = invert_stack(stack)
-    assert invs.shape == (4, 9, 9)
-    b = rng.standard_normal(9)
-    for A, inv in zip(stack, invs):
-        assert np.allclose(A @ (inv @ b), b, rtol=0, atol=1e-12)
-        assert np.allclose(A.T @ (inv.T @ b), b, rtol=0, atol=1e-12)
-
-
-BAD_MATRICES = [
-    np.array([[1.0, 1.0], [1.0, 1.0]]),          # exactly singular: numpy would raise LinAlgError
-    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),  # pivot 1e-15 below the rule; numpy would invert it
-    np.zeros((2, 2)),
-    np.array([[np.inf, 0.0], [0.0, 1.0]]),
-]
-
-
-@pytest.mark.parametrize("bad", BAD_MATRICES)
-def test_invert_stack_singular_level_raises(bad):
-    stack = np.stack([np.eye(2), 3.0 * np.eye(2), bad])
-    with pytest.raises(SingularMatrix, match="matrix 2 "):
-        invert_stack(stack)
-
-
-@pytest.mark.parametrize("bad", BAD_MATRICES)
-def test_invert_stack_names_lowest_bad_level(bad):
-    """With bad matrices at levels 1 and 3 the error names level 1."""
-    stack = np.stack([np.eye(2), bad, 3.0 * np.eye(2), 2.0 * bad, 5.0 * np.eye(2)])
-    with pytest.raises(SingularMatrix, match="matrix 1 "):
-        invert_stack(stack)
-
-
-@pytest.mark.parametrize("n", [12, 62, 128, 484])
-@pytest.mark.parametrize("transpose", [False, True])
-def test_dense_inverse_columns_bitwise(n, transpose):
-    """A k-column step of the dense step loop, written in place, is bit for
-    bit k one-column multiplies of contiguous columns, with and without a
-    source."""
-    rng = np.random.default_rng(n)
-    inv = invert_stack((rng.standard_normal((n, n)) + n * np.eye(n))[None])[0]
-    mat = inv.T if transpose else inv
-    for k in (1, 2, 3, 5):
-        datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, 2, n))
-        for dt_src in (None, src):
-            out = np.zeros((k, 2, n))
-            out[:, 0] = datum
-            _inverse_loop([mat], out, dt_src, backward=False)
-            for c in range(k):
-                rhs = datum[c].copy() if dt_src is None else datum[c] + dt_src[c, 1]
-                assert rhs.flags.c_contiguous
-                assert np.array_equal(out[c, 1], mat @ rhs)
 
 
 def test_cg_identity_one_iteration():

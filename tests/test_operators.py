@@ -1,34 +1,28 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import PIVOT_RTOL, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
-from hierctrl.operators import (DENSE_MAX_N, MODAL_MAX_N, ProblemSpec, _spatial_operator,
-                                assemble_biharmonic, solve_adjoint, solve_forward)
+from hierctrl.operators import (MODAL_MAX_N, ProblemSpec, _spatial_operator, assemble_biharmonic,
+                                solve_adjoint, solve_forward)
 
 from conftest import make_hum_spec, make_nash_spec
 from oracles import duality_gap
 
 
-def _inverse(st, j, family="forward", transpose=False):
-    """The array dense step j (1..nt) multiplies by, or its transposed step."""
-    return st._family(family).inverses[transpose][j - 1]
-
-
 def _step(st, family, j, transpose, x):
     """Step j (1..nt) of one (n,) column x: one band Cholesky solve on a
-    symmetric family, one multiply by the dense (transposed) inverse, or
-    one SuperLU solve above the dense cap."""
+    symmetric positive-definite family, one band LU solve (transposed when
+    asked) on any other."""
     fam = st._family(family)
     if fam.cholesky is not None:
         return dpbtrs(fam.cholesky[j - 1], x, lower=1)[0]
-    if fam.inverses is not None:
-        return fam.inverses[transpose][j - 1] @ x
-    return fam.factors[j - 1].solve(x, transpose=transpose)
+    kl, ku, factors, pivots = fam.lu
+    return dgbtrs(factors[j - 1], kl, ku, x, pivots[j - 1], trans=int(transpose))[0]
 
 
 def _stepped(st, family, datum, src, backward):
@@ -272,10 +266,9 @@ def test_time_dependent_coefficients_still_dual(rng):
 def _frozen_like_stepper(rng, nx=14, transport=True):
     """Time-dependent a and b with distinct adjoint coefficients, as the
     semilinear frozen specs of a gradient nonlinearity have: both families
-    keep every level, as dense
-    inverses up to DENSE_MAX_N unknowns and SuperLU factors above.  Without
-    transport (b = b_adj = 0) both families are symmetric and keep band
-    Cholesky factors at any size."""
+    keep a band LU factor of every level at any size.  Without transport
+    (b = b_adj = 0) both families are symmetric and keep band Cholesky
+    factors at any size."""
     g = build_grid(1, 1.0, nx, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
 
@@ -287,18 +280,14 @@ def _frozen_like_stepper(rng, nx=14, transport=True):
                       b_adj=(g.to_interior_levels(transport_values()),))
     st = spec.stepper
     fam = st._family("forward")
-    if not transport:
-        assert fam.cholesky is not None and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
-    elif g.n_interior <= DENSE_MAX_N:
-        assert _inverse(st, 1) is not _inverse(st, 2)
-    else:
-        assert fam.inverses is None and fam.factors[0] is not fam.factors[1]
+    factors = fam.lu[2] if transport else fam.cholesky
+    assert len(factors) == g.nt and not np.array_equal(factors[0], factors[1])
     assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
     return g, st
 
 
-# interior sizes n = nx - 2: the dense loop at 12, 14 (the shipped 1D grids), 38 (semilinear_1d),
-# 62, 98 and 128 (the cap), and SuperLU at 144; symmetric families keep band factors at every size
+# interior sizes n = nx - 2: 12, 14 (the shipped 1D grids), 38 (semilinear_1d), 62, 98, 128 and 144;
+# time-dependent families keep band factors at every size
 COLUMN_SIZES = (12, 14, 38, 62, 98, 128, 144)
 
 
@@ -394,13 +383,28 @@ def _superlu_marches(st, family, datum, src):
     return fwd, bwd
 
 
+def _transport_stepper(rng, dim, nx, nt=8):
+    """Time-dependent reaction and transport along every axis, with distinct
+    adjoint coefficients: both families keep a band LU factor per level."""
+    g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, nt)
+    shape = (g.nt + 1,) + g.nx
+    spec = _plain_spec(g, a_values=rng.standard_normal(shape),
+                       b_values=[rng.standard_normal(shape) for _ in range(dim)])
+    spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
+                      b_adj=tuple(g.to_interior_levels(rng.standard_normal(shape)) for _ in range(dim)))
+    st = spec.stepper
+    assert all(st._family(family).lu is not None for family in ("forward", "adjoint"))
+    return g, st
+
+
+# 1D, and 2D with n = 100 and n = 196 unknowns (kl = 20 and 28)
+@pytest.mark.parametrize("dim,nx", [(1, 14), (2, (12, 12)), (2, (16, 16))])
 @pytest.mark.parametrize("family", ["forward", "adjoint"])
-def test_dense_marches_match_superlu_solves(rng, family):
-    """Below the cap both marches apply dense inverses.  On a spec with
-    time-dependent transport and distinct adjoint coefficients they agree
-    with SuperLU solves of the sparse step matrices, level by level."""
-    g, st = _frozen_like_stepper(rng)
-    assert st._family(family).inverses is not None
+def test_lu_marches_match_superlu_solves(rng, family, dim, nx):
+    """On a spec with time-dependent transport and distinct adjoint
+    coefficients both marches step on band LU factors, and agree with
+    SuperLU solves of the sparse step matrices, level by level."""
+    g, st = _transport_stepper(rng, dim, nx)
     n, nt = g.n_interior, g.nt
     datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
     fwd, bwd = _superlu_marches(st, family, datum, src)
@@ -413,9 +417,9 @@ def test_dense_marches_match_superlu_solves(rng, family):
 def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
     """Slice l of _dense_step_stack is the sparse step matrix of levels[l]
     (_step_matrix), entry for entry, with time-dependent reaction and
-    transport along every axis.  Without transport, slice l of _step_band
-    holds the same matrix's lower band, entry for entry, and zeros past
-    its last row."""
+    transport along every axis.  Slice l of _step_band holds the same
+    matrix in general band storage, entry for entry, with zeros in its kl
+    fill rows and outside the matrix."""
     g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
     shape = (g.nt + 1,) + g.nx
     spec = _plain_spec(g, a_values=rng.standard_normal(shape),
@@ -426,39 +430,34 @@ def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
     assert stack.shape == (len(levels), g.n_interior, g.n_interior)
     for sl, j in zip(stack, levels):
         assert np.array_equal(sl, st._step_matrix(spec.a, spec.b, j).toarray())
-    n, zero_b = g.n_interior, tuple(np.zeros_like(b_axis) for b_axis in spec.b)
-    band = st._step_band(spec.a, levels)
+    n = g.n_interior
+    band, kl, ku = st._step_band(spec.a, spec.b, levels)
     kd = 2 * (g.nx[-1] - 2) if dim == 2 else 2
-    assert band.shape == (len(levels), kd + 1, n)
+    assert (kl, ku) == (kd, kd) and band.shape == (len(levels), 3 * kd + 1, n)
     for sl, j in zip(band, levels):
-        S = st._step_matrix(spec.a, zero_b, j).toarray()
-        for i in range(kd + 1):
-            assert np.array_equal(sl[i, :n - i], np.diagonal(S, -i)) and not sl[i, n - i:].any()
-        assert np.count_nonzero(np.triu(S, kd + 1)) == 0
+        S = st._step_matrix(spec.a, spec.b, j).toarray()
+        assert not sl[:kl].any()
+        for d in range(-ku, kl + 1):  # row kl + ku + d holds the entries (j + d, j)
+            inside = sl[kl + ku + d, max(0, -d):n - max(0, d)]
+            assert np.array_equal(inside, np.diagonal(S, -d)) and np.count_nonzero(sl[kl + ku + d]) <= inside.size
+            assert not np.concatenate([sl[kl + ku + d, :max(0, -d)], sl[kl + ku + d, n - max(0, d):]]).any()
+        assert np.count_nonzero(np.triu(S, kd + 1)) == 0 and np.count_nonzero(np.tril(S, -kd - 1)) == 0
 
 
-def test_dense_transposed_step_uses_the_same_inverse(rng):
-    """A transposed step multiplies by the transpose of the forward step's
-    own inverse, so the two are exact transposes of each other; every
-    inverse is a view of the one (L, n, n) stack the family inverted."""
-    g, st = _frozen_like_stepper(rng)
-    x = rng.standard_normal(g.n_interior)
-    stack = _inverse(st, 1, "adjoint").base
-    assert stack.shape == (g.nt, g.n_interior, g.n_interior)
-    for j in (1, 4, 8):
-        inv, inv_t = _inverse(st, j, "adjoint"), _inverse(st, j, "adjoint", transpose=True)
-        assert inv.base is stack and inv_t.base is stack
-        assert np.array_equal(inv_t, inv.T)
-        assert np.array_equal(inv_t @ x, inv.T @ x)
-
-
-@pytest.mark.parametrize("nx,dense", [(DENSE_MAX_N + 2, True), (DENSE_MAX_N + 3, False)])
-def test_dense_cap_in_1d(nx, dense):
-    """A transport term keeps the family off the modal path, which reaches the dense cap."""
+@pytest.mark.parametrize("nx", [16, 132])
+def test_transport_marches_on_band_lu_at_every_size(rng, nx):
+    """A transport term keeps the family off the modal and Cholesky paths,
+    on one band LU factor at any size (n = 14 and 130): a step is one
+    dgbtrs solve, the transposed step its trans=1 solve."""
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g, b_values=[np.full((g.nt + 1,) + g.nx, 0.5)]).stepper
     fam = st._family("forward")
-    assert (fam.inverses is not None, fam.factors is not None) == (dense, not dense)
+    assert fam.modal is None and fam.cholesky is None
+    kl, ku, factors, pivots = fam.lu
+    assert (kl, ku) == (2, 2) and all(f is factors[0] for f in factors) and factors[0].shape == (7, g.n_interior)
+    w0 = rng.standard_normal(g.n_interior)
+    assert np.array_equal(st.march_forward(w0)[1], dgbtrs(factors[0], kl, ku, w0, pivots[0])[0])
+    assert np.array_equal(st.march_backward(w0)[-2], dgbtrs(factors[0], kl, ku, w0, pivots[0], trans=1)[0])
 
 
 def test_2d_benchmark_grid_marches_on_one_band_factor(rng):
@@ -469,7 +468,7 @@ def test_2d_benchmark_grid_marches_on_one_band_factor(rng):
     assert g.n_interior == 484 > MODAL_MAX_N
     st = _plain_spec(g).stepper
     fam = st._family("forward")
-    assert fam.modal is None and fam.inverses is None and fam.factors is None
+    assert fam.modal is None and fam.lu is None
     factors = fam.cholesky
     assert factors[0].shape == (45, 484) and all(f is factors[0] for f in factors)
     w0 = rng.standard_normal(g.n_interior)
@@ -551,7 +550,7 @@ def test_steppers_on_one_grid_share_its_operators(rng):
 @pytest.mark.parametrize("time_dependent", [False, True])
 def test_equal_adjoint_coefficients_share_the_forward_family(rng, time_dependent):
     """Adjoint coefficients equal to the forward ones entry for entry build
-    no second family (modal when time-constant, dense inverses otherwise):
+    no second family (modal when time-constant, band LU otherwise):
     the adjoint marches are bitwise those of a stepper built without them.
     Coefficients that differ anywhere still build their own."""
     g = build_grid(1, 1.0, 14, 1.0, 8)
@@ -576,7 +575,7 @@ def _modal_stepper(nx=14, nt=8, length=1.0):
     g = build_grid(1, length, nx, 1.0, nt)
     st = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
     fam = st._family("forward")
-    assert fam.modal is not None and fam.inverses is None and fam.factors is None
+    assert fam.modal is not None and fam.cholesky is None and fam.lu is None
     return g, st
 
 
@@ -664,7 +663,7 @@ def test_singular_symmetric_level_raises():
 @pytest.mark.parametrize("backward", [False, True])
 def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
     """A march with zero datum and sources returns zeros without stepping;
-    on the inverse path the stepped march gives the same bits."""
+    on the band LU path the stepped march gives the same bits."""
     g, st = _frozen_like_stepper(rng)
     n, nt = g.n_interior, g.nt
     shape = (nt + 1, n) if k is None else (k, nt + 1, n)
@@ -678,10 +677,9 @@ def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
     [(f"{b}-{k}" + ("" if f == "adjoint" else f"-{f}") + ("" if t else "-symmetric"), (b, k, f, t))
      for t in (True, False) for b in (False, True) for k in (None, 2) for f in ("adjoint", "forward")]))
 def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, transport, nx):
-    """The step loop gives the bits of one multiply by the step's
-    (transposed) inverse per step, above the dense cap one SuperLU solve,
-    and on a symmetric family one band Cholesky solve, column by column on
-    contiguous columns."""
+    """The step loop gives the bits of one band LU solve per step
+    (transposed backward), and on a symmetric family one band Cholesky
+    solve, column by column on contiguous columns."""
     g, st = _frozen_like_stepper(rng, nx, transport)
     n, nt = g.n_interior, g.nt
     datum = rng.standard_normal(n if k is None else (k, n))
@@ -697,18 +695,18 @@ def test_modal_cap_in_1d(nx, modal):
     assert (st._family("forward").modal is not None) == modal
 
 
-def test_only_transport_keeps_inverses(rng):
-    """Below the caps a transport term keeps dense inverses, one shared by
-    every step when time-constant; a time-dependent symmetric family keeps
-    one band Cholesky factor per level instead."""
+def test_only_transport_keeps_band_lu(rng):
+    """Below the modal cap a transport term keeps a band LU factor, one
+    shared by every step when time-constant; a time-dependent symmetric
+    family keeps one band Cholesky factor per level instead."""
     g = build_grid(1, 1.0, 14, 1.0, 8)
     shape = (g.nt + 1,) + g.nx
     transport = _plain_spec(g, b_values=[np.full(shape, 0.5)]).stepper
     varying = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, shape)).stepper
-    assert transport._family("forward").inverses is not None
-    assert _inverse(transport, 1) is _inverse(transport, g.nt)
+    _, _, factors, pivots = transport._family("forward").lu
+    assert factors[0] is factors[-1] and pivots[0] is pivots[-1] and len(factors) == g.nt
     fam = varying._family("forward")
-    assert fam.inverses is None and fam.factors is None and fam.modal is None
+    assert fam.lu is None and fam.modal is None
     assert len(fam.cholesky) == g.nt and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
 
 
@@ -722,7 +720,7 @@ def _symmetric_varying_stepper(rng, dim, nx, nt=6):
     return g, spec
 
 
-# 1D, and 2D below (n = 100) and above (n = 144) the dense cap
+# 1D, and 2D with n = 100 and n = 144 unknowns
 @pytest.mark.parametrize("dim,nx", [(1, 14), (2, (12, 12)), (2, (14, 14))])
 @pytest.mark.parametrize("family", ["forward", "adjoint"])
 def test_band_marches_match_superlu_solves(rng, family, dim, nx):
@@ -757,13 +755,13 @@ def test_duality_identity_on_band_stepper(rng, dim, nx):
         assert gap <= 1e-12
 
 
-@pytest.mark.parametrize("nx,dense", [(14, True), (DENSE_MAX_N + 18, False)])
-def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx, dense):
+@pytest.mark.parametrize("nx", [14, 146])
+def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx):
     """A reaction at level 3 below -(1 + dt lambda_min(B))/dt, midway
     between the two smallest eigenvalues of that step matrix, makes it
     indefinite and nonsingular: dpbtrf refuses it, and the family keeps
-    dense inverses up to the cap and SuperLU factors above, which march as
-    SuperLU solves of the step matrices do."""
+    band LU factors at any size, which march as SuperLU solves of the step
+    matrices do."""
     g = build_grid(1, 1.0, nx, 1.0, 8)
     lam = np.linalg.eigvalsh(np.eye(g.n_interior) + g.dt * assemble_biharmonic(g).toarray())[:2]
     a = np.zeros((g.nt + 1,) + g.nx)
@@ -771,7 +769,7 @@ def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx, dense):
     st = _plain_spec(g, a_values=a).stepper
     assert lam[0] < -g.dt * a[3, 1] and np.linalg.eigvalsh(st.step_matrix(3).toarray())[0] < 0.0
     fam = st._family("forward")
-    assert fam.cholesky is None and (fam.inverses is not None, fam.factors is not None) == (dense, not dense)
+    assert fam.cholesky is None and fam.lu is not None
     datum, src = rng.standard_normal(g.n_interior), rng.standard_normal((g.nt + 1, g.n_interior))
     fwd, bwd = _superlu_marches(st, "forward", datum, src)
     for got, ref in ((st.march_forward(datum, src), fwd), (st.march_backward(datum, src), bwd)):
@@ -793,13 +791,56 @@ def test_near_singular_symmetric_level_raises_on_the_band_path():
     SingularMatrix naming stack entry 2 (levels 1..nt)."""
     g = build_grid(1, 1.0, 14, 1.0, 8)
     plain = _plain_spec(g)
-    band = plain.stepper._step_band(plain.a, [3])[0]
+
+    def lower_band(spec):
+        band, kl, ku = plain.stepper._step_band(spec.a, spec.b, [3])
+        return band[0, kl + ku:]
+
+    band = lower_band(plain)
     scale = np.abs(band).max()
     last = dpbtrf(band, lower=1)[0][0, -1] ** 2  # the last pivot without the reaction
     a = np.zeros((g.nt + 1,) + g.nx)
     a[3, -2] = (0.3 * PIVOT_RTOL * scale - last) / g.dt
     spec = _plain_spec(g, a_values=a)
-    factor, info = dpbtrf(plain.stepper._step_band(spec.a, [3])[0], lower=1)
+    factor, info = dpbtrf(lower_band(spec), lower=1)
     assert info == 0 and 0.0 < factor[0, -1] ** 2 < PIVOT_RTOL * scale
     with pytest.raises(SingularMatrix, match="matrix 2 "):
         spec.stepper
+
+
+def test_near_singular_transport_level_raises_on_the_band_lu_path():
+    """A reaction at the last interior node of level 3 of a spec with
+    transport, off by 0.3 PIVOT_RTOL times the scale from the one that
+    makes that step matrix S singular (a shift of S's last diagonal entry
+    by -1 / (S^-1)_nn), leaves its smallest LU pivot nonzero but below
+    PIVOT_RTOL times its scale: the pivot rule raises SingularMatrix naming
+    stack entry 2 (levels 1..nt)."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    shape = (g.nt + 1,) + g.nx
+    b_values = [np.full(shape, 0.5)]
+    plain = _plain_spec(g, b_values=b_values)
+    band, kl, ku = plain.stepper._step_band(plain.a, plain.b, [3])
+    scale = np.abs(band).max()
+    singular = -1.0 / np.linalg.inv(plain.stepper.step_matrix(3).toarray())[-1, -1]
+    a = np.zeros(shape)
+    a[3, -2] = (singular + 0.3 * PIVOT_RTOL * scale) / g.dt
+    spec = _plain_spec(g, a_values=a, b_values=b_values)
+    factor, _, info = dgbtrf(plain.stepper._step_band(spec.a, spec.b, [3])[0][0], kl, ku)
+    assert info == 0 and 0.0 < np.abs(factor[kl + ku]).min() < PIVOT_RTOL * scale
+    with pytest.raises(SingularMatrix, match="matrix 2 "):
+        spec.stepper
+
+
+@pytest.mark.parametrize("nx", [(8, 8), (10, 10), (16, 16)], ids=["8x8", "10x10", "16x16"])
+def test_2d_transport_backward_march_columns_bitwise(rng, nx):
+    """On 2D grids with transport (kl = 12, 16 and 28) each column of a
+    2-column backward march is bit for bit its single-column march.  One
+    dgbtrs(trans=1) call on both columns would round differently from two
+    one-column calls, so the step loop marches the columns one by one."""
+    g, st = _transport_stepper(rng, 2, nx)
+    assert st._family("adjoint").lu[0] >= 12
+    datum = rng.standard_normal((2, g.n_interior))
+    src = rng.standard_normal((2, g.nt + 1, g.n_interior))
+    both = st.march_backward(datum, src, family="adjoint")
+    for k in range(2):
+        assert np.array_equal(both[k], st.march_backward(datum[k], src[k], family="adjoint"))
