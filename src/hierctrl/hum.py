@@ -25,6 +25,10 @@ from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 
 RITZ_DIRECTIONS = 8  # a single-eps CG run from b of this many iterations yields Ritz pairs
 RITZ_CAP = 20  # the most Ritz pairs a solve keeps
+# A Lambda apply inside CG runs its inner solves at min(INNER_TOL_MAX, RELAX tol_rel / r), r the
+# relative residual that CG run has reached and tol_rel its own tolerance (minimize_G).
+RELAX = 0.01
+INNER_TOL_MAX = 1e-4
 
 
 @dataclass
@@ -191,10 +195,19 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
     eps is one penalty, giving one HumResult, or a sequence of them, giving
     one HumResult per eps in the same order; a sequence shares one
     multi-shift CG run.  b is the gradient at psi0 = 0 (one affine solve);
-    Lambda applications run with zeroed affine data.  Inner solves run at
-    min(cg_tol/10, 1e-10): each stops once its last change, or Banach's
-    bound on its error, is below that, so the estimated error of every
-    inner solve stays a decade below the CG tolerance.
+    Lambda applications run with zeroed affine data.  Each inner solve, the
+    coupled adjoint and the Nash fixed point, stops once its last change,
+    or Banach's bound on its error, is below its tolerance.  The affine
+    solve and a start's evaluation, which feed f and w directly, run at
+    min(cg_tol/10, 1e-10).  A Lambda apply inside a CG run of tolerance
+    tol_rel runs at min(INNER_TOL_MAX, RELAX tol_rel / r), r the relative
+    residual of the unshifted recurrence that run has reached
+    (conjugate_gradient's inexact): tight while r is large and loose as it
+    falls, as the error a Krylov method tolerates in its k-th product
+    grows like tol_rel ||b|| / ||r_k|| (Simoncini & Szyld, SIAM J. Sci.
+    Comput. 25(2), 2003; van den Eshof & Sleijpen, SIAM J. Matrix Anal.
+    Appl. 26(1), 2004).  r does not depend on the shifts, so each eps of a
+    sweep gets the applies, bit for bit, of its own single-eps run.
 
     No solve follows the CG run.  f and w are linear and affine in psi0, and
     each Lambda apply keeps the (f, w) of its direction d_k (grad_G's
@@ -237,8 +250,14 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
     fields = []  # (f, w) of the affine solve or the start, then of every direction Lambda is applied to
     zspec = spec.with_zero_data()
 
-    def apply(x):
-        return grad_G(zspec, x, eps=0.0, inner_tol=inner_tol, fields=fields)
+    def run_cg(rhs, tol_rel, shifts, preconditioner=None):
+        """conjugate_gradient on Lambda from rhs, each apply at its relaxed inner tolerance."""
+        def apply(x, r):
+            tol = min(INNER_TOL_MAX, RELAX * tol_rel / max(r, TINY))
+            return grad_G(zspec, x, eps=0.0, inner_tol=tol, fields=fields)
+
+        return conjugate_gradient(apply, rhs, tol_rel=tol_rel, max_iter=max_iter, shifts=shifts,
+                                  preconditioner=preconditioner, inexact=True)
 
     def combine(base, coefficients, first):
         """base's (f, w) plus, for each row of coefficients, its combination
@@ -251,7 +270,7 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
         b = grad_G(spec, np.zeros(grid.n_interior), eps=0.0, inner_tol=inner_tol, fields=fields)
         norm_b = max(float(np.linalg.norm(b)), TINY)
         ritz = recycled = None  # the pairs the refinements run on, and the ones returned
-        cg = conjugate_gradient(apply, -b, tol_rel=cg_tol, max_iter=max_iter, shifts=eps_list)
+        cg = run_cg(-b, cg_tol, eps_list)
         if len(eps_list) == 1 and cg.iterations >= RITZ_DIRECTIONS:
             recycled = ritz_pairs(cg, eps_list[0], RITZ_CAP)
         fs, ws = combine(fields[0], cg.coefficients, 1)
@@ -269,9 +288,8 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
             residuals = [norm_r / norm_b]
         if norm_r > cg_tol * norm_b:
             first = len(fields)
-            fix = conjugate_gradient(apply, -r_true, tol_rel=cg_tol * norm_b / norm_r,
-                                     max_iter=max_iter, shifts=(e,),
-                                     preconditioner=None if ritz is None else ritz.preconditioner(e))
+            fix = run_cg(-r_true, cg_tol * norm_b / norm_r, (e,),
+                         None if ritz is None else ritz.preconditioner(e))
             residuals = residuals + [h * norm_r / norm_b for h in fix.histories[0][1:]]
             iterations += fix.iterations
             x = x + fix.xs[0]

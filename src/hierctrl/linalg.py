@@ -285,7 +285,7 @@ def lanczos(apply, b, size, preconditioner=None):
 
 
 def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
-                       preconditioner=None) -> CGResult:
+                       preconditioner=None, inexact=False) -> CGResult:
     """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
     apply(v) returns A v for a symmetric A; A + s I must be positive
@@ -314,6 +314,16 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
     |z_k / d_k| ||w_k|| and the stop rule stay unpreconditioned, so tol_rel
     keeps its meaning.
 
+    inexact, when true, calls apply(v, r) instead, r being the relative
+    residual the run has reached: 1 at the first apply, then the residual
+    |z_k / d_k| ||w_k|| / ||b|| of the unshifted recurrence (s = 0) on the
+    same T_k, so apply may work more loosely as r falls (Simoncini & Szyld,
+    SIAM J. Sci. Comput. 25(2), 2003).  r does not depend on the shifts,
+    and a sweep hands apply what each of its single-shift runs would.
+    Under a preconditioner T_k already holds the one shift, and r is that
+    shift's own residual.  From a pivot d_k <= 0 of the unshifted
+    recurrence on, r stays 1.
+
     Raises MaxIterations carrying the best iterate of every shift (from its
     smallest residual), every history and the iteration each shift
     converged at (None for those that missed), NonFiniteBreakdown on a
@@ -329,9 +339,14 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
     if norm_b == 0.0:
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
                         np.zeros((m, 0)), np.zeros((0, n)), np.zeros(0), np.zeros(0))
-    operator, diagonal = apply, shifts  # diagonal: what each shift adds to T_k's diagonal
-    if preconditioner is not None:
-        operator, diagonal = (lambda z: np.asarray(apply(z), dtype=float) + shifts[0] * z), [0.0]
+    diagonal = shifts if preconditioner is None else [0.0]  # what each shift adds to T_k's diagonal
+    reached = 1.0  # the relative residual of the unshifted recurrence, which inexact applies get
+    unshifted = None  # that recurrence's last pivot and z, None once a pivot was not positive
+
+    def operator(z):
+        az = apply(z, reached) if inexact else apply(z)
+        return az if preconditioner is None else np.asarray(az, dtype=float) + shifts[0] * z
+
     size = min(max_iter, n)
     pivots = [[] for _ in range(m)]  # d_k of each shift
     zs = [[] for _ in range(m)]  # z_k of each shift
@@ -349,13 +364,19 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
             y[j] -= betas[j + 1] / d[j] * y[j + 1]
         return y
 
+    def ldl(k, diag, last):
+        """(d_k, z_k) of the LDL' recurrence of T_k + diag I, last being (d_{k-1}, z_{k-1})."""
+        if not k:
+            return alphas[0] + diag, betas[0]
+        return alphas[k] + diag - betas[k] ** 2 / last[0], -betas[k] / last[0] * last[1]
+
     for k, (V, Z, alphas, betas, norm_w) in enumerate(lanczos(operator, b, size, preconditioner)):
+        if inexact and (k == 0 or unshifted is not None):
+            d, z = ldl(k, 0.0, unshifted)
+            unshifted = (d, z) if 0.0 < d < math.inf and math.isfinite(z) else None
+            reached = 1.0 if unshifted is None else norm_w * abs(z / d) / norm_b
         for i in list(active):
-            if k:
-                last_d, last_z = pivots[i][-1], zs[i][-1]
-                d, z = alphas[k] + diagonal[i] - betas[k] ** 2 / last_d, -betas[k] / last_d * last_z
-            else:
-                d, z = alphas[0] + diagonal[i], betas[0]
+            d, z = ldl(k, diagonal[i], (pivots[i][-1], zs[i][-1]) if k else None)
             if not d > 0.0:
                 raise NonFiniteBreakdown(f"operator not positive definite: pivot {d:.3e} "
                                          f"at shift {shifts[i]:.3e}")

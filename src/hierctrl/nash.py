@@ -183,7 +183,8 @@ def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1
     Cholesky and band LU families keep the physical arithmetic.
 
     The change is the discrete L2(Q) norm of the main iterate's, which
-    moves by damping times it.  The sweep is affine, so without damping the
+    moves by damping times it; the transposed first sweep, which has no
+    iterate to move, takes its X.  The sweep is affine, so without damping the
     solve also stops on Banach's bound (linalg.iterate's error_bound);
     failures are raised by linalg.iterate.  on_sweep(X, companions, change)
     is called after every sweep.  Returns the last main field and
@@ -228,7 +229,7 @@ def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1
         norm = fwd.q_norm(X)
         if on_sweep is not None:
             on_sweep(X, companions, change)
-        x_next = X if damping == 1.0 else x + damping * step
+        x_next = X if damping == 1.0 or step is None else x + damping * step
         next_norm = norm if x_next is X else fwd.q_norm(x_next)
         return (x_next, next_norm if keep_norm else 0.0, X, companions), change, max(x_norm, norm, TINY)
 

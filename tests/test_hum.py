@@ -98,6 +98,19 @@ def test_coupled_adjoint_linear_in_datum(spec, rng):
     assert np.abs(s12.psi - combo).max() <= 1e-9 * scale
 
 
+def test_damped_transposed_sweep_reaches_the_undamped_psi(spec, rng):
+    """The transposed sweep's first iterate is its first march, damped or
+    not, as it has no start to move from; a damped coupled adjoint then
+    takes more sweeps to the undamped psi, to the tolerance."""
+    fwd = spec.stepper.coordinates("forward")
+    datum = fwd.datum(_random_psi0(spec, rng))
+    tol = 1e-12
+    full, _, full_it, _ = nash.alternate(spec, datum, transposed=True, tol_rel=tol)
+    damped, _, damped_it, _ = nash.alternate(spec, datum, transposed=True, tol_rel=tol, damping=0.6)
+    assert damped_it > full_it
+    assert fwd.q_norm(damped - full) <= tol * fwd.q_norm(full)
+
+
 def test_eval_G_zero_datum(spec):
     assert eval_G(spec, np.zeros(spec.grid.n_interior), 1e-3) == 0.0
 
@@ -319,9 +332,9 @@ def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
     clean = minimize_G(spec, eps_list, cg_tol=cg_tol)
     calls = []
 
-    def drifting(apply, b, tol_rel, max_iter, shifts, preconditioner=None):
+    def drifting(apply, b, tol_rel, max_iter, shifts, preconditioner=None, inexact=False):
         res = conjugate_gradient(apply, b, tol_rel=tol_rel, max_iter=max_iter, shifts=shifts,
-                                 preconditioner=preconditioner)
+                                 preconditioner=preconditioner, inexact=inexact)
         calls.append(tuple(shifts))
         if len(shifts) > 1:
             res.xs[0] = res.xs[0] * (1.0 + 1e-6)  # drift on the first shift
@@ -336,6 +349,69 @@ def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
     assert refined.true_residual <= cg_tol
     assert refined.terminal_norm == pytest.approx(clean[0].terminal_norm, rel=1e-6)
     assert np.array_equal(drifted[1].psi0, clean[1].psi0)
+
+
+def _record_schedule(monkeypatch):
+    """Record the inner_tol of every grad_G call, in order, and for each CG
+    run its tol_rel and the residual r it hands each apply."""
+    tols, runs = [], []
+    original_grad, original_cg = hum.grad_G, hum.conjugate_gradient
+
+    def grad(*args, inner_tol, **kwargs):
+        tols.append(inner_tol)
+        return original_grad(*args, inner_tol=inner_tol, **kwargs)
+
+    def cg(apply, b, tol_rel, **kwargs):
+        residuals = []
+        runs.append((tol_rel, residuals))
+
+        def recorded(x, r):
+            residuals.append(r)
+            return apply(x, r)
+
+        return original_cg(recorded, b, tol_rel=tol_rel, **kwargs)
+
+    monkeypatch.setattr(hum, "grad_G", grad)
+    monkeypatch.setattr(hum, "conjugate_gradient", cg)
+    return tols, runs
+
+
+def _relaxed(tol_rel, residuals):
+    return [min(hum.INNER_TOL_MAX, hum.RELAX * tol_rel / r) for r in residuals]
+
+
+def test_lambda_applies_relax_as_the_unshifted_residual_falls(spec, monkeypatch):
+    """The affine solve runs its inner solves at min(cg_tol/10, 1e-10) and
+    each CG apply at min(INNER_TOL_MAX, RELAX cg_tol / r), r the residual
+    CG handed it, loosening as r falls.  Each single-eps run hands apply
+    the tolerances of the 5-eps sweep up to its own stop."""
+    cg_tol = 1e-10
+    tols, runs = _record_schedule(monkeypatch)
+    minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol)
+    (tol_rel, residuals), = runs
+    assert tol_rel == cg_tol and residuals[0] == 1.0
+    assert tols == [min(cg_tol / 10.0, 1e-10)] + _relaxed(cg_tol, residuals)
+    assert max(tols) >= 1e3 * tols[0]
+    sweep = tols[1:]
+    for eps in EPS_SWEEP:
+        tols.clear()
+        minimize_G(spec, eps, cg_tol=cg_tol)
+        assert tols[1:] == sweep[:len(tols) - 1]
+
+
+def test_warm_refinement_relaxes_against_its_own_tolerance(spec, rng, monkeypatch):
+    """A warm start's evaluation runs at min(cg_tol/10, 1e-10); its
+    refinement's applies relax from that run's own tol_rel, cg_tol
+    ||b|| / ||r_start||."""
+    eps, cg_tol = 1e-3, 1e-9
+    cold = minimize_G(spec, eps, cg_tol=cg_tol)
+    start = replace(cold, psi0=cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng))
+    tols, runs = _record_schedule(monkeypatch)
+    warm = minimize_G(spec, eps, cg_tol=cg_tol, start=start)
+    (tol_rel, residuals), = runs
+    assert tol_rel == pytest.approx(cg_tol / warm.cg_residuals[0], rel=1e-12) and tol_rel > cg_tol
+    assert tols == [min(cg_tol / 10.0, 1e-10)] + _relaxed(tol_rel, residuals)
+    assert warm.true_residual <= cg_tol
 
 
 def test_minimize_warm_start_at_its_own_solution_takes_no_cg(spec):
@@ -572,6 +648,32 @@ def test_benchmark_sweep_job_applies_lambda_at_most_16_times(tmp_path, monkeypat
     monkeypatch.setattr(hum, "grad_G", counted)
     assert cli.run(workload.subcommand, str(ini), str(tmp_path / "out")) == 0
     assert len(calls) <= 16
+
+
+def test_benchmark_semilinear_job_marches_at_most_213_times(tmp_path, monkeypatch):
+    """The seed-1 semilinear_1d benchmark job 0, written by perfbench's own
+    job generator: its outer loop evaluates grad_G at most 25 times and
+    marches at most 213 times (253 with every Lambda apply's inner solves
+    at min(cg_tol/10, 1e-10))."""
+    perfbench = CONFIGS.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+
+    workload = workloads.WORKLOADS["semilinear_1d"]
+    ini = workloads.write_jobs(workload, 1, 1, CONFIGS.parent, tmp_path / "jobs")[0]
+    calls = {"grad": 0, "march": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hum, "grad_G", counted("grad", hum.grad_G))
+    monkeypatch.setattr(TimeStepper, "_march", counted("march", TimeStepper._march))
+    assert cli.run(workload.subcommand, str(ini), str(tmp_path / "out")) == 0
+    assert calls["grad"] <= 25
+    assert calls["march"] <= 213
 
 
 def _count_couplings(monkeypatch):

@@ -549,6 +549,69 @@ def test_pcg_max_iterations_carries_best():
     assert true_res == pytest.approx(min(err.value.history[0]), rel=1e-6)
 
 
+def _residual_recording(A):
+    """apply(v, r) = A v for an inexact run, keeping every r it was handed."""
+    residuals = []
+
+    def apply(v, r):
+        residuals.append(r)
+        return A @ v
+
+    return apply, residuals
+
+
+def test_inexact_cg_hands_apply_the_unshifted_residual():
+    """apply gets 1, then the residual of the unshifted recurrence after
+    each step: bit for bit the history of a shift 0 run on the same T_k.
+    The shifts and their solutions are those of the exact run."""
+    A, b = _spread_spd(40, 9)
+    shifts = (1e-1, 1e-3, 0.0)
+    exact = conjugate_gradient(lambda v: A @ v, b, tol_rel=1e-10, shifts=shifts)
+    apply, residuals = _residual_recording(A)
+    res = conjugate_gradient(apply, b, tol_rel=1e-10, shifts=shifts, inexact=True)
+    assert res.iterations == exact.iterations == res.shift_iterations[2]
+    assert residuals == res.histories[2][:-1]
+    assert residuals[0] == 1.0 and min(residuals) < 1e-5
+    assert all(np.array_equal(x, y) for x, y in zip(res.xs, exact.xs))
+    assert res.histories == exact.histories
+
+
+def test_inexact_cg_hands_apply_the_same_residuals_whatever_the_shifts():
+    """A shift-free r: a sweep hands apply the residuals its single-shift
+    run does, up to that run's stop."""
+    A, b = _spread_spd(40, 9)
+    sweep_apply, swept = _residual_recording(A)
+    conjugate_gradient(sweep_apply, b, tol_rel=1e-10, shifts=(1e-1, 1e-2, 1e-3), inexact=True)
+    for shift in (1e-1, 1e-3):
+        single_apply, single = _residual_recording(A)
+        conjugate_gradient(single_apply, b, tol_rel=1e-10, shifts=(shift,), inexact=True)
+        assert single == swept[:len(single)]
+
+
+def test_inexact_pcg_hands_apply_its_shifts_own_residual():
+    """Under a preconditioner T_k holds the one shift, so r is that
+    shift's own history."""
+    A, lam, Q, b = _hum_like_spd(seed=13)
+    apply, residuals = _residual_recording(A)
+    pairs = RitzPairs(lam[:5], Q[:, :5])
+    res = conjugate_gradient(apply, b, tol_rel=1e-10, shifts=(EPS,), preconditioner=pairs.preconditioner(EPS),
+                             inexact=True)
+    assert residuals == res.histories[0][:-1]
+
+
+def test_inexact_cg_falls_back_to_one_on_a_non_positive_unshifted_pivot():
+    """A indefinite, A + 2 I positive definite, and b'A b < 0: the first
+    unshifted pivot is negative, so every apply is handed r = 1, and the
+    shifted solve is still exact."""
+    A = np.diag([-1.0, 0.5, 1.0, 2.0, 3.0])
+    b = np.array([1.0, 0.1, 0.1, 0.1, 0.1])
+    apply, residuals = _residual_recording(A)
+    res = conjugate_gradient(apply, b, tol_rel=1e-12, shifts=(2.0,), inexact=True)
+    assert residuals == [1.0] * res.iterations and res.iterations > 1
+    direct = np.linalg.solve(A + 2.0 * np.eye(5), b)
+    assert np.linalg.norm(res.xs[0] - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
 def test_ritz_pairs_of_cg_directions_recover_the_top_eigenvalues():
     """The eigenpairs of a plain CG run's own T_k, mapped through its
     orthonormal basis, find the eigenvalues above the floor; the Ritz

@@ -8,13 +8,15 @@
 # Prints one summary line per workload: how many jobs differ, the largest
 # relative change of each key value (perfbench/checks.py's key_values), each
 # side's CG and outer-iteration totals and its Lambda applies (total and
-# per-job range), then every count that moved: the CG iterations of each eps,
-# or the CG and outer iterations of a semilinear job, and the Lambda applies
-# of any job.  Lambda applies are counted, not inferred: while each tree runs
-# its jobs, its hierctrl.hum.grad_G, one HUM gradient evaluation at the cost
-# of one Lambda apply (affine solves and warm-start evaluations included), is
-# wrapped by a counter, read per job.  A per-eps cg_iters sum is not this
-# number.  Each side also gets a line with its perfbench/checks.py check_job
+# per-job range) and its marches, then every count that moved: the CG
+# iterations of each eps, or the CG and outer iterations of a semilinear job,
+# and the Lambda applies and marches of any job.  Lambda applies and marches
+# are counted, not inferred: while each tree runs its jobs, its
+# hierctrl.hum.grad_G, one HUM gradient evaluation at the cost of one Lambda
+# apply (affine solves and warm-start evaluations included), and its
+# hierctrl.operators.TimeStepper._march, which every forward and backward
+# march goes through, are wrapped by counters, read per job.  A per-eps
+# cg_iters sum is not the apply count.  Each side also gets a line with its perfbench/checks.py check_job
 # failures against perfbench/reference.json and its worst deviation from that
 # file.
 # Without RTOL the comparison is exact: it also prints `diff -r` of the two
@@ -46,8 +48,8 @@ for name, workload in WORKLOADS.items():
 EOF
 
 run_tree() {  # run_tree TREE NAME: every job through TREE's hierctrl into $tmp/out-NAME,
-              # its grad_G calls per job into $tmp/applies-NAME.json
-  PYTHONPATH="$1/src:$root/perfbench" python - "$1" "$tmp/jobs" "$tmp/out-$2" "$tmp/applies-$2.json" <<'EOF'
+              # its grad_G and TimeStepper._march calls per job into $tmp/calls-NAME.json
+  PYTHONPATH="$1/src:$root/perfbench" python - "$1" "$tmp/jobs" "$tmp/out-$2" "$tmp/calls-$2.json" <<'EOF'
 import json
 import sys
 from pathlib import Path
@@ -55,33 +57,35 @@ from pathlib import Path
 import hierctrl
 import hierctrl.hum as hum
 from hierctrl.cli import run
+from hierctrl.operators import TimeStepper
 from workloads import WORKLOADS
 
-tree, jobs, out, applies = (Path(arg).resolve() for arg in sys.argv[1:])
+tree, jobs, out, calls_json = (Path(arg).resolve() for arg in sys.argv[1:])
 if tree not in Path(hierctrl.__file__).resolve().parents:
     sys.exit(f"hierctrl imported from {hierctrl.__file__}, not from {tree}")
-calls = 0
-grad_G = hum.grad_G
+calls = {"applies": 0, "marches": 0}
 
 
-def counted(*args, **kwargs):
-    global calls
-    calls += 1
-    return grad_G(*args, **kwargs)
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
-hum.grad_G = counted  # minimize_G looks grad_G up in hum's namespace at each call
+hum.grad_G = counted("applies", hum.grad_G)  # minimize_G looks grad_G up in hum's namespace at each call
+TimeStepper._march = counted("marches", TimeStepper._march)
 failed = 0
 per_job = {}
 for name, workload in WORKLOADS.items():
     for job in sorted((jobs / name).glob("job-*.ini")):
-        calls = 0
+        calls.update(applies=0, marches=0)
         code = run(workload.subcommand, str(job), str(out / name / job.stem))
-        per_job[f"{name}/{job.stem}"] = calls
+        per_job[f"{name}/{job.stem}"] = dict(calls)
         if code != 0:
             print(f"{name} {job.stem}: exit {code}", file=sys.stderr)
             failed += 1
-applies.write_text(json.dumps(per_job))
+calls_json.write_text(json.dumps(per_job))
 print(f"{tree}: {failed} failed jobs", file=sys.stderr)
 sys.exit(1 if failed else 0)
 EOF
@@ -94,7 +98,7 @@ if [[ -z "$rtol" ]]; then
 fi
 
 PYTHONPATH="$root/perfbench" python - "$tmp/out-ref" "$tmp/out-tree" "$rtol" "$tmp/jobs" "$root" \
-  "$tmp/applies-ref.json" "$tmp/applies-tree.json" <<'EOF' || status=$?
+  "$tmp/calls-ref.json" "$tmp/calls-tree.json" <<'EOF' || status=$?
 import csv
 import json
 import sys
@@ -122,7 +126,7 @@ def counts(out):
 
 ref, tree, rtol, inis = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], Path(sys.argv[4])
 recorded = json.loads((Path(sys.argv[5]) / "perfbench" / "reference.json").read_text())
-applies = {ref: json.loads(Path(sys.argv[6]).read_text()), tree: json.loads(Path(sys.argv[7]).read_text())}
+calls = {ref: json.loads(Path(sys.argv[6]).read_text()), tree: json.loads(Path(sys.argv[7]).read_text())}
 largest = 0.0
 for name, workload in WORKLOADS.items():
     jobs = sorted(p.name for p in (ref / name).iterdir())
@@ -136,11 +140,13 @@ for name, workload in WORKLOADS.items():
     cg, outer = ([sum(n for c in per_job[side].values() for label, n in c.items() if keep(label))
                   for side in (ref, tree)]
                  for keep in (lambda label: label != "outer", lambda label: label == "outer"))
-    lam = [[applies[side][f"{name}/{job}"] for job in jobs] for side in (ref, tree)]
+    lam, marches = ([[calls[side][f"{name}/{job}"][what] for job in jobs] for side in (ref, tree)]
+                    for what in ("applies", "marches"))
     print(f"{name}: {differ} of {len(jobs)} jobs differ; largest relative change of each "
           f"key value {' '.join(f'{w:.3g}' for w in worst)}; CG iterations {cg[0]} -> {cg[1]}; "
           f"outer iterations {outer[0]} -> {outer[1]}; Lambda applies "
-          + " -> ".join(f"{sum(a)} ({min(a)}-{max(a)} per job)" for a in lam))
+          + " -> ".join(f"{sum(a)} ({min(a)}-{max(a)} per job)" for a in lam)
+          + f"; marches {sum(marches[0])} -> {sum(marches[1])}")
     for side in (ref, tree):
         failed = sum(check_job(workload.subcommand, inis / name / f"{job}.ini", side / name / job, 0,
                                recorded[name][int(job.split("-")[1])]) is not None for job in jobs)
@@ -153,8 +159,9 @@ for name, workload in WORKLOADS.items():
         before, after = per_job[ref][job], per_job[tree][job]
         moved = [f"{label} {n} -> {after.get(label)}" for label, n in before.items() if after.get(label) != n]
         key = f"{name}/{job}"
-        if applies[ref][key] != applies[tree][key]:
-            moved.append(f"applies {applies[ref][key]} -> {applies[tree][key]}")
+        for what in ("applies", "marches"):
+            if calls[ref][key][what] != calls[tree][key][what]:
+                moved.append(f"{what} {calls[ref][key][what]} -> {calls[tree][key][what]}")
         if moved:
             print(f"  {job}: " + "; ".join(moved))
 if rtol:
