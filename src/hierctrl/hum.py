@@ -26,7 +26,8 @@ from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
 RITZ_DIRECTIONS = 8  # a single-eps CG run from b of this many iterations yields Ritz pairs
 RITZ_CAP = 20  # the most Ritz pairs a solve keeps
 # A Lambda apply inside CG runs its inner solves at min(INNER_TOL_MAX, RELAX tol_rel / r), r the
-# relative residual that CG run has reached and tol_rel its own tolerance (minimize_G).
+# relative residual that CG run has reached and tol_rel its own tolerance, and never tighter than
+# min(cg_tol/10, 1e-10) (minimize_G).
 RELAX = 0.01
 INNER_TOL_MAX = 1e-4
 
@@ -200,9 +201,10 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
     or Banach's bound on its error, is below its tolerance.  The affine
     solve and a start's evaluation, which feed f and w directly, run at
     min(cg_tol/10, 1e-10).  A Lambda apply inside a CG run of tolerance
-    tol_rel runs at min(INNER_TOL_MAX, RELAX tol_rel / r), r the relative
-    residual of the unshifted recurrence that run has reached
-    (conjugate_gradient's inexact): tight while r is large and loose as it
+    tol_rel runs at min(INNER_TOL_MAX, RELAX tol_rel / r), and never
+    tighter than min(cg_tol/10, 1e-10), r being the relative residual of
+    the unshifted recurrence that run has reached (conjugate_gradient
+    hands it to each apply): tight while r is large and loose as it
     falls, as the error a Krylov method tolerates in its k-th product
     grows like tol_rel ||b|| / ||r_k|| (Simoncini & Szyld, SIAM J. Sci.
     Comput. 25(2), 2003; van den Eshof & Sleijpen, SIAM J. Matrix Anal.
@@ -253,11 +255,11 @@ def minimize_G(spec: ProblemSpec, eps, cg_tol=1e-8, max_iter=200, start=None):
     def run_cg(rhs, tol_rel, shifts, preconditioner=None):
         """conjugate_gradient on Lambda from rhs, each apply at its relaxed inner tolerance."""
         def apply(x, r):
-            tol = min(INNER_TOL_MAX, RELAX * tol_rel / max(r, TINY))
+            tol = max(inner_tol, min(INNER_TOL_MAX, RELAX * tol_rel / max(r, TINY)))
             return grad_G(zspec, x, eps=0.0, inner_tol=tol, fields=fields)
 
         return conjugate_gradient(apply, rhs, tol_rel=tol_rel, max_iter=max_iter, shifts=shifts,
-                                  preconditioner=preconditioner, inexact=True)
+                                  preconditioner=preconditioner)
 
     def combine(base, coefficients, first):
         """base's (f, w) plus, for each row of coefficients, its combination

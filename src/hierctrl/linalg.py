@@ -285,10 +285,10 @@ def lanczos(apply, b, size, preconditioner=None):
 
 
 def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
-                       preconditioner=None, inexact=False) -> CGResult:
+                       preconditioner=None) -> CGResult:
     """Multi-shift CG: solves (A + s I) x = b for every s in shifts.
 
-    apply(v) returns A v for a symmetric A; A + s I must be positive
+    apply(v, r) returns A v for a symmetric A; A + s I must be positive
     definite for every s.  This is CG in its Lanczos form (Saad, Iterative
     Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7.1): one lanczos
     run on A from b, at most max_iter steps, builds the orthonormal v_k and
@@ -314,10 +314,10 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
     |z_k / d_k| ||w_k|| and the stop rule stay unpreconditioned, so tol_rel
     keeps its meaning.
 
-    inexact, when true, calls apply(v, r) instead, r being the relative
-    residual the run has reached: 1 at the first apply, then the residual
-    |z_k / d_k| ||w_k|| / ||b|| of the unshifted recurrence (s = 0) on the
-    same T_k, so apply may work more loosely as r falls (Simoncini & Szyld,
+    r, handed to every apply, is the relative residual the run has
+    reached: 1 at the first apply, then the residual |z_k / d_k| ||w_k|| /
+    ||b|| of the unshifted recurrence (s = 0) on the same T_k, so an
+    inexact apply may work more loosely as r falls (Simoncini & Szyld,
     SIAM J. Sci. Comput. 25(2), 2003).  r does not depend on the shifts,
     and a sweep hands apply what each of its single-shift runs would.
     Under a preconditioner T_k already holds the one shift, and r is that
@@ -340,11 +340,11 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
         return CGResult([np.zeros_like(b) for _ in range(m)], 0, [[0.0] for _ in range(m)], [0] * m,
                         np.zeros((m, 0)), np.zeros((0, n)), np.zeros(0), np.zeros(0))
     diagonal = shifts if preconditioner is None else [0.0]  # what each shift adds to T_k's diagonal
-    reached = 1.0  # the relative residual of the unshifted recurrence, which inexact applies get
+    reached = 1.0  # the relative residual of the unshifted recurrence, which every apply gets
     unshifted = None  # that recurrence's last pivot and z, None once a pivot was not positive
 
     def operator(z):
-        az = apply(z, reached) if inexact else apply(z)
+        az = apply(z, reached)
         return az if preconditioner is None else np.asarray(az, dtype=float) + shifts[0] * z
 
     size = min(max_iter, n)
@@ -371,7 +371,7 @@ def conjugate_gradient(apply, b, tol_rel=1e-10, max_iter=500, shifts=(0.0,),
         return alphas[k] + diag - betas[k] ** 2 / last[0], -betas[k] / last[0] * last[1]
 
     for k, (V, Z, alphas, betas, norm_w) in enumerate(lanczos(operator, b, size, preconditioner)):
-        if inexact and (k == 0 or unshifted is not None):
+        if k == 0 or unshifted is not None:
             d, z = ldl(k, 0.0, unshifted)
             unshifted = (d, z) if 0.0 < d < math.inf and math.isfinite(z) else None
             reached = 1.0 if unshifted is None else norm_w * abs(z / d) / norm_b

@@ -422,9 +422,8 @@ class TimeStepper:
       some level, which dpbtrf reports (for example a reaction with
       dt a <= -(1 + dt lambda_min(B))).
 
-    Both band factors come from one assembly of the step band (_step_band),
-    of its lower rows alone for a Cholesky factor, and march through one
-    step loop (_band_loop).
+    Both band factors come from one assembly of the step band (_step_band)
+    and march through one step loop (_band_loop).
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
     them.  Every stepper on a grid shares that grid's biharmonic and
@@ -467,11 +466,10 @@ class TimeStepper:
             modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
         else:
-            factor = band_cholesky(self._step_band(a, b, levels, lower=True)[0]) if symmetric else None
-            if factor is not None:
+            band, kl, ku = self._step_band(a, b, levels)
+            if symmetric and (factor := band_cholesky(band[:, kl + ku:])) is not None:
                 cholesky = _per_step(factor, len(levels), steps)
             else:
-                band, kl, ku = self._step_band(a, b, levels)
                 factor, pivots = band_lu(band, kl, ku)
                 lu = (kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps)
         return _Family(a, b, const, modal, cholesky, lu, {}, Coordinates(grid, modal))
@@ -507,21 +505,17 @@ class TimeStepper:
         data[:, main] += 1.0
         return offsets, data
 
-    def _step_band(self, a, b, levels, lower=False):
+    def _step_band(self, a, b, levels):
         """The step matrices of the given levels in LAPACK's general band
         storage with room for an LU's fill, as (band, kl, ku): band, shape
         (L, 2 kl + ku + 1, n), holds entry (i, j) at band[l, kl + ku + i - j, j]
         and zeros in its first kl rows and outside the matrix.  Its rows
         kl + ku onward are the lower band storage that dpbtrf reads:
-        row kl + ku + i holds entry (j+i, j).  With lower, for a symmetric
-        family, band holds only those kl + 1 rows, shape (L, kl + 1, n)."""
+        row kl + ku + i holds entry (j+i, j)."""
         offsets, data = self._step_diagonals(a, b, levels)
         kl, ku = int(-offsets.min()), int(offsets.max())
-        top = 0 if lower else kl + ku  # the row of the main diagonal
-        rows = top - offsets  # the row of each diagonal; the lower storage drops those above
-        keep = rows >= 0
-        band = np.zeros((len(levels), top + kl + 1, self.grid.n_interior))
-        band[:, rows[keep]] = data[:, keep]
+        band = np.zeros((len(levels), 2 * kl + ku + 1, self.grid.n_interior))
+        band[:, kl + ku - offsets] = data
         return band, kl, ku
 
     def _dense_step_stack(self, a, b, levels):

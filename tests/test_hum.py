@@ -332,9 +332,9 @@ def test_minimize_refines_a_drifted_shift(spec, monkeypatch):
     clean = minimize_G(spec, eps_list, cg_tol=cg_tol)
     calls = []
 
-    def drifting(apply, b, tol_rel, max_iter, shifts, preconditioner=None, inexact=False):
+    def drifting(apply, b, tol_rel, max_iter, shifts, preconditioner=None):
         res = conjugate_gradient(apply, b, tol_rel=tol_rel, max_iter=max_iter, shifts=shifts,
-                                 preconditioner=preconditioner, inexact=inexact)
+                                 preconditioner=preconditioner)
         calls.append(tuple(shifts))
         if len(shifts) > 1:
             res.xs[0] = res.xs[0] * (1.0 + 1e-6)  # drift on the first shift
@@ -376,22 +376,24 @@ def _record_schedule(monkeypatch):
     return tols, runs
 
 
-def _relaxed(tol_rel, residuals):
-    return [min(hum.INNER_TOL_MAX, hum.RELAX * tol_rel / r) for r in residuals]
+def _relaxed(tight, tol_rel, residuals):
+    return [max(tight, min(hum.INNER_TOL_MAX, hum.RELAX * tol_rel / r)) for r in residuals]
 
 
 def test_lambda_applies_relax_as_the_unshifted_residual_falls(spec, monkeypatch):
-    """The affine solve runs its inner solves at min(cg_tol/10, 1e-10) and
-    each CG apply at min(INNER_TOL_MAX, RELAX cg_tol / r), r the residual
-    CG handed it, loosening as r falls.  Each single-eps run hands apply
-    the tolerances of the 5-eps sweep up to its own stop."""
+    """The affine solve runs its inner solves at tight = min(cg_tol/10,
+    1e-10) and each CG apply at max(tight, min(INNER_TOL_MAX, RELAX cg_tol
+    / r)), r the residual CG handed it: at tight while r is large, looser
+    as r falls.  Each single-eps run hands apply the tolerances of the
+    5-eps sweep up to its own stop."""
     cg_tol = 1e-10
+    tight = min(cg_tol / 10.0, 1e-10)
     tols, runs = _record_schedule(monkeypatch)
     minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol)
     (tol_rel, residuals), = runs
     assert tol_rel == cg_tol and residuals[0] == 1.0
-    assert tols == [min(cg_tol / 10.0, 1e-10)] + _relaxed(cg_tol, residuals)
-    assert max(tols) >= 1e3 * tols[0]
+    assert tols == [tight] + _relaxed(tight, cg_tol, residuals)
+    assert tols[1] == tight and max(tols) >= 1e3 * tight
     sweep = tols[1:]
     for eps in EPS_SWEEP:
         tols.clear()
@@ -399,10 +401,21 @@ def test_lambda_applies_relax_as_the_unshifted_residual_falls(spec, monkeypatch)
         assert tols[1:] == sweep[:len(tols) - 1]
 
 
+def test_relaxed_applies_keep_each_eps_within_cg_tol_of_the_tight_residual(spec):
+    """The relaxed applies cost the solution no accuracy that cg_tol sees:
+    each eps of a sweep meets cg_tol also when its psi0 is evaluated with
+    every inner solve at 1e-14, not only against the products CG applied."""
+    cg_tol = 1e-10
+    for res in minimize_G(spec, EPS_SWEEP, cg_tol=cg_tol):
+        tight = grad_G(spec, res.psi0, eps=res.eps, inner_tol=1e-14)
+        assert res.true_residual <= cg_tol
+        assert np.linalg.norm(tight) / res.b_norm <= cg_tol
+
+
 def test_warm_refinement_relaxes_against_its_own_tolerance(spec, rng, monkeypatch):
     """A warm start's evaluation runs at min(cg_tol/10, 1e-10); its
     refinement's applies relax from that run's own tol_rel, cg_tol
-    ||b|| / ||r_start||."""
+    ||b|| / ||r_start||, never below that tolerance."""
     eps, cg_tol = 1e-3, 1e-9
     cold = minimize_G(spec, eps, cg_tol=cg_tol)
     start = replace(cold, psi0=cold.psi0 + 1e-3 * norm_h(spec.grid, cold.psi0) * _random_psi0(spec, rng))
@@ -410,7 +423,8 @@ def test_warm_refinement_relaxes_against_its_own_tolerance(spec, rng, monkeypatc
     warm = minimize_G(spec, eps, cg_tol=cg_tol, start=start)
     (tol_rel, residuals), = runs
     assert tol_rel == pytest.approx(cg_tol / warm.cg_residuals[0], rel=1e-12) and tol_rel > cg_tol
-    assert tols == [min(cg_tol / 10.0, 1e-10)] + _relaxed(tol_rel, residuals)
+    tight = min(cg_tol / 10.0, 1e-10)
+    assert tols == [tight] + _relaxed(tight, tol_rel, residuals)
     assert warm.true_residual <= cg_tol
 
 

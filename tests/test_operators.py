@@ -444,25 +444,6 @@ def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
         assert np.count_nonzero(np.triu(S, kd + 1)) == 0 and np.count_nonzero(np.tril(S, -kd - 1)) == 0
 
 
-@pytest.mark.parametrize("dim,nx", [(1, 16), (2, (8, 8)), (2, (12, 12))])
-def test_symmetric_family_assembles_only_its_lower_band(rng, dim, nx):
-    """A symmetric family with a time-dependent reaction assembles the
-    kl + 1 rows dpbtrf reads, bit for bit the lower rows of the general
-    band, so its Cholesky factors are those of the general band's."""
-    g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
-    spec = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, (g.nt + 1,) + g.nx))
-    st = spec.stepper
-    levels = list(range(1, g.nt + 1))
-    band, kl, ku = st._step_band(spec.a, spec.b, levels)
-    lower, lower_kl, lower_ku = st._step_band(spec.a, spec.b, levels, lower=True)
-    assert (lower_kl, lower_ku) == (kl, ku) and lower.shape == (len(levels), kl + 1, g.n_interior)
-    assert np.array_equal(lower, band[:, kl + ku:])
-    fam = st._family("forward")
-    assert fam.cholesky is not None and fam.lu is None
-    for factor, sl in zip(fam.cholesky, band):
-        assert np.array_equal(factor, dpbtrf(sl[kl + ku:], lower=1)[0])
-
-
 @pytest.mark.parametrize("nx", [16, 132])
 def test_transport_marches_on_band_lu_at_every_size(rng, nx):
     """A transport term keeps the family off the modal and Cholesky paths,
