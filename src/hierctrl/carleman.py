@@ -164,9 +164,6 @@ class EtaFunction:
             grads.append(g)
         return tuple(grads)
 
-    def on_nodes(self):
-        return self.value(*self.grid.meshes())
-
     def gradient_on_nodes(self):
         return self.gradient(*self.grid.meshes())
 
@@ -213,9 +210,6 @@ class WeightForm:
     def _A(self, *coords):
         eta = self.eta_fn.value(*coords)
         return np.exp(self.lam * (2.0 * self.M + eta))
-
-    def alpha(self, coords, t):
-        return (self._A(*coords) - self.B) / self._r(t)
 
     def xi(self, coords, t):
         return self._A(*coords) / self._r(t)

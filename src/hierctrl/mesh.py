@@ -155,10 +155,6 @@ class SubdomainMask:
         interior.flags.writeable = False
         object.__setattr__(self, "_interior", interior)
 
-    @property
-    def node_count(self):
-        return int(self.indicator.sum())
-
     def interior_vector(self):
         """Indicator restricted to interior nodes, flattened, as floats; one
         read-only array, computed when the mask is built."""

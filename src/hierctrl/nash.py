@@ -294,8 +294,10 @@ def stacked_system(spec: ProblemSpec):
     transpose is the coupled adjoint system of the HUM gradient, with
     psi^{j-1} in the w^j slot and eta_i^j in the phi_i^{j-1} slot.  The
     state rows are the all-at-once backward-Euler system
-    blockdiag(I + dt L_j) - kron(shift, I); the multiplier rows are the
-    transpose of that system in the adjoint family.
+    blockdiag(I + dt L_j) - kron(shift, I), the block diagonal being the
+    stepper's step_matrices, read from the one assembly its marches factor;
+    the multiplier rows are the transpose of that system in the adjoint
+    family.
     """
     grid = spec.grid
     n, nt, dt = grid.n_interior, grid.nt, grid.dt
@@ -306,7 +308,7 @@ def stacked_system(spec: ProblemSpec):
     shift = sp.kron(sp.eye(nt, k=-1), sp.identity(n))
 
     def marched(family):
-        return sp.block_diag([stepper.step_matrix(j, family) for j in range(1, nt + 1)]) - shift
+        return stepper.step_matrices(family) - shift
 
     def per_step(vec):
         return sp.kron(sp.identity(nt), sp.diags(vec))

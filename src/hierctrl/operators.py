@@ -12,10 +12,13 @@ solver precision (discretize-then-optimize).  Small grids march symmetric
 time-constant steps in their eigenbasis; every other step is one LAPACK
 band solve, dpbtrs on a band Cholesky factor for a symmetric
 positive-definite step and dgbtrs on a band LU factor otherwise, whose
-transposed solve is the adjoint step.  The biharmonic and gradient
-matrices are assembled once per grid (grid_operators) and shared by every stepper on it.  Fixed points that
-march a family many times can stay in its Coordinates, the eigenbasis of
-a modal family, and pass fields between families through Couplings.
+transposed solve is the adjoint step.  Every one of these, and the sparse
+step matrices of the space-time system, reads one assembly of the step
+matrices by diagonals.  The biharmonic and gradient matrices are assembled
+once per grid (grid_operators) and shared by every stepper on it.  Fixed
+points that march a family many times can stay in its Coordinates, the
+eigenbasis of a modal family, and pass fields between families through
+Couplings.
 """
 
 from __future__ import annotations
@@ -262,14 +265,6 @@ class ProblemSpec:
             raise ValueError("each target region must intersect the leader region")
 
 
-def _spatial_operator(biharm, grads, a, b, level):
-    L = biharm + sp.diags(a[level])
-    for axis, b_axis in enumerate(b):
-        if np.any(b_axis[level]):
-            L = L + sp.diags(b_axis[level]) @ grads[axis]
-    return L.tocsr()
-
-
 def _entries(matrix):
     """(rows, columns, values) of the stored entries of a CSR matrix."""
     return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices, matrix.data
@@ -388,11 +383,9 @@ class _Family(NamedTuple):
 
     a: np.ndarray
     b: tuple
-    time_constant: bool
     modal: tuple  # Q, the source transform dt diag(w) Q' and the band of _recurrence_band
     cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
     lu: tuple  # (kl, ku, factors, pivots) of each step 1..nt, views of one band_lu pair
-    matrices: dict  # the sparse step matrix of a time-constant family, once step_matrix has built it
     coordinates: Coordinates
 
 
@@ -422,8 +415,11 @@ class TimeStepper:
       some level, which dpbtrf reports (for example a reaction with
       dt a <= -(1 + dt lambda_min(B))).
 
-    Both band factors come from one assembly of the step band (_step_band)
-    and march through one step loop (_band_loop).
+    Every representation reads one assembly of the step matrices
+    (_step_diagonals): the band factors through the step band (_step_band),
+    the modal family through the dense step stack, and the sparse
+    step_matrices directly.  Both band factors march through one step loop
+    (_band_loop).
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
     them.  Every stepper on a grid shares that grid's biharmonic and
@@ -432,7 +428,6 @@ class TimeStepper:
     time-independent one level serves every step.
     A physical march whose datum and sources are all zero returns zeros at
     once; a march in modal coordinates solves such data to exact zeros.
-    The sparse step matrices themselves come from step_matrix.
 
     Each family also has its Coordinates (coordinates), in which a march
     can run (march_forward's coordinates), and the stepper keeps the
@@ -472,12 +467,7 @@ class TimeStepper:
             else:
                 factor, pivots = band_lu(band, kl, ku)
                 lu = (kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps)
-        return _Family(a, b, const, modal, cholesky, lu, {}, Coordinates(grid, modal))
-
-    def _step_matrix(self, a, b, level):
-        grid = self.grid
-        L = _spatial_operator(self.biharm, self.grads, a, b, level)
-        return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
+        return _Family(a, b, modal, cholesky, lu, Coordinates(grid, modal))
 
     def _step_diagonals(self, a, b, levels):
         """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given
@@ -486,9 +476,10 @@ class TimeStepper:
         (j - offsets[k], j) of the step matrix of levels[l] (scipy's dia
         layout) and zero where that row is outside the matrix.
 
-        Entry for entry the arithmetic of _spatial_operator and
-        _step_matrix, so the step band and the dense step stack, both read
-        from it, equal the sparse step matrices exactly.
+        The one assembly of a step matrix.  Each entry is dt times the sum,
+        in that order, of the biharmonic entry, the reaction and each axis's
+        transport entry, plus 1 on the main diagonal: the arithmetic of the
+        sparse sums I + dt (B + diag(a_j) + sum diag(b_j) G) entry for entry.
         """
         n = self.grid.n_interior
         transport = [(b_axis[levels], _entries(grad)) for grad, b_axis in zip(self.grads, b)
@@ -534,18 +525,16 @@ class TimeStepper:
         except KeyError:
             raise ValueError(f"unknown matrix family {family!r}") from None
 
-    def step_matrix(self, j, family="forward"):
-        """The sparse step matrix I + dt L_j itself (1..nt).
-
-        A time-constant family builds it once and returns that matrix for
-        every j; callers must not modify it.
-        """
+    def step_matrices(self, family="forward"):
+        """The step matrices I + dt L_j of steps 1..nt as one block-diagonal
+        CSR matrix, shape (nt n, nt n), block j-1 that of step j: the
+        diagonals of every level (_step_diagonals) read as one dia matrix,
+        whose zero entries, inside a block or between blocks, are dropped."""
         fam = self._family(family)
-        if not fam.time_constant:
-            return self._step_matrix(fam.a, fam.b, j)
-        if not fam.matrices:
-            fam.matrices[1] = self._step_matrix(fam.a, fam.b, 1)
-        return fam.matrices[1]
+        nt, n = self.grid.nt, self.grid.n_interior
+        offsets, data = self._step_diagonals(fam.a, fam.b, range(1, nt + 1))
+        diagonals = data.transpose(1, 0, 2).reshape(len(offsets), nt * n)
+        return sp.dia_matrix((diagonals, offsets), shape=(nt * n, nt * n)).tocsr()
 
     def coordinates(self, family="forward") -> Coordinates:
         """The coordinates the family marches in."""

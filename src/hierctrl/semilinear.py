@@ -238,6 +238,13 @@ class QuasiEquilibrium:
     history: list
 
 
+def _constant_source(grid, nonlin):
+    """The constant remainder F(0, 0) as an interior (nt+1, n) source, or
+    None when it is zero."""
+    f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
+    return np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
+
+
 def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
                             tol=1e-10, inner_tol=1e-12) -> QuasiEquilibrium:
     """Outer Picard on the frozen-z optimality system.
@@ -248,8 +255,7 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
     array, or None.
     """
     grid = spec.grid
-    f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    extra = np.full((grid.nt + 1, grid.n_interior), f00) if f00 != 0.0 else None
+    extra = _constant_source(grid, nonlin)
 
     def sweep(state):
         z = state[0]
@@ -271,10 +277,9 @@ def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_it
     no stepper is built."""
     grid = spec.grid
     zero = np.zeros((grid.nt + 1, grid.n_interior))
-    f00 = float(nonlin.f(np.zeros(1), tuple(np.zeros(1) for _ in range(grid.dim)))[0])
-    if f00 == 0.0 and not np.any(ubar0):
+    src = _constant_source(grid, nonlin)
+    if src is None and not np.any(ubar0):
         return zero
-    src = np.full(zero.shape, f00) if f00 != 0.0 else None
 
     def sweep(z):
         a, b = _secant(spec, nonlin, z)

@@ -3,8 +3,8 @@
 No subcommand runs these: each is an independent route to a quantity the
 package computes another way (Lambda alone, the HUM functional, the
 follower response operators, the discrete duality identity, plug-back
-residuals, the dense follower form and the grid operators by sparse
-products), so it lives with the tests.
+residuals, the dense follower form, the grid operators by sparse products
+and the step matrices by sparse sums), so it lives with the tests.
 Helpers the tests patch (nash._distinct_targets) are read through their
 modules.
 """
@@ -132,7 +132,7 @@ def quasi_equilibrium_residual(spec, nonlin, f, qe):
         src = src + qe.controls[i] * spec.follower_masks[i].interior_vector()
     res = 0.0
     for j in range(1, grid.nt + 1):
-        M = spec.stepper.step_matrix(j, "forward")
+        M = step_matrix(spec.stepper, j, "forward")
         r = M @ U[j] - U[j - 1] - grid.dt * (src[j] + F_int[j])
         res += grid.dt * grid.hd * float(np.dot(r, r))
     res_state = math.sqrt(res)
@@ -143,7 +143,7 @@ def quasi_equilibrium_residual(spec, nonlin, f, qe):
         chid = spec.target_masks[i].interior_vector()
         wd = spec.targets[i]
         for j in range(1, grid.nt + 1):
-            A = tg.step_matrix(j, "adjoint").T
+            A = step_matrix(tg, j, "adjoint").T
             rhs = (P[j] if j < grid.nt else np.zeros_like(P[0])) + grid.dt * spec.alpha[i] * chid * (U[j] - wd[j])
             r = A @ P[j - 1] - rhs
             res_adj += grid.dt * grid.hd * float(np.dot(r, r))
@@ -206,3 +206,30 @@ def sparse_product_grid_operators(grid):
     grads = tuple(_on_axis(sp.diags([-0.5 / h, 0.5 / h], [-1, 1], shape=(n - 2, n - 2)), ax, eyes).tocsr()
                   for ax, (n, h) in enumerate(zip(grid.nx, grid.h)))
     return A, M, grads
+
+
+def spatial_operator(biharm, grads, a, b, level):
+    """B + diag(a_j) + sum_axis diag(b_j) G_axis at level j, by sparse sums:
+    the spatial operator of a step matrix, assembled independently of
+    TimeStepper._step_diagonals, which must match it entry for entry."""
+    L = biharm + sp.diags(a[level])
+    for axis, b_axis in enumerate(b):
+        if np.any(b_axis[level]):
+            L = L + sp.diags(b_axis[level]) @ grads[axis]
+    return L.tocsr()
+
+
+def sparse_step_matrix(stepper, j, family="forward"):
+    """The step matrix I + dt L_j (1..nt) of a stepper's family by sparse
+    sums (spatial_operator), from the family's coefficients."""
+    grid, fam = stepper.grid, stepper._family(family)
+    L = spatial_operator(stepper.biharm, stepper.grads, fam.a, fam.b, j)
+    return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
+
+
+def step_matrix(stepper, j, family="forward"):
+    """Block j (1..nt) of stepper.step_matrices(family): the step matrix
+    the marches and the stacked system use."""
+    n = stepper.grid.n_interior
+    block = slice((j - 1) * n, j * n)
+    return stepper.step_matrices(family)[block, block]

@@ -27,7 +27,7 @@ from hierctrl.semilinear import (preset_tanh, preset_zero, semilinear_null_contr
                                  solve_quasi_equilibrium, verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import apply_lambda, duality_gap, eval_G, sample_bound
+from oracles import apply_lambda, duality_gap, eval_G, sample_bound, spatial_operator, step_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,13 +55,11 @@ def test_criterion_01_transpose_contract_and_duality():
     st = spec.stepper
     import scipy.sparse as sp
 
-    from hierctrl.operators import _spatial_operator
-
     eye = sp.identity(g.n_interior, format="csr")
     max_entry = 0.0
     for j in range(1, g.nt + 1):
-        fwd_step = eye + g.dt * _spatial_operator(st.biharm, st.grads, spec.a, spec.b, j)
-        adj_step = st.step_matrix(j, "adjoint").T  # matrix the backward march solves with
+        fwd_step = eye + g.dt * spatial_operator(st.biharm, st.grads, spec.a, spec.b, j)
+        adj_step = step_matrix(st, j, "adjoint").T  # matrix the backward march solves with
         max_entry = max(max_entry, abs(adj_step - fwd_step.T).max())
     gaps = []
     for _ in range(10):

@@ -1,7 +1,8 @@
 """The grid operators and the stacked space-time system against the loop
 builders they replaced: per-index COO stencils along each axis, and the
-block-by-block COO assembly of the optimality system.  The Kronecker-sum
-and block-matrix forms must give the same CSR arrays, entry for entry."""
+block-by-block COO assembly of the optimality system from step matrices
+built by sparse sums.  The Kronecker-sum and block-matrix forms must give
+the same CSR arrays, entry for entry."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hierctrl.mesh import build_grid, build_mask
 from hierctrl.nash import stacked_system
 from hierctrl.operators import ProblemSpec, assemble_biharmonic, extended_laplacian, gradient_matrices
 
-from oracles import sparse_product_grid_operators
+from oracles import sparse_product_grid_operators, sparse_step_matrix, step_matrix
 
 
 def _ref_axis_laplacian_rows(n, h):
@@ -134,7 +135,7 @@ def _ref_stacked_system(spec):
 
     for j in range(1, nt + 1):
         r0 = w_idx(j)
-        put(stepper.step_matrix(j, "forward"), r0, w_idx(j))
+        put(sparse_step_matrix(stepper, j, "forward"), r0, w_idx(j))
         if j >= 2:
             put(eyes, r0, w_idx(j - 1), -1.0)
         for i in range(2):
@@ -142,7 +143,7 @@ def _ref_stacked_system(spec):
     for i in range(2):
         for j in range(1, nt + 1):
             r0 = p_idx(i, j - 1)
-            put(stepper.step_matrix(j, "adjoint").T.tocoo(), r0, p_idx(i, j - 1))
+            put(sparse_step_matrix(stepper, j, "adjoint").T.tocoo(), r0, p_idx(i, j - 1))
             if j <= nt - 1:
                 put(eyes, r0, p_idx(i, j), -1.0)
             put(sp.diags(chid[i] * (dt * spec.alpha[i])).tocoo(), r0, w_idx(j), -1.0)
@@ -231,6 +232,6 @@ def test_stacked_system_matches_coo_assembly(name, varying):
     spec = _spec(GRIDS[name], varying)
     if varying:
         st = spec.stepper
-        assert abs(st.step_matrix(2, "adjoint") - st.step_matrix(2, "forward")).max() > 0.0
-        assert abs(st.step_matrix(2, "forward") - st.step_matrix(3, "forward")).max() > 0.0
+        assert abs(step_matrix(st, 2, "adjoint") - step_matrix(st, 2, "forward")).max() > 0.0
+        assert abs(step_matrix(st, 2, "forward") - step_matrix(st, 3, "forward")).max() > 0.0
     assert_same_csr(stacked_system(spec), _ref_stacked_system(spec))

@@ -27,7 +27,7 @@ def weights(grid):
 
 def test_eta_symmetric_center_is_parabola(grid):
     x = grid.coords(0)
-    eta = EtaFunction(grid, 0.5).on_nodes()
+    eta = EtaFunction(grid, 0.5).value(*grid.meshes())
     assert np.abs(eta - x * (1 - x)).max() <= 1e-14
     fn = EtaFunction(grid, 0.5)
     assert fn.value(np.array([0.5]))[0] == pytest.approx(0.25, abs=1e-15)
@@ -35,7 +35,7 @@ def test_eta_symmetric_center_is_parabola(grid):
 
 def test_eta_boundary_zeros_exact(grid):
     for center in (0.3, 0.5, 0.72):
-        eta = EtaFunction(grid, center).on_nodes()
+        eta = EtaFunction(grid, center).value(*grid.meshes())
         assert eta[0] == 0.0 and eta[-1] == 0.0
         assert np.all(eta[1:-1] > 0.0)
 
@@ -60,7 +60,7 @@ def test_eta_invalid_center(grid):
 def test_eta_2d_product_and_critical_point():
     g = build_grid(2, (1.0, 1.0), (12, 12), 1.0, 8)
     fn = EtaFunction(g, (0.4, 0.6))
-    vals = fn.on_nodes()
+    vals = fn.value(*g.meshes())
     assert np.all(vals[0, :] == 0.0) and np.all(vals[:, -1] == 0.0)
     gx, gy = fn.gradient(np.array([0.4]), np.array([0.6]))
     assert abs(gx[0]) <= 1e-14 and abs(gy[0]) <= 1e-14
@@ -134,7 +134,7 @@ def test_theta_zero_at_horizon_positive_inside(grid, weights):
 def test_distinct_pair_invariants(grid):
     w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.35, center2=0.65)
     e1, e2 = w.eta_pair
-    v1, v2 = e1.on_nodes(), e2.on_nodes()
+    v1, v2 = e1.value(*grid.meshes()), e2.value(*grid.meshes())
     outside = ~w.otilde.indicator
     assert np.abs(v1[outside] - v2[outside]).max() == 0.0
     assert e1.sup == e2.sup
@@ -265,12 +265,14 @@ def test_shared_case_validation_rejects_mismatch():
 
 
 def test_weight_form_matches_sampled_fields(grid, weights):
-    form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
+    """alpha at an inner level is (e^{lam (2M + eta)} - e^{4 lam M}) / sqrt(t (T - t)),
+    M the supremum of eta."""
     k = grid.nt // 3
     t = grid.times()[k]
-    x = grid.coords(0)
-    alpha_direct = form.alpha((x,), np.full_like(x, t))
-    assert np.allclose(alpha_direct, weights.alpha[k], rtol=1e-13)
+    eta_fn, lam = weights.eta_fn, weights.lam
+    closed = (np.exp(lam * (2.0 * eta_fn.sup + eta_fn.value(grid.coords(0))))
+              - np.exp(4.0 * lam * eta_fn.sup)) / np.sqrt(t * (grid.T - t))
+    assert np.allclose(closed, weights.alpha[k], rtol=1e-13)
 
 
 @pytest.mark.parametrize("dims", [1, 2], ids=["1-plain", "2-plain"])

@@ -487,6 +487,21 @@ def test_semilinear_assembles_the_biharmonic_once(tmp_path, monkeypatch):
     assert len(builds) > 2 and len(assembled) == 1
 
 
+def test_semilinear_grad_tanh_marches_on_band_lu(tmp_path, monkeypatch):
+    """The grad-tanh preset, F = c tanh(u) + c2 tanh(du/dx), gives the
+    frozen step families transport, so the run marches on band LU factors;
+    its iteration counts are pinned."""
+    factored = _count_calls(monkeypatch, hierctrl.linalg, "band_lu")
+    cfg = tmp_path / "grad_tanh.ini"
+    cfg.write_text(_with_keys("semilinear_1d.ini", [("nonlinearity", "preset", "grad-tanh"),
+                                                    ("nonlinearity", "c2", "0.3")]))
+    out = tmp_path / "out"
+    assert run("semilinear", cfg, out) == 0
+    summary = _summary(out)
+    assert (summary["outer_iterations"], summary["cg_iterations"]) == ("6", "23")
+    assert len(factored) >= 1
+
+
 def test_null_control_forms_no_follower_controls(tmp_path, monkeypatch):
     """No Nash solve of a null-control sweep has its controls read."""
     formed = _count_calls(monkeypatch, hierctrl.nash, "_controls_from_adjoints")

@@ -8,7 +8,7 @@ from hierctrl.nash import cost_followers, q_norm, solve_nash_fixed_point, verify
 from hierctrl.operators import TimeStepper, control_sources
 
 from conftest import leader_bump, make_nash_spec
-from oracles import apply_A, apply_response, apply_response_adjoint, compute_rhs
+from oracles import apply_A, apply_response, apply_response_adjoint, compute_rhs, step_matrix
 
 
 def _random_control(spec, rng, i):
@@ -139,7 +139,7 @@ def test_oracle_plugback_residual(nash_spec):
         src = src + oracle.controls[i] * nash_spec.follower_masks[i].interior_vector()
     res = 0.0
     for j in range(1, g.nt + 1):
-        r = st.step_matrix(j, "forward") @ W[j] - W[j - 1] - g.dt * src[j]
+        r = step_matrix(st, j, "forward") @ W[j] - W[j - 1] - g.dt * src[j]
         res = max(res, np.abs(r).max())
     for i in range(2):
         P = oracle.phis[i]
@@ -148,7 +148,7 @@ def test_oracle_plugback_residual(nash_spec):
         for j in range(1, g.nt + 1):
             rhs = (P[j] if j < g.nt else np.zeros_like(P[0])) \
                 + g.dt * nash_spec.alpha[i] * chid * (W[j] - wd[j])
-            r = st.step_matrix(j, "adjoint").T @ P[j - 1] - rhs
+            r = step_matrix(st, j, "adjoint").T @ P[j - 1] - rhs
             res = max(res, np.abs(r).max())
     assert res <= 1e-10
 

@@ -7,11 +7,10 @@ from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import PIVOT_RTOL, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
-from hierctrl.operators import (MODAL_MAX_N, ProblemSpec, _spatial_operator, assemble_biharmonic,
-                                solve_adjoint, solve_forward)
+from hierctrl.operators import MODAL_MAX_N, ProblemSpec, assemble_biharmonic, solve_adjoint, solve_forward
 
 from conftest import make_hum_spec, make_nash_spec
-from oracles import duality_gap
+from oracles import duality_gap, spatial_operator, sparse_step_matrix, step_matrix
 
 
 def _step(st, family, j, transpose, x):
@@ -114,29 +113,28 @@ def test_biharmonic_quartic_2d_interior():
 
 
 def test_reaction_shift_is_identity():
+    """A unit reaction adds dt I to the step matrix, to rounding."""
     g = build_grid(1, 1.0, 12, 1.0, 8)
-    spec = _plain_spec(g, a_values=np.ones((g.nt + 1,) + g.nx))
-    st = spec.stepper
-    L = _spatial_operator(st.biharm, st.grads, spec.a, spec.b, 1)
-    M = assemble_biharmonic(g)
-    diff = L - M
-    assert abs(diff - np.eye(g.n_interior)).max() <= 1e-14
+    shifted = step_matrix(_plain_spec(g, a_values=np.ones((g.nt + 1,) + g.nx)).stepper, 1)
+    plain = step_matrix(_plain_spec(g).stepper, 1)
+    assert abs(shifted - plain - g.dt * sp.identity(g.n_interior)).max() <= 1e-15 * abs(plain).max()
 
 
 def test_operator_symmetric_without_transport():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
     st = spec.stepper
-    fwd = st.step_matrix(2, "forward")
+    fwd = step_matrix(st, 2, "forward")
     assert abs(fwd - fwd.T).max() == 0.0
+    assert abs(fwd - sparse_step_matrix(st, 2)).max() == 0.0
     # the backward march solves with the adjoint-family matrix transposed
-    assert abs(st.step_matrix(2, "adjoint").T - fwd).max() == 0.0
+    assert abs(step_matrix(st, 2, "adjoint").T - fwd).max() == 0.0
 
 
 def test_unknown_matrix_family_rejected():
     g = build_grid(1, 1.0, 12, 1.0, 8)
     st = _plain_spec(g).stepper
-    for call in (lambda: st.step_matrix(1, "adjiont"),
+    for call in (lambda: st.step_matrices("adjiont"),
                  lambda: st.march_backward(np.zeros(g.n_interior), family="backward"),
                  lambda: st.march_forward(np.zeros(g.n_interior), family="Forward")):
         with pytest.raises(ValueError, match="unknown matrix family"):
@@ -151,12 +149,12 @@ def test_transpose_contract_exact(rng):
     st = spec.stepper
     eye = sp.identity(g.n_interior, format="csr")
     for level in (1, 4, 8):
-        L = _spatial_operator(st.biharm, st.grads, spec.a, spec.b, level)
+        L = spatial_operator(st.biharm, st.grads, spec.a, spec.b, level)
         assert abs(L - L.T).max() > 0.0  # transport makes the operator nonsymmetric
-        adj_step = st.step_matrix(level, "adjoint").T  # what the backward march solves with
+        adj_step = step_matrix(st, level, "adjoint").T  # what the backward march solves with
         assert abs(adj_step - (eye + g.dt * L).T).max() == 0.0
     for j in (1, 5):
-        assert abs(st.step_matrix(j, "adjoint") - st.step_matrix(j, "forward")).max() == 0.0
+        assert abs(step_matrix(st, j, "adjoint") - step_matrix(st, j, "forward")).max() == 0.0
 
 
 def test_solve_forward_zero_data():
@@ -282,7 +280,7 @@ def _frozen_like_stepper(rng, nx=14, transport=True):
     fam = st._family("forward")
     factors = fam.lu[2] if transport else fam.cholesky
     assert len(factors) == g.nt and not np.array_equal(factors[0], factors[1])
-    assert abs(st.step_matrix(3, "adjoint") - st.step_matrix(3, "forward")).max() > 0.0
+    assert abs(step_matrix(st, 3, "adjoint") - step_matrix(st, 3, "forward")).max() > 0.0
     return g, st
 
 
@@ -370,10 +368,11 @@ def test_march_rejects_mismatched_shapes(datum_shape, source_shape):
 
 
 def _superlu_marches(st, family, datum, src):
-    """Forward and backward marches by SuperLU solves of step_matrix, one per level."""
+    """Forward and backward marches by SuperLU solves of the sparse step
+    matrices, one per level."""
     g = st.grid
     n, nt = g.n_interior, g.nt
-    facts = [factorize(st.step_matrix(j, family)) for j in range(1, nt + 1)]
+    facts = [factorize(step_matrix(st, j, family)) for j in range(1, nt + 1)]
     fwd, bwd = np.zeros((nt + 1, n)), np.zeros((nt + 1, n))
     fwd[0], bwd[nt] = datum, datum
     for j in range(1, nt + 1):
@@ -415,9 +414,10 @@ def test_lu_marches_match_superlu_solves(rng, family, dim, nx):
 
 @pytest.mark.parametrize("dim,nx", [(1, 16), (1, 40), (2, (8, 8)), (2, (12, 12))])
 def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
-    """Slice l of _dense_step_stack is the sparse step matrix of levels[l]
-    (_step_matrix), entry for entry, with time-dependent reaction and
-    transport along every axis.  Slice l of _step_band holds the same
+    """Slice l of _dense_step_stack, and block levels[l] of step_matrices,
+    are the step matrix of levels[l] by sparse sums (sparse_step_matrix),
+    entry for entry, with time-dependent reaction and transport along every
+    axis.  Slice l of _step_band holds the same
     matrix in general band storage, entry for entry, with zeros in its kl
     fill rows and outside the matrix."""
     g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
@@ -429,13 +429,14 @@ def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
     stack = st._dense_step_stack(spec.a, spec.b, levels)
     assert stack.shape == (len(levels), g.n_interior, g.n_interior)
     for sl, j in zip(stack, levels):
-        assert np.array_equal(sl, st._step_matrix(spec.a, spec.b, j).toarray())
+        S = sparse_step_matrix(st, j).toarray()
+        assert np.array_equal(sl, S) and np.array_equal(step_matrix(st, j).toarray(), S)
     n = g.n_interior
     band, kl, ku = st._step_band(spec.a, spec.b, levels)
     kd = 2 * (g.nx[-1] - 2) if dim == 2 else 2
     assert (kl, ku) == (kd, kd) and band.shape == (len(levels), 3 * kd + 1, n)
     for sl, j in zip(band, levels):
-        S = st._step_matrix(spec.a, spec.b, j).toarray()
+        S = sparse_step_matrix(st, j).toarray()
         assert not sl[:kl].any()
         for d in range(-ku, kl + 1):  # row kl + ku + d holds the entries (j + d, j)
             inside = sl[kl + ku + d, max(0, -d):n - max(0, d)]
@@ -767,21 +768,13 @@ def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx):
     a = np.zeros((g.nt + 1,) + g.nx)
     a[3] = -lam.mean() / g.dt
     st = _plain_spec(g, a_values=a).stepper
-    assert lam[0] < -g.dt * a[3, 1] and np.linalg.eigvalsh(st.step_matrix(3).toarray())[0] < 0.0
+    assert lam[0] < -g.dt * a[3, 1] and np.linalg.eigvalsh(step_matrix(st, 3).toarray())[0] < 0.0
     fam = st._family("forward")
     assert fam.cholesky is None and fam.lu is not None
     datum, src = rng.standard_normal(g.n_interior), rng.standard_normal((g.nt + 1, g.n_interior))
     fwd, bwd = _superlu_marches(st, "forward", datum, src)
     for got, ref in ((st.march_forward(datum, src), fwd), (st.march_backward(datum, src), bwd)):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_time_constant_step_matrix_built_once():
-    g, st = _modal_stepper()
-    first = st.step_matrix(1)
-    assert all(st.step_matrix(j) is first for j in range(1, g.nt + 1))
-    fresh = st._step_matrix(st._family("forward").a, st._family("forward").b, g.nt)
-    assert abs(first - fresh).max() == 0.0
 
 
 def test_near_singular_symmetric_level_raises_on_the_band_path():
@@ -821,7 +814,7 @@ def test_near_singular_transport_level_raises_on_the_band_lu_path():
     plain = _plain_spec(g, b_values=b_values)
     band, kl, ku = plain.stepper._step_band(plain.a, plain.b, [3])
     scale = np.abs(band).max()
-    singular = -1.0 / np.linalg.inv(plain.stepper.step_matrix(3).toarray())[-1, -1]
+    singular = -1.0 / np.linalg.inv(step_matrix(plain.stepper, 3).toarray())[-1, -1]
     a = np.zeros(shape)
     a[3, -2] = (singular + 0.3 * PIVOT_RTOL * scale) / g.dt
     spec = _plain_spec(g, a_values=a, b_values=b_values)

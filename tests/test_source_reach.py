@@ -18,10 +18,7 @@ TEST_REFERENCES = {}
 # access in src/ names it.  The match is by name, so a method that shares
 # its name with one src/ calls (a `solve` beside Factorization.solve)
 # passes unlisted.
-METHOD_TEST_REFERENCES = {
-    ("carleman", "EtaFunction", "on_nodes"): "eta on the grid nodes, which the weight-property checks sample",
-    ("mesh", "SubdomainMask", "node_count"): "the node count the mask-building checks assert",
-}
+METHOD_TEST_REFERENCES = {}
 
 
 def _referenced(paths):

@@ -31,7 +31,7 @@ def _ref_build_weights(eta_fn, lam, s, variant):
     grid = eta_fn.grid
     form = WeightForm(eta_fn, lam, s, variant)
     r, singular = _ref_time_factor(grid, variant)
-    A = np.exp(lam * (2.0 * form.M + eta_fn.on_nodes()))
+    A = np.exp(lam * (2.0 * form.M + eta_fn.value(*grid.meshes())))
     alpha = np.empty((grid.nt + 1,) + grid.nx)
     xi = np.empty_like(alpha)
     for k in range(grid.nt + 1):
