@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import TINY, RitzPairs, conjugate_gradient, contraction_estimate, factorize, ritz_pairs
 from .mesh import norm_h
 from .nash import NashSolution, _control_weights, alternate, solve_nash_fixed_point, stacked_system
-from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, lagged, solve_forward
 
 RITZ_DIRECTIONS = 8  # a single-eps CG run from b of this many iterations yields Ritz pairs
 RITZ_CAP = 20  # the most Ritz pairs a solve keeps
@@ -94,14 +94,11 @@ class HumResult:
 
 def _companions(spec, psi):
     """The forward companions of psi, eta_1 and eta_2, as one (2, nt+1, n)
-    march: column i marches shift(psi) times -chi_i/mu_i
+    march: column i marches lagged(psi) times -chi_i/mu_i
     (nash._control_weights), the Nash state source of psi, as the coupled
     adjoint is the transpose of the Nash system."""
-    grid = spec.grid
-    src = np.zeros((2, grid.nt + 1, grid.n_interior))
-    for col, wt in zip(src, _control_weights(spec, 2)):
-        np.multiply(psi[:-1], wt, out=col[1:])
-    return spec.stepper.march_forward(np.zeros(grid.n_interior), src, family="adjoint")
+    src = np.stack([lagged(psi, wt) for wt in _control_weights(spec, 2)])
+    return spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src, family="adjoint")
 
 
 def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) -> CoupledAdjointState:
@@ -124,9 +121,7 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
         psi, *etas = np.zeros((3, grid.nt + 1, grid.n_interior))
         return CoupledAdjointState(psi, spec, 0, [], tuple(etas))
     psi, _, it, history = alternate(spec, datum, transposed=True, tol_rel=tol_rel, max_iter=max_iter)
-    psi = fwd.physical(psi)
-    psi[-1] = psi0  # the datum itself, not its round trip through the coordinates
-    return CoupledAdjointState(psi, spec, it, history,
+    return CoupledAdjointState(fwd.physical(psi, psi0, backward=True), spec, it, history,
                                contraction_estimate=contraction_estimate(history))
 
 
@@ -170,10 +165,7 @@ def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState):
     Control level j carries psi^{j-1}: the value pairing with forward step j
     in the discrete duality.
     """
-    chi = spec.leader_mask.interior_vector()
-    f = np.zeros_like(coupled.psi)
-    f[1:] = coupled.psi[:-1] * chi
-    return f
+    return lagged(coupled.psi, spec.leader_mask.interior_vector())
 
 
 def grad_G(spec: ProblemSpec, psi0, eps, inner_tol=1e-12, fields=None):

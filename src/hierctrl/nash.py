@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .errors import TooLarge
 from .linalg import TINY, contraction_estimate, iterate
 from .mesh import q_norm
-from .operators import Coordinates, ProblemSpec, control_sources, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, lagged, solve_forward
 
 
 @dataclass
@@ -94,8 +94,8 @@ def _distinct_targets(spec):
 
 
 def _control_weights(spec, k):
-    """The weight of shift(phi_c) for each of k adjoint columns in the state
-    source f + sum_c shift(phi_c) weights[c] = f + sum_i v_i: -chi_i/mu_i,
+    """The weight of lagged(phi_c) for each of k adjoint columns in the state
+    source f + sum_c lagged(phi_c, weights[c]) = f + sum_i v_i: -chi_i/mu_i,
     or their sum when one column serves both followers (k = 1)."""
     ws = [-chi / mu for chi, mu in zip(_indicators(spec.follower_masks), spec.mu)]
     return [ws[0] + ws[1]] if k == 1 else ws
@@ -141,8 +141,8 @@ def _controls_from_adjoints(follower_masks, mu, phi_arrays):
     """v_i^j = -chi_i * phi_i^{j-1} / mu_i, bitwise, level 0 zero."""
     out = []
     for phi, chi, mu_i in zip(phi_arrays, _indicators(follower_masks), mu):
-        v = np.zeros_like(phi)
-        v[1:] = -(phi[:-1] * chi) / mu_i
+        v = lagged(phi, chi)
+        v[1:] /= -mu_i  # not lagged(phi, chi) / -mu_i, which makes level 0 -0.0
         out.append(v)
     return out
 
@@ -154,12 +154,8 @@ def _response_adjoint(spec, g_states, followers=(0, 1)):
     single g_state serves every follower."""
     grid = spec.grid
     ps = spec.stepper.march_backward(np.zeros(grid.n_interior), np.stack(g_states), family="adjoint")
-    out = []
-    for i, p in zip(followers, list(ps) * len(followers) if len(ps) == 1 else ps):
-        o = np.zeros_like(p)
-        o[1:] = p[:-1] * spec.follower_masks[i].interior_vector()
-        out.append(o)
-    return out
+    return [lagged(p, spec.follower_masks[i].interior_vector())
+            for i, p in zip(followers, list(ps) * len(followers) if len(ps) == 1 else ps)]
 
 
 def alternate(spec: ProblemSpec, datum, source=None, transposed=False, tol_rel=1e-12, max_iter=200,
@@ -264,22 +260,17 @@ def solve_nash_fixed_point(
     if extra_source is not None:
         source = source + extra_source
 
-    def physical(W):
-        W = fwd.physical(W)
-        W[0] = spec.w0  # the datum itself, not its round trip through the coordinates
-        return W
-
     hook = None
     if on_sweep is not None:
         sweeps = itertools.count(1)
 
         def hook(W, phis, change):
             vs = _controls_from_adjoints(spec.follower_masks, spec.mu, _physical_adjoints(adj, phis))
-            on_sweep(next(sweeps), physical(W), vs, change)
+            on_sweep(next(sweeps), fwd.physical(W, spec.w0), vs, change)
 
     W, phis, it, history = alternate(spec, fwd.datum(spec.w0), fwd.source(source), tol_rel=tol_rel,
                                      max_iter=max_iter, damping=damping, on_sweep=hook)
-    return NashSolution(physical(W), tuple(phis), adj, spec.follower_masks, spec.mu, it, history,
+    return NashSolution(fwd.physical(W, spec.w0), tuple(phis), adj, spec.follower_masks, spec.mu, it, history,
                         contraction_estimate(history))
 
 

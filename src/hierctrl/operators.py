@@ -285,18 +285,20 @@ class Coordinates:
 
     A modal family's coordinates are its eigenbasis, y = Q'u at every level,
     and a coordinate array is mode-major, shape (n, nt+1) or (k, n, nt+1),
-    which is the layout its band solve reads.  A march in these coordinates
-    takes the band right-hand sides themselves: dt diag(w) Q' s^j at
-    column j forward and at column j-1 backward, the datum column left to
+    which is the layout its band solve (march) reads.  A march in these
+    coordinates takes the band right-hand sides themselves: dt diag(w) Q' s^j
+    at column j forward and at column j-1 backward, the datum column left to
     the march.  Every other family marches in physical space (Q = I): its
-    coordinate arrays are the interior (nt+1, n) arrays, and a march reads
-    its sources as always, so arithmetic in these coordinates is exactly the
-    physical one.
+    coordinate arrays are the interior (nt+1, n) or (k, nt+1, n) arrays, and
+    a march reads its sources as always, so arithmetic in these coordinates
+    is exactly the physical one.  datum, source and physical take one
+    column or k, and column c of a k-column transform is bit for bit the
+    single-column transform of column c.
     """
 
     def __init__(self, grid, modal=None):
         self.grid = grid
-        self.Q, self.source_transform = modal[:2] if modal is not None else (None, None)
+        self.Q, self.source_transform, self.band = modal if modal is not None else (None, None, None)
         self.modal = modal is not None
 
     def zeros(self, k=None):
@@ -306,38 +308,58 @@ class Coordinates:
         return np.zeros(shape if k is None else (k, *shape))
 
     def levels(self, arr, shifted=False):
-        """The view of a single-column field holding levels 1..nt, or
-        0..nt-1 when shifted."""
+        """The view of a field holding levels 1..nt, or 0..nt-1 when shifted."""
         at = slice(None, -1) if shifted else slice(1, None)
-        return arr[:, at] if self.modal else arr[at]
+        return arr[..., at] if self.modal else arr[..., at, :]
 
     def source_levels(self, arr, backward=False):
-        """The view of a single-column march input that source levels
-        1..nt go to: a backward modal march reads source j at column j-1."""
+        """The view of a march input that source levels 1..nt go to: a
+        backward modal march reads source j at column j-1."""
         return self.levels(arr, shifted=backward and self.modal)
 
     def datum(self, v):
-        """An (n,) vector in these coordinates."""
+        """An (n,) or (k, n) datum in these coordinates."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.grid.n_interior,):
-            raise ShapeMismatch(f"datum shape {v.shape}: need ({self.grid.n_interior},)")
-        return self.Q.T @ v if self.modal else v
+        n = self.grid.n_interior
+        if v.ndim not in (1, 2) or v.shape[-1] != n:
+            raise ShapeMismatch(f"datum shape {v.shape}: need ({n},) or (k, {n})")
+        return np.matmul(self.Q.T, v[..., None])[..., 0] if self.modal else v
 
     def field(self, u):
         """An interior (nt+1, n) field in these coordinates."""
         return np.matmul(self.Q.T, u.T) if self.modal else u
 
     def source(self, s):
-        """The forward march input of an interior (nt+1, n) source array."""
+        """The forward march input of an interior (nt+1, n) or (k, nt+1, n)
+        source array."""
         if not self.modal:
             return s
-        out = self.zeros()
-        np.matmul(self.source_transform, s[1:].T, out=self.source_levels(out))
+        out = self.zeros(len(s) if s.ndim == 3 else None)
+        np.matmul(self.source_transform, np.swapaxes(s[..., 1:, :], -1, -2), out=self.source_levels(out))
         return out
 
-    def physical(self, y):
-        """A single-column coordinate array as an interior (nt+1, n) array."""
-        return np.matmul(y.T, self.Q.T) if self.modal else y
+    def physical(self, y, datum=None, backward=False):
+        """A coordinate array as an interior (nt+1, n) or (k, nt+1, n) array,
+        y itself in physical space.  Given the datum, the datum level (nt
+        backward, 0 forward) holds the datum itself, not its round trip
+        through Q."""
+        u = np.matmul(np.swapaxes(y, -1, -2), self.Q.T) if self.modal else y
+        if datum is not None:
+            u[..., -1 if backward else 0, :] = datum
+        return u
+
+    def march(self, datum, rhs, backward=False):
+        """A modal march in these coordinates: rhs, (n, nt+1) or
+        (k, n, nt+1), holds the band right-hand sides; its datum column
+        (level nt backward, 0 forward) is set to datum here.  Level l of
+        mode m then solves y_l - w_m y_{l-1} = rhs_l forward, and with the
+        transposed band p_l - w_m p_{l+1} = rhs_l backward: one LAPACK band
+        solve for every column.  Returns a new array of rhs's shape, exact
+        zeros when datum and rhs are all zero."""
+        rhs[..., -1 if backward else 0] = datum
+        k = len(rhs) if rhs.ndim == 3 else 1
+        y = dtbtrs(self.band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
+        return y.T.reshape(rhs.shape)
 
     def q_norm(self, y):
         """mesh.q_norm of the physical field, to rounding since Q is orthonormal."""
@@ -383,7 +405,7 @@ class _Family(NamedTuple):
 
     a: np.ndarray
     b: tuple
-    modal: tuple  # Q, the source transform dt diag(w) Q' and the band of _recurrence_band
+    modal: tuple  # Q, the source transform dt diag(w) Q' and the _recurrence_band its Coordinates march with
     cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
     lu: tuple  # (kl, ku, factors, pivots) of each step 1..nt, views of one band_lu pair
     coordinates: Coordinates
@@ -398,11 +420,14 @@ class TimeStepper:
 
     - Modal, up to MODAL_MAX_N unknowns for time-constant coefficients
       without transport, whose step matrix S is symmetric: S = Q diag(1/w) Q'.
-      A march transforms its datum and sources once, solves the recurrence
-      over time of every mode as one unit-bidiagonal LAPACK band solve, on
-      a band built once per family, and transforms back.  A backward march
-      is the forward march of the time-reversed data, with the same Q, w
-      and band.
+      A march runs in the family's Coordinates: it transforms its datum
+      and sources, one GEMM per column, solves the recurrence over time of
+      every mode and column as one unit-bidiagonal LAPACK band solve, on a
+      band built once per family (Coordinates.march), and transforms back.
+      A backward march is the forward march of the time-reversed data,
+      reversed, with the same Q, w and band: bit for bit the mirror of a
+      forward march, which the transposed band solve would not give, as
+      the GEMMs round a level differently by its position.
     - Band Cholesky, for every other symmetric family (no transport), at
       any size: the LAPACK band Cholesky factor of each distinct level, all
       levels factored by one dpbtrf call (linalg.band_cholesky).  A step is
@@ -586,13 +611,18 @@ class TimeStepper:
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
         fam = self._family(family)
-        if coordinates and fam.modal is not None:
-            return _band_march(fam.modal[2], datum, sources, backward)
+        coords = fam.coordinates
+        if coordinates and coords.modal:
+            return coords.march(datum, sources, backward)
         datum, sources, k = self._march_inputs(datum, sources)
         if not datum.any() and (sources is None or not sources.any()):
             return np.zeros((nt + 1, n) if k is None else (k, nt + 1, n))
-        if fam.modal is not None:
-            out = _modal_march(*fam.modal, datum, sources, k or 1, backward)
+        if coords.modal:  # backward: the forward march of the time-reversed data, reversed
+            if backward and sources is not None:  # reversed step j is step nt+1-j, which reads that source
+                sources = np.concatenate((sources[:, :1], sources[:, :0:-1]), axis=1)
+            rhs = coords.zeros(k or 1) if sources is None else coords.source(sources)
+            out = coords.physical(coords.march(coords.datum(datum), rhs), datum)
+            out = out[:, ::-1] if backward else out
         else:
             out = np.zeros((k or 1, nt + 1, n))
             out[:, nt if backward else 0] = datum
@@ -692,52 +722,13 @@ def _recurrence_band(w, nt):
     return np.asfortranarray(band.reshape(2, -1))
 
 
-def _band_march(band, datum, rhs, backward):
-    """A modal march in the family's coordinates: rhs, (n, nt+1) or
-    (k, n, nt+1), holds the band right-hand sides; its datum column (level
-    nt backward, 0 forward) is set to datum here.  Level l of mode m then
-    solves y_l - w_m y_{l-1} = rhs_l forward, and with the transposed band
-    p_l - w_m p_{l+1} = rhs_l backward: one LAPACK band solve for every
-    column.  Returns a new array of rhs's shape, exact zeros when datum and
-    rhs are all zero."""
-    rhs[..., -1 if backward else 0] = datum
-    k = len(rhs) if rhs.ndim == 3 else 1
-    y = dtbtrs(band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
-    return y.T.reshape(rhs.shape)
-
-
-def _modal_march(Q, source_transform, band, datum, sources, k, backward):
-    """March k columns with the step inverse Q diag(w) Q' of a symmetric
-    time-constant family; returns (k, nt+1, n).
-
-    In modal coordinates step j reads y^j = w * (y^{j-1} + dt s^j), a unit
-    lower bidiagonal system over time for each mode.  One GEMM per column
-    transforms its sources with source_transform = dt diag(w) Q' into the
-    mode-major layout of _recurrence_band (the datum with Q'), every column
-    is one right-hand side of a single LAPACK band solve, and one GEMM per
-    column transforms back.  So column c of a k-column march is bit for bit the
-    single-column march.
-
-    The step matrix is symmetric and the same at every level, so a backward
-    march is the forward march of the time-reversed data, reversed, and is
-    computed as exactly that: bit for bit the mirror of a forward march,
-    which a GEMM whose rounding depends on a row's position would not give.
-    """
-    n, levels = Q.shape[0], band.shape[1] // Q.shape[0]
-    # per column (nt+1, n) in marching order, the datum first, so each column is one GEMM operand
-    x = np.empty((k, levels, n))
-    x[:, 0] = datum
-    if sources is None:
-        x[:, 1:] = 0.0
-    else:
-        x[:, 1:] = sources[:, :0:-1] if backward else sources[:, 1:]  # step j reads source j
-    y = np.matmul(source_transform, x.transpose(0, 2, 1))  # (k, n, nt+1): mode-major right-hand sides
-    y[:, :, 0] = np.matmul(Q.T, x[:, 0, :, None])[..., 0]
-    # as one (n (nt+1), k) F-ordered array, which dtbtrs solves in place
-    y = dtbtrs(band, y.reshape(k, -1).T, uplo="L", diag="U", overwrite_b=1)[0]
-    out = np.matmul(y.T.reshape(k, n, levels).transpose(0, 2, 1), Q.T)
-    out[:, 0] = datum  # the datum level holds the datum itself, not its round trip
-    return out[:, ::-1] if backward else out
+def lagged(arr, weights=1.0):
+    """arr, an interior (nt+1, n) or (k, nt+1, n) array, one level later:
+    level 0 is +0.0 and level j is arr[j-1] * weights.  A control of step j
+    is formed so from the multiplier of step j, which is stored at level j-1."""
+    out = np.zeros_like(arr)
+    np.multiply(arr[..., :-1, :], weights, out=out[..., 1:, :])
+    return out
 
 
 def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):

@@ -26,7 +26,7 @@ from .hum import HumResult, minimize_G
 from .linalg import TINY, iterate, lanczos
 from .mesh import interior_divergence, interior_gradient
 from .nash import q_norm, solve_nash_fixed_point
-from .operators import ProblemSpec
+from .operators import ProblemSpec, lagged
 
 GL_POINTS = 8
 
@@ -398,9 +398,7 @@ def _form_companions(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium):
         chi = spec.follower_masks[i].interior_vector()
         chid = spec.target_masks[i].interior_vector()
         phi = equilibrium.phis[i]
-        # multiplier of step j is stored at level j-1; align it with state level j
-        phi_at = np.zeros_like(phi)
-        phi_at[1:] = phi[:-1]
+        phi_at = lagged(phi)  # the multiplier of step j, stored at level j-1, at state level j
 
         def eta(direction):
             H = st.march_forward(np.zeros(grid.n_interior), direction * chi)

@@ -105,24 +105,41 @@ def test_extra_source_in_modal_coordinates_matches_physical(monkeypatch):
         assert _rel(g, a, b) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [None, 2])
 @pytest.mark.parametrize("backward", [False, True])
-def test_modal_march_in_coordinates_is_the_physical_march(backward, rng):
+def test_modal_march_in_coordinates_is_the_physical_march(backward, k, rng):
     """A march in a modal family's coordinates, transformed back, is the
-    physical march to rounding; its datum level is the datum's transform."""
+    physical march: bit for bit forward, where the physical march is that
+    march, and to rounding backward, where the physical march mirrors a
+    forward one and this one solves the transposed band.  Its datum level
+    is the datum's transform.  Column c of a k-column datum, source and
+    physical transform is bit for bit the single-column transform."""
     spec = make_nash_spec()
     stepper, g = spec.stepper, spec.grid
     coords = stepper.coordinates()
-    datum = rng.standard_normal(g.n_interior)
-    src = rng.standard_normal((g.nt + 1, g.n_interior))
+    cols = () if k is None else (k,)
+    datum = rng.standard_normal(cols + (g.n_interior,))
+    src = rng.standard_normal(cols + (g.nt + 1, g.n_interior))
     march = stepper.march_backward if backward else stepper.march_forward
     rhs = coords.source(src)
     if backward:  # a backward march reads source level j at column j-1
-        rhs[:, :-1] = rhs[:, 1:].copy()
+        rhs[..., :-1] = rhs[..., 1:].copy()
     y = march(coords.datum(datum), rhs, coordinates=True)
     ref = march(datum, src)
-    assert np.abs(coords.physical(y) - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert np.array_equal(y[:, -1 if backward else 0], coords.datum(datum))
-    assert abs(coords.q_norm(y) - q_norm(g, ref)) <= 1e-14 * q_norm(g, ref)
+    got = coords.physical(y)
+    if backward:
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    else:
+        assert np.array_equal(got[..., 1:, :], ref[..., 1:, :])
+        assert np.array_equal(coords.physical(y, datum), ref)
+    assert np.array_equal(y[..., -1 if backward else 0], coords.datum(datum))
+    for c in range(k or 1):
+        y_c, ref_c = (y, ref) if k is None else (y[c], ref[c])
+        assert abs(coords.q_norm(y_c) - q_norm(g, ref_c)) <= 1e-14 * q_norm(g, ref_c)
+        if k is not None:
+            assert np.array_equal(coords.datum(datum)[c], coords.datum(datum[c]))
+            assert np.array_equal(coords.source(src)[c], coords.source(src[c]))
+            assert np.array_equal(got[c], coords.physical(y[c]))
 
 
 def test_couplings_are_built_once_per_stepper(monkeypatch, rng):

@@ -7,9 +7,11 @@ from hierctrl import operators
 from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import PIVOT_RTOL, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
-from hierctrl.operators import MODAL_MAX_N, ProblemSpec, assemble_biharmonic, solve_adjoint, solve_forward
+from hierctrl.nash import solve_nash_fixed_point
+from hierctrl.operators import (MODAL_MAX_N, ProblemSpec, assemble_biharmonic, lagged, solve_adjoint,
+                                solve_forward)
 
-from conftest import make_hum_spec, make_nash_spec
+from conftest import leader_bump, make_hum_spec, make_nash_spec
 from oracles import duality_gap, spatial_operator, sparse_step_matrix, step_matrix
 
 
@@ -837,3 +839,20 @@ def test_2d_transport_backward_march_columns_bitwise(rng, nx):
     both = st.march_backward(datum, src, family="adjoint")
     for k in range(2):
         assert np.array_equal(both[k], st.march_backward(datum[k], src[k], family="adjoint"))
+
+
+def test_lagged_is_the_level_lag_with_a_positive_zero(rng):
+    """lagged(arr, w) is arr[j-1] * w at levels 1..nt bit for bit and +0.0
+    at level 0, for one column or k; the Nash controls formed with it keep
+    +0.0 at level 0, which v1.field.txt would print as -0 otherwise."""
+    g = build_grid(1, 1.0, 14, 1.0, 8)
+    arr = rng.standard_normal((2, g.nt + 1, g.n_interior))
+    w = -rng.uniform(0.5, 2.0, g.n_interior)
+    for got, ref in ((lagged(arr[0], w), arr[0, :-1] * w), (lagged(arr[0]), arr[0, :-1]),
+                     (lagged(arr, w), arr[:, :-1] * w)):
+        assert np.array_equal(got[..., 1:, :], ref)
+        assert not got[..., 0, :].any() and not np.signbit(got[..., 0, :]).any()
+    spec = make_nash_spec()
+    sol = solve_nash_fixed_point(spec, leader_bump(spec.grid), tol_rel=1e-12)
+    for v in sol.controls:
+        assert not v[0].any() and not np.signbit(v[0]).any()
