@@ -250,27 +250,23 @@ def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
 
 @dataclass
 class CarlemanWeights:
-    """The weights of one geometry case; alpha, xi, their ell-modified
-    variants and log_theta are full-node (nt+1, *nx) arrays."""
+    """The weights of one geometry case.  etas is the pair eta^(1), eta^(2),
+    one EtaFunction twice in the shared case; alpha and xi are the sharp
+    weights of eta^(1) and log_theta the log of the observability weight,
+    full-node (nt+1, *nx) arrays."""
 
     grid: object
     case: str
     lam: float
     s: float
-    eta_fn: EtaFunction
+    etas: tuple
     alpha: np.ndarray
     xi: np.ndarray
-    alpha_ell: np.ndarray
-    xi_ell: np.ndarray
     omega0: SubdomainMask
-    log_theta: np.ndarray = None
-    eta_pair: tuple = None       # distinct case: (EtaFunction, EtaFunction)
-    mod_pair: tuple = None       # distinct case: ((alpha_ell_i, xi_ell_i))_i
-    otilde: SubdomainMask = None
+    log_theta: np.ndarray
 
 
 def _center_box(grid, center):
-    center = (center,) if np.isscalar(center) else tuple(center)
     box = []
     for ax, c in enumerate(center):
         r = 0.12 * grid.lengths[ax]
@@ -279,73 +275,59 @@ def _center_box(grid, center):
 
 
 def build_carleman_weights(grid, case="shared", lam=None, s=None, center=None,
-                           center2=None, window=None, spec=None) -> CarlemanWeights:
+                           center2=None, window=None) -> CarlemanWeights:
     """Construct all weight fields for the requested geometry case.
 
-    shared: one eta with a single critical-point center.  distinct: a pair
-    eta^(1), eta^(2) equal outside the remap window strips, equal sup
-    norms, with critical points at center / center2.  When a spec is
-    supplied its geometry hypotheses are validated.
+    distinct: a pair eta^(1), eta^(2) equal outside the remap window
+    strips, equal sup norms, with critical points at center / center2.
+    shared is the same construction with center2 = center: no axis is
+    remapped, so eta^(2) is eta^(1).  log_theta is the log of
+    theta = xi~^3 exp(s alpha~) from the ell-modified weights, min over the
+    pair; finite everywhere, and on the terminal level the floored alpha~
+    makes theta exactly zero.
     """
     if lam is None or s is None:
         dl, ds = default_parameters(grid.T)
         lam = dl if lam is None else lam
         s = ds if s is None else s
     if center is None:
-        center = tuple(L / 2.0 for L in grid.lengths) if grid.dim == 2 else grid.lengths[0] / 2.0
-    if spec is not None:
-        check_case(spec, case)
+        center = tuple(L / 2.0 for L in grid.lengths)
     if case == "shared":
-        eta_fn = EtaFunction(grid, center)
-        alpha, xi = build_weights(eta_fn, lam, s, "sharp")
-        alpha_ell, xi_ell = build_weights(eta_fn, lam, s, "ell-modified")
-        w = CarlemanWeights(
-            grid=grid, case=case, lam=lam, s=s, eta_fn=eta_fn,
-            alpha=alpha, xi=xi, alpha_ell=alpha_ell, xi_ell=xi_ell,
-            omega0=build_mask(grid, _center_box(grid, center)),
-        )
-        w.log_theta = build_log_theta(w)
-        return w
-    if case != "distinct":
+        center2 = center
+    elif case != "distinct":
         raise CaseMismatch(f"unknown case {case!r}")
-    if center2 is None:
+    elif center2 is None:
         raise CaseMismatch("distinct case needs a second critical-point center")
     c1 = (center,) if np.isscalar(center) else tuple(center)
     c2 = (center2,) if np.isscalar(center2) else tuple(center2)
+    eta1 = EtaFunction(grid, c1)
     remaps = []
-    strips = np.zeros(grid.nx, dtype=bool)
-    for ax in range(grid.dim):
-        if c1[ax] == c2[ax]:
+    for ax, (a, b) in enumerate(zip(c1, c2)):  # a c2 of the wrong length fails in EtaFunction
+        if a == b:
             remaps.append(None)
             continue
         if window is None:
-            lo = max(min(c1[ax], c2[ax]) - 0.2 * grid.lengths[ax], 0.0)
-            hi = min(max(c1[ax], c2[ax]) + 0.2 * grid.lengths[ax], grid.lengths[ax])
+            lo = max(min(a, b) - 0.2 * grid.lengths[ax], 0.0)
+            hi = min(max(a, b) + 0.2 * grid.lengths[ax], grid.lengths[ax])
         else:
             lo, hi = window[ax] if not np.isscalar(window[0]) else window
-        remap = _WindowedRemap(grid.lengths[ax], lo, hi, c2[ax], c1[ax])
-        remaps.append((remap, c1[ax]))
-        x = grid.coords(ax)
-        in_strip = (x > lo) & (x < hi)
-        shape = [1] * grid.dim
-        shape[ax] = grid.nx[ax]
-        strips = strips | in_strip.reshape(shape)
-    eta1 = EtaFunction(grid, c1)
-    eta2 = EtaFunction(grid, c2, remaps=remaps)
-    a1, x1 = build_weights(eta1, lam, s, "ell-modified")
-    a2, x2 = build_weights(eta2, lam, s, "ell-modified")
+        remaps.append((_WindowedRemap(grid.lengths[ax], lo, hi, b, a), a))
+    omega0 = build_mask(grid, _center_box(grid, c1))
+    if c1 == c2:
+        eta2 = eta1
+    else:
+        eta2 = EtaFunction(grid, c2, remaps=remaps)
+        omega0 = omega0.union(build_mask(grid, _center_box(grid, c2)))
+
+    def log_theta_of(eta):
+        alpha_ell, xi_ell = build_weights(eta, lam, s, "ell-modified")
+        return s * alpha_ell + 3.0 * np.log(xi_ell)
+
+    log_theta1 = log_theta_of(eta1)
+    log_theta2 = log_theta1 if eta2 is eta1 else log_theta_of(eta2)
     alpha, xi = build_weights(eta1, lam, s, "sharp")
-    strips = strips & grid.interior_bool()
-    w = CarlemanWeights(
-        grid=grid, case=case, lam=lam, s=s, eta_fn=eta1,
-        alpha=alpha, xi=xi, alpha_ell=a1, xi_ell=x1,
-        omega0=build_mask(grid, _center_box(grid, c1)).union(build_mask(grid, _center_box(grid, c2))),
-        eta_pair=(eta1, eta2),
-        mod_pair=((a1, x1), (a2, x2)),
-        otilde=SubdomainMask(grid, strips) if strips.any() else None,
-    )
-    w.log_theta = build_log_theta(w)
-    return w
+    return CarlemanWeights(grid=grid, case=case, lam=lam, s=s, etas=(eta1, eta2), alpha=alpha, xi=xi,
+                           omega0=omega0, log_theta=check_field(grid, np.minimum(log_theta1, log_theta2)))
 
 
 def check_case(spec, case):
@@ -361,20 +343,6 @@ def check_case(spec, case):
         i2 = spec.target_masks[1].indicator & spec.leader_mask.indicator
         if np.array_equal(i1, i2):
             raise CaseMismatch("distinct case requires different intersections with the leader region")
-
-
-def build_log_theta(weights: CarlemanWeights) -> np.ndarray:
-    """Log of the observability weight theta = xi~^3 exp(s alpha~), min over
-    the pair in the distinct case.  Finite everywhere; on the terminal level
-    the floored alpha~ makes theta exactly zero."""
-
-    def one(alpha_ell, xi_ell):
-        return weights.s * alpha_ell + 3.0 * np.log(xi_ell)
-
-    if weights.mod_pair is None:
-        return check_field(weights.grid, one(weights.alpha_ell, weights.xi_ell))
-    (a1, x1), (a2, x2) = weights.mod_pair
-    return check_field(weights.grid, np.minimum(one(a1, x1), one(a2, x2)))
 
 
 def check_target_condition(spec, log_theta):
@@ -418,11 +386,12 @@ def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> 
     by B/r(t) with B a constant, so it is not checked apart.
     """
     grid = weights.grid
-    form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
+    eta = weights.etas[0]
+    form = WeightForm(eta, weights.lam, weights.s, "sharp")
     rng = np.random.default_rng(seed)
     coords = tuple(rng.uniform(0.02 * L, 0.98 * L, n_samples) for L in grid.lengths)
     ts = rng.uniform(0.02 * grid.T, 0.98 * grid.T, n_samples)
-    grads_eta = weights.eta_fn.gradient(*coords)
+    grads_eta = eta.gradient(*coords)
     xi = form.xi(coords, ts)
     ga = form.grad_alpha(coords, ts)
     max_rel = 0.0
@@ -456,12 +425,11 @@ def eta_gradient_scan(weights: CarlemanWeights, exclusion_radius):
     2D corner nodes are boundary nodes and never enter (interior scan).
     """
     grid = weights.grid
-    grads = weights.eta_fn.gradient_on_nodes()
+    grads = weights.etas[0].gradient_on_nodes()
     mag = np.sqrt(sum(g * g for g in grads))
     keep = grid.interior_bool()
-    etas = weights.eta_pair if weights.eta_pair else (weights.eta_fn,)
     meshes = grid.meshes()
-    for fn in etas:
+    for fn in weights.etas:
         dist2 = sum((meshes[ax] - fn.center[ax]) ** 2 for ax in range(grid.dim))
         keep = keep & (dist2 > exclusion_radius**2)
     if not keep.any():

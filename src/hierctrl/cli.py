@@ -311,7 +311,6 @@ def run(subcommand, config_path, out_dir, seed=None):
         config = load_config(config_path)
         if seed is not None:
             config.seed = int(seed)
-            config.solver["seed"] = int(seed)
             config.sections.setdefault("solver", {})["seed"] = str(int(seed))
         inputs = validate_for(config, subcommand)
     except HierctrlError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hierctrl.carleman import (build_carleman_weights, check_weight_properties,
+from hierctrl.carleman import (build_carleman_weights, check_case, check_weight_properties,
                                estimate_observability)
 from hierctrl.errors import ContractionFailure
 from hierctrl.hum import control_to_trajectory, dense_oracle, grad_G, minimize_G
@@ -235,7 +235,8 @@ def test_criterion_10_carleman_weight_properties():
 def test_criterion_11_observability_estimator():
     spec = make_hum_spec()
     g = spec.grid
-    w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0], spec=spec)
+    check_case(spec, "shared")
+    w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0])
     rep = estimate_observability(spec, w, n_samples=50, seed=111)
     enlarged = estimate_observability(spec.with_(leader_mask=full_mask(g)), w,
                                       n_samples=50, seed=111)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hierctrl.carleman import (CarlemanWeights, EtaFunction, WeightForm, build_carleman_weights,
-                               build_log_theta, carleman_ratio_report, check_weight_properties,
+from hierctrl.carleman import (EtaFunction, WeightForm, build_carleman_weights, build_weights,
+                               carleman_ratio_report, check_case, check_weight_properties,
                                default_parameters, estimate_observability, eta_gradient_scan)
-from hierctrl import operators
+from hierctrl import carleman, operators
 from hierctrl.errors import CaseMismatch, InvalidCenter
 from hierctrl.linalg import factorize
 from hierctrl.mesh import build_grid, full_mask
@@ -99,7 +99,7 @@ def test_time_bounds(grid, weights):
 
 
 def test_time_derivatives_vanish_at_midpoint(grid, weights):
-    form = WeightForm(weights.eta_fn, weights.lam, weights.s, "sharp")
+    form = WeightForm(weights.etas[0], weights.lam, weights.s, "sharp")
     coords = (np.array([0.37]),)
     t = np.array([grid.T / 2.0])
     assert form.alpha_t(coords, t)[0] == 0.0
@@ -119,9 +119,10 @@ def test_endpoint_conventions(grid, weights):
     assert np.all(weights.xi[-1] == XI_CAP)
     assert np.all(np.exp(2.0 * weights.s * weights.alpha[0]) == 0.0)
     # ell variant is regular at t = 0, singular only at t = T
-    assert np.all(np.isfinite(weights.alpha_ell[0]))
-    assert np.all(weights.alpha_ell[0] > ALPHA_FLOOR)
-    assert np.all(weights.alpha_ell[-1] == ALPHA_FLOOR)
+    alpha_ell, _ = build_weights(weights.etas[0], weights.lam, weights.s, "ell-modified")
+    assert np.all(np.isfinite(alpha_ell[0]))
+    assert np.all(alpha_ell[0] > ALPHA_FLOOR)
+    assert np.all(alpha_ell[-1] == ALPHA_FLOOR)
 
 
 def test_theta_zero_at_horizon_positive_inside(grid, weights):
@@ -133,27 +134,67 @@ def test_theta_zero_at_horizon_positive_inside(grid, weights):
 
 def test_distinct_pair_invariants(grid):
     w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.35, center2=0.65)
-    e1, e2 = w.eta_pair
+    e1, e2 = w.etas
     v1, v2 = e1.value(*grid.meshes()), e2.value(*grid.meshes())
-    outside = ~w.otilde.indicator
+    # the default window reaches 0.2 L past each centre
+    x, L = grid.coords(0), grid.lengths[0]
+    outside = ~((x > 0.35 - 0.2 * L) & (x < 0.65 + 0.2 * L))
+    assert outside.sum() == 8
     assert np.abs(v1[outside] - v2[outside]).max() == 0.0
+    assert np.abs(v1[~outside] - v2[~outside]).max() > 0.0
     assert e1.sup == e2.sup
     assert abs(e2.gradient(np.array([0.65]))[0][0]) <= 1e-13
     assert abs(e1.gradient(np.array([0.35]))[0][0]) <= 1e-13
 
 
-def test_distinct_equal_centers_degenerate_min(grid):
-    w = build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.5, center2=0.5)
-    cand = build_log_theta(
-        CarlemanWeights(grid=grid, case="shared", lam=w.lam, s=w.s, eta_fn=w.eta_fn,
-                        alpha=w.alpha, xi=w.xi, alpha_ell=w.alpha_ell, xi_ell=w.xi_ell,
-                        omega0=w.omega0))
-    assert np.array_equal(w.log_theta, cand)
+@pytest.mark.parametrize("dims", [1, 2])
+def test_shared_build_is_the_distinct_build_with_one_center(dims):
+    """Bit for bit, sign bits too: a shared build is a distinct build with
+    center2 = center, whose pair is one eta twice."""
+    if dims == 1:
+        g, center = build_grid(1, 1.0, 24, 1.0, 24), 0.3
+    else:
+        g, center = build_grid(2, (1.0, 1.5), (9, 13), 0.7, 8), (0.4, 0.9)
+    shared = build_carleman_weights(g, "shared", lam=1.0, s=4.0, center=center)
+    distinct = build_carleman_weights(g, "distinct", lam=1.0, s=4.0, center=center, center2=center)
+    for w in (shared, distinct):
+        assert w.etas[0] is w.etas[1]
+    for name in ("alpha", "xi", "log_theta"):
+        a, b = getattr(shared, name), getattr(distinct, name)
+        assert a.tobytes() == b.tobytes(), name
+    assert np.array_equal(shared.omega0.indicator, distinct.omega0.indicator)
+
+
+@pytest.mark.parametrize("case, center2, calls", [
+    ("shared", None, {"sharp": 1, "ell-modified": 1}),
+    ("distinct", 0.5, {"sharp": 1, "ell-modified": 1}),
+    ("distinct", 0.65, {"sharp": 1, "ell-modified": 2}),
+], ids=["shared", "distinct-one-center", "distinct"])
+def test_build_weights_calls_per_variant(grid, monkeypatch, case, center2, calls):
+    """One centre samples each variant once; two centres sample the
+    ell-modified weights of each."""
+    seen = {"sharp": 0, "ell-modified": 0}
+    original = carleman.build_weights
+
+    def counted(eta_fn, lam, s, variant="sharp"):
+        seen[variant] += 1
+        return original(eta_fn, lam, s, variant)
+
+    monkeypatch.setattr(carleman, "build_weights", counted)
+    build_carleman_weights(grid, case, lam=1.0, s=4.0, center=0.5, center2=center2)
+    assert seen == calls
 
 
 def test_distinct_missing_center_raises(grid):
     with pytest.raises(CaseMismatch):
         build_carleman_weights(grid, "distinct", lam=1.0, s=4.0, center=0.4)
+
+
+@pytest.mark.parametrize("center2", [0.6, (0.6, 0.5, 0.5)], ids=["short", "long"])
+def test_distinct_center2_needs_a_coordinate_per_axis(center2):
+    g = build_grid(2, (1.0, 1.0), (12, 12), 1.0, 8)
+    with pytest.raises(InvalidCenter, match="center needs 2 coordinates"):
+        build_carleman_weights(g, "distinct", lam=1.0, s=4.0, center=(0.4, 0.5), center2=center2)
 
 
 def test_ratio_report_finite_positive(grid, weights):
@@ -221,7 +262,8 @@ def test_observability_builds_one_stepper(monkeypatch):
 def test_observability_reference_all_finite():
     spec = make_hum_spec()
     g = spec.grid
-    w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0], spec=spec)
+    check_case(spec, "shared")
+    w = build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * g.lengths[0])
     rep = estimate_observability(spec, w, n_samples=10, seed=21)
     assert rep.all_finite
     assert rep.all_denominators_positive
@@ -245,8 +287,8 @@ def test_observability_distinct_case():
 
     distinct = spec.with_(target_masks=(build_mask(g, (0.50 * L, 0.70 * L)),
                                         build_mask(g, (0.62 * L, 0.90 * L))))
-    w = build_carleman_weights(g, "distinct", lam=0.05, s=4.0,
-                               center=0.55 * L, center2=0.68 * L, spec=distinct)
+    check_case(distinct, "distinct")
+    w = build_carleman_weights(g, "distinct", lam=0.05, s=4.0, center=0.55 * L, center2=0.68 * L)
     rep = estimate_observability(distinct, w, n_samples=5, seed=23)
     assert rep.case == "distinct"
     assert rep.all_finite and rep.all_denominators_positive
@@ -261,7 +303,7 @@ def test_shared_case_validation_rejects_mismatch():
     bad = spec.with_(target_masks=(build_mask(g, (0.5 * L, 0.9 * L)),
                                    build_mask(g, (0.4 * L, 0.9 * L))))
     with pytest.raises(CaseMismatch):
-        build_carleman_weights(g, "shared", lam=0.05, s=4.0, center=0.7 * L, spec=bad)
+        check_case(bad, "shared")
 
 
 def test_weight_form_matches_sampled_fields(grid, weights):
@@ -269,7 +311,7 @@ def test_weight_form_matches_sampled_fields(grid, weights):
     M the supremum of eta."""
     k = grid.nt // 3
     t = grid.times()[k]
-    eta_fn, lam = weights.eta_fn, weights.lam
+    eta_fn, lam = weights.etas[0], weights.lam
     closed = (np.exp(lam * (2.0 * eta_fn.sup + eta_fn.value(grid.coords(0))))
               - np.exp(4.0 * lam * eta_fn.sup)) / np.sqrt(t * (grid.T - t))
     assert np.allclose(closed, weights.alpha[k], rtol=1e-13)

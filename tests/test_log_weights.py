@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hierctrl.carleman import check_target_condition
+from hierctrl.carleman import build_weights, check_target_condition
 from hierctrl.config import build_carleman, build_problem_spec, load_config
 from hierctrl.mesh import full_mask, integrate
 
@@ -27,8 +27,9 @@ def _ref_qint(grid, levels, mask):
 
 def _ref_theta(weights):
     """The old product form xi~^3 exp(s alpha~), zero on the terminal level (shared case)."""
-    e = np.exp(weights.s * weights.alpha_ell)
-    out = np.where(e == 0.0, 0.0, weights.xi_ell ** 3 * e)
+    alpha_ell, xi_ell = build_weights(weights.etas[0], weights.lam, weights.s, "ell-modified")
+    e = np.exp(weights.s * alpha_ell)
+    out = np.where(e == 0.0, 0.0, xi_ell ** 3 * e)
     out[-1] = 0.0
     return out
 

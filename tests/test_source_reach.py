@@ -1,8 +1,8 @@
 """Guards against code that nothing uses: every module-level function in
-src/hierctrl is reached from src/, and every public method is named by an
-attribute access in src/, or is a reference the tests compare against and
-is named below with its reason; every module-level import is used; every
-dataclass and NamedTuple field is read."""
+src/hierctrl is reached from src/, every public method is named by an
+attribute access in src/, and every dataclass and NamedTuple field is read
+in src/, or is a reference the tests read and is named below with its
+reason; every module-level import is used."""
 
 import ast
 from pathlib import Path
@@ -19,6 +19,14 @@ TEST_REFERENCES = {}
 # its name with one src/ calls (a `solve` beside Factorization.solve)
 # passes unlisted.
 METHOD_TEST_REFERENCES = {}
+
+# (module, class, field): why a record field stays although no attribute
+# read in src/ names it.  The match is by name, as for methods.
+FIELD_TEST_REFERENCES = {
+    ("hum", "HumResult", "true_residual"):
+        "the accuracy guard: the tests hold each solve's recomputed residual ||b - (Lambda + eps) psi0|| "
+        "/ ||b|| to cg_tol, where cg_residuals holds the recurrence's own estimates",
+}
 
 
 def _referenced(paths):
@@ -133,12 +141,22 @@ def _fields():
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
 
 
-def test_every_record_field_is_read():
-    """Each field is read as an attribute somewhere in src/ or tests/.  The
-    match is by name, so a field that shares its name with an attribute
-    read elsewhere passes."""
-    read = {node.attr
-            for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+def _read_attributes(paths):
+    return {node.attr
+            for path in paths
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert sorted(f for f in _fields() if f[2] not in read) == []
+
+
+def test_every_record_field_is_read_in_src_or_a_named_test_reference():
+    read = _read_attributes(SRC.glob("*.py"))
+    unread = {f for f in _fields() if f[2] not in read}
+    # delete these, or name them in FIELD_TEST_REFERENCES with the reason they stay
+    assert sorted(unread - FIELD_TEST_REFERENCES.keys()) == []
+    # stale entries: src/ reads these now, or they are gone
+    assert sorted(FIELD_TEST_REFERENCES.keys() - unread) == []
+
+
+def test_named_field_references_are_read_by_tests():
+    read = _read_attributes([*(ROOT / "tests").glob("*.py")])
+    assert sorted(name for *_, name in FIELD_TEST_REFERENCES if name not in read) == []

@@ -86,18 +86,18 @@ def test_weights_and_theta_match_level_loops(name):
     grid, kw = CASES[name]
     with np.errstate(over="ignore", invalid="ignore"):
         w = build_carleman_weights(grid, **kw)
-        etas = w.eta_pair or (w.eta_fn,)
         ref = {}
         for variant in ("sharp", "ell-modified"):
-            for k, eta_fn in enumerate(etas):
+            for k, eta_fn in enumerate(w.etas):
                 alpha, xi = build_weights(eta_fn, w.lam, w.s, variant)
                 ref[variant, k] = _ref_build_weights(eta_fn, w.lam, w.s, variant)
                 assert np.array_equal(alpha, ref[variant, k][0])
                 assert np.array_equal(xi, ref[variant, k][1])
-        pairs = [ref["ell-modified", k] for k in range(len(etas))]
+        # the shared case's reference is the one-eta theta, with no min
+        pairs = [ref["ell-modified", k] for k in range(1 if w.case == "shared" else 2)]
         theta = _ref_theta(grid, w.s, pairs)
     assert np.array_equal(w.alpha, ref["sharp", 0][0])
-    assert np.array_equal(w.xi_ell, ref["ell-modified", 0][1])
+    assert np.array_equal(w.xi, ref["sharp", 0][1])
     assert np.array_equal(w.log_theta, _ref_log_theta(grid, w.s, pairs))
     ours = np.exp(w.log_theta)
     assert np.array_equal(ours == 0.0, theta == 0.0)
@@ -113,21 +113,27 @@ def test_large_lambda_cases_underflow(name):
     grid, kw = CASES[name]
     with np.errstate(over="ignore", invalid="ignore"):
         w = build_carleman_weights(grid, **kw)
+        alpha_ell, xi_ell = build_weights(w.etas[0], w.lam, w.s, "ell-modified")
         inner = slice(1, grid.nt)
-        assert np.all(np.isfinite(w.alpha_ell[inner]))
-        assert np.all(np.exp(w.s * w.alpha_ell[inner]) == 0.0)
-        assert np.isinf(w.xi_ell[inner] ** 3).any() == (name == "1d-cube-overflow")
+        assert np.all(np.isfinite(alpha_ell[inner]))
+        assert np.all(np.exp(w.s * alpha_ell[inner]) == 0.0)
+        assert np.isinf(xi_ell[inner] ** 3).any() == (name == "1d-cube-overflow")
     assert np.all(np.isfinite(w.log_theta))
     assert not np.exp(w.log_theta).any()
 
 
 def test_distinct_window_case_has_two_weights():
-    """The windowed case samples two different eta functions."""
+    """The windowed case samples two different eta functions, which differ
+    on the nodes inside the window."""
     grid, kw = CASES["1d-distinct-window"]
     w = build_carleman_weights(grid, **kw)
-    (a1, _), (a2, _) = w.mod_pair
-    assert w.otilde is not None
-    assert not np.array_equal(a1, a2)
+    (a1, _), (a2, _) = (build_weights(eta, w.lam, w.s, "ell-modified") for eta in w.etas)
+    lo, hi = kw["window"]
+    x = grid.coords(0)
+    inside = (x > lo) & (x < hi)
+    assert inside.any()
+    assert not np.array_equal(a1[:, inside], a2[:, inside])
+    assert np.array_equal(a1[:, ~inside], a2[:, ~inside])
 
 
 def test_unknown_variant_rejected():
