@@ -457,7 +457,7 @@ class RatioReport:
         return float(np.median(self.ratios)) if self.samples else math.nan
 
 
-def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) -> RatioReport:
+def carleman_ratio_report(weights: CarlemanWeights, n_samples=20, seed=0) -> RatioReport:
     """Numerical left/right evaluation of the weighted energy inequality.
 
     Solves the pure backward biharmonic problem -z_t + Lap^2 z = g for
@@ -465,7 +465,7 @@ def carleman_ratio_report(grid, weights: CarlemanWeights, n_samples=20, seed=0) 
     observation on weights.omega0 plus source terms, and reports the
     ratios.  A sample with a side that is 0 or inf in a double is skipped.
     """
-    lam, s = weights.lam, weights.s
+    grid, lam, s = weights.grid, weights.lam, weights.s
     zero = np.zeros((grid.nt + 1, grid.n_interior))
     stepper = TimeStepper(grid, zero, (zero,) * grid.dim)
     ext = extended_laplacian(grid)

@@ -231,8 +231,7 @@ def _run_observability(inputs, out):
 def _run_carleman(inputs, out):
     weights, config = inputs.weights, inputs.config
     props = check_weight_properties(weights, n_samples=100, seed=config.seed)
-    report = carleman_ratio_report(config.grid, weights, n_samples=config.solver["n_samples"],
-                                   seed=config.seed)
+    report = carleman_ratio_report(weights, n_samples=config.solver["n_samples"], seed=config.seed)
     rows = [(k, rec["lhs"], rec["rhs"], rec["ratio"]) for k, rec in enumerate(report.samples)]
     write_csv(Path(out, "carleman_ratio.csv"), ("sample", "lhs", "rhs", "ratio"), rows)
     notes = list(props.notes)

@@ -10,12 +10,13 @@ output; invalid configs never produce artifacts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .carleman import CarlemanWeights, build_carleman_weights, check_case, default_parameters
-from .errors import ConfigError, EmptyMask, HierctrlError, InvalidGrid, ParseError
+from .errors import ConfigError, EmptyMask, HierctrlError, ParseError
 from .expressions import parse_expr
 from .mesh import build_grid, build_mask
 from .operators import ProblemSpec
@@ -23,18 +24,27 @@ from .semilinear import Nonlinearity, from_expression, preset_grad_tanh, preset_
 
 BOXES = ("leader", "follower1", "follower2", "target1", "target2")
 
-SOLVER_DEFAULTS = {
-    "nash_tol": 1e-12,
-    "nash_max_iter": 200,
-    "coupled_tol": 1e-12,
-    "cg_tol": 1e-9,
-    "cg_max_iter": 300,
-    "outer_tol": 1e-8,
-    "max_outer": 30,
-    "damping": 1.0,
-    "seed": 0,
-    "n_samples": 50,
-    "n_directions": 20,
+# A rule: what a value must be, and its test
+FINITE = ("finite", np.isfinite)
+POSITIVE = ("finite and positive", lambda v: 0 < v < np.inf)
+NONNEGATIVE = ("finite and nonnegative", lambda v: 0 <= v < np.inf)
+AT_LEAST_ONE = ("at least 1", lambda v: v >= 1)
+# a nan bound passes INTERVAL: a box with one selects no node
+INTERVAL = ("'lo, hi' with lo < hi", lambda bounds: len(bounds) == 2 and not bounds[0] >= bounds[1])
+
+# solver key: (default, rule); the default's type is the type the key is read as
+SOLVER = {
+    "nash_tol": (1e-12, POSITIVE),
+    "nash_max_iter": (200, AT_LEAST_ONE),
+    "coupled_tol": (1e-12, POSITIVE),
+    "cg_tol": (1e-9, POSITIVE),
+    "cg_max_iter": (300, AT_LEAST_ONE),
+    "outer_tol": (1e-8, POSITIVE),
+    "max_outer": (30, AT_LEAST_ONE),
+    "damping": (1.0, ("in (0, 1]", lambda v: 0 < v <= 1)),
+    "seed": (0, None),  # validate_for checks it, as --seed may override it
+    "n_samples": (50, AT_LEAST_ONE),
+    "n_directions": (20, AT_LEAST_ONE),
 }
 
 
@@ -45,34 +55,29 @@ def _strip_quotes(text):
     return text
 
 
-def _float(text, name):
+def _read(sections, name, default, cast=float, rule=None, sep=None, axes=None):
+    """The value of name ("section.key") read by cast, or default when the
+    file leaves the key out.  With sep, the tuple of its sep-separated
+    entries, each read by cast, one per axis when axes is given.  A value
+    that does not parse, or an entry that breaks rule (what it must be, and
+    its test), is a ConfigError that names section.key."""
+    section, _, key = name.partition(".")
+    text = sections.get(section, {}).get(key)
+    if text is None:
+        return default
     try:
-        value = float(text)
+        values = tuple(cast(part) for part in text.split(sep)) if sep else (cast(text),)
     except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {text!r} as a number") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{name}: {text!r} is not a finite number")
-    return value
+        raise ConfigError(f"{name} = {text}: {exc}") from exc
+    if rule is not None and not all(rule[1](value) for value in values):
+        raise ConfigError(f"{name} = {text}: {'each entry ' if sep else ''}must be {rule[0]}")
+    if axes is not None and len(values) != axes:
+        raise ConfigError(f"{name} = {text}: need one entry per axis ({axes}), got {len(values)}")
+    return values if sep else values[0]
 
 
-def _floats(text, name):
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {text!r} as numbers") from exc
-
-
-def _box(text, dim, name):
-    axes = [part for part in text.split(";")]
-    if len(axes) != dim:
-        raise ConfigError(f"{name}: need {dim} axis intervals, got {len(axes)}")
-    box = []
-    for part in axes:
-        vals = _floats(part, name)
-        if len(vals) != 2 or vals[0] >= vals[1]:
-            raise ConfigError(f"{name}: interval must be 'lo, hi' with lo < hi, got {part!r}")
-        box.append((vals[0], vals[1]))
-    return tuple(box)
+def _bounds(text):
+    return tuple(float(part) for part in text.split(","))
 
 
 @dataclass
@@ -92,10 +97,9 @@ class RunConfig:
     solver: dict
     seed: int
     omega0_center: tuple
-    omega0_center2: tuple = None
-    otilde_window: tuple = None
-    nonlinearity_kind: str = "zero"
-    nonlinearity_params: dict = field(default_factory=dict)
+    omega0_center2: tuple
+    otilde_window: tuple
+    nonlinearity: functools.partial  # builds the run's Nonlinearity, for the subcommands that read it
 
     def normalized(self):
         """Sections as parsed, for the run manifest."""
@@ -118,27 +122,21 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        found = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    if not read:
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
 
-    g = sections.get("grid")
-    if not g:
+    read = functools.partial(_read, sections)
+    if not sections.get("grid"):
         raise ConfigError("missing [grid] section")
-    try:
-        dim = int(g.get("dim", "1"))
-        lengths = _floats(g.get("lengths", "1.0"), "grid.lengths")
-        nxs = tuple(int(v) for v in g.get("nx", "16").split(","))
-        grid = build_grid(dim, lengths if len(lengths) > 1 else lengths[0],
-                          nxs if len(nxs) > 1 else nxs[0],
-                          float(g.get("T", "1.0")), int(g.get("nt", "16")))
-    except InvalidGrid:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from exc
+    dim = read("grid.dim", 1, int)
+    lengths = read("grid.lengths", (1.0,), sep=",")
+    nxs = read("grid.nx", (16,), int, sep=",")
+    grid = build_grid(dim, lengths if len(lengths) > 1 else lengths[0], nxs if len(nxs) > 1 else nxs[0],
+                      read("grid.T", 1.0), read("grid.nt", 16, int))
 
     space_vars = {"x", "y"} if dim == 2 else {"x"}
     st_vars = space_vars | {"t"}
@@ -152,82 +150,43 @@ def load_config(path) -> RunConfig:
             exprs[name] = _parse_expression(sections.get(section, {}).get(key, "0"), name, allowed)
 
     geom = sections.get("geometry", {})
-    boxes = {}
-    for key in BOXES:
-        if key in geom:
-            boxes[key] = _box(geom[key], dim, f"geometry.{key}")
+    box = {"cast": _bounds, "rule": INTERVAL, "sep": ";", "axes": dim}
+    boxes = {key: read(f"geometry.{key}", None, **box) for key in BOXES if key in geom}
     case = geom.get("case", "shared").strip()
     if case not in ("shared", "distinct"):
         raise ConfigError(f"geometry.case must be shared or distinct, got {case!r}")
+    omega0 = read("geometry.omega0_center", tuple(L / 2.0 for L in grid.lengths), sep=",", axes=dim)
+    omega0_2 = read("geometry.omega0_center2", None, sep=",", axes=dim)
+    window = read("geometry.otilde_window", None, **box)
 
-    def center_of(key, default=None):
-        if key not in geom:
-            return default
-        vals = _floats(geom[key], f"geometry.{key}")
-        if len(vals) != dim:
-            raise ConfigError(f"geometry.{key}: need {dim} coordinates")
-        return vals
+    alpha = tuple(read(f"weights.alpha{i}", 1e-3, rule=NONNEGATIVE) for i in (1, 2))
+    mu = tuple(read(f"weights.mu{i}", 1.0, rule=POSITIVE) for i in (1, 2))
+    lam, s = (default if sections.get("weights", {}).get(key, "auto").strip() == "auto"
+              else read(f"weights.{key}", None, rule=FINITE)
+              for key, default in zip(("lambda", "s"), default_parameters(grid.T)))
+    eps_list = read("weights.eps_list", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5), rule=POSITIVE, sep=",")
 
-    omega0 = center_of("omega0_center", tuple(L / 2.0 for L in grid.lengths))
-    omega0_2 = center_of("omega0_center2")
-    window = None
-    if "otilde_window" in geom:
-        window = _box(geom["otilde_window"], dim, "geometry.otilde_window")
-
-    w = sections.get("weights", {})
-    try:
-        alpha = (float(w.get("alpha1", "1e-3")), float(w.get("alpha2", "1e-3")))
-        mu = (float(w.get("mu1", "1.0")), float(w.get("mu2", "1.0")))
-    except ValueError as exc:
-        raise ConfigError(f"[weights]: {exc}") from exc
-    if not np.all(np.isfinite(alpha + mu)):
-        raise ConfigError("weights alpha and mu must be finite")
-    if min(mu) <= 0:
-        raise ConfigError("control weights mu must be positive")
-    if min(alpha) < 0:
-        raise ConfigError("observation weights alpha must be nonnegative")
-    lam_default, s_default = default_parameters(grid.T)
-    lam_text = w.get("lambda", "auto").strip()
-    s_text = w.get("s", "auto").strip()
-    lam = lam_default if lam_text == "auto" else _float(lam_text, "weights.lambda")
-    s = s_default if s_text == "auto" else _float(s_text, "weights.s")
-    eps_list = _floats(w.get("eps_list", "1e-1, 1e-2, 1e-3, 1e-4, 1e-5"), "weights.eps_list")
-    if not all(np.isfinite(e) and e > 0 for e in eps_list):
-        raise ConfigError("eps_list entries must be finite and positive")
-
-    solver = dict(SOLVER_DEFAULTS)
-    for key, value in sections.get("solver", {}).items():
-        if key not in SOLVER_DEFAULTS:
+    for key in sections.get("solver", {}):
+        if key not in SOLVER:
             raise ConfigError(f"unknown solver option {key!r}")
-        try:
-            solver[key] = type(SOLVER_DEFAULTS[key])(value)
-        except ValueError as exc:
-            raise ConfigError(f"solver.{key}: {exc}") from exc
-    for key in ("nash_max_iter", "cg_max_iter", "max_outer", "n_samples", "n_directions"):
-        if solver[key] < 1:
-            raise ConfigError(f"solver.{key} must be at least 1")
-    for key in ("nash_tol", "coupled_tol", "cg_tol", "outer_tol"):
-        if not (np.isfinite(solver[key]) and solver[key] > 0):
-            raise ConfigError(f"solver.{key} must be finite and positive")
-    if not 0.0 < solver["damping"] <= 1.0:
-        raise ConfigError("solver.damping must lie in (0, 1]")
+    solver = {key: read(f"solver.{key}", default, type(default), rule)
+              for key, (default, rule) in SOLVER.items()}
 
     nl = sections.get("nonlinearity", {})
     kind = nl.get("preset", "zero").strip()
-    params = {}
-    if kind in ("tanh",):
-        params["c"] = _float(nl.get("c", "0.5"), "nonlinearity.c")
-    elif kind == "grad-tanh":
-        params["c"] = _float(nl.get("c", "0.5"), "nonlinearity.c")
-        params["c2"] = _float(nl.get("c2", "0.0"), "nonlinearity.c2")
+    if kind == "zero":
+        nonlinearity = functools.partial(preset_zero)
+    elif kind in ("tanh", "grad-tanh"):
+        c = read("nonlinearity.c", 0.5, rule=FINITE)
+        nonlinearity = (functools.partial(preset_tanh, c) if kind == "tanh"
+                        else functools.partial(preset_grad_tanh, c, read("nonlinearity.c2", 0.0, rule=FINITE)))
     elif kind == "expr":
         if "expr" not in nl:
             raise ConfigError("nonlinearity preset expr needs an expr entry")
-        allowed = {"u"} | {f"p{i + 1}" for i in range(dim)}
-        _parse_expression(nl["expr"], "nonlinearity.expr", allowed)
-        params["expr"] = _strip_quotes(nl["expr"])
-        params["bound"] = _float(nl.get("bound", "1.0"), "nonlinearity.bound")
-    elif kind != "zero":
+        _parse_expression(nl["expr"], "nonlinearity.expr", {"u"} | {f"p{i + 1}" for i in range(dim)})
+        nonlinearity = functools.partial(from_expression, _strip_quotes(nl["expr"]),
+                                         read("nonlinearity.bound", 1.0, rule=FINITE), dim=dim)
+    else:
         raise ConfigError(f"unknown nonlinearity preset {kind!r}")
 
     return RunConfig(
@@ -242,12 +201,11 @@ def load_config(path) -> RunConfig:
         s=s,
         eps_list=eps_list,
         solver=solver,
-        seed=int(solver["seed"]),
+        seed=solver["seed"],
         omega0_center=omega0,
         omega0_center2=omega0_2,
         otilde_window=window,
-        nonlinearity_kind=kind,
-        nonlinearity_params=params,
+        nonlinearity=nonlinearity,
     )
 
 
@@ -300,7 +258,7 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
             build_mask(config.grid, box)
         except EmptyMask as exc:
             raise ConfigError(f"geometry.{key}: {exc}") from exc
-    if "hessian" in needs and config.nonlinearity_kind == "expr":
+    if "hessian" in needs and config.nonlinearity.func is from_expression:
         raise ConfigError("second-order checker requires a preset with analytic second derivatives")
     inputs = RunInputs(config)
     if all(k in config.boxes for k in BOXES):
@@ -314,11 +272,11 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
     elif inputs.spec is not None and "weights" in needs and config.case == "shared":
         check_case(inputs.spec, "shared")  # carleman, given all boxes, checks the shared case only
     if "f" in needs:
-        inputs.f = build_leader_field(config)
+        inputs.f = _eval_spacetime(config, "data.f")
     if "ubar0" in needs:
-        inputs.ubar0 = _eval_spatial(config, "data.ubar0")
+        inputs.ubar0 = _eval_spacetime(config, "data.ubar0")[0]
     if "nonlinearity" in needs:
-        inputs.nonlinearity = build_nonlinearity(config)
+        inputs.nonlinearity = config.nonlinearity()
     if "weights" in needs or "theta" in needs:
         try:
             inputs.weights = build_carleman(config)
@@ -330,33 +288,18 @@ def validate_for(config: RunConfig, subcommand) -> RunInputs:
     return inputs
 
 
-def _eval_spatial(config, name):
-    """The expression named "section.key", on every node, checked finite
-    there; its interior (n,) values."""
-    grid = config.grid
-    meshes = grid.meshes()
-    env = {"x": meshes[0]}
-    if grid.dim == 2:
-        env["y"] = meshes[1]
-    vals = np.broadcast_to(np.asarray(config.exprs[name].evaluate(env), dtype=float), grid.nx)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{name} evaluates to non-finite values")
-    return grid.to_interior(vals)
-
-
 def _eval_spacetime(config, name):
     """The expression named "section.key", on every node and level, checked
     finite there; its interior (nt+1, n) values.  An expression without t
-    is evaluated once, and that level serves every time level."""
+    is evaluated once, and that level serves every time level: level 0 is
+    the interior (n,) value of the t-free u0 and ubar0."""
     grid = config.grid
     expr = config.exprs[name]
     meshes = grid.meshes()
     times = grid.times() if "t" in expr.variables() else [None]
     out = np.empty((len(times),) + grid.nx)
     for k, t in enumerate(times):
-        env = {"x": meshes[0], "t": t}
-        if grid.dim == 2:
-            env["y"] = meshes[1]
+        env = dict(zip(("x", "y"), meshes), t=t)
         out[k] = np.broadcast_to(np.asarray(expr.evaluate(env), dtype=float), grid.nx)
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} evaluates to non-finite values")
@@ -378,12 +321,8 @@ def build_problem_spec(config: RunConfig) -> ProblemSpec:
         alpha=config.alpha,
         mu=config.mu,
         targets=(_eval_spacetime(config, "data.zeta1"), _eval_spacetime(config, "data.zeta2")),
-        w0=_eval_spatial(config, "data.u0"),
+        w0=_eval_spacetime(config, "data.u0")[0],
     )
-
-
-def build_leader_field(config: RunConfig) -> np.ndarray:
-    return _eval_spacetime(config, "data.f")
 
 
 def build_carleman(config: RunConfig) -> CarlemanWeights:
@@ -394,14 +333,3 @@ def build_carleman(config: RunConfig) -> CarlemanWeights:
     except OverflowError as exc:
         raise ConfigError(f"weights.lambda = {config.lam} overflows the Carleman weights") from exc
 
-
-def build_nonlinearity(config: RunConfig) -> Nonlinearity:
-    kind = config.nonlinearity_kind
-    if kind == "zero":
-        return preset_zero()
-    if kind == "tanh":
-        return preset_tanh(config.nonlinearity_params["c"])
-    if kind == "grad-tanh":
-        return preset_grad_tanh(config.nonlinearity_params["c"], config.nonlinearity_params["c2"])
-    return from_expression(config.nonlinearity_params["expr"],
-                           config.nonlinearity_params["bound"], dim=config.grid.dim)

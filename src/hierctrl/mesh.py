@@ -103,13 +103,6 @@ class Grid:
             fac[1] = fac[-2] = 1.5
         return functools.reduce(np.kron, cells).reshape(self.nx) * self.hd
 
-    def to_interior(self, full):
-        """Flatten the interior values of a spatial array (row-major)."""
-        full = np.asarray(full)
-        if full.shape != self.nx:
-            raise ShapeMismatch(f"expected spatial shape {self.nx}, got {full.shape}")
-        return full[self.interior_slices()].reshape(-1).copy()
-
     def to_interior_levels(self, full):
         """The interior values of an (nt+1, *nx) array, as an (nt+1, n) array."""
         full = np.asarray(full)

@@ -400,12 +400,13 @@ def _coupling_matrix(weights, source, target):
 
 
 class _Family(NamedTuple):
-    """One family of step matrices.  Exactly one of modal, cholesky and lu
-    is set: the representation the family marches with."""
+    """One family of step matrices.  It marches with exactly one
+    representation: modal (coordinates.modal, the family's Q, source
+    transform dt diag(w) Q' and _recurrence_band in its Coordinates),
+    cholesky or lu, and the other two are None."""
 
     a: np.ndarray
     b: tuple
-    modal: tuple  # Q, the source transform dt diag(w) Q' and the _recurrence_band its Coordinates march with
     cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
     lu: tuple  # (kl, ku, factors, pivots) of each step 1..nt, views of one band_lu pair
     coordinates: Coordinates
@@ -492,7 +493,7 @@ class TimeStepper:
             else:
                 factor, pivots = band_lu(band, kl, ku)
                 lu = (kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps)
-        return _Family(a, b, modal, cholesky, lu, Coordinates(grid, modal))
+        return _Family(a, b, cholesky, lu, Coordinates(grid, modal))
 
     def _step_diagonals(self, a, b, levels):
         """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given

@@ -11,6 +11,7 @@ import pytest
 
 from hierctrl.mesh import build_grid, build_mask
 from hierctrl.operators import ProblemSpec
+from oracles import to_interior
 
 L_REF = 6.0
 
@@ -35,7 +36,7 @@ def make_nash_spec(nx=12, nt=10, alpha=1e-3, mu=1.0, with_targets=True):
         alpha=(alpha, alpha),
         mu=(mu, mu),
         targets=(wd, wd),
-        w0=g.to_interior(w0),
+        w0=to_interior(g, w0),
     )
 
 
@@ -57,14 +58,14 @@ def make_hum_spec(nx=16, nt=16, alpha=1e-3, mu=1.0):
         alpha=(alpha, alpha),
         mu=(mu, mu),
         targets=(z, z),
-        w0=g.to_interior(w0),
+        w0=to_interior(g, w0),
     )
 
 
 def constant_in_time(grid, spatial):
     """The interior values of a full-node spatial array, repeated at every
     time level: an interior (nt+1, n) array."""
-    return np.tile(grid.to_interior(spatial), (grid.nt + 1, 1))
+    return np.tile(to_interior(grid, spatial), (grid.nt + 1, 1))
 
 
 def leader_bump(grid, amplitude=0.3):

@@ -3,8 +3,9 @@
 No subcommand runs these: each is an independent route to a quantity the
 package computes another way (Lambda alone, the HUM functional, the
 follower response operators, the discrete duality identity, plug-back
-residuals, the dense follower form, the grid operators by sparse products
-and the step matrices by sparse sums), so it lives with the tests.
+residuals, the dense follower form, the grid operators by sparse products,
+the step matrices by sparse sums and the interior of a spatial array), so
+it lives with the tests.
 Helpers the tests patch (nash._distinct_targets) are read through their
 modules.
 """
@@ -18,6 +19,14 @@ import scipy.sparse as sp
 from hierctrl import hum, nash, semilinear
 from hierctrl.mesh import interior_gradient, norm_h, q_norm
 from hierctrl.operators import _boundary_halving, control_sources
+
+
+def to_interior(grid, full):
+    """The interior values of a spatial array on every node, flattened
+    row-major, as a copy."""
+    full = np.asarray(full)
+    assert full.shape == grid.nx
+    return full[grid.interior_slices()].reshape(-1).copy()
 
 
 def eval_G(spec, psi0, eps, tol_rel=1e-12):

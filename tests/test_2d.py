@@ -13,7 +13,7 @@ from hierctrl.operators import ProblemSpec
 from hierctrl.semilinear import preset_tanh, solve_quasi_equilibrium, verify_equilibrium_sufficiency
 
 from conftest import constant_in_time
-from oracles import eval_G
+from oracles import eval_G, to_interior
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def spec2d():
         alpha=(1e-3, 1e-3),
         mu=(1.0, 1.0),
         targets=(z, z),
-        w0=g.to_interior(w0),
+        w0=to_interior(g, w0),
     )
 
 
@@ -96,7 +96,7 @@ def test_carleman_ratio_report_2d(nx):
     weighted energies on both sides."""
     g = build_grid(2, (1.0, 1.0), nx, 0.5, 6)
     w = build_carleman_weights(g, "shared", lam=1.0, s=2.0, center=(0.5, 0.5))
-    rep = carleman_ratio_report(g, w, n_samples=3, seed=2)
+    rep = carleman_ratio_report(w, n_samples=3, seed=2)
     assert rep.skipped == 0 and len(rep.samples) == 3
     for rec in rep.samples:
         assert all(np.isfinite(rec[k]) and rec[k] > 0 for k in ("lhs", "rhs", "ratio"))

@@ -27,7 +27,8 @@ from hierctrl.semilinear import (preset_tanh, preset_zero, semilinear_null_contr
                                  solve_quasi_equilibrium, verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import apply_lambda, duality_gap, eval_G, sample_bound, spatial_operator, step_matrix
+from oracles import (apply_lambda, duality_gap, eval_G, sample_bound, spatial_operator, step_matrix,
+                     to_interior)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,7 +90,7 @@ def test_criterion_02_biharmonic_consistency_ratio():
         g = build_grid(1, 1.0, nx, 1.0, 8)
         x = g.coords(0)
         u = x**2 * (1 - x) ** 2
-        app = assemble_biharmonic(g) @ g.to_interior(u)
+        app = assemble_biharmonic(g) @ to_interior(g, u)
         errs.append(float(np.max(np.abs(app - 24.0))))
     ratios = [errs[k] / errs[k + 1] for k in range(len(errs) - 1)]
     ok = all(3.0 <= r <= 5.0 for r in ratios)
@@ -210,7 +211,7 @@ def test_criterion_09_trajectory_zero_case():
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = g.to_interior(3.0 * (x / L) ** 2 * (1 - x / L) ** 2)
+    ubar0 = to_interior(g, 3.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     ubar = solve_forward(spec.with_(w0=ubar0), w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
     f_zero = bool(np.all(res.hum.f == 0.0))

@@ -198,7 +198,7 @@ def test_distinct_center2_needs_a_coordinate_per_axis(center2):
 
 
 def test_ratio_report_finite_positive(grid, weights):
-    rep = carleman_ratio_report(grid, weights, n_samples=20, seed=3)
+    rep = carleman_ratio_report(weights, n_samples=20, seed=3)
     assert len(rep.ratios) == 20
     assert rep.skipped == 0
     assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
@@ -206,14 +206,14 @@ def test_ratio_report_finite_positive(grid, weights):
 
 def test_ratio_report_larger_s_still_finite(grid):
     w = build_carleman_weights(grid, "shared", lam=1.0, s=8.0, center=0.5)
-    rep = carleman_ratio_report(grid, w, n_samples=5, seed=3)
+    rep = carleman_ratio_report(w, n_samples=5, seed=3)
     assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
 
 
 def test_ratio_report_degenerate_weights_skipped(grid):
     """Underflowed weights kill both sides; samples are skipped, flagged."""
     w = build_carleman_weights(grid, "shared", lam=50.0, s=4.0, center=0.5)
-    rep = carleman_ratio_report(grid, w, n_samples=4, seed=5)
+    rep = carleman_ratio_report(w, n_samples=4, seed=5)
     assert rep.skipped == 4
     assert rep.samples == []
     assert math.isnan(rep.max_ratio)
@@ -332,7 +332,7 @@ def test_ratio_report_march_matches_superlu_loop(monkeypatch, dims):
         return out
 
     monkeypatch.setattr(operators.TimeStepper, "march_backward", recorded)
-    carleman_ratio_report(g, w, n_samples=3, seed=2)
+    carleman_ratio_report(w, n_samples=3, seed=2)
     assert len(marches) == 3
     eye = sp.identity(g.n_interior, format="csr")
     fact = factorize((eye + g.dt * operators.assemble_biharmonic(g)).tocsr())

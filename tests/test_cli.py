@@ -143,6 +143,12 @@ def test_malformed_config_fails_validation(tmp_path, capsys, text):
     pytest.param(SOLVER + "n_samples = 0\n", None, "ConfigError", id="n-samples-zero"),
     pytest.param(SOLVER + "n_directions = -1\n", None, "ConfigError", id="n-directions-negative"),
     pytest.param(SOLVER + "n_directions = 0\n", None, "ConfigError", id="n-directions-zero"),
+    pytest.param(ZERO_NASH + "\n[nonlinearity]\npreset = tanh\nc = inf\n", None, "ConfigError", id="c-inf"),
+    pytest.param(ZERO_NASH + "\n[nonlinearity]\npreset = grad-tanh\nc2 = nan\n", None, "ConfigError",
+                 id="c2-nan"),
+    pytest.param(ZERO_NASH + '\n[nonlinearity]\npreset = expr\nexpr = "u"\nbound = inf\n', None, "ConfigError",
+                 id="bound-inf"),
+    pytest.param(ZERO_NASH.replace("nt = 10", "nt = 4.5"), None, "ConfigError", id="nt-not-an-integer"),
 ])
 def test_bad_number_fails_validation(tmp_path, capsys, text, seed, error):
     cfg = tmp_path / "bad.ini"

@@ -26,7 +26,9 @@ FAMILIES = {
 
 def _representation(family):
     """The name of the representation a stepper family marches with."""
-    return next(name for name in ("modal", "cholesky", "lu") if getattr(family, name) is not None)
+    if family.coordinates.modal:
+        return "modal"
+    return next(name for name in ("cholesky", "lu") if getattr(family, name) is not None)
 
 
 def _family_spec(family, case, monkeypatch):

@@ -19,7 +19,7 @@ from hierctrl.nash import q_norm, solve_nash_fixed_point
 from hierctrl.operators import Coupling, TimeStepper, solve_forward
 
 from conftest import leader_bump, make_hum_spec
-from oracles import apply_lambda, eval_G
+from oracles import apply_lambda, eval_G, to_interior
 from test_coordinates import FAMILIES, _family_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -535,7 +535,7 @@ def test_trajectory_zero_case(spec):
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = g.to_interior(4.0 * (x / L) ** 2 * (1 - x / L) ** 2)
+    ubar0 = to_interior(g, 4.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     base = spec.with_(w0=ubar0)
     ubar = solve_forward(base, w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
@@ -548,7 +548,7 @@ def test_trajectory_mismatch_is_terminal_norm(spec):
     g = spec.grid
     x = g.coords(0)
     L = g.lengths[0]
-    ubar0 = g.to_interior(2.0 * (x / L) ** 2 * (1 - x / L) ** 2)
+    ubar0 = to_interior(g, 2.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     zetas = (np.zeros((g.nt + 1, g.n_interior)),) * 2
     res = control_to_trajectory(spec, u0=spec.w0, ubar0=ubar0, zetas=zetas, eps=1e-3)
     assert res.terminal_mismatch == res.hum.terminal_norm

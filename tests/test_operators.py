@@ -12,7 +12,7 @@ from hierctrl.operators import (MODAL_MAX_N, ProblemSpec, assemble_biharmonic, l
                                 solve_forward)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import duality_gap, spatial_operator, sparse_step_matrix, step_matrix
+from oracles import duality_gap, spatial_operator, sparse_step_matrix, step_matrix, to_interior
 
 
 def _step(st, family, j, transpose, x):
@@ -84,7 +84,7 @@ def test_biharmonic_quartic_interior_and_wall_defect():
     g = build_grid(1, 1.0, 64, 1.0, 8)
     x = g.coords(0)
     u = x**2 * (1 - x) ** 2
-    app = assemble_biharmonic(g) @ g.to_interior(u)
+    app = assemble_biharmonic(g) @ to_interior(g, u)
     assert np.max(np.abs(app[2:-2] - 24.0)) <= 1e-6
     assert app[0] - 24.0 == pytest.approx(-4.0 / g.h[0], rel=1e-8)
     assert app[-1] - 24.0 == pytest.approx(-4.0 / g.h[0], rel=1e-8)
@@ -99,8 +99,8 @@ def test_biharmonic_consistency_ratio_boundary_compatible():
         x = g.coords(0)
         u = np.sin(np.pi * x) ** 2
         exact = -8 * np.pi**4 * np.cos(2 * np.pi * x)
-        app = assemble_biharmonic(g) @ g.to_interior(u)
-        errs.append(np.max(np.abs(app - g.to_interior(exact))))
+        app = assemble_biharmonic(g) @ to_interior(g, u)
+        errs.append(np.max(np.abs(app - to_interior(g, exact))))
     for e0, e1 in zip(errs, errs[1:]):
         assert 3.0 <= e0 / e1 <= 5.0
 
@@ -109,7 +109,7 @@ def test_biharmonic_quartic_2d_interior():
     g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 8)
     X, Y = g.meshes()
     u = X**2 * (1 - X) ** 2
-    app = assemble_biharmonic(g) @ g.to_interior(u)
+    app = assemble_biharmonic(g) @ to_interior(g, u)
     interior = app.reshape(g.interior_shape)[2:-2, 2:-2]
     assert np.max(np.abs(interior - 24.0)) <= 1e-5
 
@@ -455,7 +455,7 @@ def test_transport_marches_on_band_lu_at_every_size(rng, nx):
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g, b_values=[np.full((g.nt + 1,) + g.nx, 0.5)]).stepper
     fam = st._family("forward")
-    assert fam.modal is None and fam.cholesky is None
+    assert not fam.coordinates.modal and fam.cholesky is None
     kl, ku, factors, pivots = fam.lu
     assert (kl, ku) == (2, 2) and all(f is factors[0] for f in factors) and factors[0].shape == (7, g.n_interior)
     w0 = rng.standard_normal(g.n_interior)
@@ -471,7 +471,7 @@ def test_2d_benchmark_grid_marches_on_one_band_factor(rng):
     assert g.n_interior == 484 > MODAL_MAX_N
     st = _plain_spec(g).stepper
     fam = st._family("forward")
-    assert fam.modal is None and fam.lu is None
+    assert not fam.coordinates.modal and fam.lu is None
     factors = fam.cholesky
     assert factors[0].shape == (45, 484) and all(f is factors[0] for f in factors)
     w0 = rng.standard_normal(g.n_interior)
@@ -578,7 +578,7 @@ def _modal_stepper(nx=14, nt=8, length=1.0):
     g = build_grid(1, length, nx, 1.0, nt)
     st = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
     fam = st._family("forward")
-    assert fam.modal is not None and fam.cholesky is None and fam.lu is None
+    assert fam.coordinates.modal and fam.cholesky is None and fam.lu is None
     return g, st
 
 
@@ -638,7 +638,7 @@ def test_backward_modal_march_is_reversed_forward_march(rng, nx, nt, length, k):
 def test_duality_identity_on_modal_stepper(rng):
     g, st = _modal_stepper()
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
-    assert spec.stepper is not st and spec.stepper._family("forward").modal is not None
+    assert spec.stepper is not st and spec.stepper._family("forward").coordinates.modal
     for _ in range(5):
         gap = duality_gap(
             spec,
@@ -695,7 +695,7 @@ def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, transpor
 def test_modal_cap_in_1d(nx, modal):
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g).stepper
-    assert (st._family("forward").modal is not None) == modal
+    assert st._family("forward").coordinates.modal == modal
 
 
 def test_only_transport_keeps_band_lu(rng):
@@ -709,7 +709,7 @@ def test_only_transport_keeps_band_lu(rng):
     _, _, factors, pivots = transport._family("forward").lu
     assert factors[0] is factors[-1] and pivots[0] is pivots[-1] and len(factors) == g.nt
     fam = varying._family("forward")
-    assert fam.lu is None and fam.modal is None
+    assert fam.lu is None and not fam.coordinates.modal
     assert len(fam.cholesky) == g.nt and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
 
 

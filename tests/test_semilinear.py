@@ -19,7 +19,7 @@ from hierctrl.semilinear import (eval_secant_coeffs, form_extremes, from_express
                                  verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import form_matrix, quasi_equilibrium_residual, sample_bound
+from oracles import form_matrix, quasi_equilibrium_residual, sample_bound, to_interior
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -292,7 +292,7 @@ def test_secant_coefficients_within_bound(spec, tanh_equilibrium):
 def test_free_trajectory_linear_case(spec):
     g = spec.grid
     x = g.coords(0)
-    ubar0 = g.to_interior(4.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
+    ubar0 = to_interior(g, 4.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
     u = solve_free_trajectory(spec, preset_zero(), ubar0)
     from hierctrl.operators import solve_forward
 
@@ -346,7 +346,7 @@ def test_null_control_zero_data_one_outer():
     g = spec.grid
     nl = preset_tanh(0.5)
     x = g.coords(0)
-    ubar0 = g.to_interior(2.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
+    ubar0 = to_interior(g, 2.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
     ubar = solve_free_trajectory(spec, nl, ubar0)
     same = spec.with_(w0=ubar0.copy(), targets=(ubar, ubar))
     res = semilinear_null_control(same, nl, ubar0, eps=1e-4)
