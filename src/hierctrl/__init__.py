@@ -5,7 +5,7 @@ Picard extensions, and Carleman-weight and observability checks."""
 __version__ = "0.1.0"
 
 from .mesh import Grid, SubdomainMask, build_grid, build_mask, full_mask, integrate
-from .operators import ProblemSpec, solve_adjoint, solve_forward
+from .operators import ProblemSpec
 
 __all__ = [
     "Grid",
@@ -15,7 +15,5 @@ __all__ = [
     "build_mask",
     "full_mask",
     "integrate",
-    "solve_forward",
-    "solve_adjoint",
     "__version__",
 ]

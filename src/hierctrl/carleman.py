@@ -234,17 +234,21 @@ def build_weights(eta_fn: EtaFunction, lam, s, variant="sharp"):
     (nt+1, *nx) arrays alpha and xi.
 
     Singular levels carry xi = XI_CAP and alpha = ALPHA_FLOOR, which makes
-    exp(2 s alpha) exactly zero there.
+    exp(2 s alpha) exactly zero there.  OverflowError when a weight off the
+    singular levels is not finite, as on a horizon T so short that r
+    underflows to 0 there.
     """
     grid = eta_fn.grid
     form = WeightForm(eta_fn, lam, s, variant)
     t = grid.times().reshape((-1,) + (1,) * grid.dim)
     singular = form.singular(t)
     A = form._A(*grid.meshes())
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only on the singular levels
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked finite below
         r = form._r(t)
         alpha = np.where(singular, ALPHA_FLOOR, (A - form.B) / r)
         xi = np.where(singular, XI_CAP, A / r)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(xi))):
+        raise OverflowError(f"the {variant} Carleman weights are not finite at T = {grid.T}")
     return check_field(grid, alpha), check_field(grid, xi)
 
 
@@ -372,7 +376,6 @@ class WeightPropertyReport:
     xi_inv_ok: bool
     time_bound_strict_ok: bool
     time_bound_relaxed_ok: bool
-    samples: int
     notes: list = dc_field(default_factory=list)
 
 
@@ -414,7 +417,6 @@ def check_weight_properties(weights: CarlemanWeights, n_samples=100, seed=0) -> 
         xi_inv_ok=xi_inv_max <= grid.T / 2.0 + 1e-15,
         time_bound_strict_ok=strict,
         time_bound_relaxed_ok=relaxed,
-        samples=n_samples,
         notes=notes,
     )
 
@@ -441,8 +443,6 @@ def eta_gradient_scan(weights: CarlemanWeights, exclusion_radius):
 class RatioReport:
     samples: list
     skipped: int
-    lam: float
-    s: float
 
     @property
     def ratios(self):
@@ -507,7 +507,7 @@ def carleman_ratio_report(weights: CarlemanWeights, n_samples=20, seed=0) -> Rat
             skipped += 1
             continue
         samples.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    return RatioReport(samples=samples, skipped=skipped, lam=lam, s=s)
+    return RatioReport(samples=samples, skipped=skipped)
 
 
 @dataclass
@@ -551,7 +551,7 @@ def estimate_observability(spec, weights: CarlemanWeights, n_samples=50, seed=0,
         st = solve_coupled_adjoint(spec, psi0_int, tol_rel=tol_rel)
         num = norm_h(grid, st.psi[0]) ** 2
         if weights.case == "shared":
-            obs = spec.alpha[0] * st.eta1 + spec.alpha[1] * st.eta2
+            obs = spec.alpha[0] * st.etas[0] + spec.alpha[1] * st.etas[1]
             num += integrate(grid.from_interior_levels(obs**2), spec.target_masks[0], log_weight=log_th2)
         else:
             for i, eta in enumerate(st.etas):

@@ -81,16 +81,16 @@ def _run_nash(inputs, out):
         spec, f, tol_rel=solver["nash_tol"], max_iter=solver["nash_max_iter"],
         damping=solver["damping"], on_sweep=on_sweep)
     write_csv(Path(out, "nash_history.csv"), ("iter", "change_norm", "residual_1", "residual_2"), rows)
-    for name, arr in (("w", sol.w), ("v1", sol.v1), ("v2", sol.v2)):
+    for name, arr in (("w", sol.w), ("v1", sol.controls[0]), ("v2", sol.controls[1])):
         dump_field(Path(out, f"{name}.field.txt"), spec.grid, arr)
-    j1, j2 = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
+    j1, j2 = cost_followers(spec, sol.w, sol.controls)
     residuals = verify_first_order(spec, sol)
     write_summary(Path(out, "summary.txt"), [
         ("iterations", sol.iterations),
         ("contraction_estimate", fmt(sol.contraction_estimate)),
         ("w_norm", fmt(q_norm(spec.grid, sol.w))),
-        ("v1_norm", fmt(q_norm(spec.grid, sol.v1))),
-        ("v2_norm", fmt(q_norm(spec.grid, sol.v2))),
+        ("v1_norm", fmt(q_norm(spec.grid, sol.controls[0]))),
+        ("v2_norm", fmt(q_norm(spec.grid, sol.controls[1]))),
         ("residual_1", fmt(residuals[0])),
         ("residual_2", fmt(residuals[1])),
         ("J1", fmt(j1)),

@@ -29,8 +29,7 @@ FINITE = ("finite", np.isfinite)
 POSITIVE = ("finite and positive", lambda v: 0 < v < np.inf)
 NONNEGATIVE = ("finite and nonnegative", lambda v: 0 <= v < np.inf)
 AT_LEAST_ONE = ("at least 1", lambda v: v >= 1)
-# a nan bound passes INTERVAL: a box with one selects no node
-INTERVAL = ("'lo, hi' with lo < hi", lambda bounds: len(bounds) == 2 and not bounds[0] >= bounds[1])
+INTERVAL = ("'lo, hi' with lo < hi", lambda bounds: len(bounds) == 2 and bounds[0] < bounds[1])  # nan fails
 
 # solver key: (default, rule); the default's type is the type the key is read as
 SOLVER = {
@@ -155,8 +154,9 @@ def load_config(path) -> RunConfig:
     case = geom.get("case", "shared").strip()
     if case not in ("shared", "distinct"):
         raise ConfigError(f"geometry.case must be shared or distinct, got {case!r}")
-    omega0 = read("geometry.omega0_center", tuple(L / 2.0 for L in grid.lengths), sep=",", axes=dim)
-    omega0_2 = read("geometry.omega0_center2", None, sep=",", axes=dim)
+    centre = {"rule": FINITE, "sep": ",", "axes": dim}
+    omega0 = read("geometry.omega0_center", tuple(L / 2.0 for L in grid.lengths), **centre)
+    omega0_2 = read("geometry.omega0_center2", None, **centre)
     window = read("geometry.otilde_window", None, **box)
 
     alpha = tuple(read(f"weights.alpha{i}", 1e-3, rule=NONNEGATIVE) for i in (1, 2))
@@ -331,5 +331,6 @@ def build_carleman(config: RunConfig) -> CarlemanWeights:
                                       center=config.omega0_center, center2=config.omega0_center2,
                                       window=config.otilde_window)
     except OverflowError as exc:
-        raise ConfigError(f"weights.lambda = {config.lam} overflows the Carleman weights") from exc
+        raise ConfigError(f"weights.lambda = {config.lam} with grid.T = {config.grid.T} overflows the Carleman "
+                          "weights") from exc
 

@@ -13,15 +13,14 @@ f = psi restricted to the leader region, to solver precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TINY, RitzPairs, conjugate_gradient, contraction_estimate, factorize, ritz_pairs
+from .linalg import TINY, RitzPairs, conjugate_gradient, factorize, ritz_pairs
 from .mesh import norm_h
 from .nash import NashSolution, _control_weights, alternate, solve_nash_fixed_point, stacked_system
-from .operators import Coordinates, ProblemSpec, control_sources, lagged, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, lagged
 
 RITZ_DIRECTIONS = 8  # a single-eps CG run from b of this many iterations yields Ritz pairs
 RITZ_CAP = 20  # the most Ritz pairs a solve keeps
@@ -37,32 +36,20 @@ class CoupledAdjointState:
     """psi and its forward companions eta_i = F_adj(-chi_i psi^{j-1}/mu_i),
     each an interior (nt+1, n) array with one row per time level 0..nt.
 
-    companions stays None until eta1, eta2 or etas is first read; that read
-    marches both from psi as one 2-column march and keeps them.  A direct
-    solve sets them.  contraction_estimate is the fixed point's rho-hat
-    (linalg.contraction_estimate), nan for a direct solve or a history of
-    one change.
+    companions stays None until etas is first read; that read marches both
+    from psi as one 2-column march and keeps them.  A direct solve sets
+    them.
     """
     psi: np.ndarray
     spec: ProblemSpec
     iterations: int = 0
-    history: list = None
     companions: tuple = None
-    contraction_estimate: float = math.nan
 
     @property
     def etas(self):
         if self.companions is None:
             self.companions = tuple(_companions(self.spec, self.psi))
         return self.companions
-
-    @property
-    def eta1(self):
-        return self.etas[0]
-
-    @property
-    def eta2(self):
-        return self.etas[1]
 
 
 @dataclass
@@ -112,17 +99,16 @@ def solve_coupled_adjoint(spec: ProblemSpec, psi0, tol_rel=1e-12, max_iter=200) 
     is measured on psi, and the companions are read from the final psi when
     first wanted (CoupledAdjointState.etas).  A zero psi0 gives the zero
     state, psi and both companions, without a sweep or a march (0
-    iterations, an empty history).
+    iterations).
     """
     grid = spec.grid
     fwd = spec.stepper.coordinates("forward")
     datum = fwd.datum(psi0)
     if not datum.any():
         psi, *etas = np.zeros((3, grid.nt + 1, grid.n_interior))
-        return CoupledAdjointState(psi, spec, 0, [], tuple(etas))
-    psi, _, it, history = alternate(spec, datum, transposed=True, tol_rel=tol_rel, max_iter=max_iter)
-    return CoupledAdjointState(fwd.physical(psi, psi0, backward=True), spec, it, history,
-                               contraction_estimate=contraction_estimate(history))
+        return CoupledAdjointState(psi, spec, 0, tuple(etas))
+    psi, _, it, _ = alternate(spec, datum, transposed=True, tol_rel=tol_rel, max_iter=max_iter)
+    return CoupledAdjointState(fwd.physical(psi, psi0, backward=True), spec, it)
 
 
 def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
@@ -147,7 +133,7 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1)).reshape(3, nt, n)
     W = np.vstack([spec.w0, x[0]])
     phis = [np.vstack([x[1 + i], np.zeros(n)]) for i in range(2)]
-    nash = NashSolution(W, tuple(phis), Coordinates(grid), spec.follower_masks, spec.mu, 1, [0.0])
+    nash = NashSolution(W, tuple(phis), Coordinates(grid), spec.follower_masks, spec.mu, 1)
 
     psi0 = np.zeros(n) if psi0 is None else psi0
     rhs = np.zeros((3, nt, n))
@@ -155,7 +141,7 @@ def dense_oracle(spec: ProblemSpec, f=None, psi0=None):
     x = lu.solve(rhs.reshape(-1), transpose=True).reshape(3, nt, n)
     psi = np.vstack([x[0], psi0])
     etas = tuple(np.vstack([np.zeros(n), x[1 + i]]) for i in range(2))
-    return nash, CoupledAdjointState(psi, spec, 1, [0.0], etas)
+    return nash, CoupledAdjointState(psi, spec, 1, etas)
 
 
 def leader_from_psi(spec: ProblemSpec, coupled: CoupledAdjointState):
@@ -312,27 +298,23 @@ class TrajectoryResult:
     hum: HumResult
     u: np.ndarray
     ubar: np.ndarray
-    terminal_mismatch: float
 
 
 def control_to_trajectory(spec: ProblemSpec, u0, ubar0, zetas, eps, **kw):
     """Exact controllability to a free trajectory, linear case.
 
-    Solves the uncontrolled problem for ubar, shifts data (w0 = u0 - ubar0,
+    Marches the uncontrolled problem for ubar, shifts data (w0 = u0 - ubar0,
     w_id = zeta_id - ubar), runs minimize_G and reconstructs u = w + ubar.
-    The terminal mismatch ||u(T) - ubar(T)|| is the w-problem terminal norm,
-    bitwise.  eps is one penalty or a sequence of them, as in minimize_G,
-    giving one TrajectoryResult or a list of them.  u0 and ubar0 are (n,)
-    vectors and zetas two interior (nt+1, n) arrays.
+    The terminal mismatch ||u(T) - ubar(T)|| is the w-problem terminal norm
+    (HumResult.terminal_norm).  eps is one penalty or a sequence of them, as
+    in minimize_G, giving one TrajectoryResult or a list of them.  u0 and
+    ubar0 are (n,) vectors and zetas two interior (nt+1, n) arrays.
     """
     u0 = np.asarray(u0, dtype=float)
     ubar0 = np.asarray(ubar0, dtype=float)
     # the data shifts leave the coefficients, so both problems share spec's stepper
-    base = spec.with_(w0=ubar0)
-    ubar = solve_forward(base, w0=ubar0)
+    ubar = spec.stepper.march_forward(ubar0)
     wspec = spec.with_(w0=u0 - ubar0, targets=tuple(z - ubar for z in zetas))
     hums = minimize_G(wspec, np.atleast_1d(eps), **kw)
-    results = [TrajectoryResult(hum=hum, u=hum.w + ubar, ubar=ubar, terminal_mismatch=hum.terminal_norm)
-               for hum in hums]
+    results = [TrajectoryResult(hum=hum, u=hum.w + ubar, ubar=ubar) for hum in hums]
     return results if np.ndim(eps) else results[0]
-

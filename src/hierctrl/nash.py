@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from .errors import TooLarge
 from .linalg import TINY, contraction_estimate, iterate
 from .mesh import q_norm
-from .operators import Coordinates, ProblemSpec, control_sources, lagged, solve_forward
+from .operators import Coordinates, ProblemSpec, control_sources, lagged
 
 
 @dataclass
@@ -38,9 +39,9 @@ class NashSolution:
     coordinates (operators.Coordinates, the adjoint family's for the fixed
     point): one array serving phi_1 and phi_2 in the shared case.  phis,
     the pair (phi_1, phi_2), is formed from them in physical space when it
-    is first read, and the controls v1 and v2 from those, the follower
-    masks and mu (_controls_from_adjoints) when v1, v2 or controls is first
-    read; both are kept.  A Lambda apply reads neither.  contraction_estimate is
+    is first read, and controls, the pair (v_1, v_2), from those, the
+    follower masks and mu (_controls_from_adjoints) when it is first read;
+    both are kept.  A Lambda apply reads neither.  contraction_estimate is
     the fixed point's rho-hat (linalg.contraction_estimate), nan for a
     direct solve or a history of one change.
     """
@@ -50,30 +51,15 @@ class NashSolution:
     follower_masks: tuple
     mu: tuple
     iterations: int
-    history: list
     contraction_estimate: float = math.nan
-    formed_phis: tuple = None
-    formed_controls: tuple = None
 
-    @property
+    @cached_property
     def phis(self):
-        if self.formed_phis is None:
-            self.formed_phis = tuple(_physical_adjoints(self.coordinates, self.adjoints))
-        return self.formed_phis
+        return tuple(_physical_adjoints(self.coordinates, self.adjoints))
 
-    @property
+    @cached_property
     def controls(self):
-        if self.formed_controls is None:
-            self.formed_controls = tuple(_controls_from_adjoints(self.follower_masks, self.mu, self.phis))
-        return self.formed_controls
-
-    @property
-    def v1(self):
-        return self.controls[0]
-
-    @property
-    def v2(self):
-        return self.controls[1]
+        return tuple(_controls_from_adjoints(self.follower_masks, self.mu, self.phis))
 
 
 def _indicators(masks):
@@ -270,7 +256,7 @@ def solve_nash_fixed_point(
 
     W, phis, it, history = alternate(spec, fwd.datum(spec.w0), fwd.source(source), tol_rel=tol_rel,
                                      max_iter=max_iter, damping=damping, on_sweep=hook)
-    return NashSolution(fwd.physical(W, spec.w0), tuple(phis), adj, spec.follower_masks, spec.mu, it, history,
+    return NashSolution(fwd.physical(W, spec.w0), tuple(phis), adj, spec.follower_masks, spec.mu, it,
                         contraction_estimate(history))
 
 
@@ -334,18 +320,16 @@ def verify_first_order(spec: ProblemSpec, solution: NashSolution):
     return _raw_residuals(spec, solution.w, solution.controls)
 
 
-def cost_followers(spec: ProblemSpec, f, v1, v2, w=None):
+def cost_followers(spec: ProblemSpec, w, controls):
     """Discrete follower costs, in the same quadrature the optimality
-    system is derived from (right-endpoint rule in time).  f, v1, v2 and
-    the state w, when given, are interior (nt+1, n) arrays."""
+    system is derived from (right-endpoint rule in time).  The state w and
+    each of the controls (v1, v2) are interior (nt+1, n) arrays."""
     grid = spec.grid
-    if w is None:
-        w = solve_forward(spec, f=f, v1=v1, v2=v2)
     out = []
     for i in range(2):
         chid = spec.target_masks[i].interior_vector()
         dev = (w - spec.targets[i]) * np.sqrt(chid)
-        vi = (v1, v2)[i] * np.sqrt(spec.follower_masks[i].interior_vector())
+        vi = controls[i] * np.sqrt(spec.follower_masks[i].interior_vector())
         ji = 0.5 * spec.alpha[i] * q_norm(grid, dev) ** 2 + 0.5 * spec.mu[i] * q_norm(grid, vi) ** 2
         out.append(ji)
     return tuple(out)

@@ -732,40 +732,11 @@ def lagged(arr, weights=1.0):
     return out
 
 
-def control_sources(spec: ProblemSpec, f=None, v1=None, v2=None):
-    """Interior source array for f*chi_O + v1*chi_O1 + v2*chi_O2; each
-    control, when given, is an interior (nt+1, n) array."""
+def control_sources(spec: ProblemSpec, f=None):
+    """Interior source array for f*chi_O; the leader control f, when given,
+    is an interior (nt+1, n) array."""
     grid = spec.grid
     src = np.zeros((grid.nt + 1, grid.n_interior))
-    pairs = [
-        (f, spec.leader_mask),
-        (v1, spec.follower_masks[0]),
-        (v2, spec.follower_masks[1]),
-    ]
-    for ctrl, mask in pairs:
-        if ctrl is not None:
-            src += ctrl * mask.interior_vector()
+    if f is not None:
+        src += f * spec.leader_mask.interior_vector()
     return src
-
-
-def solve_forward(spec: ProblemSpec, f=None, v1=None, v2=None, w0=None):
-    """State solve under leader f and followers v1, v2 (backward Euler).
-
-    The controls are interior (nt+1, n) arrays, as in control_sources, and
-    w0, when given in place of spec.w0, an (n,) vector.  Returns the state
-    as an interior (nt+1, n) array.
-    """
-    w0 = spec.w0 if w0 is None else w0
-    return spec.stepper.march_forward(w0, control_sources(spec, f, v1, v2))
-
-
-def solve_adjoint(spec: ProblemSpec, sources, terminal):
-    """Backward solve with the transposed step matrices.
-
-    Realizes the continuous adjoint equation (divergence-form transport
-    term) as the exact transpose of the forward scheme.  sources is an
-    interior (nt+1, n) array or None and terminal an (n,) vector; returns
-    an interior (nt+1, n) array.
-    """
-    return spec.stepper.march_backward(terminal, sources, family="adjoint")
-

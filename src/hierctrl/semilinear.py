@@ -22,10 +22,10 @@ import scipy.linalg
 from .carleman import check_target_condition
 from .errors import OuterDivergence, UnsupportedNonlinearity
 from .expressions import parse_expr
-from .hum import HumResult, minimize_G
+from .hum import minimize_G
 from .linalg import TINY, iterate, lanczos
 from .mesh import interior_divergence, interior_gradient
-from .nash import q_norm, solve_nash_fixed_point
+from .nash import NashSolution, q_norm, solve_nash_fixed_point
 from .operators import ProblemSpec, lagged
 
 GL_POINTS = 8
@@ -227,17 +227,6 @@ def _picard_change(grid, z, w):
     return _z_change_norm(grid, w - z), scale
 
 
-@dataclass
-class QuasiEquilibrium:
-    """State u, the follower adjoints phis = (phi_1, phi_2) and controls
-    controls = (v_1, v_2), each an interior (nt+1, n) array."""
-    u: np.ndarray
-    phis: tuple
-    controls: tuple
-    outer_iterations: int
-    history: list
-
-
 def _constant_source(grid, nonlin):
     """The constant remainder F(0, 0) as an interior (nt+1, n) source, or
     None when it is zero."""
@@ -246,13 +235,15 @@ def _constant_source(grid, nonlin):
 
 
 def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
-                            tol=1e-10, inner_tol=1e-12) -> QuasiEquilibrium:
+                            tol=1e-10, inner_tol=1e-12) -> NashSolution:
     """Outer Picard on the frozen-z optimality system.
 
     Each sweep solves the linear system with secant coefficients at z and
     the constant remainder F(0,0); convergence is measured in the discrete
     (z, grad z) norm.  f is the leader control as an interior (nt+1, n)
-    array, or None.
+    array, or None.  The quasi-equilibrium is the last sweep's Nash
+    solution of the frozen system: its state w, follower adjoints phis and
+    controls.
     """
     grid = spec.grid
     extra = _constant_source(grid, nonlin)
@@ -263,10 +254,9 @@ def solve_quasi_equilibrium(spec: ProblemSpec, nonlin: Nonlinearity, f=None,
         sol = solve_nash_fixed_point(frozen, f, tol_rel=inner_tol, extra_source=extra)
         return (sol.w, sol), *_picard_change(grid, z, sol.w)
 
-    (u, sol), it, history = iterate(sweep, (np.zeros((grid.nt + 1, grid.n_interior)),), tol, 50,
-                                    "quasi-equilibrium Picard")
-    return QuasiEquilibrium(u=u, phis=sol.phis, controls=sol.controls, outer_iterations=it,
-                            history=history)
+    (_, sol), _, _ = iterate(sweep, (np.zeros((grid.nt + 1, grid.n_interior)),), tol, 50,
+                             "quasi-equilibrium Picard")
+    return sol
 
 
 def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_iter=60):
@@ -292,14 +282,12 @@ def solve_free_trajectory(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, max_it
 
 @dataclass
 class SemilinearControlResult:
-    """The leader control f, the controlled state u, the free trajectory ubar
-    and their difference w = u - ubar, each an interior (nt+1, n) array,
-    with the last outer iteration's HUM solve."""
-    hum: HumResult
+    """The leader control f, the controlled state u and the free trajectory
+    ubar, each an interior (nt+1, n) array, with the terminal norm of the
+    last outer iteration's HUM solve, ||u(T) - ubar(T)||."""
     f: np.ndarray
     u: np.ndarray
     ubar: np.ndarray
-    w: np.ndarray
     terminal_mismatch: float
     outer_iterations: int
     history: list
@@ -366,7 +354,7 @@ def semilinear_null_control(spec: ProblemSpec, nonlin: Nonlinearity, ubar0, eps,
     (z, hum, _), _, history = iterate(sweep, start, outer_tol, max_outer, "semilinear outer loop",
                                       diverged=OuterDivergence)
     return SemilinearControlResult(
-        hum=hum, f=hum.f, u=z + ubar, ubar=ubar, w=z,
+        f=hum.f, u=z + ubar, ubar=ubar,
         terminal_mismatch=hum.terminal_norm,
         outer_iterations=len(history), history=history,
         target_check=target_check, cg_residuals=cg_residuals, cg_iterations=sum(cg_iterations))
@@ -386,7 +374,7 @@ def _form_companions(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium):
             "second-order checker needs analytic second derivatives; "
             "expression-based nonlinearities are first-order only")
     grid = spec.grid
-    u = equilibrium.u
+    u = equilibrium.w
     a, b = _tangent(spec, nonlin, u)
     st = spec.with_(a=a, b=b, a_adj=None, b_adj=None).stepper
     gu = interior_gradient(grid, u)
@@ -421,18 +409,16 @@ def _form_companions(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium):
     return [companion(i) for i in range(2)]
 
 
-def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
-                      i, direction, eta=None) -> float:
+def second_order_form(spec: ProblemSpec, i, direction, eta) -> float:
     """Quadratic form of follower i's cost at the equilibrium.
 
-    Solves the tangent state h driven by the direction, an interior
-    (nt+1, n) array, then the backward companion eta with the
-    second-derivative sources, and returns
-    int int_Oi direction*eta + mu_i ||direction||^2.  eta, when given, is
-    follower i's map of _form_companions for this spec and equilibrium,
-    which every direction shares.
+    eta is follower i's map of _form_companions at the equilibrium, which
+    every direction shares: it marches the tangent state h driven by the
+    direction, an interior (nt+1, n) array, then the backward companion
+    with the second-derivative sources.  Returns
+    int int_Oi direction*eta + mu_i ||direction||^2.
     """
-    E = (eta or _form_companions(spec, nonlin, equilibrium)[i])(direction)
+    E = eta(direction)
     grid = spec.grid
     chi = spec.follower_masks[i].interior_vector()
     cross = grid.dt * grid.hd * float(np.sum((direction[1:] * chi) * E[:-1]))
@@ -443,7 +429,7 @@ def second_order_form(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium,
 FORM_TOL = 1e-10  # form_extremes stops once both extreme Ritz bounds are this small relative to the largest
 
 
-def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, eta=None):
+def form_extremes(spec: ProblemSpec, i, eta):
     """The smallest and largest eigenvalue, theta_min and theta_max, of the
     cross term of follower i's quadratic form (second_order_form) on its
     control unknowns, levels 1..nt on O_i, in the discrete L2(Q) inner
@@ -461,7 +447,6 @@ def form_extremes(spec: ProblemSpec, nonlin: Nonlinearity, equilibrium, i, eta=N
     """
     grid = spec.grid
     nodes = np.flatnonzero(spec.follower_masks[i].interior_vector())
-    eta = eta or _form_companions(spec, nonlin, equilibrium)[i]
 
     def cross(x):
         d = np.zeros((grid.nt + 1, grid.n_interior))
@@ -514,9 +499,9 @@ def verify_equilibrium_sufficiency(spec: ProblemSpec, nonlin: Nonlinearity, equi
             d = rng.standard_normal((grid.nt + 1, grid.n_interior)) * chi
             d[0] = 0.0
             d /= q_norm(grid, d)
-            sampled.append(second_order_form(spec, nonlin, equilibrium, i, d, eta=eta))
+            sampled.append(second_order_form(spec, i, d, eta))
         forms.append(tuple(sampled))
-        extremes.append(form_extremes(spec, nonlin, equilibrium, i, eta=eta))
+        extremes.append(form_extremes(spec, i, eta))
     mins = tuple(min(sampled, default=math.nan) for sampled in forms)
     theta_min, theta_max = zip(*extremes)
     return SufficiencyReport(

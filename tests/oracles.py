@@ -4,8 +4,9 @@ No subcommand runs these: each is an independent route to a quantity the
 package computes another way (Lambda alone, the HUM functional, the
 follower response operators, the discrete duality identity, plug-back
 residuals, the dense follower form, the grid operators by sparse products,
-the step matrices by sparse sums and the interior of a spatial array), so
-it lives with the tests.
+the step matrices by sparse sums, the interior of a spatial array, the
+state under any controls and the adjoint march), so it lives with the
+tests.
 Helpers the tests patch (nash._distinct_targets) are read through their
 modules.
 """
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from hierctrl import hum, nash, semilinear
 from hierctrl.mesh import interior_gradient, norm_h, q_norm
-from hierctrl.operators import _boundary_halving, control_sources
+from hierctrl.operators import _boundary_halving
 
 
 def to_interior(grid, full):
@@ -27,6 +28,32 @@ def to_interior(grid, full):
     full = np.asarray(full)
     assert full.shape == grid.nx
     return full[grid.interior_slices()].reshape(-1).copy()
+
+
+def state_sources(spec, f=None, v1=None, v2=None):
+    """Interior source array for f*chi_O + v1*chi_O1 + v2*chi_O2; each
+    control, when given, is an interior (nt+1, n) array."""
+    grid = spec.grid
+    src = np.zeros((grid.nt + 1, grid.n_interior))
+    for ctrl, mask in ((f, spec.leader_mask), (v1, spec.follower_masks[0]), (v2, spec.follower_masks[1])):
+        if ctrl is not None:
+            src += ctrl * mask.interior_vector()
+    return src
+
+
+def solve_forward(spec, f=None, v1=None, v2=None, w0=None):
+    """State under leader f and followers v1, v2 (backward Euler), as an
+    interior (nt+1, n) array: the controls as in state_sources, and w0,
+    when given in place of spec.w0, an (n,) vector."""
+    w0 = spec.w0 if w0 is None else w0
+    return spec.stepper.march_forward(w0, state_sources(spec, f, v1, v2))
+
+
+def solve_adjoint(spec, sources, terminal):
+    """Backward march with the transposed step matrices of the adjoint
+    family, the exact transpose of the forward scheme: sources an interior
+    (nt+1, n) array or None, terminal an (n,) vector."""
+    return spec.stepper.march_backward(terminal, sources, family="adjoint")
 
 
 def eval_G(spec, psi0, eps, tol_rel=1e-12):
@@ -70,7 +97,7 @@ def apply_response_adjoint(spec, i, g):
 
 def apply_A(spec, v1, v2):
     """Equilibrium operator: A(v1,v2)_i = alpha_i A_i*((A1v1+A2v2) chi_di) + mu_i v_i."""
-    src = control_sources(spec, v1=v1, v2=v2)
+    src = state_sources(spec, v1=v1, v2=v2)
     W = spec.stepper.march_forward(np.zeros(spec.grid.n_interior), src)
     adjs = nash._response_adjoint(spec, [W * m.interior_vector() for m in spec.target_masks])
     out = []
@@ -82,7 +109,7 @@ def apply_A(spec, v1, v2):
 
 def compute_rhs(spec, f=None):
     """Right side of the equilibrium equation built from the free state."""
-    src = control_sources(spec, f=f)
+    src = state_sources(spec, f=f)
     Z = spec.stepper.march_forward(spec.w0, src)
     adjs = nash._response_adjoint(spec, [(wd - Z) * m.interior_vector()
                                          for wd, m in nash._distinct_targets(spec)])
@@ -134,11 +161,9 @@ def quasi_equilibrium_residual(spec, nonlin, f, qe):
     solution scale.  f is the leader control as an interior array.
     """
     grid = spec.grid
-    U = qe.u
+    U = qe.w
     F_int = nonlin.f(U, interior_gradient(grid, U))
-    src = control_sources(spec, f=f)
-    for i in range(2):
-        src = src + qe.controls[i] * spec.follower_masks[i].interior_vector()
+    src = state_sources(spec, f, *qe.controls)
     res = 0.0
     for j in range(1, grid.nt + 1):
         M = step_matrix(spec.stepper, j, "forward")

@@ -22,13 +22,13 @@ from hierctrl.errors import ContractionFailure
 from hierctrl.hum import control_to_trajectory, dense_oracle, grad_G, minimize_G
 from hierctrl.mesh import build_grid, build_mask, full_mask, inner_h, norm_h
 from hierctrl.nash import cost_followers, q_norm, solve_nash_fixed_point, verify_first_order
-from hierctrl.operators import ProblemSpec, assemble_biharmonic, solve_forward
+from hierctrl.operators import ProblemSpec, assemble_biharmonic
 from hierctrl.semilinear import (preset_tanh, preset_zero, semilinear_null_control,
                                  solve_quasi_equilibrium, verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import (apply_lambda, duality_gap, eval_G, sample_bound, spatial_operator, step_matrix,
-                     to_interior)
+from oracles import (apply_lambda, duality_gap, eval_G, sample_bound, solve_forward, spatial_operator,
+                     step_matrix, to_interior)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,7 +117,7 @@ def test_criterion_04_nash_local_optimality():
     g = spec.grid
     f = leader_bump(g)
     sol = solve_nash_fixed_point(spec, f, tol_rel=1e-13)
-    base = cost_followers(spec, f, sol.v1, sol.v2, w=sol.w)
+    base = cost_followers(spec, sol.w, sol.controls)
     rng = np.random.default_rng(104)
     worst = np.inf
     ok = True
@@ -129,8 +129,8 @@ def test_criterion_04_nash_local_optimality():
             delta[0] = 0.0
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
             vi = sol.controls[i] + delta
-            pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
-            perturbed = cost_followers(spec, f, pair[0], pair[1])
+            pair = (vi, sol.controls[1]) if i == 0 else (sol.controls[0], vi)
+            perturbed = cost_followers(spec, solve_forward(spec, f, *pair), pair)
             worst = min(worst, perturbed[i] - base[i])
             ok = ok and perturbed[i] >= base[i]
     assert _report(4, ok, f"min cost increase over 40 perturbations {worst:.3e}")
@@ -215,8 +215,8 @@ def test_criterion_09_trajectory_zero_case():
     ubar = solve_forward(spec.with_(w0=ubar0), w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
     f_zero = bool(np.all(res.hum.f == 0.0))
-    ok = f_zero and res.terminal_mismatch == 0.0
-    assert _report(9, ok, f"f == 0: {f_zero}, terminal mismatch {res.terminal_mismatch}")
+    ok = f_zero and res.hum.terminal_norm == 0.0
+    assert _report(9, ok, f"f == 0: {f_zero}, terminal mismatch {res.hum.terminal_norm}")
 
 
 def test_criterion_10_carleman_weight_properties():
@@ -256,7 +256,7 @@ def test_criterion_12_semilinear_reduction():
     lin = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-12)
     qe = solve_quasi_equilibrium(nash_spec, preset_zero(), f, tol=1e-10)
     g = nash_spec.grid
-    rel_nash = q_norm(g, qe.u - lin.w) / max(q_norm(g, lin.w), 1e-300)
+    rel_nash = q_norm(g, qe.w - lin.w) / max(q_norm(g, lin.w), 1e-300)
 
     hum_spec = make_hum_spec()
     gh = hum_spec.grid

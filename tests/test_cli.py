@@ -12,6 +12,7 @@ import hierctrl.cli as cli
 import hierctrl.config
 import hierctrl.linalg
 import hierctrl.nash
+import hierctrl.semilinear
 from hierctrl import operators
 from hierctrl.cli import dump_field, fmt, main, run
 
@@ -149,6 +150,16 @@ def test_malformed_config_fails_validation(tmp_path, capsys, text):
     pytest.param(ZERO_NASH + '\n[nonlinearity]\npreset = expr\nexpr = "u"\nbound = inf\n', None, "ConfigError",
                  id="bound-inf"),
     pytest.param(ZERO_NASH.replace("nt = 10", "nt = 4.5"), None, "ConfigError", id="nt-not-an-integer"),
+    pytest.param(ZERO_NASH.replace("leader = 1.5, 4.2", "leader = nan, 4.2"), None, "ConfigError",
+                 id="leader-bound-nan"),
+    pytest.param(ZERO_NASH.replace("target2 = 2.1, 3.9", "target2 = 2.1, nan"), None, "ConfigError",
+                 id="target2-bound-nan"),
+    pytest.param(ZERO_NASH.replace("target2 = 2.1, 3.9", "target2 = 2.1, 3.9\notilde_window = nan, 1.0"), None,
+                 "ConfigError", id="otilde-window-bound-nan"),
+    pytest.param(ZERO_NASH.replace("target2 = 2.1, 3.9", "target2 = 2.1, 3.9\nomega0_center = nan"), None,
+                 "ConfigError", id="omega0-center-nan"),
+    pytest.param(ZERO_NASH.replace("target2 = 2.1, 3.9", "target2 = 2.1, 3.9\nomega0_center2 = inf"), None,
+                 "ConfigError", id="omega0-center2-inf"),
 ])
 def test_bad_number_fails_validation(tmp_path, capsys, text, seed, error):
     cfg = tmp_path / "bad.ini"
@@ -374,11 +385,14 @@ BAD_INPUT = {
     "center": ("geometry", "omega0_center", "9.0"),
     "no-center2": ("geometry", "case", "distinct"),
     "lambda": ("weights", "lambda", "1e3"),
+    "tiny-T": ("grid", "T", "1e-300"),
 }
 
 
 @pytest.mark.parametrize("subcommand, config, bad", [
-    pytest.param(sub, config, bad, id=f"{sub}-{bad}") for sub, config, bad in [
+    # the tiny-T cases, one per config, name theirs
+    pytest.param(sub, config, bad, id=f"{sub}-{bad}" + (f"-{config[:-4]}" if bad == "tiny-T" else ""))
+    for sub, config, bad in [
         ("nash", "nash_1d.ini", "a"),
         ("nash", "nash_1d.ini", "f"),
         ("null-control", "null_control_1d.ini", "a"),
@@ -393,6 +407,10 @@ BAD_INPUT = {
         ("carleman", "carleman_1d.ini", "center"),
         ("carleman", "carleman_1d.ini", "no-center2"),
         ("carleman", "carleman_1d.ini", "lambda"),
+        ("carleman", "carleman_1d.ini", "tiny-T"),
+        ("carleman", "nash_2d.ini", "tiny-T"),
+        ("observability", "observability_distinct_1d.ini", "tiny-T"),
+        ("observability", "nash_2d.ini", "tiny-T"),
         ("oracle", "nash_1d.ini", "a"),
         ("oracle", "nash_1d.ini", "f"),
     ]
@@ -400,8 +418,9 @@ BAD_INPUT = {
 def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
     """A non-finite field (a = 1/x, f = 1/x), or Carleman weights that cannot
     be built (a centre outside the domain, a distinct case without a second
-    centre, a lambda that overflows them), is a validation error under every
-    subcommand that reads it: exit 2 and no output directory."""
+    centre, a lambda or a horizon T that overflows them), is a validation
+    error under every subcommand that reads it: exit 2 and no output
+    directory.  An overflow names lambda and T."""
     cfg = tmp_path / "bad.ini"
     cfg.write_text(_with(config, *BAD_INPUT[bad]))
     out = tmp_path / "never"
@@ -409,6 +428,28 @@ def test_bad_input_fails_validation(tmp_path, capsys, subcommand, config, bad):
     assert not out.exists()
     record = json.loads(capsys.readouterr().err.strip())
     assert record["stage"] == "validation"
+    if bad in ("lambda", "tiny-T"):
+        assert record["error"] == "ConfigError"
+        assert "weights.lambda = " in record["message"] and "grid.T = " in record["message"]
+
+
+@pytest.mark.parametrize("key, value", [("leader", "nan, 4.2"), ("follower1", "0.9, nan"),
+                                        ("otilde_window", "nan, 1.0"), ("omega0_center", "nan"),
+                                        ("omega0_center2", "-inf")])
+def test_nan_bound_or_non_finite_centre_is_named_at_load(tmp_path, key, value):
+    """A nan box bound or a centre coordinate that is not finite fails
+    load_config with a ConfigError that names its geometry key."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with("nash_1d.ini", "geometry", key, value))
+    with pytest.raises(hierctrl.config.ConfigError, match=f"^geometry.{key} = "):
+        hierctrl.config.load_config(cfg)
+
+
+def test_infinite_box_bound_is_accepted(tmp_path):
+    """An infinite box bound stays a bound: the box reaches the wall."""
+    cfg = tmp_path / "inf.ini"
+    cfg.write_text(_with("nash_1d.ini", "geometry", "leader", "1.5, inf"))
+    assert run("nash", cfg, tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("section, key, text", [
@@ -583,8 +624,10 @@ def test_semilinear_non_finite_frozen_coefficients_are_a_typed_error(tmp_path, c
 
 def test_semilinear_runs_without_weights_it_cannot_build(tmp_path):
     """The Carleman weights only feed semilinear's target check: a centre
-    outside the domain, or a lambda that overflows them, leaves it out."""
-    for section, key, value in (("geometry", "omega0_center", "9.0"), ("weights", "lambda", "1e3")):
+    outside the domain, or a lambda or a horizon T that overflows them,
+    leaves it out."""
+    for section, key, value in (("geometry", "omega0_center", "9.0"), ("weights", "lambda", "1e3"),
+                                ("grid", "T", "1e-300")):
         cfg = tmp_path / f"{key}.ini"
         cfg.write_text(_with("semilinear_1d.ini", section, key, value))
         out = tmp_path / key
@@ -664,17 +707,17 @@ def test_semilinear_subcommand(tmp_path):
 
 def test_semilinear_cg_history_blocks(tmp_path, monkeypatch):
     """One cg_history.csv block per outer iteration; the last is the final HumResult's."""
-    captured = []
-    original = cli.semilinear_null_control
+    captured, hums = [], []
+    for home, name, log in ((cli, "semilinear_null_control", captured), (hierctrl.semilinear, "minimize_G", hums)):
+        def recording(*args, _original=getattr(home, name), _log=log, **kwargs):
+            _log.append(_original(*args, **kwargs))
+            return _log[-1]
 
-    def recording(*args, **kwargs):
-        captured.append(original(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(cli, "semilinear_null_control", recording)
+        monkeypatch.setattr(home, name, recording)
     out = tmp_path / "semcg"
     assert run("semilinear", CONFIGS / "semilinear_1d.ini", out) == 0
     res, = captured
+    assert len(hums) == res.outer_iterations
     lines = (out / "cg_history.csv").read_text().splitlines()
     assert lines[0] == "outer,iter,residual"
     blocks = {}
@@ -684,8 +727,8 @@ def test_semilinear_cg_history_blocks(tmp_path, monkeypatch):
     assert list(blocks) == list(range(1, res.outer_iterations + 1))
     for rows in blocks.values():
         assert [it for it, _ in rows] == list(range(len(rows)))
-    assert [r for _, r in blocks[res.outer_iterations]] == [fmt(r) for r in res.hum.cg_residuals]
-    assert len(blocks[res.outer_iterations]) == res.hum.cg_iterations + 1
+    assert [r for _, r in blocks[res.outer_iterations]] == [fmt(r) for r in hums[-1].cg_residuals]
+    assert len(blocks[res.outer_iterations]) == hums[-1].cg_iterations + 1
     # every block is its start row plus one row per CG iteration
     assert int(_summary(out)["cg_iterations"]) == res.cg_iterations == sum(len(r) - 1 for r in blocks.values())
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import leader_bump, make_nash_spec
 from oracles import apply_lambda
 
-from hierctrl import operators
+from hierctrl import hum, nash, operators
 from hierctrl.hum import dense_oracle, solve_coupled_adjoint
 from hierctrl.nash import q_norm, solve_nash_fixed_point
 
@@ -175,7 +175,23 @@ def _same(a, b):
     return a == b
 
 
-def _nash_outputs(spec, f, extra, damping, record):
+def _record_histories(monkeypatch):
+    """The list each history nash.alternate returns is appended to, for
+    the Nash and the coupled-adjoint solves."""
+    histories = []
+    original = nash.alternate
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        histories.append(out[3])
+        return out
+
+    for home in (nash, hum):
+        monkeypatch.setattr(home, "alternate", recorded)
+    return histories
+
+
+def _nash_outputs(spec, f, extra, damping, record, histories):
     seen = []
 
     def on_sweep(it, W, vs, change):
@@ -183,12 +199,12 @@ def _nash_outputs(spec, f, extra, damping, record):
 
     sol = solve_nash_fixed_point(spec, f, tol_rel=1e-13, damping=damping, extra_source=extra,
                                  on_sweep=on_sweep if record else None)
-    return [sol.w, sol.phis, sol.controls, sol.iterations, sol.history, seen]
+    return [sol.w, sol.phis, sol.controls, sol.iterations, histories.pop(), seen]
 
 
-def _coupled_outputs(spec, psi0):
+def _coupled_outputs(spec, psi0, histories):
     st = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
-    return [st.psi, st.etas, st.iterations, st.history]
+    return [st.psi, st.etas, st.iterations, histories.pop()]
 
 
 @pytest.mark.parametrize("zero_data", [False, True])
@@ -198,8 +214,10 @@ def test_consecutive_solves_on_one_spec_match_fresh_copies(family, case, zero_da
     """A spec keeps its inner-solve setup across solves and nothing else:
     consecutive solves with different psi0, f and extra_source, with and
     without on_sweep and damping, equal bit for bit the same solves on a
-    fresh with_ copy, which builds its own setup."""
+    fresh with_ copy, which builds its own setup.  The histories are the
+    ones nash.alternate returns."""
     spec = _family_spec(family, case, monkeypatch)
+    histories = _record_histories(monkeypatch)
     if zero_data:  # the first Nash sweep of a zero-target solve marches the state alone
         spec = spec.with_zero_data()
     g = spec.grid
@@ -208,7 +226,8 @@ def test_consecutive_solves_on_one_spec_match_fresh_copies(family, case, zero_da
     nash_runs = [(leader_bump(g), None, 1.0, False), (rng.standard_normal(shape), extra, 1.0, True),
                  (leader_bump(g, 0.1), None, 0.6, True), (None, extra, 0.6, False)]
     for f, extra_source, damping, record in nash_runs:
-        kept = _nash_outputs(spec, f, extra_source, damping, record)
-        assert _same(kept, _nash_outputs(spec.with_(), f, extra_source, damping, record))
+        kept = _nash_outputs(spec, f, extra_source, damping, record, histories)
+        assert _same(kept, _nash_outputs(spec.with_(), f, extra_source, damping, record, histories))
         psi0 = rng.standard_normal(g.n_interior)
-        assert _same(_coupled_outputs(spec, psi0), _coupled_outputs(spec.with_(), psi0))
+        assert _same(_coupled_outputs(spec, psi0, histories), _coupled_outputs(spec.with_(), psi0, histories))
+    assert histories == []

@@ -16,10 +16,10 @@ from hierctrl.hum import (control_to_trajectory, dense_oracle, grad_G, leader_fr
                           solve_coupled_adjoint)
 from hierctrl.mesh import Grid, build_grid, full_mask, inner_h, norm_h
 from hierctrl.nash import q_norm, solve_nash_fixed_point
-from hierctrl.operators import Coupling, TimeStepper, solve_forward
+from hierctrl.operators import Coupling, TimeStepper
 
 from conftest import leader_bump, make_hum_spec
-from oracles import apply_lambda, eval_G, to_interior
+from oracles import apply_lambda, eval_G, solve_forward, to_interior
 from test_coordinates import FAMILIES, _family_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,7 +36,7 @@ def _random_psi0(spec, rng):
 
 def test_coupled_adjoint_zero_datum(spec):
     st = solve_coupled_adjoint(spec, np.zeros(spec.grid.n_interior))
-    for f in (st.psi, st.eta1, st.eta2):
+    for f in (st.psi, *st.etas):
         assert np.all(f == 0.0)
 
 
@@ -44,8 +44,8 @@ def test_coupled_adjoint_invariants_exact(spec, rng):
     psi0 = _random_psi0(spec, rng)
     st = solve_coupled_adjoint(spec, psi0)
     assert np.array_equal(st.psi[-1], psi0)
-    assert np.all(st.eta1[0] == 0.0)
-    assert np.all(st.eta2[0] == 0.0)
+    assert np.all(st.etas[0][0] == 0.0)
+    assert np.all(st.etas[1][0] == 0.0)
 
 
 def test_coupled_adjoint_decoupled_two_sweeps(rng):
@@ -62,7 +62,7 @@ def test_coupled_adjoint_matches_dense_oracle(spec, rng):
     psi0 = _random_psi0(spec, rng)
     it = solve_coupled_adjoint(spec, psi0, tol_rel=1e-13)
     _, dn = dense_oracle(spec, psi0=psi0)
-    for a, b in ((it.psi, dn.psi), (it.eta1, dn.eta1), (it.eta2, dn.eta2)):
+    for a, b in zip((it.psi, *it.etas), (dn.psi, *dn.etas)):
         nd = q_norm(g, a - b)
         assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
@@ -540,7 +540,7 @@ def test_trajectory_zero_case(spec):
     ubar = solve_forward(base, w0=ubar0)
     res = control_to_trajectory(spec, u0=ubar0, ubar0=ubar0, zetas=(ubar, ubar), eps=1e-4)
     assert np.all(res.hum.f == 0.0)
-    assert res.terminal_mismatch == 0.0
+    assert res.hum.terminal_norm == 0.0
     assert np.allclose(res.u, ubar, atol=1e-14)
 
 
@@ -551,16 +551,15 @@ def test_trajectory_mismatch_is_terminal_norm(spec):
     ubar0 = to_interior(g, 2.0 * (x / L) ** 2 * (1 - x / L) ** 2)
     zetas = (np.zeros((g.nt + 1, g.n_interior)),) * 2
     res = control_to_trajectory(spec, u0=spec.w0, ubar0=ubar0, zetas=zetas, eps=1e-3)
-    assert res.terminal_mismatch == res.hum.terminal_norm
     diff = res.u[-1] - res.ubar[-1]
-    assert norm_h(g, diff) == pytest.approx(res.terminal_mismatch, rel=1e-12)
+    assert norm_h(g, diff) == pytest.approx(res.hum.terminal_norm, rel=1e-12)
 
 
 def test_trajectory_sweep_drops_tenfold(spec):
     g = spec.grid
     zetas = (np.zeros((g.nt + 1, g.n_interior)),) * 2
-    first = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-1).terminal_mismatch
-    last = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-5).terminal_mismatch
+    first = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-1).hum.terminal_norm
+    last = control_to_trajectory(spec, spec.w0, np.zeros(g.n_interior), zetas, 1e-5).hum.terminal_norm
     assert first / last >= 10.0
 
 
@@ -749,16 +748,6 @@ def test_minimize_builds_each_inner_setup_once_per_spec(spec, monkeypatch):
     assert len(built) == 2 and built[0] is not built[1]
 
 
-def test_coupled_adjoint_reports_contraction_estimate(spec, rng):
-    """The coupled adjoint's rho-hat is the largest ratio of its recorded
-    changes; the direct solve has none."""
-    st = solve_coupled_adjoint(spec, _random_psi0(spec, rng))
-    ratios = [b / a for a, b in zip(st.history, st.history[1:])]
-    assert st.contraction_estimate == max(ratios) < 1e-3
-    _, direct = dense_oracle(spec, psi0=_random_psi0(spec, rng))
-    assert np.isnan(direct.contraction_estimate)
-
-
 def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):
     """The forward companions of the previous psi march in one march (one
     column per distinct target weight), then psi backward: 2 marches per
@@ -774,7 +763,7 @@ def test_coupled_adjoint_sweep_makes_two_marches(spec, rng, monkeypatch):
 def _assert_matches_oracle(spec, st, psi0):
     _, dn = dense_oracle(spec, psi0=psi0)
     g = spec.grid
-    for a, b in ((st.psi, dn.psi), (st.eta1, dn.eta1), (st.eta2, dn.eta2)):
+    for a, b in zip((st.psi, *st.etas), (dn.psi, *dn.etas)):
         nd = q_norm(g, a - b)
         assert nd <= 1e-8 * max(q_norm(g, b), 1e-300)
 
@@ -814,15 +803,15 @@ def test_distinct_weights_march_two_companion_columns(spec, rng, monkeypatch):
 
 
 def test_reading_companions_costs_one_two_column_march(spec, rng, monkeypatch):
-    """The first read of eta1 marches eta_1 and eta_2 from psi as one
+    """The first read of etas marches eta_1 and eta_2 from psi as one
     2-column march, the companion march of a distinct-case sweep; later
     reads march nothing, and grad_G never reads them."""
     psi0 = _random_psi0(spec, rng)
     st = solve_coupled_adjoint(spec, psi0)
     calls = _count_marches(monkeypatch)
-    eta1 = st.eta1
+    etas = st.etas
     assert calls == [("march_forward", 2)]
-    assert st.eta2 is st.etas[1] and st.eta1 is eta1
+    assert st.etas is etas
     assert calls == [("march_forward", 2)]
     del calls[:]
     grad_G(spec, psi0, eps=0.0)

@@ -8,7 +8,8 @@ from hierctrl.nash import cost_followers, q_norm, solve_nash_fixed_point, verify
 from hierctrl.operators import TimeStepper, control_sources
 
 from conftest import leader_bump, make_nash_spec
-from oracles import apply_A, apply_response, apply_response_adjoint, compute_rhs, step_matrix
+from oracles import (apply_A, apply_response, apply_response_adjoint, compute_rhs, solve_forward, state_sources,
+                     step_matrix)
 
 
 def _random_control(spec, rng, i):
@@ -82,7 +83,7 @@ def test_fixed_point_zero_data_single_sweep():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     sol = solve_nash_fixed_point(spec)
     assert sol.iterations == 1
-    for arr in (sol.w, sol.phis[0], sol.phis[1], sol.v1, sol.v2):
+    for arr in (sol.w, *sol.phis, *sol.controls):
         assert np.all(arr == 0.0)
 
 
@@ -132,8 +133,6 @@ def test_oracle_plugback_residual(nash_spec):
     g = nash_spec.grid
     st = nash_spec.stepper
     W = oracle.w
-    from hierctrl.operators import control_sources
-
     src = control_sources(nash_spec, f=f)
     for i in range(2):
         src = src + oracle.controls[i] * nash_spec.follower_masks[i].interior_vector()
@@ -174,10 +173,10 @@ def test_first_order_residuals(nash_spec):
 def test_first_order_detects_perturbation(nash_spec):
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f)
-    bumped = sol.v1 * 1.1
+    bumped = sol.controls[0] * 1.1
     class _Fake:
         w = sol.w
-        controls = (bumped, sol.v2)
+        controls = (bumped, sol.controls[1])
     r1, _ = verify_first_order(nash_spec, _Fake())
     assert r1 > 1e-3
 
@@ -209,7 +208,7 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-13)
     g = nash_spec.grid
-    base = cost_followers(nash_spec, f, sol.v1, sol.v2, w=sol.w)
+    base = cost_followers(nash_spec, sol.w, sol.controls)
     for i in range(2):
         vn = q_norm(g, sol.controls[i])
         for _ in range(20):
@@ -218,8 +217,8 @@ def test_cost_descent_at_equilibrium(nash_spec, rng):
             delta[0] = 0.0
             delta *= (1e-3 * vn + 1e-6) / q_norm(g, delta)
             vi = sol.controls[i] + delta
-            pair = (vi, sol.v2) if i == 0 else (sol.v1, vi)
-            perturbed = cost_followers(nash_spec, f, pair[0], pair[1])
+            pair = (vi, sol.controls[1]) if i == 0 else (sol.controls[0], vi)
+            perturbed = cost_followers(nash_spec, solve_forward(nash_spec, f, *pair), pair)
             assert perturbed[i] >= base[i] - 1e-15 * max(base[i], 1.0)
 
 
@@ -227,7 +226,7 @@ def test_compute_rhs_matches_equilibrium_equation(nash_spec):
     """The converged controls satisfy A(v1, v2) = B."""
     f = leader_bump(nash_spec.grid)
     sol = solve_nash_fixed_point(nash_spec, f, tol_rel=1e-13)
-    r1, r2 = apply_A(nash_spec, sol.v1, sol.v2)
+    r1, r2 = apply_A(nash_spec, *sol.controls)
     b1, b2 = compute_rhs(nash_spec, f)
     g = nash_spec.grid
     for r, b in ((r1, b1), (r2, b2)):
@@ -236,10 +235,12 @@ def test_compute_rhs_matches_equilibrium_equation(nash_spec):
 
 
 def test_history_recorded(nash_spec):
+    """Every sweep hands on_sweep its change, a finite number."""
     f = leader_bump(nash_spec.grid)
-    sol = solve_nash_fixed_point(nash_spec, f)
-    assert len(sol.history) == sol.iterations
-    assert all(np.isfinite(h) for h in sol.history)
+    history = []
+    sol = solve_nash_fixed_point(nash_spec, f, on_sweep=lambda it, W, vs, change: history.append(change))
+    assert len(history) == sol.iterations
+    assert all(np.isfinite(h) for h in history)
 
 
 def _count_marches(monkeypatch):
@@ -354,8 +355,8 @@ def test_nash_solve_forms_controls_once(nash_spec, monkeypatch):
     calls = _count_control_builds(monkeypatch)
     sol = solve_nash_fixed_point(nash_spec, f)
     assert sol.iterations > 2 and len(calls) == 0
-    v1 = sol.v1
-    assert sol.v2 is sol.controls[1] and sol.v1 is v1 and len(calls) == 1
+    controls = sol.controls
+    assert sol.controls is controls and len(calls) == 1
     del calls[:]
     seen = solve_nash_fixed_point(nash_spec, f, on_sweep=lambda *args: None)
     assert len(calls) == seen.iterations
@@ -365,13 +366,13 @@ def test_nash_solve_forms_controls_once(nash_spec, monkeypatch):
 
 @pytest.mark.parametrize("case", ["shared", "alpha"])
 def test_controls_read_after_solve_are_formed_from_adjoints(nash_spec, case):
-    """v1 and v2, read after a fixed-point or an oracle solve, are bit for
+    """The controls, read after a fixed-point or an oracle solve, are bit for
     bit _controls_from_adjoints of the solution's adjoints."""
     spec = nash_spec if case == "shared" else _distinct_spec(nash_spec, case)
     f = leader_bump(spec.grid)
     for sol in (solve_nash_fixed_point(spec, f), dense_oracle(spec, f)[0]):
         ref = nash._controls_from_adjoints(spec.follower_masks, spec.mu, [sol.phis[0].copy(), sol.phis[1].copy()])
-        assert np.array_equal(sol.v1, ref[0]) and np.array_equal(sol.v2, ref[1])
+        assert all(np.array_equal(v, r) for v, r in zip(sol.controls, ref))
 
 
 @pytest.mark.parametrize("case", ["shared", "alpha", "targets"])
@@ -392,7 +393,7 @@ def test_fused_state_source_matches_follower_controls(nash_spec, case, monkeypat
     f = leader_bump(spec.grid)
     sol = solve_nash_fixed_point(spec, f)
     monkeypatch.undo()
-    ref = control_sources(spec, f=f, v1=sol.v1, v2=sol.v2)
+    ref = state_sources(spec, f, *sol.controls)
     assert len(sources) == sol.iterations
     coords = stepper.coordinates()
     fed = sources[-1][1:]

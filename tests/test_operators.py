@@ -8,11 +8,11 @@ from hierctrl.errors import ShapeMismatch, SingularMatrix
 from hierctrl.linalg import PIVOT_RTOL, factorize
 from hierctrl.mesh import build_grid, build_mask, norm_h
 from hierctrl.nash import solve_nash_fixed_point
-from hierctrl.operators import (MODAL_MAX_N, ProblemSpec, assemble_biharmonic, lagged, solve_adjoint,
-                                solve_forward)
+from hierctrl.operators import MODAL_MAX_N, ProblemSpec, assemble_biharmonic, lagged
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import duality_gap, spatial_operator, sparse_step_matrix, step_matrix, to_interior
+from oracles import (duality_gap, solve_adjoint, solve_forward, spatial_operator, sparse_step_matrix, step_matrix,
+                     to_interior)
 
 
 def _step(st, family, j, transpose, x):
@@ -207,8 +207,8 @@ def test_duality_identity_2d(rng):
 
 
 def test_public_adjoint_pairing(rng):
-    """<w(T), psiT> - <w0, psi(0)> equals the source pairing for the public
-    solve_forward / solve_adjoint pair on a plain spec."""
+    """<w(T), psiT> - <w0, psi(0)> equals the source pairing for the
+    forward march and the adjoint family's backward march on a plain spec."""
     spec = make_nash_spec()
     g = spec.grid
     f = rng.standard_normal((g.nt + 1, g.n_interior))

@@ -19,7 +19,7 @@ from hierctrl.semilinear import (eval_secant_coeffs, form_extremes, from_express
                                  verify_equilibrium_sufficiency)
 
 from conftest import leader_bump, make_hum_spec, make_nash_spec
-from oracles import form_matrix, quasi_equilibrium_residual, sample_bound, to_interior
+from oracles import form_matrix, quasi_equilibrium_residual, sample_bound, solve_forward, to_interior
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,7 +81,7 @@ def test_quasi_equilibrium_reduces_to_linear(spec, leader):
     lin = solve_nash_fixed_point(spec, leader, tol_rel=1e-12)
     qe = solve_quasi_equilibrium(spec, preset_zero(), leader, tol=1e-10)
     g = spec.grid
-    rel = q_norm(g, qe.u - lin.w) / max(q_norm(g, lin.w), 1e-300)
+    rel = q_norm(g, qe.w - lin.w) / max(q_norm(g, lin.w), 1e-300)
     assert rel <= 1e-10
     for a, b in zip(qe.controls, lin.controls):
         assert np.abs(a - b).max() <= 1e-12
@@ -90,7 +90,7 @@ def test_quasi_equilibrium_reduces_to_linear(spec, leader):
 def test_quasi_equilibrium_zero_data():
     spec = make_nash_spec(with_targets=False).with_(w0=np.zeros((10,)))
     qe = solve_quasi_equilibrium(spec, preset_tanh(0.5), None, tol=1e-10)
-    assert np.all(qe.u == 0.0)
+    assert np.all(qe.w == 0.0)
     assert all(np.all(v == 0.0) for v in qe.controls)
 
 
@@ -284,7 +284,7 @@ def test_sampled_bound_respected():
 
 def test_secant_coefficients_within_bound(spec, tanh_equilibrium):
     nl = preset_tanh(0.5)
-    g1, g2 = eval_secant_coeffs(spec.grid, nl, None, tanh_equilibrium.u)
+    g1, g2 = eval_secant_coeffs(spec.grid, nl, None, tanh_equilibrium.w)
     assert np.abs(g1).max() <= nl.bound + 1e-12
     assert np.abs(g2[0]).max() <= nl.bound + 1e-12
 
@@ -294,8 +294,6 @@ def test_free_trajectory_linear_case(spec):
     x = g.coords(0)
     ubar0 = to_interior(g, 4.0 * (x / g.lengths[0]) ** 2 * (1 - x / g.lengths[0]) ** 2)
     u = solve_free_trajectory(spec, preset_zero(), ubar0)
-    from hierctrl.operators import solve_forward
-
     lin = solve_forward(spec, w0=ubar0)
     assert np.abs(u - lin).max() <= 1e-12
 
@@ -329,7 +327,7 @@ def test_null_control_reduces_to_linear():
     sem = semilinear_null_control(spec, preset_zero(), ubar0, eps=1e-4, cg_tol=1e-9)
     rel = q_norm(g, sem.f - lin.hum.f) / max(q_norm(g, lin.hum.f), 1e-300)
     assert rel <= 1e-10
-    assert abs(sem.terminal_mismatch - lin.terminal_mismatch) <= 1e-10 * lin.terminal_mismatch
+    assert abs(sem.terminal_mismatch - lin.hum.terminal_norm) <= 1e-10 * lin.hum.terminal_norm
 
 
 def test_null_control_tanh_converges():
@@ -355,18 +353,24 @@ def test_null_control_zero_data_one_outer():
     assert res.terminal_mismatch == 0.0
 
 
+def _form(spec, nonlin, equilibrium, i, direction):
+    """second_order_form of follower i at the equilibrium, on the companion
+    map _form_companions builds for it."""
+    return second_order_form(spec, i, direction, semilinear._form_companions(spec, nonlin, equilibrium)[i])
+
+
 def test_second_order_linear_nonnegative(spec, leader, rng):
     qe = solve_quasi_equilibrium(spec, preset_zero(), leader, tol=1e-11)
     for i in range(2):
         d = _unit_direction(spec, rng, i)
-        val = second_order_form(spec, preset_zero(), qe, i, d)
+        val = _form(spec, preset_zero(), qe, i, d)
         assert val >= 0.0
         assert val >= spec.mu[i] * (1.0 - 1e-9)  # convex case: mu + alpha-term
 
 
 def test_second_order_zero_direction(spec, tanh_equilibrium):
     z = np.zeros((spec.grid.nt + 1, spec.grid.n_interior))
-    assert second_order_form(spec, preset_tanh(0.5), tanh_equilibrium, 0, z) == 0.0
+    assert _form(spec, preset_tanh(0.5), tanh_equilibrium, 0, z) == 0.0
 
 
 def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
@@ -376,10 +380,9 @@ def test_second_order_parallelogram(spec, tanh_equilibrium, rng):
     d2 = _unit_direction(spec, rng, 0)
     dp = d1 + d2
     dm = d1 - d2
-    lhs = second_order_form(spec, nl, tanh_equilibrium, 0, dp) \
-        + second_order_form(spec, nl, tanh_equilibrium, 0, dm)
-    rhs = 2.0 * second_order_form(spec, nl, tanh_equilibrium, 0, d1) \
-        + 2.0 * second_order_form(spec, nl, tanh_equilibrium, 0, d2)
+    eta = semilinear._form_companions(spec, nl, tanh_equilibrium)[0]
+    lhs = second_order_form(spec, 0, dp, eta) + second_order_form(spec, 0, dm, eta)
+    rhs = 2.0 * second_order_form(spec, 0, d1, eta) + 2.0 * second_order_form(spec, 0, d2, eta)
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
 
@@ -411,7 +414,7 @@ def test_form_extremes_match_the_dense_form_on_the_shipped_grid():
     qe = solve_quasi_equilibrium(spec, nl, inputs.f, tol=tol, inner_tol=tol)
     for i in range(2):
         values = np.linalg.eigvalsh(form_matrix(spec, nl, qe, i))
-        low, high = form_extremes(spec, nl, qe, i)
+        low, high = form_extremes(spec, i, semilinear._form_companions(spec, nl, qe)[i])
         assert abs(low - values[0]) <= 1e-12
         assert abs(high - values[-1]) <= 1e-12
 
@@ -503,7 +506,7 @@ def test_second_order_rejects_expression_nonlinearity(spec, tanh_equilibrium):
     nl = from_expression("0.1*u", bound=0.1, dim=1)
     d = np.zeros((spec.grid.nt + 1, spec.grid.n_interior))
     with pytest.raises(UnsupportedNonlinearity):
-        second_order_form(spec, nl, tanh_equilibrium, 0, d)
+        _form(spec, nl, tanh_equilibrium, 0, d)
 
 
 def test_sufficiency_report(spec, tanh_equilibrium):
@@ -555,7 +558,7 @@ def test_expression_nonlinearity_first_order_path(spec, leader):
     qe = solve_quasi_equilibrium(spec, nl, leader, tol=1e-9)
     ref = solve_quasi_equilibrium(spec, preset_tanh(0.2), leader, tol=1e-9)
     g = spec.grid
-    rel = q_norm(g, qe.u - ref.u) / max(q_norm(g, ref.u), 1e-300)
+    rel = q_norm(g, qe.w - ref.w) / max(q_norm(g, ref.w), 1e-300)
     assert rel <= 1e-5  # finite-difference derivatives vs analytic
 
 

@@ -1,32 +1,51 @@
 """Guards against code that nothing uses: every module-level function in
-src/hierctrl is reached from src/, every public method is named by an
-attribute access in src/, and every dataclass and NamedTuple field is read
-in src/, or is a reference the tests read and is named below with its
-reason; every module-level import is used."""
+src/hierctrl is reached from src/ (a re-export in __init__.py does not
+count); every dataclass and NamedTuple field, public method and property of
+a src/ class is read by src/ code during the shipped runs, or is a reference
+the tests read and is named below with its reason; every module-level
+import is used."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import sys
+from functools import cached_property
 from pathlib import Path
+
+from test_cli import CONFIGS, _with_keys
+
+from hierctrl.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hierctrl"
+MODULES = [importlib.import_module(f"hierctrl.{path.stem}") for path in sorted(SRC.glob("*.py"))
+           if path.stem != "__init__"]
 
 # (module, function): why it stays although no command reaches it.  The
 # references the tests compare against live in tests/oracles.py instead.
 TEST_REFERENCES = {}
 
-# (module, class, method): why a public method stays although no attribute
-# access in src/ names it.  The match is by name, so a method that shares
-# its name with one src/ calls (a `solve` beside Factorization.solve)
-# passes unlisted.
+# (module, class, method or property): why it stays although no src/ code
+# reads it in the traced runs.
 METHOD_TEST_REFERENCES = {}
 
-# (module, class, field): why a record field stays although no attribute
-# read in src/ names it.  The match is by name, as for methods.
+# (module, class, field): why a record field stays although no src/ code
+# reads it in the traced runs.
 FIELD_TEST_REFERENCES = {
     ("hum", "HumResult", "true_residual"):
         "the accuracy guard: the tests hold each solve's recomputed residual ||b - (Lambda + eps) psi0|| "
         "/ ||b|| to cg_tol, where cg_residuals holds the recurrence's own estimates",
+    ("hum", "CoupledAdjointState", "iterations"):
+        "the sweeps of each coupled-adjoint solve: perfbench/tracing.py reads it for hum.coupled_adjoint.sweeps",
 }
+
+# The shipped runs (tools/shipped_runs.sh), as (subcommand, config stem).
+SHIPPED_RUNS = (("nash", "nash_1d"), ("nash", "nash_2d"), ("null-control", "null_control_1d"),
+                ("trajectory", "trajectory_1d"), ("semilinear", "semilinear_1d"),
+                ("second-order", "second_order_1d"), ("observability", "observability_1d"),
+                ("observability", "observability_distinct_1d"), ("carleman", "carleman_1d"),
+                ("oracle", "nash_1d"), ("oracle", "nash_2d"))
 
 
 def _referenced(paths):
@@ -46,7 +65,7 @@ def _referenced(paths):
 
 
 def _unreached():
-    src_refs = _referenced(SRC.glob("*.py"))
+    src_refs = _referenced(path for path in SRC.glob("*.py") if path.name != "__init__.py")
     return {(path.stem, node.name)
             for path in SRC.glob("*.py")
             for node in ast.parse(path.read_text()).body
@@ -66,35 +85,87 @@ def test_named_test_references_are_used_by_tests():
     assert sorted(name for _, name in TEST_REFERENCES if name not in test_refs) == []
 
 
-def _attribute_names(paths):
+def _classes():
+    return [cls for module in MODULES for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__]
+
+
+def _fields(cls):
+    """The fields of a dataclass or a NamedTuple; none for other classes."""
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return list(cls._fields) if issubclass(cls, tuple) else []
+
+
+def _methods(cls):
+    """The public methods and properties a class defines itself."""
+    return [name for name, member in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(member) or isinstance(member, (property, cached_property)))]
+
+
+def _traced_reads(tmp_path, monkeypatch):
+    """(class, name) of every attribute read that src/ code makes on an
+    instance of a src/ class while the shipped runs, and the grad-tanh
+    semilinear run that marches on band LU factors, run in-process."""
+    sources = {module.__file__ for module in MODULES}
+    reads = set()
+
+    def traced(original):
+        def __getattribute__(self, name):
+            if sys._getframe(1).f_code.co_filename in sources:
+                reads.add((type(self), name))
+            return original(self, name)
+        return __getattribute__
+
+    originals = {cls: cls.__getattribute__ for cls in _classes()}  # all taken before any is wrapped
+    for cls, original in originals.items():
+        monkeypatch.setattr(cls, "__getattribute__", traced(original))
+    grad_tanh = tmp_path / "grad_tanh.ini"
+    grad_tanh.write_text(_with_keys("semilinear_1d.ini", [("nonlinearity", "preset", "grad-tanh"),
+                                                          ("nonlinearity", "c2", "0.3")]))
+    runs = [(sub, CONFIGS / f"{stem}.ini") for sub, stem in SHIPPED_RUNS] + [("semilinear", grad_tanh)]
+    for k, (subcommand, config) in enumerate(runs):
+        assert run(subcommand, config, tmp_path / f"out{k}") == 0, (subcommand, config.name)
+    return reads
+
+
+def _unread(reads):
+    """(module, class, member, kind) of every field, public method and
+    property that no traced read reaches, on its class or a subclass."""
+    readers = {}
+    for cls, name in reads:
+        readers.setdefault(name, set()).add(cls)
+    return {(cls.__module__.rsplit(".", 1)[-1], cls.__name__, name, kind)
+            for cls in _classes()
+            for kind, names in (("field", _fields(cls)), ("method", _methods(cls)))
+            for name in names
+            if not any(issubclass(reader, cls) for reader in readers.get(name, ()))}
+
+
+def test_every_record_field_and_public_method_is_read_in_src_or_a_named_test_reference(tmp_path, monkeypatch):
+    unread = _unread(_traced_reads(tmp_path, monkeypatch))
+    fields = {member[:3] for member in unread if member[3] == "field"}
+    methods = {member[:3] for member in unread if member[3] == "method"}
+    # delete these, or name them in FIELD_ or METHOD_TEST_REFERENCES with the reason they stay
+    assert sorted(fields - FIELD_TEST_REFERENCES.keys()) == []
+    assert sorted(methods - METHOD_TEST_REFERENCES.keys()) == []
+    # stale entries: src/ reads these now, or they are gone
+    assert sorted(FIELD_TEST_REFERENCES.keys() - fields) == []
+    assert sorted(METHOD_TEST_REFERENCES.keys() - methods) == []
+
+
+def _read_attributes(paths):
     return {node.attr
             for path in paths
             for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def _unnamed_methods():
-    """Public methods (and properties) whose name no src/ attribute access uses."""
-    src_attrs = _attribute_names(SRC.glob("*.py"))
-    return {(path.stem, cls.name, item.name)
-            for path in SRC.glob("*.py")
-            for cls in ast.walk(ast.parse(path.read_text()))
-            if isinstance(cls, ast.ClassDef)
-            for item in cls.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-            and item.name not in src_attrs}
-
-
-def test_every_public_method_is_named_in_src_or_a_named_test_reference():
-    unnamed = _unnamed_methods()
-    # delete these, or name them in METHOD_TEST_REFERENCES with the reason they stay
-    assert sorted(unnamed - METHOD_TEST_REFERENCES.keys()) == []
-    assert sorted(METHOD_TEST_REFERENCES.keys() - unnamed) == []
-
-
-def test_named_method_references_are_used_by_tests():
-    test_attrs = _attribute_names([*(ROOT / "tests").glob("*.py")])
-    assert sorted(name for *_, name in METHOD_TEST_REFERENCES if name not in test_attrs) == []
+def test_named_member_references_are_read_by_tests():
+    read = _read_attributes([*(ROOT / "tests").glob("*.py")])
+    named = FIELD_TEST_REFERENCES.keys() | METHOD_TEST_REFERENCES.keys()
+    assert sorted(name for *_, name in named if name not in read) == []
 
 
 def _imported_names(tree):
@@ -123,40 +194,3 @@ def test_every_module_import_is_used():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.stem, name) for name in _imported_names(tree) - loaded - _exported_names(tree)]
     assert sorted(unused) == []
-
-
-def _is_record_class(node):
-    """A @dataclass (bare or called) or a NamedTuple subclass."""
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return (any(getattr(d, "id", None) == "dataclass" for d in decorators)
-            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
-
-
-def _fields():
-    return {(path.stem, node.name, item.target.id)
-            for path in SRC.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ClassDef) and _is_record_class(node)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
-
-
-def _read_attributes(paths):
-    return {node.attr
-            for path in paths
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-
-
-def test_every_record_field_is_read_in_src_or_a_named_test_reference():
-    read = _read_attributes(SRC.glob("*.py"))
-    unread = {f for f in _fields() if f[2] not in read}
-    # delete these, or name them in FIELD_TEST_REFERENCES with the reason they stay
-    assert sorted(unread - FIELD_TEST_REFERENCES.keys()) == []
-    # stale entries: src/ reads these now, or they are gone
-    assert sorted(FIELD_TEST_REFERENCES.keys() - unread) == []
-
-
-def test_named_field_references_are_read_by_tests():
-    read = _read_attributes([*(ROOT / "tests").glob("*.py")])
-    assert sorted(name for *_, name in FIELD_TEST_REFERENCES if name not in read) == []
