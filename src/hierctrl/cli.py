@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -292,11 +293,14 @@ SUBCOMMANDS = tuple(RUNNERS)
 
 
 def _error_details(exc):
-    """The iteration count an error carries and, when a multi-shift CG ran
-    out of iterations, which eps converged (with their iterations) and which missed."""
+    """The iteration count an error carries, its contraction ratio when
+    finite and, when a multi-shift CG ran out of iterations, which eps
+    converged (with their iterations) and which missed."""
     details = {}
     if getattr(exc, "iterations", None) is not None:
         details["iterations"] = exc.iterations
+    if getattr(exc, "ratio", None) is not None and math.isfinite(exc.ratio):
+        details["ratio"] = exc.ratio
     if getattr(exc, "shifts", None) is not None:
         pairs = list(zip(exc.shifts, exc.shift_iterations))
         details["converged_eps"] = [{"eps": e, "iterations": k} for e, k in pairs if k is not None]

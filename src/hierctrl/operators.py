@@ -8,17 +8,19 @@ weights at boundary nodes.  This reproduces the classical clamped stencil
 
 Time stepping is backward Euler.  Adjoint marches use the exact transposes
 of the forward step matrices, so every discrete duality identity holds to
-solver precision (discretize-then-optimize).  Small grids march symmetric
-time-constant steps in their eigenbasis; every other step is one LAPACK
-band solve, dpbtrs on a band Cholesky factor for a symmetric
-positive-definite step and dgbtrs on a band LU factor otherwise, whose
-transposed solve is the adjoint step.  Every one of these, and the sparse
-step matrices of the space-time system, reads one assembly of the step
-matrices by diagonals.  The biharmonic and gradient matrices are assembled
-once per grid (grid_operators) and shared by every stepper on it.  Fixed
-points that march a family many times can stay in its Coordinates, the
-eigenbasis of a modal family, and pass fields between families through
-Couplings.
+solver precision (discretize-then-optimize).  Each family of step matrices
+is one object, its Coordinates, and every march of it is
+Coordinates.march.  Small grids march symmetric time-constant steps in
+their eigenbasis; every other family marches through the one band step
+loop, one LAPACK band solve per step: dpbtrs on a band Cholesky factor for
+a symmetric positive-definite step and dgbtrs on a band LU factor
+otherwise, whose transposed solve is the adjoint step.  Every
+representation, and the sparse step matrices of the space-time system,
+reads one assembly of the step matrices by diagonals.  The biharmonic and
+gradient matrices are assembled once per grid (grid_operators) and shared
+by every stepper on it.  Fixed points that march a family many times can
+stay in its Coordinates, the eigenbasis of a modal family, and pass fields
+between families through Couplings.
 """
 
 from __future__ import annotations
@@ -281,7 +283,15 @@ MODAL_MAX_N = 128  # up to this many a symmetric time-constant family marches in
 
 
 class Coordinates:
-    """The coordinates a family of step matrices marches in.
+    """One family of step matrices and the coordinates it marches in.
+
+    The family keeps its coefficients a and b (step_matrices reads them)
+    and exactly one march representation, chosen by TimeStepper: modal
+    (Q, the source transform dt diag(w) Q' and _recurrence_band), band
+    Cholesky (cholesky, the factor of each step 1..nt) or band LU (lu,
+    (kl, ku, factors, pivots) of each step 1..nt); the other two are None.
+    Coordinates(grid), with neither, is physical space alone, for the
+    arrays of a direct solve.
 
     A modal family's coordinates are its eigenbasis, y = Q'u at every level,
     and a coordinate array is mode-major, shape (n, nt+1) or (k, n, nt+1),
@@ -296,10 +306,12 @@ class Coordinates:
     single-column transform of column c.
     """
 
-    def __init__(self, grid, modal=None):
-        self.grid = grid
+    def __init__(self, grid, a=None, b=None, modal=None, cholesky=None, lu=None):
+        self.grid, self.a, self.b = grid, a, b
         self.Q, self.source_transform, self.band = modal if modal is not None else (None, None, None)
         self.modal = modal is not None
+        self.cholesky = cholesky  # views of one band_cholesky array
+        self.lu = lu  # factors: views of one band_lu factor
 
     def zeros(self, k=None):
         """A zero coordinate array, with k columns when k is given."""
@@ -349,17 +361,60 @@ class Coordinates:
         return u
 
     def march(self, datum, rhs, backward=False):
-        """A modal march in these coordinates: rhs, (n, nt+1) or
-        (k, n, nt+1), holds the band right-hand sides; its datum column
-        (level nt backward, 0 forward) is set to datum here.  Level l of
-        mode m then solves y_l - w_m y_{l-1} = rhs_l forward, and with the
+        """The family's march in these coordinates, from datum at level nt
+        backward and 0 forward.  Returns a new array of rhs's shape, or with
+        nt+1 levels for each column of datum when rhs is None.
+
+        Modal: rhs, (n, nt+1) or (k, n, nt+1), holds the band right-hand
+        sides, and its datum column is set to datum here.  Level l of mode m
+        then solves y_l - w_m y_{l-1} = rhs_l forward, and with the
         transposed band p_l - w_m p_{l+1} = rhs_l backward: one LAPACK band
-        solve for every column.  Returns a new array of rhs's shape, exact
-        zeros when datum and rhs are all zero."""
-        rhs[..., -1 if backward else 0] = datum
-        k = len(rhs) if rhs.ndim == 3 else 1
-        y = dtbtrs(self.band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
-        return y.T.reshape(rhs.shape)
+        solve for every column, exact zeros when datum and rhs are all zero.
+
+        Band: rhs, None, (nt+1, n) or (k, nt+1, n), holds the physical
+        sources, scaled by dt once.  Level j is S_j^{-1} (level j-1 +
+        dt s^j) forward, and level j-1 is S_j^{-T} (level j + dt s^j)
+        backward: one positional LAPACK call per step on the level's
+        contiguous row, dpbtrs on a Cholesky factor (S_j is symmetric, so it
+        serves both directions) and dgbtrs, trans=1 backward, on an LU
+        factor; positional, as parsing keywords costs about a third of a 1D
+        step.  The k columns march one after another, so each is bit for bit
+        the single-column march: one dgbtrs(trans=1) call on k columns
+        rounds differently from k one-column calls once kl >= 12.  All-zero
+        datum and rhs give +0.0 at once, without stepping.
+        """
+        if self.modal:
+            rhs[..., -1 if backward else 0] = datum
+            k = len(rhs) if rhs.ndim == 3 else 1
+            y = dtbtrs(self.band, rhs.reshape(k, -1).T, uplo="L", trans="T" if backward else "N", diag="U")[0]
+            return y.T.reshape(rhs.shape)
+        nt, n = self.grid.nt, self.grid.n_interior
+        out = np.zeros(np.shape(datum)[:-1] + (nt + 1, n) if rhs is None else rhs.shape)
+        if not datum.any() and (rhs is None or not rhs.any()):
+            return out  # +0.0, where an LU step of zero data can round to -0.0
+        columns = out.reshape(-1, nt + 1, n)
+        columns[:, nt if backward else 0] = datum
+        sources = [None] * len(columns) if rhs is None else (self.grid.dt * rhs).reshape(-1, nt + 1, n)
+        if self.lu is None:
+            factors, pivots = self.cholesky, [None] * nt
+        else:
+            kl, ku, factors, pivots = self.lu
+        order = slice(None, None, -1 if backward else 1)  # step j reads factor, pivots and source j
+        factors, pivots, trans, (width, _) = factors[order], pivots[order], int(backward), factors[0].shape
+        for column, source in zip(columns, sources):
+            rows = list(column)
+            reads, writes = (rows[:0:-1], rows[-2::-1]) if backward else (rows[:-1], rows[1:])
+            srcs = [None] * nt if source is None else list(source)[1:][order]
+            for factor, pivot, read, src, write in zip(factors, pivots, reads, srcs, writes):
+                if src is None:
+                    np.copyto(write, read)
+                else:
+                    np.add(read, src, out=write)
+                if pivot is None:
+                    dpbtrs(factor, write, 1, width, 1)
+                else:
+                    dgbtrs(factor, kl, ku, write, pivot, trans, n, width, n, 1)
+        return out
 
     def q_norm(self, y):
         """mesh.q_norm of the physical field, to rounding since Q is orthonormal."""
@@ -399,24 +454,12 @@ def _coupling_matrix(weights, source, target):
     return weights[:, None] * source.Q if source.modal else None
 
 
-class _Family(NamedTuple):
-    """One family of step matrices.  It marches with exactly one
-    representation: modal (coordinates.modal, the family's Q, source
-    transform dt diag(w) Q' and _recurrence_band in its Coordinates),
-    cholesky or lu, and the other two are None."""
-
-    a: np.ndarray
-    b: tuple
-    cholesky: list  # the band Cholesky factor of each step 1..nt, views of one band_cholesky array
-    lu: tuple  # (kl, ku, factors, pivots) of each step 1..nt, views of one band_lu pair
-    coordinates: Coordinates
-
-
 class TimeStepper:
     """Per-level backward-Euler step matrices, kept ready to march with.
 
     Every family of step matrices (forward, and adjoint when its
-    coefficients differ) keeps one representation (_Family), chosen by the
+    coefficients differ) is one object, its Coordinates, which keeps the
+    family's coefficients and one march representation, chosen by the
     number n of interior unknowns and by the coefficients:
 
     - Modal, up to MODAL_MAX_N unknowns for time-constant coefficients
@@ -443,22 +486,24 @@ class TimeStepper:
 
     Every representation reads one assembly of the step matrices
     (_step_diagonals): the band factors through the step band (_step_band),
-    the modal family through the dense step stack, and the sparse
-    step_matrices directly.  Both band factors march through one step loop
-    (_band_loop).
+    the modal family as the dense matrix of its level's diagonals, and the
+    sparse step_matrices directly.  Every march, modal or band, in
+    coordinates or not, is the family's Coordinates.march, which holds the
+    one band step loop.
 
     The coefficients are interior (nt+1, n) arrays, as a ProblemSpec holds
     them.  Every stepper on a grid shares that grid's biharmonic and
     gradient matrices (grid_operators).  Either way the backward march is
     the transpose of the forward one.  When the coefficients are
     time-independent one level serves every step.
-    A physical march whose datum and sources are all zero returns zeros at
-    once; a march in modal coordinates solves such data to exact zeros.
+    A band march, or a physical modal march, whose datum and sources are
+    all zero returns zeros at once; a march in modal coordinates solves
+    such data to exact zeros.
 
-    Each family also has its Coordinates (coordinates), in which a march
-    can run (march_forward's coordinates), and the stepper keeps the
-    Coupling of each weight vector between two families' coordinates
-    (coupling), built on first use.
+    A family's Coordinates (coordinates) are also where a march can run
+    (march_forward's coordinates), and the stepper keeps the Coupling of
+    each weight vector between two families' coordinates (coupling), built
+    on first use.
     """
 
     def __init__(self, grid: Grid, a: np.ndarray, b: tuple, a_adj=None, b_adj=None):
@@ -482,18 +527,16 @@ class TimeStepper:
         levels = [1] if const else list(range(1, nt + 1))
         steps = nt if const else 1  # how many steps each distinct level serves
         symmetric = not any(np.any(b_axis) for b_axis in b)
-        modal = cholesky = lu = None
         if symmetric and const and n <= MODAL_MAX_N:
-            modes = symmetric_modes(self._dense_step_stack(a, b, levels)[0])
+            offsets, data = self._step_diagonals(a, b, levels)
+            modes = symmetric_modes(sp.dia_matrix((data[0], offsets), shape=(n, n)).toarray())
             modal = (modes.Q, (grid.dt * modes.w)[:, None] * modes.Q.T, _recurrence_band(modes.w, nt))
-        else:
-            band, kl, ku = self._step_band(a, b, levels)
-            if symmetric and (factor := band_cholesky(band[:, kl + ku:])) is not None:
-                cholesky = _per_step(factor, len(levels), steps)
-            else:
-                factor, pivots = band_lu(band, kl, ku)
-                lu = (kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps)
-        return _Family(a, b, cholesky, lu, Coordinates(grid, modal))
+            return Coordinates(grid, a, b, modal=modal)
+        band, kl, ku = self._step_band(a, b, levels)
+        if symmetric and (factor := band_cholesky(band[:, kl + ku:])) is not None:
+            return Coordinates(grid, a, b, cholesky=_per_step(factor, len(levels), steps))
+        factor, pivots = band_lu(band, kl, ku)
+        return Coordinates(grid, a, b, lu=(kl, ku, _per_step(factor, len(levels), steps), list(pivots) * steps))
 
     def _step_diagonals(self, a, b, levels):
         """I + dt (B + diag(a_j) + sum_axis diag(b_j) G_axis) at the given
@@ -535,36 +578,23 @@ class TimeStepper:
         band[:, kl + ku - offsets] = data
         return band, kl, ku
 
-    def _dense_step_stack(self, a, b, levels):
-        """The step matrices of the given levels as one (L, n, n) array."""
-        offsets, data = self._step_diagonals(a, b, levels)
-        n = self.grid.n_interior
-        rows = np.arange(n) - offsets[:, None]  # the row of each diagonal entry
-        k, cols = np.nonzero((rows >= 0) & (rows < n))
-        stack = np.zeros((len(levels), n, n))
-        stack[:, rows[k, cols], cols] = data[:, k, cols]
-        return stack
-
-    def _family(self, family):
-        try:
-            return self._families[family]
-        except KeyError:
-            raise ValueError(f"unknown matrix family {family!r}") from None
-
     def step_matrices(self, family="forward"):
         """The step matrices I + dt L_j of steps 1..nt as one block-diagonal
         CSR matrix, shape (nt n, nt n), block j-1 that of step j: the
         diagonals of every level (_step_diagonals) read as one dia matrix,
         whose zero entries, inside a block or between blocks, are dropped."""
-        fam = self._family(family)
+        fam = self.coordinates(family)
         nt, n = self.grid.nt, self.grid.n_interior
         offsets, data = self._step_diagonals(fam.a, fam.b, range(1, nt + 1))
         diagonals = data.transpose(1, 0, 2).reshape(len(offsets), nt * n)
         return sp.dia_matrix((diagonals, offsets), shape=(nt * n, nt * n)).tocsr()
 
     def coordinates(self, family="forward") -> Coordinates:
-        """The coordinates the family marches in."""
-        return self._family(family).coordinates
+        """The family, forward or adjoint: its Coordinates."""
+        try:
+            return self._families[family]
+        except KeyError:
+            raise ValueError(f"unknown matrix family {family!r}") from None
 
     def coupling(self, weights, source, target) -> Coupling:
         """The Coupling of weights from family source's coordinates to family
@@ -583,8 +613,7 @@ class TimeStepper:
         (k, nt+1, n).  Any 3-D argument, or a 2-D datum, makes the march
         multi-column, shape (k, nt+1, n); a 1-D datum is then shared by
         every column.  Column counts must agree: nothing else broadcasts.
-        k is None for a single-column march of shape (nt+1, n).  The
-        sources come back as (k, nt+1, n), a single column as (1, nt+1, n).
+        k is None for a single-column march of shape (nt+1, n).
         """
         grid = self.grid
         n, nt = grid.n_interior, grid.nt
@@ -601,34 +630,30 @@ class TimeStepper:
             if k is not None and src_k != k:
                 raise ShapeMismatch(f"march datum has {k} columns, sources shape {sources.shape}")
             k = src_k
-            sources = sources.reshape(-1, nt + 1, n)
         return datum, sources, k
 
     def _march(self, datum, sources, family, backward, coordinates=False):
-        """march_forward, or march_backward when backward is true.
-
-        Every march fills one (k, nt+1, n) array, k = 1 for a single column.
-        """
-        grid = self.grid
-        n, nt = grid.n_interior, grid.nt
-        fam = self._family(family)
-        coords = fam.coordinates
-        if coordinates and coords.modal:
+        """march_forward, or march_backward when backward is true: the
+        family's Coordinates.march, on validated inputs (_march_inputs)
+        for a physical march, and for a physical modal march on inputs
+        that are not all zero, transformed around it."""
+        coords = self.coordinates(family)
+        if coordinates:
             return coords.march(datum, sources, backward)
         datum, sources, k = self._march_inputs(datum, sources)
+        if not coords.modal:
+            return coords.march(datum, sources, backward)
+        n, nt = self.grid.n_interior, self.grid.nt
         if not datum.any() and (sources is None or not sources.any()):
             return np.zeros((nt + 1, n) if k is None else (k, nt + 1, n))
-        if coords.modal:  # backward: the forward march of the time-reversed data, reversed
-            if backward and sources is not None:  # reversed step j is step nt+1-j, which reads that source
+        # a modal backward march is the forward march of the time-reversed data, reversed
+        if sources is not None:
+            sources = sources.reshape(-1, nt + 1, n)
+            if backward:  # reversed step j is step nt+1-j, which reads that source
                 sources = np.concatenate((sources[:, :1], sources[:, :0:-1]), axis=1)
-            rhs = coords.zeros(k or 1) if sources is None else coords.source(sources)
-            out = coords.physical(coords.march(coords.datum(datum), rhs), datum)
-            out = out[:, ::-1] if backward else out
-        else:
-            out = np.zeros((k or 1, nt + 1, n))
-            out[:, nt if backward else 0] = datum
-            dt_src = None if sources is None else grid.dt * sources
-            _band_loop(_band_solve(fam, backward), out, dt_src, backward)
+        rhs = coords.zeros(k or 1) if sources is None else coords.source(sources)
+        out = coords.physical(coords.march(coords.datum(datum), rhs), datum)
+        out = out[:, ::-1] if backward else out
         return out[0] if k is None else out
 
     def march_forward(self, w0_int, sources=None, family="forward", coordinates=False):
@@ -660,57 +685,11 @@ class TimeStepper:
         return self._march(terminal_int, sources, family, True, coordinates)
 
 
-def _steps(nt, backward):
-    """(j, level read, level written) of each step, in marching order."""
-    if backward:
-        return [(j, j, j - 1) for j in range(nt, 0, -1)]
-    return [(j, j - 1, j) for j in range(1, nt + 1)]
-
-
 def _per_step(factor, count, steps):
     """The factor of each step 1..nt: views of the count levels' own columns
     of one block-diagonal band factor, each level serving steps steps."""
     n = factor.shape[1] // count
     return [factor[:, l * n:(l + 1) * n] for l in range(count)] * steps
-
-
-def _band_solve(fam, backward):
-    """solve(j, x): x <- S_j^{-1} x, or S_j^{-T} x backward, in place on a
-    contiguous (n,) row x, one LAPACK solve on the family's band factor:
-    dpbtrs on a Cholesky factor (S_j is symmetric, so one solve serves both
-    directions), dgbtrs with trans=1 backward on an LU factor.  Both take
-    their arguments positionally (dpbtrs: lower, ldab, overwrite_b;
-    dgbtrs: trans, n, ldab, ldb, overwrite_b): parsing keywords costs about
-    a third of a 1D step."""
-    if fam.cholesky is not None:
-        factors = fam.cholesky
-        width = len(factors[0])
-        return lambda j, x: dpbtrs(factors[j - 1], x, 1, width, 1)
-    kl, ku, factors, pivots = fam.lu
-    trans, (width, n) = int(backward), factors[0].shape
-    return lambda j, x: dgbtrs(factors[j - 1], kl, ku, x, pivots[j - 1], trans, n, width, n, 1)
-
-
-def _band_loop(solve, out, dt_src, backward):
-    """out[:, to] = S_j^{-1} (out[:, from] + dt s^j), or S_j^{-T} backward,
-    one solve(j, x) (_band_solve) per step; out is (k, nt+1, n) and dt_src
-    None or (k, nt+1, n).
-
-    Each step is solved in place on the level's contiguous row, and the k
-    columns march one after another, so each column is bit for bit the
-    single-column march: one dgbtrs(trans=1) call on k columns rounds
-    differently from k one-column calls once kl >= 12.
-    """
-    steps = _steps(out.shape[1] - 1, backward)
-    for c, column in enumerate(out):
-        rows = list(column)
-        srcs = None if dt_src is None else list(dt_src[c])
-        for j, read, write in steps:
-            if srcs is None:
-                np.copyto(rows[write], rows[read])
-            else:
-                np.add(rows[read], srcs[j], out=rows[write])
-            solve(j, rows[write])
 
 
 def _recurrence_band(w, nt):

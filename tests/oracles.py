@@ -256,7 +256,7 @@ def spatial_operator(biharm, grads, a, b, level):
 def sparse_step_matrix(stepper, j, family="forward"):
     """The step matrix I + dt L_j (1..nt) of a stepper's family by sparse
     sums (spatial_operator), from the family's coefficients."""
-    grid, fam = stepper.grid, stepper._family(family)
+    grid, fam = stepper.grid, stepper.coordinates(family)
     L = spatial_operator(stepper.biharm, stepper.grads, fam.a, fam.b, j)
     return (sp.identity(grid.n_interior, format="csr") + grid.dt * L).tocsr()
 

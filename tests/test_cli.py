@@ -1,6 +1,7 @@
 import configparser
 import io
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ import hierctrl.nash
 import hierctrl.semilinear
 from hierctrl import operators
 from hierctrl.cli import dump_field, fmt, main, run
+from hierctrl.errors import ContractionFailure, HierctrlError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -750,6 +752,40 @@ def test_cg_max_iterations_reports_converged_eps(tmp_path):
     assert [c["eps"] for c in record["converged_eps"]] == [1e-1, 1e-2, 1e-3, 1e-4]
     its = [c["iterations"] for c in record["converged_eps"]]
     assert its == sorted(its) and 0 < its[0] and its[-1] <= 12
+
+
+def test_diverging_nash_error_carries_its_ratio(tmp_path, monkeypatch):
+    """A Nash fixed point that stops contracting (nash_1d.ini with
+    alpha1 = alpha2 = 10) exits 1, and error.json carries the exception's
+    contraction ratio in full, beside its 3-digit rounding in the message."""
+    raised = []
+    runner = cli.RUNNERS["nash"]
+
+    def recording(inputs, out):
+        try:
+            return runner(inputs, out)
+        except HierctrlError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setitem(cli.RUNNERS, "nash", recording)
+    cfg = tmp_path / "diverging.ini"
+    cfg.write_text(_with_keys("nash_1d.ini", [("weights", "alpha1", "10"), ("weights", "alpha2", "10")]))
+    out = tmp_path / "nash"
+    assert run("nash", cfg, out) == 1
+    record = json.loads((out / "error.json").read_text())
+    (exc,) = raised
+    assert record["error"] == "ContractionFailure" == type(exc).__name__
+    assert record["ratio"] == exc.ratio and 1.0 < exc.ratio < math.inf
+    assert f"last ratio {exc.ratio:.3g}" in record["message"]
+    assert record["iterations"] == exc.iterations
+
+
+def test_non_finite_ratio_is_left_out_of_error_details():
+    """A divergence to non-finite values carries ratio inf, which JSON
+    cannot hold: the details keep only the iteration count."""
+    assert cli._error_details(ContractionFailure("diverged", ratio=math.inf, iterations=3)) == {"iterations": 3}
+    assert cli._error_details(ContractionFailure("grew", ratio=2.5, iterations=4)) == {"iterations": 4, "ratio": 2.5}
 
 
 def test_trajectory_subcommand(tmp_path):

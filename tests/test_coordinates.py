@@ -26,7 +26,7 @@ FAMILIES = {
 
 def _representation(family):
     """The name of the representation a stepper family marches with."""
-    if family.coordinates.modal:
+    if family.modal:
         return "modal"
     return next(name for name in ("cholesky", "lu") if getattr(family, name) is not None)
 
@@ -68,7 +68,7 @@ def test_fixed_points_match_oracle_in_every_family(family, case, monkeypatch, rn
     band adjoint one, whose couplings are Q' diag I and I diag Q."""
     spec = _family_spec(family, case, monkeypatch)
     stepper, g = spec.stepper, spec.grid
-    assert _representation(stepper._family("forward")) == {"band": "cholesky"}.get(family, family)
+    assert _representation(stepper.coordinates("forward")) == {"band": "cholesky"}.get(family, family)
     assert stepper.coordinates("forward").modal == (family == "modal")
     assert stepper.coordinates("adjoint").modal == (family == "modal" and case != "mixed")
     f = leader_bump(g)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from hierctrl.linalg import (PATIENCE, RHO_CAP, RitzPairs, band_cholesky, band_lu, conjugate_gradient,
                              contraction_estimate, factorize, iterate, ritz_pairs)
-from hierctrl.operators import _band_loop, _band_solve
+from hierctrl.mesh import build_grid
+from hierctrl.operators import Coordinates
 
 
 def _random_spd(n, seed):
@@ -156,21 +156,23 @@ def test_band_cholesky_of_an_indefinite_stack_is_none(indefinite):
     assert band_cholesky(np.stack([good, indefinite, good])) is None
 
 
-def _loop_family(kind, kd, n):
-    """What _band_solve reads of a one-level family: a band Cholesky factor
-    of a random SPD band, or a band LU factor of a random general one, both
-    of bandwidth kd."""
+def _band_family(kind, kd, n, nt):
+    """Coordinates of a family of nt steps on a 1D grid with n unknowns
+    whose step matrices are one random band of bandwidth kd, kept as its
+    band Cholesky factor (a random SPD band) or band LU factor (a random
+    general band), as TimeStepper keeps a time-constant family."""
+    grid = build_grid(1, 1.0, n + 2, 1.0, nt)
     if kind == "cholesky":
-        return SimpleNamespace(cholesky=[band_cholesky(_random_spd_bands(1, kd, n, n))], lu=None)
+        return Coordinates(grid, cholesky=[band_cholesky(_random_spd_bands(1, kd, n, n))] * nt)
     factor, pivots = band_lu(_random_general_bands(1, kd, kd, n, n), kd, kd)
-    return SimpleNamespace(cholesky=None, lu=(kd, kd, [factor], list(pivots)))
+    return Coordinates(grid, lu=(kd, kd, [factor] * nt, list(pivots) * nt))
 
 
-def _own_solve(fam, backward, rhs):
-    """The one-column solve of the family's step 1 by a keyword call."""
-    if fam.cholesky is not None:
-        return dpbtrs(fam.cholesky[0], rhs, lower=1)[0]
-    kl, ku, factors, pivots = fam.lu
+def _own_solve(coords, backward, rhs):
+    """One step's one-column solve by a keyword call."""
+    if coords.cholesky is not None:
+        return dpbtrs(coords.cholesky[0], rhs, lower=1)[0]
+    kl, ku, factors, pivots = coords.lu
     return dgbtrs(factors[0], kl, ku, rhs, pivots[0], trans=int(backward))[0]
 
 
@@ -178,21 +180,32 @@ def _own_solve(fam, backward, rhs):
 @pytest.mark.parametrize("kd,n", [(2, 38), (2, 128), (12, 100), (20, 100), (44, 484)])
 @pytest.mark.parametrize("backward", [False, True])
 def test_band_loop_columns_bitwise(kind, kd, n, backward):
-    """A k-column step of the band step loop is bit for bit k one-column
-    solves of contiguous columns, with and without a source, forward and
-    backward (one dpbtrs solve serves both; dgbtrs solves trans=1 backward)."""
+    """A k-column march of the band step loop (Coordinates.march) is bit
+    for bit k one-column marches, for k = 1, 2, 3 and 5, with and without
+    sources, forward and backward, and each one-column march is its steps'
+    own solves of contiguous rows: level j - 1 or j plus dt s^j, one
+    dpbtrs solve (it serves both directions) or one dgbtrs solve, trans=1
+    backward."""
     rng = np.random.default_rng(n)
-    fam = _loop_family(kind, kd, n)
+    nt = 4
+    coords = _band_family(kind, kd, n, nt)
+    dt = coords.grid.dt
     for k in (1, 2, 3, 5):
-        datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, 2, n))
-        for dt_src in (None, src):
-            out = np.zeros((k, 2, n))
-            out[:, 1 if backward else 0] = datum
-            _band_loop(_band_solve(fam, backward), out, dt_src, backward)
+        datum, src = rng.standard_normal((k, n)), rng.standard_normal((k, nt + 1, n))
+        for sources in (None, src):
+            out = coords.march(datum, sources, backward)
+            assert out.shape == (k, nt + 1, n)
             for c in range(k):
-                rhs = datum[c].copy() if dt_src is None else datum[c] + dt_src[c, 1]
-                assert rhs.flags.c_contiguous
-                assert np.array_equal(out[c, 0 if backward else 1], _own_solve(fam, backward, rhs))
+                one = coords.march(datum[c], None if sources is None else sources[c], backward)
+                assert np.array_equal(out[c], one)
+                ref = np.zeros((nt + 1, n))
+                ref[nt if backward else 0] = datum[c]
+                for j in range(nt, 0, -1) if backward else range(1, nt + 1):
+                    read, write = (j, j - 1) if backward else (j - 1, j)
+                    rhs = ref[read].copy() if sources is None else ref[read] + dt * sources[c, j]
+                    assert rhs.flags.c_contiguous
+                    ref[write] = _own_solve(coords, backward, rhs)
+                assert np.array_equal(one, ref)
 
 
 def test_factorize_identity():

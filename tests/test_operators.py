@@ -19,7 +19,7 @@ def _step(st, family, j, transpose, x):
     """Step j (1..nt) of one (n,) column x: one band Cholesky solve on a
     symmetric positive-definite family, one band LU solve (transposed when
     asked) on any other."""
-    fam = st._family(family)
+    fam = st.coordinates(family)
     if fam.cholesky is not None:
         return dpbtrs(fam.cholesky[j - 1], x, lower=1)[0]
     kl, ku, factors, pivots = fam.lu
@@ -279,7 +279,7 @@ def _frozen_like_stepper(rng, nx=14, transport=True):
     spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
                       b_adj=(g.to_interior_levels(transport_values()),))
     st = spec.stepper
-    fam = st._family("forward")
+    fam = st.coordinates("forward")
     factors = fam.lu[2] if transport else fam.cholesky
     assert len(factors) == g.nt and not np.array_equal(factors[0], factors[1])
     assert abs(step_matrix(st, 3, "adjoint") - step_matrix(st, 3, "forward")).max() > 0.0
@@ -394,7 +394,7 @@ def _transport_stepper(rng, dim, nx, nt=8):
     spec = spec.with_(a_adj=g.to_interior_levels(rng.standard_normal(shape)),
                       b_adj=tuple(g.to_interior_levels(rng.standard_normal(shape)) for _ in range(dim)))
     st = spec.stepper
-    assert all(st._family(family).lu is not None for family in ("forward", "adjoint"))
+    assert all(st.coordinates(family).lu is not None for family in ("forward", "adjoint"))
     return g, st
 
 
@@ -416,10 +416,11 @@ def test_lu_marches_match_superlu_solves(rng, family, dim, nx):
 
 @pytest.mark.parametrize("dim,nx", [(1, 16), (1, 40), (2, (8, 8)), (2, (12, 12))])
 def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
-    """Slice l of _dense_step_stack, and block levels[l] of step_matrices,
-    are the step matrix of levels[l] by sparse sums (sparse_step_matrix),
-    entry for entry, with time-dependent reaction and transport along every
-    axis.  Slice l of _step_band holds the same
+    """The dense read of level l's diagonals (_step_diagonals as one dia
+    matrix, which a modal family's eigendecomposition reads), and block
+    levels[l] of step_matrices, are the step matrix of levels[l] by sparse
+    sums (sparse_step_matrix), entry for entry, with time-dependent reaction
+    and transport along every axis.  Slice l of _step_band holds the same
     matrix in general band storage, entry for entry, with zeros in its kl
     fill rows and outside the matrix."""
     g = build_grid(dim, 1.0 if dim == 1 else (1.0, 1.5), nx, 1.0, 6)
@@ -428,12 +429,12 @@ def test_dense_step_stack_equals_sparse_step_matrices(rng, dim, nx):
                        b_values=[rng.standard_normal(shape) for _ in range(dim)])
     st = spec.stepper
     levels = [1, 3, 4, 6]
-    stack = st._dense_step_stack(spec.a, spec.b, levels)
-    assert stack.shape == (len(levels), g.n_interior, g.n_interior)
-    for sl, j in zip(stack, levels):
-        S = sparse_step_matrix(st, j).toarray()
-        assert np.array_equal(sl, S) and np.array_equal(step_matrix(st, j).toarray(), S)
     n = g.n_interior
+    offsets, data = st._step_diagonals(spec.a, spec.b, levels)
+    for diagonals, j in zip(data, levels):
+        dense = sp.dia_matrix((diagonals, offsets), shape=(n, n)).toarray()
+        S = sparse_step_matrix(st, j).toarray()
+        assert np.array_equal(dense, S) and np.array_equal(step_matrix(st, j).toarray(), S)
     band, kl, ku = st._step_band(spec.a, spec.b, levels)
     kd = 2 * (g.nx[-1] - 2) if dim == 2 else 2
     assert (kl, ku) == (kd, kd) and band.shape == (len(levels), 3 * kd + 1, n)
@@ -454,8 +455,8 @@ def test_transport_marches_on_band_lu_at_every_size(rng, nx):
     dgbtrs solve, the transposed step its trans=1 solve."""
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g, b_values=[np.full((g.nt + 1,) + g.nx, 0.5)]).stepper
-    fam = st._family("forward")
-    assert not fam.coordinates.modal and fam.cholesky is None
+    fam = st.coordinates("forward")
+    assert not fam.modal and fam.cholesky is None
     kl, ku, factors, pivots = fam.lu
     assert (kl, ku) == (2, 2) and all(f is factors[0] for f in factors) and factors[0].shape == (7, g.n_interior)
     w0 = rng.standard_normal(g.n_interior)
@@ -470,8 +471,8 @@ def test_2d_benchmark_grid_marches_on_one_band_factor(rng):
     g = build_grid(2, (1.0, 1.0), (24, 24), 1.0, 4)
     assert g.n_interior == 484 > MODAL_MAX_N
     st = _plain_spec(g).stepper
-    fam = st._family("forward")
-    assert not fam.coordinates.modal and fam.lu is None
+    fam = st.coordinates("forward")
+    assert not fam.modal and fam.lu is None
     factors = fam.cholesky
     assert factors[0].shape == (45, 484) and all(f is factors[0] for f in factors)
     w0 = rng.standard_normal(g.n_interior)
@@ -562,7 +563,7 @@ def test_equal_adjoint_coefficients_share_the_forward_family(rng, time_dependent
     b = (rng.uniform(0.0, 1.0, shape) if time_dependent else np.zeros(shape),)
     plain = operators.TimeStepper(g, a, b)
     st = operators.TimeStepper(g, a, b, a_adj=a.copy(), b_adj=(b[0].copy(),))
-    assert st._families["adjoint"] is st._families["forward"]
+    assert st.coordinates("adjoint") is st.coordinates("forward")
     datum, src = rng.standard_normal(g.n_interior), rng.standard_normal(shape)
     for march in ("march_forward", "march_backward"):
         assert np.array_equal(getattr(st, march)(datum, src, family="adjoint"),
@@ -570,15 +571,15 @@ def test_equal_adjoint_coefficients_share_the_forward_family(rng, time_dependent
     a_adj = a.copy()
     a_adj[-1, 0] += 1.0
     other = operators.TimeStepper(g, a, b, a_adj=a_adj)
-    assert other._families["adjoint"] is not other._families["forward"]
+    assert other.coordinates("adjoint") is not other.coordinates("forward")
 
 
 def _modal_stepper(nx=14, nt=8, length=1.0):
     """Time-constant reaction, no transport: a symmetric family, kept as modes."""
     g = build_grid(1, length, nx, 1.0, nt)
     st = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
-    fam = st._family("forward")
-    assert fam.coordinates.modal and fam.cholesky is None and fam.lu is None
+    fam = st.coordinates("forward")
+    assert fam.modal and fam.cholesky is None and fam.lu is None
     return g, st
 
 
@@ -612,7 +613,7 @@ def test_modal_march_matches_step_loop(rng, monkeypatch, nx, nt, rtol):
     g, modal = _modal_stepper(nx=nx, nt=nt, length=6.0)
     monkeypatch.setattr(operators, "MODAL_MAX_N", 0)
     loop = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7)).stepper
-    assert loop._family("forward").cholesky is not None
+    assert loop.coordinates("forward").cholesky is not None
     datum = rng.standard_normal((2, g.n_interior))
     src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     for direction in ("march_forward", "march_backward"):
@@ -638,7 +639,7 @@ def test_backward_modal_march_is_reversed_forward_march(rng, nx, nt, length, k):
 def test_duality_identity_on_modal_stepper(rng):
     g, st = _modal_stepper()
     spec = _plain_spec(g, a_values=np.full((g.nt + 1,) + g.nx, 0.7))
-    assert spec.stepper is not st and spec.stepper._family("forward").coordinates.modal
+    assert spec.stepper is not st and spec.stepper.coordinates("forward").modal
     for _ in range(5):
         gap = duality_gap(
             spec,
@@ -662,15 +663,19 @@ def test_singular_symmetric_level_raises():
         _plain_spec(g, a_values=a).stepper
 
 
-@pytest.mark.parametrize("k", [None, 2])
-@pytest.mark.parametrize("backward", [False, True])
-def test_all_zero_march_equals_stepped_zeros(rng, k, backward):
-    """A march with zero datum and sources returns zeros without stepping;
-    on the band LU path the stepped march gives the same bits."""
+@pytest.mark.parametrize("backward,k,coordinates", [
+    pytest.param(b, k, c, id=f"{b}-{k}" + ("-coordinates" if c else ""))
+    for c in (False, True) for b in (False, True) for k in (None, 2)])
+def test_all_zero_march_equals_stepped_zeros(rng, k, backward, coordinates):
+    """A march with zero datum and sources returns zeros without stepping,
+    in physical space and in a band family's coordinates: +0.0 throughout,
+    where the stepped march on the band LU path gives the same values, some
+    of them -0.0."""
     g, st = _frozen_like_stepper(rng)
     n, nt = g.n_interior, g.nt
     shape = (nt + 1, n) if k is None else (k, nt + 1, n)
-    got = (st.march_backward if backward else st.march_forward)(np.zeros(n), np.zeros(shape))
+    march = st.march_backward if backward else st.march_forward
+    got = march(np.zeros(n), np.zeros(shape), coordinates=coordinates)
     stepped = _stepped(st, "forward", np.zeros(shape[:-2] + (n,)), np.zeros(shape), backward)
     assert got.shape == shape and np.array_equal(got, stepped)
     assert not np.signbit(got).any()
@@ -695,7 +700,7 @@ def test_step_loop_equals_solver_loop_bitwise(rng, k, backward, family, transpor
 def test_modal_cap_in_1d(nx, modal):
     g = build_grid(1, 1.0, nx, 1.0, 4)
     st = _plain_spec(g).stepper
-    assert st._family("forward").coordinates.modal == modal
+    assert st.coordinates("forward").modal == modal
 
 
 def test_only_transport_keeps_band_lu(rng):
@@ -706,10 +711,10 @@ def test_only_transport_keeps_band_lu(rng):
     shape = (g.nt + 1,) + g.nx
     transport = _plain_spec(g, b_values=[np.full(shape, 0.5)]).stepper
     varying = _plain_spec(g, a_values=rng.uniform(0.0, 1.0, shape)).stepper
-    _, _, factors, pivots = transport._family("forward").lu
+    _, _, factors, pivots = transport.coordinates("forward").lu
     assert factors[0] is factors[-1] and pivots[0] is pivots[-1] and len(factors) == g.nt
-    fam = varying._family("forward")
-    assert fam.lu is None and not fam.coordinates.modal
+    fam = varying.coordinates("forward")
+    assert fam.lu is None and not fam.modal
     assert len(fam.cholesky) == g.nt and not np.array_equal(fam.cholesky[0], fam.cholesky[1])
 
 
@@ -732,8 +737,8 @@ def test_band_marches_match_superlu_solves(rng, family, dim, nx):
     matrices, level by level, forward and backward."""
     g, spec = _symmetric_varying_stepper(rng, dim, nx)
     st = spec.stepper
-    assert st._family(family).cholesky is not None
-    assert st._family("adjoint") is not st._family("forward")
+    assert st.coordinates(family).cholesky is not None
+    assert st.coordinates("adjoint") is not st.coordinates("forward")
     n, nt = g.n_interior, g.nt
     datum, src = rng.standard_normal(n), rng.standard_normal((nt + 1, n))
     fwd, bwd = _superlu_marches(st, family, datum, src)
@@ -746,7 +751,7 @@ def test_band_marches_match_superlu_solves(rng, family, dim, nx):
 def test_duality_identity_on_band_stepper(rng, dim, nx):
     g, spec = _symmetric_varying_stepper(rng, dim, nx)
     spec = spec.with_(a_adj=None)
-    assert spec.stepper._family("forward").cholesky is not None
+    assert spec.stepper.coordinates("forward").cholesky is not None
     for _ in range(3):
         gap = duality_gap(
             spec,
@@ -771,7 +776,7 @@ def test_indefinite_symmetric_level_marches_as_transport_does(rng, nx):
     a[3] = -lam.mean() / g.dt
     st = _plain_spec(g, a_values=a).stepper
     assert lam[0] < -g.dt * a[3, 1] and np.linalg.eigvalsh(step_matrix(st, 3).toarray())[0] < 0.0
-    fam = st._family("forward")
+    fam = st.coordinates("forward")
     assert fam.cholesky is None and fam.lu is not None
     datum, src = rng.standard_normal(g.n_interior), rng.standard_normal((g.nt + 1, g.n_interior))
     fwd, bwd = _superlu_marches(st, "forward", datum, src)
@@ -833,7 +838,7 @@ def test_2d_transport_backward_march_columns_bitwise(rng, nx):
     dgbtrs(trans=1) call on both columns would round differently from two
     one-column calls, so the step loop marches the columns one by one."""
     g, st = _transport_stepper(rng, 2, nx)
-    assert st._family("adjoint").lu[0] >= 12
+    assert st.coordinates("adjoint").lu[0] >= 12
     datum = rng.standard_normal((2, g.n_interior))
     src = rng.standard_normal((2, g.nt + 1, g.n_interior))
     both = st.march_backward(datum, src, family="adjoint")

@@ -2,20 +2,24 @@
 src/hierctrl is reached from src/ (a re-export in __init__.py does not
 count); every dataclass and NamedTuple field, public method and property of
 a src/ class is read by src/ code during the shipped runs, or is a reference
-the tests read and is named below with its reason; every module-level
-import is used."""
+the tests read and is named below with its reason; every attribute a
+HierctrlError subclass sets is written to error.json (cli._error_details
+reads it) or is named below with its reason; every module-level import is
+used."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import sys
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
 from test_cli import CONFIGS, _with_keys
 
-from hierctrl.cli import run
+from hierctrl.cli import _error_details, run
+from hierctrl.errors import HierctrlError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hierctrl"
@@ -38,6 +42,22 @@ FIELD_TEST_REFERENCES = {
         "/ ||b|| to cg_tol, where cg_residuals holds the recurrence's own estimates",
     ("hum", "CoupledAdjointState", "iterations"):
         "the sweeps of each coupled-adjoint solve: perfbench/tracing.py reads it for hum.coupled_adjoint.sweeps",
+}
+
+# (module, class, attribute): why an attribute a src/ error sets stays although
+# cli._error_details does not write it to error.json.
+ERROR_ATTRIBUTE_REFERENCES = {
+    ("errors", "MaxIterations", "best"):
+        "library API: every failure carries its best iterate (the ROADMAP's robustness aim), which a caller "
+        "of linalg.iterate or conjugate_gradient can restart from; an array does not belong in error.json",
+    ("errors", "MaxIterations", "history"):
+        "library API: the changes or residuals the loop recorded up to the failure, beside its best iterate",
+    ("errors", "ParseError", "offset"):
+        "library API of expressions.parse_expr; a config's parse error is a validation ConfigError, which "
+        "writes no error.json and whose message carries the offset ('at offset N')",
+    ("errors", "ParseError", "expected"):
+        "library API of expressions.parse_expr: the tokens expected at the offset, for a caller that "
+        "suggests a fix",
 }
 
 # The shipped runs (tools/shipped_runs.sh), as (subcommand, config stem).
@@ -162,9 +182,40 @@ def _read_attributes(paths):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def _error_attributes():
+    """(module, class, attribute) of every attribute a HierctrlError
+    subclass in src/ sets on itself."""
+    return {(cls.__module__.rsplit(".", 1)[-1], cls.__name__, node.attr)
+            for cls in _classes() if issubclass(cls, HierctrlError)
+            for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def _written_to_error_json():
+    """The attributes cli._error_details reads from the error, as exc.name
+    or getattr(exc, "name", ...)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_error_details)))
+    return ({node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exc"}
+            | {node.args[1].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+               and getattr(node.args[0], "id", None) == "exc" and isinstance(node.args[1], ast.Constant)})
+
+
+def test_every_error_attribute_is_written_to_error_json_or_a_named_reference():
+    attributes = _error_attributes()
+    assert {"ratio", "best", "offset"} <= {name for *_, name in attributes}  # the scan sees them
+    unwritten = {key for key in attributes if key[2] not in _written_to_error_json()}
+    # write these in cli._error_details, or name them in ERROR_ATTRIBUTE_REFERENCES with the reason they stay
+    assert sorted(unwritten - ERROR_ATTRIBUTE_REFERENCES.keys()) == []
+    # stale entries: error.json carries these now, or they are gone
+    assert sorted(ERROR_ATTRIBUTE_REFERENCES.keys() - unwritten) == []
+
+
 def test_named_member_references_are_read_by_tests():
     read = _read_attributes([*(ROOT / "tests").glob("*.py")])
-    named = FIELD_TEST_REFERENCES.keys() | METHOD_TEST_REFERENCES.keys()
+    named = FIELD_TEST_REFERENCES.keys() | METHOD_TEST_REFERENCES.keys() | ERROR_ATTRIBUTE_REFERENCES.keys()
     assert sorted(name for *_, name in named if name not in read) == []
 
 
